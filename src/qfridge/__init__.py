@@ -16,7 +16,6 @@ from .matrixcore import (
     RankAmbiguityWarning,
     dagger,
     dm_validate,
-    kron,
     null_space,
 )
 from .spectrum import (

@@ -45,6 +45,7 @@ import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .dynamics import (
     Generator,
     SolverFailure,
     SteadyState,
+    SteadyStateSet,
     build_generator,
     steady_states_numeric,
 )
@@ -378,6 +380,23 @@ def _reporting_state(gen: Generator, states) -> tuple[SteadyState, HeatCurrentRe
     return best
 
 
+def _solve(config: ScenarioConfig) -> tuple[SteadyStateSet, HeatCurrentReport]:
+    """All steady states of a scenario and the report of its reporting state."""
+    gen, _ = _build(config)
+    states = steady_states_numeric(gen)
+    _, report = _reporting_state(gen, states)
+    return states, report
+
+
+def _map_rows(solve_row, config: ScenarioConfig, items, parallel: int) -> list:
+    """``solve_row(config, item)`` for each item, in order; with
+    ``parallel > 1`` the rows run in worker processes."""
+    if parallel > 1:
+        with ProcessPoolExecutor(max_workers=parallel) as pool:
+            return list(pool.map(solve_row, repeat(config), items))
+    return [solve_row(config, item) for item in items]
+
+
 def _row_from_report(value: float, report: HeatCurrentReport) -> "SweepRow":
     return SweepRow(
         sweep_value=value,
@@ -444,11 +463,8 @@ def _with_hot_temperature(config: ScenarioConfig, t_h: float) -> ScenarioConfig:
 
 
 def _solve_point(config: ScenarioConfig, t_h: float) -> SweepRow:
-    point = _with_hot_temperature(config, t_h)
     try:
-        gen, _ = _build(point)
-        states = steady_states_numeric(gen)
-        _, report = _reporting_state(gen, states)
+        _, report = _solve(_with_hot_temperature(config, t_h))
         return _row_from_report(t_h, report)
     except Exception:  # per-row failure is recorded, the sweep continues
         return SweepRow(
@@ -457,10 +473,6 @@ def _solve_point(config: ScenarioConfig, t_h: float) -> SweepRow:
             qdot_B_C=math.nan, qdot_B_H=math.nan, qdot_B_R=math.nan,
             eta=math.nan, sigma=math.nan, stage="error",
         )
-
-
-def _sweep_worker(payload) -> SweepRow:
-    return _solve_point(*payload)
 
 
 def sweep_th(config: ScenarioConfig, parallel: int = 1) -> SweepResult:
@@ -473,12 +485,8 @@ def sweep_th(config: ScenarioConfig, parallel: int = 1) -> SweepResult:
     if config.sweep is None:
         raise ConfigError("sweep requested but the config has no [sweep] section")
     _, warns = _build(_with_hot_temperature(config, config.sweep.values[0]))
-    payloads = [(config, float(v)) for v in config.sweep.values]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            rows = list(pool.map(_sweep_worker, payloads))
-    else:
-        rows = [_solve_point(*p) for p in payloads]
+    values = [float(v) for v in config.sweep.values]
+    rows = _map_rows(_solve_point, config, values, parallel)
     return SweepResult(config=config, rows=tuple(rows), warnings=tuple(warns))
 
 
@@ -606,11 +614,8 @@ def _filter_patterns(mode: str) -> list[FilterConfig]:
 def _scan_one(config: ScenarioConfig, filt: FilterConfig) -> ScanRow:
     cooling_tol = 1e-12 * config.params.omega_c
     matched = cycle_match_check(filt).matched
-    scenario = replace(config, filter=filt)
     try:
-        gen, _ = _build(scenario)
-        states = steady_states_numeric(gen)
-        _, report = _reporting_state(gen, states)
+        states, report = _solve(replace(config, filter=filt))
         return ScanRow(
             filter=filt,
             qdot_C=report.engineered["C"],
@@ -629,21 +634,12 @@ def _scan_one(config: ScenarioConfig, filt: FilterConfig) -> ScanRow:
         )
 
 
-def _scan_worker(payload) -> ScanRow:
-    return _scan_one(*payload)
-
-
 def scan_filters(
     config: ScenarioConfig, mode: str = "single_channel", parallel: int = 1
 ) -> list[ScanRow]:
     """Evaluate every filter mask (27 single-channel or 216 one-or-two
     channel configurations) at fixed temperatures, sorted by cold current."""
-    payloads = [(config, filt) for filt in _filter_patterns(mode)]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            rows = list(pool.map(_scan_worker, payloads))
-    else:
-        rows = [_scan_one(*p) for p in payloads]
+    rows = _map_rows(_scan_one, config, _filter_patterns(mode), parallel)
     rows.sort(key=lambda r: (-(r.qdot_C if not math.isnan(r.qdot_C) else -math.inf),
                              str(r.filter)))
     return rows

@@ -3,11 +3,13 @@
 Superoperators use column-stacking vectorization: ``vec(A rho B) =
 (B^T kron A) vec(rho)`` with ``vec = rho.flatten(order="F")``.
 
-Two solver routes coexist deliberately.  The population route restricts the
-dynamics to eigenlevel occupations (an 8x8 real rate matrix), which is exact
-here because every channel operator has diagonal A^dag A and A A^dag in the
-eigenbasis.  The Liouvillian route works on the full 64-dimensional
-generator and serves as a safety net; both are cross-checked in the tests.
+Steady states come from one route: the dynamics restricted to eigenlevel
+occupations, an 8x8 real rate matrix W.  This is exact here because every
+channel operator has diagonal A^dag A and A A^dag in the eigenbasis, so
+states diagonal in the eigenbasis form an invariant sector of the full
+generator and W is that generator restricted to it.  The full 64x64
+Liouvillian is built only when read (time propagation, cross-checks in the
+tests).
 
 Multiple steady states are enumerated per closed communicating class of the
 population rate graph rather than returned as raw null-space vectors, so
@@ -17,6 +19,7 @@ each returned state is a physical density matrix with a definite support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,7 +69,7 @@ __all__ = [
     "branch_weights",
 ]
 
-#: Residual bound for accepting a steady state: ||L vec(rho)|| <= RES_TOL ||L||.
+#: Residual bound for accepting a steady state: ||W p|| <= RES_TOL ||W||.
 STEADY_RESIDUAL_TOL = 1e-9
 
 #: Default convergence threshold for time propagation, ||d rho / dt|| < eps.
@@ -139,9 +142,10 @@ def _dissipator_superop(d: Dissipator) -> np.ndarray:
 class Generator:
     """Assembled dynamics for one scenario.
 
-    ``liouvillian`` is the 64x64 matrix generating ``d vec(rho)/dt``; it sums
-    the engineered (filtered) dissipators, the background dissipators over
-    all nine channels when a background is active, and (by default) the
+    ``dissipators`` holds the engineered (filtered) dissipators and, when a
+    background is active, the background dissipators over all nine
+    channels.  ``liouvillian`` is the 64x64 matrix generating
+    ``d vec(rho)/dt``, built on first read: the dissipators plus the
     coherent commutator term.  The commutator never touches eigenlevel
     populations, so every population-level result is independent of it; it
     is kept so that undamped coherences between nondegenerate levels do not
@@ -156,8 +160,6 @@ class Generator:
     eigen: EigenSystem = field(repr=False)
     channels: tuple[TransitionChannel, ...] = field(repr=False)
     dissipators: tuple[Dissipator, ...] = field(repr=False)
-    liouvillian: np.ndarray = field(repr=False)
-    includes_hamiltonian: bool = True
 
     @property
     def engineered(self) -> tuple[Dissipator, ...]:
@@ -167,16 +169,24 @@ class Generator:
     def background_dissipators(self) -> tuple[Dissipator, ...]:
         return tuple(d for d in self.dissipators if d.source == "background")
 
+    @cached_property
+    def liouvillian(self) -> np.ndarray:
+        h = self.hamiltonian
+        eye = np.eye(DIM)
+        liou = -1j * (_sandwich(h, eye) - _sandwich(eye, h))
+        for d in self.dissipators:
+            liou += _dissipator_superop(d)
+        return liou
+
 
 def build_generator(
     params: SystemParams,
     filt: FilterConfig,
     reservoirs: ReservoirSet,
     background: BackgroundSpec | None = None,
-    include_hamiltonian: bool = True,
     allow_degenerate: bool = False,
 ) -> Generator:
-    """Assemble dissipators and the vectorized generator for a scenario.
+    """Assemble the dissipators of a scenario.
 
     Engineered dissipators cover exactly the kept channels; an active
     background couples through all nine channels.  Unless
@@ -209,25 +219,15 @@ def build_generator(
     if participating:
         warn_if_markov_strained(params, participating, gamma_max)
 
-    h = build_hamiltonian(params)
-    liou = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
-    if include_hamiltonian:
-        eye = np.eye(DIM)
-        liou += -1j * (_sandwich(h, eye) - _sandwich(eye, h))
-    for d in dissipators:
-        liou += _dissipator_superop(d)
-
     return Generator(
         params=params,
         filter=filt,
         reservoirs=reservoirs,
         background=background,
-        hamiltonian=h,
+        hamiltonian=build_hamiltonian(params),
         eigen=eigensystem(params),
         channels=tuple(channels),
         dissipators=tuple(dissipators),
-        liouvillian=liou,
-        includes_hamiltonian=include_hamiltonian,
     )
 
 
@@ -364,77 +364,33 @@ def _stationary_on_class(w: np.ndarray, cls: frozenset[int]) -> np.ndarray:
 def steady_states_numeric(
     gen: Generator,
     decomposition: ComponentDecomposition | None = None,
-    method: str = "population",
 ) -> SteadyStateSet:
     """One steady state per closed communicating class.
 
-    ``method="population"`` solves the 8x8 rate matrix per class;
-    ``method="liouvillian"`` extracts the same states from the null space of
-    the full 64x64 generator.  Every returned state passes density-matrix
-    validation and the generator residual bound
-    ``||L vec(rho)|| <= STEADY_RESIDUAL_TOL * ||L||``.
+    Each class is solved on the 8x8 population rate matrix W.  Every
+    returned state passes density-matrix validation and the residual bound
+    ``||W p|| <= STEADY_RESIDUAL_TOL * ||W||``.  W is the full generator
+    restricted, through an isometry, to the states diagonal in the
+    eigenbasis, so ``||W p||`` equals ``||L vec(rho)||`` and, as
+    ``||W|| <= ||L||``, the bound is at least as strict as one on L.
     """
     w = build_population_matrix(gen.dissipators)
     decomp = decomposition or invariant_components(w)
     if not decomp.closed:
         raise SolverFailure("no closed communicating class found")
 
-    if method == "population":
-        pop_vectors = [_stationary_on_class(w, cls) for cls in decomp.closed]
-    elif method == "liouvillian":
-        pop_vectors = _stationary_from_liouvillian(gen, decomp)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    lnorm = np.linalg.norm(gen.liouvillian, 2)
+    pop_vectors = [_stationary_on_class(w, cls) for cls in decomp.closed]
+    bound = STEADY_RESIDUAL_TOL * np.linalg.norm(w, 2)
     states = []
     for cls, pops in zip(decomp.closed, pop_vectors):
-        rho = gen.eigen.diagonal_state(pops)
-        resid = np.linalg.norm(gen.liouvillian @ rho.flatten(order="F"))
-        if resid > STEADY_RESIDUAL_TOL * lnorm:
+        resid = np.linalg.norm(w @ pops)
+        if resid > bound:
             raise SolverFailure(
                 f"steady state on {sorted(cls)} has residual {resid:.3e} "
-                f"(bound {STEADY_RESIDUAL_TOL * lnorm:.3e})"
+                f"(bound {bound:.3e})"
             )
-        states.append(SteadyState(dm_validate(rho), cls, pops))
+        states.append(SteadyState(dm_validate(gen.eigen.diagonal_state(pops)), cls, pops))
     return SteadyStateSet(tuple(states), unique=(len(states) == 1))
-
-
-def _stationary_from_liouvillian(
-    gen: Generator, decomp: ComponentDecomposition
-) -> list[np.ndarray]:
-    basis = null_space(gen.liouvillian)
-    k = basis.shape[1]
-    if k < len(decomp.closed):
-        raise SolverFailure(
-            f"Liouvillian null space has dimension {k}, below the "
-            f"{len(decomp.closed)} closed classes"
-        )
-    # Class masses of each null vector; steady states are the combinations
-    # with unit mass on one class and zero on the others.
-    masses = np.zeros((len(decomp.closed), k))
-    pops_all = []
-    for col in range(k):
-        rho = basis[:, col].reshape(DIM, DIM, order="F")
-        pops_all.append(np.real(np.diag(gen.eigen.to_eigenbasis(rho))))
-    for i, cls in enumerate(decomp.closed):
-        for col in range(k):
-            masses[i, col] = pops_all[col][sorted(cls)].sum()
-    out = []
-    for i, cls in enumerate(decomp.closed):
-        try:
-            alpha = np.linalg.lstsq(masses, np.eye(len(decomp.closed))[i], rcond=None)[0]
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure(f"class mass system is singular: {exc}") from exc
-        pops = np.zeros(DIM)
-        for col in range(k):
-            pops += alpha[col] * pops_all[col]
-        if abs(pops.sum() - 1.0) > 1e-8 or pops.min() < -1e-8:
-            raise SolverFailure(f"null-space combination for {sorted(cls)} unphysical")
-        pops = np.clip(pops, 0.0, None)
-        pops /= pops.sum()
-        out.append(pops)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,12 @@ __all__ = [
     "DensityMatrix",
     "require_finite",
     "dagger",
-    "kron",
     "null_space",
     "dm_validate",
 ]
 
 #: Relative rank threshold for null-space extraction.  The problem matrices
-#: are 8- to 64-dimensional and O(1)-scaled after nondimensionalization, so a
+#: are at most 8-dimensional and O(1)-scaled after nondimensionalization, so a
 #: single fixed relative tolerance is adequate.
 DEFAULT_RANK_TOL = 1e-10
 
@@ -62,12 +61,6 @@ def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(m).conj().T
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two finite matrices."""
-    return np.kron(require_finite(a, "kron operand a"),
-                   require_finite(b, "kron operand b"))
 
 
 def null_space(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

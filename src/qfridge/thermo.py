@@ -24,6 +24,7 @@ from .dynamics import (
 )
 from .matrixcore import DensityMatrix
 from .reservoirs import (
+    HIGH_EFFICIENCY_FILTER,
     QUBITS,
     REVIVAL_FILTER,
     FilterConfig,
@@ -211,10 +212,16 @@ def efficiency(q_cold: float, q_hot: float) -> float | None:
     return q_cold / q_hot
 
 
+def _filter_ratio(params: SystemParams, filt: FilterConfig) -> float:
+    """Kept cold over kept hot channel frequency of a single-channel mask."""
+    return channel_frequency(params, "C", next(iter(filt.kept_c))) / \
+        channel_frequency(params, "H", next(iter(filt.kept_h)))
+
+
 _MODE_RATIOS = {
     "unfiltered": lambda p: p.omega_c / p.omega_h,
-    "revival": lambda p: (p.omega_c - p.g) / (p.omega_h + p.g),
-    "high_efficiency": lambda p: (p.omega_c + p.g) / (p.omega_h - p.g),
+    "revival": lambda p: _filter_ratio(p, REVIVAL_FILTER),
+    "high_efficiency": lambda p: _filter_ratio(p, HIGH_EFFICIENCY_FILTER),
 }
 
 
@@ -254,6 +261,14 @@ def _cooling_threshold(t_h: float, t_r: float, t_c: float) -> float:
     return (1.0 - t_r / t_h) / (t_r / t_c - 1.0)
 
 
+def _verdict(ratio: float, temps) -> CoolingVerdict:
+    t = _temperatures(temps)
+    threshold = _cooling_threshold(t["H"], t["R"], t["C"])
+    margin = threshold - ratio
+    return CoolingVerdict(cooling=margin > 0, margin=margin,
+                          ratio=ratio, threshold=threshold)
+
+
 def cooling_predicate(params: SystemParams, temps, mode: str) -> CoolingVerdict:
     """Whether heat can be extracted from the cold reservoir.
 
@@ -262,12 +277,7 @@ def cooling_predicate(params: SystemParams, temps, mode: str) -> CoolingVerdict:
     ordering with T_R > T_C; at T_H <= T_R the factor is nonpositive and
     the verdict is false for every mode.
     """
-    t = _temperatures(temps)
-    ratio = cooling_ratio(params, mode)
-    threshold = _cooling_threshold(t["H"], t["R"], t["C"])
-    margin = threshold - ratio
-    return CoolingVerdict(cooling=margin > 0, margin=margin,
-                          ratio=ratio, threshold=threshold)
+    return _verdict(cooling_ratio(params, mode), temps)
 
 
 def cooling_predicate_for_filter(
@@ -278,13 +288,7 @@ def cooling_predicate_for_filter(
     match = cycle_match_check(filt)
     if not match.matched:
         raise ValueError(f"filter {filt} is not a matched cycle: {match.detail}")
-    ratio = channel_frequency(params, "C", next(iter(filt.kept_c))) / \
-        channel_frequency(params, "H", next(iter(filt.kept_h)))
-    t = _temperatures(temps)
-    threshold = _cooling_threshold(t["H"], t["R"], t["C"])
-    margin = threshold - ratio
-    return CoolingVerdict(cooling=margin > 0, margin=margin,
-                          ratio=ratio, threshold=threshold)
+    return _verdict(_filter_ratio(params, filt), temps)
 
 
 def entropy_production(

@@ -298,6 +298,23 @@ def test_main_subcommands(tmp_path, capsys):
     assert len(scan_out.read_text().splitlines()) > 27
 
 
+def test_cli_commands_never_build_the_liouvillian(tmp_path, monkeypatch):
+    from qfridge.dynamics import Generator
+
+    reads = []
+    monkeypatch.setattr(Generator, "liouvillian", property(reads.append))
+    cfg = tmp_path / "scenario.ini"
+    cfg.write_text(NATURAL_CONFIG)
+    sweep_cfg = tmp_path / "sweep.ini"
+    sweep_cfg.write_text(FIG_CONFIG)
+    assert main(["steady", "--config", str(cfg), "--out", str(tmp_path / "s.txt")]) == 0
+    assert main(["sweep", "--config", str(sweep_cfg),
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert main(["scan", "--config", str(cfg), "--mode", "all",
+                 "--out", str(tmp_path / "scan.csv")]) == 0
+    assert reads == []
+
+
 def test_sweep_requires_sweep_section():
     with pytest.raises(ConfigError, match="no \\[sweep\\]"):
         sweep_th(parse_config(NATURAL_CONFIG))

@@ -12,6 +12,7 @@ from qfridge import (
     branch_weights,
     build_generator,
     build_population_matrix,
+    build_report,
     channel_rates,
     dm_validate,
     eigensystem,
@@ -282,16 +283,6 @@ def test_revival_four_branches_match_closed_form(params):
     assert np.abs(states.by_support({2, 4, 6}).populations - minus).max() < 1e-13
 
 
-def test_solver_methods_agree(params):
-    reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=4.0, t_c=1.0)
-    gen = build_generator(params, REVIVAL_FILTER, reservoirs)
-    a = steady_states_numeric(gen, method="population")
-    b = steady_states_numeric(gen, method="liouvillian")
-    for sa, sb in zip(a, b):
-        assert sa.support == sb.support
-        assert np.abs(sa.populations - sb.populations).max() < 1e-9
-
-
 def test_vacuum_background_unique_ground_state(params):
     reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=4.0, t_c=1.0)
     gen = build_generator(params, REVIVAL_FILTER, reservoirs,
@@ -315,15 +306,38 @@ def test_equal_temperature_gibbs_steady_state(rng):
     assert np.abs(states.states[0].state.matrix - gibbs).max() < 1e-10
 
 
-def test_steady_states_satisfy_residual_bound(rng):
+def _residual_bound_generators(rng):
     for _ in range(5):
         p = draw_params(rng)
-        reservoirs = draw_reservoirs(rng, p)
-        gen = build_generator(p, REVIVAL_FILTER, reservoirs)
+        yield build_generator(p, REVIVAL_FILTER, draw_reservoirs(rng, p))
+    p = draw_params(rng)
+    reservoirs = draw_reservoirs(rng, p)
+    yield build_generator(p, REVIVAL_FILTER, reservoirs,
+                          BackgroundSpec.thermal(0.8, p.gamma))
+    yield build_generator(p, VACUUM_TRANSPORT_FILTER, reservoirs,
+                          BackgroundSpec.vacuum(p.gamma))
+    yield build_generator(p, FilterConfig.all_channels(), reservoirs)
+
+
+def test_steady_states_satisfy_residual_bound(rng):
+    # the solver gates on W; the states must also satisfy the bound on the
+    # full generator, and the W gate is the stricter one
+    for gen in _residual_bound_generators(rng):
         lnorm = np.linalg.norm(gen.liouvillian, 2)
+        wnorm = np.linalg.norm(build_population_matrix(gen.dissipators), 2)
+        assert wnorm <= lnorm
         for s in steady_states_numeric(gen):
             resid = np.linalg.norm(gen.liouvillian @ s.state.matrix.flatten(order="F"))
             assert resid <= 1e-9 * lnorm
+
+
+def test_steady_solve_and_report_leave_liouvillian_unbuilt(params):
+    reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=4.0, t_c=1.0)
+    gen = build_generator(params, REVIVAL_FILTER, reservoirs,
+                          BackgroundSpec.vacuum(params.gamma))
+    for s in steady_states_numeric(gen):
+        build_report(gen, s)
+    assert "liouvillian" not in vars(gen)
 
 
 # --- closed-form branches ---------------------------------------------------

@@ -7,40 +7,10 @@ from qfridge import (
     build_generator,
     build_population_matrix,
     dm_validate,
-    kron,
     null_space,
 )
 from qfridge.matrixcore import RankAmbiguityWarning
 from qfridge.reservoirs import REVIVAL_FILTER
-
-
-def test_kron_identities():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-    a = np.arange(4).reshape(2, 2).astype(complex)
-    b = np.arange(16).reshape(4, 4).astype(complex)
-    assert kron(a, b).shape == (8, 8)
-
-
-def test_kron_mixed_product_property(rng):
-    for _ in range(20):
-        a, b, c, d = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                      for _ in range(4))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert np.abs(lhs - rhs).max() < 1e-12
-
-
-def test_kron_associativity(rng):
-    for _ in range(20):
-        a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                   for _ in range(3))
-        assert np.abs(kron(kron(a, b), c) - kron(a, kron(b, c))).max() < 1e-12
-
-
-def test_kron_rejects_non_finite():
-    bad = np.array([[1.0, np.nan], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="non-finite"):
-        kron(bad, np.eye(2))
 
 
 def test_null_space_zero_and_identity():

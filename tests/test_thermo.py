@@ -308,9 +308,11 @@ def test_filter_predicate_generalizes_named_modes(params):
     via_mode = cooling_predicate(params, temps, "revival")
     via_filter = cooling_predicate_for_filter(params, temps, REVIVAL_FILTER)
     assert via_filter.ratio == pytest.approx(via_mode.ratio, rel=1e-15)
+    assert via_mode.ratio == (params.omega_c - params.g) / (params.omega_h + params.g)
     via_mode = cooling_predicate(params, temps, "high_efficiency")
     via_filter = cooling_predicate_for_filter(params, temps, HIGH_EFFICIENCY_FILTER)
     assert via_filter.ratio == pytest.approx(via_mode.ratio, rel=1e-15)
+    assert via_mode.ratio == (params.omega_c + params.g) / (params.omega_h - params.g)
     for filt in COOLING_FILTERS:
         assert cooling_predicate_for_filter(params, temps, filt).ratio > 0
 
