@@ -57,6 +57,7 @@ from .dynamics import (
     build_generator,
     steady_states_numeric,
 )
+from .matrixcore import DensityMatrixError
 from .reservoirs import (
     HBAR,
     KB,
@@ -69,11 +70,13 @@ from .reservoirs import (
 )
 from .spectrum import (
     QUBITS,
+    DegenerateChannelsError,
     SystemParams,
     degenerate_frequency_pairs,
 )
 from .thermo import (
     HeatCurrentReport,
+    NumericalFault,
     build_report,
     cooling_predicate_for_filter,
 )
@@ -112,6 +115,17 @@ CSV_COLUMNS = (
 
 class ConfigError(ValueError):
     """Bad scenario configuration; message carries section/key context."""
+
+
+#: Failures of the physics or numerics that turn one sweep or scan row into
+#: an ``error`` row.  Any other exception is a bug and propagates.
+ROW_FAILURES = (
+    SolverFailure,
+    NumericalFault,
+    DensityMatrixError,
+    DegenerateChannelsError,
+    np.linalg.LinAlgError,
+)
 
 
 def _fmt(x: float) -> str:
@@ -380,12 +394,19 @@ def _reporting_state(gen: Generator, states) -> tuple[SteadyState, HeatCurrentRe
     return best
 
 
-def _solve(config: ScenarioConfig) -> tuple[SteadyStateSet, HeatCurrentReport]:
-    """All steady states of a scenario and the report of its reporting state."""
-    gen, _ = _build(config)
-    states = steady_states_numeric(gen)
-    _, report = _reporting_state(gen, states)
-    return states, report
+def _solve(
+    config: ScenarioConfig,
+) -> tuple[SteadyStateSet, HeatCurrentReport, list[str]]:
+    """All steady states of a scenario, the report of its reporting state,
+    and the warnings raised on the way, as plain strings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gen = build_generator(
+            config.params, config.filter, config.reservoirs, config.background
+        )
+        states = steady_states_numeric(gen)
+        _, report = _reporting_state(gen, states)
+    return states, report, [str(w.message) for w in caught]
 
 
 def _map_rows(solve_row, config: ScenarioConfig, items, parallel: int) -> list:
@@ -462,17 +483,18 @@ def _with_hot_temperature(config: ScenarioConfig, t_h: float) -> ScenarioConfig:
     )
 
 
-def _solve_point(config: ScenarioConfig, t_h: float) -> SweepRow:
+def _solve_point(config: ScenarioConfig, t_h: float) -> tuple[SweepRow, list[str]]:
+    """One sweep row and the warnings raised while solving it."""
     try:
-        _, report = _solve(_with_hot_temperature(config, t_h))
-        return _row_from_report(t_h, report)
-    except Exception:  # per-row failure is recorded, the sweep continues
+        _, report, warns = _solve(_with_hot_temperature(config, t_h))
+        return _row_from_report(t_h, report), warns
+    except ROW_FAILURES:  # per-row failure is recorded, the sweep continues
         return SweepRow(
             sweep_value=t_h,
             qdot_C=math.nan, qdot_H=math.nan, qdot_R=math.nan,
             qdot_B_C=math.nan, qdot_B_H=math.nan, qdot_B_R=math.nan,
             eta=math.nan, sigma=math.nan, stage="error",
-        )
+        ), []
 
 
 def sweep_th(config: ScenarioConfig, parallel: int = 1) -> SweepResult:
@@ -480,14 +502,18 @@ def sweep_th(config: ScenarioConfig, parallel: int = 1) -> SweepResult:
 
     Rows are independent; with ``parallel > 1`` they run in worker
     processes, and the result keeps grid order regardless of completion
-    order.  A failing row is recorded with stage ``error`` and NaN values.
+    order.  A row that fails with one of ``ROW_FAILURES`` is recorded with
+    stage ``error`` and NaN values.  ``warnings`` holds each distinct
+    warning raised by any row once, in first-seen order.
     """
     if config.sweep is None:
         raise ConfigError("sweep requested but the config has no [sweep] section")
-    _, warns = _build(_with_hot_temperature(config, config.sweep.values[0]))
     values = [float(v) for v in config.sweep.values]
-    rows = _map_rows(_solve_point, config, values, parallel)
-    return SweepResult(config=config, rows=tuple(rows), warnings=tuple(warns))
+    solved = _map_rows(_solve_point, config, values, parallel)
+    warns = dict.fromkeys(w for _, row_warns in solved for w in row_warns)
+    return SweepResult(
+        config=config, rows=tuple(row for row, _ in solved), warnings=tuple(warns)
+    )
 
 
 def emit_csv(result: SweepResult, path: str) -> None:
@@ -615,7 +641,7 @@ def _scan_one(config: ScenarioConfig, filt: FilterConfig) -> ScanRow:
     cooling_tol = 1e-12 * config.params.omega_c
     matched = cycle_match_check(filt).matched
     try:
-        states, report = _solve(replace(config, filter=filt))
+        states, report, _ = _solve(replace(config, filter=filt))
         return ScanRow(
             filter=filt,
             qdot_C=report.engineered["C"],
@@ -626,7 +652,7 @@ def _scan_one(config: ScenarioConfig, filt: FilterConfig) -> ScanRow:
             cycle_matched=matched,
             n_states=len(states),
         )
-    except Exception as exc:
+    except ROW_FAILURES as exc:
         return ScanRow(
             filter=filt, qdot_C=math.nan, qdot_H=math.nan, qdot_R=math.nan,
             eta=math.nan, cooling=False, cycle_matched=matched, n_states=0,

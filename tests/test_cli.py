@@ -331,3 +331,64 @@ def test_shipped_configs_validate(name):
     config = load_config(str(path))
     report, ok = validate_config(config)
     assert ok, report
+
+
+def test_sweep_collects_each_rows_warnings_once(monkeypatch, capsys, tmp_path):
+    import warnings
+
+    from qfridge import cli
+
+    builds = []
+    build, solve = cli.build_generator, cli.steady_states_numeric
+
+    def counted_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    def warn_by_row(gen):
+        side = "above" if gen.reservoirs.hot.temperature > 10.0 else "below"
+        warnings.warn(f"T_H {side} 10", RuntimeWarning)
+        return solve(gen)
+
+    monkeypatch.setattr(cli, "build_generator", counted_build)
+    monkeypatch.setattr(cli, "steady_states_numeric", warn_by_row)
+    result = sweep_th(parse_config(FIG_CONFIG))
+    assert len(builds) == len(result.rows) == 8  # one generator per row
+    # the Markov warning comes from every build, the others from the solve;
+    # "above" is raised only by later rows
+    assert len(result.warnings) == 3
+    assert "Markov" in result.warnings[0]
+    assert result.warnings[1:] == ("T_H below 10", "T_H above 10")
+
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(FIG_CONFIG)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"warning: {w}" for w in result.warnings]
+
+
+def _sweep_rows(config):
+    return sweep_th(config).rows
+
+
+@pytest.mark.parametrize("run, text", [
+    (_sweep_rows, FIG_CONFIG),
+    (scan_filters, NATURAL_CONFIG),
+], ids=["sweep", "scan"])
+def test_rows_record_domain_failures_but_not_bugs(monkeypatch, run, text):
+    from qfridge import cli
+    from qfridge.dynamics import SolverFailure
+
+    def fail_with(exc):
+        def solve(gen):
+            raise exc
+        return solve
+
+    config = parse_config(text)
+    monkeypatch.setattr(cli, "steady_states_numeric", fail_with(SolverFailure("no")))
+    rows = run(config)
+    assert rows and all(math.isnan(r.qdot_C) for r in rows)
+
+    monkeypatch.setattr(cli, "steady_states_numeric", fail_with(TypeError("bug")))
+    with pytest.raises(TypeError, match="bug"):
+        run(config)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -24,7 +26,7 @@ from qfridge import (
     transition_channels,
 )
 from qfridge.reservoirs import REVIVAL_FILTER
-from qfridge.dynamics import VACUUM_TRANSPORT_FILTER
+from qfridge.dynamics import DEFAULT_EPS_SS, VACUUM_TRANSPORT_FILTER
 
 
 # --- test-local oracle: closed-form stationary weights, written out -------
@@ -453,6 +455,119 @@ def test_vacuum_background_rejects_mismatched_rates(conduction_setup):
 
 
 # --- propagation ------------------------------------------------------------
+
+
+def rk4_reference(rho0, gen, t_final, dt=None, eps_ss=DEFAULT_EPS_SS):
+    """Stage-wise RK4, one Python iteration per step, with the same stop
+    rule, drift guard and time accounting as ``propagate``.  Returns
+    ``(state, time, converged, steps)``."""
+    liou = gen.liouvillian
+    if dt is None:
+        dt = 0.1 / np.linalg.norm(liou, 1)
+    v = np.asarray(rho0, dtype=complex).flatten(order="F")
+    t = 0.0
+    steps = 0
+    converged = float(np.linalg.norm(liou @ v)) < eps_ss
+    while t < t_final and not converged:
+        step = min(dt, t_final - t)
+        k1 = liou @ v
+        k2 = liou @ (v + 0.5 * step * k1)
+        k3 = liou @ (v + 0.5 * step * k2)
+        k4 = liou @ (v + step * k3)
+        v = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += step
+        steps += 1
+        drift = abs(np.sum(v[::9]) - 1.0)
+        if not drift <= 1e-6:
+            raise RuntimeError(f"trace drifted by {drift:.3e} after {steps} steps")
+        if float(np.linalg.norm(liou @ v)) < eps_ss:
+            converged = True
+    return v.reshape(8, 8, order="F"), t, converged, steps
+
+
+def assert_matches_rk4_reference(rho0, gen, t_final, dt=None):
+    result = propagate(rho0, gen, t_final, dt=dt)
+    state, t, converged, steps = rk4_reference(rho0, gen, t_final, dt=dt)
+    assert (result.steps, result.time, result.converged) == (steps, t, converged)
+    assert np.abs(result.state - state).max() <= 1e-12
+    return result
+
+
+def test_propagate_matches_rk4_reference_on_dense_state(params, rng):
+    reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=4.0, t_c=1.0)
+    gen = build_generator(params, REVIVAL_FILTER, reservoirs,
+                          BackgroundSpec.vacuum(params.gamma))
+    rho0 = random_density_matrix(rng)  # coherences in every entry
+    result = assert_matches_rk4_reference(rho0, gen, t_final=200.0)
+    assert result.converged and result.steps > 16
+
+
+def test_propagate_matches_rk4_reference_up_to_t_final(revival_generator, rng):
+    dt = 0.1 / np.linalg.norm(revival_generator.liouvillian, 1)
+    t_final = 2.5
+    assert t_final / dt % 1.0 > 0.1  # the last step is a partial one
+    result = assert_matches_rk4_reference(random_density_matrix(rng),
+                                          revival_generator, t_final)
+    assert not result.converged
+    assert result.steps == int(np.ceil(t_final / dt))
+    assert result.time == pytest.approx(t_final, rel=1e-14)
+
+
+def test_propagate_matches_rk4_reference_on_multistable_generator(revival_generator, rng):
+    assert len(invariant_components(
+        build_population_matrix(revival_generator.dissipators)).closed) == 4
+    # populations on every branch; dense coherences between the two dark
+    # levels would never decay
+    rho0 = revival_generator.eigen.diagonal_state(rng.dirichlet(np.ones(8)))
+    result = assert_matches_rk4_reference(rho0, revival_generator, t_final=400.0)
+    assert result.converged
+
+
+def test_propagate_unstable_step_fails_at_rk4_reference_step(revival_generator, rng):
+    # with this step the trace drift grows about 1e9-fold per step (5e-8 after
+    # one, 30 after two), so both loops cross 1e-6 at the same step whatever
+    # the order of their rounding
+    rho0 = random_density_matrix(rng)
+    dt = 1000.0 / np.linalg.norm(revival_generator.liouvillian, 1)
+    with pytest.raises(RuntimeError) as reference:
+        rk4_reference(rho0, revival_generator, 1e4, dt=dt)
+    with np.errstate(all="ignore"), \
+            pytest.raises(RuntimeError, match="trace drifted") as blocked:
+        propagate(rho0, revival_generator, 1e4, dt=dt)
+    after = re.compile(r"after (\d+) steps")
+    assert after.search(str(blocked.value))[1] == after.search(str(reference.value))[1]
+
+
+def test_propagate_matches_matrix_exponential_to_fourth_order(revival_generator, rng):
+    rho0 = random_density_matrix(rng)
+    liou = revival_generator.liouvillian
+    t_final = 2.5
+    exact = (scipy.linalg.expm(liou * t_final) @ rho0.flatten(order="F")).reshape(
+        8, 8, order="F")
+    dt = 0.1 / np.linalg.norm(liou, 1)
+    errors = [
+        np.abs(propagate(rho0, revival_generator, t_final, dt=h, eps_ss=0.0).state
+               - exact).max()
+        for h in (dt, dt / 2)
+    ]
+    assert errors[0] < 2e-6
+    assert 15.0 < errors[0] / errors[1] < 17.0  # global error O(dt^4)
+
+
+def test_propagate_rejects_non_finite_state(revival_generator, rng):
+    rho0 = random_density_matrix(rng)
+    rho0[2, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        propagate(rho0, revival_generator, t_final=5.0)
+
+
+def test_propagate_counts_non_finite_trace_as_drift(revival_generator, rng):
+    # a mildly unstable step: the growing modes are traceless, so the trace
+    # stays put until the state overflows and the trace becomes NaN
+    rho0 = random_density_matrix(rng)
+    dt = 4.0 / np.linalg.norm(revival_generator.liouvillian, 1)
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="trace drifted"):
+        propagate(rho0, revival_generator, t_final=1e4, dt=dt)
 
 
 def test_propagate_zero_time_is_identity(revival_generator, rng):
