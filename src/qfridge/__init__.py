@@ -55,6 +55,7 @@ from .dynamics import (
     SteadyState,
     SteadyStateSet,
     apply_dissipator,
+    apply_dissipators,
     branch_weights,
     build_generator,
     build_population_matrix,
@@ -79,6 +80,7 @@ from .thermo import (
     efficiency,
     entropy_production,
     heat_current,
+    heat_currents,
 )
 
 __version__ = "0.1.0"

@@ -43,6 +43,7 @@ import configparser
 import math
 import sys
 import warnings
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -50,9 +51,7 @@ from itertools import repeat
 import numpy as np
 
 from .dynamics import (
-    Generator,
     SolverFailure,
-    SteadyState,
     SteadyStateSet,
     build_generator,
     steady_states_numeric,
@@ -88,6 +87,7 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "ScanRow",
+    "ScanResult",
     "load_config",
     "parse_config",
     "run_steady",
@@ -372,50 +372,47 @@ def load_config(path: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _build(config: ScenarioConfig) -> tuple[Generator, list[str]]:
-    """Build the generator, capturing validity warnings as plain strings."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        gen = build_generator(
-            config.params, config.filter, config.reservoirs, config.background
-        )
-    return gen, [str(w.message) for w in caught]
-
-
-def _reporting_state(gen: Generator, states) -> tuple[SteadyState, HeatCurrentReport]:
-    """The steady state used for single-row outputs: the unique one, or the
-    state with the largest cold-current magnitude (flowing branches of a
-    multistable filter agree in sign, so the verdict is unambiguous)."""
-    best = None
-    for s in states:
-        report = build_report(gen, s)
-        if best is None or abs(report.engineered["C"]) > abs(best[1].engineered["C"]):
-            best = (s, report)
-    return best
-
-
 def _solve(
-    config: ScenarioConfig,
-) -> tuple[SteadyStateSet, HeatCurrentReport, list[str]]:
-    """All steady states of a scenario, the report of its reporting state,
-    and the warnings raised on the way, as plain strings."""
+    config: ScenarioConfig, warns: list[str]
+) -> tuple[SteadyStateSet, list[HeatCurrentReport]]:
+    """All steady states of a scenario and one report per state.  Each
+    distinct warning raised on the way (build, solve and report) is
+    appended to ``warns`` as a plain string, in first-seen order, also
+    when the solve fails."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        gen = build_generator(
-            config.params, config.filter, config.reservoirs, config.background
-        )
-        states = steady_states_numeric(gen)
-        _, report = _reporting_state(gen, states)
-    return states, report, [str(w.message) for w in caught]
+        try:
+            gen = build_generator(
+                config.params, config.filter, config.reservoirs, config.background
+            )
+            states = steady_states_numeric(gen)
+            reports = [build_report(gen, s) for s in states]
+        finally:
+            warns += dict.fromkeys(str(w.message) for w in caught)
+    return states, reports
 
 
-def _map_rows(solve_row, config: ScenarioConfig, items, parallel: int) -> list:
-    """``solve_row(config, item)`` for each item, in order; with
-    ``parallel > 1`` the rows run in worker processes."""
+def _reporting(reports: list[HeatCurrentReport]) -> HeatCurrentReport:
+    """The report used for single-row outputs: the unique state's, or the
+    first of those with the largest cold-current magnitude (flowing branches
+    of a multistable filter agree in sign, so the verdict is unambiguous)."""
+    return max(reports, key=lambda r: abs(r.engineered["C"]))
+
+
+def _map_rows(
+    solve_row, config: ScenarioConfig, items, parallel: int
+) -> tuple[list, tuple[str, ...]]:
+    """``solve_row(config, item) -> (row, warnings)`` for each item.  Returns
+    the rows in item order and each distinct warning of any row once, in
+    first-seen order; with ``parallel > 1`` the rows run in worker
+    processes, with the same result."""
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(solve_row, repeat(config), items))
-    return [solve_row(config, item) for item in items]
+            solved = list(pool.map(solve_row, repeat(config), items))
+    else:
+        solved = [solve_row(config, item) for item in items]
+    warns = dict.fromkeys(w for _, row_warns in solved for w in row_warns)
+    return [row for row, _ in solved], tuple(warns)
 
 
 def _row_from_report(value: float, report: HeatCurrentReport) -> "SweepRow":
@@ -445,6 +442,8 @@ class SweepRow:
     eta: float
     sigma: float
     stage: str
+    #: ``<ExceptionType>: <message>`` of a failed row; not written to the CSV
+    error: str = ""
 
     def as_csv(self) -> str:
         cells = [
@@ -485,16 +484,18 @@ def _with_hot_temperature(config: ScenarioConfig, t_h: float) -> ScenarioConfig:
 
 def _solve_point(config: ScenarioConfig, t_h: float) -> tuple[SweepRow, list[str]]:
     """One sweep row and the warnings raised while solving it."""
+    warns: list[str] = []
     try:
-        _, report, warns = _solve(_with_hot_temperature(config, t_h))
-        return _row_from_report(t_h, report), warns
-    except ROW_FAILURES:  # per-row failure is recorded, the sweep continues
+        _, reports = _solve(_with_hot_temperature(config, t_h), warns)
+        return _row_from_report(t_h, _reporting(reports)), warns
+    except ROW_FAILURES as exc:  # per-row failure is recorded, the sweep continues
         return SweepRow(
             sweep_value=t_h,
             qdot_C=math.nan, qdot_H=math.nan, qdot_R=math.nan,
             qdot_B_C=math.nan, qdot_B_H=math.nan, qdot_B_R=math.nan,
             eta=math.nan, sigma=math.nan, stage="error",
-        ), []
+            error=f"{type(exc).__name__}: {exc}",
+        ), warns
 
 
 def sweep_th(config: ScenarioConfig, parallel: int = 1) -> SweepResult:
@@ -503,17 +504,14 @@ def sweep_th(config: ScenarioConfig, parallel: int = 1) -> SweepResult:
     Rows are independent; with ``parallel > 1`` they run in worker
     processes, and the result keeps grid order regardless of completion
     order.  A row that fails with one of ``ROW_FAILURES`` is recorded with
-    stage ``error`` and NaN values.  ``warnings`` holds each distinct
-    warning raised by any row once, in first-seen order.
+    stage ``error``, NaN values and the failure in ``error``.  ``warnings``
+    holds each distinct warning raised by any row once, in first-seen order.
     """
     if config.sweep is None:
         raise ConfigError("sweep requested but the config has no [sweep] section")
     values = [float(v) for v in config.sweep.values]
-    solved = _map_rows(_solve_point, config, values, parallel)
-    warns = dict.fromkeys(w for _, row_warns in solved for w in row_warns)
-    return SweepResult(
-        config=config, rows=tuple(row for row, _ in solved), warnings=tuple(warns)
-    )
+    rows, warns = _map_rows(_solve_point, config, values, parallel)
+    return SweepResult(config=config, rows=tuple(rows), warnings=warns)
 
 
 def emit_csv(result: SweepResult, path: str) -> None:
@@ -574,15 +572,15 @@ def load_csv(path: str) -> SweepResult:
 
 
 def run_steady(config: ScenarioConfig) -> str:
-    """Solve a no-sweep scenario and render the full structured report."""
-    gen, warns = _build(config)
-    states = steady_states_numeric(gen)
+    """Solve a no-sweep scenario and render the full structured report,
+    ending with each distinct warning raised on the way."""
+    warns: list[str] = []
+    states, reports = _solve(config, warns)
     out = ["qfridge steady-state report"]
     out += [f"{key} = {value}" for key, value in config.canonical_items()]
     out.append(f"steady_states = {len(states)}")
     out.append(f"unique = {states.unique}")
-    for k, s in enumerate(states):
-        report = build_report(gen, s)
+    for k, (s, report) in enumerate(zip(states, reports)):
         out.append(f"[state {k}] support = {sorted(s.support)}")
         pops = ", ".join(f"{p:.12g}" for p in s.populations)
         out.append(f"[state {k}] populations = {pops}")
@@ -590,7 +588,7 @@ def run_steady(config: ScenarioConfig) -> str:
             out.append(f"[state {k}] current {ch.label} = {_fmt(ch.value)}")
         for q in QUBITS:
             out.append(f"[state {k}] qdot_{q} = {_fmt(report.engineered[q])}")
-        if gen.background.active:
+        if config.background.active:
             for q in QUBITS:
                 out.append(f"[state {k}] qdot_B_{q} = {_fmt(report.background[q])}")
         eta = report.efficiency
@@ -620,6 +618,13 @@ class ScanRow:
     error: str = ""
 
 
+@dataclass(frozen=True)
+class ScanResult:
+    config: ScenarioConfig
+    rows: tuple[ScanRow, ...]
+    warnings: tuple[str, ...]
+
+
 def _filter_patterns(mode: str) -> list[FilterConfig]:
     if mode == "single_channel":
         singles = [frozenset((j,)) for j in (1, 2, 3)]
@@ -637,11 +642,14 @@ def _filter_patterns(mode: str) -> list[FilterConfig]:
     ]
 
 
-def _scan_one(config: ScenarioConfig, filt: FilterConfig) -> ScanRow:
+def _scan_one(config: ScenarioConfig, filt: FilterConfig) -> tuple[ScanRow, list[str]]:
+    """One scan row and the warnings raised while solving it."""
     cooling_tol = 1e-12 * config.params.omega_c
     matched = cycle_match_check(filt).matched
+    warns: list[str] = []
     try:
-        states, report, _ = _solve(replace(config, filter=filt))
+        states, reports = _solve(replace(config, filter=filt), warns)
+        report = _reporting(reports)
         return ScanRow(
             filter=filt,
             qdot_C=report.engineered["C"],
@@ -651,27 +659,29 @@ def _scan_one(config: ScenarioConfig, filt: FilterConfig) -> ScanRow:
             cooling=report.engineered["C"] > cooling_tol,
             cycle_matched=matched,
             n_states=len(states),
-        )
+        ), warns
     except ROW_FAILURES as exc:
         return ScanRow(
             filter=filt, qdot_C=math.nan, qdot_H=math.nan, qdot_R=math.nan,
             eta=math.nan, cooling=False, cycle_matched=matched, n_states=0,
             error=f"{type(exc).__name__}: {exc}",
-        )
+        ), warns
 
 
 def scan_filters(
     config: ScenarioConfig, mode: str = "single_channel", parallel: int = 1
-) -> list[ScanRow]:
+) -> ScanResult:
     """Evaluate every filter mask (27 single-channel or 216 one-or-two
-    channel configurations) at fixed temperatures, sorted by cold current."""
-    rows = _map_rows(_scan_one, config, _filter_patterns(mode), parallel)
+    channel configurations) at fixed temperatures; rows sorted by cold
+    current.  ``warnings`` holds each distinct warning raised by any mask
+    once, in first-seen (mask) order."""
+    rows, warns = _map_rows(_scan_one, config, _filter_patterns(mode), parallel)
     rows.sort(key=lambda r: (-(r.qdot_C if not math.isnan(r.qdot_C) else -math.inf),
                              str(r.filter)))
-    return rows
+    return ScanResult(config=config, rows=tuple(rows), warnings=warns)
 
 
-def format_scan_table(config: ScenarioConfig, rows: list[ScanRow]) -> str:
+def format_scan_table(config: ScenarioConfig, rows: Iterable[ScanRow]) -> str:
     lines = [f"# {key} = {value}" for key, value in config.canonical_items()]
     lines.append("filter,qdot_C,qdot_H,qdot_R,eta,cooling,cycle_matched,n_states,error")
     for r in rows:
@@ -768,6 +778,11 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _print_warnings(warns: Iterable[str]) -> None:
+    for w in warns:
+        print(f"warning: {w}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="qfridge",
@@ -796,23 +811,22 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "steady":
             if config.sweep is not None:
                 raise ConfigError("steady requires a config without a [sweep] section")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                _write_output(run_steady(config), args.out)
+            _write_output(run_steady(config), args.out)
         elif args.command == "sweep":
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                result = sweep_th(config, parallel=args.parallel)
             if args.out is None:
                 raise ConfigError("sweep requires --out for the CSV file")
+            result = sweep_th(config, parallel=args.parallel)
             emit_csv(result, args.out)
-            for w in result.warnings:
-                print(f"warning: {w}", file=sys.stderr)
+            _print_warnings(result.warnings)
+            failed = [row for row in result.rows if row.failed]
+            if failed:
+                print(f"{len(failed)} of {len(result.rows)} rows failed; first at "
+                      f"t_h={_fmt(failed[0].sweep_value)}: {failed[0].error}",
+                      file=sys.stderr)
         elif args.command == "scan":
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                rows = scan_filters(config, mode=args.mode, parallel=args.parallel)
-            _write_output(format_scan_table(config, rows), args.out)
+            result = scan_filters(config, mode=args.mode, parallel=args.parallel)
+            _write_output(format_scan_table(config, result.rows), args.out)
+            _print_warnings(result.warnings)
         elif args.command == "validate":
             report, ok = validate_config(config)
             _write_output(report, args.out)

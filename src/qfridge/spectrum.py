@@ -14,6 +14,13 @@ antisymmetric combinations of |101> and |010>.  All operators built here use
 those closed-form kets, so their entries are exact up to the float value of
 1/sqrt(2); no numerical diagonalization enters.
 
+Everything here is a pure function of the frozen, hashable
+:class:`SystemParams` (plus channel keys), so the Hamiltonian, the
+eigensystem, the channels and the channel frequencies are memoised per
+parameter set (the 64 most recently used) and their arrays are read-only:
+one result is shared by every caller.  A sweep that varies only
+temperatures or the filter mask builds them once.
+
 Each qubit couples to its reservoir through three lowering eigen-operators
 ("channels") at frequencies ``omega_a`` and ``omega_a +- g``, each satisfying
 ``[H_S, A] = -omega A`` with ``A(omega)^dag = A(-omega)``.
@@ -22,6 +29,9 @@ Each qubit couples to its reservoir through three lowering eigen-operators
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -76,6 +86,11 @@ _CHANNEL_PAIR_WEIGHT = {
     key: 2.0 if elements[0][2] in (1.0, -1.0) else 1.0
     for key, elements in _CHANNEL_ELEMENTS.items()
 }
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class DegenerateChannelsError(ValueError):
@@ -152,6 +167,8 @@ class TransitionChannel:
     triples in the eigenbasis, which is what the population dynamics uses.
     ``pair_weight`` is 2 |coeff|^2 (exactly 1 or 2), the rate weight every
     level pair of this channel carries in the population picture.
+    ``adjoint``, ``aad`` (A A^dag) and ``ada`` (A^dag A) are computed on
+    first read and kept; like ``operator`` they are read-only.
     """
 
     qubit: str
@@ -165,6 +182,18 @@ class TransitionChannel:
     def key(self) -> tuple[str, int]:
         return (self.qubit, self.index)
 
+    @cached_property
+    def adjoint(self) -> np.ndarray:
+        return _readonly(dagger(self.operator))
+
+    @cached_property
+    def aad(self) -> np.ndarray:
+        return _readonly(self.operator @ self.adjoint)
+
+    @cached_property
+    def ada(self) -> np.ndarray:
+        return _readonly(self.adjoint @ self.operator)
+
     def __str__(self) -> str:
         return f"{self.qubit}{self.index}"
 
@@ -174,8 +203,9 @@ def _basis_index(qh: int, qr: int, qc: int) -> int:
     return (1 - qh) * 4 + (1 - qr) * 2 + (1 - qc)
 
 
+@lru_cache(maxsize=64)
 def build_hamiltonian(params: SystemParams) -> np.ndarray:
-    """8x8 Hamiltonian in the computational basis |q_H q_R q_C>."""
+    """8x8 Hamiltonian in the computational basis |q_H q_R q_C> (read-only)."""
     h = np.zeros((DIM, DIM), dtype=complex)
     for qh in (0, 1):
         for qr in (0, 1):
@@ -190,14 +220,16 @@ def build_hamiltonian(params: SystemParams) -> np.ndarray:
     i010 = _basis_index(0, 1, 0)
     h[i101, i010] = params.g
     h[i010, i101] = params.g
-    return h
+    return _readonly(h)
 
 
+@lru_cache(maxsize=64)
 def eigensystem(params: SystemParams) -> EigenSystem:
-    """Closed-form eigensystem; no numerical diagonalization involved."""
+    """Closed-form eigensystem (read-only arrays); no numerical
+    diagonalization involved."""
     wc, wh, g = params.omega_c, params.omega_h, params.g
     wr = params.omega_r
-    energies = np.array([wr, wh, g, -wc, wc, -g, -wh, -wr])
+    energies = np.array([wr, wh, g, -wc, wc, -g, -wh, -wr], dtype=float)
 
     i101 = _basis_index(1, 0, 1)
     i010 = _basis_index(0, 1, 0)
@@ -212,7 +244,7 @@ def eigensystem(params: SystemParams) -> EigenSystem:
     vectors[i010, 5] = -_SQ2
     vectors[_basis_index(0, 0, 1), 6] = 1.0
     vectors[_basis_index(0, 0, 0), 7] = 1.0
-    return EigenSystem(energies=energies, vectors=vectors)
+    return EigenSystem(energies=_readonly(energies), vectors=_readonly(vectors))
 
 
 def channel_frequency(params: SystemParams, qubit: str, index: int) -> float:
@@ -221,7 +253,8 @@ def channel_frequency(params: SystemParams, qubit: str, index: int) -> float:
     return base + _FREQ_OFFSET[(qubit, index)] * params.g
 
 
-def transition_channels(params: SystemParams) -> list[TransitionChannel]:
+@lru_cache(maxsize=64)
+def transition_channels(params: SystemParams) -> tuple[TransitionChannel, ...]:
     """All nine channels, ordered H1..H3, R1..R3, C1..C3."""
     eig = eigensystem(params)
     channels = []
@@ -236,12 +269,12 @@ def transition_channels(params: SystemParams) -> list[TransitionChannel]:
                     qubit=qubit,
                     index=index,
                     frequency=channel_frequency(params, qubit, index),
-                    operator=op,
+                    operator=_readonly(op),
                     elements=elements,
                     pair_weight=_CHANNEL_PAIR_WEIGHT[(qubit, index)],
                 )
             )
-    return channels
+    return tuple(channels)
 
 
 def channel_commutator_check(params: SystemParams) -> float:
@@ -255,6 +288,11 @@ def channel_commutator_check(params: SystemParams) -> float:
     return worst
 
 
+@lru_cache(maxsize=64)
+def _channel_frequencies(params: SystemParams) -> Mapping[tuple[str, int], float]:
+    return MappingProxyType({key: channel_frequency(params, *key) for key in _FREQ_OFFSET})
+
+
 def degenerate_frequency_pairs(
     params: SystemParams,
     keys: list[tuple[str, int]] | None = None,
@@ -266,11 +304,12 @@ def degenerate_frequency_pairs(
         rtol = 1e3 * np.finfo(float).eps
     if keys is None:
         keys = list(_FREQ_OFFSET)
+    freq = _channel_frequencies(params)
     tol = rtol * params.omega_c
     pairs = []
     for i, ka in enumerate(keys):
         for kb in keys[i + 1:]:
-            if abs(channel_frequency(params, *ka) - channel_frequency(params, *kb)) < tol:
+            if abs(freq[ka] - freq[kb]) < tol:
                 pairs.append((ka, kb))
     return pairs
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .dynamics import (
     Dissipator,
     Generator,
     SteadyState,
-    apply_dissipator,
+    apply_dissipators,
     steady_state_branches_analytic,
     steady_state_vacuum_background_analytic,
 )
@@ -42,6 +42,7 @@ __all__ = [
     "CoolingVerdict",
     "HeatCurrentReport",
     "heat_current",
+    "heat_currents",
     "currents_cycle_analytic",
     "currents_vacuum_background_analytic",
     "efficiency",
@@ -89,21 +90,34 @@ class CurrentTriple(NamedTuple):
     room: float
 
 
+def heat_currents(
+    hamiltonian: np.ndarray,
+    dissipators: Sequence[Dissipator],
+    state: DensityMatrix | np.ndarray,
+) -> np.ndarray:
+    """Steady-state heat current of each dissipation channel,
+    Tr{H_S D_k[rho]}, as an ``(n,)`` array; positive when heat flows
+    reservoir -> system.  Raises :class:`NumericalFault` naming the first
+    channel whose current has an imaginary part above ``IMAG_FAULT_TOL``."""
+    rho = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state)
+    values = np.trace(hamiltonian @ apply_dissipators(dissipators, rho), axis1=1, axis2=2)
+    bad = np.abs(values.imag) > IMAG_FAULT_TOL
+    if bad.any():
+        k = int(bad.argmax())
+        raise NumericalFault(
+            f"heat current has imaginary part {values[k].imag:.3e} "
+            f"(channel {dissipators[k]})"
+        )
+    return values.real
+
+
 def heat_current(
     hamiltonian: np.ndarray,
     dissipator: Dissipator,
     state: DensityMatrix | np.ndarray,
 ) -> float:
-    """Steady-state heat current of one dissipation channel,
-    Tr{H_S D[rho]}; positive when heat flows reservoir -> system."""
-    rho = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state)
-    value = complex(np.trace(hamiltonian @ apply_dissipator(dissipator, rho)))
-    if abs(value.imag) > IMAG_FAULT_TOL:
-        raise NumericalFault(
-            f"heat current has imaginary part {value.imag:.3e} "
-            f"(channel {dissipator})"
-        )
-    return value.real
+    """Heat current of one dissipation channel; see :func:`heat_currents`."""
+    return float(heat_currents(hamiltonian, (dissipator,), state)[0])
 
 
 def currents_cycle_analytic(
@@ -376,8 +390,8 @@ def build_report(gen: Generator, steady: SteadyState) -> HeatCurrentReport:
     per_channel = []
     engineered = {q: 0.0 for q in QUBITS}
     background = {q: 0.0 for q in QUBITS}
-    for d in gen.dissipators:
-        value = heat_current(gen.hamiltonian, d, steady.state)
+    values = heat_currents(gen.hamiltonian, gen.dissipators, steady.state).tolist()
+    for d, value in zip(gen.dissipators, values):
         per_channel.append(
             ChannelCurrent(d.source, d.channel.qubit, d.channel.index, value)
         )

@@ -301,7 +301,7 @@ t_c = 1.0
         # condition, so all six matched masks must cool
         verdict_ratio = (1.0 - 1.2 / 50.0) / (1.2 / 1.0 - 1.0)
         assert verdict_ratio > (1.0 + 0.25) / (3.0 - 0.25)
-        rows = scan_filters(config, mode="single_channel")
+        rows = scan_filters(config, mode="single_channel").rows
         assert len(rows) == 27
         cooling = {str(r.filter) for r in rows if r.cooling}
         assert cooling == {str(f) for f in COOLING_FILTERS}

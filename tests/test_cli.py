@@ -219,7 +219,7 @@ t_r = 1.2
 t_c = 1.0
 """
     config = parse_config(text)
-    rows = scan_filters(config, mode="single_channel")
+    rows = scan_filters(config, mode="single_channel").rows
     assert len(rows) == 27
     cooling = [r for r in rows if r.cooling]
     assert len(cooling) == 6
@@ -245,7 +245,7 @@ t_h = 2.0
 t_r = 2.0
 t_c = 2.0
 """
-    rows = scan_filters(parse_config(text), mode="all")
+    rows = scan_filters(parse_config(text), mode="all").rows
     assert len(rows) == 216
     # equal temperatures: nothing cools
     assert not any(r.cooling for r in rows)
@@ -367,12 +367,8 @@ def test_sweep_collects_each_rows_warnings_once(monkeypatch, capsys, tmp_path):
     assert err == [f"warning: {w}" for w in result.warnings]
 
 
-def _sweep_rows(config):
-    return sweep_th(config).rows
-
-
 @pytest.mark.parametrize("run, text", [
-    (_sweep_rows, FIG_CONFIG),
+    (sweep_th, FIG_CONFIG),
     (scan_filters, NATURAL_CONFIG),
 ], ids=["sweep", "scan"])
 def test_rows_record_domain_failures_but_not_bugs(monkeypatch, run, text):
@@ -386,9 +382,116 @@ def test_rows_record_domain_failures_but_not_bugs(monkeypatch, run, text):
 
     config = parse_config(text)
     monkeypatch.setattr(cli, "steady_states_numeric", fail_with(SolverFailure("no")))
-    rows = run(config)
-    assert rows and all(math.isnan(r.qdot_C) for r in rows)
+    result = run(config)
+    assert result.rows and all(math.isnan(r.qdot_C) for r in result.rows)
+    assert all(r.error == "SolverFailure: no" for r in result.rows)
+    # failed rows keep the warnings raised before the failure (here the
+    # build's Markov warning)
+    assert len(result.warnings) == 1 and "Markov" in result.warnings[0]
 
     monkeypatch.setattr(cli, "steady_states_numeric", fail_with(TypeError("bug")))
     with pytest.raises(TypeError, match="bug"):
         run(config)
+
+
+def test_sweep_reports_failed_rows_on_stderr(monkeypatch, capsys, tmp_path):
+    from qfridge import cli
+    from qfridge.dynamics import SolverFailure
+
+    solve = cli.steady_states_numeric
+
+    def fail_when_hot(gen):
+        if gen.reservoirs.hot.temperature > 10.0:
+            raise SolverFailure(f"too hot at {gen.reservoirs.hot.temperature:.4f}")
+        return solve(gen)
+
+    monkeypatch.setattr(cli, "steady_states_numeric", fail_when_hot)
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(FIG_CONFIG)
+    path = tmp_path / "s.csv"
+    # failed rows are data, not a failed run: the exit status stays 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    result = sweep_th(parse_config(FIG_CONFIG))
+    failed = [r for r in result.rows if r.failed]
+    assert 0 < len(failed) < len(result.rows)
+    assert failed[0].error == f"SolverFailure: too hot at {failed[0].sweep_value:.4f}"
+    assert err[-1] == (f"{len(failed)} of 8 rows failed; first at "
+                       f"t_h={failed[0].sweep_value:.16e}: {failed[0].error}")
+    assert all(line.startswith("warning: ") for line in err[:-1])
+    # the reason is not part of the CSV, which reads back cell for cell
+    loaded = load_csv(str(path))
+    assert [r.as_csv() for r in loaded.rows] == [r.as_csv() for r in result.rows]
+    assert all(not r.error for r in loaded.rows)
+
+
+def _warn_for_filter(monkeypatch, filt, message):
+    import warnings
+
+    from qfridge import cli
+
+    solve = cli.steady_states_numeric
+
+    def warn_once(gen):
+        if gen.filter == filt:
+            warnings.warn(message, RuntimeWarning)
+        return solve(gen)
+
+    monkeypatch.setattr(cli, "steady_states_numeric", warn_once)
+
+
+def test_scan_prints_each_warning_once(monkeypatch, capsys, tmp_path):
+    from qfridge import FilterConfig
+
+    cfg = tmp_path / "scan.ini"
+    cfg.write_text(NATURAL_CONFIG)
+    table = tmp_path / "scan.csv"
+    assert main(["scan", "--config", str(cfg), "--out", str(table)]) == 0
+    plain_err = capsys.readouterr().err
+    plain_table = table.read_bytes()
+
+    _warn_for_filter(monkeypatch, FilterConfig.single(1, 1, 1), "only H1R1C1")
+    result = scan_filters(parse_config(NATURAL_CONFIG))
+    assert result.warnings.count("only H1R1C1") == 1
+    assert main(["scan", "--config", str(cfg), "--out", str(table)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err.count("warning: only H1R1C1") == 1
+    assert err == [f"warning: {w}" for w in result.warnings]
+    assert table.read_bytes() == plain_table
+    # the real (Markov) warnings reach stderr too, one line per message
+    assert plain_err and plain_err.splitlines() == [
+        line for line in err if line != "warning: only H1R1C1"]
+
+
+def test_scan_warnings_parallel_match_serial(capsys, tmp_path):
+    from pathlib import Path
+
+    from qfridge.cli import load_config
+
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "filter_census.ini"
+    config = load_config(str(cfg))
+    serial = scan_filters(config, mode="all")
+    parallel = scan_filters(config, mode="all", parallel=2)
+    assert len(serial.warnings) == 2  # masks differ in their smallest gap
+    assert parallel.warnings == serial.warnings
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"scan-{workers}.csv"
+        assert main(["scan", "--config", str(cfg), "--mode", "all",
+                     "--parallel", workers, "--out", str(out)]) == 0
+        outs.append((out.read_bytes(), capsys.readouterr().err))
+    assert outs[0] == outs[1]
+    assert outs[0][1].splitlines() == [f"warning: {w}" for w in serial.warnings]
+
+
+def test_steady_reports_solve_time_warnings(monkeypatch, tmp_path):
+    config = parse_config(NATURAL_CONFIG)
+    plain = run_steady(config).splitlines()
+    _warn_for_filter(monkeypatch, config.filter, "raised by the solve")
+    lines = run_steady(config).splitlines()
+    assert lines == plain + ["warning: raised by the solve"]
+    cfg = tmp_path / "steady.ini"
+    cfg.write_text(NATURAL_CONFIG)
+    out = tmp_path / "steady.txt"
+    assert main(["steady", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == lines

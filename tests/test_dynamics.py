@@ -11,6 +11,7 @@ from qfridge import (
     FilterConfig,
     ReservoirSet,
     apply_dissipator,
+    apply_dissipators,
     branch_weights,
     build_generator,
     build_population_matrix,
@@ -18,6 +19,7 @@ from qfridge import (
     channel_rates,
     dm_validate,
     eigensystem,
+    heat_currents,
     invariant_components,
     propagate,
     steady_state_branches_analytic,
@@ -27,6 +29,7 @@ from qfridge import (
 )
 from qfridge.reservoirs import REVIVAL_FILTER
 from qfridge.dynamics import DEFAULT_EPS_SS, VACUUM_TRANSPORT_FILTER
+from qfridge.thermo import IMAG_FAULT_TOL, NumericalFault
 
 
 # --- test-local oracle: closed-form stationary weights, written out -------
@@ -82,6 +85,63 @@ def revival_generator(params):
 
 
 # --- dissipators ------------------------------------------------------------
+
+
+def dissipator_reference(d, rho):
+    """One channel's dissipator, written out as the per-channel formula the
+    stacked kernel must reproduce bit for bit."""
+    a = d.channel.operator
+    ad = a.conj().T
+    aad = a @ ad
+    ada = ad @ a
+    jp, jm = d.rates.j_plus, d.rates.j_minus
+    out = jm * (2.0 * (a @ rho @ ad) - ada @ rho - rho @ ada)
+    if jp != 0.0:
+        out += jp * (2.0 * (ad @ rho @ a) - aad @ rho - rho @ aad)
+    return out
+
+
+def heat_current_reference(h, d, rho):
+    return complex(np.trace(h @ dissipator_reference(d, rho)))
+
+
+def kernel_generators(params):
+    """Thermal-background, vacuum-background, all-channels and REVIVAL
+    generators: every mix of channels with and without j+ = 0."""
+    reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=4.0, t_c=1.0)
+    return [
+        build_generator(params, REVIVAL_FILTER, reservoirs,
+                        BackgroundSpec.thermal(1.2, params.gamma)),
+        build_generator(params, VACUUM_TRANSPORT_FILTER, reservoirs,
+                        BackgroundSpec.vacuum(params.gamma)),
+        build_generator(params, FilterConfig.all_channels(), reservoirs),
+        build_generator(params, REVIVAL_FILTER, reservoirs),
+    ]
+
+
+def test_stacked_kernel_equals_per_channel_formula(params, rng):
+    for gen in kernel_generators(params):
+        states = [s.state.matrix for s in steady_states_numeric(gen)]
+        for rho in states + [random_density_matrix(rng)]:
+            want = np.array([dissipator_reference(d, rho) for d in gen.dissipators])
+            assert (apply_dissipators(gen.dissipators, rho) == want).all()
+            for d, w in zip(gen.dissipators, want):
+                assert (apply_dissipator(d, rho) == w).all()
+            currents = [heat_current_reference(gen.hamiltonian, d, rho)
+                        for d in gen.dissipators]
+            got = heat_currents(gen.hamiltonian, gen.dissipators, rho)
+            assert got.tolist() == [c.real for c in currents]
+
+
+def test_heat_currents_fault_names_first_bad_channel(revival_generator, rng):
+    gen = revival_generator  # H3, R2, C1; H3 never touches level 3
+    rho = random_density_matrix(rng) + 1e-3j * gen.eigen.diagonal_state(np.eye(8)[3])
+    imag = [heat_current_reference(gen.hamiltonian, d, rho).imag
+            for d in gen.dissipators]
+    first = next(k for k, v in enumerate(imag) if abs(v) > IMAG_FAULT_TOL)
+    assert first == 1
+    with pytest.raises(NumericalFault, match=rf"\(channel {gen.dissipators[first]}\)"):
+        heat_currents(gen.hamiltonian, gen.dissipators, rho)
 
 
 def test_apply_dissipator_traceless_hermitian(revival_generator, rng):
@@ -155,8 +215,9 @@ def test_revival_generator_population_coherence_decoupling(revival_generator):
 def test_degeneracy_guard_on_build(params):
     p = type(params)(omega_c=1.0, omega_h=3.0, g=0.5, gamma=0.1)
     reservoirs = ReservoirSet.from_temperatures(p, t_h=3.0, t_r=2.0, t_c=1.0)
-    with pytest.raises(DegenerateChannelsError):
-        build_generator(p, FilterConfig.all_channels(), reservoirs)
+    for _ in range(2):  # a failed check is not memoised
+        with pytest.raises(DegenerateChannelsError):
+            build_generator(p, FilterConfig.all_channels(), reservoirs)
     # the colliding channels are filtered out here, so this must build
     build_generator(p, FilterConfig.single(2, 2, 2), reservoirs)
     # explicit opt-in also builds

@@ -147,10 +147,35 @@ def test_degeneracy_guard():
     p = SystemParams(omega_c=1.0, omega_h=3.0, g=0.5, gamma=0.1)
     pairs = degenerate_frequency_pairs(p)
     assert (("H", 3), ("R", 1)) in pairs or (("R", 1), ("H", 3)) in pairs
-    with pytest.raises(DegenerateChannelsError):
-        check_nondegenerate(p)
+    for _ in range(2):  # a failed check is not memoised
+        with pytest.raises(DegenerateChannelsError):
+            check_nondegenerate(p)
     # restricted to channels that do not collide, the check passes
     check_nondegenerate(p, keys=[("H", 2), ("R", 2), ("C", 2)])
+
+
+def test_spectrum_results_are_memoised_and_read_only(params):
+    same = SystemParams(omega_c=params.omega_c, omega_h=params.omega_h,
+                        g=params.g, gamma=params.gamma)
+    for build in (build_hamiltonian, eigensystem, transition_channels):
+        assert build(same) is build(params)
+    eig = eigensystem(params)
+    arrays = [build_hamiltonian(params), eig.energies, eig.vectors]
+    for ch in transition_channels(params):
+        arrays += [ch.operator, ch.adjoint, ch.aad, ch.ada]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+    # derived results are fresh arrays the caller owns
+    eig.to_eigenbasis(build_hamiltonian(params))[0, 0] = 1.0
+
+
+def test_channel_products_are_the_operator_products(params):
+    for ch in transition_channels(params):
+        a = ch.operator
+        assert (ch.adjoint == a.conj().T).all()
+        assert (ch.aad == a @ a.conj().T).all()
+        assert (ch.ada == a.conj().T @ a).all()
 
 
 def test_params_validation():
