@@ -115,15 +115,14 @@ def apply_dissipators(dissipators: Sequence[Dissipator], rho: np.ndarray) -> np.
         raise ValueError(f"expected an {DIM}x{DIM} state, got {rho.shape}")
     channels = [d.channel for d in dissipators]
     a = _stack([ch.operator for ch in channels])
-    ad = a.conj().transpose(0, 2, 1)
+    ad = _stack([ch.adjoint for ch in channels])
     ada = _stack([ch.ada for ch in channels])
     jp = np.array([d.rates.j_plus for d in dissipators]).reshape(-1, 1, 1)
     jm = np.array([d.rates.j_minus for d in dissipators]).reshape(-1, 1, 1)
     out = jm * (2.0 * (a @ rho @ ad) - ada @ rho - rho @ ada)
     warm = np.flatnonzero(jp)
     if warm.size:
-        a = a[warm]
-        ad = a.conj().transpose(0, 2, 1)
+        a, ad = a[warm], ad[warm]
         aad = _stack([channels[k].aad for k in warm])
         out[warm] += jp[warm] * (2.0 * (ad @ rho @ a) - aad @ rho - rho @ aad)
     return out

@@ -15,11 +15,11 @@ those closed-form kets, so their entries are exact up to the float value of
 1/sqrt(2); no numerical diagonalization enters.
 
 Everything here is a pure function of the frozen, hashable
-:class:`SystemParams` (plus channel keys), so the Hamiltonian, the
-eigensystem, the channels and the channel frequencies are memoised per
-parameter set (the 64 most recently used) and their arrays are read-only:
-one result is shared by every caller.  A sweep that varies only
-temperatures or the filter mask builds them once.
+:class:`SystemParams`, so the Hamiltonian and the eigensystem are memoised
+per parameter set (the 64 most recently used), the channels with the
+eigensystem they are built from, and their arrays are read-only: one result
+is shared by every caller.  A sweep that varies only temperatures or the
+filter mask builds them once.
 
 Each qubit couples to its reservoir through three lowering eigen-operators
 ("channels") at frequencies ``omega_a`` and ``omega_a +- g``, each satisfying
@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -134,13 +132,13 @@ class SystemParams:
         return self.omega_c + self.omega_h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Exact eigensystem of the three-qubit Hamiltonian.
 
     ``energies[k]`` and column ``vectors[:, k]`` belong together; the level
     order is the fixed list ``[w_R, w_H, g, -w_C, w_C, -g, -w_H, -w_R]``, not
-    ascending energy.
+    ascending energy.  Instances compare and hash by identity.
     """
 
     energies: np.ndarray
@@ -253,10 +251,14 @@ def channel_frequency(params: SystemParams, qubit: str, index: int) -> float:
     return base + _FREQ_OFFSET[(qubit, index)] * params.g
 
 
-@lru_cache(maxsize=64)
 def transition_channels(params: SystemParams) -> tuple[TransitionChannel, ...]:
-    """All nine channels, ordered H1..H3, R1..R3, C1..C3."""
-    eig = eigensystem(params)
+    """All nine channels, ordered H1..H3, R1..R3, C1..C3, built from
+    :func:`eigensystem`; equal parameters give the same tuple."""
+    return _channels(params, eigensystem(params))
+
+
+@lru_cache(maxsize=64)
+def _channels(params: SystemParams, eig: EigenSystem) -> tuple[TransitionChannel, ...]:
     channels = []
     for qubit in QUBITS:
         for index in (1, 2, 3):
@@ -288,11 +290,6 @@ def channel_commutator_check(params: SystemParams) -> float:
     return worst
 
 
-@lru_cache(maxsize=64)
-def _channel_frequencies(params: SystemParams) -> Mapping[tuple[str, int], float]:
-    return MappingProxyType({key: channel_frequency(params, *key) for key in _FREQ_OFFSET})
-
-
 def degenerate_frequency_pairs(
     params: SystemParams,
     keys: list[tuple[str, int]] | None = None,
@@ -304,7 +301,7 @@ def degenerate_frequency_pairs(
         rtol = 1e3 * np.finfo(float).eps
     if keys is None:
         keys = list(_FREQ_OFFSET)
-    freq = _channel_frequencies(params)
+    freq = {key: channel_frequency(params, *key) for key in keys}
     tol = rtol * params.omega_c
     pairs = []
     for i, ka in enumerate(keys):

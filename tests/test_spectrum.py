@@ -9,6 +9,7 @@ from qfridge import (
     channel_commutator_check,
     channel_frequency,
     eigensystem,
+    spectrum,
     transition_channels,
 )
 from qfridge.spectrum import check_nondegenerate, degenerate_frequency_pairs
@@ -168,6 +169,20 @@ def test_spectrum_results_are_memoised_and_read_only(params):
             a[(0,) * a.ndim] = 1.0
     # derived results are fresh arrays the caller owns
     eig.to_eigenbasis(build_hamiltonian(params))[0, 0] = 1.0
+
+
+def test_channels_read_the_eigensystem_on_every_call(params, monkeypatch):
+    # the call structure is the same on a cold and a warm cache
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return eigensystem(p)
+
+    monkeypatch.setattr(spectrum, "eigensystem", counted)
+    first = transition_channels(params)
+    assert transition_channels(params) is first
+    assert calls == [params, params]
 
 
 def test_channel_products_are_the_operator_products(params):
