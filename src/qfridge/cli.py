@@ -43,10 +43,9 @@ import configparser
 import math
 import sys
 import warnings
-from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
-from itertools import repeat
+from typing import TypeVar
 
 import numpy as np
 
@@ -147,10 +146,14 @@ def _number(text: str, where: str) -> float:
     try:
         if "/" in s:
             num, den = s.split("/", 1)
-            return float(num) / float(den)
-        return float(s)
+            value = float(num) / float(den)
+        else:
+            value = float(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{where}: cannot parse number {text!r} ({exc})") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {text!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -372,24 +375,23 @@ def load_config(path: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _solve(
-    config: ScenarioConfig, warns: list[str]
-) -> tuple[SteadyStateSet, list[HeatCurrentReport]]:
-    """All steady states of a scenario and one report per state.  Each
-    distinct warning raised on the way (build, solve and report) is
-    appended to ``warns`` as a plain string, in first-seen order, also
-    when the solve fails."""
+_T = TypeVar("_T")
+
+
+def _collecting_warnings(run: Callable[[], _T]) -> tuple[_T, tuple[str, ...]]:
+    """``run()`` and each distinct warning it raised, once, in first-seen
+    order."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            gen = build_generator(
-                config.params, config.filter, config.reservoirs, config.background
-            )
-            states = steady_states_numeric(gen)
-            reports = [build_report(gen, s) for s in states]
-        finally:
-            warns += dict.fromkeys(str(w.message) for w in caught)
-    return states, reports
+        result = run()
+    return result, tuple(dict.fromkeys(str(w.message) for w in caught))
+
+
+def _solve(config: ScenarioConfig) -> tuple[SteadyStateSet, list[HeatCurrentReport]]:
+    """All steady states of a scenario and one report per state."""
+    gen = build_generator(config.params, config.filter, config.reservoirs, config.background)
+    states = steady_states_numeric(gen)
+    return states, [build_report(gen, s) for s in states]
 
 
 def _reporting(reports: list[HeatCurrentReport]) -> HeatCurrentReport:
@@ -397,22 +399,6 @@ def _reporting(reports: list[HeatCurrentReport]) -> HeatCurrentReport:
     first of those with the largest cold-current magnitude (flowing branches
     of a multistable filter agree in sign, so the verdict is unambiguous)."""
     return max(reports, key=lambda r: abs(r.engineered["C"]))
-
-
-def _map_rows(
-    solve_row, config: ScenarioConfig, items, parallel: int
-) -> tuple[list, tuple[str, ...]]:
-    """``solve_row(config, item) -> (row, warnings)`` for each item.  Returns
-    the rows in item order and each distinct warning of any row once, in
-    first-seen order; with ``parallel > 1`` the rows run in worker
-    processes, with the same result."""
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            solved = list(pool.map(solve_row, repeat(config), items))
-    else:
-        solved = [solve_row(config, item) for item in items]
-    warns = dict.fromkeys(w for _, row_warns in solved for w in row_warns)
-    return [row for row, _ in solved], tuple(warns)
 
 
 def _row_from_report(value: float, report: HeatCurrentReport) -> "SweepRow":
@@ -482,12 +468,10 @@ def _with_hot_temperature(config: ScenarioConfig, t_h: float) -> ScenarioConfig:
     )
 
 
-def _solve_point(config: ScenarioConfig, t_h: float) -> tuple[SweepRow, list[str]]:
-    """One sweep row and the warnings raised while solving it."""
-    warns: list[str] = []
+def _solve_point(config: ScenarioConfig, t_h: float) -> SweepRow:
     try:
-        _, reports = _solve(_with_hot_temperature(config, t_h), warns)
-        return _row_from_report(t_h, _reporting(reports)), warns
+        _, reports = _solve(_with_hot_temperature(config, t_h))
+        return _row_from_report(t_h, _reporting(reports))
     except ROW_FAILURES as exc:  # per-row failure is recorded, the sweep continues
         return SweepRow(
             sweep_value=t_h,
@@ -495,23 +479,22 @@ def _solve_point(config: ScenarioConfig, t_h: float) -> tuple[SweepRow, list[str
             qdot_B_C=math.nan, qdot_B_H=math.nan, qdot_B_R=math.nan,
             eta=math.nan, sigma=math.nan, stage="error",
             error=f"{type(exc).__name__}: {exc}",
-        ), warns
+        )
 
 
-def sweep_th(config: ScenarioConfig, parallel: int = 1) -> SweepResult:
-    """Solve one row per hot-temperature grid point.
+def sweep_th(config: ScenarioConfig) -> SweepResult:
+    """Solve one row per hot-temperature grid point, in grid order.
 
-    Rows are independent; with ``parallel > 1`` they run in worker
-    processes, and the result keeps grid order regardless of completion
-    order.  A row that fails with one of ``ROW_FAILURES`` is recorded with
-    stage ``error``, NaN values and the failure in ``error``.  ``warnings``
-    holds each distinct warning raised by any row once, in first-seen order.
+    A row that fails with one of ``ROW_FAILURES`` is recorded with stage
+    ``error``, NaN values and the failure in ``error``.  ``warnings`` holds
+    each distinct warning raised by any row once, in first-seen order.
     """
     if config.sweep is None:
         raise ConfigError("sweep requested but the config has no [sweep] section")
-    values = [float(v) for v in config.sweep.values]
-    rows, warns = _map_rows(_solve_point, config, values, parallel)
-    return SweepResult(config=config, rows=tuple(rows), warnings=warns)
+    rows, warns = _collecting_warnings(
+        lambda: tuple(_solve_point(config, float(v)) for v in config.sweep.values)
+    )
+    return SweepResult(config=config, rows=rows, warnings=warns)
 
 
 def emit_csv(result: SweepResult, path: str) -> None:
@@ -574,8 +557,7 @@ def load_csv(path: str) -> SweepResult:
 def run_steady(config: ScenarioConfig) -> str:
     """Solve a no-sweep scenario and render the full structured report,
     ending with each distinct warning raised on the way."""
-    warns: list[str] = []
-    states, reports = _solve(config, warns)
+    (states, reports), warns = _collecting_warnings(lambda: _solve(config))
     out = ["qfridge steady-state report"]
     out += [f"{key} = {value}" for key, value in config.canonical_items()]
     out.append(f"steady_states = {len(states)}")
@@ -642,13 +624,11 @@ def _filter_patterns(mode: str) -> list[FilterConfig]:
     ]
 
 
-def _scan_one(config: ScenarioConfig, filt: FilterConfig) -> tuple[ScanRow, list[str]]:
-    """One scan row and the warnings raised while solving it."""
+def _scan_one(config: ScenarioConfig, filt: FilterConfig) -> ScanRow:
     cooling_tol = 1e-12 * config.params.omega_c
     matched = cycle_match_check(filt).matched
-    warns: list[str] = []
     try:
-        states, reports = _solve(replace(config, filter=filt), warns)
+        states, reports = _solve(replace(config, filter=filt))
         report = _reporting(reports)
         return ScanRow(
             filter=filt,
@@ -659,23 +639,22 @@ def _scan_one(config: ScenarioConfig, filt: FilterConfig) -> tuple[ScanRow, list
             cooling=report.engineered["C"] > cooling_tol,
             cycle_matched=matched,
             n_states=len(states),
-        ), warns
+        )
     except ROW_FAILURES as exc:
         return ScanRow(
             filter=filt, qdot_C=math.nan, qdot_H=math.nan, qdot_R=math.nan,
             eta=math.nan, cooling=False, cycle_matched=matched, n_states=0,
             error=f"{type(exc).__name__}: {exc}",
-        ), warns
+        )
 
 
-def scan_filters(
-    config: ScenarioConfig, mode: str = "single_channel", parallel: int = 1
-) -> ScanResult:
+def scan_filters(config: ScenarioConfig, mode: str = "single_channel") -> ScanResult:
     """Evaluate every filter mask (27 single-channel or 216 one-or-two
     channel configurations) at fixed temperatures; rows sorted by cold
     current.  ``warnings`` holds each distinct warning raised by any mask
     once, in first-seen (mask) order."""
-    rows, warns = _map_rows(_scan_one, config, _filter_patterns(mode), parallel)
+    patterns = _filter_patterns(mode)
+    rows, warns = _collecting_warnings(lambda: [_scan_one(config, f) for f in patterns])
     rows.sort(key=lambda r: (-(r.qdot_C if not math.isnan(r.qdot_C) else -math.inf),
                              str(r.filter)))
     return ScanResult(config=config, rows=tuple(rows), warnings=warns)
@@ -800,7 +779,8 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         if name in ("sweep", "scan"):
             sp.add_argument("--parallel", type=int, default=1,
-                            help="worker processes for independent rows")
+                            help="accepted and ignored: rows always run in "
+                                 "this process")
         if name == "scan":
             sp.add_argument("--mode", choices=("single_channel", "all"),
                             default="single_channel")
@@ -815,7 +795,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "sweep":
             if args.out is None:
                 raise ConfigError("sweep requires --out for the CSV file")
-            result = sweep_th(config, parallel=args.parallel)
+            result = sweep_th(config)
             emit_csv(result, args.out)
             _print_warnings(result.warnings)
             failed = [row for row in result.rows if row.failed]
@@ -824,7 +804,7 @@ def main(argv: list[str] | None = None) -> int:
                       f"t_h={_fmt(failed[0].sweep_value)}: {failed[0].error}",
                       file=sys.stderr)
         elif args.command == "scan":
-            result = scan_filters(config, mode=args.mode, parallel=args.parallel)
+            result = scan_filters(config, mode=args.mode)
             _write_output(format_scan_table(config, result.rows), args.out)
             _print_warnings(result.warnings)
         elif args.command == "validate":

@@ -177,16 +177,11 @@ class Generator:
     background: BackgroundSpec
     hamiltonian: np.ndarray = field(repr=False)
     eigen: EigenSystem = field(repr=False)
-    channels: tuple[TransitionChannel, ...] = field(repr=False)
     dissipators: tuple[Dissipator, ...] = field(repr=False)
 
     @property
     def engineered(self) -> tuple[Dissipator, ...]:
         return tuple(d for d in self.dissipators if d.source == "engineered")
-
-    @property
-    def background_dissipators(self) -> tuple[Dissipator, ...]:
-        return tuple(d for d in self.dissipators if d.source == "background")
 
     @cached_property
     def liouvillian(self) -> np.ndarray:
@@ -245,7 +240,6 @@ def build_generator(
         background=background,
         hamiltonian=build_hamiltonian(params),
         eigen=eigensystem(params),
-        channels=channels,
         dissipators=tuple(dissipators),
     )
 

@@ -107,6 +107,20 @@ def test_parse_config_errors():
                       "[reservoirs]\nt_h = 3\nt_r = 2\nt_c = 1\n[filter]\nh = 5\n")
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("t_h = 6.0", "t_h = inf", "reservoirs.t_h"),
+    ("t_c = 1.0", "t_c = nan", "reservoirs.t_c"),
+    ("gamma = 0.05\n\n[reservoirs]", "gamma = inf\n\n[reservoirs]", "system.gamma"),
+])
+def test_non_finite_config_values_are_config_errors(capsys, tmp_path, old, new, key):
+    assert NATURAL_CONFIG.count(old) == 1
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(NATURAL_CONFIG.replace(old, new))
+    assert main(["steady", "--config", str(cfg), "--out", str(tmp_path / "s.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
 def test_config_round_trip_through_items():
     config = parse_config(FIG_CONFIG)
     items = dict(config.canonical_items())
@@ -161,11 +175,15 @@ def test_sweep_rows_and_determinism(tmp_path):
     assert b"\r" not in a.read_bytes()
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    config = parse_config(FIG_CONFIG)
-    serial = sweep_th(config, parallel=1)
-    parallel = sweep_th(config, parallel=2)
-    assert serial.rows == parallel.rows
+def test_sweep_parallel_matches_serial(capsys, tmp_path):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(FIG_CONFIG)
+    runs = []
+    for extra in ([], ["--parallel", "2"]):
+        out = tmp_path / f"sweep{len(runs)}.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)] + extra) == 0
+        runs.append((out.read_bytes(), capsys.readouterr().err))
+    assert runs[0] == runs[1]
 
 
 def test_csv_round_trip(tmp_path):
@@ -471,9 +489,7 @@ def test_scan_warnings_parallel_match_serial(capsys, tmp_path):
     cfg = Path(__file__).resolve().parent.parent / "configs" / "filter_census.ini"
     config = load_config(str(cfg))
     serial = scan_filters(config, mode="all")
-    parallel = scan_filters(config, mode="all", parallel=2)
     assert len(serial.warnings) == 2  # masks differ in their smallest gap
-    assert parallel.warnings == serial.warnings
     outs = []
     for workers in ("1", "2"):
         out = tmp_path / f"scan-{workers}.csv"
@@ -482,6 +498,21 @@ def test_scan_warnings_parallel_match_serial(capsys, tmp_path):
         outs.append((out.read_bytes(), capsys.readouterr().err))
     assert outs[0] == outs[1]
     assert outs[0][1].splitlines() == [f"warning: {w}" for w in serial.warnings]
+
+
+def test_cli_import_leaves_out_process_pools():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qfridge
+
+    src = str(Path(qfridge.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import qfridge.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_steady_reports_solve_time_warnings(monkeypatch, tmp_path):

@@ -1,5 +1,6 @@
 """The CLI outputs of the three shipped configs against the benchmark's
-reference files in ``bench/reference/`` (read in place).
+reference files in ``bench/reference/`` (read in place) and, for the
+single-channel scan, against ``tests/golden/``.
 
 Text cells (config echo, column headers, stage, cooling, cycle_matched,
 n_states, error, supports, warnings) must match exactly; numeric cells to
@@ -17,6 +18,7 @@ from qfridge.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 REFERENCE = ROOT / "bench" / "reference"
+GOLDEN = ROOT / "tests" / "golden"
 
 RTOL = 1e-12
 
@@ -63,12 +65,21 @@ def test_figure_sweep_matches_reference(tmp_path, parallel):
     assert_table_matches(got, want, exact_columns={"stage"})
 
 
+SCAN_EXACT = {"filter", "cooling", "cycle_matched", "n_states", "error"}
+
+
 def test_census_all_matches_reference(tmp_path):
     got = run_cli(["scan", "--config", str(CONFIGS / "filter_census.ini"),
                    "--mode", "all"], tmp_path / "scan.csv")
     want = (REFERENCE / "census_all.csv").read_text(encoding="utf-8")
-    assert_table_matches(got, want, exact_columns={
-        "filter", "cooling", "cycle_matched", "n_states", "error"})
+    assert_table_matches(got, want, exact_columns=SCAN_EXACT)
+
+
+def test_census_single_matches_golden(tmp_path):
+    got = run_cli(["scan", "--config", str(CONFIGS / "filter_census.ini")],
+                  tmp_path / "scan.csv")
+    want = (GOLDEN / "filter_census_single.csv").read_text(encoding="utf-8")
+    assert_table_matches(got, want, exact_columns=SCAN_EXACT)
 
 
 def test_vacuum_transport_steady_matches_reference(tmp_path):
