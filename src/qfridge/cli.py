@@ -53,6 +53,7 @@ from .dynamics import (
     SolverFailure,
     SteadyStateSet,
     build_generator,
+    participating_channels,
     steady_states_numeric,
 )
 from .matrixcore import DensityMatrixError
@@ -280,14 +281,12 @@ def parse_config(text: str, source: str = "<string>") -> ScenarioConfig:
             raise ConfigError(f"{source}: missing {section}.{key}")
         return raw
 
+    omega_h = _number(required("system", "omega_h"), "system.omega_h")
+    g = _number(required("system", "g"), "system.g")
+    gamma = _number(required("system", "gamma"), "system.gamma")
     try:
-        params = SystemParams(
-            omega_c=omega_c,
-            omega_h=_number(required("system", "omega_h"), "system.omega_h"),
-            g=_number(required("system", "g"), "system.g"),
-            gamma=_number(required("system", "gamma"), "system.gamma"),
-            unit_scale=unit_scale,
-        )
+        params = SystemParams(omega_c=omega_c, omega_h=omega_h, g=g, gamma=gamma,
+                              unit_scale=unit_scale)
     except ValueError as exc:
         raise ConfigError(f"system: {exc}") from None
 
@@ -308,13 +307,9 @@ def parse_config(text: str, source: str = "<string>") -> ScenarioConfig:
 
     if not cp.has_section("reservoirs"):
         raise ConfigError(f"{source}: missing [reservoirs] section")
+    t_h, t_r, t_c = (temperature("reservoirs", stem) for stem in ("t_h", "t_r", "t_c"))
     try:
-        reservoirs = ReservoirSet.from_temperatures(
-            params,
-            t_h=temperature("reservoirs", "t_h"),
-            t_r=temperature("reservoirs", "t_r"),
-            t_c=temperature("reservoirs", "t_c"),
-        )
+        reservoirs = ReservoirSet.from_temperatures(params, t_h=t_h, t_r=t_r, t_c=t_c)
     except ValueError as exc:
         raise ConfigError(f"reservoirs: {exc}") from None
 
@@ -685,22 +680,17 @@ def validate_config(config: ScenarioConfig) -> tuple[str, bool]:
     lines += [f"{key} = {value}" for key, value in config.canonical_items()]
     ok = True
 
-    participating = [ch_key for ch_key in config.filter.kept_keys]
-    if config.background.active:
-        participating = [(q, j) for q in QUBITS for j in (1, 2, 3)]
-    pairs = degenerate_frequency_pairs(config.params, participating or None)
-    if participating and pairs:
+    participating, gamma_max = participating_channels(config.filter, config.reservoirs,
+                                                      config.background)
+    pairs = degenerate_frequency_pairs(config.params, participating)
+    if pairs:
         ok = False
         for a, b in pairs:
             lines.append(f"error: channels {a[0]}{a[1]} and {b[0]}{b[1]} are degenerate")
     else:
         lines.append("check: participating channel frequencies are distinct")
 
-    gammas = [config.reservoirs[q].gamma for q in QUBITS]
-    if config.background.active:
-        gammas.append(config.background.gamma)
-    msg = markov_validity_report(config.params, participating, max(gammas)) \
-        if participating else None
+    msg = markov_validity_report(config.params, participating, gamma_max)
     lines.append(f"warning: {msg}" if msg else "check: Markov validity margin holds")
 
     match = cycle_match_check(config.filter)

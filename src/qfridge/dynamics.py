@@ -39,6 +39,7 @@ from .reservoirs import (
 )
 from .spectrum import (
     DIM,
+    QUBITS,
     EigenSystem,
     SystemParams,
     TransitionChannel,
@@ -62,6 +63,7 @@ __all__ = [
     "apply_dissipator",
     "apply_dissipators",
     "build_generator",
+    "participating_channels",
     "build_population_matrix",
     "invariant_components",
     "steady_states_numeric",
@@ -93,16 +95,13 @@ class Dissipator:
     rates: ChannelRates
     source: str  # engineered | background
 
-    @property
-    def qubit(self) -> str:
-        return self.channel.qubit
-
     def __str__(self) -> str:
         return f"{self.source}:{self.channel}"
 
 
 def apply_dissipators(dissipators: Sequence[Dissipator], rho: np.ndarray) -> np.ndarray:
-    """Action of each dissipator on one state, stacked as ``(n, 8, 8)``:
+    """Action of each dissipator on a state or a stack of states
+    ``(..., 8, 8)``, stacked as ``(n, ..., 8, 8)``:
 
     j- (2 A rho A^dag - A^dag A rho - rho A^dag A)
     + j+ (2 A^dag rho A - A A^dag rho - rho A A^dag),
@@ -111,19 +110,20 @@ def apply_dissipators(dissipators: Sequence[Dissipator], rho: np.ndarray) -> np.
     formula evaluated for ``dissipators[k]`` alone, bit for bit.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (DIM, DIM):
-        raise ValueError(f"expected an {DIM}x{DIM} state, got {rho.shape}")
+    if rho.shape[-2:] != (DIM, DIM):
+        raise ValueError(f"expected {DIM}x{DIM} states, got {rho.shape}")
+    lead = (-1,) + (1,) * (rho.ndim - 2)  # the dissipator axis, broadcast over states
     channels = [d.channel for d in dissipators]
-    a = _stack([ch.operator for ch in channels])
-    ad = _stack([ch.adjoint for ch in channels])
-    ada = _stack([ch.ada for ch in channels])
-    jp = np.array([d.rates.j_plus for d in dissipators]).reshape(-1, 1, 1)
-    jm = np.array([d.rates.j_minus for d in dissipators]).reshape(-1, 1, 1)
+    a = _stack([ch.operator for ch in channels], lead)
+    ad = _stack([ch.adjoint for ch in channels], lead)
+    ada = _stack([ch.ada for ch in channels], lead)
+    jp = np.array([d.rates.j_plus for d in dissipators]).reshape(*lead, 1, 1)
+    jm = np.array([d.rates.j_minus for d in dissipators]).reshape(*lead, 1, 1)
     out = jm * (2.0 * (a @ rho @ ad) - ada @ rho - rho @ ada)
     warm = np.flatnonzero(jp)
     if warm.size:
         a, ad = a[warm], ad[warm]
-        aad = _stack([channels[k].aad for k in warm])
+        aad = _stack([channels[k].aad for k in warm], lead)
         out[warm] += jp[warm] * (2.0 * (ad @ rho @ a) - aad @ rho - rho @ aad)
     return out
 
@@ -133,28 +133,8 @@ def apply_dissipator(d: Dissipator, rho: np.ndarray) -> np.ndarray:
     return apply_dissipators((d,), rho)[0]
 
 
-def _stack(mats) -> np.ndarray:
-    return np.array(mats, dtype=complex).reshape(-1, DIM, DIM)
-
-
-def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # superoperator for rho -> a rho b
-    return np.kron(b.T, a)
-
-
-def _dissipator_superop(d: Dissipator) -> np.ndarray:
-    ch = d.channel
-    a, ad = ch.operator, ch.adjoint
-    eye = np.eye(DIM)
-    jp, jm = d.rates.j_plus, d.rates.j_minus
-    sup = jm * (
-        2.0 * _sandwich(a, ad) - _sandwich(ch.ada, eye) - _sandwich(eye, ch.ada)
-    )
-    if jp != 0.0:
-        sup += jp * (
-            2.0 * _sandwich(ad, a) - _sandwich(ch.aad, eye) - _sandwich(eye, ch.aad)
-        )
-    return sup
+def _stack(mats, lead: tuple[int, ...]) -> np.ndarray:
+    return np.array(mats, dtype=complex).reshape(*lead, DIM, DIM)
 
 
 @dataclass(frozen=True)
@@ -163,12 +143,13 @@ class Generator:
 
     ``dissipators`` holds the engineered (filtered) dissipators and, when a
     background is active, the background dissipators over all nine
-    channels.  ``liouvillian`` is the 64x64 matrix generating
-    ``d vec(rho)/dt``, built on first read: the dissipators plus the
-    coherent commutator term.  The commutator never touches eigenlevel
-    populations, so every population-level result is independent of it; it
-    is kept so that undamped coherences between nondegenerate levels do not
-    masquerade as extra stationary states of the full generator.
+    channels.  ``liouvillian`` is the 64x64 matrix generating ``d vec(rho)/dt``,
+    built on first read from the 64 matrix units: the coherent commutator
+    term plus each dissipator's :func:`apply_dissipators` action, in order.
+    The commutator never touches eigenlevel populations, so every
+    population-level result is independent of it; it is kept so that
+    undamped coherences between nondegenerate levels do not masquerade as
+    extra stationary states of the full generator.
     """
 
     params: SystemParams
@@ -179,18 +160,31 @@ class Generator:
     eigen: EigenSystem = field(repr=False)
     dissipators: tuple[Dissipator, ...] = field(repr=False)
 
-    @property
-    def engineered(self) -> tuple[Dissipator, ...]:
-        return tuple(d for d in self.dissipators if d.source == "engineered")
-
     @cached_property
     def liouvillian(self) -> np.ndarray:
+        # units[k] is the matrix unit with vec(units[k]) = e_k, and column k
+        # of L is vec(L units[k])
+        n = DIM * DIM
+        units = np.eye(n, dtype=complex).reshape(n, DIM, DIM).transpose(0, 2, 1)
         h = self.hamiltonian
-        eye = np.eye(DIM)
-        liou = -1j * (_sandwich(h, eye) - _sandwich(eye, h))
-        for d in self.dissipators:
-            liou += _dissipator_superop(d)
-        return liou
+        out = -1j * (h @ units - units @ h)
+        for term in apply_dissipators(self.dissipators, units):
+            out += term
+        return out.transpose(2, 1, 0).reshape(n, n)
+
+
+def participating_channels(
+    filt: FilterConfig, reservoirs: ReservoirSet, background: BackgroundSpec
+) -> tuple[list[tuple[str, int]], float]:
+    """Keys of the channels that carry a dissipator, and the largest decay
+    rate among them: the kept channels at their reservoirs' rates or, with
+    an active background, all nine channels and the background rate too."""
+    keys = filt.kept_keys
+    gamma_max = max((reservoirs[q].gamma for q, _ in keys), default=0.0)
+    if background.active:
+        keys = [(q, j) for q in QUBITS for j in (1, 2, 3)]
+        gamma_max = max(gamma_max, background.gamma)
+    return keys, gamma_max
 
 
 def build_generator(
@@ -198,37 +192,32 @@ def build_generator(
     filt: FilterConfig,
     reservoirs: ReservoirSet,
     background: BackgroundSpec | None = None,
-    allow_degenerate: bool = False,
 ) -> Generator:
     """Assemble the dissipators of a scenario.
 
     Engineered dissipators cover exactly the kept channels; an active
-    background couples through all nine channels.  Unless
-    ``allow_degenerate``, parameter sets where two participating channel
-    frequencies coincide are rejected, since the secular dissipator form
-    presumes distinct frequencies.  A warning (never an error) is emitted
-    when decay rates strain the Markov validity margin.
+    background couples through all nine channels.  Parameter sets where two
+    participating channel frequencies coincide are rejected, since the
+    secular dissipator form presumes distinct frequencies.  A warning (never
+    an error) is emitted when decay rates strain the Markov validity margin.
     """
     background = background or BackgroundSpec.none()
     channels = transition_channels(params)
     kept = select_channels(channels, filt)
 
-    participating = [ch.key for ch in kept]
-    if background.active:
-        participating = [ch.key for ch in channels]
-    if not allow_degenerate and participating:
+    participating, gamma_max = participating_channels(filt, reservoirs, background)
+    if participating:
         check_nondegenerate(params, participating)
 
-    dissipators: list[Dissipator] = []
-    gamma_max = 0.0
-    for ch in kept:
-        spec = reservoirs[ch.qubit]
-        dissipators.append(Dissipator(ch, channel_rates(ch, spec), "engineered"))
-        gamma_max = max(gamma_max, spec.gamma_for(ch.index))
+    dissipators = [
+        Dissipator(ch, channel_rates(ch, reservoirs[ch.qubit]), "engineered")
+        for ch in kept
+    ]
     if background.active:
-        for ch in channels:
-            dissipators.append(Dissipator(ch, background_rates(ch, background), "background"))
-        gamma_max = max(gamma_max, background.gamma)
+        dissipators += [
+            Dissipator(ch, background_rates(ch, background), "background")
+            for ch in channels
+        ]
 
     if participating:
         warn_if_markov_strained(params, participating, gamma_max)
@@ -275,13 +264,11 @@ class ComponentDecomposition:
 
     ``closed`` holds the classes that admit a stationary distribution, each
     a frozenset of 0-based levels, sorted by smallest member.  Levels not in
-    any closed class are transient; ``reachable_from`` maps each transient
-    level to the positions (into ``closed``) of the classes it can decay to.
+    any closed class are transient.
     """
 
     closed: tuple[frozenset[int], ...]
     transient: tuple[int, ...]
-    reachable_from: dict[int, tuple[int, ...]]
 
     @property
     def partition(self) -> tuple[frozenset[int], ...]:
@@ -318,11 +305,7 @@ def invariant_components(w: np.ndarray) -> ComponentDecomposition:
     closed.sort(key=min)
     closed_levels: set[int] = set().union(*closed) if closed else set()
     transient = tuple(i for i in range(n) if i not in closed_levels)
-    reachable = {
-        t: tuple(k for k, cls in enumerate(closed) if any(reach[t, j] for j in cls))
-        for t in transient
-    }
-    return ComponentDecomposition(tuple(closed), transient, reachable)
+    return ComponentDecomposition(tuple(closed), transient)
 
 
 @dataclass(frozen=True)
@@ -374,10 +357,7 @@ def _stationary_on_class(w: np.ndarray, cls: frozenset[int]) -> np.ndarray:
     return pops
 
 
-def steady_states_numeric(
-    gen: Generator,
-    decomposition: ComponentDecomposition | None = None,
-) -> SteadyStateSet:
+def steady_states_numeric(gen: Generator) -> SteadyStateSet:
     """One steady state per closed communicating class.
 
     Each class is solved on the 8x8 population rate matrix W.  Every
@@ -388,7 +368,7 @@ def steady_states_numeric(
     ``||W|| <= ||L||``, the bound is at least as strict as one on L.
     """
     w = build_population_matrix(gen.dissipators)
-    decomp = decomposition or invariant_components(w)
+    decomp = invariant_components(w)
     if not decomp.closed:
         raise SolverFailure("no closed communicating class found")
 
@@ -721,11 +701,7 @@ def propagate(
     )
 
 
-def branch_weights(
-    rho0: np.ndarray | DensityMatrix,
-    gen: Generator,
-    decomposition: ComponentDecomposition | None = None,
-) -> np.ndarray:
+def branch_weights(rho0: np.ndarray | DensityMatrix, gen: Generator) -> np.ndarray:
     """Long-time weight of each closed class for an initial state.
 
     Mass already on a closed class stays there; mass on transient levels is
@@ -737,7 +713,7 @@ def branch_weights(
     """
     rho = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, complex)
     w = build_population_matrix(gen.dissipators)
-    decomp = decomposition or invariant_components(w)
+    decomp = invariant_components(w)
     pops = np.real(np.diag(gen.eigen.to_eigenbasis(rho)))
     weights = np.array([pops[sorted(cls)].sum() for cls in decomp.closed])
     if decomp.transient:

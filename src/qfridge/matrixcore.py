@@ -27,10 +27,10 @@ __all__ = [
 #: single fixed relative tolerance is adequate.
 DEFAULT_RANK_TOL = 1e-10
 
-#: Default density-matrix validation tolerances (one order above solver tol).
-DEFAULT_HERM_TOL = 1e-9
-DEFAULT_TRACE_TOL = 1e-9
-DEFAULT_PSD_TOL = 1e-9
+#: Density-matrix validation tolerances (one order above solver tol).
+HERM_TOL = 1e-9
+TRACE_TOL = 1e-9
+PSD_TOL = 1e-9
 
 
 class DensityMatrixError(ValueError):
@@ -114,27 +114,22 @@ class DensityMatrix:
         return np.real(np.diag(rho))
 
 
-def dm_validate(
-    rho: np.ndarray,
-    tol_herm: float = DEFAULT_HERM_TOL,
-    tol_trace: float = DEFAULT_TRACE_TOL,
-    tol_psd: float = DEFAULT_PSD_TOL,
-) -> DensityMatrix:
+def dm_validate(rho: np.ndarray) -> DensityMatrix:
     """Validate a candidate density matrix.
 
     Raises :class:`DensityMatrixError` naming the violated invariant:
-    Hermiticity within ``tol_herm``, unit trace within ``tol_trace``, and
-    eigenvalues above ``-tol_psd``.
+    Hermiticity within ``HERM_TOL``, unit trace within ``TRACE_TOL``, and
+    eigenvalues above ``-PSD_TOL``.
     """
     a = require_finite(rho, "density matrix")
     herm = np.abs(a - dagger(a)).max()
-    if herm > tol_herm:
+    if herm > HERM_TOL:
         raise DensityMatrixError("non-hermitian", f"|rho - rho^dag| = {herm:.3e}")
     tr = np.trace(a)
-    if abs(tr - 1.0) > tol_trace:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise DensityMatrixError("trace-off", f"trace = {tr:.12g}")
     evals = np.linalg.eigvalsh(0.5 * (a + dagger(a)))
-    if evals.min() < -tol_psd:
+    if evals.min() < -PSD_TOL:
         raise DensityMatrixError(
             "negative-eigenvalue", f"min eigenvalue = {evals.min():.3e}"
         )

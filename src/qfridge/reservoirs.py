@@ -14,7 +14,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from math import expm1
-from typing import Mapping
 
 from .spectrum import (
     QUBITS,
@@ -100,16 +99,12 @@ def mean_photon_number(omega: float, temperature: float) -> float:
 
 @dataclass(frozen=True)
 class ReservoirSpec:
-    """One engineered reservoir: its qubit, temperature, and decay rate.
-
-    ``gamma_overrides`` maps channel index -> rate for spectral densities
-    that are not flat; by default every channel of the qubit uses ``gamma``.
-    """
+    """One engineered reservoir: its qubit, temperature, and the decay rate
+    every channel of the qubit uses."""
 
     qubit: str
     temperature: float
     gamma: float
-    gamma_overrides: Mapping[int, float] | None = None
 
     def __post_init__(self):
         if self.qubit not in QUBITS:
@@ -118,11 +113,6 @@ class ReservoirSpec:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
-
-    def gamma_for(self, index: int) -> float:
-        if self.gamma_overrides and index in self.gamma_overrides:
-            return self.gamma_overrides[index]
-        return self.gamma
 
 
 @dataclass(frozen=True)
@@ -147,19 +137,13 @@ class ReservoirSet:
 
     @classmethod
     def from_temperatures(
-        cls,
-        params: SystemParams,
-        t_h: float,
-        t_r: float,
-        t_c: float,
-        gamma: float | None = None,
+        cls, params: SystemParams, t_h: float, t_r: float, t_c: float
     ) -> "ReservoirSet":
-        """Uniform-rate reservoirs; the rate defaults to ``params.gamma``."""
-        g = params.gamma if gamma is None else gamma
+        """Reservoirs at the rate ``params.gamma``."""
         return cls(
-            hot=ReservoirSpec("H", t_h, g),
-            room=ReservoirSpec("R", t_r, g),
-            cold=ReservoirSpec("C", t_c, g),
+            hot=ReservoirSpec("H", t_h, params.gamma),
+            room=ReservoirSpec("R", t_r, params.gamma),
+            cold=ReservoirSpec("C", t_c, params.gamma),
         )
 
 
@@ -303,8 +287,7 @@ def channel_rates(channel: TransitionChannel, reservoir: ReservoirSpec) -> Chann
             f"channel {channel} belongs to qubit {channel.qubit}, "
             f"reservoir couples to {reservoir.qubit}"
         )
-    return _make_rates(channel, reservoir.gamma_for(channel.index),
-                       reservoir.temperature)
+    return _make_rates(channel, reservoir.gamma, reservoir.temperature)
 
 
 def background_rates(channel: TransitionChannel, background: BackgroundSpec) -> ChannelRates:

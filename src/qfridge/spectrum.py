@@ -147,13 +147,11 @@ class EigenSystem:
     def to_eigenbasis(self, op: np.ndarray) -> np.ndarray:
         return dagger(self.vectors) @ op @ self.vectors
 
-    def from_eigenbasis(self, op: np.ndarray) -> np.ndarray:
-        return self.vectors @ op @ dagger(self.vectors)
-
     def diagonal_state(self, populations: np.ndarray) -> np.ndarray:
         """Density matrix (computational basis) with the given level
         populations and no coherences."""
-        return self.from_eigenbasis(np.diag(np.asarray(populations, dtype=complex)))
+        diag = np.diag(np.asarray(populations, dtype=complex))
+        return self.vectors @ diag @ dagger(self.vectors)
 
 
 @dataclass(frozen=True)
@@ -293,16 +291,13 @@ def channel_commutator_check(params: SystemParams) -> float:
 def degenerate_frequency_pairs(
     params: SystemParams,
     keys: list[tuple[str, int]] | None = None,
-    rtol: float | None = None,
 ) -> list[tuple[tuple[str, int], tuple[str, int]]]:
     """Pairs of channels (restricted to ``keys`` if given) whose frequencies
-    coincide within ``rtol * omega_c`` (default 1e3 * machine epsilon)."""
-    if rtol is None:
-        rtol = 1e3 * np.finfo(float).eps
+    coincide within ``1e3 * machine epsilon * omega_c``."""
     if keys is None:
         keys = list(_FREQ_OFFSET)
     freq = {key: channel_frequency(params, *key) for key in keys}
-    tol = rtol * params.omega_c
+    tol = 1e3 * np.finfo(float).eps * params.omega_c
     pairs = []
     for i, ka in enumerate(keys):
         for kb in keys[i + 1:]:
@@ -321,7 +316,4 @@ def check_nondegenerate(
     pairs = degenerate_frequency_pairs(params, keys)
     if pairs:
         listing = ", ".join(f"{a[0]}{a[1]}~{b[0]}{b[1]}" for a, b in pairs)
-        raise DegenerateChannelsError(
-            f"coinciding channel frequencies: {listing} "
-            f"(pass allow_degenerate=True to proceed anyway)"
-        )
+        raise DegenerateChannelsError(f"coinciding channel frequencies: {listing}")

@@ -61,6 +61,9 @@ IMAG_FAULT_TOL = 1e-10
 #: |Q_H| below this makes the efficiency undefined.
 EFFICIENCY_DEAD_BAND = 1e-14
 
+#: |Q| above this from a bath at T = 0 makes the entropy production infinite.
+ZERO_TEMPERATURE_DEAD_BAND = 1e-15
+
 
 class NumericalFault(RuntimeError):
     """A quantity that must be real (or conserved) came out badly off."""
@@ -305,29 +308,33 @@ def cooling_predicate_for_filter(
     return _verdict(_filter_ratio(params, filt), temps)
 
 
+def _entropy_flow(flows) -> float:
+    """sum Q / T over ``(Q, T)`` pairs.  A bath at T = 0 adds nothing, or
+    makes the sum -inf if it exchanges more than the dead band."""
+    if any(t == 0.0 and abs(q) > ZERO_TEMPERATURE_DEAD_BAND for q, t in flows):
+        return -math.inf
+    return sum(q / t for q, t in flows if t != 0.0)
+
+
 def entropy_production(
     engineered: Mapping[str, float],
     temps,
     background: Mapping[str, float] | None = None,
     background_temperature: float | None = None,
-    dead_band: float = 1e-15,
 ) -> float:
     """Entropy production rate sigma = -sum Q_a / T_a, plus the background
     term -sum Q^B_a / T0 when background currents are supplied.
 
-    A vacuum background (T0 = 0) absorbing any heat produces an infinite
-    positive entropy flow; that case returns ``inf``.
+    A bath at zero temperature (a vacuum background, or an engineered bath
+    at T = 0) that exchanges any heat produces an infinite positive entropy
+    flow; that case returns ``inf``.
     """
     t = _temperatures(temps)
-    sigma = -sum(engineered[q] / t[q] for q in QUBITS)
+    sigma = -_entropy_flow([(engineered[q], t[q]) for q in QUBITS])
     if background is not None:
         if background_temperature is None:
             raise ValueError("background currents supplied without a temperature")
-        if background_temperature == 0.0:
-            if any(abs(background[q]) > dead_band for q in QUBITS):
-                return math.inf
-        else:
-            sigma -= sum(background[q] / background_temperature for q in QUBITS)
+        sigma -= _entropy_flow([(background[q], background_temperature) for q in QUBITS])
     return sigma
 
 

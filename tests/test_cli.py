@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -109,8 +110,10 @@ def test_parse_config_errors():
 
 @pytest.mark.parametrize("old, new, key", [
     ("t_h = 6.0", "t_h = inf", "reservoirs.t_h"),
+    ("t_h = 6.0", "t_h = abc", "reservoirs.t_h"),
     ("t_c = 1.0", "t_c = nan", "reservoirs.t_c"),
     ("gamma = 0.05\n\n[reservoirs]", "gamma = inf\n\n[reservoirs]", "system.gamma"),
+    ("gamma = 0.05\n\n[reservoirs]", "gamma = -inf\n\n[reservoirs]", "system.gamma"),
 ])
 def test_non_finite_config_values_are_config_errors(capsys, tmp_path, old, new, key):
     assert NATURAL_CONFIG.count(old) == 1
@@ -118,7 +121,29 @@ def test_non_finite_config_values_are_config_errors(capsys, tmp_path, old, new, 
     cfg.write_text(NATURAL_CONFIG.replace(old, new))
     assert main(["steady", "--config", str(cfg), "--out", str(tmp_path / "s.txt")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and key in err
+    # the key once, with no section prefix in front of it
+    assert err.startswith(f"error: {key}: ") and err.count(key.split(".")[0]) == 1
+
+
+def test_zero_temperature_bath_gives_infinite_sigma(capsys, tmp_path):
+    # no background: the infinite sigma comes from the engineered bath at T = 0
+    text = NATURAL_CONFIG.replace("mode = vacuum", "mode = none")
+    cfg = tmp_path / "cold0.ini"
+    cfg.write_text(text.replace("t_c = 1.0", "t_c = 0"))
+    out = tmp_path / "s.txt"
+    assert main(["steady", "--config", str(cfg), "--out", str(out)]) == 0
+    sigmas = re.findall(r"sigma = (\S+)", out.read_text())
+    assert "inf" in sigmas and "nan" not in sigmas
+
+    sweep_cfg = tmp_path / "hot0.ini"
+    sweep_cfg.write_text(text + "\n[sweep]\nvariable = t_h\nstart = 0\nstop = 6\npoints = 4\n")
+    csv_path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(sweep_cfg), "--out", str(csv_path)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = load_csv(str(csv_path)).rows
+    assert rows[0].sweep_value == 0.0 and rows[0].sigma == math.inf
+    assert not any(row.failed for row in rows)
+    assert all(math.isfinite(row.sigma) for row in rows[1:])
 
 
 def test_config_round_trip_through_items():

@@ -133,6 +133,43 @@ def test_stacked_kernel_equals_per_channel_formula(params, rng):
             assert got.tolist() == [c.real for c in currents]
 
 
+def test_stacked_states_equal_single_state_calls(params, rng):
+    for gen in kernel_generators(params):
+        stack = np.array([random_density_matrix(rng) for _ in range(6)]).reshape(2, 3, 8, 8)
+        got = apply_dissipators(gen.dissipators, stack)
+        assert got.shape == (len(gen.dissipators), 2, 3, 8, 8)
+        for i in range(2):
+            for j in range(3):
+                assert (got[:, i, j] == apply_dissipators(gen.dissipators, stack[i, j])).all()
+
+
+def liouvillian_reference(gen):
+    """The 64x64 generator from Kronecker products, ``vec(A rho B) =
+    (B^T kron A) vec(rho)``: the commutator term, then each dissipator's
+    superoperator in order."""
+    eye = np.eye(8)
+
+    def sandwich(a, b):  # rho -> a rho b
+        return np.kron(b.T, a)
+
+    h = gen.hamiltonian
+    liou = -1j * (sandwich(h, eye) - sandwich(eye, h))
+    for d in gen.dissipators:
+        ch = d.channel
+        a, ad = ch.operator, ch.adjoint
+        jp, jm = d.rates.j_plus, d.rates.j_minus
+        sup = jm * (2.0 * sandwich(a, ad) - sandwich(ch.ada, eye) - sandwich(eye, ch.ada))
+        if jp != 0.0:
+            sup += jp * (2.0 * sandwich(ad, a) - sandwich(ch.aad, eye) - sandwich(eye, ch.aad))
+        liou += sup
+    return liou
+
+
+def test_liouvillian_equals_kronecker_reference(params):
+    for gen in kernel_generators(params):
+        assert np.array_equal(gen.liouvillian, liouvillian_reference(gen))
+
+
 def test_heat_currents_fault_names_first_bad_channel(revival_generator, rng):
     gen = revival_generator  # H3, R2, C1; H3 never touches level 3
     rho = random_density_matrix(rng) + 1e-3j * gen.eigen.diagonal_state(np.eye(8)[3])
@@ -220,9 +257,6 @@ def test_degeneracy_guard_on_build(params):
             build_generator(p, FilterConfig.all_channels(), reservoirs)
     # the colliding channels are filtered out here, so this must build
     build_generator(p, FilterConfig.single(2, 2, 2), reservoirs)
-    # explicit opt-in also builds
-    build_generator(p, FilterConfig.all_channels(), reservoirs,
-                    allow_degenerate=True)
 
 
 # --- population rate matrix -------------------------------------------------
@@ -313,7 +347,10 @@ def test_components_vacuum_background(params):
     decomp = invariant_components(build_population_matrix(gen.dissipators))
     assert decomp.closed == (frozenset({7}),)
     assert set(decomp.transient) == set(range(7))
-    assert all(decomp.reachable_from[t] == (0,) for t in decomp.transient)
+    # every transient level decays into the one closed class
+    for t in decomp.transient:
+        weights = branch_weights(gen.eigen.diagonal_state(np.eye(8)[t]), gen)
+        assert weights.shape == (1,) and abs(weights[0] - 1.0) <= 1e-12
 
 
 def test_thermal_background_restores_ergodicity(rng):

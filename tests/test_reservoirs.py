@@ -88,13 +88,6 @@ def test_channel_rates_vacuum_and_mismatch(params):
         channel_rates(h1, ReservoirSpec("C", 1.0, 0.25))
 
 
-def test_channel_rates_gamma_override(params):
-    channels = transition_channels(params)
-    (h2,) = [c for c in channels if c.key == ("H", 2)]
-    spec = ReservoirSpec("H", 1.0, 0.2, gamma_overrides={2: 0.05})
-    assert channel_rates(h2, spec).gamma == pytest.approx(0.05)
-
-
 def test_mean_photon_monotonicity():
     temps = np.linspace(0.2, 5.0, 25)
     ns = [mean_photon_number(1.3, t) for t in temps]

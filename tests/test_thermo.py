@@ -37,7 +37,7 @@ G_FIGURE = 9.0 / 17.0
 def trace_currents(gen, state):
     """Per-reservoir engineered currents straight from the trace formula."""
     out = {"H": 0.0, "R": 0.0, "C": 0.0}
-    for d in gen.engineered:
+    for d in (d for d in gen.dissipators if d.source == "engineered"):
         out[d.channel.qubit] += heat_current(gen.hamiltonian, d, state.state)
     return out
 
