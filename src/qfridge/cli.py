@@ -44,7 +44,8 @@ import math
 import sys
 import warnings
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, replace
+from dataclasses import Field, dataclass, field, fields, replace
+from functools import cache
 from typing import TypeVar
 
 import numpy as np
@@ -99,19 +100,6 @@ __all__ = [
     "main",
 ]
 
-CSV_COLUMNS = (
-    "sweep_value",
-    "qdot_C",
-    "qdot_H",
-    "qdot_R",
-    "qdot_B_C",
-    "qdot_B_H",
-    "qdot_B_R",
-    "eta",
-    "sigma",
-    "stage",
-)
-
 
 class ConfigError(ValueError):
     """Bad scenario configuration; message carries section/key context."""
@@ -135,6 +123,36 @@ def _fmt(x: float) -> str:
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return f"{x:.16e}"
+
+
+@cache
+def _columns(row_type: type) -> tuple[Field, ...]:
+    """Table columns of a row dataclass: its fields, in order, except those
+    declared with ``metadata={"column": False}``."""
+    return tuple(f for f in fields(row_type) if f.metadata.get("column", True))
+
+
+def _cells(row) -> str:
+    """One table line: each column of ``row`` by its declared type, ``float``
+    through :func:`_fmt`, ``bool`` in lower case, anything else by ``str``."""
+    cells = ((getattr(row, f.name), f.type) for f in _columns(type(row)))
+    return ",".join(_fmt(v) if t == "float" else str(v).lower() if t == "bool" else str(v)
+                    for v, t in cells)
+
+
+def _failed_row(row_type: type, exc: Exception, **cells) -> "SweepRow | ScanRow":
+    """A row for a solve that raised ``exc``: NaN in every ``float`` field,
+    ``cells`` in the others, and ``<ExceptionType>: <message>`` in ``error``."""
+    nan = {f.name: math.nan for f in fields(row_type) if f.type == "float"}
+    return row_type(**nan | cells, error=f"{type(exc).__name__}: {exc}")
+
+
+def _table(config: "ScenarioConfig", row_type: type, rows: Iterable) -> str:
+    """``#`` config header, the column names of ``row_type``, one line per row."""
+    lines = [f"# {key} = {value}" for key, value in config.canonical_items()]
+    lines.append(",".join(f.name for f in _columns(row_type)))
+    lines += [_cells(row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _fmt_value(x: float) -> str:
@@ -424,26 +442,24 @@ class SweepRow:
     sigma: float
     stage: str
     #: ``<ExceptionType>: <message>`` of a failed row; not written to the CSV
-    error: str = ""
+    error: str = field(default="", metadata={"column": False})
 
     def as_csv(self) -> str:
-        cells = [
-            _fmt(self.sweep_value),
-            _fmt(self.qdot_C),
-            _fmt(self.qdot_H),
-            _fmt(self.qdot_R),
-            _fmt(self.qdot_B_C),
-            _fmt(self.qdot_B_H),
-            _fmt(self.qdot_B_R),
-            _fmt(self.eta),
-            _fmt(self.sigma),
-            self.stage,
-        ]
-        return ",".join(cells)
+        return _cells(self)
 
     @property
     def failed(self) -> bool:
         return self.stage == "error"
+
+
+def _check_energy_balance(row: SweepRow) -> None:
+    """The CSV's energy balance: raise :class:`NumericalFault` unless a row's six
+    currents sum to zero within 1e-10 of their magnitude, where that exceeds 1e-12."""
+    currents = (row.qdot_C, row.qdot_H, row.qdot_R, row.qdot_B_C, row.qdot_B_H, row.qdot_B_R)
+    total, scale = sum(currents), sum(map(abs, currents))
+    if scale > 1e-12 and abs(total) > 1e-10 * scale:
+        raise NumericalFault(f"first-law violation: the six currents sum to "
+                             f"{total:.3e} against magnitude {scale:.3e}")
 
 
 @dataclass(frozen=True)
@@ -455,34 +471,26 @@ class SweepResult:
 
 def _with_hot_temperature(config: ScenarioConfig, t_h: float) -> ScenarioConfig:
     res = config.reservoirs
-    return replace(
-        config,
-        reservoirs=ReservoirSet(
-            hot=replace(res.hot, temperature=t_h), room=res.room, cold=res.cold
-        ),
-    )
+    return replace(config, reservoirs=replace(res, hot=replace(res.hot, temperature=t_h)))
 
 
 def _solve_point(config: ScenarioConfig, t_h: float) -> SweepRow:
     try:
         _, reports = _solve(_with_hot_temperature(config, t_h))
-        return _row_from_report(t_h, _reporting(reports))
+        row = _row_from_report(t_h, _reporting(reports))
+        _check_energy_balance(row)
+        return row
     except ROW_FAILURES as exc:  # per-row failure is recorded, the sweep continues
-        return SweepRow(
-            sweep_value=t_h,
-            qdot_C=math.nan, qdot_H=math.nan, qdot_R=math.nan,
-            qdot_B_C=math.nan, qdot_B_H=math.nan, qdot_B_R=math.nan,
-            eta=math.nan, sigma=math.nan, stage="error",
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return _failed_row(SweepRow, exc, sweep_value=t_h, stage="error")
 
 
 def sweep_th(config: ScenarioConfig) -> SweepResult:
     """Solve one row per hot-temperature grid point, in grid order.
 
-    A row that fails with one of ``ROW_FAILURES`` is recorded with stage
-    ``error``, NaN values and the failure in ``error``.  ``warnings`` holds
-    each distinct warning raised by any row once, in first-seen order.
+    A row that fails with one of ``ROW_FAILURES``, or whose currents break
+    :func:`_check_energy_balance`, is recorded with stage ``error``, NaN
+    values and the failure in ``error``.  ``warnings`` holds each distinct
+    warning raised by any row once, in first-seen order.
     """
     if config.sweep is None:
         raise ConfigError("sweep requested but the config has no [sweep] section")
@@ -495,17 +503,12 @@ def sweep_th(config: ScenarioConfig) -> SweepResult:
 def emit_csv(result: SweepResult, path: str) -> None:
     """Deterministic CSV: ``#`` config header, fixed column order, 17
     significant digits, LF endings.  Identical runs produce identical bytes."""
-    lines = [f"# {key} = {value}" for key, value in result.config.canonical_items()]
-    lines.append(",".join(CSV_COLUMNS))
-    lines += [row.as_csv() for row in result.rows]
-    payload = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
+    _write_output(_table(result.config, SweepRow, result.rows), path)
 
 
 def load_csv(path: str) -> SweepResult:
     """Read a sweep CSV back, re-parsing the embedded config and
-    re-validating the first-law sum on every solved row."""
+    re-checking :func:`_check_energy_balance` on every solved row."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     items: dict[str, str] = {}
@@ -516,30 +519,24 @@ def load_csv(path: str) -> SweepResult:
             items[key.strip()] = value.strip()
         elif line.strip():
             body.append(line)
-    if not body or body[0] != ",".join(CSV_COLUMNS):
+    columns = _columns(SweepRow)
+    if not body or body[0] != ",".join(f.name for f in columns):
         raise ConfigError(f"{path}: missing or wrong column header")
     config = ScenarioConfig.from_items(items)
     rows = []
     for line in body[1:]:
         cells = line.split(",")
-        if len(cells) != len(CSV_COLUMNS):
+        if len(cells) != len(columns):
             raise ConfigError(f"{path}: malformed row {line!r}")
-        row = SweepRow(
-            sweep_value=float(cells[0]),
-            qdot_C=float(cells[1]), qdot_H=float(cells[2]), qdot_R=float(cells[3]),
-            qdot_B_C=float(cells[4]), qdot_B_H=float(cells[5]), qdot_B_R=float(cells[6]),
-            eta=float(cells[7]), sigma=float(cells[8]), stage=cells[9],
-        )
+        row = SweepRow(**{f.name: float(cell) if f.type == "float" else cell
+                          for f, cell in zip(columns, cells)})
         if not row.failed:
-            total = (row.qdot_C + row.qdot_H + row.qdot_R
-                     + row.qdot_B_C + row.qdot_B_H + row.qdot_B_R)
-            scale = (abs(row.qdot_C) + abs(row.qdot_H) + abs(row.qdot_R)
-                     + abs(row.qdot_B_C) + abs(row.qdot_B_H) + abs(row.qdot_B_R))
-            if scale > 1e-12 and abs(total) > 1e-10 * scale:
+            try:
+                _check_energy_balance(row)
+            except NumericalFault as exc:
                 raise ConfigError(
-                    f"{path}: row at {row.sweep_value} violates the first law "
-                    f"(sum {total:.3e} vs scale {scale:.3e})"
-                )
+                    f"{path}: row at {row.sweep_value} violates the first law ({exc})"
+                ) from None
         rows.append(row)
     return SweepResult(config=config, rows=tuple(rows), warnings=())
 
@@ -636,11 +633,8 @@ def _scan_one(config: ScenarioConfig, filt: FilterConfig) -> ScanRow:
             n_states=len(states),
         )
     except ROW_FAILURES as exc:
-        return ScanRow(
-            filter=filt, qdot_C=math.nan, qdot_H=math.nan, qdot_R=math.nan,
-            eta=math.nan, cooling=False, cycle_matched=matched, n_states=0,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return _failed_row(ScanRow, exc, filter=filt, cooling=False,
+                           cycle_matched=matched, n_states=0)
 
 
 def scan_filters(config: ScenarioConfig, mode: str = "single_channel") -> ScanResult:
@@ -656,17 +650,8 @@ def scan_filters(config: ScenarioConfig, mode: str = "single_channel") -> ScanRe
 
 
 def format_scan_table(config: ScenarioConfig, rows: Iterable[ScanRow]) -> str:
-    lines = [f"# {key} = {value}" for key, value in config.canonical_items()]
-    lines.append("filter,qdot_C,qdot_H,qdot_R,eta,cooling,cycle_matched,n_states,error")
-    for r in rows:
-        lines.append(
-            ",".join((
-                str(r.filter), _fmt(r.qdot_C), _fmt(r.qdot_H), _fmt(r.qdot_R),
-                _fmt(r.eta), str(r.cooling).lower(), str(r.cycle_matched).lower(),
-                str(r.n_states), r.error,
-            ))
-        )
-    return "\n".join(lines) + "\n"
+    """``#`` config header and one line per row in the columns of :class:`ScanRow`."""
+    return _table(config, ScanRow, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +789,7 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
         elif args.command == "constants":
             _write_output(constants_report(config), args.out)
-    except (ConfigError, SolverFailure, OSError) as exc:
+    except (*ROW_FAILURES, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

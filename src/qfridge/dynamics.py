@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matrixcore import DensityMatrix, dm_validate, null_space
+from .matrixcore import DensityMatrix, null_space
 from .reservoirs import (
     REVIVAL_FILTER,
     BackgroundSpec,
@@ -153,7 +153,6 @@ class Generator:
     """
 
     params: SystemParams
-    filter: FilterConfig
     reservoirs: ReservoirSet
     background: BackgroundSpec
     hamiltonian: np.ndarray = field(repr=False)
@@ -224,26 +223,12 @@ def build_generator(
 
     return Generator(
         params=params,
-        filter=filt,
         reservoirs=reservoirs,
         background=background,
         hamiltonian=build_hamiltonian(params),
         eigen=eigensystem(params),
         dissipators=tuple(dissipators),
     )
-
-
-def population_matrix_of(d: Dissipator) -> np.ndarray:
-    """8x8 rate matrix of a single dissipator on eigenlevel populations."""
-    w = np.zeros((DIM, DIM))
-    jp, jm = d.rates.j_plus, d.rates.j_minus
-    weight = d.channel.pair_weight
-    for to, frm, _ in d.channel.elements:
-        w[frm, frm] -= weight * jm
-        w[to, frm] += weight * jm
-        w[to, to] -= weight * jp
-        w[frm, to] += weight * jp
-    return w
 
 
 def build_population_matrix(dissipators) -> np.ndarray:
@@ -254,7 +239,13 @@ def build_population_matrix(dissipators) -> np.ndarray:
     """
     w = np.zeros((DIM, DIM))
     for d in dissipators:
-        w += population_matrix_of(d)
+        jp, jm = d.rates.j_plus, d.rates.j_minus
+        weight = d.channel.pair_weight
+        for to, frm, _ in d.channel.elements:
+            w[frm, frm] -= weight * jm
+            w[to, frm] += weight * jm
+            w[to, to] -= weight * jp
+            w[frm, to] += weight * jp
     return w
 
 
@@ -361,8 +352,8 @@ def steady_states_numeric(gen: Generator) -> SteadyStateSet:
     """One steady state per closed communicating class.
 
     Each class is solved on the 8x8 population rate matrix W.  Every
-    returned state passes density-matrix validation and the residual bound
-    ``||W p|| <= STEADY_RESIDUAL_TOL * ||W||``.  W is the full generator
+    returned state has clipped, renormalised populations and a finite residual
+    within ``||W p|| <= STEADY_RESIDUAL_TOL * ||W||``.  W is the full generator
     restricted, through an isometry, to the states diagonal in the
     eigenbasis, so ``||W p||`` equals ``||L vec(rho)||`` and, as
     ``||W|| <= ||L||``, the bound is at least as strict as one on L.
@@ -377,12 +368,12 @@ def steady_states_numeric(gen: Generator) -> SteadyStateSet:
     states = []
     for cls, pops in zip(decomp.closed, pop_vectors):
         resid = np.linalg.norm(w @ pops)
-        if resid > bound:
+        if not resid <= bound:
             raise SolverFailure(
                 f"steady state on {sorted(cls)} has residual {resid:.3e} "
                 f"(bound {bound:.3e})"
             )
-        states.append(SteadyState(dm_validate(gen.eigen.diagonal_state(pops)), cls, pops))
+        states.append(SteadyState(DensityMatrix(gen.eigen.diagonal_state(pops)), cls, pops))
     return SteadyStateSet(tuple(states), unique=(len(states) == 1))
 
 

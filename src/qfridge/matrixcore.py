@@ -7,6 +7,7 @@ no sparse path and no attempt at clever storage.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ __all__ = [
     "RankAmbiguityWarning",
     "DensityMatrix",
     "require_finite",
+    "require_finite_fields",
     "dagger",
     "null_space",
     "dm_validate",
@@ -56,6 +58,14 @@ def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def require_finite_fields(obj: object, *names: str) -> None:
+    """Raise ValueError naming the first of ``names`` set on ``obj`` but not finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

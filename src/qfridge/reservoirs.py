@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 from math import expm1
 
+from .matrixcore import require_finite_fields
 from .spectrum import (
     QUBITS,
     SystemParams,
@@ -109,6 +110,7 @@ class ReservoirSpec:
     def __post_init__(self):
         if self.qubit not in QUBITS:
             raise ValueError(f"unknown qubit {self.qubit!r}")
+        require_finite_fields(self, "temperature", "gamma")
         if self.temperature < 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.gamma <= 0:
@@ -227,6 +229,7 @@ class BackgroundSpec:
     def __post_init__(self):
         if self.mode not in ("none", "vacuum", "thermal"):
             raise ValueError(f"unknown background mode {self.mode!r}")
+        require_finite_fields(self, "temperature", "gamma")
         if self.mode == "thermal":
             if self.temperature is None or not self.temperature > 0:
                 raise ValueError("thermal background requires temperature > 0")

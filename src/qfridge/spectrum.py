@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .matrixcore import dagger
+from .matrixcore import dagger, require_finite_fields
 
 __all__ = [
     "QUBITS",
@@ -112,6 +112,7 @@ class SystemParams:
     unit_scale: float | None = None
 
     def __post_init__(self):
+        require_finite_fields(self, "omega_c", "omega_h", "g", "gamma", "unit_scale")
         if not (self.omega_c > 0 and self.omega_h > self.omega_c):
             raise ValueError(
                 f"need omega_h > omega_c > 0, got "

@@ -1,5 +1,6 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qfridge.cli import (
     constants_report,
     emit_csv,
     format_scan_table,
+    load_config,
     load_csv,
     main,
     parse_config,
@@ -473,14 +475,15 @@ def _warn_for_filter(monkeypatch, filt, message):
 
     from qfridge import cli
 
-    solve = cli.steady_states_numeric
+    build = cli.build_generator
 
-    def warn_once(gen):
-        if gen.filter == filt:
+    def warn_once(params, kept, *rest):
+        gen = build(params, kept, *rest)
+        if kept == filt:
             warnings.warn(message, RuntimeWarning)
-        return solve(gen)
+        return gen
 
-    monkeypatch.setattr(cli, "steady_states_numeric", warn_once)
+    monkeypatch.setattr(cli, "build_generator", warn_once)
 
 
 def test_scan_prints_each_warning_once(monkeypatch, capsys, tmp_path):
@@ -551,3 +554,111 @@ def test_steady_reports_solve_time_warnings(monkeypatch, tmp_path):
     out = tmp_path / "steady.txt"
     assert main(["steady", "--config", str(cfg), "--out", str(out)]) == 0
     assert out.read_text().splitlines() == lines
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+#: REVIVAL mask at a cold edge: the solve raises a first-law NumericalFault
+REVIVAL_FAULT_CONFIG = """
+[system]
+omega_h = 3
+g = 0.25
+gamma = 0.05
+
+[reservoirs]
+t_h = 0.5
+t_r = 0.2
+t_c = 0.05
+
+[filter]
+h = 3
+r = 2
+c = 1
+"""
+
+#: all channels with H2~C2 and H3~R1 coinciding: DegenerateChannelsError
+DEGENERATE_CONFIG = """
+[system]
+omega_h = 2
+g = 0.5
+gamma = 0.05
+
+[reservoirs]
+t_h = 6.0
+t_r = 4.0
+t_c = 1.0
+"""
+
+#: a one-point sweep whose reported currents pass the per-channel first-law
+#: gate of build_report but break the CSV's per-reservoir energy balance
+BALANCE_FAULT_CONFIG = """
+[system]
+omega_h = 3
+g = 0.25
+gamma = 0.01
+
+[reservoirs]
+t_h = 1.5137184098835603
+t_r = 0.2986360296858819
+t_c = 0.07539650111280943
+
+[filter]
+h = 1,3
+r = 1,2
+c = 2,3
+
+[sweep]
+variable = t_h
+start = 1.5137184098835603
+stop = 2
+points = 1
+"""
+
+
+@pytest.mark.parametrize("name", ["figure_sweep", "filter_census", "vacuum_transport",
+                                  "revival_fault", "degenerate"])
+def test_no_command_dies_with_a_traceback(name, tmp_path, capsys):
+    text = {"revival_fault": REVIVAL_FAULT_CONFIG, "degenerate": DEGENERATE_CONFIG}.get(name)
+    cfg = CONFIGS / f"{name}.ini"
+    if text is not None:
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(text)
+    commands = [["steady"], ["validate"], ["scan"]]
+    if load_config(str(cfg)).sweep is not None:
+        commands.append(["sweep"])
+    for command in commands:
+        out = tmp_path / f"{command[0]}.out"
+        code = main(command + ["--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 2), (command, err)
+        if code == 2 and command == ["steady"]:
+            assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text, message", [
+    (REVIVAL_FAULT_CONFIG, "error: first-law violation: currents sum to "),
+    (DEGENERATE_CONFIG, "error: coinciding channel frequencies: H2~C2, H3~R1"),
+], ids=["revival_fault", "degenerate"])
+def test_steady_row_failure_exits_2_with_error(text, message, tmp_path, capsys):
+    cfg = tmp_path / "steady.ini"
+    cfg.write_text(text)
+    out = tmp_path / "steady.txt"
+    assert main(["steady", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+def test_sweep_writes_energy_balance_breach_as_error_row(tmp_path, capsys):
+    config = parse_config(BALANCE_FAULT_CONFIG)
+    (row,) = sweep_th(config).rows
+    assert row.failed
+    assert row.error.startswith("NumericalFault: first-law")
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(BALANCE_FAULT_CONFIG)
+    path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(path)]) == 0
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"1 of 1 rows failed; first at t_h={row.sweep_value:.16e}: {row.error}")
+    loaded = load_csv(str(path))
+    assert [r.as_csv() for r in loaded.rows] == [row.as_csv()]
+    assert loaded.rows[0].stage == "error"

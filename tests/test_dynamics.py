@@ -431,6 +431,25 @@ def test_steady_states_satisfy_residual_bound(rng):
             assert resid <= 1e-9 * lnorm
 
 
+def test_steady_states_are_density_matrices_by_construction(rng):
+    # the solver no longer validates its states; clipped, renormalised
+    # populations must still give matrices that pass validation
+    for gen in _residual_bound_generators(rng):
+        for s in steady_states_numeric(gen):
+            dm_validate(s.state.matrix)
+
+
+def test_non_finite_populations_fail_the_residual_gate(params, monkeypatch):
+    from qfridge import dynamics
+
+    reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=4.0, t_c=1.0)
+    gen = build_generator(params, REVIVAL_FILTER, reservoirs)
+    monkeypatch.setattr(dynamics, "_stationary_on_class",
+                        lambda w, cls: np.full(w.shape[0], np.nan))
+    with pytest.raises(dynamics.SolverFailure, match="has residual nan"):
+        steady_states_numeric(gen)
+
+
 def test_steady_solve_and_report_leave_liouvillian_unbuilt(params):
     reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=4.0, t_c=1.0)
     gen = build_generator(params, REVIVAL_FILTER, reservoirs,

@@ -9,6 +9,7 @@ from qfridge import (
     FilterConfig,
     ReservoirSet,
     ReservoirSpec,
+    SystemParams,
     channel_rates,
     cycle_match_check,
     mean_photon_number,
@@ -174,3 +175,21 @@ def test_reservoir_set_helpers(params):
     assert rs.temperatures == {"H": 3.0, "R": 2.0, "C": 1.0}
     with pytest.raises(ValueError):
         ReservoirSet(hot=rs.cold, room=rs.room, cold=rs.hot)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("build, name", [
+    (lambda x: SystemParams(omega_c=x, omega_h=3.0, g=0.25, gamma=0.05), "omega_c"),
+    (lambda x: SystemParams(omega_c=1.0, omega_h=x, g=0.25, gamma=0.05), "omega_h"),
+    (lambda x: SystemParams(omega_c=1.0, omega_h=3.0, g=x, gamma=0.05), "g"),
+    (lambda x: SystemParams(omega_c=1.0, omega_h=3.0, g=0.25, gamma=x), "gamma"),
+    (lambda x: SystemParams(omega_c=1.0, omega_h=3.0, g=0.25, gamma=0.05,
+                            unit_scale=x), "unit_scale"),
+    (lambda x: ReservoirSpec("H", temperature=x, gamma=0.05), "temperature"),
+    (lambda x: ReservoirSpec("H", temperature=1.0, gamma=x), "gamma"),
+    (lambda x: BackgroundSpec.thermal(temperature=x, gamma=0.05), "temperature"),
+    (lambda x: BackgroundSpec.vacuum(gamma=x), "gamma"),
+])
+def test_value_types_reject_non_finite(build, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build(bad)
