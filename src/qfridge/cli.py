@@ -57,7 +57,6 @@ from .dynamics import (
     participating_channels,
     steady_states_numeric,
 )
-from .matrixcore import DensityMatrixError
 from .reservoirs import (
     HBAR,
     KB,
@@ -110,7 +109,6 @@ class ConfigError(ValueError):
 ROW_FAILURES = (
     SolverFailure,
     NumericalFault,
-    DensityMatrixError,
     DegenerateChannelsError,
     np.linalg.LinAlgError,
 )
@@ -140,11 +138,16 @@ def _cells(row) -> str:
                     for v, t in cells)
 
 
+def _reason(exc: Exception) -> str:
+    """How a row failure is reported: ``<ExceptionType>: <message>``."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _failed_row(row_type: type, exc: Exception, **cells) -> "SweepRow | ScanRow":
     """A row for a solve that raised ``exc``: NaN in every ``float`` field,
-    ``cells`` in the others, and ``<ExceptionType>: <message>`` in ``error``."""
+    ``cells`` in the others, and :func:`_reason` in ``error``."""
     nan = {f.name: math.nan for f in fields(row_type) if f.type == "float"}
-    return row_type(**nan | cells, error=f"{type(exc).__name__}: {exc}")
+    return row_type(**nan | cells, error=_reason(exc))
 
 
 def _table(config: "ScenarioConfig", row_type: type, rows: Iterable) -> str:
@@ -790,7 +793,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "constants":
             _write_output(constants_report(config), args.out)
     except (*ROW_FAILURES, ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        detail = _reason(exc) if isinstance(exc, ROW_FAILURES) else exc
+        print(f"error: {detail}", file=sys.stderr)
         return 2
     return 0
 

@@ -54,8 +54,8 @@ __all__ = [
     "build_report",
 ]
 
-#: Imaginary parts below this are discarded; above, a fault is raised.
-IMAG_DISCARD_TOL = 1e-12
+#: A heat current whose imaginary part exceeds this raises NumericalFault;
+#: otherwise its real part is returned.
 IMAG_FAULT_TOL = 1e-10
 
 #: |Q_H| below this makes the efficiency undefined.

@@ -636,8 +636,9 @@ def test_no_command_dies_with_a_traceback(name, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, message", [
-    (REVIVAL_FAULT_CONFIG, "error: first-law violation: currents sum to "),
-    (DEGENERATE_CONFIG, "error: coinciding channel frequencies: H2~C2, H3~R1"),
+    (REVIVAL_FAULT_CONFIG, "error: NumericalFault: first-law violation: currents sum to "),
+    (DEGENERATE_CONFIG,
+     "error: DegenerateChannelsError: coinciding channel frequencies: H2~C2, H3~R1"),
 ], ids=["revival_fault", "degenerate"])
 def test_steady_row_failure_exits_2_with_error(text, message, tmp_path, capsys):
     cfg = tmp_path / "steady.ini"
