@@ -54,7 +54,10 @@ from .dynamics import (
     SolverFailure,
     SteadyStateSet,
     build_generator,
+    build_population_matrix,
     participating_channels,
+    stacked_dissipators,
+    steady_state_stack,
     steady_states_numeric,
 )
 from .reservoirs import (
@@ -68,6 +71,7 @@ from .reservoirs import (
     natural_from_kelvin,
 )
 from .spectrum import (
+    DIM,
     QUBITS,
     DegenerateChannelsError,
     SystemParams,
@@ -77,6 +81,7 @@ from .thermo import (
     HeatCurrentReport,
     NumericalFault,
     build_report,
+    build_reports,
     cooling_predicate_for_filter,
 )
 
@@ -191,6 +196,9 @@ class SweepSpec:
         if not self.stop > self.start:
             raise ConfigError(f"sweep range must be strictly increasing, got "
                               f"[{self.start}, {self.stop}]")
+        for key, value in (("start", self.start), ("stop", self.stop)):
+            if value < 0:
+                raise ConfigError(f"sweep.{key}: temperature must be >= 0, got {value}")
         if self.points < 1:
             raise ConfigError(f"sweep.points must be >= 1, got {self.points}")
 
@@ -472,15 +480,29 @@ class SweepResult:
     warnings: tuple[str, ...]
 
 
-def _with_hot_temperature(config: ScenarioConfig, t_h: float) -> ScenarioConfig:
-    res = config.reservoirs
-    return replace(config, reservoirs=replace(res, hot=replace(res.hot, temperature=t_h)))
-
-
-def _solve_point(config: ScenarioConfig, t_h: float) -> SweepRow:
+def _solve_grid(config: ScenarioConfig, t_h: list[float]) -> Iterable:
+    """Reports of every steady state at each hot temperature, or the row
+    failure of that point, solved as one stack: the generator (channels,
+    checks, the other reservoirs' rates) is built once; the hot rates, W,
+    the steady states and the currents are stacked over the grid."""
     try:
-        _, reports = _solve(_with_hot_temperature(config, t_h))
-        row = _row_from_report(t_h, _reporting(reports))
+        gen = build_generator(config.params, config.filter, config.reservoirs,
+                              config.background)
+    except ROW_FAILURES as exc:
+        return [exc] * len(t_h)
+    dissipators = stacked_dissipators(gen, "H", t_h)
+    # W is a stack even when no dissipator couples to the hot bath
+    w = np.broadcast_to(build_population_matrix(dissipators), (len(t_h), DIM, DIM))
+    states = steady_state_stack(w, gen.eigen)
+    temperatures = (config.reservoirs.temperatures | {"H": t} for t in t_h)
+    return build_reports(gen, dissipators, states, temperatures)
+
+
+def _sweep_row(t_h: float, outcome) -> SweepRow:
+    if isinstance(outcome, Exception):
+        return _failed_row(SweepRow, outcome, sweep_value=t_h, stage="error")
+    try:
+        row = _row_from_report(t_h, _reporting(outcome))
         _check_energy_balance(row)
         return row
     except ROW_FAILURES as exc:  # per-row failure is recorded, the sweep continues
@@ -490,16 +512,18 @@ def _solve_point(config: ScenarioConfig, t_h: float) -> SweepRow:
 def sweep_th(config: ScenarioConfig) -> SweepResult:
     """Solve one row per hot-temperature grid point, in grid order.
 
-    A row that fails with one of ``ROW_FAILURES``, or whose currents break
+    The grid is solved as one stacked problem (see :func:`_solve_grid`);
+    each row equals a solve of its point alone, bit for bit.  A row that
+    fails with one of ``ROW_FAILURES``, or whose currents break
     :func:`_check_energy_balance`, is recorded with stage ``error``, NaN
     values and the failure in ``error``.  ``warnings`` holds each distinct
     warning raised by any row once, in first-seen order.
     """
     if config.sweep is None:
         raise ConfigError("sweep requested but the config has no [sweep] section")
-    rows, warns = _collecting_warnings(
-        lambda: tuple(_solve_point(config, float(v)) for v in config.sweep.values)
-    )
+    t_h = config.sweep.values.tolist()
+    rows, warns = _collecting_warnings(lambda: tuple(
+        _sweep_row(t, outcome) for t, outcome in zip(t_h, _solve_grid(config, t_h))))
     return SweepResult(config=config, rows=rows, warnings=warns)
 
 

@@ -18,13 +18,13 @@ each returned state is a physical density matrix with a definite support.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .matrixcore import DensityMatrix, null_space
+from .matrixcore import DensityMatrix, null_space_from_svd, require_finite, svd_rows
 from .reservoirs import (
     REVIVAL_FILTER,
     BackgroundSpec,
@@ -32,6 +32,7 @@ from .reservoirs import (
     FilterConfig,
     ReservoirSet,
     background_rates,
+    channel_rate_stack,
     channel_rates,
     cycle_match_check,
     select_channels,
@@ -64,8 +65,11 @@ __all__ = [
     "apply_dissipators",
     "build_generator",
     "participating_channels",
+    "stacked_dissipators",
+    "take_rows",
     "build_population_matrix",
     "invariant_components",
+    "steady_state_stack",
     "steady_states_numeric",
     "steady_state_branches_analytic",
     "steady_state_vacuum_background_analytic",
@@ -110,8 +114,11 @@ def apply_dissipators(dissipators: Sequence[Dissipator], rho: np.ndarray) -> np.
     j- (2 A rho A^dag - A^dag A rho - rho A^dag A)
     + j+ (2 A^dag rho A - A A^dag rho - rho A A^dag),
 
-    the j+ term added only where j+ != 0.  Slice k equals the one-channel
-    formula evaluated for ``dissipators[k]`` alone, bit for bit.
+    the j+ term added only where j+ != 0.  Stacked rates (``(N,)`` arrays,
+    see :func:`stacked_dissipators`) broadcast against the last batch axis
+    of ``rho``: state ``rho[..., k, :, :]`` sees row k of the rates.  Slice k
+    equals the one-channel formula evaluated for ``dissipators[k]`` alone,
+    at one row of its rates, bit for bit.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (DIM, DIM):
@@ -121,14 +128,24 @@ def apply_dissipators(dissipators: Sequence[Dissipator], rho: np.ndarray) -> np.
     a = _stack([ch.operator for ch in channels], lead)
     ad = _stack([ch.adjoint for ch in channels], lead)
     ada = _stack([ch.ada for ch in channels], lead)
-    jp = np.array([d.rates.j_plus for d in dissipators]).reshape(*lead, 1, 1)
-    jm = np.array([d.rates.j_minus for d in dissipators]).reshape(*lead, 1, 1)
+    batch = _batch([d.rates.j_plus for d in dissipators])
+    jp = _rates([d.rates.j_plus for d in dissipators], batch, rho.ndim)
+    jm = _rates([d.rates.j_minus for d in dissipators], batch, rho.ndim)
     out = jm * (2.0 * (a @ rho @ ad) - ada @ rho - rho @ ada)
-    warm = np.flatnonzero(jp)
-    if warm.size:
-        a, ad = a[warm], ad[warm]
-        aad = _stack([channels[k].aad for k in warm], lead)
-        out[warm] += jp[warm] * (2.0 * (ad @ rho @ a) - aad @ rho - rho @ aad)
+    warm = jp != 0.0
+    if batch:  # a stacked j+ can be zero on some rows only
+        hot = np.flatnonzero(warm.any(axis=tuple(range(1, warm.ndim))))
+        partly = not warm[hot].all()
+    else:
+        hot, partly = np.flatnonzero(warm), False
+    if hot.size:
+        a, ad = a[hot], ad[hot]
+        aad = _stack([channels[k].aad for k in hot], lead)
+        term = jp[hot] * (2.0 * (ad @ rho @ a) - aad @ rho - rho @ aad)
+        if partly:  # the rows where j+ = 0 stay as they are
+            out[hot] = np.where(warm[hot], out[hot] + term, out[hot])
+        else:
+            out[hot] += term
     return out
 
 
@@ -139,6 +156,21 @@ def apply_dissipator(d: Dissipator, rho: np.ndarray) -> np.ndarray:
 
 def _stack(mats, lead: tuple[int, ...]) -> np.ndarray:
     return np.array(mats, dtype=complex).reshape(*lead, DIM, DIM)
+
+
+def _batch(values) -> tuple[int, ...]:
+    """Shape of the stacked rates among ``values`` (``()`` if all are scalars)."""
+    return next((v.shape for v in values if isinstance(v, np.ndarray)), ())
+
+
+def _rates(values, batch: tuple[int, ...], ndim: int) -> np.ndarray:
+    """One rate per dissipator as an ``(n, ..., 1, 1)`` array that broadcasts
+    against states of ``ndim`` dimensions, stacked rates (of shape
+    ``batch``) along their last batch axis."""
+    rates = np.empty((len(values),) + batch)
+    for k, v in enumerate(values):
+        rates[k] = v
+    return rates.reshape((-1,) + (1,) * (ndim - 2 - len(batch)) + batch + (1, 1))
 
 
 @dataclass(frozen=True)
@@ -235,13 +267,43 @@ def build_generator(
     )
 
 
+def stacked_dissipators(
+    gen: Generator, qubit: str, temperatures: np.ndarray
+) -> tuple[Dissipator, ...]:
+    """The dissipators of ``gen`` with the engineered reservoir of ``qubit``
+    at each of ``temperatures``: that reservoir's channels carry ``(N,)``
+    rate arrays (:func:`channel_rate_stack`), every other dissipator is
+    ``gen``'s own.  Row k is the scenario with the reservoir at
+    ``temperatures[k]``."""
+    gamma = gen.reservoirs[qubit].gamma
+    return tuple(
+        replace(d, rates=channel_rate_stack(d.channel, gamma, temperatures))
+        if d.source == "engineered" and d.channel.qubit == qubit else d
+        for d in gen.dissipators
+    )
+
+
+def take_rows(dissipators: Sequence[Dissipator], rows) -> tuple[Dissipator, ...]:
+    """The dissipators at ``rows`` of their stacked rates; a dissipator with
+    scalar rates is kept as it is."""
+    return tuple(
+        d if not isinstance(d.rates.j_plus, np.ndarray) else replace(
+            d, rates=replace(d.rates, j_plus=d.rates.j_plus[rows],
+                             j_minus=d.rates.j_minus[rows]))
+        for d in dissipators
+    )
+
+
 def build_population_matrix(dissipators) -> np.ndarray:
     """Total rate matrix W with d p / dt = W p for the level populations.
 
     Columns sum to zero (probability conservation) and off-diagonal entries
-    are nonnegative by construction.
+    are nonnegative by construction.  With stacked rates (``(N,)`` arrays)
+    the result is an ``(N, 8, 8)`` stack whose row k equals W of the rates'
+    row k, bit for bit: every entry sums the same terms in the same order.
     """
-    w = np.zeros((DIM, DIM))
+    batch = _batch([d.rates.j_plus for d in dissipators])
+    w = np.zeros((DIM, DIM) + batch)  # rows last: w[to, frm] takes a float or a row of rates
     for d in dissipators:
         jp, jm = d.rates.j_plus, d.rates.j_minus
         weight = d.channel.pair_weight
@@ -250,7 +312,7 @@ def build_population_matrix(dissipators) -> np.ndarray:
             w[to, frm] += weight * jm
             w[to, to] -= weight * jp
             w[frm, to] += weight * jp
-    return w
+    return np.ascontiguousarray(w.transpose(*range(2, w.ndim), 0, 1))
 
 
 @dataclass(frozen=True)
@@ -328,15 +390,19 @@ class SteadyStateSet:
         raise KeyError(f"no steady state supported on {sorted(target)}")
 
 
-def _stationary_on_class(w: np.ndarray, cls: frozenset[int]) -> np.ndarray:
-    """Stationary populations of one closed class, embedded in 8 levels."""
+def _stationary_on_class(cls: frozenset[int], svd) -> np.ndarray:
+    """Stationary populations of one closed class, embedded in 8 levels, by
+    the rules of :func:`~qfridge.matrixcore.null_space` applied to the SVD
+    ``svd`` of the class's block of W (``(s, vh)``, or the ``LinAlgError``
+    it raised); a one-level class needs none."""
     idx = sorted(cls)
     pops = np.zeros(DIM)
     if len(idx) == 1:
         pops[idx[0]] = 1.0
         return pops
-    sub = w[np.ix_(idx, idx)]
-    basis = null_space(sub)
+    if isinstance(svd, Exception):
+        raise svd
+    basis = null_space_from_svd(*svd)
     if basis.shape[1] != 1:
         raise SolverFailure(
             f"class {idx} yielded a {basis.shape[1]}-dimensional stationary "
@@ -360,21 +426,72 @@ def steady_states_numeric(gen: Generator) -> SteadyStateSet:
     restricted, through an isometry, to the states diagonal in the
     eigenbasis, so ``||W p||`` equals ``||L vec(rho)||`` and, as
     ``||W|| <= ||L||``, the bound is at least as strict as one on L.
+    This is the one-row case of :func:`steady_state_stack`.
     """
     w = build_population_matrix(gen.dissipators)
-    decomp = invariant_components(w)
-    pop_vectors = [_stationary_on_class(w, cls) for cls in decomp.closed]
-    bound = STEADY_RESIDUAL_TOL * np.linalg.norm(w, 2)
-    states = []
-    for cls, pops in zip(decomp.closed, pop_vectors):
-        resid = np.linalg.norm(w @ pops)
-        if not resid <= bound:
-            raise SolverFailure(
-                f"steady state on {sorted(cls)} has residual {resid:.3e} "
-                f"(bound {bound:.3e})"
-            )
-        states.append(SteadyState(DensityMatrix(gen.eigen.diagonal_state(pops)), cls, pops))
-    return SteadyStateSet(tuple(states), unique=(len(states) == 1))
+    (result,) = steady_state_stack(w[np.newaxis], gen.eigen)
+    if isinstance(result, SteadyStateSet):
+        return result
+    try:
+        raise result
+    finally:
+        del result  # the traceback refers to this frame: no cycle through it
+
+
+def steady_state_stack(
+    w: np.ndarray, eigen: EigenSystem
+) -> Iterator[SteadyStateSet | SolverFailure | np.linalg.LinAlgError]:
+    """:func:`steady_states_numeric` of each rate matrix of a stack
+    ``(N, 8, 8)``: yields per row its :class:`SteadyStateSet`, or the
+    :class:`SolverFailure` or ``LinAlgError`` that fails the row.
+
+    Rows with one zero pattern share one :func:`invariant_components`, each
+    closed class of a pattern is one stacked SVD, and the norms ``||W||`` of
+    all rows are one more (:func:`~qfridge.matrixcore.svd_rows`).  The
+    null-space rules, the residual gate and any ``RankAmbiguityWarning``
+    then follow row by row and class by class as the rows are taken, so row
+    k equals ``steady_states_numeric`` on ``w[k]`` alone, bit for bit and
+    warning for warning.  A row's states are built when the row is taken.
+    """
+    n = len(w)
+    patterns: dict[bytes, list[int]] = {}
+    for k in range(n):
+        patterns.setdefault((w[k] > 0.0).tobytes(), []).append(k)
+    closed: list[tuple[frozenset[int], ...]] = [()] * n
+    svds: dict[tuple[int, frozenset[int]], tuple] = {}  # (row, class) -> SVD of its block
+    for rows in patterns.values():
+        classes = invariant_components(w[rows[0]]).closed
+        for k in rows:
+            closed[k] = classes
+        for cls in classes:
+            if len(cls) > 1:
+                idx = np.array(sorted(cls))
+                blocks = w[np.array(rows)[:, None, None], idx[:, None], idx]
+                # a non-finite block is a fault of the program, not of a row
+                blocks = require_finite(blocks, "null_space input")
+                svds.update(zip([(k, cls) for k in rows], svd_rows(blocks)))
+    norms = svd_rows(w, compute_uv=False)
+
+    for k in range(n):
+        try:
+            pops = [_stationary_on_class(cls, svds.pop((k, cls), None)) for cls in closed[k]]
+            if isinstance(norms[k], Exception):
+                raise norms[k]
+            bound = STEADY_RESIDUAL_TOL * norms[k].max()
+            for cls, p in zip(closed[k], pops):
+                resid = np.linalg.norm(w[k] @ p)
+                if not resid <= bound:
+                    raise SolverFailure(
+                        f"steady state on {sorted(cls)} has residual {resid:.3e} "
+                        f"(bound {bound:.3e})"
+                    )
+        except (SolverFailure, np.linalg.LinAlgError) as exc:
+            yield exc
+        else:
+            matrices = eigen.diagonal_state(np.array(pops))
+            states = tuple(SteadyState(DensityMatrix(m), cls, p)
+                           for cls, p, m in zip(closed[k], pops, matrices))
+            yield SteadyStateSet(states, unique=(len(states) == 1))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ __all__ = [
     "require_finite_fields",
     "dagger",
     "null_space",
+    "null_space_from_svd",
+    "svd_rows",
     "dm_validate",
 ]
 
@@ -88,8 +90,17 @@ def null_space(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"null_space expects a square matrix, got {a.shape}")
     _, s, vh = np.linalg.svd(a)
+    return null_space_from_svd(s, vh, tol)
+
+
+def null_space_from_svd(s: np.ndarray, vh: np.ndarray,
+                        tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """:func:`null_space` of a square matrix from its singular values ``s``
+    and right singular vectors ``vh`` (as ``np.linalg.svd`` returns them):
+    the same rank cut, warning and basis."""
+    n = vh.shape[-1]
     if s.size == 0 or s[0] == 0.0:
-        return np.eye(a.shape[0], dtype=complex)
+        return np.eye(n, dtype=complex)
     cut = tol * s[0]
     ambiguous = np.count_nonzero((s > cut / 10.0) & (s < cut * 10.0))
     if ambiguous:
@@ -97,12 +108,36 @@ def null_space(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
             f"{ambiguous} singular value(s) within a decade of the rank "
             f"threshold {cut:.3e}; null-space dimension is ambiguous",
             RankAmbiguityWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     k = int(np.count_nonzero(s < cut))
     if k == 0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
+        return np.zeros((n, 0), dtype=complex)
     return vh[-k:].conj().T
+
+
+def svd_rows(stack: np.ndarray, compute_uv: bool = True) -> list:
+    """``np.linalg.svd`` of each matrix of a stack ``(N, m, m)``: per matrix
+    ``(s, vh)``, or ``s`` alone without ``compute_uv``.  The stack is one
+    LAPACK call; if it raises ``LinAlgError``, each matrix is redone alone,
+    and a matrix that fails again gets its ``LinAlgError`` in place of a
+    result.  Each result equals the SVD of that matrix alone, bit for bit."""
+    def svd(a):
+        if compute_uv:
+            _, s, vh = np.linalg.svd(a)
+            return list(zip(s, vh))
+        return list(np.linalg.svd(a, compute_uv=False))
+
+    try:
+        return svd(stack)
+    except np.linalg.LinAlgError:
+        rows = []
+        for k in range(len(stack)):
+            try:
+                rows += svd(stack[k:k + 1])
+            except np.linalg.LinAlgError as exc:
+                rows.append(exc)
+        return rows
 
 
 @dataclass(frozen=True)

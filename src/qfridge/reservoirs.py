@@ -15,6 +15,8 @@ import warnings
 from dataclasses import dataclass
 from math import expm1
 
+import numpy as np
+
 from .matrixcore import require_finite_fields
 from .spectrum import (
     QUBITS,
@@ -36,6 +38,7 @@ __all__ = [
     "MarkovValidityWarning",
     "mean_photon_number",
     "channel_rates",
+    "channel_rate_stack",
     "background_rates",
     "select_channels",
     "cycle_match_check",
@@ -264,17 +267,19 @@ class ChannelRates:
     ``j_minus`` is stored as the literal float sum ``j_plus + gamma``, so
     the decomposition into occupation and bare decay rate is exact; for
     T > 0 detailed balance ``j_minus / j_plus = exp(omega / T)`` holds to
-    rounding.
+    rounding.  Against a stack of baths (:func:`channel_rate_stack`)
+    ``j_plus`` and ``j_minus`` are ``(N,)`` arrays, one element per bath.
     """
 
     qubit: str
     index: int
-    j_plus: float
-    j_minus: float
+    j_plus: float | np.ndarray
+    j_minus: float | np.ndarray
     gamma: float
 
     def __post_init__(self):
-        if self.j_minus != self.j_plus + self.gamma:
+        exact = self.j_minus == self.j_plus + self.gamma
+        if not (exact if isinstance(exact, bool) else exact.all()):
             raise ValueError("j_minus must be the exact float sum j_plus + gamma")
 
 
@@ -291,6 +296,17 @@ def channel_rates(channel: TransitionChannel, reservoir: ReservoirSpec) -> Chann
             f"reservoir couples to {reservoir.qubit}"
         )
     return _make_rates(channel, reservoir.gamma, reservoir.temperature)
+
+
+def channel_rate_stack(
+    channel: TransitionChannel, gamma: float, temperatures: np.ndarray
+) -> ChannelRates:
+    """Rates of one channel against baths of decay rate ``gamma`` at each of
+    ``temperatures``: element k of ``j_plus`` and ``j_minus`` equals
+    :func:`channel_rates` against a bath at ``temperatures[k]``, bit for bit."""
+    j_plus = np.array([gamma * mean_photon_number(channel.frequency, t)
+                       for t in np.asarray(temperatures, dtype=float).tolist()])
+    return ChannelRates(channel.qubit, channel.index, j_plus, j_plus + gamma, gamma)
 
 
 def background_rates(channel: TransitionChannel, background: BackgroundSpec) -> ChannelRates:

@@ -150,9 +150,12 @@ class EigenSystem:
 
     def diagonal_state(self, populations: np.ndarray) -> np.ndarray:
         """Density matrix (computational basis) with the given level
-        populations and no coherences."""
-        diag = np.diag(np.asarray(populations, dtype=complex))
-        return self.vectors @ diag @ dagger(self.vectors)
+        populations and no coherences; a stack ``(..., 8)`` of populations
+        gives the stack ``(..., 8, 8)`` of matrices."""
+        pops = np.asarray(populations, dtype=complex)
+        diag = np.zeros(pops.shape[:-1] + (DIM * DIM,), dtype=complex)
+        diag[..., :: DIM + 1] = pops
+        return self.vectors @ diag.reshape(pops.shape + (DIM,)) @ dagger(self.vectors)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,9 +18,11 @@ from .dynamics import (
     Dissipator,
     Generator,
     SteadyState,
+    SteadyStateSet,
     apply_dissipators,
     steady_state_branches_analytic,
     steady_state_vacuum_background_analytic,
+    take_rows,
 )
 from .matrixcore import DensityMatrix
 from .reservoirs import (
@@ -52,6 +54,7 @@ __all__ = [
     "entropy_production",
     "classify_stage",
     "build_report",
+    "build_reports",
 ]
 
 #: A heat current whose imaginary part exceeds this raises NumericalFault;
@@ -63,6 +66,11 @@ EFFICIENCY_DEAD_BAND = 1e-14
 
 #: |Q| above this from a bath at T = 0 makes the entropy production infinite.
 ZERO_TEMPERATURE_DEAD_BAND = 1e-15
+
+#: States per trace-form current call in :func:`build_reports` (at least,
+#: whole rows are taken); small chunks keep its ``(n, chunk, 8, 8)``
+#: temporaries, and so peak memory, flat.
+CURRENT_CHUNK = 8
 
 
 class NumericalFault(RuntimeError):
@@ -100,15 +108,19 @@ def heat_currents(
 ) -> np.ndarray:
     """Steady-state heat current of each dissipation channel,
     Tr{H_S D_k[rho]}, as an ``(n,)`` array; positive when heat flows
-    reservoir -> system.  Raises :class:`NumericalFault` naming the first
-    channel whose current has an imaginary part above ``IMAG_FAULT_TOL``."""
+    reservoir -> system.  A stack of states ``(..., 8, 8)`` gives
+    ``(n, ...)``, state by state equal to single-state calls, bit for bit;
+    stacked rates pair with its last batch axis (see
+    :func:`~qfridge.dynamics.apply_dissipators`).  Raises
+    :class:`NumericalFault` naming the first channel (and of it the first
+    state) whose current has an imaginary part above ``IMAG_FAULT_TOL``."""
     rho = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state)
-    values = np.trace(hamiltonian @ apply_dissipators(dissipators, rho), axis1=1, axis2=2)
+    values = np.trace(hamiltonian @ apply_dissipators(dissipators, rho), axis1=-2, axis2=-1)
     bad = np.abs(values.imag) > IMAG_FAULT_TOL
     if bad.any():
-        k = int(bad.argmax())
+        k, *at = np.argwhere(bad)[0]
         raise NumericalFault(
-            f"heat current has imaginary part {values[k].imag:.3e} "
+            f"heat current has imaginary part {values[(k, *at)].imag:.3e} "
             f"(channel {dissipators[k]})"
         )
     return values.real
@@ -394,11 +406,84 @@ class HeatCurrentReport:
 def build_report(gen: Generator, steady: SteadyState) -> HeatCurrentReport:
     """Evaluate all currents of a steady state and derive the thermodynamic
     summary (efficiency, entropy production, stage, first-law residual)."""
+    values = heat_currents(gen.hamiltonian, gen.dissipators, steady.state)
+    return _report(gen, values, gen.reservoirs)
+
+
+def build_reports(
+    gen: Generator,
+    dissipators: Sequence[Dissipator],
+    rows: Iterable[SteadyStateSet | Exception],
+    temperatures: Iterable[Mapping[str, float]],
+) -> Iterator[list[HeatCurrentReport] | Exception]:
+    """:func:`build_report` of every steady state of a stack of rows.
+
+    ``dissipators`` are ``gen``'s with stacked rates, ``rows`` yields row
+    k's steady states (or the exception that failed it) and
+    ``temperatures`` its bath temperatures keyed H, R, C.  Yields per row
+    its reports in state order or, as ``build_report`` state by state would
+    raise it, the row's first exception.  Rows are taken until they hold
+    ``CURRENT_CHUNK`` states, whose currents are then one
+    :func:`heat_currents` call, redone state by state if it faults.
+    """
+    batch: list = []
+    held = 0  # states in the batch
+    for k, (row, temps) in enumerate(zip(rows, temperatures)):
+        batch.append((k, row, temps))
+        held += 0 if isinstance(row, Exception) else len(row)
+        if held >= CURRENT_CHUNK:
+            yield from _reports_of_batch(gen, dissipators, batch)
+            batch, held = [], 0
+    yield from _reports_of_batch(gen, dissipators, batch)
+
+
+def _reports_of_batch(gen, dissipators, batch) -> Iterator:
+    """The outcomes of :func:`build_reports` for a batch of
+    ``(row index, steady states or exception, temperatures)``."""
+    states = [(k, s.state.matrix) for k, row, _ in batch
+              if not isinstance(row, Exception) for s in row]
+    currents: list = []
+    if states:
+        at, rho = zip(*states)
+        try:
+            currents = list(heat_currents(gen.hamiltonian, take_rows(dissipators, list(at)),
+                                          np.array(rho)).T)
+        except NumericalFault:
+            for k, one in states:
+                try:
+                    currents.append(heat_currents(gen.hamiltonian, take_rows(dissipators, [k]),
+                                                  one[np.newaxis])[:, 0])
+                except NumericalFault as exc:
+                    currents.append(exc)
+    pending = iter(currents)
+    for _, row, temps in batch:
+        if isinstance(row, Exception):
+            yield row
+        else:
+            yield _row_reports(gen, [next(pending) for _ in row], temps)
+
+
+def _row_reports(gen, currents, temps) -> list[HeatCurrentReport] | NumericalFault:
+    """The reports of one row's states from their currents, or the first
+    fault in state order: of the currents, or of a report."""
+    reports = []
+    for values in currents:
+        if isinstance(values, NumericalFault):
+            return values
+        try:
+            reports.append(_report(gen, values, temps))
+        except NumericalFault as exc:
+            return exc
+    return reports
+
+
+def _report(gen: Generator, values: np.ndarray, temps) -> HeatCurrentReport:
+    """The thermodynamic summary of one state's per-dissipator currents
+    ``values``, against baths at ``temps``."""
     per_channel = []
     engineered = {q: 0.0 for q in QUBITS}
     background = {q: 0.0 for q in QUBITS}
-    values = heat_currents(gen.hamiltonian, gen.dissipators, steady.state).tolist()
-    for d, value in zip(gen.dissipators, values):
+    for d, value in zip(gen.dissipators, values.tolist()):
         per_channel.append(
             ChannelCurrent(d.source, d.channel.qubit, d.channel.index, value)
         )
@@ -422,7 +507,7 @@ def build_report(gen: Generator, steady: SteadyState) -> HeatCurrentReport:
     bg = gen.background
     sigma = entropy_production(
         engineered,
-        gen.reservoirs,
+        temps,
         background=background if bg.active else None,
         background_temperature=bg.effective_temperature if bg.active else None,
     )

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qfridge.cli import (
     ConfigError,
@@ -21,6 +23,7 @@ from qfridge.cli import (
     sweep_th,
     validate_config,
 )
+from qfridge.dynamics import build_population_matrix, stacked_dissipators
 from qfridge.reservoirs import COOLING_FILTERS
 
 FIG_CONFIG = """
@@ -384,22 +387,24 @@ def test_sweep_collects_each_rows_warnings_once(monkeypatch, capsys, tmp_path):
     from qfridge import cli
 
     builds = []
-    build, solve = cli.build_generator, cli.steady_states_numeric
+    build, reports = cli.build_generator, cli.build_reports
 
     def counted_build(*args):
         builds.append(args)
         return build(*args)
 
-    def warn_by_row(gen):
-        side = "above" if gen.reservoirs.hot.temperature > 10.0 else "below"
-        warnings.warn(f"T_H {side} 10", RuntimeWarning)
-        return solve(gen)
+    def warn_by_row(gen, dissipators, rows, temperatures):
+        temperatures = list(temperatures)
+        for temps in temperatures:
+            side = "above" if temps["H"] > 10.0 else "below"
+            warnings.warn(f"T_H {side} 10", RuntimeWarning)
+        return reports(gen, dissipators, rows, temperatures)
 
     monkeypatch.setattr(cli, "build_generator", counted_build)
-    monkeypatch.setattr(cli, "steady_states_numeric", warn_by_row)
+    monkeypatch.setattr(cli, "build_reports", warn_by_row)
     result = sweep_th(parse_config(FIG_CONFIG))
-    assert len(builds) == len(result.rows) == 8  # one generator per row
-    # the Markov warning comes from every build, the others from the solve;
+    assert len(builds) == 1 and len(result.rows) == 8  # one generator per sweep
+    # the Markov warning comes from the build, the others from the rows;
     # "above" is raised only by later rows
     assert len(result.warnings) == 3
     assert "Markov" in result.warnings[0]
@@ -412,21 +417,34 @@ def test_sweep_collects_each_rows_warnings_once(monkeypatch, capsys, tmp_path):
     assert err == [f"warning: {w}" for w in result.warnings]
 
 
-@pytest.mark.parametrize("run, text", [
-    (sweep_th, FIG_CONFIG),
-    (scan_filters, NATURAL_CONFIG),
+def _fail_rows(exc):
+    """A stand-in for ``steady_state_stack`` that fails every row with
+    ``exc`` if it is a row failure, and raises it otherwise."""
+    from qfridge.cli import ROW_FAILURES
+
+    def solve(w, eigen):
+        if isinstance(exc, ROW_FAILURES):
+            return [exc] * len(w)
+        raise exc
+    return solve
+
+
+def _fail_solve(exc):
+    def solve(gen):
+        raise exc
+    return solve
+
+
+@pytest.mark.parametrize("run, text, solver, fail_with", [
+    (sweep_th, FIG_CONFIG, "steady_state_stack", _fail_rows),
+    (scan_filters, NATURAL_CONFIG, "steady_states_numeric", _fail_solve),
 ], ids=["sweep", "scan"])
-def test_rows_record_domain_failures_but_not_bugs(monkeypatch, run, text):
+def test_rows_record_domain_failures_but_not_bugs(monkeypatch, run, text, solver, fail_with):
     from qfridge import cli
     from qfridge.dynamics import SolverFailure
 
-    def fail_with(exc):
-        def solve(gen):
-            raise exc
-        return solve
-
     config = parse_config(text)
-    monkeypatch.setattr(cli, "steady_states_numeric", fail_with(SolverFailure("no")))
+    monkeypatch.setattr(cli, solver, fail_with(SolverFailure("no")))
     result = run(config)
     assert result.rows and all(math.isnan(r.qdot_C) for r in result.rows)
     assert all(r.error == "SolverFailure: no" for r in result.rows)
@@ -434,7 +452,7 @@ def test_rows_record_domain_failures_but_not_bugs(monkeypatch, run, text):
     # build's Markov warning)
     assert len(result.warnings) == 1 and "Markov" in result.warnings[0]
 
-    monkeypatch.setattr(cli, "steady_states_numeric", fail_with(TypeError("bug")))
+    monkeypatch.setattr(cli, solver, fail_with(TypeError("bug")))
     with pytest.raises(TypeError, match="bug"):
         run(config)
 
@@ -443,14 +461,16 @@ def test_sweep_reports_failed_rows_on_stderr(monkeypatch, capsys, tmp_path):
     from qfridge import cli
     from qfridge.dynamics import SolverFailure
 
-    solve = cli.steady_states_numeric
+    reports = cli.build_reports
 
-    def fail_when_hot(gen):
-        if gen.reservoirs.hot.temperature > 10.0:
-            raise SolverFailure(f"too hot at {gen.reservoirs.hot.temperature:.4f}")
-        return solve(gen)
+    def fail_when_hot(gen, dissipators, rows, temperatures):
+        temperatures = list(temperatures)
+        return [SolverFailure(f"too hot at {temps['H']:.4f}") if temps["H"] > 10.0
+                else outcome
+                for outcome, temps in zip(reports(gen, dissipators, rows, temperatures),
+                                          temperatures)]
 
-    monkeypatch.setattr(cli, "steady_states_numeric", fail_when_hot)
+    monkeypatch.setattr(cli, "build_reports", fail_when_hot)
     cfg = tmp_path / "sweep.ini"
     cfg.write_text(FIG_CONFIG)
     path = tmp_path / "s.csv"
@@ -663,3 +683,151 @@ def test_sweep_writes_energy_balance_breach_as_error_row(tmp_path, capsys):
     loaded = load_csv(str(path))
     assert [r.as_csv() for r in loaded.rows] == [row.as_csv()]
     assert loaded.rows[0].stage == "error"
+
+
+def test_negative_sweep_temperature_is_a_config_error(capsys, tmp_path):
+    text = NATURAL_CONFIG + "\n[sweep]\nvariable = t_h\nstart = -1\nstop = 5\npoints = 4\n"
+    with pytest.raises(ConfigError, match=r"^sweep\.start: temperature must be >= 0"):
+        parse_config(text)
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(text)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: sweep.start: ")
+
+
+# ---------------------------------------------------------------------------
+# The stacked sweep against one-point solves
+# ---------------------------------------------------------------------------
+
+
+def with_sweep(text: str, start: float, stop: float, points: int) -> str:
+    return text + (f"\n[sweep]\nvariable = t_h\nstart = {start!r}\nstop = {stop!r}\n"
+                   f"points = {points}\n")
+
+
+def cold_edge_config(t_c: float) -> str:
+    """REVIVAL mask with T_R = 4 T_C, where rates span tens of decades."""
+    return with_sweep(
+        "[system]\nomega_c = 1.0\nomega_h = 3.0\ng = 0.25\ngamma = 0.05\n"
+        f"[reservoirs]\nt_h = 0.5\nt_r = {4.0 * t_c!r}\nt_c = {t_c!r}\n"
+        "[filter]\nh = 3\nr = 2\nc = 1\n", 0.5, 12.0, 25)
+
+
+def one_point_solves(config: ScenarioConfig):
+    """Each grid point of a sweep solved alone by the one-row library calls
+    (a generator, ``steady_states_numeric`` and ``build_report`` per point)
+    into a row, and each distinct warning of all points once, in first-seen
+    order: what the stacked ``sweep_th`` must give, bit for bit."""
+    from dataclasses import replace
+
+    from qfridge import cli
+    from qfridge.cli import SweepRow
+
+    def solve(t_h):
+        res = config.reservoirs
+        point = replace(config, reservoirs=replace(res, hot=replace(res.hot, temperature=t_h)))
+        try:
+            _, reports = cli._solve(point)
+            row = cli._row_from_report(t_h, cli._reporting(reports))
+            cli._check_energy_balance(row)
+            return row
+        except cli.ROW_FAILURES as exc:
+            return cli._failed_row(SweepRow, exc, sweep_value=t_h, stage="error")
+
+    return cli._collecting_warnings(
+        lambda: [solve(t) for t in config.sweep.values.tolist()])
+
+
+def assert_rows_equal(got, want):
+    assert [(r.as_csv(), r.error) for r in got] == [(r.as_csv(), r.error) for r in want]
+
+
+def assert_sweep_matches_one_point_solves(config: ScenarioConfig) -> SweepResult:
+    rows, warns = one_point_solves(config)
+    result = sweep_th(config)
+    assert_rows_equal(result.rows, rows)
+    assert result.warnings == warns
+    return result
+
+
+def test_stacked_sweep_equals_one_point_solves_on_shipped_config():
+    result = assert_sweep_matches_one_point_solves(load_config(str(CONFIGS / "figure_sweep.ini")))
+    assert len(result.rows) == 200 and not any(r.failed for r in result.rows)
+
+
+@pytest.mark.parametrize("t_c", np.geomspace(0.1, 0.01, 8).tolist())
+def test_stacked_sweep_equals_one_point_solves_at_the_cold_edge(t_c):
+    result = assert_sweep_matches_one_point_solves(parse_config(cold_edge_config(t_c)))
+    assert len(result.rows) == 25
+
+
+def test_stacked_sweep_equals_one_point_solves_with_vacuum_background():
+    result = assert_sweep_matches_one_point_solves(
+        parse_config(with_sweep(NATURAL_CONFIG, 0.5, 12.0, 25)))
+    assert not any(r.failed for r in result.rows)
+
+
+def test_stacked_sweep_equals_one_point_solves_on_degenerate_channels():
+    result = assert_sweep_matches_one_point_solves(
+        parse_config(with_sweep(DEGENERATE_CONFIG, 1.0, 9.0, 6)))
+    assert all(r.error == "DegenerateChannelsError: coinciding channel frequencies: "
+                          "H2~C2, H3~R1" for r in result.rows)
+
+
+def test_stacked_svd_failure_fails_only_its_rows(monkeypatch):
+    config = parse_config(FIG_CONFIG)
+    plain = sweep_th(config)
+    marked = 3
+    w = build_population_matrix(
+        stacked_dissipators(_generator(config), "H", config.sweep.values)).astype(complex)
+    svd = np.linalg.svd
+    stacks = []
+
+    def failing_svd(a, *args, **kwargs):
+        # the null-space SVD of the marked row does not converge, alone or
+        # in a stack
+        if np.iscomplexobj(a) and any(np.array_equal(m, w[marked])
+                                      for m in np.reshape(a, (-1, 8, 8))):
+            stacks.append(np.ndim(a) == 3 and len(a) > 1)
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    result = assert_sweep_matches_one_point_solves(config)
+    assert True in stacks  # the stack failed once and was redone row by row
+    assert [r.failed for r in result.rows] == [k == marked for k in range(8)]
+    assert result.rows[marked].error == "LinAlgError: SVD did not converge"
+    others = [k for k in range(8) if k != marked]
+    assert_rows_equal([result.rows[k] for k in others], [plain.rows[k] for k in others])
+    assert result.warnings == plain.warnings
+
+
+def _generator(config: ScenarioConfig):
+    from qfridge import build_generator
+
+    return build_generator(config.params, config.filter, config.reservoirs,
+                           config.background)
+
+
+_MASKS = st.sets(st.sampled_from((1, 2, 3)))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(omega_h=st.floats(1.2, 5.0), g=st.floats(0.02, 0.98),
+       log_gamma=st.floats(-3.0, 0.0), masks=st.tuples(_MASKS, _MASKS, _MASKS),
+       background=st.sampled_from(("none", "vacuum", "thermal")),
+       log_temps=st.tuples(*[st.floats(-2.0, 1.5)] * 4), log_span=st.floats(-1.0, 1.0))
+def test_stacked_sweep_equals_one_point_solves_property(omega_h, g, log_gamma, masks,
+                                                        background, log_temps, log_span):
+    t_c, t_r, t_0, start = (10.0 ** x for x in log_temps)
+    kept = [",".join(map(str, sorted(m))) or "none" for m in masks]
+    text = (f"[system]\nomega_c = 1.0\nomega_h = {omega_h!r}\ng = {g!r}\n"
+            f"gamma = {10.0 ** log_gamma!r}\n"
+            f"[reservoirs]\nt_h = {start!r}\nt_r = {t_r!r}\nt_c = {t_c!r}\n"
+            f"[filter]\nh = {kept[0]}\nr = {kept[1]}\nc = {kept[2]}\n"
+            f"[background]\nmode = {background}\nt0 = {t_0!r}\n"
+            f"gamma = {10.0 ** log_gamma!r}\n")
+    if background != "thermal":
+        text = text.replace(f"t0 = {t_0!r}\n", "")
+    config = parse_config(with_sweep(text, start, start * (1.0 + 10.0 ** log_span), 5))
+    assert_sweep_matches_one_point_solves(config)

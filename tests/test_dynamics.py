@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -27,7 +29,14 @@ from qfridge import (
 )
 from qfridge.reservoirs import REVIVAL_FILTER
 from qfridge import dynamics
-from qfridge.dynamics import DEFAULT_EPS_SS, RK4_STABLE_RADIUS, VACUUM_TRANSPORT_FILTER
+from qfridge.dynamics import (
+    DEFAULT_EPS_SS,
+    RK4_STABLE_RADIUS,
+    VACUUM_TRANSPORT_FILTER,
+    stacked_dissipators,
+    steady_state_stack,
+    take_rows,
+)
 from qfridge.thermo import IMAG_FAULT_TOL, NumericalFault
 
 
@@ -444,7 +453,7 @@ def test_non_finite_populations_fail_the_residual_gate(params, monkeypatch):
     reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=4.0, t_c=1.0)
     gen = build_generator(params, REVIVAL_FILTER, reservoirs)
     monkeypatch.setattr(dynamics, "_stationary_on_class",
-                        lambda w, cls: np.full(w.shape[0], np.nan))
+                        lambda cls, svd: np.full(8, np.nan))
     with pytest.raises(dynamics.SolverFailure, match="has residual nan"):
         steady_states_numeric(gen)
 
@@ -782,3 +791,87 @@ def test_branch_weights_route_transients_through_absorption(params, rng):
     weights = branch_weights(rho0, gen)
     assert weights.shape == (1,)
     assert weights[0] == pytest.approx(1.0, abs=1e-12)
+
+
+# --- stacked rows -------------------------------------------------------------
+
+#: Hot temperatures of the stacked-row tests: a bath at T = 0 (j+ = 0 on
+#: that row only), one so cold that j+ underflows to 0, and ordinary ones.
+STACK_T_H = [0.0, 0.004, 0.3, 1.0, 2.5, 6.0, 30.0, 1e4]
+
+
+def row_dissipators(gen, t_h):
+    """The dissipators of ``gen`` with the hot bath at ``t_h``, rates from
+    ``channel_rates`` one channel at a time."""
+    hot = replace(gen.reservoirs.hot, temperature=t_h)
+    return tuple(replace(d, rates=channel_rates(d.channel, hot))
+                 if d.source == "engineered" and d.channel.qubit == "H" else d
+                 for d in gen.dissipators)
+
+
+def test_population_matrix_stack_equals_rows(params):
+    for gen in kernel_generators(params):
+        stack = stacked_dissipators(gen, "H", STACK_T_H)
+        w = build_population_matrix(stack)
+        assert w.shape == (len(STACK_T_H), 8, 8) and w.flags.c_contiguous
+        for k, t_h in enumerate(STACK_T_H):
+            assert np.array_equal(w[k], build_population_matrix(row_dissipators(gen, t_h)))
+            assert take_rows(stack, [k])[0].rates.j_plus.shape == (1,)
+
+
+def test_steady_state_stack_equals_rows(params):
+    for gen in kernel_generators(params):
+        w = build_population_matrix(stacked_dissipators(gen, "H", STACK_T_H))
+        for t_h, got in zip(STACK_T_H, steady_state_stack(w, gen.eigen), strict=True):
+            want = steady_states_numeric(replace(gen, dissipators=row_dissipators(gen, t_h)))
+            assert got.unique == want.unique and len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.support == b.support
+                assert np.array_equal(a.populations, b.populations)
+                assert np.array_equal(a.state.matrix, b.state.matrix)
+
+
+def test_steady_state_stack_warns_and_fails_row_by_row(params, monkeypatch):
+    # levels 0-1-2 joined by rates 1 and r, the rest closed singletons: the
+    # class's second singular value is 1.5 r against a rank cut of 2e-10, so
+    # r = 1e-9 and 5e-10 warn, 1e-10 warns and fails, 1e-11 fails silently
+    import warnings
+
+    from qfridge.matrixcore import RankAmbiguityWarning
+
+    gen = kernel_generators(params)[3]
+    rates = [1e-9, 1e-3, 1e-10, 5e-10, 1e-11, 1e-3]
+    w = np.zeros((len(rates), 8, 8))
+    for k, r in enumerate(rates):
+        for a, b, rate in ((0, 1, 1.0), (1, 2, r)):
+            for frm, to in ((a, b), (b, a)):
+                w[k, to, frm] += rate
+                w[k, frm, frm] -= rate
+
+    def solve(rows):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            out = rows()
+        return out, [(x.category, str(x.message)) for x in seen]
+
+    def alone():
+        out = []
+        for k in range(len(rates)):
+            monkeypatch.setattr(dynamics, "build_population_matrix", lambda _, k=k: w[k])
+            try:
+                out.append(steady_states_numeric(gen))
+            except dynamics.SolverFailure as exc:
+                out.append(exc)
+        return out
+
+    stacked, stacked_warnings = solve(lambda: list(steady_state_stack(w, gen.eigen)))
+    want, want_warnings = solve(alone)
+    assert stacked_warnings == want_warnings
+    assert [c for c, _ in stacked_warnings] == [RankAmbiguityWarning] * 3
+    for got, one in zip(stacked, want, strict=True):
+        if isinstance(one, Exception):
+            assert type(got) is type(one) and str(got) == str(one)
+        else:
+            assert [s.populations.tolist() for s in got] == \
+                [s.populations.tolist() for s in one]
+    assert [isinstance(r, Exception) for r in stacked] == [False, False, True, False, True, False]

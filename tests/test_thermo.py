@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from qfridge import (
     ReservoirSet,
     SystemParams,
     build_generator,
+    build_population_matrix,
     build_report,
+    channel_rates,
     classify_stage,
     cooling_predicate,
     cooling_predicate_for_filter,
@@ -19,14 +22,23 @@ from qfridge import (
     efficiency,
     entropy_production,
     heat_current,
+    heat_currents,
     steady_state_branches_analytic,
     steady_state_vacuum_background_analytic,
     steady_states_numeric,
 )
-from qfridge.dynamics import VACUUM_TRANSPORT_FILTER
+from qfridge.dynamics import (
+    VACUUM_TRANSPORT_FILTER,
+    SteadyStateSet,
+    stacked_dissipators,
+    steady_state_stack,
+    take_rows,
+)
+from qfridge.matrixcore import DensityMatrix
 from qfridge.reservoirs import COOLING_FILTERS, HIGH_EFFICIENCY_FILTER, REVIVAL_FILTER
 from qfridge.thermo import (
     DegenerateTemperaturesError,
+    build_reports,
     NumericalFault,
     StageLabel,
 )
@@ -391,3 +403,77 @@ def test_build_report_contents(mild_params, mild_reservoirs):
     assert report.sigma > 0
     assert report.stage in (StageLabel.STAGE3, StageLabel.STAGE4)
     assert report.currents.cold == report.engineered["C"]
+
+
+# --- stacked currents ---------------------------------------------------------
+
+
+def random_states(rng, n):
+    g = rng.normal(size=(n, 8, 8)) + 1j * rng.normal(size=(n, 8, 8))
+    rho = g @ g.conj().transpose(0, 2, 1)
+    return rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
+
+
+def stack_generators(params):
+    reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=4.0, t_c=1.0)
+    return [
+        build_generator(params, REVIVAL_FILTER, reservoirs,
+                        BackgroundSpec.thermal(1.2, params.gamma)),
+        build_generator(params, FilterConfig.all_channels(), reservoirs),
+    ]
+
+
+def test_heat_currents_on_a_stack_equal_single_state_calls(params, rng):
+    states = random_states(rng, 6)
+    for gen in stack_generators(params):
+        got = heat_currents(gen.hamiltonian, gen.dissipators, states)
+        assert got.shape == (len(gen.dissipators), 6)
+        for k, rho in enumerate(states):
+            want = heat_currents(gen.hamiltonian, gen.dissipators, rho)
+            assert got[:, k].tolist() == want.tolist()
+
+
+def test_heat_currents_with_stacked_rates_equal_rows(params, rng):
+    # row k of the stacked rates pairs with state k; T = 0 leaves j+ = 0 on
+    # that row only
+    t_h = [0.0, 0.5, 6.0, 40.0]
+    states = random_states(rng, len(t_h))
+    for gen in stack_generators(params):
+        stack = stacked_dissipators(gen, "H", t_h)
+        got = heat_currents(gen.hamiltonian, stack, states)
+        for k, (t, rho) in enumerate(zip(t_h, states)):
+            hot = ReservoirSet.from_temperatures(params, t_h=t, t_r=4.0, t_c=1.0).hot
+            row = [replace(d, rates=channel_rates(d.channel, hot))
+                   if d.source == "engineered" and d.channel.qubit == "H" else d
+                   for d in gen.dissipators]
+            want = heat_currents(gen.hamiltonian, row, rho)
+            assert got[:, k].tolist() == want.tolist()
+            assert heat_currents(gen.hamiltonian, take_rows(stack, [k]),
+                                 rho[None])[:, 0].tolist() == want.tolist()
+
+
+def test_build_reports_equal_build_report_row_by_row(params):
+    gen = stack_generators(params)[0]
+    t_h = np.linspace(1.0, 12.0, 7).tolist()
+    stack = stacked_dissipators(gen, "H", t_h)
+    rows = list(steady_state_stack(build_population_matrix(stack), gen.eigen))
+    temps = [dict(gen.reservoirs.temperatures, H=t) for t in t_h]
+    for t, reports in zip(t_h, build_reports(gen, stack, rows, temps), strict=True):
+        hot = ReservoirSet.from_temperatures(params, t_h=t, t_r=4.0, t_c=1.0)
+        one = build_generator(params, REVIVAL_FILTER, hot,
+                              BackgroundSpec.thermal(1.2, params.gamma))
+        assert reports == [build_report(one, s) for s in steady_states_numeric(one)]
+
+
+def test_build_reports_keep_a_faulting_state_to_its_row(params, rng):
+    # an imaginary current fails the chunk, which is redone state by state
+    gen = stack_generators(params)[1]
+    t_h = [2.0, 4.0, 8.0]
+    stack = stacked_dissipators(gen, "H", t_h)
+    rows = list(steady_state_stack(build_population_matrix(stack), gen.eigen))
+    bad = replace(rows[1].states[0], state=DensityMatrix(random_states(rng, 1)[0] * 1j))
+    rows[1] = SteadyStateSet((bad,), unique=True)
+    temps = [dict(gen.reservoirs.temperatures, H=t) for t in t_h]
+    out = list(build_reports(gen, stack, rows, temps))
+    assert isinstance(out[1], NumericalFault) and "imaginary part" in str(out[1])
+    assert all(isinstance(r, list) and len(r) == 1 for k, r in enumerate(out) if k != 1)
