@@ -490,7 +490,7 @@ def _solve_grid(config: ScenarioConfig, t_h: list[float]) -> Iterable:
                               config.background)
     except ROW_FAILURES as exc:
         return [exc] * len(t_h)
-    dissipators = stacked_dissipators(gen, "H", t_h)
+    dissipators = stacked_dissipators(gen, t_h)
     # W is a stack even when no dissipator couples to the hot bath
     w = np.broadcast_to(build_population_matrix(dissipators), (len(t_h), DIM, DIM))
     states = steady_state_stack(w, gen.eigen)

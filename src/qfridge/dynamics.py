@@ -80,6 +80,11 @@ __all__ = [
 #: Residual bound for accepting a steady state: ||W p|| <= RES_TOL ||W||.
 STEADY_RESIDUAL_TOL = 1e-9
 
+#: Rows per stacked solve in :func:`steady_state_stack`.  A chunk's SVDs are
+#: held until its rows are taken, so the chunk, not the grid, bounds their
+#: memory.
+STEADY_CHUNK = 32
+
 #: Default convergence threshold for time propagation, ||d rho / dt|| < eps.
 DEFAULT_EPS_SS = 1e-10
 
@@ -128,16 +133,17 @@ def apply_dissipators(dissipators: Sequence[Dissipator], rho: np.ndarray) -> np.
     a = _stack([ch.operator for ch in channels], lead)
     ad = _stack([ch.adjoint for ch in channels], lead)
     ada = _stack([ch.ada for ch in channels], lead)
-    batch = _batch([d.rates.j_plus for d in dissipators])
-    jp = _rates([d.rates.j_plus for d in dissipators], batch, rho.ndim)
+    j_plus = [d.rates.j_plus for d in dissipators]
+    batch = _batch(j_plus)
+    jp = _rates(j_plus, batch, rho.ndim)
     jm = _rates([d.rates.j_minus for d in dissipators], batch, rho.ndim)
     out = jm * (2.0 * (a @ rho @ ad) - ada @ rho - rho @ ada)
-    warm = jp != 0.0
     if batch:  # a stacked j+ can be zero on some rows only
+        warm = jp != 0.0
         hot = np.flatnonzero(warm.any(axis=tuple(range(1, warm.ndim))))
         partly = not warm[hot].all()
     else:
-        hot, partly = np.flatnonzero(warm), False
+        hot, partly = np.flatnonzero(jp), False
     if hot.size:
         a, ad = a[hot], ad[hot]
         aad = _stack([channels[k].aad for k in hot], lead)
@@ -167,6 +173,8 @@ def _rates(values, batch: tuple[int, ...], ndim: int) -> np.ndarray:
     """One rate per dissipator as an ``(n, ..., 1, 1)`` array that broadcasts
     against states of ``ndim`` dimensions, stacked rates (of shape
     ``batch``) along their last batch axis."""
+    if not batch:
+        return np.array(values, dtype=float).reshape((-1,) + (1,) * ndim)
     rates = np.empty((len(values),) + batch)
     for k, v in enumerate(values):
         rates[k] = v
@@ -267,18 +275,15 @@ def build_generator(
     )
 
 
-def stacked_dissipators(
-    gen: Generator, qubit: str, temperatures: np.ndarray
-) -> tuple[Dissipator, ...]:
-    """The dissipators of ``gen`` with the engineered reservoir of ``qubit``
-    at each of ``temperatures``: that reservoir's channels carry ``(N,)``
-    rate arrays (:func:`channel_rate_stack`), every other dissipator is
-    ``gen``'s own.  Row k is the scenario with the reservoir at
-    ``temperatures[k]``."""
-    gamma = gen.reservoirs[qubit].gamma
+def stacked_dissipators(gen: Generator, temperatures: np.ndarray) -> tuple[Dissipator, ...]:
+    """The dissipators of ``gen`` with the hot bath at each of
+    ``temperatures``: its engineered channels carry ``(N,)`` rate arrays
+    (:func:`channel_rate_stack`), every other dissipator is ``gen``'s own.
+    Row k is the scenario with the hot bath at ``temperatures[k]``."""
+    gamma = gen.reservoirs.hot.gamma
     return tuple(
         replace(d, rates=channel_rate_stack(d.channel, gamma, temperatures))
-        if d.source == "engineered" and d.channel.qubit == qubit else d
+        if d.source == "engineered" and d.channel.qubit == "H" else d
         for d in gen.dissipators
     )
 
@@ -312,7 +317,9 @@ def build_population_matrix(dissipators) -> np.ndarray:
             w[to, frm] += weight * jm
             w[to, to] -= weight * jp
             w[frm, to] += weight * jp
-    return np.ascontiguousarray(w.transpose(*range(2, w.ndim), 0, 1))
+    if not batch:
+        return w
+    return np.ascontiguousarray(w.transpose(2, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -445,7 +452,8 @@ def steady_state_stack(
     ``(N, 8, 8)``: yields per row its :class:`SteadyStateSet`, or the
     :class:`SolverFailure` or ``LinAlgError`` that fails the row.
 
-    Rows with one zero pattern share one :func:`invariant_components`, each
+    The rows are solved in chunks of ``STEADY_CHUNK``.  In a chunk, rows
+    with one zero pattern share one :func:`invariant_components`, each
     closed class of a pattern is one stacked SVD, and the norms ``||W||`` of
     all rows are one more (:func:`~qfridge.matrixcore.svd_rows`).  The
     null-space rules, the residual gate and any ``RankAmbiguityWarning``
@@ -453,6 +461,12 @@ def steady_state_stack(
     k equals ``steady_states_numeric`` on ``w[k]`` alone, bit for bit and
     warning for warning.  A row's states are built when the row is taken.
     """
+    for start in range(0, len(w), STEADY_CHUNK):
+        yield from _steady_state_chunk(w[start:start + STEADY_CHUNK], eigen)
+
+
+def _steady_state_chunk(w: np.ndarray, eigen: EigenSystem) -> Iterator:
+    """:func:`steady_state_stack` of one chunk of rows."""
     n = len(w)
     patterns: dict[bytes, list[int]] = {}
     for k in range(n):

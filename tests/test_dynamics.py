@@ -811,7 +811,7 @@ def row_dissipators(gen, t_h):
 
 def test_population_matrix_stack_equals_rows(params):
     for gen in kernel_generators(params):
-        stack = stacked_dissipators(gen, "H", STACK_T_H)
+        stack = stacked_dissipators(gen, STACK_T_H)
         w = build_population_matrix(stack)
         assert w.shape == (len(STACK_T_H), 8, 8) and w.flags.c_contiguous
         for k, t_h in enumerate(STACK_T_H):
@@ -821,7 +821,7 @@ def test_population_matrix_stack_equals_rows(params):
 
 def test_steady_state_stack_equals_rows(params):
     for gen in kernel_generators(params):
-        w = build_population_matrix(stacked_dissipators(gen, "H", STACK_T_H))
+        w = build_population_matrix(stacked_dissipators(gen, STACK_T_H))
         for t_h, got in zip(STACK_T_H, steady_state_stack(w, gen.eigen), strict=True):
             want = steady_states_numeric(replace(gen, dissipators=row_dissipators(gen, t_h)))
             assert got.unique == want.unique and len(got) == len(want)

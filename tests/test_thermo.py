@@ -439,7 +439,7 @@ def test_heat_currents_with_stacked_rates_equal_rows(params, rng):
     t_h = [0.0, 0.5, 6.0, 40.0]
     states = random_states(rng, len(t_h))
     for gen in stack_generators(params):
-        stack = stacked_dissipators(gen, "H", t_h)
+        stack = stacked_dissipators(gen, t_h)
         got = heat_currents(gen.hamiltonian, stack, states)
         for k, (t, rho) in enumerate(zip(t_h, states)):
             hot = ReservoirSet.from_temperatures(params, t_h=t, t_r=4.0, t_c=1.0).hot
@@ -455,7 +455,7 @@ def test_heat_currents_with_stacked_rates_equal_rows(params, rng):
 def test_build_reports_equal_build_report_row_by_row(params):
     gen = stack_generators(params)[0]
     t_h = np.linspace(1.0, 12.0, 7).tolist()
-    stack = stacked_dissipators(gen, "H", t_h)
+    stack = stacked_dissipators(gen, t_h)
     rows = list(steady_state_stack(build_population_matrix(stack), gen.eigen))
     temps = [dict(gen.reservoirs.temperatures, H=t) for t in t_h]
     for t, reports in zip(t_h, build_reports(gen, stack, rows, temps), strict=True):
@@ -469,7 +469,7 @@ def test_build_reports_keep_a_faulting_state_to_its_row(params, rng):
     # an imaginary current fails the chunk, which is redone state by state
     gen = stack_generators(params)[1]
     t_h = [2.0, 4.0, 8.0]
-    stack = stacked_dissipators(gen, "H", t_h)
+    stack = stacked_dissipators(gen, t_h)
     rows = list(steady_state_stack(build_population_matrix(stack), gen.eigen))
     bad = replace(rows[1].states[0], state=DensityMatrix(random_states(rng, 1)[0] * 1j))
     rows[1] = SteadyStateSet((bad,), unique=True)
