@@ -43,7 +43,7 @@ import configparser
 import math
 import sys
 import warnings
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import Field, dataclass, field, fields, replace
 from functools import cache
 from typing import TypeVar
@@ -57,8 +57,8 @@ from .dynamics import (
     build_population_matrix,
     participating_channels,
     stacked_dissipators,
-    steady_state_stack,
-    steady_states_numeric,
+    steady_state_rows,
+    take_rows,
 )
 from .reservoirs import (
     HBAR,
@@ -80,7 +80,7 @@ from .spectrum import (
 from .thermo import (
     HeatCurrentReport,
     NumericalFault,
-    build_report,
+    StageLabel,
     build_reports,
     cooling_predicate_for_filter,
 )
@@ -137,10 +137,11 @@ def _columns(row_type: type) -> tuple[Field, ...]:
 
 def _cells(row) -> str:
     """One table line: each column of ``row`` by its declared type, ``float``
-    through :func:`_fmt`, ``bool`` in lower case, anything else by ``str``."""
+    through :func:`_fmt`, ``bool`` in lower case, anything else by ``str``
+    with each comma written as ``;``, so the line has one cell per column."""
     cells = ((getattr(row, f.name), f.type) for f in _columns(type(row)))
-    return ",".join(_fmt(v) if t == "float" else str(v).lower() if t == "bool" else str(v)
-                    for v, t in cells)
+    return ",".join(_fmt(v) if t == "float" else str(v).lower() if t == "bool"
+                    else str(v).replace(",", ";") for v, t in cells)
 
 
 def _reason(exc: Exception) -> str:
@@ -411,11 +412,45 @@ def _collecting_warnings(run: Callable[[], _T]) -> tuple[_T, tuple[str, ...]]:
     return result, tuple(dict.fromkeys(str(w.message) for w in caught))
 
 
-def _solve(config: ScenarioConfig) -> tuple[SteadyStateSet, list[HeatCurrentReport]]:
-    """All steady states of a scenario and one report per state."""
-    gen = build_generator(config.params, config.filter, config.reservoirs, config.background)
-    states = steady_states_numeric(gen)
-    return states, [build_report(gen, s) for s in states]
+#: Rows per pass of :func:`_solve_grid`.  A pass holds its rows' SVDs,
+#: states and ``(n, states, 8, 8)`` current temporaries at once, so the
+#: chunk, not the grid, bounds their memory.
+GRID_CHUNK = 8
+
+
+def _solve_grid(
+    config: ScenarioConfig, t_h: list[float] | None = None
+) -> Iterator[tuple[SteadyStateSet, list[HeatCurrentReport]] | Exception]:
+    """Every steady state of each row and one report per state, or the row
+    failure of that row, in row order.  The rows are the scenario with the
+    hot bath at each of ``t_h`` or, without ``t_h``, the scenario alone.
+
+    The generator (channels, checks, the rates of every bath but a swept
+    one) and W are built once for the grid; each chunk of ``GRID_CHUNK``
+    rows is then one :func:`steady_state_rows` and one :func:`build_reports`
+    call.  Each row equals ``steady_states_numeric`` and ``build_report`` on
+    its scenario alone, bit for bit.
+    """
+    n = 1 if t_h is None else len(t_h)
+    try:
+        gen = build_generator(config.params, config.filter, config.reservoirs,
+                              config.background)
+    except ROW_FAILURES as exc:
+        yield from [exc] * n
+        return
+    if t_h is None:
+        dissipators, temperatures = gen.dissipators, [config.reservoirs.temperatures]
+    else:
+        dissipators = stacked_dissipators(gen, t_h)
+        temperatures = [config.reservoirs.temperatures | {"H": t} for t in t_h]
+    # W is a stack even for rates that are all scalars (one row, or no
+    # dissipator on the hot bath)
+    w = np.broadcast_to(build_population_matrix(dissipators), (n, DIM, DIM))
+    for start in range(0, n, GRID_CHUNK):
+        chunk = slice(start, start + GRID_CHUNK)
+        rows = steady_state_rows(w[chunk], gen.eigen)
+        reports = build_reports(gen, take_rows(dissipators, chunk), rows, temperatures[chunk])
+        yield from (r if isinstance(r, Exception) else (s, r) for s, r in zip(rows, reports))
 
 
 def _reporting(reports: list[HeatCurrentReport]) -> HeatCurrentReport:
@@ -480,29 +515,11 @@ class SweepResult:
     warnings: tuple[str, ...]
 
 
-def _solve_grid(config: ScenarioConfig, t_h: list[float]) -> Iterable:
-    """Reports of every steady state at each hot temperature, or the row
-    failure of that point, solved as one stack: the generator (channels,
-    checks, the other reservoirs' rates) is built once; the hot rates, W,
-    the steady states and the currents are stacked over the grid."""
-    try:
-        gen = build_generator(config.params, config.filter, config.reservoirs,
-                              config.background)
-    except ROW_FAILURES as exc:
-        return [exc] * len(t_h)
-    dissipators = stacked_dissipators(gen, t_h)
-    # W is a stack even when no dissipator couples to the hot bath
-    w = np.broadcast_to(build_population_matrix(dissipators), (len(t_h), DIM, DIM))
-    states = steady_state_stack(w, gen.eigen)
-    temperatures = (config.reservoirs.temperatures | {"H": t} for t in t_h)
-    return build_reports(gen, dissipators, states, temperatures)
-
-
 def _sweep_row(t_h: float, outcome) -> SweepRow:
     if isinstance(outcome, Exception):
         return _failed_row(SweepRow, outcome, sweep_value=t_h, stage="error")
     try:
-        row = _row_from_report(t_h, _reporting(outcome))
+        row = _row_from_report(t_h, _reporting(outcome[1]))
         _check_energy_balance(row)
         return row
     except ROW_FAILURES as exc:  # per-row failure is recorded, the sweep continues
@@ -512,7 +529,7 @@ def _sweep_row(t_h: float, outcome) -> SweepRow:
 def sweep_th(config: ScenarioConfig) -> SweepResult:
     """Solve one row per hot-temperature grid point, in grid order.
 
-    The grid is solved as one stacked problem (see :func:`_solve_grid`);
+    The grid is solved in chunks of stacked rows (see :func:`_solve_grid`);
     each row equals a solve of its point alone, bit for bit.  A row that
     fails with one of ``ROW_FAILURES``, or whose currents break
     :func:`_check_energy_balance`, is recorded with stage ``error``, NaN
@@ -535,7 +552,9 @@ def emit_csv(result: SweepResult, path: str) -> None:
 
 def load_csv(path: str) -> SweepResult:
     """Read a sweep CSV back, re-parsing the embedded config and
-    re-checking :func:`_check_energy_balance` on every solved row."""
+    re-checking :func:`_check_energy_balance` on every solved row.  A row
+    with the wrong number of cells, a non-numeric value or an unknown
+    stage is a :class:`ConfigError`."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     items: dict[str, str] = {}
@@ -553,10 +572,15 @@ def load_csv(path: str) -> SweepResult:
     rows = []
     for line in body[1:]:
         cells = line.split(",")
-        if len(cells) != len(columns):
-            raise ConfigError(f"{path}: malformed row {line!r}")
-        row = SweepRow(**{f.name: float(cell) if f.type == "float" else cell
-                          for f, cell in zip(columns, cells)})
+        try:
+            if len(cells) != len(columns):
+                raise ValueError(f"{len(cells)} cells, expected {len(columns)}")
+            row = SweepRow(**{f.name: float(cell) if f.type == "float" else cell
+                              for f, cell in zip(columns, cells)})
+            if row.stage not in {*map(str, StageLabel), "error"}:
+                raise ValueError(f"unknown stage {row.stage!r}")
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed row {line!r} ({exc})") from None
         if not row.failed:
             try:
                 _check_energy_balance(row)
@@ -576,7 +600,10 @@ def load_csv(path: str) -> SweepResult:
 def run_steady(config: ScenarioConfig) -> str:
     """Solve a no-sweep scenario and render the full structured report,
     ending with each distinct warning raised on the way."""
-    (states, reports), warns = _collecting_warnings(lambda: _solve(config))
+    (outcome,), warns = _collecting_warnings(lambda: list(_solve_grid(config)))
+    if isinstance(outcome, Exception):
+        raise outcome
+    states, reports = outcome
     out = ["qfridge steady-state report"]
     out += [f"{key} = {value}" for key, value in config.canonical_items()]
     out.append(f"steady_states = {len(states)}")
@@ -646,22 +673,22 @@ def _filter_patterns(mode: str) -> list[FilterConfig]:
 def _scan_one(config: ScenarioConfig, filt: FilterConfig) -> ScanRow:
     cooling_tol = 1e-12 * config.params.omega_c
     matched = cycle_match_check(filt).matched
-    try:
-        states, reports = _solve(replace(config, filter=filt))
-        report = _reporting(reports)
-        return ScanRow(
-            filter=filt,
-            qdot_C=report.engineered["C"],
-            qdot_H=report.engineered["H"],
-            qdot_R=report.engineered["R"],
-            eta=math.nan if report.efficiency is None else report.efficiency,
-            cooling=report.engineered["C"] > cooling_tol,
-            cycle_matched=matched,
-            n_states=len(states),
-        )
-    except ROW_FAILURES as exc:
-        return _failed_row(ScanRow, exc, filter=filt, cooling=False,
+    (outcome,) = _solve_grid(replace(config, filter=filt))
+    if isinstance(outcome, Exception):
+        return _failed_row(ScanRow, outcome, filter=filt, cooling=False,
                            cycle_matched=matched, n_states=0)
+    states, reports = outcome
+    report = _reporting(reports)
+    return ScanRow(
+        filter=filt,
+        qdot_C=report.engineered["C"],
+        qdot_H=report.engineered["H"],
+        qdot_R=report.engineered["R"],
+        eta=math.nan if report.efficiency is None else report.efficiency,
+        cooling=report.engineered["C"] > cooling_tol,
+        cycle_matched=matched,
+        n_states=len(states),
+    )
 
 
 def scan_filters(config: ScenarioConfig, mode: str = "single_channel") -> ScanResult:

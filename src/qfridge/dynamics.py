@@ -18,7 +18,7 @@ each returned state is a physical density matrix with a definite support.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -69,7 +69,7 @@ __all__ = [
     "take_rows",
     "build_population_matrix",
     "invariant_components",
-    "steady_state_stack",
+    "steady_state_rows",
     "steady_states_numeric",
     "steady_state_branches_analytic",
     "steady_state_vacuum_background_analytic",
@@ -79,11 +79,6 @@ __all__ = [
 
 #: Residual bound for accepting a steady state: ||W p|| <= RES_TOL ||W||.
 STEADY_RESIDUAL_TOL = 1e-9
-
-#: Rows per stacked solve in :func:`steady_state_stack`.  A chunk's SVDs are
-#: held until its rows are taken, so the chunk, not the grid, bounds their
-#: memory.
-STEADY_CHUNK = 32
 
 #: Default convergence threshold for time propagation, ||d rho / dt|| < eps.
 DEFAULT_EPS_SS = 1e-10
@@ -433,10 +428,10 @@ def steady_states_numeric(gen: Generator) -> SteadyStateSet:
     restricted, through an isometry, to the states diagonal in the
     eigenbasis, so ``||W p||`` equals ``||L vec(rho)||`` and, as
     ``||W|| <= ||L||``, the bound is at least as strict as one on L.
-    This is the one-row case of :func:`steady_state_stack`.
+    This is the one-row case of :func:`steady_state_rows`.
     """
     w = build_population_matrix(gen.dissipators)
-    (result,) = steady_state_stack(w[np.newaxis], gen.eigen)
+    (result,) = steady_state_rows(w[np.newaxis], gen.eigen)
     if isinstance(result, SteadyStateSet):
         return result
     try:
@@ -445,28 +440,21 @@ def steady_states_numeric(gen: Generator) -> SteadyStateSet:
         del result  # the traceback refers to this frame: no cycle through it
 
 
-def steady_state_stack(
+def steady_state_rows(
     w: np.ndarray, eigen: EigenSystem
-) -> Iterator[SteadyStateSet | SolverFailure | np.linalg.LinAlgError]:
+) -> list[SteadyStateSet | SolverFailure | np.linalg.LinAlgError]:
     """:func:`steady_states_numeric` of each rate matrix of a stack
-    ``(N, 8, 8)``: yields per row its :class:`SteadyStateSet`, or the
+    ``(N, 8, 8)``: per row its :class:`SteadyStateSet`, or the
     :class:`SolverFailure` or ``LinAlgError`` that fails the row.
 
-    The rows are solved in chunks of ``STEADY_CHUNK``.  In a chunk, rows
-    with one zero pattern share one :func:`invariant_components`, each
+    Rows with one zero pattern share one :func:`invariant_components`, each
     closed class of a pattern is one stacked SVD, and the norms ``||W||`` of
     all rows are one more (:func:`~qfridge.matrixcore.svd_rows`).  The
     null-space rules, the residual gate and any ``RankAmbiguityWarning``
-    then follow row by row and class by class as the rows are taken, so row
-    k equals ``steady_states_numeric`` on ``w[k]`` alone, bit for bit and
-    warning for warning.  A row's states are built when the row is taken.
+    then follow row by row and class by class, so row k equals
+    ``steady_states_numeric`` on ``w[k]`` alone, bit for bit and warning for
+    warning.  The SVDs of all N rows are held at once: callers bound N.
     """
-    for start in range(0, len(w), STEADY_CHUNK):
-        yield from _steady_state_chunk(w[start:start + STEADY_CHUNK], eigen)
-
-
-def _steady_state_chunk(w: np.ndarray, eigen: EigenSystem) -> Iterator:
-    """:func:`steady_state_stack` of one chunk of rows."""
     n = len(w)
     patterns: dict[bytes, list[int]] = {}
     for k in range(n):
@@ -486,6 +474,7 @@ def _steady_state_chunk(w: np.ndarray, eigen: EigenSystem) -> Iterator:
                 svds.update(zip([(k, cls) for k in rows], svd_rows(blocks)))
     norms = svd_rows(w, compute_uv=False)
 
+    out: list = []
     for k in range(n):
         try:
             pops = [_stationary_on_class(cls, svds.pop((k, cls), None)) for cls in closed[k]]
@@ -500,12 +489,13 @@ def _steady_state_chunk(w: np.ndarray, eigen: EigenSystem) -> Iterator:
                         f"(bound {bound:.3e})"
                     )
         except (SolverFailure, np.linalg.LinAlgError) as exc:
-            yield exc
+            out.append(exc)
         else:
             matrices = eigen.diagonal_state(np.array(pops))
             states = tuple(SteadyState(DensityMatrix(m), cls, p)
                            for cls, p, m in zip(closed[k], pops, matrices))
-            yield SteadyStateSet(states, unique=(len(states) == 1))
+            out.append(SteadyStateSet(states, unique=(len(states) == 1)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,11 +67,6 @@ EFFICIENCY_DEAD_BAND = 1e-14
 #: |Q| above this from a bath at T = 0 makes the entropy production infinite.
 ZERO_TEMPERATURE_DEAD_BAND = 1e-15
 
-#: States per trace-form current call in :func:`build_reports` (at least,
-#: whole rows are taken); small chunks keep its ``(n, chunk, 8, 8)``
-#: temporaries, and so peak memory, flat.
-CURRENT_CHUNK = 8
-
 
 class NumericalFault(RuntimeError):
     """A quantity that must be real (or conserved) came out badly off."""
@@ -112,10 +107,21 @@ def heat_currents(
     ``(n, ...)``, state by state equal to single-state calls, bit for bit;
     stacked rates pair with its last batch axis (see
     :func:`~qfridge.dynamics.apply_dissipators`).  Raises
-    :class:`NumericalFault` naming the first channel (and of it the first
-    state) whose current has an imaginary part above ``IMAG_FAULT_TOL``."""
+    :class:`NumericalFault` as :func:`_real_currents` does."""
     rho = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state)
-    values = np.trace(hamiltonian @ apply_dissipators(dissipators, rho), axis1=-2, axis2=-1)
+    return _real_currents(_trace_currents(hamiltonian, dissipators, rho), dissipators)
+
+
+def _trace_currents(hamiltonian, dissipators, rho) -> np.ndarray:
+    """Tr{H_S D_k[rho]} of each dissipator, complex, as ``(n, ...)``."""
+    return np.trace(hamiltonian @ apply_dissipators(dissipators, rho), axis1=-2, axis2=-1)
+
+
+def _real_currents(values: np.ndarray, dissipators: Sequence[Dissipator]) -> np.ndarray:
+    """The real part of the currents ``values`` ``(n, ...)`` of
+    ``dissipators``.  Raises :class:`NumericalFault` naming the first
+    channel (and of it the first state) whose current has an imaginary part
+    above ``IMAG_FAULT_TOL``."""
     bad = np.abs(values.imag) > IMAG_FAULT_TOL
     if bad.any():
         k, *at = np.argwhere(bad)[0]
@@ -413,68 +419,38 @@ def build_report(gen: Generator, steady: SteadyState) -> HeatCurrentReport:
 def build_reports(
     gen: Generator,
     dissipators: Sequence[Dissipator],
-    rows: Iterable[SteadyStateSet | Exception],
-    temperatures: Iterable[Mapping[str, float]],
-) -> Iterator[list[HeatCurrentReport] | Exception]:
+    rows: Sequence[SteadyStateSet | Exception],
+    temperatures: Sequence[Mapping[str, float]],
+) -> list[list[HeatCurrentReport] | Exception]:
     """:func:`build_report` of every steady state of a stack of rows.
 
-    ``dissipators`` are ``gen``'s with stacked rates, ``rows`` yields row
-    k's steady states (or the exception that failed it) and
-    ``temperatures`` its bath temperatures keyed H, R, C.  Yields per row
-    its reports in state order or, as ``build_report`` state by state would
-    raise it, the row's first exception.  Rows are taken until they hold
-    ``CURRENT_CHUNK`` states, whose currents are then one
-    :func:`heat_currents` call, redone state by state if it faults.
+    ``dissipators`` are ``gen``'s with one row of stacked rates per row (or
+    ``gen``'s own, for rows that share their rates), ``rows`` holds row k's
+    steady states (or the exception that failed it) and ``temperatures`` its
+    bath temperatures keyed H, R, C.  Gives per row its reports in state
+    order or, as ``build_report`` state by state would raise it, the row's
+    first exception.  The currents of all states are one trace-form call,
+    so callers bound the number of rows.
     """
-    batch: list = []
-    held = 0  # states in the batch
-    for k, (row, temps) in enumerate(zip(rows, temperatures)):
-        batch.append((k, row, temps))
-        held += 0 if isinstance(row, Exception) else len(row)
-        if held >= CURRENT_CHUNK:
-            yield from _reports_of_batch(gen, dissipators, batch)
-            batch, held = [], 0
-    yield from _reports_of_batch(gen, dissipators, batch)
-
-
-def _reports_of_batch(gen, dissipators, batch) -> Iterator:
-    """The outcomes of :func:`build_reports` for a batch of
-    ``(row index, steady states or exception, temperatures)``."""
-    states = [(k, s.state.matrix) for k, row, _ in batch
+    states = [(k, s.state.matrix) for k, row in enumerate(rows)
               if not isinstance(row, Exception) for s in row]
-    currents: list = []
     if states:
         at, rho = zip(*states)
-        try:
-            currents = list(heat_currents(gen.hamiltonian, take_rows(dissipators, list(at)),
-                                          np.array(rho)).T)
-        except NumericalFault:
-            for k, one in states:
-                try:
-                    currents.append(heat_currents(gen.hamiltonian, take_rows(dissipators, [k]),
-                                                  one[np.newaxis])[:, 0])
-                except NumericalFault as exc:
-                    currents.append(exc)
-    pending = iter(currents)
-    for _, row, temps in batch:
+        values = _trace_currents(gen.hamiltonian, take_rows(dissipators, list(at)),
+                                 np.array(rho))
+    out: list = []
+    state = 0  # the first state of a row in ``values``
+    for row, temps in zip(rows, temperatures):
         if isinstance(row, Exception):
-            yield row
-        else:
-            yield _row_reports(gen, [next(pending) for _ in row], temps)
-
-
-def _row_reports(gen, currents, temps) -> list[HeatCurrentReport] | NumericalFault:
-    """The reports of one row's states from their currents, or the first
-    fault in state order: of the currents, or of a report."""
-    reports = []
-    for values in currents:
-        if isinstance(values, NumericalFault):
-            return values
+            out.append(row)
+            continue
         try:
-            reports.append(_report(gen, values, temps))
+            out.append([_report(gen, _real_currents(values[:, j], dissipators), temps)
+                        for j in range(state, state + len(row))])
         except NumericalFault as exc:
-            return exc
-    return reports
+            out.append(exc)
+        state += len(row)
+    return out
 
 
 def _report(gen: Generator, values: np.ndarray, temps) -> HeatCurrentReport:

@@ -244,6 +244,25 @@ def test_csv_first_law_validation_on_load(tmp_path):
         load_csv(str(path))
 
 
+@pytest.mark.parametrize("column, cell, reason", [
+    ("qdot_C", "abc", "could not convert string to float: 'abc'"),
+    ("stage", "bogus", "unknown stage 'bogus'"),
+    ("stage", "stage3,x", "11 cells, expected 10"),
+], ids=["non_numeric", "unknown_stage", "extra_cell"])
+def test_load_csv_rejects_malformed_rows(tmp_path, column, cell, reason):
+    path = tmp_path / "sweep.csv"
+    emit_csv(sweep_th(parse_config(FIG_CONFIG)), str(path))
+    lines = path.read_text().splitlines()
+    columns = next(line for line in lines if not line.startswith("#")).split(",")
+    cells = lines[-1].split(",")
+    cells[columns.index(column)] = cell
+    lines[-1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as exc:
+        load_csv(str(path))
+    assert str(exc.value) == f"{path}: malformed row {lines[-1]!r} ({reason})"
+
+
 def test_emit_csv_header_only_for_empty_sweep(tmp_path):
     config = parse_config(FIG_CONFIG)
     path = tmp_path / "empty.csv"
@@ -298,6 +317,18 @@ t_c = 2.0
     # equal temperatures: nothing cools
     assert not any(r.cooling for r in rows)
     assert all(not r.error for r in rows)
+
+
+def test_scan_table_has_one_cell_per_column():
+    config = parse_config(DEGENERATE_CONFIG)
+    rows = scan_filters(config, mode="all").rows
+    assert any("," in r.error for r in rows)  # the reasons keep their commas
+    lines = [line for line in format_scan_table(config, rows).splitlines()
+             if not line.startswith("#")]
+    columns = lines[0].split(",")
+    table = [line.split(",") for line in lines[1:]]
+    assert len(table) == 216 and all(len(cells) == len(columns) for cells in table)
+    assert [cells[-1] for cells in table] == [r.error.replace(",", ";") for r in rows]
 
 
 def test_validate_config_report():
@@ -418,7 +449,7 @@ def test_sweep_collects_each_rows_warnings_once(monkeypatch, capsys, tmp_path):
 
 
 def _fail_rows(exc):
-    """A stand-in for ``steady_state_stack`` that fails every row with
+    """A stand-in for ``steady_state_rows`` that fails every row with
     ``exc`` if it is a row failure, and raises it otherwise."""
     from qfridge.cli import ROW_FAILURES
 
@@ -429,22 +460,16 @@ def _fail_rows(exc):
     return solve
 
 
-def _fail_solve(exc):
-    def solve(gen):
-        raise exc
-    return solve
-
-
-@pytest.mark.parametrize("run, text, solver, fail_with", [
-    (sweep_th, FIG_CONFIG, "steady_state_stack", _fail_rows),
-    (scan_filters, NATURAL_CONFIG, "steady_states_numeric", _fail_solve),
+@pytest.mark.parametrize("run, text", [
+    (sweep_th, FIG_CONFIG),
+    (scan_filters, NATURAL_CONFIG),
 ], ids=["sweep", "scan"])
-def test_rows_record_domain_failures_but_not_bugs(monkeypatch, run, text, solver, fail_with):
+def test_rows_record_domain_failures_but_not_bugs(monkeypatch, run, text):
     from qfridge import cli
     from qfridge.dynamics import SolverFailure
 
     config = parse_config(text)
-    monkeypatch.setattr(cli, solver, fail_with(SolverFailure("no")))
+    monkeypatch.setattr(cli, "steady_state_rows", _fail_rows(SolverFailure("no")))
     result = run(config)
     assert result.rows and all(math.isnan(r.qdot_C) for r in result.rows)
     assert all(r.error == "SolverFailure: no" for r in result.rows)
@@ -452,7 +477,7 @@ def test_rows_record_domain_failures_but_not_bugs(monkeypatch, run, text, solver
     # build's Markov warning)
     assert len(result.warnings) == 1 and "Markov" in result.warnings[0]
 
-    monkeypatch.setattr(cli, solver, fail_with(TypeError("bug")))
+    monkeypatch.setattr(cli, "steady_state_rows", _fail_rows(TypeError("bug")))
     with pytest.raises(TypeError, match="bug"):
         run(config)
 
@@ -713,11 +738,21 @@ def cold_edge_config(t_c: float) -> str:
         "[filter]\nh = 3\nr = 2\nc = 1\n", 0.5, 12.0, 25)
 
 
+def solve_alone(config: ScenarioConfig):
+    """The steady states of a scenario and one report per state, by the
+    one-row library calls: a generator, ``steady_states_numeric`` and
+    ``build_report``."""
+    from qfridge import build_report, steady_states_numeric
+
+    gen = _generator(config)
+    states = steady_states_numeric(gen)
+    return states, [build_report(gen, s) for s in states]
+
+
 def one_point_solves(config: ScenarioConfig):
-    """Each grid point of a sweep solved alone by the one-row library calls
-    (a generator, ``steady_states_numeric`` and ``build_report`` per point)
-    into a row, and each distinct warning of all points once, in first-seen
-    order: what the stacked ``sweep_th`` must give, bit for bit."""
+    """Each grid point of a sweep solved alone by :func:`solve_alone` into a
+    row, and each distinct warning of all points once, in first-seen order:
+    what the stacked ``sweep_th`` must give, bit for bit."""
     from dataclasses import replace
 
     from qfridge import cli
@@ -727,7 +762,7 @@ def one_point_solves(config: ScenarioConfig):
         res = config.reservoirs
         point = replace(config, reservoirs=replace(res, hot=replace(res.hot, temperature=t_h)))
         try:
-            _, reports = cli._solve(point)
+            _, reports = solve_alone(point)
             row = cli._row_from_report(t_h, cli._reporting(reports))
             cli._check_energy_balance(row)
             return row
@@ -750,9 +785,40 @@ def assert_sweep_matches_one_point_solves(config: ScenarioConfig) -> SweepResult
     return result
 
 
+def assert_one_row_grid_matches_solve_alone(config: ScenarioConfig) -> None:
+    """The one-row grid that ``steady`` and each ``scan`` mask solve equals
+    :func:`solve_alone`, state by state and bit for bit, or fails as it does."""
+    from qfridge import cli
+
+    (got,) = cli._solve_grid(config)
+    try:
+        want_states, want_reports = solve_alone(config)
+    except cli.ROW_FAILURES as exc:
+        assert type(got) is type(exc) and str(got) == str(exc)
+        return
+    states, reports = got
+    assert reports == want_reports
+    assert states.unique == want_states.unique
+    for a, b in zip(states, want_states, strict=True):
+        assert a.support == b.support
+        assert np.array_equal(a.populations, b.populations)
+        assert np.array_equal(a.state.matrix, b.state.matrix)
+
+
 def test_stacked_sweep_equals_one_point_solves_on_shipped_config():
+    from dataclasses import replace
+
+    from qfridge import cli
+
     result = assert_sweep_matches_one_point_solves(load_config(str(CONFIGS / "figure_sweep.ini")))
     assert len(result.rows) == 200 and not any(r.failed for r in result.rows)
+    # steady on each shipped config, and every scan --mode all mask
+    for name in ("figure_sweep", "vacuum_transport", "filter_census"):
+        config = replace(load_config(str(CONFIGS / f"{name}.ini")), sweep=None)
+        assert_one_row_grid_matches_solve_alone(config)
+    census = load_config(str(CONFIGS / "filter_census.ini"))
+    for filt in cli._filter_patterns("all"):
+        assert_one_row_grid_matches_solve_alone(replace(census, filter=filt))
 
 
 @pytest.mark.parametrize("t_c", np.geomspace(0.1, 0.01, 8).tolist())

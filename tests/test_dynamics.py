@@ -29,12 +29,13 @@ from qfridge import (
 )
 from qfridge.reservoirs import REVIVAL_FILTER
 from qfridge import dynamics
+from qfridge.cli import GRID_CHUNK
 from qfridge.dynamics import (
     DEFAULT_EPS_SS,
     RK4_STABLE_RADIUS,
     VACUUM_TRANSPORT_FILTER,
     stacked_dissipators,
-    steady_state_stack,
+    steady_state_rows,
     take_rows,
 )
 from qfridge.thermo import IMAG_FAULT_TOL, NumericalFault
@@ -819,16 +820,52 @@ def test_population_matrix_stack_equals_rows(params):
             assert take_rows(stack, [k])[0].rates.j_plus.shape == (1,)
 
 
-def test_steady_state_stack_equals_rows(params):
+def failing_svd_of(marked: np.ndarray):
+    """``np.linalg.svd``, except that it does not converge on any stack that
+    holds the matrix ``marked``."""
+    svd = np.linalg.svd
+
+    def failing(a, *args, **kwargs):
+        if any(np.array_equal(m, marked) for m in np.reshape(a, (-1, *np.shape(a)[-2:]))):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+    return failing
+
+
+def assert_rows_equal_alone(gen, t_hs, rows):
+    """Each of ``rows`` equals ``steady_states_numeric`` at its hot
+    temperature alone: the same states, bit for bit, or the same failure."""
+    for t_h, got in zip(t_hs, rows, strict=True):
+        try:
+            want = steady_states_numeric(replace(gen, dissipators=row_dissipators(gen, t_h)))
+        except np.linalg.LinAlgError as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            continue
+        assert got.unique == want.unique and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.support == b.support
+            assert np.array_equal(a.populations, b.populations)
+            assert np.array_equal(a.state.matrix, b.state.matrix)
+
+
+def test_steady_state_stack_equals_rows(params, monkeypatch):
     for gen in kernel_generators(params):
         w = build_population_matrix(stacked_dissipators(gen, STACK_T_H))
-        for t_h, got in zip(STACK_T_H, steady_state_stack(w, gen.eigen), strict=True):
-            want = steady_states_numeric(replace(gen, dissipators=row_dissipators(gen, t_h)))
-            assert got.unique == want.unique and len(got) == len(want)
-            for a, b in zip(got, want):
-                assert a.support == b.support
-                assert np.array_equal(a.populations, b.populations)
-                assert np.array_equal(a.state.matrix, b.state.matrix)
+        rows = steady_state_rows(w, gen.eigen)
+        assert not any(isinstance(row, Exception) for row in rows)
+        assert_rows_equal_alone(gen, STACK_T_H, rows)
+    # a grid of more than three chunks, taken chunk by chunk as the CLI takes
+    # it; every SVD of the row that opens the second chunk fails
+    grid = np.linspace(0.0, 30.0, 3 * GRID_CHUNK + 1).tolist()
+    for gen in kernel_generators(params):
+        w = build_population_matrix(stacked_dissipators(gen, grid))
+        monkeypatch.setattr(np.linalg, "svd", failing_svd_of(w[GRID_CHUNK]))
+        rows = [row for start in range(0, len(grid), GRID_CHUNK)
+                for row in steady_state_rows(w[start:start + GRID_CHUNK], gen.eigen)]
+        assert [isinstance(row, Exception) for row in rows] == \
+            [k == GRID_CHUNK for k in range(len(grid))]
+        assert_rows_equal_alone(gen, grid, rows)
+        monkeypatch.undo()
 
 
 def test_steady_state_stack_warns_and_fails_row_by_row(params, monkeypatch):
@@ -864,7 +901,7 @@ def test_steady_state_stack_warns_and_fails_row_by_row(params, monkeypatch):
                 out.append(exc)
         return out
 
-    stacked, stacked_warnings = solve(lambda: list(steady_state_stack(w, gen.eigen)))
+    stacked, stacked_warnings = solve(lambda: steady_state_rows(w, gen.eigen))
     want, want_warnings = solve(alone)
     assert stacked_warnings == want_warnings
     assert [c for c, _ in stacked_warnings] == [RankAmbiguityWarning] * 3

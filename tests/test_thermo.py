@@ -31,9 +31,10 @@ from qfridge.dynamics import (
     VACUUM_TRANSPORT_FILTER,
     SteadyStateSet,
     stacked_dissipators,
-    steady_state_stack,
+    steady_state_rows,
     take_rows,
 )
+from qfridge.cli import GRID_CHUNK
 from qfridge.matrixcore import DensityMatrix
 from qfridge.reservoirs import COOLING_FILTERS, HIGH_EFFICIENCY_FILTER, REVIVAL_FILTER
 from qfridge.thermo import (
@@ -452,28 +453,53 @@ def test_heat_currents_with_stacked_rates_equal_rows(params, rng):
                                  rho[None])[:, 0].tolist() == want.tolist()
 
 
-def test_build_reports_equal_build_report_row_by_row(params):
+def imaginary_row(rng, row):
+    """``row`` with its first state replaced by one whose currents have an
+    imaginary part."""
+    bad = DensityMatrix(random_states(rng, 1)[0] * 1j)
+    return SteadyStateSet((replace(row.states[0], state=bad),), unique=True)
+
+
+def test_build_reports_equal_build_report_row_by_row(params, rng):
+    # seven rows as one stack, then a grid of more than three chunks taken
+    # chunk by chunk as the CLI takes it, where the row that opens the
+    # second chunk holds a state with imaginary currents
     gen = stack_generators(params)[0]
-    t_h = np.linspace(1.0, 12.0, 7).tolist()
-    stack = stacked_dissipators(gen, t_h)
-    rows = list(steady_state_stack(build_population_matrix(stack), gen.eigen))
-    temps = [dict(gen.reservoirs.temperatures, H=t) for t in t_h]
-    for t, reports in zip(t_h, build_reports(gen, stack, rows, temps), strict=True):
-        hot = ReservoirSet.from_temperatures(params, t_h=t, t_r=4.0, t_c=1.0)
-        one = build_generator(params, REVIVAL_FILTER, hot,
-                              BackgroundSpec.thermal(1.2, params.gamma))
-        assert reports == [build_report(one, s) for s in steady_states_numeric(one)]
+    short = np.linspace(1.0, 12.0, 7).tolist()
+    grid = np.linspace(1.0, 12.0, 3 * GRID_CHUNK + 1).tolist()
+    for t_h, chunk, bad in ((short, len(short), None), (grid, GRID_CHUNK, GRID_CHUNK)):
+        stack = stacked_dissipators(gen, t_h)
+        rows = steady_state_rows(build_population_matrix(stack), gen.eigen)
+        if bad is not None:
+            rows[bad] = imaginary_row(rng, rows[bad])
+        temps = [dict(gen.reservoirs.temperatures, H=t) for t in t_h]
+        out = [r for start in range(0, len(t_h), chunk)
+               for r in build_reports(gen, take_rows(stack, slice(start, start + chunk)),
+                                      rows[start:start + chunk], temps[start:start + chunk])]
+        for k, (t, reports) in enumerate(zip(t_h, out, strict=True)):
+            hot = ReservoirSet.from_temperatures(params, t_h=t, t_r=4.0, t_c=1.0)
+            one = build_generator(params, REVIVAL_FILTER, hot,
+                                  BackgroundSpec.thermal(1.2, params.gamma))
+            if k != bad:
+                assert reports == [build_report(one, s) for s in steady_states_numeric(one)]
+                continue
+            with pytest.raises(NumericalFault) as alone:
+                build_report(one, rows[k].states[0])
+            assert isinstance(reports, NumericalFault) and str(reports) == str(alone.value)
 
 
 def test_build_reports_keep_a_faulting_state_to_its_row(params, rng):
-    # an imaginary current fails the chunk, which is redone state by state
+    # an imaginary current fails its row alone, with the fault that
+    # heat_currents raises on that state alone
     gen = stack_generators(params)[1]
     t_h = [2.0, 4.0, 8.0]
     stack = stacked_dissipators(gen, t_h)
-    rows = list(steady_state_stack(build_population_matrix(stack), gen.eigen))
-    bad = replace(rows[1].states[0], state=DensityMatrix(random_states(rng, 1)[0] * 1j))
-    rows[1] = SteadyStateSet((bad,), unique=True)
+    rows = steady_state_rows(build_population_matrix(stack), gen.eigen)
+    rows[1] = imaginary_row(rng, rows[1])
     temps = [dict(gen.reservoirs.temperatures, H=t) for t in t_h]
-    out = list(build_reports(gen, stack, rows, temps))
+    out = build_reports(gen, stack, rows, temps)
     assert isinstance(out[1], NumericalFault) and "imaginary part" in str(out[1])
     assert all(isinstance(r, list) and len(r) == 1 for k, r in enumerate(out) if k != 1)
+    with pytest.raises(NumericalFault) as alone:
+        heat_currents(gen.hamiltonian, take_rows(stack, [1]), rows[1].states[0].state.matrix[None])
+    assert str(out[1]) == str(alone.value)
