@@ -44,19 +44,22 @@ import math
 import sys
 import warnings
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import Field, dataclass, field, fields, replace
+from dataclasses import Field, dataclass, field, fields
 from functools import cache
 from typing import TypeVar
 
 import numpy as np
 
 from .dynamics import (
+    Dissipator,
+    Generator,
     SolverFailure,
     SteadyStateSet,
-    build_generator,
+    assemble_generator,
     build_population_matrix,
+    check_channels,
+    grid_dissipators,
     participating_channels,
-    stacked_dissipators,
     steady_state_rows,
     take_rows,
 )
@@ -418,33 +421,64 @@ def _collecting_warnings(run: Callable[[], _T]) -> tuple[_T, tuple[str, ...]]:
 GRID_CHUNK = 8
 
 
-def _solve_grid(
-    config: ScenarioConfig, t_h: list[float] | None = None
-) -> Iterator[tuple[SteadyStateSet, list[HeatCurrentReport]] | Exception]:
-    """Every steady state of each row and one report per state, or the row
-    failure of that row, in row order.  The rows are the scenario with the
-    hot bath at each of ``t_h`` or, without ``t_h``, the scenario alone.
+_Outcome = tuple[SteadyStateSet, list[HeatCurrentReport]] | Exception
 
-    The generator (channels, checks, the rates of every bath but a swept
-    one) and W are built once for the grid; each chunk of ``GRID_CHUNK``
-    rows is then one :func:`steady_state_rows` and one :func:`build_reports`
-    call.  Each row equals ``steady_states_numeric`` and ``build_report`` on
-    its scenario alone, bit for bit.
+
+def _solve_grid(
+    config: ScenarioConfig,
+    filters: list[FilterConfig] | None = None,
+    t_h: list[float] | None = None,
+) -> Iterator[_Outcome]:
+    """Every steady state of each row and one report per state, or the row
+    failure of that row, in row order.  Row k is the scenario with the
+    filter ``filters[k]`` and the hot bath at ``t_h[k]``; without
+    ``filters`` every row keeps the config's filter, without ``t_h`` every
+    row has the config's hot bath, and without either the grid is the
+    scenario alone.
+
+    Each distinct filter is checked once (:func:`check_channels`), in row
+    order, before any row is solved; a row whose filter fails a check fails
+    with it.  One generator over the union of the filters that pass, and W
+    of all their rows, are then built once (:func:`grid_dissipators`: a
+    channel that a row filters out couples there at gamma = 0), and each
+    chunk of ``GRID_CHUNK`` rows is one :func:`steady_state_rows` and one
+    :func:`build_reports` call.  Each row equals ``steady_states_numeric``
+    and ``build_report`` on its scenario alone, bit for bit.
     """
-    n = 1 if t_h is None else len(t_h)
-    try:
-        gen = build_generator(config.params, config.filter, config.reservoirs,
-                              config.background)
-    except ROW_FAILURES as exc:
-        yield from [exc] * n
-        return
+    if filters is None:
+        filters = [config.filter] * (1 if t_h is None else len(t_h))
     if t_h is None:
-        dissipators, temperatures = gen.dissipators, [config.reservoirs.temperatures]
-    else:
-        dissipators = stacked_dissipators(gen, t_h)
-        temperatures = [config.reservoirs.temperatures | {"H": t} for t in t_h]
-    # W is a stack even for rates that are all scalars (one row, or no
-    # dissipator on the hot bath)
+        t_h = [config.reservoirs.hot.temperature] * len(filters)
+    masks = dict.fromkeys(filters)
+    failures: dict[FilterConfig, Exception] = {}
+    for filt in masks:
+        try:
+            check_channels(config.params, filt, config.reservoirs, config.background)
+        except ROW_FAILURES as exc:
+            failures[filt] = exc
+    live = [k for k, filt in enumerate(filters) if filt not in failures]
+    solved = iter(())
+    if live:
+        passed = [f for f in masks if f not in failures]
+        union = FilterConfig(*(frozenset().union(*(f.kept_for(q) for f in passed))
+                               for q in QUBITS))
+        gen = assemble_generator(config.params, union, config.reservoirs, config.background)
+        dissipators = grid_dissipators(gen, [filters[k] for k in live], [t_h[k] for k in live])
+        solved = _solve_rows(gen, dissipators, [config.reservoirs.temperatures | {"H": t_h[k]}
+                                                for k in live])
+    for filt in filters:
+        yield failures[filt] if filt in failures else next(solved)
+
+
+def _solve_rows(
+    gen: Generator, dissipators: tuple[Dissipator, ...], temperatures: list[dict]
+) -> Iterator[_Outcome]:
+    """The outcome of each row of ``dissipators``, whose row k has its baths
+    at ``temperatures[k]``: W of all rows at once, then ``GRID_CHUNK`` rows
+    per solve."""
+    n = len(temperatures)
+    # W is a stack even for rates that are all scalars (one row, or one
+    # filter and no swept bath)
     w = np.broadcast_to(build_population_matrix(dissipators), (n, DIM, DIM))
     for start in range(0, n, GRID_CHUNK):
         chunk = slice(start, start + GRID_CHUNK)
@@ -540,7 +574,7 @@ def sweep_th(config: ScenarioConfig) -> SweepResult:
         raise ConfigError("sweep requested but the config has no [sweep] section")
     t_h = config.sweep.values.tolist()
     rows, warns = _collecting_warnings(lambda: tuple(
-        _sweep_row(t, outcome) for t, outcome in zip(t_h, _solve_grid(config, t_h))))
+        _sweep_row(t, outcome) for t, outcome in zip(t_h, _solve_grid(config, t_h=t_h))))
     return SweepResult(config=config, rows=rows, warnings=warns)
 
 
@@ -670,10 +704,8 @@ def _filter_patterns(mode: str) -> list[FilterConfig]:
     ]
 
 
-def _scan_one(config: ScenarioConfig, filt: FilterConfig) -> ScanRow:
-    cooling_tol = 1e-12 * config.params.omega_c
+def _scan_row(filt: FilterConfig, outcome: _Outcome, cooling_tol: float) -> ScanRow:
     matched = cycle_match_check(filt).matched
-    (outcome,) = _solve_grid(replace(config, filter=filt))
     if isinstance(outcome, Exception):
         return _failed_row(ScanRow, outcome, filter=filt, cooling=False,
                            cycle_matched=matched, n_states=0)
@@ -694,10 +726,15 @@ def _scan_one(config: ScenarioConfig, filt: FilterConfig) -> ScanRow:
 def scan_filters(config: ScenarioConfig, mode: str = "single_channel") -> ScanResult:
     """Evaluate every filter mask (27 single-channel or 216 one-or-two
     channel configurations) at fixed temperatures; rows sorted by cold
-    current.  ``warnings`` holds each distinct warning raised by any mask
-    once, in first-seen (mask) order."""
+    current.  The masks are the rows of one grid (see :func:`_solve_grid`);
+    each row equals a solve of its mask alone, bit for bit.  ``warnings``
+    holds each distinct warning raised by any mask once, in first-seen
+    order: the checks' warnings in mask order, then the solve's."""
     patterns = _filter_patterns(mode)
-    rows, warns = _collecting_warnings(lambda: [_scan_one(config, f) for f in patterns])
+    cooling_tol = 1e-12 * config.params.omega_c
+    rows, warns = _collecting_warnings(lambda: [
+        _scan_row(f, outcome, cooling_tol)
+        for f, outcome in zip(patterns, _solve_grid(config, filters=patterns))])
     rows.sort(key=lambda r: (-(r.qdot_C if not math.isnan(r.qdot_C) else -math.inf),
                              str(r.filter)))
     return ScanResult(config=config, rows=tuple(rows), warnings=warns)
@@ -791,6 +828,15 @@ def _print_warnings(warns: Iterable[str]) -> None:
         print(f"warning: {w}", file=sys.stderr)
 
 
+def _print_failures(rows, noun: str, where: Callable) -> None:
+    """One stderr line when any of ``rows`` failed:
+    ``N of M <noun> failed; first at <where(row)>: <reason>``."""
+    failed = [row for row in rows if row.error]
+    if failed:
+        print(f"{len(failed)} of {len(rows)} {noun} failed; first at "
+              f"{where(failed[0])}: {failed[0].error}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="qfridge",
@@ -827,15 +873,12 @@ def main(argv: list[str] | None = None) -> int:
             result = sweep_th(config)
             emit_csv(result, args.out)
             _print_warnings(result.warnings)
-            failed = [row for row in result.rows if row.failed]
-            if failed:
-                print(f"{len(failed)} of {len(result.rows)} rows failed; first at "
-                      f"t_h={_fmt(failed[0].sweep_value)}: {failed[0].error}",
-                      file=sys.stderr)
+            _print_failures(result.rows, "rows", lambda row: f"t_h={_fmt(row.sweep_value)}")
         elif args.command == "scan":
             result = scan_filters(config, mode=args.mode)
             _write_output(format_scan_table(config, result.rows), args.out)
             _print_warnings(result.warnings)
+            _print_failures(result.rows, "masks", lambda row: row.filter)
         elif args.command == "validate":
             report, ok = validate_config(config)
             _write_output(report, args.out)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -63,9 +63,11 @@ __all__ = [
     "PropagationResult",
     "apply_dissipator",
     "apply_dissipators",
+    "assemble_generator",
     "build_generator",
+    "check_channels",
     "participating_channels",
-    "stacked_dissipators",
+    "grid_dissipators",
     "take_rows",
     "build_population_matrix",
     "invariant_components",
@@ -115,7 +117,7 @@ def apply_dissipators(dissipators: Sequence[Dissipator], rho: np.ndarray) -> np.
     + j+ (2 A^dag rho A - A A^dag rho - rho A A^dag),
 
     the j+ term added only where j+ != 0.  Stacked rates (``(N,)`` arrays,
-    see :func:`stacked_dissipators`) broadcast against the last batch axis
+    see :func:`grid_dissipators`) broadcast against the last batch axis
     of ``rho``: state ``rho[..., k, :, :]`` sees row k of the rates.  Slice k
     equals the one-channel formula evaluated for ``dissipators[k]`` alone,
     at one row of its rates, bit for bit.
@@ -225,41 +227,55 @@ def participating_channels(
     return keys, gamma_max
 
 
+def check_channels(
+    params: SystemParams,
+    filt: FilterConfig,
+    reservoirs: ReservoirSet,
+    background: BackgroundSpec,
+) -> None:
+    """The checks of a scenario's participating channels.  Parameter sets
+    where two of their frequencies coincide are rejected
+    (:class:`~qfridge.spectrum.DegenerateChannelsError`), since the secular
+    dissipator form presumes distinct frequencies.  A warning (never an
+    error) is emitted when decay rates strain the Markov validity margin."""
+    participating, gamma_max = participating_channels(filt, reservoirs, background)
+    if participating:
+        check_nondegenerate(params, participating)
+        warn_if_markov_strained(params, participating, gamma_max)
+
+
 def build_generator(
     params: SystemParams,
     filt: FilterConfig,
     reservoirs: ReservoirSet,
     background: BackgroundSpec | None = None,
 ) -> Generator:
-    """Assemble the dissipators of a scenario.
-
-    Engineered dissipators cover exactly the kept channels; an active
-    background couples through all nine channels.  Parameter sets where two
-    participating channel frequencies coincide are rejected, since the
-    secular dissipator form presumes distinct frequencies.  A warning (never
-    an error) is emitted when decay rates strain the Markov validity margin.
-    """
+    """The checked dissipators of a scenario: :func:`check_channels`, then
+    :func:`assemble_generator`."""
     background = background or BackgroundSpec.none()
+    check_channels(params, filt, reservoirs, background)
+    return assemble_generator(params, filt, reservoirs, background)
+
+
+def assemble_generator(
+    params: SystemParams,
+    filt: FilterConfig,
+    reservoirs: ReservoirSet,
+    background: BackgroundSpec,
+) -> Generator:
+    """The dissipators of a scenario, without :func:`check_channels`.
+    Engineered dissipators cover exactly the kept channels; an active
+    background couples through all nine channels."""
     channels = transition_channels(params)
-    kept = select_channels(channels, filt)
-
-    participating, gamma_max = participating_channels(filt, reservoirs, background)
-    if participating:
-        check_nondegenerate(params, participating)
-
     dissipators = [
         Dissipator(ch, channel_rates(ch, reservoirs[ch.qubit]), "engineered")
-        for ch in kept
+        for ch in select_channels(channels, filt)
     ]
     if background.active:
         dissipators += [
             Dissipator(ch, background_rates(ch, background), "background")
             for ch in channels
         ]
-
-    if participating:
-        warn_if_markov_strained(params, participating, gamma_max)
-
     return Generator(
         params=params,
         reservoirs=reservoirs,
@@ -270,26 +286,46 @@ def build_generator(
     )
 
 
-def stacked_dissipators(gen: Generator, temperatures: np.ndarray) -> tuple[Dissipator, ...]:
-    """The dissipators of ``gen`` with the hot bath at each of
-    ``temperatures``: its engineered channels carry ``(N,)`` rate arrays
-    (:func:`channel_rate_stack`), every other dissipator is ``gen``'s own.
-    Row k is the scenario with the hot bath at ``temperatures[k]``."""
-    gamma = gen.reservoirs.hot.gamma
-    return tuple(
-        replace(d, rates=channel_rate_stack(d.channel, gamma, temperatures))
-        if d.source == "engineered" and d.channel.qubit == "H" else d
-        for d in gen.dissipators
-    )
+def grid_dissipators(
+    gen: Generator, filters: Sequence[FilterConfig], t_h: Sequence[float]
+) -> tuple[Dissipator, ...]:
+    """The dissipators of ``gen`` on a grid of rows: row k keeps those of
+    ``gen``'s channels that ``filters[k]`` keeps and has the hot bath at
+    ``t_h[k]``.
+
+    A channel that a row filters out couples on that row at gamma = 0, so
+    its rates there are 0, 0, 0 and every term it adds to W or to a current
+    is exactly 0.0.  An engineered channel whose rates differ between rows
+    carries ``(N,)`` rate arrays (:func:`channel_rate_stack`, one
+    occupation per distinct temperature); every other dissipator is
+    ``gen``'s own.  Row k of W equals W of the scenario with ``filters[k]``
+    and ``t_h[k]`` alone, bit for bit, and so do the currents of the
+    channels it keeps.
+    """
+    out = []
+    for d in gen.dissipators:
+        if d.source != "engineered":
+            out.append(d)
+            continue
+        q, index = d.channel.key
+        temperature = gen.reservoirs[q].temperature
+        kept = np.array([f.keeps(q, index) for f in filters])
+        temps = t_h if q == "H" else [temperature] * len(filters)
+        if kept.all() and all(t == temperature for t in temps):
+            out.append(d)
+        else:
+            gamma = np.where(kept, d.rates.gamma, 0.0)
+            out.append(replace(d, rates=channel_rate_stack(d.channel, gamma, temps)))
+    return tuple(out)
 
 
 def take_rows(dissipators: Sequence[Dissipator], rows) -> tuple[Dissipator, ...]:
     """The dissipators at ``rows`` of their stacked rates; a dissipator with
     scalar rates is kept as it is."""
     return tuple(
-        d if not isinstance(d.rates.j_plus, np.ndarray) else replace(
-            d, rates=replace(d.rates, j_plus=d.rates.j_plus[rows],
-                             j_minus=d.rates.j_minus[rows]))
+        d if not isinstance((r := d.rates).j_plus, np.ndarray) else Dissipator(
+            d.channel, ChannelRates(r.qubit, r.index, r.j_plus[rows], r.j_minus[rows],
+                                    r.gamma[rows]), d.source)
         for d in dissipators
     )
 
@@ -339,31 +375,37 @@ class ComponentDecomposition:
 def invariant_components(w: np.ndarray) -> ComponentDecomposition:
     """Decompose levels by the directed graph with an edge i -> j wherever
     the rate W[j, i] is positive."""
-    n = w.shape[0]
-    # step[i, j]: edge i -> j exists (rate into j from i)
-    step = (np.asarray(w).T > 0.0)
-    np.fill_diagonal(step, True)
-    # boolean transitive closure by repeated squaring (n is tiny)
-    reach = step.copy()
-    for _ in range(4):
+    (closed,) = _closed_classes(np.asarray(w)[np.newaxis])
+    transient = tuple(sorted(set(range(DIM)).difference(*closed)))
+    return ComponentDecomposition(closed, transient)
+
+
+@lru_cache(maxsize=1 << DIM)
+def _level_set(code: int) -> frozenset[int]:
+    """The set of levels whose bits are set in ``code``."""
+    return frozenset(i for i in range(DIM) if code >> i & 1)
+
+
+_LEVEL_BITS = 1 << np.arange(DIM)
+_SELF = np.eye(DIM, dtype=bool)
+_BELOW = np.tri(DIM, k=-1, dtype=bool)  # _BELOW[i, j]: j < i
+
+
+def _closed_classes(w: np.ndarray) -> list[tuple[frozenset[int], ...]]:
+    """The closed classes of :func:`invariant_components` of each rate
+    matrix of a stack ``(N, 8, 8)``, sorted by smallest member, from one
+    boolean transitive closure of the whole stack."""
+    # reach[k, i, j]: a path i -> j of rates into j from i in row k
+    reach = (np.swapaxes(w, -1, -2) > 0.0) | _SELF
+    for _ in range(3):  # paths of up to 2**3 = 8 steps reach every level
         reach = reach | (reach @ reach)
-    # mutual reachability defines the communicating classes
-    seen: set[int] = set()
-    classes: list[frozenset[int]] = []
-    for i in range(n):
-        if i in seen:
-            continue
-        cls = frozenset(j for j in range(n) if reach[i, j] and reach[j, i])
-        classes.append(cls)
-        seen |= cls
-    closed = []
-    for cls in classes:
-        outside = [j for j in range(n) if j not in cls]
-        if not outside or not step[np.ix_(sorted(cls), outside)].any():
-            closed.append(cls)
-    closed.sort(key=min)
-    transient = tuple(sorted(set(range(n)).difference(*closed)))
-    return ComponentDecomposition(tuple(closed), transient)
+    back = np.swapaxes(reach, -1, -2)
+    mutual = reach & back
+    # levels that reach each other form a class; it is closed when every
+    # level it reaches reaches it back, and it is named by its first level
+    heads = ~((reach > back) | (mutual & _BELOW)).any(axis=-1)
+    codes = np.where(heads, mutual @ _LEVEL_BITS, 0)
+    return [tuple([_level_set(c) for c in row if c]) for row in codes.tolist()]
 
 
 @dataclass(frozen=True)
@@ -447,31 +489,30 @@ def steady_state_rows(
     ``(N, 8, 8)``: per row its :class:`SteadyStateSet`, or the
     :class:`SolverFailure` or ``LinAlgError`` that fails the row.
 
-    Rows with one zero pattern share one :func:`invariant_components`, each
-    closed class of a pattern is one stacked SVD, and the norms ``||W||`` of
-    all rows are one more (:func:`~qfridge.matrixcore.svd_rows`).  The
-    null-space rules, the residual gate and any ``RankAmbiguityWarning``
-    then follow row by row and class by class, so row k equals
-    ``steady_states_numeric`` on ``w[k]`` alone, bit for bit and warning for
-    warning.  The SVDs of all N rows are held at once: callers bound N.
+    The classes of all rows are one boolean closure, the blocks of W on all
+    closed classes of one size, across rows, are one stacked SVD, and the
+    norms ``||W||`` of all rows are one more
+    (:func:`~qfridge.matrixcore.svd_rows`).  The null-space rules, the
+    residual gate and any ``RankAmbiguityWarning`` then follow row by row
+    and class by class, so row k equals ``steady_states_numeric`` on
+    ``w[k]`` alone, bit for bit and warning for warning.  The SVDs of all N
+    rows are held at once: callers bound N.
     """
     n = len(w)
-    patterns: dict[bytes, list[int]] = {}
+    closed = _closed_classes(w)
+    by_size: dict[int, list[tuple[int, frozenset[int]]]] = {}  # size -> (row, class)
     for k in range(n):
-        patterns.setdefault((w[k] > 0.0).tobytes(), []).append(k)
-    closed: list[tuple[frozenset[int], ...]] = [()] * n
-    svds: dict[tuple[int, frozenset[int]], tuple] = {}  # (row, class) -> SVD of its block
-    for rows in patterns.values():
-        classes = invariant_components(w[rows[0]]).closed
-        for k in rows:
-            closed[k] = classes
-        for cls in classes:
+        for cls in closed[k]:
             if len(cls) > 1:
-                idx = np.array(sorted(cls))
-                blocks = w[np.array(rows)[:, None, None], idx[:, None], idx]
-                # a non-finite block is a fault of the program, not of a row
-                blocks = require_finite(blocks, "null_space input")
-                svds.update(zip([(k, cls) for k in rows], svd_rows(blocks)))
+                by_size.setdefault(len(cls), []).append((k, cls))
+    svds: dict[tuple[int, frozenset[int]], tuple] = {}  # (row, class) -> SVD of its block
+    for at in by_size.values():
+        rows = np.array([k for k, _ in at])
+        idx = np.array([sorted(cls) for _, cls in at])
+        blocks = w[rows[:, None, None], idx[:, :, None], idx[:, None, :]]
+        # a non-finite block is a fault of the program, not of a row
+        blocks = require_finite(blocks, "null_space input")
+        svds.update(zip(at, svd_rows(blocks)))
     norms = svd_rows(w, compute_uv=False)
 
     out: list = []

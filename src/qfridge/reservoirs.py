@@ -157,7 +157,9 @@ class FilterConfig:
     """Which channel indices each engineered reservoir keeps.
 
     Filtering is a hard mask: a dropped channel contributes no dissipator at
-    all.  An empty set disconnects that qubit from its engineered reservoir.
+    all, which is the same as coupling it at gamma = 0 (rates 0, 0, 0; a
+    solved grid row drops a channel that way).  An empty set disconnects
+    that qubit from its engineered reservoir.
     """
 
     kept_h: frozenset[int] = frozenset((1, 2, 3))
@@ -268,14 +270,16 @@ class ChannelRates:
     the decomposition into occupation and bare decay rate is exact; for
     T > 0 detailed balance ``j_minus / j_plus = exp(omega / T)`` holds to
     rounding.  Against a stack of baths (:func:`channel_rate_stack`)
-    ``j_plus`` and ``j_minus`` are ``(N,)`` arrays, one element per bath.
+    ``j_plus``, ``j_minus`` and ``gamma`` are ``(N,)`` arrays, one element
+    per bath.  A bath of ``gamma`` 0, where ``j_plus`` and ``j_minus`` are
+    0 too, is a row on which the channel is filtered out.
     """
 
     qubit: str
     index: int
     j_plus: float | np.ndarray
     j_minus: float | np.ndarray
-    gamma: float
+    gamma: float | np.ndarray
 
     def __post_init__(self):
         exact = self.j_minus == self.j_plus + self.gamma
@@ -299,13 +303,17 @@ def channel_rates(channel: TransitionChannel, reservoir: ReservoirSpec) -> Chann
 
 
 def channel_rate_stack(
-    channel: TransitionChannel, gamma: float, temperatures: np.ndarray
+    channel: TransitionChannel, gamma: float | np.ndarray, temperatures
 ) -> ChannelRates:
-    """Rates of one channel against baths of decay rate ``gamma`` at each of
-    ``temperatures``: element k of ``j_plus`` and ``j_minus`` equals
-    :func:`channel_rates` against a bath at ``temperatures[k]``, bit for bit."""
-    j_plus = np.array([gamma * mean_photon_number(channel.frequency, t)
-                       for t in np.asarray(temperatures, dtype=float).tolist()])
+    """Rates of one channel against baths at each of ``temperatures``, of
+    decay rate ``gamma`` (one, or one per bath): element k of ``j_plus``,
+    ``j_minus`` and ``gamma`` equals :func:`channel_rates` against a bath at
+    ``temperatures[k]`` of rate ``gamma[k]``, bit for bit.  The occupation
+    is evaluated once per distinct temperature."""
+    values, at = np.unique(np.asarray(temperatures, dtype=float), return_inverse=True)
+    occupation = np.array([mean_photon_number(channel.frequency, t) for t in values.tolist()])
+    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), at.shape)
+    j_plus = gamma * occupation[at]
     return ChannelRates(channel.qubit, channel.index, j_plus, j_plus + gamma, gamma)
 
 

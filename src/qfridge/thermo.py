@@ -413,7 +413,7 @@ def build_report(gen: Generator, steady: SteadyState) -> HeatCurrentReport:
     """Evaluate all currents of a steady state and derive the thermodynamic
     summary (efficiency, entropy production, stage, first-law residual)."""
     values = heat_currents(gen.hamiltonian, gen.dissipators, steady.state)
-    return _report(gen, values, gen.reservoirs)
+    return _report(gen, values, gen.reservoirs, _kept(gen.dissipators, 1)[:, 0])
 
 
 def build_reports(
@@ -429,8 +429,10 @@ def build_reports(
     steady states (or the exception that failed it) and ``temperatures`` its
     bath temperatures keyed H, R, C.  Gives per row its reports in state
     order or, as ``build_report`` state by state would raise it, the row's
-    first exception.  The currents of all states are one trace-form call,
-    so callers bound the number of rows.
+    first exception.  A report lists the channels its row keeps, those at
+    gamma != 0 (see :func:`~qfridge.dynamics.grid_dissipators`).  The
+    currents of all states are one trace-form call, so callers bound the
+    number of rows.
     """
     states = [(k, s.state.matrix) for k, row in enumerate(rows)
               if not isinstance(row, Exception) for s in row]
@@ -438,14 +440,16 @@ def build_reports(
         at, rho = zip(*states)
         values = _trace_currents(gen.hamiltonian, take_rows(dissipators, list(at)),
                                  np.array(rho))
+    kept = _kept(dissipators, len(rows))
     out: list = []
     state = 0  # the first state of a row in ``values``
-    for row, temps in zip(rows, temperatures):
+    for k, (row, temps) in enumerate(zip(rows, temperatures)):
         if isinstance(row, Exception):
             out.append(row)
             continue
         try:
-            out.append([_report(gen, _real_currents(values[:, j], dissipators), temps)
+            out.append([_report(gen, _real_currents(values[:, j], dissipators), temps,
+                                kept[:, k])
                         for j in range(state, state + len(row))])
         except NumericalFault as exc:
             out.append(exc)
@@ -453,13 +457,25 @@ def build_reports(
     return out
 
 
-def _report(gen: Generator, values: np.ndarray, temps) -> HeatCurrentReport:
+def _kept(dissipators: Sequence[Dissipator], n: int) -> np.ndarray:
+    """``(dissipators, n)`` booleans: whether each of ``n`` rows keeps each
+    dissipator, that is, couples it at gamma != 0."""
+    kept = np.empty((len(dissipators), n), dtype=bool)
+    for k, d in enumerate(dissipators):
+        kept[k] = d.rates.gamma != 0.0
+    return kept
+
+
+def _report(gen: Generator, values: np.ndarray, temps, kept) -> HeatCurrentReport:
     """The thermodynamic summary of one state's per-dissipator currents
-    ``values``, against baths at ``temps``."""
+    ``values``, against baths at ``temps``, over the dissipators that
+    ``kept`` marks."""
     per_channel = []
     engineered = {q: 0.0 for q in QUBITS}
     background = {q: 0.0 for q in QUBITS}
-    for d, value in zip(gen.dissipators, values.tolist()):
+    for d, value, keep in zip(gen.dissipators, values.tolist(), kept.tolist()):
+        if not keep:
+            continue
         per_channel.append(
             ChannelCurrent(d.source, d.channel.qubit, d.channel.index, value)
         )

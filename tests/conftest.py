@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qfridge import ReservoirSet, SystemParams
+from qfridge import FilterConfig, ReservoirSet, SystemParams
+from qfridge.dynamics import grid_dissipators
 
 # Fig.-2-style scenario: cold frequency 2*pi*210 GHz anchors the scale.
 UNIT_SCALE = 2.0 * np.pi * 210e9
@@ -50,3 +51,9 @@ def draw_reservoirs(rng, params, ordered=True) -> ReservoirSet:
         if t_r <= t_c:  # keep the cooling threshold well defined
             t_r, t_c = t_c, t_r
     return ReservoirSet.from_temperatures(params, t_h=t_h, t_r=t_r, t_c=t_c)
+
+
+def hot_stack(gen, t_h):
+    """The dissipators of ``gen`` with the hot bath at each of ``t_h`` and
+    every channel kept on every row."""
+    return grid_dissipators(gen, [FilterConfig.all_channels()] * len(t_h), list(t_h))

@@ -23,7 +23,8 @@ from qfridge.cli import (
     sweep_th,
     validate_config,
 )
-from qfridge.dynamics import build_population_matrix, stacked_dissipators
+from conftest import hot_stack
+from qfridge.dynamics import build_population_matrix
 from qfridge.reservoirs import COOLING_FILTERS
 
 FIG_CONFIG = """
@@ -417,12 +418,16 @@ def test_sweep_collects_each_rows_warnings_once(monkeypatch, capsys, tmp_path):
 
     from qfridge import cli
 
-    builds = []
-    build, reports = cli.build_generator, cli.build_reports
+    checks, builds = [], []
+    check, assemble, reports = cli.check_channels, cli.assemble_generator, cli.build_reports
+
+    def counted_check(*args):
+        checks.append(args)
+        return check(*args)
 
     def counted_build(*args):
         builds.append(args)
-        return build(*args)
+        return assemble(*args)
 
     def warn_by_row(gen, dissipators, rows, temperatures):
         temperatures = list(temperatures)
@@ -431,11 +436,13 @@ def test_sweep_collects_each_rows_warnings_once(monkeypatch, capsys, tmp_path):
             warnings.warn(f"T_H {side} 10", RuntimeWarning)
         return reports(gen, dissipators, rows, temperatures)
 
-    monkeypatch.setattr(cli, "build_generator", counted_build)
+    monkeypatch.setattr(cli, "check_channels", counted_check)
+    monkeypatch.setattr(cli, "assemble_generator", counted_build)
     monkeypatch.setattr(cli, "build_reports", warn_by_row)
     result = sweep_th(parse_config(FIG_CONFIG))
-    assert len(builds) == 1 and len(result.rows) == 8  # one generator per sweep
-    # the Markov warning comes from the build, the others from the rows;
+    # one check and one generator per sweep
+    assert len(checks) == len(builds) == 1 and len(result.rows) == 8
+    # the Markov warning comes from the check, the others from the rows;
     # "above" is raised only by later rows
     assert len(result.warnings) == 3
     assert "Markov" in result.warnings[0]
@@ -520,15 +527,14 @@ def _warn_for_filter(monkeypatch, filt, message):
 
     from qfridge import cli
 
-    build = cli.build_generator
+    check = cli.check_channels
 
     def warn_once(params, kept, *rest):
-        gen = build(params, kept, *rest)
+        check(params, kept, *rest)
         if kept == filt:
             warnings.warn(message, RuntimeWarning)
-        return gen
 
-    monkeypatch.setattr(cli, "build_generator", warn_once)
+    monkeypatch.setattr(cli, "check_channels", warn_once)
 
 
 def test_scan_prints_each_warning_once(monkeypatch, capsys, tmp_path):
@@ -786,18 +792,30 @@ def assert_sweep_matches_one_point_solves(config: ScenarioConfig) -> SweepResult
 
 
 def assert_one_row_grid_matches_solve_alone(config: ScenarioConfig) -> None:
-    """The one-row grid that ``steady`` and each ``scan`` mask solve equals
-    :func:`solve_alone`, state by state and bit for bit, or fails as it does."""
+    """The one-row grid that ``steady`` solves equals :func:`solve_alone`,
+    state by state and bit for bit, or fails as it does."""
     from qfridge import cli
 
     (got,) = cli._solve_grid(config)
+    assert_outcome_matches_solve_alone(got, config)
+
+
+def assert_outcome_matches_solve_alone(got, config: ScenarioConfig) -> None:
+    """One grid row's outcome ``got`` equals :func:`solve_alone` on
+    ``config``: its states, populations and reports, each channel's current
+    included, bit for bit (``repr`` tells -0.0 from 0.0), or the same
+    exception type and message."""
+    from qfridge import cli
+
     try:
         want_states, want_reports = solve_alone(config)
     except cli.ROW_FAILURES as exc:
         assert type(got) is type(exc) and str(got) == str(exc)
         return
     states, reports = got
-    assert reports == want_reports
+    assert reports == want_reports and repr(reports) == repr(want_reports)
+    assert [[(c.label, repr(c.value)) for c in r.per_channel] for r in reports] == \
+        [[(c.label, repr(c.value)) for c in r.per_channel] for r in want_reports]
     assert states.unique == want_states.unique
     for a, b in zip(states, want_states, strict=True):
         assert a.support == b.support
@@ -840,31 +858,60 @@ def test_stacked_sweep_equals_one_point_solves_on_degenerate_channels():
                           "H2~C2, H3~R1" for r in result.rows)
 
 
-def test_stacked_svd_failure_fails_only_its_rows(monkeypatch):
-    config = parse_config(FIG_CONFIG)
-    plain = sweep_th(config)
-    marked = 3
-    w = build_population_matrix(
-        stacked_dissipators(_generator(config), config.sweep.values)).astype(complex)
+def failing_null_space_svd(block: np.ndarray, stacks: list[bool]):
+    """``np.linalg.svd``, except that the null-space SVD of the class block
+    ``block`` does not converge, alone or in a stack; ``stacks`` records
+    for each failure whether it was a stack of more than one matrix."""
     svd = np.linalg.svd
-    stacks = []
+    block = block.astype(complex)
 
-    def failing_svd(a, *args, **kwargs):
-        # the null-space SVD of the marked row does not converge, alone or
-        # in a stack
-        if np.iscomplexobj(a) and any(np.array_equal(m, w[marked])
-                                      for m in np.reshape(a, (-1, 8, 8))):
+    def failing(a, *args, **kwargs):
+        if np.iscomplexobj(a) and np.shape(a)[-2:] == block.shape and any(
+                np.array_equal(m, block) for m in np.reshape(a, (-1, *block.shape))):
             stacks.append(np.ndim(a) == 3 and len(a) > 1)
             raise np.linalg.LinAlgError("SVD did not converge")
         return svd(a, *args, **kwargs)
+    return failing
 
-    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+
+def test_stacked_svd_failure_fails_only_its_rows(monkeypatch):
+    from dataclasses import replace
+
+    from qfridge import cli, invariant_components
+
+    # a sweep: the one class of row 3 is all eight levels
+    config = parse_config(FIG_CONFIG)
+    plain = sweep_th(config)
+    marked = 3
+    w = build_population_matrix(hot_stack(_generator(config), config.sweep.values))
+    stacks = []
+    monkeypatch.setattr(np.linalg, "svd", failing_null_space_svd(w[marked], stacks))
     result = assert_sweep_matches_one_point_solves(config)
     assert True in stacks  # the stack failed once and was redone row by row
     assert [r.failed for r in result.rows] == [k == marked for k in range(8)]
     assert result.rows[marked].error == "LinAlgError: SVD did not converge"
     others = [k for k in range(8) if k != marked]
     assert_rows_equal([result.rows[k] for k in others], [plain.rows[k] for k in others])
+    assert result.warnings == plain.warnings
+    monkeypatch.undo()
+
+    # a scan: mask 2 (H1+R1+C3) has closed classes of four levels, as masks
+    # 4, 6 and 7 of its chunk do, so the SVD of its first such block fails
+    # in a stack of blocks of several masks
+    config = load_config(str(CONFIGS / "filter_census.ini"))
+    plain = scan_filters(config, mode="all")
+    mask = cli._filter_patterns("all")[2]
+    w = build_population_matrix(_generator(replace(config, filter=mask)).dissipators)
+    cls = sorted(next(c for c in invariant_components(w).closed if len(c) == 4))
+    stacks = []
+    monkeypatch.setattr(np.linalg, "svd", failing_null_space_svd(w[np.ix_(cls, cls)], stacks))
+    result = assert_scan_matches_masks_solved_alone(config, "all")
+    assert True in stacks
+    failed = [r for r in result.rows if r.error]
+    assert [r.filter for r in failed] == [mask]
+    assert failed[0].error == "LinAlgError: SVD did not converge"
+    assert [cli._cells(r) for r in result.rows if r.filter != mask] == \
+        [cli._cells(r) for r in plain.rows if r.filter != mask]
     assert result.warnings == plain.warnings
 
 
@@ -898,3 +945,136 @@ def test_stacked_sweep_equals_one_point_solves_property(omega_h, g, log_gamma, m
         text = text.replace(f"t0 = {t_0!r}\n", "")
     config = parse_config(with_sweep(text, start, start * (1.0 + 10.0 ** log_span), 5))
     assert_sweep_matches_one_point_solves(config)
+
+
+# ---------------------------------------------------------------------------
+# The scan grid against masks solved alone
+# ---------------------------------------------------------------------------
+
+
+def masks_solved_alone(config: ScenarioConfig, mode: str):
+    """Each mask of a scan solved alone by :func:`solve_alone` into a row,
+    and the warnings a scan gives: each distinct warning of the masks'
+    checks, in mask order, then of their solves."""
+    from dataclasses import replace
+
+    from qfridge import cli
+    from qfridge.dynamics import check_channels
+
+    patterns = cli._filter_patterns(mode)
+    cooling_tol = 1e-12 * config.params.omega_c
+
+    def check(filt):
+        try:
+            check_channels(config.params, filt, config.reservoirs, config.background)
+        except cli.ROW_FAILURES:
+            pass
+
+    def solve(filt):
+        try:
+            outcome = solve_alone(replace(config, filter=filt))
+        except cli.ROW_FAILURES as exc:
+            outcome = exc
+        return cli._scan_row(filt, outcome, cooling_tol)
+
+    _, checks = cli._collecting_warnings(lambda: [check(f) for f in patterns])
+    rows, solves = cli._collecting_warnings(lambda: [solve(f) for f in patterns])
+    return rows, tuple(dict.fromkeys(checks + solves))
+
+
+def assert_scan_matches_masks_solved_alone(config: ScenarioConfig, mode: str):
+    """Every row of the scan grid equals its mask solved alone, bit for bit
+    (:func:`assert_outcome_matches_solve_alone`), and so do the scan's rows,
+    table and warnings."""
+    from dataclasses import replace
+
+    from qfridge import cli
+
+    patterns = cli._filter_patterns(mode)
+    for filt, got in zip(patterns, cli._solve_grid(config, filters=patterns), strict=True):
+        assert_outcome_matches_solve_alone(got, replace(config, filter=filt))
+    rows, warns = masks_solved_alone(config, mode)
+    result = scan_filters(config, mode=mode)
+    assert sorted(map(cli._cells, result.rows)) == sorted(map(cli._cells, rows))
+    assert result.warnings == warns
+    return result
+
+
+@pytest.mark.parametrize("mode", ["single_channel", "all"])
+@pytest.mark.parametrize("name", ["figure_sweep", "vacuum_transport", "filter_census",
+                                  "degenerate"])
+def test_scan_rows_equal_masks_solved_alone(name, mode):
+    from dataclasses import replace
+
+    if name == "degenerate":
+        config = parse_config(DEGENERATE_CONFIG)
+    else:
+        config = replace(load_config(str(CONFIGS / f"{name}.ini")), sweep=None)
+    result = assert_scan_matches_masks_solved_alone(config, mode)
+    failed = [r for r in result.rows if r.error]
+    assert bool(failed) == (name == "degenerate")
+    assert all(r.error.startswith("DegenerateChannelsError: ") for r in failed)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(omega_h=st.floats(1.2, 5.0), g=st.floats(0.02, 0.98),
+       log_gamma=st.floats(-3.0, 0.0),
+       background=st.sampled_from(("none", "vacuum", "thermal")),
+       log_temps=st.tuples(*[st.floats(-2.0, 1.5)] * 4))
+def test_scan_rows_equal_masks_solved_alone_property(omega_h, g, log_gamma, background,
+                                                     log_temps):
+    t_h, t_r, t_c, t_0 = (10.0 ** x for x in log_temps)
+    text = (f"[system]\nomega_c = 1.0\nomega_h = {omega_h!r}\ng = {g!r}\n"
+            f"gamma = {10.0 ** log_gamma!r}\n"
+            f"[reservoirs]\nt_h = {t_h!r}\nt_r = {t_r!r}\nt_c = {t_c!r}\n"
+            f"[background]\nmode = {background}\n")
+    if background != "none":
+        text += f"gamma = {10.0 ** log_gamma!r}\n"
+    if background == "thermal":
+        text += f"t0 = {t_0!r}\n"
+    assert_scan_matches_masks_solved_alone(parse_config(text), "single_channel")
+
+
+def test_scan_reports_failed_masks_on_stderr(tmp_path, capsys):
+    cfg = tmp_path / "scan.ini"
+    cfg.write_text(DEGENERATE_CONFIG)
+    table = tmp_path / "scan.csv"
+    # failed masks are data, not a failed run: the exit status stays 0
+    assert main(["scan", "--config", str(cfg), "--mode", "all", "--out", str(table)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    result = scan_filters(parse_config(DEGENERATE_CONFIG), mode="all")
+    failed = [r for r in result.rows if r.error]
+    assert len(failed) == 99
+    assert err[-1] == (f"99 of 216 masks failed; first at {failed[0].filter}: "
+                       f"{failed[0].error}")
+    assert err[:-1] == [f"warning: {w}" for w in result.warnings]
+    assert main(["scan", "--config", str(CONFIGS / "filter_census.ini"), "--mode", "all",
+                 "--out", str(table)]) == 0
+    assert not any("failed" in line for line in capsys.readouterr().err.splitlines())
+
+
+def test_scan_builds_one_w_stack(monkeypatch):
+    from qfridge import cli
+    from qfridge.cli import GRID_CHUNK
+
+    calls = {name: 0 for name in ("check_channels", "assemble_generator",
+                                  "build_population_matrix", "steady_state_rows")}
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    result = scan_filters(load_config(str(CONFIGS / "filter_census.ini")), mode="all")
+    assert len(result.rows) == 216 and not any(r.error for r in result.rows)
+    # one check per mask, one generator and one W stack per scan, and one
+    # solve per chunk of rows
+    assert calls == {"check_channels": 216, "assemble_generator": 1,
+                     "build_population_matrix": 1,
+                     "steady_state_rows": math.ceil(216 / GRID_CHUNK)}

@@ -29,12 +29,12 @@ from qfridge import (
 )
 from qfridge.reservoirs import REVIVAL_FILTER
 from qfridge import dynamics
+from conftest import hot_stack
 from qfridge.cli import GRID_CHUNK
 from qfridge.dynamics import (
     DEFAULT_EPS_SS,
     RK4_STABLE_RADIUS,
     VACUUM_TRANSPORT_FILTER,
-    stacked_dissipators,
     steady_state_rows,
     take_rows,
 )
@@ -812,7 +812,7 @@ def row_dissipators(gen, t_h):
 
 def test_population_matrix_stack_equals_rows(params):
     for gen in kernel_generators(params):
-        stack = stacked_dissipators(gen, STACK_T_H)
+        stack = hot_stack(gen, STACK_T_H)
         w = build_population_matrix(stack)
         assert w.shape == (len(STACK_T_H), 8, 8) and w.flags.c_contiguous
         for k, t_h in enumerate(STACK_T_H):
@@ -850,7 +850,7 @@ def assert_rows_equal_alone(gen, t_hs, rows):
 
 def test_steady_state_stack_equals_rows(params, monkeypatch):
     for gen in kernel_generators(params):
-        w = build_population_matrix(stacked_dissipators(gen, STACK_T_H))
+        w = build_population_matrix(hot_stack(gen, STACK_T_H))
         rows = steady_state_rows(w, gen.eigen)
         assert not any(isinstance(row, Exception) for row in rows)
         assert_rows_equal_alone(gen, STACK_T_H, rows)
@@ -858,7 +858,7 @@ def test_steady_state_stack_equals_rows(params, monkeypatch):
     # it; every SVD of the row that opens the second chunk fails
     grid = np.linspace(0.0, 30.0, 3 * GRID_CHUNK + 1).tolist()
     for gen in kernel_generators(params):
-        w = build_population_matrix(stacked_dissipators(gen, grid))
+        w = build_population_matrix(hot_stack(gen, grid))
         monkeypatch.setattr(np.linalg, "svd", failing_svd_of(w[GRID_CHUNK]))
         rows = [row for start in range(0, len(grid), GRID_CHUNK)
                 for row in steady_state_rows(w[start:start + GRID_CHUNK], gen.eigen)]

@@ -30,10 +30,10 @@ from qfridge import (
 from qfridge.dynamics import (
     VACUUM_TRANSPORT_FILTER,
     SteadyStateSet,
-    stacked_dissipators,
     steady_state_rows,
     take_rows,
 )
+from conftest import hot_stack
 from qfridge.cli import GRID_CHUNK
 from qfridge.matrixcore import DensityMatrix
 from qfridge.reservoirs import COOLING_FILTERS, HIGH_EFFICIENCY_FILTER, REVIVAL_FILTER
@@ -440,7 +440,7 @@ def test_heat_currents_with_stacked_rates_equal_rows(params, rng):
     t_h = [0.0, 0.5, 6.0, 40.0]
     states = random_states(rng, len(t_h))
     for gen in stack_generators(params):
-        stack = stacked_dissipators(gen, t_h)
+        stack = hot_stack(gen, t_h)
         got = heat_currents(gen.hamiltonian, stack, states)
         for k, (t, rho) in enumerate(zip(t_h, states)):
             hot = ReservoirSet.from_temperatures(params, t_h=t, t_r=4.0, t_c=1.0).hot
@@ -468,7 +468,7 @@ def test_build_reports_equal_build_report_row_by_row(params, rng):
     short = np.linspace(1.0, 12.0, 7).tolist()
     grid = np.linspace(1.0, 12.0, 3 * GRID_CHUNK + 1).tolist()
     for t_h, chunk, bad in ((short, len(short), None), (grid, GRID_CHUNK, GRID_CHUNK)):
-        stack = stacked_dissipators(gen, t_h)
+        stack = hot_stack(gen, t_h)
         rows = steady_state_rows(build_population_matrix(stack), gen.eigen)
         if bad is not None:
             rows[bad] = imaginary_row(rng, rows[bad])
@@ -493,7 +493,7 @@ def test_build_reports_keep_a_faulting_state_to_its_row(params, rng):
     # heat_currents raises on that state alone
     gen = stack_generators(params)[1]
     t_h = [2.0, 4.0, 8.0]
-    stack = stacked_dissipators(gen, t_h)
+    stack = hot_stack(gen, t_h)
     rows = steady_state_rows(build_population_matrix(stack), gen.eigen)
     rows[1] = imaginary_row(rng, rows[1])
     temps = [dict(gen.reservoirs.temperatures, H=t) for t in t_h]
