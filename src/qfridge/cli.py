@@ -43,7 +43,7 @@ import configparser
 import math
 import sys
 import warnings
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import Field, dataclass, field, fields
 from functools import cache
 from typing import TypeVar
@@ -61,7 +61,6 @@ from .dynamics import (
     grid_dissipators,
     participating_channels,
     steady_state_rows,
-    take_rows,
 )
 from .reservoirs import (
     HBAR,
@@ -415,20 +414,14 @@ def _collecting_warnings(run: Callable[[], _T]) -> tuple[_T, tuple[str, ...]]:
     return result, tuple(dict.fromkeys(str(w.message) for w in caught))
 
 
-#: Rows per pass of :func:`_solve_grid`.  A pass holds its rows' SVDs,
-#: states and ``(n, states, 8, 8)`` current temporaries at once, so the
-#: chunk, not the grid, bounds their memory.
-GRID_CHUNK = 8
-
-
 _Outcome = tuple[SteadyStateSet, list[HeatCurrentReport]] | Exception
 
 
 def _solve_grid(
     config: ScenarioConfig,
     filters: list[FilterConfig] | None = None,
-    t_h: list[float] | None = None,
-) -> Iterator[_Outcome]:
+    t_h: Sequence[float] | None = None,
+) -> list[_Outcome]:
     """Every steady state of each row and one report per state, or the row
     failure of that row, in row order.  Row k is the scenario with the
     filter ``filters[k]`` and the hot bath at ``t_h[k]``; without
@@ -440,70 +433,80 @@ def _solve_grid(
     order, before any row is solved; a row whose filter fails a check fails
     with it.  One generator over the union of the filters that pass, and W
     of all their rows, are then built once (:func:`grid_dissipators`: a
-    channel that a row filters out couples there at gamma = 0), and each
-    chunk of ``GRID_CHUNK`` rows is one :func:`steady_state_rows` and one
-    :func:`build_reports` call.  Each row equals ``steady_states_numeric``
-    and ``build_report`` on its scenario alone, bit for bit.
+    channel that a row filters out couples there at gamma = 0), and the
+    rows are one :func:`steady_state_rows` and one :func:`build_reports`
+    call.  Each row equals ``steady_states_numeric`` and ``build_report``
+    on its scenario alone, bit for bit.  The solve holds the whole grid at
+    once; ``build_reports`` bounds its current temporaries by
+    ``PAIR_CHUNK``.
     """
     if filters is None:
-        filters = [config.filter] * (1 if t_h is None else len(t_h))
+        masks = [config.filter]
+        mask_of = [0] * (1 if t_h is None else len(t_h))
+    else:
+        index = {f: i for i, f in enumerate(dict.fromkeys(filters))}
+        masks, mask_of = list(index), [index[f] for f in filters]
     if t_h is None:
-        t_h = [config.reservoirs.hot.temperature] * len(filters)
-    masks = dict.fromkeys(filters)
-    failures: dict[FilterConfig, Exception] = {}
-    for filt in masks:
+        t_h = [config.reservoirs.hot.temperature] * len(mask_of)
+    failures: dict[int, Exception] = {}
+    for i, filt in enumerate(masks):
         try:
             check_channels(config.params, filt, config.reservoirs, config.background)
         except ROW_FAILURES as exc:
-            failures[filt] = exc
-    live = [k for k, filt in enumerate(filters) if filt not in failures]
-    solved = iter(())
-    if live:
-        passed = [f for f in masks if f not in failures]
+            failures[i] = exc
+
+    def solve(mask_of: list[int], t_h: Sequence[float]) -> list[_Outcome]:
+        passed = [f for i, f in enumerate(masks) if i not in failures]
         union = FilterConfig(*(frozenset().union(*(f.kept_for(q) for f in passed))
                                for q in QUBITS))
         gen = assemble_generator(config.params, union, config.reservoirs, config.background)
-        dissipators = grid_dissipators(gen, [filters[k] for k in live], [t_h[k] for k in live])
-        solved = _solve_rows(gen, dissipators, [config.reservoirs.temperatures | {"H": t_h[k]}
-                                                for k in live])
-    for filt in filters:
-        yield failures[filt] if filt in failures else next(solved)
+        return _solve_rows(gen, grid_dissipators(gen, masks, mask_of, t_h), t_h)
+
+    if not failures:
+        return solve(mask_of, t_h)
+    live = [k for k, i in enumerate(mask_of) if i not in failures]
+    solved = iter(solve([mask_of[k] for k in live], [t_h[k] for k in live]) if live else ())
+    return [failures[i] if i in failures else next(solved) for i in mask_of]
 
 
 def _solve_rows(
-    gen: Generator, dissipators: tuple[Dissipator, ...], temperatures: list[dict]
-) -> Iterator[_Outcome]:
-    """The outcome of each row of ``dissipators``, whose row k has its baths
-    at ``temperatures[k]``: W of all rows at once, then ``GRID_CHUNK`` rows
-    per solve."""
-    n = len(temperatures)
+    gen: Generator, dissipators: tuple[Dissipator, ...], t_h: Sequence[float]
+) -> list[_Outcome]:
+    """The outcome of each row of ``dissipators``, whose row k has the hot
+    bath at ``t_h[k]`` and the other baths of ``gen``: W of all rows, their
+    steady states and their reports, each in one pass over the whole grid."""
     # W is a stack even for rates that are all scalars (one row, or one
-    # filter and no swept bath)
-    w = np.broadcast_to(build_population_matrix(dissipators), (n, DIM, DIM))
-    for start in range(0, n, GRID_CHUNK):
-        chunk = slice(start, start + GRID_CHUNK)
-        rows = steady_state_rows(w[chunk], gen.eigen)
-        reports = build_reports(gen, take_rows(dissipators, chunk), rows, temperatures[chunk])
-        yield from (r if isinstance(r, Exception) else (s, r) for s, r in zip(rows, reports))
+    # filter and no swept bath); it is not held here, so the solve can
+    # release it before its SVDs
+    rows = steady_state_rows(
+        np.broadcast_to(build_population_matrix(dissipators), (len(t_h), DIM, DIM)), gen.eigen)
+    t_h = np.asarray(t_h, dtype=float).tolist()
+    baths = {t: gen.reservoirs.temperatures | {"H": t} for t in t_h}  # one per temperature
+    temperatures = [baths[t] for t in t_h]
+    reports = build_reports(gen, dissipators, rows, temperatures)
+    return [r if isinstance(r, Exception) else (s, r) for s, r in zip(rows, reports)]
 
 
 def _reporting(reports: list[HeatCurrentReport]) -> HeatCurrentReport:
     """The report used for single-row outputs: the unique state's, or the
     first of those with the largest cold-current magnitude (flowing branches
     of a multistable filter agree in sign, so the verdict is unambiguous)."""
+    if len(reports) == 1:
+        return reports[0]
     return max(reports, key=lambda r: abs(r.engineered["C"]))
 
 
 def _row_from_report(value: float, report: HeatCurrentReport) -> "SweepRow":
+    engineered, background, eta = report.engineered, report.background, report.efficiency
     return SweepRow(
         sweep_value=value,
-        qdot_C=report.engineered["C"],
-        qdot_H=report.engineered["H"],
-        qdot_R=report.engineered["R"],
-        qdot_B_C=report.background["C"],
-        qdot_B_H=report.background["H"],
-        qdot_B_R=report.background["R"],
-        eta=math.nan if report.efficiency is None else report.efficiency,
+        qdot_C=engineered["C"],
+        qdot_H=engineered["H"],
+        qdot_R=engineered["R"],
+        qdot_B_C=background["C"],
+        qdot_B_H=background["H"],
+        qdot_B_R=background["R"],
+        eta=math.nan if eta is None else eta,
         sigma=report.sigma,
         stage=str(report.stage),
     )
@@ -563,7 +566,7 @@ def _sweep_row(t_h: float, outcome) -> SweepRow:
 def sweep_th(config: ScenarioConfig) -> SweepResult:
     """Solve one row per hot-temperature grid point, in grid order.
 
-    The grid is solved in chunks of stacked rows (see :func:`_solve_grid`);
+    The grid is solved in one stacked pass (see :func:`_solve_grid`);
     each row equals a solve of its point alone, bit for bit.  A row that
     fails with one of ``ROW_FAILURES``, or whose currents break
     :func:`_check_energy_balance`, is recorded with stage ``error``, NaN
@@ -572,9 +575,13 @@ def sweep_th(config: ScenarioConfig) -> SweepResult:
     """
     if config.sweep is None:
         raise ConfigError("sweep requested but the config has no [sweep] section")
-    t_h = config.sweep.values.tolist()
-    rows, warns = _collecting_warnings(lambda: tuple(
-        _sweep_row(t, outcome) for t, outcome in zip(t_h, _solve_grid(config, t_h=t_h))))
+    t_h = config.sweep.values
+
+    def rows() -> tuple[SweepRow, ...]:
+        outcomes = _solve_grid(config, t_h=t_h)
+        return tuple(_sweep_row(t, outcome) for t, outcome in zip(t_h.tolist(), outcomes))
+
+    rows, warns = _collecting_warnings(rows)
     return SweepResult(config=config, rows=rows, warnings=warns)
 
 
@@ -711,13 +718,14 @@ def _scan_row(filt: FilterConfig, outcome: _Outcome, cooling_tol: float) -> Scan
                            cycle_matched=matched, n_states=0)
     states, reports = outcome
     report = _reporting(reports)
+    engineered, eta = report.engineered, report.efficiency
     return ScanRow(
         filter=filt,
-        qdot_C=report.engineered["C"],
-        qdot_H=report.engineered["H"],
-        qdot_R=report.engineered["R"],
-        eta=math.nan if report.efficiency is None else report.efficiency,
-        cooling=report.engineered["C"] > cooling_tol,
+        qdot_C=engineered["C"],
+        qdot_H=engineered["H"],
+        qdot_R=engineered["R"],
+        eta=math.nan if eta is None else eta,
+        cooling=engineered["C"] > cooling_tol,
         cycle_matched=matched,
         n_states=len(states),
     )

@@ -24,7 +24,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .matrixcore import DensityMatrix, null_space_from_svd, require_finite, svd_rows
+from .matrixcore import (
+    DensityMatrix,
+    null_dimensions,
+    require_finite,
+    svd_rows,
+    warn_rank_ambiguity,
+)
 from .reservoirs import (
     REVIVAL_FILTER,
     BackgroundSpec,
@@ -134,7 +140,7 @@ def apply_dissipators(dissipators: Sequence[Dissipator], rho: np.ndarray) -> np.
     batch = _batch(j_plus)
     jp = _rates(j_plus, batch, rho.ndim)
     jm = _rates([d.rates.j_minus for d in dissipators], batch, rho.ndim)
-    out = jm * (2.0 * (a @ rho @ ad) - ada @ rho - rho @ ada)
+    out = _lindblad_term(jm, a, ad, ada, rho)
     if batch:  # a stacked j+ can be zero on some rows only
         warm = jp != 0.0
         hot = np.flatnonzero(warm.any(axis=tuple(range(1, warm.ndim))))
@@ -142,13 +148,24 @@ def apply_dissipators(dissipators: Sequence[Dissipator], rho: np.ndarray) -> np.
     else:
         hot, partly = np.flatnonzero(jp), False
     if hot.size:
-        a, ad = a[hot], ad[hot]
         aad = _stack([channels[k].aad for k in hot], lead)
-        term = jp[hot] * (2.0 * (ad @ rho @ a) - aad @ rho - rho @ aad)
+        term = _lindblad_term(jp[hot], ad[hot], a[hot], aad, rho)
+        term += out[hot]
         if partly:  # the rows where j+ = 0 stay as they are
-            out[hot] = np.where(warm[hot], out[hot] + term, out[hot])
+            out[hot] = np.where(warm[hot], term, out[hot])
         else:
-            out[hot] += term
+            out[hot] = term
+    return out
+
+
+def _lindblad_term(rate, a, ad, ada, rho) -> np.ndarray:
+    """``rate * (2 a rho ad - ada rho - rho ada)``, evaluated in that order
+    in one buffer."""
+    out = a @ rho @ ad
+    out *= 2.0
+    out -= ada @ rho
+    out -= rho @ ada
+    out *= rate
     return out
 
 
@@ -220,7 +237,7 @@ def participating_channels(
     rate among them: the kept channels at their reservoirs' rates or, with
     an active background, all nine channels and the background rate too."""
     keys = filt.kept_keys
-    gamma_max = max((reservoirs[q].gamma for q, _ in keys), default=0.0)
+    gamma_max = max((reservoirs[q].gamma for q in QUBITS if filt.kept_for(q)), default=0.0)
     if background.active:
         keys = [(q, j) for q in QUBITS for j in (1, 2, 3)]
         gamma_max = max(gamma_max, background.gamma)
@@ -287,21 +304,23 @@ def assemble_generator(
 
 
 def grid_dissipators(
-    gen: Generator, filters: Sequence[FilterConfig], t_h: Sequence[float]
+    gen: Generator, masks: Sequence[FilterConfig], mask_of: Sequence[int], t_h: Sequence[float]
 ) -> tuple[Dissipator, ...]:
     """The dissipators of ``gen`` on a grid of rows: row k keeps those of
-    ``gen``'s channels that ``filters[k]`` keeps and has the hot bath at
-    ``t_h[k]``.
+    ``gen``'s channels that the filter ``masks[mask_of[k]]`` keeps and has
+    the hot bath at ``t_h[k]``.  Each of ``masks`` is read once, however
+    many rows share it.
 
     A channel that a row filters out couples on that row at gamma = 0, so
     its rates there are 0, 0, 0 and every term it adds to W or to a current
     is exactly 0.0.  An engineered channel whose rates differ between rows
     carries ``(N,)`` rate arrays (:func:`channel_rate_stack`, one
     occupation per distinct temperature); every other dissipator is
-    ``gen``'s own.  Row k of W equals W of the scenario with ``filters[k]``
-    and ``t_h[k]`` alone, bit for bit, and so do the currents of the
-    channels it keeps.
+    ``gen``'s own.  Row k of W equals W of the scenario with its filter and
+    ``t_h[k]`` alone, bit for bit, and so do the currents of the channels
+    it keeps.
     """
+    t_h = np.asarray(t_h, dtype=float)
     out = []
     for d in gen.dissipators:
         if d.source != "engineered":
@@ -309,9 +328,9 @@ def grid_dissipators(
             continue
         q, index = d.channel.key
         temperature = gen.reservoirs[q].temperature
-        kept = np.array([f.keeps(q, index) for f in filters])
-        temps = t_h if q == "H" else [temperature] * len(filters)
-        if kept.all() and all(t == temperature for t in temps):
+        kept = np.array([f.keeps(q, index) for f in masks])[mask_of]
+        temps = t_h if q == "H" else np.full(len(t_h), temperature)
+        if kept.all() and (temps == temperature).all():
             out.append(d)
         else:
             gamma = np.where(kept, d.rates.gamma, 0.0)
@@ -375,7 +394,8 @@ class ComponentDecomposition:
 def invariant_components(w: np.ndarray) -> ComponentDecomposition:
     """Decompose levels by the directed graph with an edge i -> j wherever
     the rate W[j, i] is positive."""
-    (closed,) = _closed_classes(np.asarray(w)[np.newaxis])
+    (codes,) = _class_codes(np.asarray(w)[np.newaxis])
+    closed = tuple(_level_set(c) for c in codes.tolist() if c)
     transient = tuple(sorted(set(range(DIM)).difference(*closed)))
     return ComponentDecomposition(closed, transient)
 
@@ -389,12 +409,19 @@ def _level_set(code: int) -> frozenset[int]:
 _LEVEL_BITS = 1 << np.arange(DIM)
 _SELF = np.eye(DIM, dtype=bool)
 _BELOW = np.tri(DIM, k=-1, dtype=bool)  # _BELOW[i, j]: j < i
+#: The size of the level set of each code, and its levels in ascending
+#: order, padded with zeros to eight.
+_SIZES = np.array([code.bit_count() for code in range(1 << DIM)], dtype=np.uint8)
+_MEMBERS = np.array([sorted(_level_set(code)) + [0] * (DIM - code.bit_count())
+                     for code in range(1 << DIM)], dtype=np.uint8)
 
 
-def _closed_classes(w: np.ndarray) -> list[tuple[frozenset[int], ...]]:
+def _class_codes(w: np.ndarray) -> np.ndarray:
     """The closed classes of :func:`invariant_components` of each rate
-    matrix of a stack ``(N, 8, 8)``, sorted by smallest member, from one
-    boolean transitive closure of the whole stack."""
+    matrix of a stack ``(N, 8, 8)``, from one boolean transitive closure of
+    the whole stack: ``(N, 8)`` codes, where entry ``[k, i]`` is the bit set
+    of the class whose smallest level is i, or 0 if no closed class of row
+    k starts at i."""
     # reach[k, i, j]: a path i -> j of rates into j from i in row k
     reach = (np.swapaxes(w, -1, -2) > 0.0) | _SELF
     for _ in range(3):  # paths of up to 2**3 = 8 steps reach every level
@@ -404,18 +431,17 @@ def _closed_classes(w: np.ndarray) -> list[tuple[frozenset[int], ...]]:
     # levels that reach each other form a class; it is closed when every
     # level it reaches reaches it back, and it is named by its first level
     heads = ~((reach > back) | (mutual & _BELOW)).any(axis=-1)
-    codes = np.where(heads, mutual @ _LEVEL_BITS, 0)
-    return [tuple([_level_set(c) for c in row if c]) for row in codes.tolist()]
+    return np.where(heads, mutual @ _LEVEL_BITS, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SteadyState:
     state: DensityMatrix
     support: frozenset[int]
     populations: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SteadyStateSet:
     states: tuple[SteadyState, ...]
     unique: bool
@@ -434,31 +460,62 @@ class SteadyStateSet:
         raise KeyError(f"no steady state supported on {sorted(target)}")
 
 
-def _stationary_on_class(cls: frozenset[int], svd) -> np.ndarray:
-    """Stationary populations of one closed class, embedded in 8 levels, by
-    the rules of :func:`~qfridge.matrixcore.null_space` applied to the SVD
-    ``svd`` of the class's block of W (``(s, vh)``, or the ``LinAlgError``
-    it raised); a one-level class needs none."""
-    idx = sorted(cls)
-    pops = np.zeros(DIM)
-    if len(idx) == 1:
-        pops[idx[0]] = 1.0
-        return pops
-    if isinstance(svd, Exception):
-        raise svd
-    basis = null_space_from_svd(*svd)
-    if basis.shape[1] != 1:
-        raise SolverFailure(
-            f"class {idx} yielded a {basis.shape[1]}-dimensional stationary "
-            f"space; expected exactly 1"
-        )
-    v = np.real(basis[:, 0])
-    v = v / v.sum()
-    if v.min() < -1e-12:
-        raise SolverFailure(f"negative stationary population {v.min():.3e} on {idx}")
-    pops[idx] = np.clip(v, 0.0, None)
-    pops /= pops.sum()
+def _class_blocks(w: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The blocks ``(G, m, m)`` of the rate matrices ``w[rows]`` on the
+    levels ``idx`` ``(G, m)``, as complex, filled one block row at a time
+    (no real copy of the stack).  A non-finite block is a fault of the
+    program, not of a row: ``ValueError``."""
+    blocks = np.empty(idx.shape + idx.shape[-1:], dtype=complex)
+    for a in range(idx.shape[-1]):
+        blocks[:, a] = w[rows[:, np.newaxis], idx[:, a, np.newaxis], idx]
+    return require_finite(blocks, "null_space input")
+
+
+def _class_populations(blocks: np.ndarray, idx: np.ndarray, classes: np.ndarray,
+                       faults: dict, ambiguities: list) -> np.ndarray:
+    """Stationary populations ``(G, 8)`` of G closed classes of one size m,
+    on the levels ``idx`` ``(G, m)``, by the rules of
+    :func:`~qfridge.matrixcore.null_space` applied to one stacked SVD of
+    their blocks of W.  The failure of a class goes to ``faults`` and each
+    rank ambiguity to ``ambiguities``, keyed by its entry of ``classes``;
+    the populations of a failed class are 0."""
+    s, vh, failed = svd_rows(blocks)
+    classes = classes.tolist()
+    dims, ambiguous, cut = null_dimensions(s)
+    for j in np.flatnonzero(ambiguous).tolist():
+        ambiguities.append((classes[j], int(ambiguous[j]), float(cut[j])))
+    for j, exc in failed.items():
+        faults[classes[j]] = exc
+    for j in np.flatnonzero(dims != 1).tolist():
+        if j not in failed:
+            faults[classes[j]] = SolverFailure(
+                f"class {idx[j].tolist()} yielded a {dims[j]}-dimensional stationary "
+                f"space; expected exactly 1")
+    solved = np.flatnonzero(dims == 1)
+    v = vh[solved, -1].real
+    v = v / v.sum(axis=-1, keepdims=True)
+    low = v.min(axis=-1)
+    for j in np.flatnonzero(low < -1e-12).tolist():
+        faults[classes[solved[j]]] = SolverFailure(
+            f"negative stationary population {low[j]:.3e} on {idx[solved[j]].tolist()}")
+    p = np.zeros((len(solved), DIM))
+    p[np.arange(len(solved))[:, np.newaxis], idx[solved]] = np.clip(v, 0.0, None)
+    pops = np.zeros((len(classes), DIM))
+    pops[solved] = p / p.sum(axis=-1, keepdims=True)
     return pops
+
+
+def _class_residuals(blocks: np.ndarray, idx: np.ndarray, pops: np.ndarray) -> np.ndarray:
+    """``||W p||`` of closed classes with populations ``pops`` ``(G, 8)``,
+    from their blocks of W on the levels ``idx``.  W p vanishes outside a
+    closed class, and W's entries outside the block meet zero populations,
+    so W with those entries zeroed gives the same floats, at the same
+    places of each 8-level product."""
+    g = np.arange(len(idx))[:, np.newaxis, np.newaxis]
+    w = np.zeros((len(idx), DIM, DIM))
+    w[g, idx[:, :, np.newaxis], idx[:, np.newaxis, :]] = blocks.real
+    r = w @ pops[:, :, np.newaxis]
+    return np.sqrt(np.swapaxes(r, -1, -2) @ r)[:, 0, 0]
 
 
 def steady_states_numeric(gen: Generator) -> SteadyStateSet:
@@ -489,53 +546,79 @@ def steady_state_rows(
     ``(N, 8, 8)``: per row its :class:`SteadyStateSet`, or the
     :class:`SolverFailure` or ``LinAlgError`` that fails the row.
 
-    The classes of all rows are one boolean closure, the blocks of W on all
-    closed classes of one size, across rows, are one stacked SVD, and the
-    norms ``||W||`` of all rows are one more
-    (:func:`~qfridge.matrixcore.svd_rows`).  The null-space rules, the
-    residual gate and any ``RankAmbiguityWarning`` then follow row by row
-    and class by class, so row k equals ``steady_states_numeric`` on
-    ``w[k]`` alone, bit for bit and warning for warning.  The SVDs of all N
-    rows are held at once: callers bound N.
+    The whole stack is one pass.  Its classes are one boolean closure; the
+    blocks of W on all closed classes of one size, across rows, are one
+    stacked SVD, and the norms ``||W||`` of all rows one more
+    (:func:`~qfridge.matrixcore.svd_rows`).  The null-space rule
+    (:func:`~qfridge.matrixcore.null_dimensions`), the normalisation of
+    each class's populations and the residual gate are array operations
+    over the classes of one size, and the density matrices of all states
+    are one :meth:`~qfridge.spectrum.EigenSystem.diagonal_state` call.  A
+    row fails with the first failure of its classes in class order, then
+    that of its norm, then the first residual above the bound, and a class
+    after the first failing class of its row does not warn, so row k
+    equals ``steady_states_numeric`` on ``w[k]`` alone, bit for bit and
+    warning for warning.  Nothing bounds N: the pass holds the class blocks,
+    their SVDs and the states of all rows at once, a few KiB per row.  The
+    residuals ``||W p||`` are taken from the class blocks
+    (:func:`_class_residuals`), so ``w`` is not held through the SVDs
+    unless the caller holds it.
     """
     n = len(w)
-    closed = _closed_classes(w)
-    by_size: dict[int, list[tuple[int, frozenset[int]]]] = {}  # size -> (row, class)
-    for k in range(n):
-        for cls in closed[k]:
-            if len(cls) > 1:
-                by_size.setdefault(len(cls), []).append((k, cls))
-    svds: dict[tuple[int, frozenset[int]], tuple] = {}  # (row, class) -> SVD of its block
-    for at in by_size.values():
-        rows = np.array([k for k, _ in at])
-        idx = np.array([sorted(cls) for _, cls in at])
-        blocks = w[rows[:, None, None], idx[:, :, None], idx[:, None, :]]
-        # a non-finite block is a fault of the program, not of a row
-        blocks = require_finite(blocks, "null_space input")
-        svds.update(zip(at, svd_rows(blocks)))
-    norms = svd_rows(w, compute_uv=False)
+    codes = _class_codes(w)
+    rows, heads = np.nonzero(codes)  # the closed classes, row by row in class order
+    codes = codes[rows, heads]
+    sizes = _SIZES[codes]
+    groups = []  # per class size above 1: its classes, their levels and blocks
+    for size in np.unique(sizes[sizes > 1]).tolist():
+        at = np.flatnonzero(sizes == size)
+        idx = _MEMBERS[codes[at], :size]
+        groups.append((at, idx, _class_blocks(w, rows[at], idx)))
+    norms, _, norm_failed = svd_rows(w, compute_uv=False)
+    del w  # the residuals read the blocks: W need not be held through the SVDs
 
+    faults: dict[int, Exception] = {}  # class -> the failure it raises
+    ambiguities: list[tuple[int, int, float]] = []  # (class, values near the cut, cut)
+    pops = np.zeros((len(codes), DIM))
+    single = sizes == 1
+    pops[single, heads[single]] = 1.0
+    for at, idx, blocks in groups:
+        pops[at] = _class_populations(blocks, idx, at, faults, ambiguities)
+
+    row_of = rows.tolist()
+    failures: dict[int, Exception] = {}  # row -> its failure
+    first: dict[int, int] = {}  # row -> its first failing class
+    for c in sorted(faults):
+        first.setdefault(row_of[c], c)
+        failures.setdefault(row_of[c], faults[c])
+    for c, ambiguous, cut in sorted(ambiguities):
+        if c <= first.get(row_of[c], c):  # the classes after the first failure are not solved
+            warn_rank_ambiguity(ambiguous, cut, stacklevel=1)
+    for k, exc in norm_failed.items():
+        failures.setdefault(k, exc)
+    bound = STEADY_RESIDUAL_TOL * norms.max(axis=-1)
+    resid = np.zeros(len(codes))  # a closed one-level class has a zero column of W
+    for at, idx, blocks in groups:
+        resid[at] = _class_residuals(blocks, idx, pops[at])
+    groups = blocks = None  # the blocks are not held through the states below
+    live = np.array([k not in failures for k in row_of], dtype=bool)
+    for c in np.flatnonzero(live & ~(resid <= bound[rows])).tolist():
+        failures.setdefault(row_of[c], SolverFailure(
+            f"steady state on {_MEMBERS[codes[c], :sizes[c]].tolist()} has residual "
+            f"{resid[c]:.3e} (bound {bound[rows[c]]:.3e})"))
+
+    ok = np.flatnonzero([k not in failures for k in row_of])
+    matrices = iter(eigen.diagonal_state(pops[ok]))
+    classes = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    codes = codes.tolist()
     out: list = []
     for k in range(n):
-        try:
-            pops = [_stationary_on_class(cls, svds.pop((k, cls), None)) for cls in closed[k]]
-            if isinstance(norms[k], Exception):
-                raise norms[k]
-            bound = STEADY_RESIDUAL_TOL * norms[k].max()
-            for cls, p in zip(closed[k], pops):
-                resid = np.linalg.norm(w[k] @ p)
-                if not resid <= bound:
-                    raise SolverFailure(
-                        f"steady state on {sorted(cls)} has residual {resid:.3e} "
-                        f"(bound {bound:.3e})"
-                    )
-        except (SolverFailure, np.linalg.LinAlgError) as exc:
-            out.append(exc)
-        else:
-            matrices = eigen.diagonal_state(np.array(pops))
-            states = tuple(SteadyState(DensityMatrix(m), cls, p)
-                           for cls, p, m in zip(closed[k], pops, matrices))
-            out.append(SteadyStateSet(states, unique=(len(states) == 1)))
+        if k in failures:
+            out.append(failures[k])
+            continue
+        states = tuple(SteadyState(DensityMatrix(next(matrices)), _level_set(codes[c]), pops[c])
+                       for c in range(classes[k], classes[k + 1]))
+        out.append(SteadyStateSet(states, unique=(len(states) == 1)))
     return out
 
 

@@ -21,7 +21,8 @@ __all__ = [
     "require_finite_fields",
     "dagger",
     "null_space",
-    "null_space_from_svd",
+    "null_dimensions",
+    "warn_rank_ambiguity",
     "svd_rows",
     "dm_validate",
 ]
@@ -79,8 +80,9 @@ def null_space(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the right null space of a square matrix.
 
     The rank is decided by a singular-value decomposition: singular values
-    below ``tol * s_max`` count as zero.  Returns an ``(n, k)`` array whose
-    columns span the null space (``k = 0`` for a full-rank input).
+    below ``tol * s_max`` count as zero (:func:`null_dimensions`).  Returns
+    an ``(n, k)`` array whose columns span the null space (``k = 0`` for a
+    full-rank input).
 
     Warns with :class:`RankAmbiguityWarning` when any singular value falls
     within a factor of 10 of the threshold on either side, since the
@@ -89,58 +91,79 @@ def null_space(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     a = require_finite(m, "null_space input")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"null_space expects a square matrix, got {a.shape}")
+    n = a.shape[0]
+    if n == 0:
+        return np.eye(0, dtype=complex)
     _, s, vh = np.linalg.svd(a)
-    return null_space_from_svd(s, vh, tol)
-
-
-def null_space_from_svd(s: np.ndarray, vh: np.ndarray,
-                        tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """:func:`null_space` of a square matrix from its singular values ``s``
-    and right singular vectors ``vh`` (as ``np.linalg.svd`` returns them):
-    the same rank cut, warning and basis."""
-    n = vh.shape[-1]
-    if s.size == 0 or s[0] == 0.0:
-        return np.eye(n, dtype=complex)
-    cut = tol * s[0]
-    ambiguous = np.count_nonzero((s > cut / 10.0) & (s < cut * 10.0))
+    (k,), (ambiguous,), (cut,) = null_dimensions(s[np.newaxis], tol)
     if ambiguous:
-        warnings.warn(
-            f"{ambiguous} singular value(s) within a decade of the rank "
-            f"threshold {cut:.3e}; null-space dimension is ambiguous",
-            RankAmbiguityWarning,
-            stacklevel=3,
-        )
-    k = int(np.count_nonzero(s < cut))
-    if k == 0:
-        return np.zeros((n, 0), dtype=complex)
-    return vh[-k:].conj().T
+        warn_rank_ambiguity(ambiguous, cut, stacklevel=2)
+    if s[0] == 0.0:
+        return np.eye(n, dtype=complex)
+    return vh[n - k:].conj().T
 
 
-def svd_rows(stack: np.ndarray, compute_uv: bool = True) -> list:
-    """``np.linalg.svd`` of each matrix of a stack ``(N, m, m)``: per matrix
-    ``(s, vh)``, or ``s`` alone without ``compute_uv``.  The stack is one
-    LAPACK call; if it raises ``LinAlgError``, each matrix is redone alone,
-    and a matrix that fails again gets its ``LinAlgError`` in place of a
-    result.  Each result equals the SVD of that matrix alone, bit for bit."""
+def null_dimensions(
+    s: np.ndarray, tol: float = DEFAULT_RANK_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rank rule of :func:`null_space` for a stack of singular values
+    ``(N, n)``, each row in descending order: per row the null-space
+    dimension (``n`` for a zero matrix), the number of singular values
+    within a decade of the rank cut (0 for a zero matrix; a positive count
+    is a :func:`warn_rank_ambiguity`) and the cut ``tol * s_max``."""
+    cut = tol * s[:, :1]
+    zero = s[:, 0] == 0.0
+    ambiguous = np.count_nonzero((s > cut / 10.0) & (s < cut * 10.0), axis=-1)
+    k = np.count_nonzero(s < cut, axis=-1)
+    return np.where(zero, s.shape[-1], k), np.where(zero, 0, ambiguous), cut[:, 0]
+
+
+def warn_rank_ambiguity(ambiguous: int, cut: float, stacklevel: int) -> None:
+    """The :class:`RankAmbiguityWarning` of ``ambiguous`` singular values
+    within a decade of the rank cut ``cut``."""
+    warnings.warn(
+        f"{ambiguous} singular value(s) within a decade of the rank "
+        f"threshold {cut:.3e}; null-space dimension is ambiguous",
+        RankAmbiguityWarning,
+        stacklevel=stacklevel + 1,
+    )
+
+
+def svd_rows(
+    stack: np.ndarray, compute_uv: bool = True
+) -> tuple[np.ndarray, np.ndarray | None, dict[int, np.linalg.LinAlgError]]:
+    """``np.linalg.svd`` of each matrix of a stack ``(N, m, m)``: the
+    singular values ``(N, m)``, the right singular vectors ``(N, m, m)``
+    (``None`` without ``compute_uv``) and the ``LinAlgError`` of each matrix
+    whose SVD failed, by index (its rows of the arrays are NaN).  The stack
+    is one LAPACK call; if it raises, each matrix is redone alone.  Each
+    result equals the SVD of that matrix alone, bit for bit."""
     def svd(a):
         if compute_uv:
             _, s, vh = np.linalg.svd(a)
-            return list(zip(s, vh))
-        return list(np.linalg.svd(a, compute_uv=False))
+            return s, vh
+        return np.linalg.svd(a, compute_uv=False), None
 
     try:
-        return svd(stack)
+        return (*svd(stack), {})
     except np.linalg.LinAlgError:
-        rows = []
-        for k in range(len(stack)):
-            try:
-                rows += svd(stack[k:k + 1])
-            except np.linalg.LinAlgError as exc:
-                rows.append(exc)
-        return rows
+        pass
+    n, m = stack.shape[:2]
+    s = np.full((n, m), np.nan)
+    vh = np.full((n, m, m), np.nan, dtype=stack.dtype) if compute_uv else None
+    failed = {}
+    for k in range(n):
+        try:
+            s[k], vk = svd(stack[k])
+        except np.linalg.LinAlgError as exc:
+            failed[k] = exc
+        else:
+            if compute_uv:
+                vh[k] = vk
+    return s, vh, failed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DensityMatrix:
     """A validated density matrix (Hermitian, unit trace, PSD within tol)."""
 

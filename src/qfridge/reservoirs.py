@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from math import expm1
 
 import numpy as np
@@ -23,7 +24,7 @@ from .spectrum import (
     SystemParams,
     TransitionChannel,
     _FREQ_OFFSET,
-    channel_frequency,
+    channel_frequencies,
 )
 
 __all__ = [
@@ -120,6 +121,10 @@ class ReservoirSpec:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
 
 
+#: The field of :class:`ReservoirSet` that holds each qubit's reservoir.
+_RESERVOIR_FIELD = {"H": "hot", "R": "room", "C": "cold"}
+
+
 @dataclass(frozen=True)
 class ReservoirSet:
     """The three engineered reservoirs keyed H, R, C."""
@@ -134,7 +139,7 @@ class ReservoirSet:
                 raise ValueError(f"{qubit} slot holds reservoir for {spec.qubit}")
 
     def __getitem__(self, qubit: str) -> ReservoirSpec:
-        return {"H": self.hot, "R": self.room, "C": self.cold}[qubit]
+        return getattr(self, _RESERVOIR_FIELD[qubit])
 
     @property
     def temperatures(self) -> dict[str, float]:
@@ -150,6 +155,10 @@ class ReservoirSet:
             room=ReservoirSpec("R", t_r, params.gamma),
             cold=ReservoirSpec("C", t_c, params.gamma),
         )
+
+
+#: The field of :class:`FilterConfig` that holds each qubit's kept channels.
+_KEPT_FIELD = {"H": "kept_h", "R": "kept_r", "C": "kept_c"}
 
 
 @dataclass(frozen=True)
@@ -174,7 +183,7 @@ class FilterConfig:
             object.__setattr__(self, field, kept)
 
     def kept_for(self, qubit: str) -> frozenset[int]:
-        return {"H": self.kept_h, "R": self.kept_r, "C": self.kept_c}[qubit]
+        return getattr(self, _KEPT_FIELD[qubit])
 
     def keeps(self, qubit: str, index: int) -> bool:
         return index in self.kept_for(qubit)
@@ -345,6 +354,7 @@ class CycleMatch:
         return self.status == "matched"
 
 
+@lru_cache(maxsize=256)
 def cycle_match_check(filt: FilterConfig) -> CycleMatch:
     """Check whether the three kept channels form a closed energy cycle.
 
@@ -352,13 +362,14 @@ def cycle_match_check(filt: FilterConfig) -> CycleMatch:
     frequency equals the kept H frequency plus the kept C frequency exactly.
     Since every channel frequency is its qubit frequency plus a multiple of
     g, the check reduces to integer arithmetic on those multiples and is
-    parameter-free.
+    parameter-free, so it is memoised per mask (the 256 most recently used:
+    every mask of a scan).
     """
-    kept = {q: filt.kept_for(q) for q in QUBITS}
-    if any(len(k) != 1 for k in kept.values()):
-        counts = ", ".join(f"{q}:{len(kept[q])}" for q in QUBITS)
+    kept = (filt.kept_h, filt.kept_r, filt.kept_c)
+    if any(len(k) != 1 for k in kept):
+        counts = ", ".join(f"{q}:{len(k)}" for q, k in zip(QUBITS, kept))
         return CycleMatch("not-applicable", f"needs one kept channel per qubit ({counts})")
-    jh, jr, jc = (next(iter(kept[q])) for q in QUBITS)
+    jh, jr, jc = (next(iter(k)) for k in kept)
     dh = _FREQ_OFFSET[("H", jh)]
     dr = _FREQ_OFFSET[("R", jr)]
     dc = _FREQ_OFFSET[("C", jc)]
@@ -382,7 +393,8 @@ def markov_validity_report(
     """
     if len(keys) < 2:
         return None
-    freqs = sorted(channel_frequency(params, q, j) for q, j in keys)
+    freq = channel_frequencies(params)
+    freqs = sorted(freq[key] for key in keys)
     min_gap = min(b - a for a, b in zip(freqs, freqs[1:]))
     if gamma_max >= 0.1 * min_gap:
         return (

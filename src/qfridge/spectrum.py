@@ -15,11 +15,11 @@ those closed-form kets, so their entries are exact up to the float value of
 1/sqrt(2); no numerical diagonalization enters.
 
 Everything here is a pure function of the frozen, hashable
-:class:`SystemParams`, so the Hamiltonian and the eigensystem are memoised
-per parameter set (the 64 most recently used), the channels with the
-eigensystem they are built from, and their arrays are read-only: one result
-is shared by every caller.  A sweep that varies only temperatures or the
-filter mask builds them once.
+:class:`SystemParams`, so the Hamiltonian, the eigensystem and the nine
+channel frequencies are memoised per parameter set (the 64 most recently
+used), the channels with the eigensystem they are built from, and their
+arrays are read-only: one result is shared by every caller.  A sweep that
+varies only temperatures or the filter mask builds them once.
 
 Each qubit couples to its reservoir through three lowering eigen-operators
 ("channels") at frequencies ``omega_a`` and ``omega_a +- g``, each satisfying
@@ -28,8 +28,10 @@ Each qubit couples to its reservoir through three lowering eigen-operators
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -46,6 +48,7 @@ __all__ = [
     "eigensystem",
     "transition_channels",
     "channel_frequency",
+    "channel_frequencies",
     "channel_commutator_check",
     "degenerate_frequency_pairs",
     "check_nondegenerate",
@@ -55,6 +58,7 @@ QUBITS = ("H", "R", "C")
 DIM = 8
 
 _SQ2 = 1.0 / np.sqrt(2.0)
+_EPS = float(np.finfo(float).eps)
 
 # Channel frequency = omega_qubit + offset * g, keyed by (qubit, index).
 _FREQ_OFFSET = {
@@ -152,10 +156,12 @@ class EigenSystem:
         """Density matrix (computational basis) with the given level
         populations and no coherences; a stack ``(..., 8)`` of populations
         gives the stack ``(..., 8, 8)`` of matrices."""
-        pops = np.asarray(populations, dtype=complex)
+        pops = np.asarray(populations)
         diag = np.zeros(pops.shape[:-1] + (DIM * DIM,), dtype=complex)
         diag[..., :: DIM + 1] = pops
-        return self.vectors @ diag.reshape(pops.shape + (DIM,)) @ dagger(self.vectors)
+        diag = diag.reshape(pops.shape + (DIM,))
+        # V diag V^dag, the product written over diag
+        return np.matmul(self.vectors @ diag, dagger(self.vectors), out=diag)
 
 
 @dataclass(frozen=True)
@@ -253,6 +259,13 @@ def channel_frequency(params: SystemParams, qubit: str, index: int) -> float:
     return base + _FREQ_OFFSET[(qubit, index)] * params.g
 
 
+@lru_cache(maxsize=64)
+def channel_frequencies(params: SystemParams) -> Mapping[tuple[str, int], float]:
+    """:func:`channel_frequency` of all nine channels, keyed ``(qubit,
+    index)`` in the order H1..H3, R1..R3, C1..C3 (read-only)."""
+    return MappingProxyType({key: channel_frequency(params, *key) for key in _FREQ_OFFSET})
+
+
 def transition_channels(params: SystemParams) -> tuple[TransitionChannel, ...]:
     """All nine channels, ordered H1..H3, R1..R3, C1..C3, built from
     :func:`eigensystem`; equal parameters give the same tuple."""
@@ -300,14 +313,11 @@ def degenerate_frequency_pairs(
     coincide within ``1e3 * machine epsilon * omega_c``."""
     if keys is None:
         keys = list(_FREQ_OFFSET)
-    freq = {key: channel_frequency(params, *key) for key in keys}
-    tol = 1e3 * np.finfo(float).eps * params.omega_c
-    pairs = []
-    for i, ka in enumerate(keys):
-        for kb in keys[i + 1:]:
-            if abs(freq[ka] - freq[kb]) < tol:
-                pairs.append((ka, kb))
-    return pairs
+    freq = channel_frequencies(params)
+    tol = 1e3 * _EPS * params.omega_c
+    values = [freq[key] for key in keys]
+    return [(ka, keys[j]) for i, (ka, fa) in enumerate(zip(keys, values))
+            for j in range(i + 1, len(keys)) if abs(fa - values[j]) < tol]
 
 
 def check_nondegenerate(

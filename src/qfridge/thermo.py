@@ -8,7 +8,7 @@ current is positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
@@ -43,6 +43,7 @@ __all__ = [
     "SixCurrents",
     "CoolingVerdict",
     "HeatCurrentReport",
+    "Readout",
     "heat_current",
     "heat_currents",
     "currents_cycle_analytic",
@@ -125,11 +126,13 @@ def _real_currents(values: np.ndarray, dissipators: Sequence[Dissipator]) -> np.
     bad = np.abs(values.imag) > IMAG_FAULT_TOL
     if bad.any():
         k, *at = np.argwhere(bad)[0]
-        raise NumericalFault(
-            f"heat current has imaginary part {values[(k, *at)].imag:.3e} "
-            f"(channel {dissipators[k]})"
-        )
+        raise _imaginary_fault(values[(k, *at)], dissipators[k])
     return values.real
+
+
+def _imaginary_fault(value: complex, dissipator: Dissipator) -> NumericalFault:
+    return NumericalFault(f"heat current has imaginary part {value.imag:.3e} "
+                          f"(channel {dissipator})")
 
 
 def heat_current(
@@ -238,13 +241,21 @@ def currents_vacuum_background_analytic(
 def efficiency(q_cold: float, q_hot: float) -> float | None:
     """Coefficient of performance Q_C / Q_H.
 
-    Returns None (undefined) when the hot current is numerically zero.
-    Negative values are reported as-is: they mean the two currents run in
-    opposite directions, i.e. the cold qubit is being heated.
+    Returns None (undefined) when the hot current is numerically zero (or
+    not a number).  Negative values are reported as-is: they mean the two
+    currents run in opposite directions, i.e. the cold qubit is being
+    heated.  The one-element case of :func:`_efficiencies`.
     """
-    if abs(q_hot) <= EFFICIENCY_DEAD_BAND:
-        return None
-    return q_cold / q_hot
+    eta = float(_efficiencies(q_cold, q_hot))
+    return None if math.isnan(eta) else eta
+
+
+def _efficiencies(q_cold, q_hot) -> np.ndarray:
+    """Q_C / Q_H of arrays of currents, NaN where the efficiency is
+    undefined: |Q_H| <= ``EFFICIENCY_DEAD_BAND``."""
+    q_hot = np.asarray(q_hot, dtype=float)
+    defined = ~(np.abs(q_hot) <= EFFICIENCY_DEAD_BAND)
+    return np.divide(q_cold, q_hot, out=np.full(q_hot.shape, np.nan), where=defined)
 
 
 def _filter_ratio(params: SystemParams, filt: FilterConfig) -> float:
@@ -326,12 +337,35 @@ def cooling_predicate_for_filter(
     return _verdict(_filter_ratio(params, filt), temps)
 
 
-def _entropy_flow(flows) -> float:
-    """sum Q / T over ``(Q, T)`` pairs.  A bath at T = 0 adds nothing, or
-    makes the sum -inf if it exchanges more than the dead band."""
-    if any(t == 0.0 and abs(q) > ZERO_TEMPERATURE_DEAD_BAND for q, t in flows):
-        return -math.inf
-    return sum(q / t for q, t in flows if t != 0.0)
+def _entropy_flow(flows: np.ndarray, temps) -> np.ndarray:
+    """sum Q / T over the baths, the rows of ``flows`` ``(3, ...)`` at the
+    temperatures ``temps`` (broadcast to ``flows``), term by term in bath
+    order.  A bath at T = 0 adds nothing, or makes the sum -inf if it
+    exchanges more than the dead band."""
+    temps = np.broadcast_to(temps, flows.shape)
+    frozen = temps == 0.0
+    total = np.zeros(flows.shape[1:])
+    for q, t, zero in zip(flows, temps, frozen):
+        total += np.divide(q, t, out=np.zeros(total.shape), where=~zero)
+    exchanged = (frozen & (np.abs(flows) > ZERO_TEMPERATURE_DEAD_BAND)).any(axis=0)
+    return np.where(exchanged, -math.inf, total)
+
+
+def _entropy_productions(
+    engineered: np.ndarray,
+    temps,
+    background: np.ndarray | None = None,
+    background_temperature: float | None = None,
+) -> np.ndarray:
+    """:func:`entropy_production` of arrays of currents ``(3, ...)``, rows
+    H, R, C, against the bath temperatures ``temps`` (broadcast to them)."""
+    if background is not None and background_temperature is None:
+        raise ValueError("background currents supplied without a temperature")
+    # 0.0 - x, not -x: no heat flow gives +0.0
+    sigma = 0.0 - _entropy_flow(engineered, temps)
+    if background is not None:
+        sigma = sigma - _entropy_flow(background, background_temperature)
+    return sigma
 
 
 def entropy_production(
@@ -345,15 +379,27 @@ def entropy_production(
 
     A bath at zero temperature (a vacuum background, or an engineered bath
     at T = 0) that exchanges any heat produces an infinite positive entropy
-    flow; that case returns ``inf``.
+    flow; that case returns ``inf``.  No heat flow gives +0.0.  The
+    one-element case of :func:`_entropy_productions`.
     """
-    t = _temperatures(temps)
-    sigma = -_entropy_flow([(engineered[q], t[q]) for q in QUBITS])
-    if background is not None:
-        if background_temperature is None:
-            raise ValueError("background currents supplied without a temperature")
-        sigma -= _entropy_flow([(background[q], background_temperature) for q in QUBITS])
-    return sigma
+    return float(_entropy_productions(
+        _by_bath(engineered), _by_bath(_temperatures(temps)),
+        None if background is None else _by_bath(background), background_temperature))
+
+
+def _by_bath(values: Mapping[str, float]) -> np.ndarray:
+    """``values`` keyed H, R, C as an array in that order."""
+    return np.array([values[q] for q in QUBITS], dtype=float)
+
+
+#: The stage of each sign pattern 4 (Q_C > 0) + 2 (Q_H > 0) + (Q_R > 0),
+#: and at index 8 the boundary.
+_STAGES = np.empty(9, dtype=object)
+_STAGES[:] = [StageLabel.UNCLASSIFIED] * 8 + [StageLabel.BOUNDARY]
+_STAGES[0b001] = StageLabel.STAGE1  # (-, -, +)
+_STAGES[0b011] = StageLabel.STAGE2  # (-, +, +)
+_STAGES[0b111] = StageLabel.STAGE3  # (+, +, +)
+_STAGES[0b110] = StageLabel.STAGE4  # (+, +, -)
 
 
 def classify_stage(
@@ -363,17 +409,17 @@ def classify_stage(
 
     Any current within the dead band is a boundary point; patterns outside
     the four listed sequences are unclassified.  ``tol`` should scale with
-    the problem's frequency unit.
+    the problem's frequency unit.  The one-element case of :func:`_stages`.
     """
-    if min(abs(q_cold), abs(q_hot), abs(q_room)) <= tol:
-        return StageLabel.BOUNDARY
-    pattern = (q_cold > 0, q_hot > 0, q_room > 0)
-    return {
-        (False, False, True): StageLabel.STAGE1,
-        (False, True, True): StageLabel.STAGE2,
-        (True, True, True): StageLabel.STAGE3,
-        (True, True, False): StageLabel.STAGE4,
-    }.get(pattern, StageLabel.UNCLASSIFIED)
+    return _stages(q_cold, q_hot, q_room, tol)
+
+
+def _stages(q_cold, q_hot, q_room, tol: float) -> np.ndarray:
+    """:func:`classify_stage` of arrays of currents, as an object array of
+    :class:`StageLabel`."""
+    c, h, r = (np.asarray(q, dtype=float) for q in (q_cold, q_hot, q_room))
+    boundary = (np.abs(c) <= tol) | (np.abs(h) <= tol) | (np.abs(r) <= tol)
+    return _STAGES[np.where(boundary, 8, 4 * (c > 0) + 2 * (h > 0) + (r > 0))]
 
 
 @dataclass(frozen=True)
@@ -388,17 +434,34 @@ class ChannelCurrent:
         return f"{self.source}:{self.qubit}{self.index}"
 
 
+#: (dissipator, state) pairs per trace-form current call of
+#: :func:`build_reports`.  A call holds a few ``(pairs, 8, 8)`` complex
+#: temporaries, so this, not the grid, bounds their memory.
+PAIR_CHUNK = 64
+
+
 @dataclass(frozen=True)
 class HeatCurrentReport:
-    """Full thermodynamic read-out of one steady state."""
+    """Full thermodynamic read-out of one steady state: state ``index`` of
+    ``readout``, whose currents ``per_channel`` lists when it is read."""
 
-    per_channel: tuple[ChannelCurrent, ...]
     engineered: dict[str, float]
     background: dict[str, float]
     efficiency: float | None
     sigma: float
     stage: StageLabel
     first_law_residual: float
+    readout: "Readout" = field(repr=False, compare=False)
+    index: int = field(repr=False, compare=False)
+
+    @property
+    def per_channel(self) -> tuple[ChannelCurrent, ...]:
+        """The current of each channel the state's row keeps, in generator
+        order."""
+        r, j = self.readout, self.index
+        return tuple(ChannelCurrent(d.source, d.channel.qubit, d.channel.index, value)
+                     for d, value, keep in zip(r.dissipators, r.currents[:, j].tolist(),
+                                               r.kept[:, j].tolist()) if keep)
 
     @property
     def currents(self) -> CurrentTriple:
@@ -409,11 +472,54 @@ class HeatCurrentReport:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class Readout:
+    """The thermodynamic read-out of a stack of S steady states, each
+    quantity an array whose last axis runs over the states.
+
+    ``currents`` ``(n, S)`` holds the current of each of ``dissipators``,
+    0.0 on a state whose row does not keep it (``kept``: couples it at
+    gamma = 0); ``engineered`` and ``background`` ``(3, S)`` their sums per
+    bath, rows H, R, C; ``efficiency`` is NaN where it is undefined.
+    ``faults`` maps each state whose report fails to its
+    :class:`NumericalFault`.
+    """
+
+    dissipators: tuple[Dissipator, ...]
+    currents: np.ndarray
+    kept: np.ndarray
+    engineered: np.ndarray
+    background: np.ndarray
+    efficiency: np.ndarray
+    sigma: np.ndarray
+    stage: np.ndarray
+    first_law_residual: np.ndarray
+    faults: dict[int, NumericalFault]
+
+    def report(self, j: int) -> HeatCurrentReport:
+        """The report of state j."""
+        eta = self.efficiency[j].item()
+        return HeatCurrentReport(
+            engineered=dict(zip(QUBITS, self.engineered[:, j].tolist())),
+            background=dict(zip(QUBITS, self.background[:, j].tolist())),
+            efficiency=None if math.isnan(eta) else eta,
+            sigma=self.sigma[j].item(),
+            stage=self.stage[j],
+            first_law_residual=self.first_law_residual[j].item(),
+            readout=self,
+            index=j,
+        )
+
+
 def build_report(gen: Generator, steady: SteadyState) -> HeatCurrentReport:
     """Evaluate all currents of a steady state and derive the thermodynamic
-    summary (efficiency, entropy production, stage, first-law residual)."""
-    values = heat_currents(gen.hamiltonian, gen.dissipators, steady.state)
-    return _report(gen, values, gen.reservoirs, _kept(gen.dissipators, 1)[:, 0])
+    summary (efficiency, entropy production, stage, first-law residual):
+    the one-state case of :func:`build_reports`."""
+    (reports,) = build_reports(gen, gen.dissipators, [SteadyStateSet((steady,), unique=True)],
+                               [_temperatures(gen.reservoirs)])
+    if isinstance(reports, Exception):
+        raise reports
+    return reports[0]
 
 
 def build_reports(
@@ -429,32 +535,98 @@ def build_reports(
     steady states (or the exception that failed it) and ``temperatures`` its
     bath temperatures keyed H, R, C.  Gives per row its reports in state
     order or, as ``build_report`` state by state would raise it, the row's
-    first exception.  A report lists the channels its row keeps, those at
-    gamma != 0 (see :func:`~qfridge.dynamics.grid_dissipators`).  The
-    currents of all states are one trace-form call, so callers bound the
-    number of rows.
+    first exception: a state fails on the first channel whose current has
+    an imaginary part above ``IMAG_FAULT_TOL``, then on the first law.  A
+    report lists the channels its row keeps, those at gamma != 0 (see
+    :func:`~qfridge.dynamics.grid_dissipators`).
+
+    All states are one :class:`Readout`.  The trace-form currents are taken
+    only on the (dissipator, state) pairs whose row keeps the dissipator,
+    at most ``PAIR_CHUNK`` pairs per call, and the summary is array
+    operations over the states, so each report equals ``build_report`` on
+    its state alone, bit for bit.
     """
-    states = [(k, s.state.matrix) for k, row in enumerate(rows)
-              if not isinstance(row, Exception) for s in row]
-    if states:
-        at, rho = zip(*states)
-        values = _trace_currents(gen.hamiltonian, take_rows(dissipators, list(at)),
-                                 np.array(rho))
-    kept = _kept(dissipators, len(rows))
+    at, states = [], []  # the row of each state, and its density matrix
+    for k, row in enumerate(rows):
+        if not isinstance(row, Exception):
+            for s in row:
+                at.append(k)
+                states.append(s.state.matrix)
+    readout = _readout(gen, dissipators, np.array(at, dtype=int), states, temperatures)
     out: list = []
-    state = 0  # the first state of a row in ``values``
-    for k, (row, temps) in enumerate(zip(rows, temperatures)):
+    first = 0  # the first state of a row in ``readout``
+    for row in rows:
         if isinstance(row, Exception):
             out.append(row)
             continue
-        try:
-            out.append([_report(gen, _real_currents(values[:, j], dissipators), temps,
-                                kept[:, k])
-                        for j in range(state, state + len(row))])
-        except NumericalFault as exc:
-            out.append(exc)
-        state += len(row)
+        js = range(first, first + len(row))
+        first += len(row)
+        fault = next((readout.faults[j] for j in js if j in readout.faults), None)
+        out.append(fault if fault is not None else [readout.report(j) for j in js])
     return out
+
+
+def _readout(gen: Generator, dissipators: Sequence[Dissipator], at: np.ndarray,
+             states: list[np.ndarray], temperatures: Sequence[Mapping[str, float]]) -> Readout:
+    """The :class:`Readout` of ``states``, state j on row ``at[j]`` of
+    ``dissipators`` and ``temperatures``."""
+    kept = _kept(dissipators, len(temperatures))[:, at]
+    values = np.zeros(kept.shape, dtype=complex)
+    groups: dict[bytes, list[int]] = {}  # dissipators kept on the same states
+    for k, row in enumerate(kept):
+        groups.setdefault(row.tobytes(), []).append(k)
+    for ks in groups.values():
+        group = [dissipators[k] for k in ks]
+        on = np.flatnonzero(kept[ks[0]])
+        step = max(1, PAIR_CHUNK // len(ks))
+        for start in range(0, len(on), step):
+            js = on[start:start + step]
+            rho = np.array([states[j] for j in js.tolist()])
+            values[np.ix_(ks, js)] = _trace_currents(gen.hamiltonian,
+                                                     take_rows(group, at[js]), rho)
+    imaginary = np.abs(values.imag) > IMAG_FAULT_TOL
+    currents = values.real
+    engineered = np.zeros((len(QUBITS), len(at)))
+    background = np.zeros((len(QUBITS), len(at)))
+    scale = np.zeros(len(at))
+    for d, value in zip(dissipators, currents):  # in generator order, as one state's sums
+        sums = engineered if d.source == "engineered" else background
+        sums[QUBITS.index(d.channel.qubit)] += value
+        scale += np.abs(value)
+    total = (engineered[0] + engineered[1] + engineered[2]) + \
+        (background[0] + background[1] + background[2])
+    residual = np.divide(np.abs(total), scale, out=np.zeros(len(at)), where=scale > 0)
+    # the relative first-law check is meaningless when every current is
+    # already at the noise floor
+    violated = (scale > 1e-12 * gen.params.omega_c * gen.params.gamma) & (residual > 1e-10)
+    faults = {}
+    for j in np.flatnonzero(imaginary.any(axis=0) | violated).tolist():
+        if imaginary[:, j].any():
+            k = int(imaginary[:, j].argmax())
+            faults[j] = _imaginary_fault(values[k, j], dissipators[k])
+        else:
+            faults[j] = NumericalFault(f"first-law violation: currents sum to {total[j]:.3e} "
+                                       f"against magnitude {scale[j]:.3e}")
+    temps = np.array([[t[q] for q in QUBITS] for t in temperatures], dtype=float)
+    temps = temps.reshape(-1, len(QUBITS)).T
+    bg = gen.background
+    with np.errstate(over="ignore", invalid="ignore"):  # as the float arithmetic of one state
+        sigma = _entropy_productions(engineered, temps[:, at],
+                                     background if bg.active else None,
+                                     bg.effective_temperature if bg.active else None)
+        eta = _efficiencies(engineered[2], engineered[0])
+    return Readout(
+        dissipators=tuple(dissipators),
+        currents=currents,
+        kept=kept,
+        engineered=engineered,
+        background=background,
+        efficiency=eta,
+        sigma=sigma,
+        stage=_stages(engineered[2], engineered[0], engineered[1], tol=1e-12 * gen.params.omega_c),
+        first_law_residual=residual,
+        faults=faults,
+    )
 
 
 def _kept(dissipators: Sequence[Dissipator], n: int) -> np.ndarray:
@@ -464,55 +636,3 @@ def _kept(dissipators: Sequence[Dissipator], n: int) -> np.ndarray:
     for k, d in enumerate(dissipators):
         kept[k] = d.rates.gamma != 0.0
     return kept
-
-
-def _report(gen: Generator, values: np.ndarray, temps, kept) -> HeatCurrentReport:
-    """The thermodynamic summary of one state's per-dissipator currents
-    ``values``, against baths at ``temps``, over the dissipators that
-    ``kept`` marks."""
-    per_channel = []
-    engineered = {q: 0.0 for q in QUBITS}
-    background = {q: 0.0 for q in QUBITS}
-    for d, value, keep in zip(gen.dissipators, values.tolist(), kept.tolist()):
-        if not keep:
-            continue
-        per_channel.append(
-            ChannelCurrent(d.source, d.channel.qubit, d.channel.index, value)
-        )
-        if d.source == "engineered":
-            engineered[d.channel.qubit] += value
-        else:
-            background[d.channel.qubit] += value
-
-    total = sum(engineered.values()) + sum(background.values())
-    scale = sum(abs(c.value) for c in per_channel)
-    residual = abs(total) / scale if scale > 0 else 0.0
-    # the relative first-law check is meaningless when every current is
-    # already at the noise floor
-    if scale > 1e-12 * gen.params.omega_c * gen.params.gamma and residual > 1e-10:
-        raise NumericalFault(
-            f"first-law violation: currents sum to {total:.3e} "
-            f"against magnitude {scale:.3e}"
-        )
-
-    eta = efficiency(engineered["C"], engineered["H"])
-    bg = gen.background
-    sigma = entropy_production(
-        engineered,
-        temps,
-        background=background if bg.active else None,
-        background_temperature=bg.effective_temperature if bg.active else None,
-    )
-    stage = classify_stage(
-        engineered["C"], engineered["H"], engineered["R"],
-        tol=1e-12 * gen.params.omega_c,
-    )
-    return HeatCurrentReport(
-        per_channel=tuple(per_channel),
-        engineered=engineered,
-        background=background,
-        efficiency=eta,
-        sigma=sigma,
-        stage=stage,
-        first_law_residual=residual,
-    )

@@ -56,4 +56,4 @@ def draw_reservoirs(rng, params, ordered=True) -> ReservoirSet:
 def hot_stack(gen, t_h):
     """The dissipators of ``gen`` with the hot bath at each of ``t_h`` and
     every channel kept on every row."""
-    return grid_dissipators(gen, [FilterConfig.all_channels()] * len(t_h), list(t_h))
+    return grid_dissipators(gen, [FilterConfig.all_channels()], [0] * len(t_h), list(t_h))

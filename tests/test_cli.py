@@ -1056,7 +1056,6 @@ def test_scan_reports_failed_masks_on_stderr(tmp_path, capsys):
 
 def test_scan_builds_one_w_stack(monkeypatch):
     from qfridge import cli
-    from qfridge.cli import GRID_CHUNK
 
     calls = {name: 0 for name in ("check_channels", "assemble_generator",
                                   "build_population_matrix", "steady_state_rows")}
@@ -1073,8 +1072,102 @@ def test_scan_builds_one_w_stack(monkeypatch):
         monkeypatch.setattr(cli, name, counted(name))
     result = scan_filters(load_config(str(CONFIGS / "filter_census.ini")), mode="all")
     assert len(result.rows) == 216 and not any(r.error for r in result.rows)
-    # one check per mask, one generator and one W stack per scan, and one
-    # solve per chunk of rows
+    # one check per mask, and one generator, one W stack and one solve per
+    # scan
     assert calls == {"check_channels": 216, "assemble_generator": 1,
-                     "build_population_matrix": 1,
-                     "steady_state_rows": math.ceil(216 / GRID_CHUNK)}
+                     "build_population_matrix": 1, "steady_state_rows": 1}
+
+
+def test_scan_takes_currents_only_where_a_row_couples(monkeypatch):
+    # a scan's union generator couples each of the nine channels on every
+    # mask's row, at gamma = 0 where the mask filters it out; no such pair
+    # reaches the trace-form kernel, and each call holds at most PAIR_CHUNK
+    from qfridge import thermo
+    from qfridge.thermo import PAIR_CHUNK
+
+    calls = []
+    apply = thermo.apply_dissipators
+
+    def counted(dissipators, rho):
+        assert all(np.all(np.asarray(d.rates.gamma) != 0.0) for d in dissipators)
+        calls.append(len(dissipators) * len(rho))
+        return apply(dissipators, rho)
+
+    monkeypatch.setattr(thermo, "apply_dissipators", counted)
+    result = scan_filters(load_config(str(CONFIGS / "filter_census.ini")), mode="all")
+    assert len(result.rows) == 216 and not any(r.error for r in result.rows)
+    # each state of a mask pairs with the channels the mask keeps, once
+    kept = sum(r.n_states * len(r.filter.kept_keys) for r in result.rows)
+    assert sum(calls) == kept < 9 * sum(r.n_states for r in result.rows)
+    assert max(calls) <= PAIR_CHUNK
+
+
+@pytest.mark.parametrize("background", ["none", "vacuum"])
+def test_grid_reports_equal_build_report_on_cold_edge_grids(background):
+    # the eight cold_edge sweeps, where rates span tens of decades and most
+    # rows fail the first law, and with a vacuum background through the
+    # (H2, R1, C3) mask, which conducts heat into it (sigma = inf): each
+    # row's reports, or its fault, equal build_report on its states alone,
+    # with the hot bath of that row
+    from dataclasses import replace
+
+    from qfridge import build_report
+    from qfridge.dynamics import grid_dissipators, steady_state_rows
+    from qfridge.thermo import NumericalFault, build_reports
+
+    seen = {"fault": 0, "report": 0, "dead band": 0, "infinite sigma": 0}
+    for t_c in np.geomspace(0.1, 0.01, 8).tolist():
+        text = cold_edge_config(t_c)
+        if background == "vacuum":
+            text = text.replace("h = 3\nr = 2\nc = 1", "h = 2\nr = 1\nc = 3")
+            text += "[background]\nmode = vacuum\ngamma = 0.05\n"
+        config = parse_config(text)
+        gen, t_h = _generator(config), config.sweep.values.tolist()
+        dissipators = grid_dissipators(gen, [config.filter], [0] * len(t_h), t_h)
+        rows = steady_state_rows(build_population_matrix(dissipators), gen.eigen)
+        temps = [dict(config.reservoirs.temperatures, H=t) for t in t_h]
+        for t, states, got in zip(t_h, rows, build_reports(gen, dissipators, rows, temps),
+                                  strict=True):
+            if isinstance(states, Exception):
+                assert got is states
+                continue
+            res = config.reservoirs
+            one = _generator(replace(config, reservoirs=replace(
+                res, hot=replace(res.hot, temperature=t))))
+            try:
+                want = [build_report(one, s) for s in states]
+            except NumericalFault as exc:
+                assert type(got) is NumericalFault and str(got) == str(exc)
+                seen["fault"] += 1
+                continue
+            assert got == want and repr(got) == repr(want)
+            assert [r.per_channel for r in got] == [r.per_channel for r in want]
+            seen["report"] += len(got)
+            # efficiency undefined on a nonzero Q_H within the dead band
+            seen["dead band"] += sum(r.efficiency is None and r.engineered["H"] != 0.0
+                                     for r in got)
+            seen["infinite sigma"] += sum(r.sigma == math.inf for r in got)
+    assert seen["report"] and seen["dead band"]
+    if background == "none":
+        assert seen["fault"] and not seen["infinite sigma"]
+    else:
+        assert seen["infinite sigma"]
+
+
+def test_no_heat_flow_gives_positive_zero_entropy_production(tmp_path):
+    # every channel filtered: no current flows, and sigma is +0.0, not -0.0
+    from qfridge import entropy_production
+
+    text = NATURAL_CONFIG.replace("h = 2\nr = 1\nc = 3", "h = none\nr = none\nc = none")
+    sigmas = re.findall(r"sigma = (\S+)", run_steady(parse_config(text)))
+    assert sigmas and set(sigmas) == {"0.0000000000000000e+00"}
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(with_sweep(text.replace("[background]\nmode = vacuum\ngamma = 0.05\n", ""),
+                              0.0, 5.0, 6))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
+    rows = load_csv(str(tmp_path / "s.csv")).rows
+    assert len(rows) == 6 and all(math.copysign(1.0, r.sigma) == 1.0 for r in rows)
+    zero = {"H": 0.0, "R": 0.0, "C": 0.0}
+    sigma = entropy_production(zero, {"H": 2.0, "R": 1.5, "C": 1.0}, background=zero,
+                               background_temperature=0.0)
+    assert sigma == 0.0 and math.copysign(1.0, sigma) == 1.0

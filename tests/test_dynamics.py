@@ -30,7 +30,6 @@ from qfridge import (
 from qfridge.reservoirs import REVIVAL_FILTER
 from qfridge import dynamics
 from conftest import hot_stack
-from qfridge.cli import GRID_CHUNK
 from qfridge.dynamics import (
     DEFAULT_EPS_SS,
     RK4_STABLE_RADIUS,
@@ -453,8 +452,14 @@ def test_non_finite_populations_fail_the_residual_gate(params, monkeypatch):
 
     reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=4.0, t_c=1.0)
     gen = build_generator(params, REVIVAL_FILTER, reservoirs)
-    monkeypatch.setattr(dynamics, "_stationary_on_class",
-                        lambda cls, svd: np.full(8, np.nan))
+    svd_rows = dynamics.svd_rows
+
+    def nan_vectors(stack, compute_uv=True):
+        # the class blocks' null vectors, and so their populations, are NaN
+        s, vh, failed = svd_rows(stack, compute_uv)
+        return s, None if vh is None else np.full_like(vh, np.nan), failed
+
+    monkeypatch.setattr(dynamics, "svd_rows", nan_vectors)
     with pytest.raises(dynamics.SolverFailure, match="has residual nan"):
         steady_states_numeric(gen)
 
@@ -854,16 +859,14 @@ def test_steady_state_stack_equals_rows(params, monkeypatch):
         rows = steady_state_rows(w, gen.eigen)
         assert not any(isinstance(row, Exception) for row in rows)
         assert_rows_equal_alone(gen, STACK_T_H, rows)
-    # a grid of more than three chunks, taken chunk by chunk as the CLI takes
-    # it; every SVD of the row that opens the second chunk fails
-    grid = np.linspace(0.0, 30.0, 3 * GRID_CHUNK + 1).tolist()
+    # a grid of 25 rows in one pass, as the CLI takes it; every SVD of row 8
+    # fails, and the stacks that hold it are redone matrix by matrix
+    grid = np.linspace(0.0, 30.0, 25).tolist()
     for gen in kernel_generators(params):
         w = build_population_matrix(hot_stack(gen, grid))
-        monkeypatch.setattr(np.linalg, "svd", failing_svd_of(w[GRID_CHUNK]))
-        rows = [row for start in range(0, len(grid), GRID_CHUNK)
-                for row in steady_state_rows(w[start:start + GRID_CHUNK], gen.eigen)]
-        assert [isinstance(row, Exception) for row in rows] == \
-            [k == GRID_CHUNK for k in range(len(grid))]
+        monkeypatch.setattr(np.linalg, "svd", failing_svd_of(w[8]))
+        rows = steady_state_rows(w, gen.eigen)
+        assert [isinstance(row, Exception) for row in rows] == [k == 8 for k in range(len(grid))]
         assert_rows_equal_alone(gen, grid, rows)
         monkeypatch.undo()
 

@@ -34,7 +34,6 @@ from qfridge.dynamics import (
     take_rows,
 )
 from conftest import hot_stack
-from qfridge.cli import GRID_CHUNK
 from qfridge.matrixcore import DensityMatrix
 from qfridge.reservoirs import COOLING_FILTERS, HIGH_EFFICIENCY_FILTER, REVIVAL_FILTER
 from qfridge.thermo import (
@@ -461,21 +460,20 @@ def imaginary_row(rng, row):
 
 
 def test_build_reports_equal_build_report_row_by_row(params, rng):
-    # seven rows as one stack, then a grid of more than three chunks taken
-    # chunk by chunk as the CLI takes it, where the row that opens the
-    # second chunk holds a state with imaginary currents
+    # seven rows, then a grid of 25 rows in one pass, as the CLI takes it,
+    # whose 300 (dissipator, state) pairs take five trace-form calls of at
+    # most PAIR_CHUNK = 64 pairs, and where row 8 holds a state with
+    # imaginary currents
     gen = stack_generators(params)[0]
     short = np.linspace(1.0, 12.0, 7).tolist()
-    grid = np.linspace(1.0, 12.0, 3 * GRID_CHUNK + 1).tolist()
-    for t_h, chunk, bad in ((short, len(short), None), (grid, GRID_CHUNK, GRID_CHUNK)):
+    grid = np.linspace(1.0, 12.0, 25).tolist()
+    for t_h, bad in ((short, None), (grid, 8)):
         stack = hot_stack(gen, t_h)
         rows = steady_state_rows(build_population_matrix(stack), gen.eigen)
         if bad is not None:
             rows[bad] = imaginary_row(rng, rows[bad])
         temps = [dict(gen.reservoirs.temperatures, H=t) for t in t_h]
-        out = [r for start in range(0, len(t_h), chunk)
-               for r in build_reports(gen, take_rows(stack, slice(start, start + chunk)),
-                                      rows[start:start + chunk], temps[start:start + chunk])]
+        out = build_reports(gen, stack, rows, temps)
         for k, (t, reports) in enumerate(zip(t_h, out, strict=True)):
             hot = ReservoirSet.from_temperatures(params, t_h=t, t_r=4.0, t_c=1.0)
             one = build_generator(params, REVIVAL_FILTER, hot,
