@@ -51,8 +51,6 @@ from typing import TypeVar
 import numpy as np
 
 from .dynamics import (
-    Dissipator,
-    Generator,
     SolverFailure,
     SteadyStateSet,
     assemble_generator,
@@ -73,7 +71,6 @@ from .reservoirs import (
     natural_from_kelvin,
 )
 from .spectrum import (
-    DIM,
     QUBITS,
     DegenerateChannelsError,
     SystemParams,
@@ -277,12 +274,31 @@ def _parse_filter_field(raw: str, where: str) -> frozenset[int]:
     return indices
 
 
+#: The keys each config section accepts; any other section or key is an error.
+_CONFIG_KEYS = {
+    "system": {"omega_c", "omega_c_ghz", "omega_h", "g", "gamma", "unit_scale"},
+    "reservoirs": {"t_h", "t_h_kelvin", "t_r", "t_r_kelvin", "t_c", "t_c_kelvin"},
+    "filter": {"h", "r", "c"},
+    "background": {"mode", "gamma", "t0", "t0_kelvin"},
+    "sweep": {"variable", "start", "start_kelvin", "stop", "stop_kelvin", "points"},
+}
+
+
 def parse_config(text: str, source: str = "<string>") -> ScenarioConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text, source=source)
     except configparser.Error as exc:
         raise ConfigError(f"{source}: {exc}") from None
+    unknown = []
+    for section in cp.sections():
+        if section not in _CONFIG_KEYS:
+            unknown.append(f"[{section}]")
+        else:
+            unknown += [f"{section}.{key}" for key in cp.options(section)
+                        if key not in _CONFIG_KEYS[section]]
+    if unknown:
+        raise ConfigError(f"{source}: unknown section or key: {', '.join(unknown)}")
 
     def get(section, key, default=None):
         if cp.has_option(section, key):
@@ -419,72 +435,49 @@ _Outcome = tuple[SteadyStateSet, list[HeatCurrentReport]] | Exception
 
 def _solve_grid(
     config: ScenarioConfig,
-    filters: list[FilterConfig] | None = None,
-    t_h: Sequence[float] | None = None,
+    filters: Sequence[FilterConfig] | None = None,
+    baths: np.ndarray | None = None,
 ) -> list[_Outcome]:
     """Every steady state of each row and one report per state, or the row
     failure of that row, in row order.  Row k is the scenario with the
-    filter ``filters[k]`` and the hot bath at ``t_h[k]``; without
-    ``filters`` every row keeps the config's filter, without ``t_h`` every
-    row has the config's hot bath, and without either the grid is the
-    scenario alone.
+    filter ``filters[k]`` and its baths at the temperatures ``baths[k]``,
+    H, R, C (an ``(N, 3)`` table); without ``filters`` every row keeps the
+    config's filter, without ``baths`` every row has the config's baths, and
+    without either the grid is the scenario alone.
 
     Each distinct filter is checked once (:func:`check_channels`), in row
     order, before any row is solved; a row whose filter fails a check fails
-    with it.  One generator over the union of the filters that pass, and W
-    of all their rows, are then built once (:func:`grid_dissipators`: a
-    channel that a row filters out couples there at gamma = 0), and the
-    rows are one :func:`steady_state_rows` and one :func:`build_reports`
-    call.  Each row equals ``steady_states_numeric`` and ``build_report``
-    on its scenario alone, bit for bit.  The solve holds the whole grid at
-    once; ``build_reports`` bounds its current temporaries by
-    ``PAIR_CHUNK``.
+    with it.  One generator over all nine channels, and W of the other
+    rows, are then built once (:func:`grid_dissipators`: a channel that a
+    row filters out couples there at gamma = 0), and those rows are one
+    :func:`steady_state_rows` and one :func:`build_reports` call.  Each row
+    equals ``steady_states_numeric`` and ``build_report`` on its scenario
+    alone, bit for bit.  The solve holds the whole grid at once;
+    ``build_reports`` bounds its current temporaries by ``PAIR_CHUNK``.
     """
     if filters is None:
-        masks = [config.filter]
-        mask_of = [0] * (1 if t_h is None else len(t_h))
-    else:
-        index = {f: i for i, f in enumerate(dict.fromkeys(filters))}
-        masks, mask_of = list(index), [index[f] for f in filters]
-    if t_h is None:
-        t_h = [config.reservoirs.hot.temperature] * len(mask_of)
+        filters = [config.filter] * (1 if baths is None else len(baths))
+    if baths is None:
+        baths = [[config.reservoirs[q].temperature for q in QUBITS]] * len(filters)
+    baths = np.asarray(baths, dtype=float)
+    index = {f: i for i, f in enumerate(dict.fromkeys(filters))}
+    masks, mask_of = list(index), np.array([index[f] for f in filters], dtype=int)
     failures: dict[int, Exception] = {}
     for i, filt in enumerate(masks):
         try:
             check_channels(config.params, filt, config.reservoirs, config.background)
         except ROW_FAILURES as exc:
             failures[i] = exc
-
-    def solve(mask_of: list[int], t_h: Sequence[float]) -> list[_Outcome]:
-        passed = [f for i, f in enumerate(masks) if i not in failures]
-        union = FilterConfig(*(frozenset().union(*(f.kept_for(q) for f in passed))
-                               for q in QUBITS))
-        gen = assemble_generator(config.params, union, config.reservoirs, config.background)
-        return _solve_rows(gen, grid_dissipators(gen, masks, mask_of, t_h), t_h)
-
-    if not failures:
-        return solve(mask_of, t_h)
-    live = [k for k, i in enumerate(mask_of) if i not in failures]
-    solved = iter(solve([mask_of[k] for k in live], [t_h[k] for k in live]) if live else ())
-    return [failures[i] if i in failures else next(solved) for i in mask_of]
-
-
-def _solve_rows(
-    gen: Generator, dissipators: tuple[Dissipator, ...], t_h: Sequence[float]
-) -> list[_Outcome]:
-    """The outcome of each row of ``dissipators``, whose row k has the hot
-    bath at ``t_h[k]`` and the other baths of ``gen``: W of all rows, their
-    steady states and their reports, each in one pass over the whole grid."""
-    # W is a stack even for rates that are all scalars (one row, or one
-    # filter and no swept bath); it is not held here, so the solve can
-    # release it before its SVDs
-    rows = steady_state_rows(
-        np.broadcast_to(build_population_matrix(dissipators), (len(t_h), DIM, DIM)), gen.eigen)
-    t_h = np.asarray(t_h, dtype=float).tolist()
-    baths = {t: gen.reservoirs.temperatures | {"H": t} for t in t_h}  # one per temperature
-    temperatures = [baths[t] for t in t_h]
-    reports = build_reports(gen, dissipators, rows, temperatures)
-    return [r if isinstance(r, Exception) else (s, r) for s, r in zip(rows, reports)]
+    live = np.array([i not in failures for i in mask_of.tolist()], dtype=bool)
+    solved = iter(())
+    if live.any():
+        gen = assemble_generator(config.params, FilterConfig.all_channels(), config.reservoirs,
+                                 config.background)
+        dissipators = grid_dissipators(gen, masks, mask_of[live], baths[live])
+        rows = steady_state_rows(build_population_matrix(dissipators), gen.eigen)
+        reports = build_reports(gen, dissipators, rows, baths[live])
+        solved = (r if isinstance(r, Exception) else (s, r) for s, r in zip(rows, reports))
+    return [failures[i] if i in failures else next(solved) for i in mask_of.tolist()]
 
 
 def _reporting(reports: list[HeatCurrentReport]) -> HeatCurrentReport:
@@ -576,9 +569,11 @@ def sweep_th(config: ScenarioConfig) -> SweepResult:
     if config.sweep is None:
         raise ConfigError("sweep requested but the config has no [sweep] section")
     t_h = config.sweep.values
+    baths = np.array([[config.reservoirs[q].temperature for q in QUBITS]] * len(t_h))
+    baths[:, 0] = t_h
 
     def rows() -> tuple[SweepRow, ...]:
-        outcomes = _solve_grid(config, t_h=t_h)
+        outcomes = _solve_grid(config, baths=baths)
         return tuple(_sweep_row(t, outcome) for t, outcome in zip(t_h.tolist(), outcomes))
 
     rows, warns = _collecting_warnings(rows)

@@ -136,25 +136,16 @@ def apply_dissipators(dissipators: Sequence[Dissipator], rho: np.ndarray) -> np.
     a = _stack([ch.operator for ch in channels], lead)
     ad = _stack([ch.adjoint for ch in channels], lead)
     ada = _stack([ch.ada for ch in channels], lead)
-    j_plus = [d.rates.j_plus for d in dissipators]
-    batch = _batch(j_plus)
-    jp = _rates(j_plus, batch, rho.ndim)
-    jm = _rates([d.rates.j_minus for d in dissipators], batch, rho.ndim)
+    jp = _rates([d.rates.j_plus for d in dissipators], rho.ndim)
+    jm = _rates([d.rates.j_minus for d in dissipators], rho.ndim)
     out = _lindblad_term(jm, a, ad, ada, rho)
-    if batch:  # a stacked j+ can be zero on some rows only
-        warm = jp != 0.0
-        hot = np.flatnonzero(warm.any(axis=tuple(range(1, warm.ndim))))
-        partly = not warm[hot].all()
-    else:
-        hot, partly = np.flatnonzero(jp), False
+    warm = jp != 0.0  # a stacked j+ can be zero on some rows only
+    hot = np.flatnonzero(warm.any(axis=tuple(range(1, warm.ndim))))
     if hot.size:
         aad = _stack([channels[k].aad for k in hot], lead)
         term = _lindblad_term(jp[hot], ad[hot], a[hot], aad, rho)
         term += out[hot]
-        if partly:  # the rows where j+ = 0 stay as they are
-            out[hot] = np.where(warm[hot], term, out[hot])
-        else:
-            out[hot] = term
+        out[hot] = np.where(warm[hot], term, out[hot])  # the rows where j+ = 0 stay as they are
     return out
 
 
@@ -178,17 +169,11 @@ def _stack(mats, lead: tuple[int, ...]) -> np.ndarray:
     return np.array(mats, dtype=complex).reshape(*lead, DIM, DIM)
 
 
-def _batch(values) -> tuple[int, ...]:
-    """Shape of the stacked rates among ``values`` (``()`` if all are scalars)."""
-    return next((v.shape for v in values if isinstance(v, np.ndarray)), ())
-
-
-def _rates(values, batch: tuple[int, ...], ndim: int) -> np.ndarray:
+def _rates(values, ndim: int) -> np.ndarray:
     """One rate per dissipator as an ``(n, ..., 1, 1)`` array that broadcasts
-    against states of ``ndim`` dimensions, stacked rates (of shape
-    ``batch``) along their last batch axis."""
-    if not batch:
-        return np.array(values, dtype=float).reshape((-1,) + (1,) * ndim)
+    against states of ``ndim`` dimensions: scalar and stacked rates
+    broadcast together, a stack along the states' last batch axis."""
+    batch = np.broadcast_shapes(*map(np.shape, values))
     rates = np.empty((len(values),) + batch)
     for k, v in enumerate(values):
         rates[k] = v
@@ -304,37 +289,30 @@ def assemble_generator(
 
 
 def grid_dissipators(
-    gen: Generator, masks: Sequence[FilterConfig], mask_of: Sequence[int], t_h: Sequence[float]
+    gen: Generator, masks: Sequence[FilterConfig], mask_of: Sequence[int], baths
 ) -> tuple[Dissipator, ...]:
     """The dissipators of ``gen`` on a grid of rows: row k keeps those of
     ``gen``'s channels that the filter ``masks[mask_of[k]]`` keeps and has
-    the hot bath at ``t_h[k]``.  Each of ``masks`` is read once, however
-    many rows share it.
+    its baths at the temperatures ``baths[k]``, H, R, C (an ``(N, 3)``
+    table).  Each of ``masks`` is read once, however many rows share it.
 
-    A channel that a row filters out couples on that row at gamma = 0, so
-    its rates there are 0, 0, 0 and every term it adds to W or to a current
-    is exactly 0.0.  An engineered channel whose rates differ between rows
-    carries ``(N,)`` rate arrays (:func:`channel_rate_stack`, one
-    occupation per distinct temperature); every other dissipator is
-    ``gen``'s own.  Row k of W equals W of the scenario with its filter and
-    ``t_h[k]`` alone, bit for bit, and so do the currents of the channels
-    it keeps.
+    Every engineered channel carries ``(N,)`` rate arrays from its own
+    bath's column (:func:`channel_rate_stack`, one occupation per distinct
+    temperature); a channel that a row filters out couples on that row at
+    gamma = 0, so its rates there are 0, 0, 0 and every term it adds to W
+    or to a current is exactly 0.0.  Background dissipators are ``gen``'s
+    own.  Row k of W equals W of the scenario with its filter and baths
+    alone, bit for bit, and so do the currents of the channels it keeps.
     """
-    t_h = np.asarray(t_h, dtype=float)
+    baths = np.asarray(baths, dtype=float)
     out = []
     for d in gen.dissipators:
-        if d.source != "engineered":
-            out.append(d)
-            continue
-        q, index = d.channel.key
-        temperature = gen.reservoirs[q].temperature
-        kept = np.array([f.keeps(q, index) for f in masks])[mask_of]
-        temps = t_h if q == "H" else np.full(len(t_h), temperature)
-        if kept.all() and (temps == temperature).all():
-            out.append(d)
-        else:
+        if d.source == "engineered":
+            q, index = d.channel.key
+            kept = np.array([f.keeps(q, index) for f in masks])[mask_of]
             gamma = np.where(kept, d.rates.gamma, 0.0)
-            out.append(replace(d, rates=channel_rate_stack(d.channel, gamma, temps)))
+            d = replace(d, rates=channel_rate_stack(d.channel, gamma, baths[:, QUBITS.index(q)]))
+        out.append(d)
     return tuple(out)
 
 
@@ -357,19 +335,17 @@ def build_population_matrix(dissipators) -> np.ndarray:
     the result is an ``(N, 8, 8)`` stack whose row k equals W of the rates'
     row k, bit for bit: every entry sums the same terms in the same order.
     """
-    batch = _batch([d.rates.j_plus for d in dissipators])
+    batch = np.broadcast_shapes(*(np.shape(d.rates.j_plus) for d in dissipators))
     w = np.zeros((DIM, DIM) + batch)  # rows last: w[to, frm] takes a float or a row of rates
     for d in dissipators:
-        jp, jm = d.rates.j_plus, d.rates.j_minus
-        weight = d.channel.pair_weight
+        down = d.channel.pair_weight * d.rates.j_minus
+        up = d.channel.pair_weight * d.rates.j_plus
         for to, frm, _ in d.channel.elements:
-            w[frm, frm] -= weight * jm
-            w[to, frm] += weight * jm
-            w[to, to] -= weight * jp
-            w[frm, to] += weight * jp
-    if not batch:
-        return w
-    return np.ascontiguousarray(w.transpose(2, 0, 1))
+            w[frm, frm] -= down
+            w[to, frm] += down
+            w[to, to] -= up
+            w[frm, to] += up
+    return np.ascontiguousarray(np.moveaxis(w, (0, 1), (-2, -1)))
 
 
 @dataclass(frozen=True)
@@ -383,12 +359,6 @@ class ComponentDecomposition:
 
     closed: tuple[frozenset[int], ...]
     transient: tuple[int, ...]
-
-    @property
-    def partition(self) -> tuple[frozenset[int], ...]:
-        """Closed classes plus transient singletons, covering all levels."""
-        cells = list(self.closed) + [frozenset((t,)) for t in self.transient]
-        return tuple(sorted(cells, key=min))
 
 
 def invariant_components(w: np.ndarray) -> ComponentDecomposition:
@@ -444,7 +414,10 @@ class SteadyState:
 @dataclass(frozen=True, slots=True)
 class SteadyStateSet:
     states: tuple[SteadyState, ...]
-    unique: bool
+
+    @property
+    def unique(self) -> bool:
+        return len(self.states) == 1
 
     def __len__(self) -> int:
         return len(self.states)
@@ -505,19 +478,6 @@ def _class_populations(blocks: np.ndarray, idx: np.ndarray, classes: np.ndarray,
     return pops
 
 
-def _class_residuals(blocks: np.ndarray, idx: np.ndarray, pops: np.ndarray) -> np.ndarray:
-    """``||W p||`` of closed classes with populations ``pops`` ``(G, 8)``,
-    from their blocks of W on the levels ``idx``.  W p vanishes outside a
-    closed class, and W's entries outside the block meet zero populations,
-    so W with those entries zeroed gives the same floats, at the same
-    places of each 8-level product."""
-    g = np.arange(len(idx))[:, np.newaxis, np.newaxis]
-    w = np.zeros((len(idx), DIM, DIM))
-    w[g, idx[:, :, np.newaxis], idx[:, np.newaxis, :]] = blocks.real
-    r = w @ pops[:, :, np.newaxis]
-    return np.sqrt(np.swapaxes(r, -1, -2) @ r)[:, 0, 0]
-
-
 def steady_states_numeric(gen: Generator) -> SteadyStateSet:
     """One steady state per closed communicating class.
 
@@ -550,19 +510,18 @@ def steady_state_rows(
     blocks of W on all closed classes of one size, across rows, are one
     stacked SVD, and the norms ``||W||`` of all rows one more
     (:func:`~qfridge.matrixcore.svd_rows`).  The null-space rule
-    (:func:`~qfridge.matrixcore.null_dimensions`), the normalisation of
-    each class's populations and the residual gate are array operations
-    over the classes of one size, and the density matrices of all states
-    are one :meth:`~qfridge.spectrum.EigenSystem.diagonal_state` call.  A
+    (:func:`~qfridge.matrixcore.null_dimensions`) and the normalisation of
+    each class's populations are array operations over the classes of one
+    size, the residual gate is one over all classes, and the density
+    matrices of all states are one
+    :meth:`~qfridge.spectrum.EigenSystem.diagonal_state` call.  A
     row fails with the first failure of its classes in class order, then
     that of its norm, then the first residual above the bound, and a class
     after the first failing class of its row does not warn, so row k
     equals ``steady_states_numeric`` on ``w[k]`` alone, bit for bit and
-    warning for warning.  Nothing bounds N: the pass holds the class blocks,
-    their SVDs and the states of all rows at once, a few KiB per row.  The
-    residuals ``||W p||`` are taken from the class blocks
-    (:func:`_class_residuals`), so ``w`` is not held through the SVDs
-    unless the caller holds it.
+    warning for warning.  Nothing bounds N: the pass holds W, the class
+    blocks, their SVDs and the states of all rows at once, a few KiB per
+    row.
     """
     n = len(w)
     codes = _class_codes(w)
@@ -575,7 +534,6 @@ def steady_state_rows(
         idx = _MEMBERS[codes[at], :size]
         groups.append((at, idx, _class_blocks(w, rows[at], idx)))
     norms, _, norm_failed = svd_rows(w, compute_uv=False)
-    del w  # the residuals read the blocks: W need not be held through the SVDs
 
     faults: dict[int, Exception] = {}  # class -> the failure it raises
     ambiguities: list[tuple[int, int, float]] = []  # (class, values near the cut, cut)
@@ -584,6 +542,7 @@ def steady_state_rows(
     pops[single, heads[single]] = 1.0
     for at, idx, blocks in groups:
         pops[at] = _class_populations(blocks, idx, at, faults, ambiguities)
+    groups = blocks = None  # the blocks are not held through the states below
 
     row_of = rows.tolist()
     failures: dict[int, Exception] = {}  # row -> its failure
@@ -597,10 +556,8 @@ def steady_state_rows(
     for k, exc in norm_failed.items():
         failures.setdefault(k, exc)
     bound = STEADY_RESIDUAL_TOL * norms.max(axis=-1)
-    resid = np.zeros(len(codes))  # a closed one-level class has a zero column of W
-    for at, idx, blocks in groups:
-        resid[at] = _class_residuals(blocks, idx, pops[at])
-    groups = blocks = None  # the blocks are not held through the states below
+    r = w[rows] @ pops[:, :, np.newaxis]  # W p of each class
+    resid = np.sqrt(np.swapaxes(r, -1, -2) @ r)[:, 0, 0]
     live = np.array([k not in failures for k in row_of], dtype=bool)
     for c in np.flatnonzero(live & ~(resid <= bound[rows])).tolist():
         failures.setdefault(row_of[c], SolverFailure(
@@ -618,7 +575,7 @@ def steady_state_rows(
             continue
         states = tuple(SteadyState(DensityMatrix(next(matrices)), _level_set(codes[c]), pops[c])
                        for c in range(classes[k], classes[k + 1]))
-        out.append(SteadyStateSet(states, unique=(len(states) == 1)))
+        out.append(SteadyStateSet(states))
     return out
 
 

@@ -515,8 +515,8 @@ def build_report(gen: Generator, steady: SteadyState) -> HeatCurrentReport:
     """Evaluate all currents of a steady state and derive the thermodynamic
     summary (efficiency, entropy production, stage, first-law residual):
     the one-state case of :func:`build_reports`."""
-    (reports,) = build_reports(gen, gen.dissipators, [SteadyStateSet((steady,), unique=True)],
-                               [_temperatures(gen.reservoirs)])
+    (reports,) = build_reports(gen, gen.dissipators, [SteadyStateSet((steady,))],
+                               _by_bath(gen.reservoirs.temperatures)[np.newaxis])
     if isinstance(reports, Exception):
         raise reports
     return reports[0]
@@ -526,25 +526,25 @@ def build_reports(
     gen: Generator,
     dissipators: Sequence[Dissipator],
     rows: Sequence[SteadyStateSet | Exception],
-    temperatures: Sequence[Mapping[str, float]],
+    baths: np.ndarray,
 ) -> list[list[HeatCurrentReport] | Exception]:
     """:func:`build_report` of every steady state of a stack of rows.
 
     ``dissipators`` are ``gen``'s with one row of stacked rates per row (or
     ``gen``'s own, for rows that share their rates), ``rows`` holds row k's
-    steady states (or the exception that failed it) and ``temperatures`` its
-    bath temperatures keyed H, R, C.  Gives per row its reports in state
-    order or, as ``build_report`` state by state would raise it, the row's
-    first exception: a state fails on the first channel whose current has
-    an imaginary part above ``IMAG_FAULT_TOL``, then on the first law.  A
-    report lists the channels its row keeps, those at gamma != 0 (see
-    :func:`~qfridge.dynamics.grid_dissipators`).
+    steady states (or the exception that failed it) and ``baths[k]`` its
+    bath temperatures H, R, C (an ``(N, 3)`` table).  Gives per row its
+    reports in state order or, as ``build_report`` state by state would
+    raise it, the row's first exception: a state fails on the first channel
+    whose current has an imaginary part above ``IMAG_FAULT_TOL``, then on
+    the first law.  A report lists the channels its row keeps, those at
+    gamma != 0 (see :func:`~qfridge.dynamics.grid_dissipators`).
 
     All states are one :class:`Readout`.  The trace-form currents are taken
-    only on the (dissipator, state) pairs whose row keeps the dissipator,
-    at most ``PAIR_CHUNK`` pairs per call, and the summary is array
-    operations over the states, so each report equals ``build_report`` on
-    its state alone, bit for bit.
+    dissipator by dissipator on the states whose row keeps it, at most
+    ``PAIR_CHUNK`` states per call, and the summary is array operations
+    over the states, so each report equals ``build_report`` on its state
+    alone, bit for bit.
     """
     at, states = [], []  # the row of each state, and its density matrix
     for k, row in enumerate(rows):
@@ -552,7 +552,7 @@ def build_reports(
             for s in row:
                 at.append(k)
                 states.append(s.state.matrix)
-    readout = _readout(gen, dissipators, np.array(at, dtype=int), states, temperatures)
+    readout = _readout(gen, dissipators, np.array(at, dtype=int), states, baths)
     out: list = []
     first = 0  # the first state of a row in ``readout``
     for row in rows:
@@ -567,23 +567,17 @@ def build_reports(
 
 
 def _readout(gen: Generator, dissipators: Sequence[Dissipator], at: np.ndarray,
-             states: list[np.ndarray], temperatures: Sequence[Mapping[str, float]]) -> Readout:
+             states: list[np.ndarray], baths: np.ndarray) -> Readout:
     """The :class:`Readout` of ``states``, state j on row ``at[j]`` of
-    ``dissipators`` and ``temperatures``."""
-    kept = _kept(dissipators, len(temperatures))[:, at]
+    ``dissipators`` and ``baths``."""
+    kept = _kept(dissipators, len(baths))[:, at]
     values = np.zeros(kept.shape, dtype=complex)
-    groups: dict[bytes, list[int]] = {}  # dissipators kept on the same states
-    for k, row in enumerate(kept):
-        groups.setdefault(row.tobytes(), []).append(k)
-    for ks in groups.values():
-        group = [dissipators[k] for k in ks]
-        on = np.flatnonzero(kept[ks[0]])
-        step = max(1, PAIR_CHUNK // len(ks))
-        for start in range(0, len(on), step):
-            js = on[start:start + step]
+    for k, d in enumerate(dissipators):
+        on = np.flatnonzero(kept[k])
+        for start in range(0, len(on), PAIR_CHUNK):
+            js = on[start:start + PAIR_CHUNK]
             rho = np.array([states[j] for j in js.tolist()])
-            values[np.ix_(ks, js)] = _trace_currents(gen.hamiltonian,
-                                                     take_rows(group, at[js]), rho)
+            values[k, js] = _trace_currents(gen.hamiltonian, take_rows((d,), at[js]), rho)[0]
     imaginary = np.abs(values.imag) > IMAG_FAULT_TOL
     currents = values.real
     engineered = np.zeros((len(QUBITS), len(at)))
@@ -607,11 +601,9 @@ def _readout(gen: Generator, dissipators: Sequence[Dissipator], at: np.ndarray,
         else:
             faults[j] = NumericalFault(f"first-law violation: currents sum to {total[j]:.3e} "
                                        f"against magnitude {scale[j]:.3e}")
-    temps = np.array([[t[q] for q in QUBITS] for t in temperatures], dtype=float)
-    temps = temps.reshape(-1, len(QUBITS)).T
     bg = gen.background
     with np.errstate(over="ignore", invalid="ignore"):  # as the float arithmetic of one state
-        sigma = _entropy_productions(engineered, temps[:, at],
+        sigma = _entropy_productions(engineered, np.asarray(baths, dtype=float)[at].T,
                                      background if bg.active else None,
                                      bg.effective_temperature if bg.active else None)
         eta = _efficiencies(engineered[2], engineered[0])

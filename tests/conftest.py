@@ -3,6 +3,7 @@ import pytest
 
 from qfridge import FilterConfig, ReservoirSet, SystemParams
 from qfridge.dynamics import grid_dissipators
+from qfridge.spectrum import QUBITS
 
 # Fig.-2-style scenario: cold frequency 2*pi*210 GHz anchors the scale.
 UNIT_SCALE = 2.0 * np.pi * 210e9
@@ -53,7 +54,16 @@ def draw_reservoirs(rng, params, ordered=True) -> ReservoirSet:
     return ReservoirSet.from_temperatures(params, t_h=t_h, t_r=t_r, t_c=t_c)
 
 
+def hot_baths(gen, t_h):
+    """The ``(N, 3)`` bath table of ``gen``'s reservoirs with the hot bath at
+    each of ``t_h``."""
+    baths = np.array([[gen.reservoirs[q].temperature for q in QUBITS]] * len(t_h))
+    baths[:, 0] = t_h
+    return baths
+
+
 def hot_stack(gen, t_h):
     """The dissipators of ``gen`` with the hot bath at each of ``t_h`` and
     every channel kept on every row."""
-    return grid_dissipators(gen, [FilterConfig.all_channels()], [0] * len(t_h), list(t_h))
+    return grid_dissipators(gen, [FilterConfig.all_channels()], [0] * len(t_h),
+                            hot_baths(gen, t_h))

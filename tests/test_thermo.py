@@ -33,7 +33,7 @@ from qfridge.dynamics import (
     steady_state_rows,
     take_rows,
 )
-from conftest import hot_stack
+from conftest import hot_baths, hot_stack
 from qfridge.matrixcore import DensityMatrix
 from qfridge.reservoirs import COOLING_FILTERS, HIGH_EFFICIENCY_FILTER, REVIVAL_FILTER
 from qfridge.thermo import (
@@ -456,24 +456,23 @@ def imaginary_row(rng, row):
     """``row`` with its first state replaced by one whose currents have an
     imaginary part."""
     bad = DensityMatrix(random_states(rng, 1)[0] * 1j)
-    return SteadyStateSet((replace(row.states[0], state=bad),), unique=True)
+    return SteadyStateSet((replace(row.states[0], state=bad),))
 
 
 def test_build_reports_equal_build_report_row_by_row(params, rng):
-    # seven rows, then a grid of 25 rows in one pass, as the CLI takes it,
-    # whose 300 (dissipator, state) pairs take five trace-form calls of at
-    # most PAIR_CHUNK = 64 pairs, and where row 8 holds a state with
+    # seven rows, then a grid of 70 rows in one pass, as the CLI takes it,
+    # where each of the 12 dissipators takes two trace-form calls, of
+    # PAIR_CHUNK = 64 states and of 6, and where row 8 holds a state with
     # imaginary currents
     gen = stack_generators(params)[0]
     short = np.linspace(1.0, 12.0, 7).tolist()
-    grid = np.linspace(1.0, 12.0, 25).tolist()
+    grid = np.linspace(1.0, 12.0, 70).tolist()
     for t_h, bad in ((short, None), (grid, 8)):
         stack = hot_stack(gen, t_h)
         rows = steady_state_rows(build_population_matrix(stack), gen.eigen)
         if bad is not None:
             rows[bad] = imaginary_row(rng, rows[bad])
-        temps = [dict(gen.reservoirs.temperatures, H=t) for t in t_h]
-        out = build_reports(gen, stack, rows, temps)
+        out = build_reports(gen, stack, rows, hot_baths(gen, t_h))
         for k, (t, reports) in enumerate(zip(t_h, out, strict=True)):
             hot = ReservoirSet.from_temperatures(params, t_h=t, t_r=4.0, t_c=1.0)
             one = build_generator(params, REVIVAL_FILTER, hot,
@@ -494,8 +493,7 @@ def test_build_reports_keep_a_faulting_state_to_its_row(params, rng):
     stack = hot_stack(gen, t_h)
     rows = steady_state_rows(build_population_matrix(stack), gen.eigen)
     rows[1] = imaginary_row(rng, rows[1])
-    temps = [dict(gen.reservoirs.temperatures, H=t) for t in t_h]
-    out = build_reports(gen, stack, rows, temps)
+    out = build_reports(gen, stack, rows, hot_baths(gen, t_h))
     assert isinstance(out[1], NumericalFault) and "imaginary part" in str(out[1])
     assert all(isinstance(r, list) and len(r) == 1 for k, r in enumerate(out) if k != 1)
     with pytest.raises(NumericalFault) as alone:
