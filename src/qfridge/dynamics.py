@@ -18,6 +18,7 @@ each returned state is a physical density matrix with a definite support.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
@@ -193,6 +194,12 @@ class Generator:
     population-level result is independent of it; it is kept so that
     undamped coherences between nondegenerate levels do not masquerade as
     extra stationary states of the full generator.
+
+    A generator also keeps what time evolution derives from it, built on
+    first use and freed with it: ``_rk4_blocks`` maps each step size that
+    :func:`propagate` has used to its block of RK4 step matrices
+    (:func:`_rk4_block`), and ``_absorption`` holds W's closed classes and
+    transient levels as :func:`branch_weights` reads them.
     """
 
     params: SystemParams
@@ -213,6 +220,23 @@ class Generator:
         for term in apply_dissipators(self.dissipators, units):
             out += term
         return out.transpose(2, 1, 0).reshape(n, n)
+
+    @cached_property
+    def _rk4_blocks(self) -> dict[float, tuple]:
+        return {}
+
+    @cached_property
+    def _absorption(self) -> tuple:
+        """The closed classes of W (level lists, by smallest level), its
+        transient levels, ``-W`` on them, and per class the rates into it
+        from each transient level."""
+        w = build_population_matrix(self.dissipators)
+        decomp = invariant_components(w)
+        classes = [sorted(cls) for cls in decomp.closed]
+        tr = list(decomp.transient)
+        drain = -w[np.ix_(tr, tr)]
+        into = [w[np.ix_(cls, tr)].sum(axis=0) for cls in classes]
+        return classes, tr, drain, into
 
 
 def participating_channels(
@@ -792,13 +816,15 @@ class PropagationResult:
 
 def _rk4_block(
     liou: np.ndarray, h: float, m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """RK4 step matrix of size ``h`` and the read-out of ``m`` steps.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """RK4 step matrix of size ``h``, the read-out of ``m`` steps, and a
+    bound on the powers of the step.
 
     For ``d v / dt = L v`` one RK4 step is exactly ``v <- P v`` with
-    ``P = I + hL(I + hL/2(I + hL/3(I + hL/4)))``.  Returns ``P``, ``P^m``
-    and an ``(m * DIM**2, DIM**2)`` matrix whose row block ``k - 1`` is
-    ``L P^k``.
+    ``P = I + hL(I + hL/2(I + hL/3(I + hL/4)))``.  Returns ``P``, ``P^m``,
+    an ``(m * DIM**2, DIM**2)`` matrix whose row block ``k - 1`` is
+    ``L P^k``, and ``c >= max ||P^j||_2`` over ``0 <= j < m``, each power
+    bounded by Hoelder's ``||A||_2 <= sqrt(||A||_1 ||A||_inf)``.
     """
     n = liou.shape[0]
     eye = np.eye(n)
@@ -806,9 +832,13 @@ def _rk4_block(
     step = eye + hl @ (eye + (hl / 2) @ (eye + (hl / 3) @ (eye + hl / 4)))
     readout = np.empty((m, n, n), dtype=complex)
     readout[0] = liou @ step
+    power = eye
+    bound = 1.0  # ||P^0||_2
     for k in range(1, m):
         readout[k] = readout[k - 1] @ step
-    return step, np.linalg.matrix_power(step, m), readout.reshape(m * n, n)
+        power = power @ step  # P^k
+        bound = max(bound, math.sqrt(np.linalg.norm(power, 1) * np.linalg.norm(power, np.inf)))
+    return step, np.linalg.matrix_power(step, m), readout.reshape(m * n, n), bound
 
 
 def propagate(
@@ -826,33 +856,48 @@ def propagate(
     eigenvalue of a Lindblad generator has Re <= 0 and modulus at most
     ||L||_1, so every admitted step, the shortened last one ending at
     ``t_final`` included, has an RK4 step matrix of spectral radius <= 1.
+    A non-finite ``dt`` or ``t_final``, or a NaN ``eps_ss``, raises
+    ``ValueError`` too.
 
     For a linear generator one RK4 step of size h is the matrix
     ``P = I + hL(I + hL/2(I + hL/3(I + hL/4)))``.  The steps are taken in
-    blocks of ``BLOCK_STEPS`` = m: one product of the state with the stacked
-    rows of ``L P^k``, k = 1..m, gives the derivative norm after every step
-    of the block, so convergence is checked at every step, and ``P^m``
-    advances the state.  A run that stops inside a block recovers its state
-    with single ``P`` steps.  The iterates are those of the stage-wise RK4
-    loop up to rounding (about 1e-13 after 15k steps), with the same step
-    count, time and convergence flag.
+    blocks of ``BLOCK_STEPS`` = m, whose matrices (:func:`_rk4_block`) are
+    built once per generator and step size and kept on the generator.
+    ``P`` is a polynomial in ``L``, so ``L P^m v = P^(m-k) L P^k v`` and
+    ``||L P^k v|| >= ||L P^m v|| / c`` with ``c >= max ||P^j||_2``,
+    j < m: a full block with ``||L P^m v|| > 2 c eps_ss`` cannot settle,
+    and one product with ``L P^m`` checks it before ``P^m`` advances the
+    state.  (The factor 2 leaves room for the rounding of both norms, about
+    1e-14 ||L|| ||v||.)  Any other block takes one product of the state
+    with the stacked rows of ``L P^k``, k = 1..m, which gives the
+    derivative norm after every step of the block, so convergence is
+    checked at every step; a run that stops inside a block recovers its
+    state with single ``P`` steps.  The iterates are those of the
+    stage-wise RK4 loop up to rounding (about 1e-13 after 15k steps), with
+    the same step count, time and convergence flag.
     """
     rho = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, complex)
     if not np.isfinite(rho).all():
         raise ValueError("rho0 contains non-finite entries")
+    if not (math.isfinite(t_final) and t_final >= 0) or math.isnan(eps_ss):
+        raise ValueError(f"need a finite t_final >= 0 and a number eps_ss, "
+                         f"got t_final = {t_final}, eps_ss = {eps_ss}")
     liou = gen.liouvillian
     norm = np.linalg.norm(liou, 1)
     if dt is None:
         dt = 0.1 / norm
-    if dt <= 0 or t_final < 0:
-        raise ValueError("need dt > 0 and t_final >= 0")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"need a finite dt > 0, got dt = {dt}")
     dt_max = RK4_STABLE_RADIUS / norm
     if dt > dt_max:
         raise ValueError(f"dt = {dt:.3e} is beyond the RK4 stability radius "
                          f"{RK4_STABLE_RADIUS} / ||L||_1 = {dt_max:.3e}")
 
     n = liou.shape[0]
-    full_block = _rk4_block(liou, dt, BLOCK_STEPS)
+    if (full_block := gen._rk4_blocks.get(dt)) is None:
+        full_block = gen._rk4_blocks[dt] = _rk4_block(liou, dt, BLOCK_STEPS)
+    leap, last = full_block[1], full_block[2][-n:]  # P^m and L P^m
+    limit = 2.0 * full_block[3] * eps_ss
     v = rho.flatten(order="F")
     t = 0.0
     steps = 0
@@ -866,22 +911,26 @@ def propagate(
                 break
             s += dt
             times.append(s)
-        if times:
-            p, p_block, readout = full_block
-        else:  # a last, shorter step up to t_final
-            step = t_final - t
-            p, p_block, readout = _rk4_block(liou, step, 1)
-            times.append(t + step)
         k = len(times)
-        settled = np.linalg.norm((readout[: k * n] @ v).reshape(k, n), axis=1) < eps_ss
-        if settled.any():  # the first step that has settled
-            k = int(settled.argmax()) + 1
-            converged = True
-        if k == BLOCK_STEPS:
-            v = p_block @ v
+        if k == BLOCK_STEPS and np.linalg.norm(last @ v) > limit:
+            v = leap @ v  # no step of this block can settle
         else:
-            for _ in range(k):
-                v = p @ v
+            if times:
+                p, p_block, readout, _ = full_block
+            else:  # a last, shorter step up to t_final
+                step = t_final - t
+                p, p_block, readout, _ = _rk4_block(liou, step, 1)
+                times.append(t + step)
+                k = 1
+            settled = np.linalg.norm((readout[: k * n] @ v).reshape(k, n), axis=1) < eps_ss
+            if settled.any():  # the first step that has settled
+                k = int(settled.argmax()) + 1
+                converged = True
+            if k == BLOCK_STEPS:
+                v = p_block @ v
+            else:
+                for _ in range(k):
+                    v = p @ v
         t = times[k - 1]
         steps += k
     return PropagationResult(
@@ -898,19 +947,16 @@ def branch_weights(rho0: np.ndarray | DensityMatrix, gen: Generator) -> np.ndarr
     of the per-class steady states with these weights.  (For mixed-support
     initial states this mixture reading is an extrapolation beyond the
     single-branch picture; it follows from linearity of the generator.)
+    W, its classes and the absorption system are built once per generator
+    and kept on it (``Generator._absorption``).
     """
     rho = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, complex)
-    w = build_population_matrix(gen.dissipators)
-    decomp = invariant_components(w)
+    classes, tr, drain, into = gen._absorption
     pops = np.real(np.diag(gen.eigen.to_eigenbasis(rho)))
-    weights = np.array([pops[sorted(cls)].sum() for cls in decomp.closed])
-    if decomp.transient:
-        tr = list(decomp.transient)
-        q = w[np.ix_(tr, tr)]
-        m0 = pops[tr]
+    weights = np.array([pops[cls].sum() for cls in classes])
+    if tr:
         # expected occupation time of each transient level: solve (-Q) tau = m0
-        tau = np.linalg.solve(-q, m0)
-        for k, cls in enumerate(decomp.closed):
-            into = w[np.ix_(sorted(cls), tr)].sum(axis=0)
-            weights[k] += float(into @ tau)
+        tau = np.linalg.solve(drain, pops[tr])
+        for k, rates in enumerate(into):
+            weights[k] += float(rates @ tau)
     return weights

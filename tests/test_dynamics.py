@@ -1,4 +1,8 @@
+import gc
+import weakref
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +34,9 @@ from qfridge import (
 from qfridge.reservoirs import REVIVAL_FILTER
 from qfridge import dynamics
 from conftest import hot_stack
+from qfridge.cli import load_config
 from qfridge.dynamics import (
+    BLOCK_STEPS,
     DEFAULT_EPS_SS,
     RK4_STABLE_RADIUS,
     VACUUM_TRANSPORT_FILTER,
@@ -38,6 +44,8 @@ from qfridge.dynamics import (
     take_rows,
 )
 from qfridge.thermo import IMAG_FAULT_TOL, NumericalFault
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # --- test-local oracle: closed-form stationary weights, written out -------
@@ -613,9 +621,9 @@ def rk4_reference(rho0, gen, t_final, dt=None, eps_ss=DEFAULT_EPS_SS):
     return v.reshape(8, 8, order="F"), t, converged, steps
 
 
-def assert_matches_rk4_reference(rho0, gen, t_final, dt=None):
-    result = propagate(rho0, gen, t_final, dt=dt)
-    state, t, converged, steps = rk4_reference(rho0, gen, t_final, dt=dt)
+def assert_matches_rk4_reference(rho0, gen, t_final, dt=None, eps_ss=DEFAULT_EPS_SS):
+    result = propagate(rho0, gen, t_final, dt=dt, eps_ss=eps_ss)
+    state, t, converged, steps = rk4_reference(rho0, gen, t_final, dt=dt, eps_ss=eps_ss)
     assert (result.steps, result.time, result.converged) == (steps, t, converged)
     assert np.abs(result.state - state).max() <= 1e-12
     return result
@@ -649,6 +657,126 @@ def test_propagate_matches_rk4_reference_on_multistable_generator(revival_genera
     rho0 = revival_generator.eigen.diagonal_state(rng.dirichlet(np.ones(8)))
     result = assert_matches_rk4_reference(rho0, revival_generator, t_final=400.0)
     assert result.converged
+
+
+def block_norms(gen, rho0, dt, blocks):
+    """``||L P^k v||`` after each step k of the first ``blocks`` RK4 blocks
+    of step ``dt`` from ``rho0``, as a ``(blocks, BLOCK_STEPS)`` array, and
+    the block's bound c on ``||P^j||_2``."""
+    _, leap, readout, bound = dynamics._rk4_block(gen.liouvillian, dt, BLOCK_STEPS)
+    v = np.asarray(rho0, dtype=complex).flatten(order="F")
+    norms = []
+    for _ in range(blocks):
+        norms.append(np.linalg.norm((readout @ v).reshape(BLOCK_STEPS, -1), axis=1))
+        v = leap @ v
+    return np.array(norms), bound
+
+
+def test_propagate_matches_rk4_reference_on_vacuum_transport(rng):
+    config = load_config(str(CONFIGS / "vacuum_transport.ini"))
+    gen = build_generator(config.params, config.filter, config.reservoirs, config.background)
+    rho0 = gen.eigen.diagonal_state(rng.dirichlet(np.ones(8)))
+    result = assert_matches_rk4_reference(rho0, gen, t_final=1e4)
+    assert result.converged and result.steps > 10_000
+    # most blocks are leapt over: their ||L P^m v|| exceeds 2 c eps_ss
+    dt = 0.1 / np.linalg.norm(gen.liouvillian, 1)
+    norms, bound = block_norms(gen, rho0, dt, result.steps // BLOCK_STEPS)
+    assert (norms[:, -1] > 2 * bound * DEFAULT_EPS_SS).mean() > 0.9
+
+
+def test_propagate_settles_in_the_first_block_it_does_not_leap(revival_generator, rng):
+    # a step five times the default lets ||L v|| fall by more than 2 c
+    # within one block, so a threshold exists whose first settled step lies
+    # in the first block that the bound does not leap over
+    rho0 = revival_generator.eigen.diagonal_state(rng.dirichlet(np.ones(8)))
+    dt = 0.5 / np.linalg.norm(revival_generator.liouvillian, 1)
+    norms, bound = block_norms(revival_generator, rho0, dt, 3)
+    leapt = norms[:2, -1].min() / (2 * bound)  # an eps_ss below this leaps blocks 0 and 1
+    eps_ss = np.sqrt(norms[2].min() * leapt)
+    assert norms[2].min() < eps_ss < leapt and norms[:2].min() > eps_ss
+    result = assert_matches_rk4_reference(rho0, revival_generator, t_final=1e4, dt=dt,
+                                          eps_ss=eps_ss)
+    assert result.converged and 2 * BLOCK_STEPS < result.steps <= 3 * BLOCK_STEPS
+
+
+def test_propagate_leaps_no_block_where_the_derivative_norm_rises():
+    # with a Jordan block in L, ||L v|| dips below eps_ss and rises again
+    # before its block ends; only the factor c >= ||P^j||_2 of the rule
+    # keeps that block from being leapt over
+    liou = -0.1 * np.eye(64, dtype=complex)
+    liou[0, 1] = 1.0
+    gen = SimpleNamespace(liouvillian=liou, _rk4_blocks={})
+    rho0 = np.zeros((8, 8), dtype=complex)
+    rho0[1, 0] = 1.0  # vec(rho0) = e_1
+    dt = 0.5 / np.linalg.norm(liou, 1)
+    norms, bound = block_norms(gen, rho0, dt, 4)
+    flat = norms.ravel()  # flat[j]: after step j + 1
+    dip = int(np.flatnonzero(flat[1:] > flat[:-1])[0])
+    eps_ss = (flat[dip] + flat[:dip].min()) / 2
+    block_end = flat[(dip // BLOCK_STEPS + 1) * BLOCK_STEPS - 1]
+    assert flat[dip] < eps_ss < flat[:dip].min()
+    assert 2 * eps_ss < block_end <= 2 * bound * eps_ss
+    result = assert_matches_rk4_reference(rho0, gen, t_final=1e3, dt=dt, eps_ss=eps_ss)
+    assert result.converged and result.steps == dip + 1
+
+
+def test_rk4_block_bound_covers_every_power_of_the_step(revival_generator):
+    liou = revival_generator.liouvillian
+    for dt in np.array([0.1, 1.0, RK4_STABLE_RADIUS]) / np.linalg.norm(liou, 1):
+        step, leap, readout, bound = dynamics._rk4_block(liou, dt, BLOCK_STEPS)
+        powers = [np.linalg.matrix_power(step, j) for j in range(BLOCK_STEPS + 1)]
+        assert max(np.linalg.norm(a, 2) for a in powers[:-1]) <= bound < 8.0
+        assert np.array_equal(leap, np.linalg.matrix_power(step, BLOCK_STEPS))
+        assert np.abs(readout[-64:] - liou @ powers[-1]).max() < 1e-12
+
+
+def test_propagate_builds_one_block_per_generator_and_step(revival_generator, rng,
+                                                           monkeypatch):
+    built = []
+    build = dynamics._rk4_block
+
+    def counted(liou, h, m):
+        built.append((h, m))
+        return build(liou, h, m)
+
+    monkeypatch.setattr(dynamics, "_rk4_block", counted)
+    dt = 0.1 / np.linalg.norm(revival_generator.liouvillian, 1)
+    for _ in range(12):
+        rho0 = revival_generator.eigen.diagonal_state(rng.dirichlet(np.ones(8)))
+        assert propagate(rho0, revival_generator, t_final=1e4).converged
+    assert built == [(dt, BLOCK_STEPS)]
+    for _ in range(2):
+        assert propagate(rho0, revival_generator, t_final=1e4, dt=dt / 2).converged
+    assert built == [(dt, BLOCK_STEPS), (dt / 2, BLOCK_STEPS)]
+    t_final = 2.5  # not a whole number of steps: the last one is shorter
+    result = propagate(rho0, revival_generator, t_final)
+    assert not result.converged
+    assert len(built) == 3 and built[2][1] == 1 and 0 < built[2][0] < dt
+
+
+def test_stored_blocks_are_freed_with_their_generator(params, rng):
+    reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=4.0, t_c=1.0)
+    gen = build_generator(params, REVIVAL_FILTER, reservoirs)
+    rho0 = gen.eigen.diagonal_state(rng.dirichlet(np.ones(8)))
+    assert propagate(rho0, gen, t_final=400.0).converged
+    branch_weights(rho0, gen)
+    assert gen._rk4_blocks
+    alive = weakref.ref(gen)
+    del gen
+    gc.collect()
+    assert alive() is None
+
+
+@pytest.mark.parametrize("arguments", [
+    {"dt": np.nan}, {"dt": np.inf}, {"t_final": np.nan}, {"t_final": np.inf},
+    {"eps_ss": np.nan},
+], ids=["dt_nan", "dt_inf", "t_final_nan", "t_final_inf", "eps_ss_nan"])
+def test_propagate_rejects_non_finite_arguments(arguments, revival_generator, rng,
+                                                monkeypatch):
+    monkeypatch.setattr(dynamics, "_rk4_block", step_taken)
+    with pytest.raises(ValueError, match="need a finite"):
+        propagate(random_density_matrix(rng), revival_generator,
+                  **({"t_final": 5.0} | arguments))
 
 
 def rk4_amplification(z):
@@ -797,6 +925,36 @@ def test_branch_weights_route_transients_through_absorption(params, rng):
     weights = branch_weights(rho0, gen)
     assert weights.shape == (1,)
     assert weights[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def branch_weights_reference(rho0, gen):
+    """Absorption weights with W and its classes built afresh, step for step
+    as ``branch_weights`` takes them."""
+    w = build_population_matrix(gen.dissipators)
+    decomp = invariant_components(w)
+    pops = np.real(np.diag(gen.eigen.to_eigenbasis(rho0)))
+    weights = np.array([pops[sorted(cls)].sum() for cls in decomp.closed])
+    if decomp.transient:
+        tr = list(decomp.transient)
+        tau = np.linalg.solve(-w[np.ix_(tr, tr)], pops[tr])
+        for k, cls in enumerate(decomp.closed):
+            weights[k] += float(w[np.ix_(sorted(cls), tr)].sum(axis=0) @ tau)
+    return weights
+
+
+def test_branch_weights_build_w_once_per_generator(params, rng, monkeypatch):
+    built = []
+    build = dynamics.build_population_matrix
+    monkeypatch.setattr(dynamics, "build_population_matrix",
+                        lambda ds: built.append(1) or build(ds))
+    reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=4.0, t_c=1.0)
+    for background in (BackgroundSpec.none(), BackgroundSpec.vacuum(params.gamma)):
+        gen = build_generator(params, REVIVAL_FILTER, reservoirs, background)
+        for _ in range(13):
+            rho0 = random_density_matrix(rng)
+            assert np.array_equal(branch_weights(rho0, gen),
+                                  branch_weights_reference(rho0, gen))
+    assert len(built) == 2  # once per generator
 
 
 # --- stacked rows -------------------------------------------------------------
