@@ -71,6 +71,7 @@ from .reservoirs import (
     natural_from_kelvin,
 )
 from .spectrum import (
+    DIM,
     QUBITS,
     DegenerateChannelsError,
     SystemParams,
@@ -452,8 +453,9 @@ def _solve_grid(
     row filters out couples there at gamma = 0), and those rows are one
     :func:`steady_state_rows` and one :func:`build_reports` call.  Each row
     equals ``steady_states_numeric`` and ``build_report`` on its scenario
-    alone, bit for bit.  The solve holds the whole grid at once;
-    ``build_reports`` bounds its current temporaries by ``PAIR_CHUNK``.
+    alone, bit for bit.  The solve holds the whole grid at once: its
+    currents are read out of real density matrices built from the
+    populations, one kernel call per dissipator.
     """
     if filters is None:
         filters = [config.filter] * (1 if baths is None else len(baths))
@@ -474,7 +476,9 @@ def _solve_grid(
         gen = assemble_generator(config.params, FilterConfig.all_channels(), config.reservoirs,
                                  config.background)
         dissipators = grid_dissipators(gen, masks, mask_of[live], baths[live])
-        rows = steady_state_rows(build_population_matrix(dissipators), gen.eigen)
+        # without stacked rates (no row keeps a channel) one W serves every row
+        w = np.broadcast_to(build_population_matrix(dissipators), (live.sum(), DIM, DIM))
+        rows = steady_state_rows(w, gen.eigen)
         reports = build_reports(gen, dissipators, rows, baths[live])
         solved = (r if isinstance(r, Exception) else (s, r) for s, r in zip(rows, reports))
     return [failures[i] if i in failures else next(solved) for i in mask_of.tolist()]

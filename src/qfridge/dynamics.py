@@ -127,23 +127,26 @@ def apply_dissipators(dissipators: Sequence[Dissipator], rho: np.ndarray) -> np.
     see :func:`grid_dissipators`) broadcast against the last batch axis
     of ``rho``: state ``rho[..., k, :, :]`` sees row k of the rates.  Slice k
     equals the one-channel formula evaluated for ``dissipators[k]`` alone,
-    at one row of its rates, bit for bit.
+    at one row of its rates, bit for bit.  The channel operators are real,
+    so the result takes the dtype of ``rho``: real states give real
+    actions, complex states complex ones.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho)
+    rho = rho.astype(np.result_type(rho, float), copy=False)
     if rho.shape[-2:] != (DIM, DIM):
         raise ValueError(f"expected {DIM}x{DIM} states, got {rho.shape}")
     lead = (-1,) + (1,) * (rho.ndim - 2)  # the dissipator axis, broadcast over states
     channels = [d.channel for d in dissipators]
-    a = _stack([ch.operator for ch in channels], lead)
-    ad = _stack([ch.adjoint for ch in channels], lead)
-    ada = _stack([ch.ada for ch in channels], lead)
+    a = _stack([ch.operator for ch in channels], lead, rho.dtype)
+    ad = _stack([ch.adjoint for ch in channels], lead, rho.dtype)
+    ada = _stack([ch.ada for ch in channels], lead, rho.dtype)
     jp = _rates([d.rates.j_plus for d in dissipators], rho.ndim)
     jm = _rates([d.rates.j_minus for d in dissipators], rho.ndim)
     out = _lindblad_term(jm, a, ad, ada, rho)
     warm = jp != 0.0  # a stacked j+ can be zero on some rows only
     hot = np.flatnonzero(warm.any(axis=tuple(range(1, warm.ndim))))
     if hot.size:
-        aad = _stack([channels[k].aad for k in hot], lead)
+        aad = _stack([channels[k].aad for k in hot], lead, rho.dtype)
         term = _lindblad_term(jp[hot], ad[hot], a[hot], aad, rho)
         term += out[hot]
         out[hot] = np.where(warm[hot], term, out[hot])  # the rows where j+ = 0 stay as they are
@@ -166,8 +169,8 @@ def apply_dissipator(d: Dissipator, rho: np.ndarray) -> np.ndarray:
     return apply_dissipators((d,), rho)[0]
 
 
-def _stack(mats, lead: tuple[int, ...]) -> np.ndarray:
-    return np.array(mats, dtype=complex).reshape(*lead, DIM, DIM)
+def _stack(mats, lead: tuple[int, ...], dtype) -> np.ndarray:
+    return np.array(mats, dtype=dtype).reshape(*lead, DIM, DIM)
 
 
 def _rates(values, ndim: int) -> np.ndarray:
@@ -320,13 +323,15 @@ def grid_dissipators(
     its baths at the temperatures ``baths[k]``, H, R, C (an ``(N, 3)``
     table).  Each of ``masks`` is read once, however many rows share it.
 
-    Every engineered channel carries ``(N,)`` rate arrays from its own
-    bath's column (:func:`channel_rate_stack`, one occupation per distinct
-    temperature); a channel that a row filters out couples on that row at
-    gamma = 0, so its rates there are 0, 0, 0 and every term it adds to W
-    or to a current is exactly 0.0.  Background dissipators are ``gen``'s
-    own.  Row k of W equals W of the scenario with its filter and baths
-    alone, bit for bit, and so do the currents of the channels it keeps.
+    Every engineered channel that some row keeps carries ``(N,)`` rate
+    arrays from its own bath's column (:func:`channel_rate_stack`, one
+    occupation per distinct temperature); a channel that a row filters out
+    couples on that row at gamma = 0, so its rates there are 0, 0, 0 and
+    every term it adds to W or to a current is exactly 0.0.  A channel
+    that no row keeps has the scalar rates 0, 0, 0, which broadcast over
+    the rows by the same rule.  Background dissipators are ``gen``'s own.
+    Row k of W equals W of the scenario with its filter and baths alone,
+    bit for bit, and so do the currents of the channels it keeps.
     """
     baths = np.asarray(baths, dtype=float)
     out = []
@@ -334,8 +339,12 @@ def grid_dissipators(
         if d.source == "engineered":
             q, index = d.channel.key
             kept = np.array([f.keeps(q, index) for f in masks])[mask_of]
-            gamma = np.where(kept, d.rates.gamma, 0.0)
-            d = replace(d, rates=channel_rate_stack(d.channel, gamma, baths[:, QUBITS.index(q)]))
+            if kept.any():
+                gamma = np.where(kept, d.rates.gamma, 0.0)
+                rates = channel_rate_stack(d.channel, gamma, baths[:, QUBITS.index(q)])
+            else:
+                rates = ChannelRates(q, index, 0.0, 0.0, 0.0)
+            d = replace(d, rates=rates)
         out.append(d)
     return tuple(out)
 
@@ -428,11 +437,24 @@ def _class_codes(w: np.ndarray) -> np.ndarray:
     return np.where(heads, mutual @ _LEVEL_BITS, 0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SteadyState:
-    state: DensityMatrix
+    """The stationary state of one closed class: its levels ``support`` and
+    their ``populations`` ``(8,)`` in the eigenbasis of ``eigen``.
+
+    ``state``, the density matrix ``V diag(populations) V^T`` in the
+    computational basis, is built on first read and kept; it is real,
+    since the eigenvectors are.  Nothing in the steady, sweep or scan
+    commands reads it: their currents are taken from the populations.
+    """
+
     support: frozenset[int]
     populations: np.ndarray
+    eigen: EigenSystem = field(repr=False, compare=False)
+
+    @cached_property
+    def state(self) -> DensityMatrix:
+        return DensityMatrix(self.eigen.diagonal_state(self.populations))
 
 
 @dataclass(frozen=True, slots=True)
@@ -536,16 +558,15 @@ def steady_state_rows(
     (:func:`~qfridge.matrixcore.svd_rows`).  The null-space rule
     (:func:`~qfridge.matrixcore.null_dimensions`) and the normalisation of
     each class's populations are array operations over the classes of one
-    size, the residual gate is one over all classes, and the density
-    matrices of all states are one
-    :meth:`~qfridge.spectrum.EigenSystem.diagonal_state` call.  A
+    size, and the residual gate is one over all classes.  No density
+    matrix is built: a state's ``state`` is built from its populations
+    when read (:class:`SteadyState`).  A
     row fails with the first failure of its classes in class order, then
     that of its norm, then the first residual above the bound, and a class
     after the first failing class of its row does not warn, so row k
     equals ``steady_states_numeric`` on ``w[k]`` alone, bit for bit and
     warning for warning.  Nothing bounds N: the pass holds W, the class
-    blocks, their SVDs and the states of all rows at once, a few KiB per
-    row.
+    blocks and their SVDs of all rows at once, a few KiB per row.
     """
     n = len(w)
     codes = _class_codes(w)
@@ -566,7 +587,6 @@ def steady_state_rows(
     pops[single, heads[single]] = 1.0
     for at, idx, blocks in groups:
         pops[at] = _class_populations(blocks, idx, at, faults, ambiguities)
-    groups = blocks = None  # the blocks are not held through the states below
 
     row_of = rows.tolist()
     failures: dict[int, Exception] = {}  # row -> its failure
@@ -588,8 +608,6 @@ def steady_state_rows(
             f"steady state on {_MEMBERS[codes[c], :sizes[c]].tolist()} has residual "
             f"{resid[c]:.3e} (bound {bound[rows[c]]:.3e})"))
 
-    ok = np.flatnonzero([k not in failures for k in row_of])
-    matrices = iter(eigen.diagonal_state(pops[ok]))
     classes = np.searchsorted(rows, np.arange(n + 1)).tolist()
     codes = codes.tolist()
     out: list = []
@@ -597,7 +615,7 @@ def steady_state_rows(
         if k in failures:
             out.append(failures[k])
             continue
-        states = tuple(SteadyState(DensityMatrix(next(matrices)), _level_set(codes[c]), pops[c])
+        states = tuple(SteadyState(_level_set(codes[c]), pops[c], eigen)
                        for c in range(classes[k], classes[k + 1]))
         out.append(SteadyStateSet(states))
     return out

@@ -1,8 +1,10 @@
 """Dense complex-matrix utilities shared by the whole package.
 
-Everything operates on plain ``numpy`` arrays of dtype complex128.  The
-matrices involved are tiny (8x8 operators, 64x64 superoperators), so there is
-no sparse path and no attempt at clever storage.
+Everything operates on plain ``numpy`` arrays of dtype complex128, or
+float64 where a matrix is real (the model's operators and the density
+matrices of its steady states).  The matrices involved are tiny (8x8
+operators, 64x64 superoperators), so there is no sparse path and no
+attempt at clever storage.
 """
 
 from __future__ import annotations

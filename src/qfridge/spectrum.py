@@ -12,7 +12,9 @@ binary).  Because the exchange only mixes |101> and |010>, the full 8x8
 eigensystem is closed form: six product states plus the symmetric and
 antisymmetric combinations of |101> and |010>.  All operators built here use
 those closed-form kets, so their entries are exact up to the float value of
-1/sqrt(2); no numerical diagonalization enters.
+1/sqrt(2); no numerical diagonalization enters.  The Hamiltonian, the
+eigenvectors and the channel operators are all real, and are stored as
+float64.
 
 Everything here is a pure function of the frozen, hashable
 :class:`SystemParams`, so the Hamiltonian, the eigensystem and the nine
@@ -143,7 +145,8 @@ class EigenSystem:
 
     ``energies[k]`` and column ``vectors[:, k]`` belong together; the level
     order is the fixed list ``[w_R, w_H, g, -w_C, w_C, -g, -w_H, -w_R]``, not
-    ascending energy.  Instances compare and hash by identity.
+    ascending energy.  ``vectors`` is real (float64).  Instances compare
+    and hash by identity.
     """
 
     energies: np.ndarray
@@ -155,9 +158,11 @@ class EigenSystem:
     def diagonal_state(self, populations: np.ndarray) -> np.ndarray:
         """Density matrix (computational basis) with the given level
         populations and no coherences; a stack ``(..., 8)`` of populations
-        gives the stack ``(..., 8, 8)`` of matrices."""
+        gives the stack ``(..., 8, 8)`` of matrices.  Real populations give
+        real matrices, complex ones complex matrices."""
         pops = np.asarray(populations)
-        diag = np.zeros(pops.shape[:-1] + (DIM * DIM,), dtype=complex)
+        diag = np.zeros(pops.shape[:-1] + (DIM * DIM,),
+                        dtype=np.result_type(pops, self.vectors))
         diag[..., :: DIM + 1] = pops
         diag = diag.reshape(pops.shape + (DIM,))
         # V diag V^dag, the product written over diag
@@ -174,7 +179,8 @@ class TransitionChannel:
     ``pair_weight`` is 2 |coeff|^2 (exactly 1 or 2), the rate weight every
     level pair of this channel carries in the population picture.
     ``adjoint``, ``aad`` (A A^dag) and ``ada`` (A^dag A) are computed on
-    first read and kept; like ``operator`` they are read-only.
+    first read and kept; like ``operator`` they are real (float64) and
+    read-only.
     """
 
     qubit: str
@@ -211,8 +217,9 @@ def _basis_index(qh: int, qr: int, qc: int) -> int:
 
 @lru_cache(maxsize=64)
 def build_hamiltonian(params: SystemParams) -> np.ndarray:
-    """8x8 Hamiltonian in the computational basis |q_H q_R q_C> (read-only)."""
-    h = np.zeros((DIM, DIM), dtype=complex)
+    """8x8 real symmetric Hamiltonian in the computational basis
+    |q_H q_R q_C> (float64, read-only)."""
+    h = np.zeros((DIM, DIM))
     for qh in (0, 1):
         for qr in (0, 1):
             for qc in (0, 1):
@@ -231,7 +238,7 @@ def build_hamiltonian(params: SystemParams) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def eigensystem(params: SystemParams) -> EigenSystem:
-    """Closed-form eigensystem (read-only arrays); no numerical
+    """Closed-form eigensystem (real, read-only arrays); no numerical
     diagonalization involved."""
     wc, wh, g = params.omega_c, params.omega_h, params.g
     wr = params.omega_r
@@ -239,7 +246,7 @@ def eigensystem(params: SystemParams) -> EigenSystem:
 
     i101 = _basis_index(1, 0, 1)
     i010 = _basis_index(0, 1, 0)
-    vectors = np.zeros((DIM, DIM), dtype=complex)
+    vectors = np.zeros((DIM, DIM))
     vectors[_basis_index(1, 1, 1), 0] = 1.0
     vectors[_basis_index(1, 1, 0), 1] = 1.0
     vectors[i101, 2] = _SQ2
@@ -278,9 +285,9 @@ def _channels(params: SystemParams, eig: EigenSystem) -> tuple[TransitionChannel
     for qubit in QUBITS:
         for index in (1, 2, 3):
             elements = _CHANNEL_ELEMENTS[(qubit, index)]
-            op = np.zeros((DIM, DIM), dtype=complex)
+            op = np.zeros((DIM, DIM))
             for to, frm, coeff in elements:
-                op += coeff * np.outer(eig.vectors[:, to], eig.vectors[:, frm].conj())
+                op += coeff * np.outer(eig.vectors[:, to], eig.vectors[:, frm])
             channels.append(
                 TransitionChannel(
                     qubit=qubit,

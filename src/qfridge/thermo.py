@@ -33,7 +33,7 @@ from .reservoirs import (
     ReservoirSet,
     cycle_match_check,
 )
-from .spectrum import SystemParams, channel_frequency
+from .spectrum import DIM, SystemParams, channel_frequency
 
 __all__ = [
     "NumericalFault",
@@ -434,12 +434,6 @@ class ChannelCurrent:
         return f"{self.source}:{self.qubit}{self.index}"
 
 
-#: (dissipator, state) pairs per trace-form current call of
-#: :func:`build_reports`.  A call holds a few ``(pairs, 8, 8)`` complex
-#: temporaries, so this, not the grid, bounds their memory.
-PAIR_CHUNK = 64
-
-
 @dataclass(frozen=True)
 class HeatCurrentReport:
     """Full thermodynamic read-out of one steady state: state ``index`` of
@@ -535,23 +529,31 @@ def build_reports(
     steady states (or the exception that failed it) and ``baths[k]`` its
     bath temperatures H, R, C (an ``(N, 3)`` table).  Gives per row its
     reports in state order or, as ``build_report`` state by state would
-    raise it, the row's first exception: a state fails on the first channel
-    whose current has an imaginary part above ``IMAG_FAULT_TOL``, then on
-    the first law.  A report lists the channels its row keeps, those at
-    gamma != 0 (see :func:`~qfridge.dynamics.grid_dissipators`).
+    raise it, the row's first exception: a state fails on the first law.
+    (``_readout`` also fails a state on an imaginary current part above
+    ``IMAG_FAULT_TOL``, but the states here are real, so that gate cannot
+    fire.)  A report lists the channels its row keeps, those at gamma != 0
+    (see :func:`~qfridge.dynamics.grid_dissipators`).
 
-    All states are one :class:`Readout`.  The trace-form currents are taken
-    dissipator by dissipator on the states whose row keeps it, at most
-    ``PAIR_CHUNK`` states per call, and the summary is array operations
-    over the states, so each report equals ``build_report`` on its state
-    alone, bit for bit.
+    All states are one :class:`Readout`.  The density matrices of the
+    states in ``gen``'s eigenbasis are one real
+    :meth:`~qfridge.spectrum.EigenSystem.diagonal_state` stack built from
+    their populations; a state of another eigensystem gives its own
+    ``state``.  The trace-form currents are one kernel call per dissipator,
+    on every state whose row keeps it, in real arithmetic, and the summary
+    is array operations over the states, so each report equals
+    ``build_report`` on its state alone, bit for bit.
     """
-    at, states = [], []  # the row of each state, and its density matrix
+    at, solved = [], []  # the row of each state, and the state
     for k, row in enumerate(rows):
         if not isinstance(row, Exception):
             for s in row:
                 at.append(k)
-                states.append(s.state.matrix)
+                solved.append(s)
+    states = gen.eigen.diagonal_state(np.reshape([s.populations for s in solved], (-1, DIM)))
+    for j, s in enumerate(solved):
+        if s.eigen is not gen.eigen:
+            states[j] = s.state.matrix
     readout = _readout(gen, dissipators, np.array(at, dtype=int), states, baths)
     out: list = []
     first = 0  # the first state of a row in ``readout``
@@ -567,17 +569,15 @@ def build_reports(
 
 
 def _readout(gen: Generator, dissipators: Sequence[Dissipator], at: np.ndarray,
-             states: list[np.ndarray], baths: np.ndarray) -> Readout:
-    """The :class:`Readout` of ``states``, state j on row ``at[j]`` of
-    ``dissipators`` and ``baths``."""
+             states: np.ndarray, baths: np.ndarray) -> Readout:
+    """The :class:`Readout` of the stack ``states`` ``(S, 8, 8)``, state j on
+    row ``at[j]`` of ``dissipators`` and ``baths``."""
     kept = _kept(dissipators, len(baths))[:, at]
-    values = np.zeros(kept.shape, dtype=complex)
+    values = np.zeros(kept.shape, dtype=states.dtype)
     for k, d in enumerate(dissipators):
-        on = np.flatnonzero(kept[k])
-        for start in range(0, len(on), PAIR_CHUNK):
-            js = on[start:start + PAIR_CHUNK]
-            rho = np.array([states[j] for j in js.tolist()])
-            values[k, js] = _trace_currents(gen.hamiltonian, take_rows((d,), at[js]), rho)[0]
+        if (on := np.flatnonzero(kept[k])).size:
+            values[k, on] = _trace_currents(gen.hamiltonian, take_rows((d,), at[on]),
+                                            states[on])[0]
     imaginary = np.abs(values.imag) > IMAG_FAULT_TOL
     currents = values.real
     engineered = np.zeros((len(QUBITS), len(at)))

@@ -1119,16 +1119,16 @@ def test_scan_builds_one_w_stack(monkeypatch):
 def test_scan_takes_currents_only_where_a_row_couples(monkeypatch):
     # a scan's generator couples each of the nine channels on every
     # mask's row, at gamma = 0 where the mask filters it out; no such pair
-    # reaches the trace-form kernel, and each call holds at most PAIR_CHUNK
+    # reaches the trace-form kernel, which is called once per dissipator
+    # that some row keeps
     from qfridge import thermo
-    from qfridge.thermo import PAIR_CHUNK
 
     calls = []
     apply = thermo.apply_dissipators
 
     def counted(dissipators, rho):
         assert all(np.all(np.asarray(d.rates.gamma) != 0.0) for d in dissipators)
-        calls.append(len(dissipators) * len(rho))
+        calls.append(([d.channel.key for d in dissipators], len(rho)))
         return apply(dissipators, rho)
 
     monkeypatch.setattr(thermo, "apply_dissipators", counted)
@@ -1136,8 +1136,30 @@ def test_scan_takes_currents_only_where_a_row_couples(monkeypatch):
     assert len(result.rows) == 216 and not any(r.error for r in result.rows)
     # each state of a mask pairs with the channels the mask keeps, once
     kept = sum(r.n_states * len(r.filter.kept_keys) for r in result.rows)
-    assert sum(calls) == kept < 9 * sum(r.n_states for r in result.rows)
-    assert max(calls) <= PAIR_CHUNK
+    assert sum(len(keys) * n for keys, n in calls) == kept \
+        < 9 * sum(r.n_states for r in result.rows)
+    assert [len(keys) for keys, _ in calls] == [1] * len(calls)
+    keys = [key for (key,), _ in calls]
+    assert sorted(keys) == sorted({key for r in result.rows for key in r.filter.kept_keys})
+
+
+def test_one_mask_sweep_stacks_rates_of_kept_channels_only(monkeypatch):
+    # the shipped sweep keeps three of the nine channels on every row; the
+    # six that no row keeps take scalar zero rates, without a rate stack
+    from qfridge import dynamics
+
+    calls = []
+    stack = dynamics.channel_rate_stack
+
+    def counted(channel, gamma, temperatures):
+        calls.append(channel.key)
+        return stack(channel, gamma, temperatures)
+
+    monkeypatch.setattr(dynamics, "channel_rate_stack", counted)
+    config = load_config(str(CONFIGS / "figure_sweep.ini"))
+    result = sweep_th(config)
+    assert not any(r.failed for r in result.rows)
+    assert sorted(calls) == sorted(config.filter.kept_keys) and len(calls) == 3
 
 
 @pytest.mark.parametrize("background", ["none", "vacuum"])
@@ -1190,6 +1212,51 @@ def test_grid_reports_equal_build_report_on_cold_edge_grids(background):
         assert seen["fault"] and not seen["infinite sigma"]
     else:
         assert seen["infinite sigma"]
+
+
+def assert_readout_matches_complex_oracle(monkeypatch, solve):
+    """Run ``solve``, a CLI grid solve; each real current of its read-out
+    (faulting states included) is within 8 eps of its state's summed
+    channel current magnitudes of ``heat_currents`` on the complex density
+    matrix of the state."""
+    from qfridge import cli, heat_currents, thermo
+    from qfridge.dynamics import take_rows
+
+    seen = {}
+    build, readout_of = cli.build_reports, thermo._readout
+
+    def reports(gen, dissipators, rows, baths):
+        seen.update(gen=gen, dissipators=dissipators, rows=rows)
+        return build(gen, dissipators, rows, baths)
+
+    def readout(*args):
+        seen["readout"] = readout_of(*args)
+        return seen["readout"]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_reports", reports)
+        patch.setattr(thermo, "_readout", readout)
+        solve()
+    gen, rows = seen["gen"], seen["rows"]
+    solved = [(k, s) for k, row in enumerate(rows) if not isinstance(row, Exception) for s in row]
+    rho = gen.eigen.diagonal_state(np.array([s.populations for _, s in solved], dtype=complex))
+    want = heat_currents(gen.hamiltonian, take_rows(seen["dissipators"], [k for k, _ in solved]),
+                         rho)
+    got = seen["readout"].currents
+    assert got.dtype == np.float64 and got.shape == want.shape
+    bound = 8.0 * np.finfo(float).eps * np.abs(got).sum(axis=0)
+    assert (np.abs(got - want) <= bound).all()
+
+
+def test_real_readout_matches_complex_oracle(monkeypatch):
+    # the figure_sweep grid, the census_all grid and the eight cold_edge grids
+    config = load_config(str(CONFIGS / "figure_sweep.ini"))
+    assert_readout_matches_complex_oracle(monkeypatch, lambda: sweep_th(config))
+    config = load_config(str(CONFIGS / "filter_census.ini"))
+    assert_readout_matches_complex_oracle(monkeypatch, lambda: scan_filters(config, mode="all"))
+    for t_c in np.geomspace(0.1, 0.01, 8).tolist():
+        config = parse_config(cold_edge_config(t_c))
+        assert_readout_matches_complex_oracle(monkeypatch, lambda: sweep_th(config))
 
 
 def test_no_heat_flow_gives_positive_zero_entropy_production(tmp_path):

@@ -43,6 +43,7 @@ from qfridge.dynamics import (
     steady_state_rows,
     take_rows,
 )
+from qfridge.spectrum import EigenSystem
 from qfridge.thermo import IMAG_FAULT_TOL, NumericalFault
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -182,7 +183,10 @@ def liouvillian_reference(gen):
 
 
 def test_liouvillian_equals_kronecker_reference(params):
+    # the model matrices are real; the Liouvillian, with its -i[H, .]
+    # term, stays complex
     for gen in kernel_generators(params):
+        assert gen.liouvillian.dtype == np.complex128
         assert np.array_equal(gen.liouvillian, liouvillian_reference(gen))
 
 
@@ -1009,6 +1013,41 @@ def assert_rows_equal_alone(gen, t_hs, rows):
             assert a.support == b.support
             assert np.array_equal(a.populations, b.populations)
             assert np.array_equal(a.state.matrix, b.state.matrix)
+
+
+def stacked_complex_states(vectors, pops):
+    """The density matrices of the stack ``pops`` ``(S, 8)`` in complex
+    arithmetic, as one stacked ``V diag(p) V^dag`` over complex vectors."""
+    v = vectors.astype(complex)
+    diag = np.zeros((len(pops), 64), dtype=complex)
+    diag[:, ::9] = pops
+    diag = diag.reshape(-1, 8, 8)
+    return np.matmul(v @ diag, v.conj().T, out=diag)
+
+
+def test_steady_state_rows_build_states_only_when_read(params, monkeypatch):
+    # the solve builds no density matrix; a state's matrix, built from its
+    # populations on first read, equals the complex stacked build bit for bit
+    calls = []
+    diagonal_state = EigenSystem.diagonal_state
+
+    def counted(self, populations):
+        calls.append(np.shape(populations))
+        return diagonal_state(self, populations)
+
+    monkeypatch.setattr(EigenSystem, "diagonal_state", counted)
+    grid = np.linspace(0.0, 30.0, 25).tolist()
+    for gen in kernel_generators(params):
+        rows = steady_state_rows(build_population_matrix(hot_stack(gen, grid)), gen.eigen)
+        assert calls == []
+        states = [s for row in rows for s in row]
+        want = stacked_complex_states(gen.eigen.vectors, [s.populations for s in states])
+        for s, rho in zip(states, want, strict=True):
+            assert s.state is s.state and s.state.matrix.dtype == np.float64
+            assert not rho.imag.any()
+            assert s.state.matrix.tobytes() == np.ascontiguousarray(rho.real).tobytes()
+        assert len(calls) == len(states)
+        calls.clear()
 
 
 def test_steady_state_stack_equals_rows(params, monkeypatch):

@@ -193,6 +193,23 @@ def test_channel_products_are_the_operator_products(params):
         assert (ch.ada == a.conj().T @ a).all()
 
 
+def test_model_matrices_are_real(params):
+    # the Hamiltonian, the closed-form eigenvectors and every channel
+    # operator have real entries and are stored as float64
+    arrays = [build_hamiltonian(params), eigensystem(params).vectors]
+    for ch in transition_channels(params):
+        arrays += [ch.operator, ch.adjoint, ch.ada, ch.aad]
+    assert [a.dtype for a in arrays] == [np.dtype(np.float64)] * len(arrays)
+
+
+def test_diagonal_state_takes_the_dtype_of_its_populations(params, rng):
+    eig = eigensystem(params)
+    pops = rng.dirichlet(np.ones(8), size=3)
+    real, cplx = eig.diagonal_state(pops), eig.diagonal_state(pops.astype(complex))
+    assert real.dtype == np.float64 and cplx.dtype == np.complex128
+    assert np.array_equal(real, cplx) and not cplx.imag.any()
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         SystemParams(omega_c=1.0, omega_h=0.5, g=0.1, gamma=0.1)

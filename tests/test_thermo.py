@@ -34,13 +34,13 @@ from qfridge.dynamics import (
     take_rows,
 )
 from conftest import hot_baths, hot_stack
-from qfridge.matrixcore import DensityMatrix
 from qfridge.reservoirs import COOLING_FILTERS, HIGH_EFFICIENCY_FILTER, REVIVAL_FILTER
 from qfridge.thermo import (
     DegenerateTemperaturesError,
     build_reports,
     NumericalFault,
     StageLabel,
+    _readout,
 )
 
 G_FIGURE = 9.0 / 17.0
@@ -452,18 +452,17 @@ def test_heat_currents_with_stacked_rates_equal_rows(params, rng):
                                  rho[None])[:, 0].tolist() == want.tolist()
 
 
-def imaginary_row(rng, row):
-    """``row`` with its first state replaced by one whose currents have an
-    imaginary part."""
-    bad = DensityMatrix(random_states(rng, 1)[0] * 1j)
-    return SteadyStateSet((replace(row.states[0], state=bad),))
+def off_balance_row(rng, row):
+    """``row`` with its first state's populations replaced by a distribution
+    that is not stationary, whose currents break the first law."""
+    pops = rng.dirichlet(np.ones(8))
+    return SteadyStateSet((replace(row.states[0], populations=pops),))
 
 
 def test_build_reports_equal_build_report_row_by_row(params, rng):
     # seven rows, then a grid of 70 rows in one pass, as the CLI takes it,
-    # where each of the 12 dissipators takes two trace-form calls, of
-    # PAIR_CHUNK = 64 states and of 6, and where row 8 holds a state with
-    # imaginary currents
+    # where each of the 12 dissipators takes one trace-form call over all
+    # 70 states, and where row 8 holds a state off the first law
     gen = stack_generators(params)[0]
     short = np.linspace(1.0, 12.0, 7).tolist()
     grid = np.linspace(1.0, 12.0, 70).tolist()
@@ -471,7 +470,7 @@ def test_build_reports_equal_build_report_row_by_row(params, rng):
         stack = hot_stack(gen, t_h)
         rows = steady_state_rows(build_population_matrix(stack), gen.eigen)
         if bad is not None:
-            rows[bad] = imaginary_row(rng, rows[bad])
+            rows[bad] = off_balance_row(rng, rows[bad])
         out = build_reports(gen, stack, rows, hot_baths(gen, t_h))
         for k, (t, reports) in enumerate(zip(t_h, out, strict=True)):
             hot = ReservoirSet.from_temperatures(params, t_h=t, t_r=4.0, t_c=1.0)
@@ -486,16 +485,71 @@ def test_build_reports_equal_build_report_row_by_row(params, rng):
 
 
 def test_build_reports_keep_a_faulting_state_to_its_row(params, rng):
-    # an imaginary current fails its row alone, with the fault that
-    # heat_currents raises on that state alone
+    # a state off the first law fails its row alone, with the fault that
+    # build_report raises on that state alone
     gen = stack_generators(params)[1]
     t_h = [2.0, 4.0, 8.0]
     stack = hot_stack(gen, t_h)
     rows = steady_state_rows(build_population_matrix(stack), gen.eigen)
-    rows[1] = imaginary_row(rng, rows[1])
+    rows[1] = off_balance_row(rng, rows[1])
     out = build_reports(gen, stack, rows, hot_baths(gen, t_h))
-    assert isinstance(out[1], NumericalFault) and "imaginary part" in str(out[1])
+    assert isinstance(out[1], NumericalFault) and "first-law violation" in str(out[1])
     assert all(isinstance(r, list) and len(r) == 1 for k, r in enumerate(out) if k != 1)
+    one = build_generator(params, FilterConfig.all_channels(),
+                          ReservoirSet.from_temperatures(params, t_h=4.0, t_r=4.0, t_c=1.0))
     with pytest.raises(NumericalFault) as alone:
-        heat_currents(gen.hamiltonian, take_rows(stack, [1]), rows[1].states[0].state.matrix[None])
+        build_report(one, rows[1].states[0])
     assert str(out[1]) == str(alone.value)
+
+
+def test_readout_fails_an_imaginary_current_on_its_state_alone(params, rng):
+    # real states cannot trip the imaginary-part gate, a complex stack can:
+    # i rho fails its own state alone, with the fault that heat_currents
+    # raises on that state alone
+    gen = stack_generators(params)[1]
+    t_h = [2.0, 4.0, 8.0]
+    stack = hot_stack(gen, t_h)
+    rows = steady_state_rows(build_population_matrix(stack), gen.eigen)
+    rho = np.array([row.states[0].state.matrix for row in rows], dtype=complex)
+    rho[1] = random_states(rng, 1)[0] * 1j
+    readout = _readout(gen, stack, np.arange(3), rho, hot_baths(gen, t_h))
+    assert list(readout.faults) == [1] and "imaginary part" in str(readout.faults[1])
+    with pytest.raises(NumericalFault) as alone:
+        heat_currents(gen.hamiltonian, take_rows(stack, [1]), rho[1][None])
+    assert str(readout.faults[1]) == str(alone.value)
+
+
+def test_build_reports_build_each_state_in_its_own_eigenbasis(params, monkeypatch):
+    # a state carries its eigensystem: an equal copy of gen's (as
+    # eigensystem rebuilds it after a cache eviction) or one of other
+    # eigenvectors (the closed-form ones are the same for all params, so
+    # its columns are reversed here) is read out of its own density matrix
+    from qfridge import thermo
+
+    seen = []
+    readout_of = thermo._readout
+
+    def readout(gen, dissipators, at, states, baths):
+        seen.append(states.copy())
+        return readout_of(gen, dissipators, at, states, baths)
+
+    monkeypatch.setattr(thermo, "_readout", readout)
+    gen = stack_generators(params)[1]
+    state = steady_states_numeric(gen).states[0]
+    copy = replace(state, eigen=replace(gen.eigen))
+    assert copy.eigen is not gen.eigen
+    assert build_report(gen, copy).readout.currents.tolist() == \
+        build_report(gen, state).readout.currents.tolist()
+    foreign = replace(state, eigen=replace(gen.eigen, vectors=gen.eigen.vectors[:, ::-1]))
+    rows = [SteadyStateSet((state,)), SteadyStateSet((foreign,))]
+    build_reports(gen, gen.dissipators, rows, hot_baths(gen, [6.0, 6.0]))
+    assert seen[-1].tolist() == [state.state.matrix.tolist(), foreign.state.matrix.tolist()]
+    assert seen[-1][0].tolist() != seen[-1][1].tolist()
+
+
+def test_readout_is_real(params):
+    # the model matrices are real, so the read-out runs in float64
+    for gen in stack_generators(params):
+        (state, *_) = steady_states_numeric(gen)
+        currents = build_report(gen, state).readout.currents
+        assert currents.dtype == np.float64 and currents.any()
