@@ -45,7 +45,8 @@ import sys
 import warnings
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import Field, dataclass, field, fields
-from functools import cache
+from functools import cache, reduce
+from operator import attrgetter
 from typing import TypeVar
 
 import numpy as np
@@ -78,8 +79,8 @@ from .spectrum import (
     degenerate_frequency_pairs,
 )
 from .thermo import (
-    HeatCurrentReport,
     NumericalFault,
+    RowReports,
     StageLabel,
     build_reports,
     cooling_predicate_for_filter,
@@ -120,11 +121,7 @@ ROW_FAILURES = (
 
 
 def _fmt(x: float) -> str:
-    """17-significant-digit scientific notation; round-trips float64."""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    """17-significant-digit scientific notation (or nan, inf, -inf); round-trips float64."""
     return f"{x:.16e}"
 
 
@@ -135,13 +132,29 @@ def _columns(row_type: type) -> tuple[Field, ...]:
     return tuple(f for f in fields(row_type) if f.metadata.get("column", True))
 
 
+@cache
+def _line(row_type: type) -> Callable[[object], str]:
+    """The table line of a ``row_type`` row, by one ``%``-format: ``float``
+    columns as :func:`_fmt` writes them, ``bool`` in lower case, others by
+    ``str`` with each comma written as ``;``, so it has one cell per column."""
+    columns = _columns(row_type)
+    fmt = ",".join("%.16e" if f.type == "float" else "%s" for f in columns)
+    values = attrgetter(*(f.name for f in columns))
+    cells = [(k, (lambda v: str(v).lower()) if f.type == "bool" else
+              (lambda v: str(v).replace(",", ";"))) for k, f in enumerate(columns)
+             if f.type != "float"]
+
+    def line(row) -> str:
+        row = list(values(row))
+        for k, cell in cells:
+            row[k] = cell(row[k])
+        return fmt % tuple(row)
+    return line
+
+
 def _cells(row) -> str:
-    """One table line: each column of ``row`` by its declared type, ``float``
-    through :func:`_fmt`, ``bool`` in lower case, anything else by ``str``
-    with each comma written as ``;``, so the line has one cell per column."""
-    cells = ((getattr(row, f.name), f.type) for f in _columns(type(row)))
-    return ",".join(_fmt(v) if t == "float" else str(v).lower() if t == "bool"
-                    else str(v).replace(",", ";") for v, t in cells)
+    """The table line of ``row`` (:func:`_line`)."""
+    return _line(type(row))(row)
 
 
 def _reason(exc: Exception) -> str:
@@ -160,7 +173,7 @@ def _table(config: "ScenarioConfig", row_type: type, rows: Iterable) -> str:
     """``#`` config header, the column names of ``row_type``, one line per row."""
     lines = [f"# {key} = {value}" for key, value in config.canonical_items()]
     lines.append(",".join(f.name for f in _columns(row_type)))
-    lines += [_cells(row) for row in rows]
+    lines += map(_line(row_type), rows)
     return "\n".join(lines) + "\n"
 
 
@@ -431,7 +444,7 @@ def _collecting_warnings(run: Callable[[], _T]) -> tuple[_T, tuple[str, ...]]:
     return result, tuple(dict.fromkeys(str(w.message) for w in caught))
 
 
-_Outcome = tuple[SteadyStateSet, list[HeatCurrentReport]] | Exception
+_Outcome = tuple[SteadyStateSet, RowReports] | Exception
 
 
 def _solve_grid(
@@ -484,31 +497,6 @@ def _solve_grid(
     return [failures[i] if i in failures else next(solved) for i in mask_of.tolist()]
 
 
-def _reporting(reports: list[HeatCurrentReport]) -> HeatCurrentReport:
-    """The report used for single-row outputs: the unique state's, or the
-    first of those with the largest cold-current magnitude (flowing branches
-    of a multistable filter agree in sign, so the verdict is unambiguous)."""
-    if len(reports) == 1:
-        return reports[0]
-    return max(reports, key=lambda r: abs(r.engineered["C"]))
-
-
-def _row_from_report(value: float, report: HeatCurrentReport) -> "SweepRow":
-    engineered, background, eta = report.engineered, report.background, report.efficiency
-    return SweepRow(
-        sweep_value=value,
-        qdot_C=engineered["C"],
-        qdot_H=engineered["H"],
-        qdot_R=engineered["R"],
-        qdot_B_C=background["C"],
-        qdot_B_H=background["H"],
-        qdot_B_R=background["R"],
-        eta=math.nan if eta is None else eta,
-        sigma=report.sigma,
-        stage=str(report.stage),
-    )
-
-
 @dataclass(frozen=True)
 class SweepRow:
     sweep_value: float
@@ -532,14 +520,24 @@ class SweepRow:
         return self.stage == "error"
 
 
+def _energy_balance_faults(currents: np.ndarray) -> dict[int, NumericalFault]:
+    """The CSV's energy balance: the :class:`NumericalFault` of each column
+    of ``currents`` (rows Q_C, Q_H, Q_R, Q^B_C, Q^B_H, Q^B_R) whose sum, in
+    that order, is not both finite and within 1e-10 of their magnitude,
+    where that exceeds 1e-12."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total, scale = reduce(np.add, currents, 0.0), reduce(np.add, np.abs(currents), 0.0)
+    balanced = (scale <= 1e-12) | ((np.abs(total) <= 1e-10 * scale) & np.isfinite(total))
+    return {i: NumericalFault(f"first-law violation: the six currents sum to "
+                              f"{total[i]:.3e} against magnitude {scale[i]:.3e}")
+            for i in np.flatnonzero(~balanced).tolist()}
+
+
 def _check_energy_balance(row: SweepRow) -> None:
-    """The CSV's energy balance: raise :class:`NumericalFault` unless a row's six
-    currents sum to zero within 1e-10 of their magnitude, where that exceeds 1e-12."""
+    """Raise the :func:`_energy_balance_faults` fault of one row, if any."""
     currents = (row.qdot_C, row.qdot_H, row.qdot_R, row.qdot_B_C, row.qdot_B_H, row.qdot_B_R)
-    total, scale = sum(currents), sum(map(abs, currents))
-    if scale > 1e-12 and abs(total) > 1e-10 * scale:
-        raise NumericalFault(f"first-law violation: the six currents sum to "
-                             f"{total:.3e} against magnitude {scale:.3e}")
+    for fault in _energy_balance_faults(np.array(currents, dtype=float)[:, np.newaxis]).values():
+        raise fault
 
 
 @dataclass(frozen=True)
@@ -549,15 +547,25 @@ class SweepResult:
     warnings: tuple[str, ...]
 
 
-def _sweep_row(t_h: float, outcome) -> SweepRow:
-    if isinstance(outcome, Exception):
-        return _failed_row(SweepRow, outcome, sweep_value=t_h, stage="error")
-    try:
-        row = _row_from_report(t_h, _reporting(outcome[1]))
-        _check_energy_balance(row)
-        return row
-    except ROW_FAILURES as exc:  # per-row failure is recorded, the sweep continues
-        return _failed_row(SweepRow, exc, sweep_value=t_h, stage="error")
+def _sweep_rows(t_h: list[float], outcomes: Sequence[_Outcome]) -> tuple[SweepRow, ...]:
+    """The row of each grid point ``t_h[k]`` and its outcome: its failure,
+    or the cells of its reporting state (``RowReports.reporting``) in the
+    grid's read-out arrays, which must pass :func:`_energy_balance_faults`."""
+    rows: list = [_failed_row(SweepRow, o, sweep_value=t, stage="error")
+                  if isinstance(o, Exception) else None for t, o in zip(t_h, outcomes)]
+    solved = [k for k, row in enumerate(rows) if row is None]
+    if solved:  # the rows share one read-out
+        r, js = outcomes[solved[0]][1].readout, [outcomes[k][1].reporting for k in solved]
+        engineered, background = r.engineered[:, js], r.background[:, js]
+        currents = np.stack((engineered[2], engineered[0], engineered[1],
+                             background[2], background[0], background[1]))
+        faults = _energy_balance_faults(currents)
+        cells = zip(*currents.tolist(), r.efficiency[js].tolist(), r.sigma[js].tolist(),
+                    r.stage[js].tolist())
+        for i, (k, (*values, stage)) in enumerate(zip(solved, cells)):
+            rows[k] = (_failed_row(SweepRow, faults[i], sweep_value=t_h[k], stage="error")
+                       if i in faults else SweepRow(t_h[k], *values, stage=str(stage)))
+    return tuple(rows)
 
 
 def sweep_th(config: ScenarioConfig) -> SweepResult:
@@ -576,11 +584,8 @@ def sweep_th(config: ScenarioConfig) -> SweepResult:
     baths = np.array([[config.reservoirs[q].temperature for q in QUBITS]] * len(t_h))
     baths[:, 0] = t_h
 
-    def rows() -> tuple[SweepRow, ...]:
-        outcomes = _solve_grid(config, baths=baths)
-        return tuple(_sweep_row(t, outcome) for t, outcome in zip(t_h.tolist(), outcomes))
-
-    rows, warns = _collecting_warnings(rows)
+    rows, warns = _collecting_warnings(
+        lambda: _sweep_rows(t_h.tolist(), _solve_grid(config, baths=baths)))
     return SweepResult(config=config, rows=rows, warnings=warns)
 
 
@@ -693,41 +698,36 @@ class ScanResult:
     warnings: tuple[str, ...]
 
 
-def _filter_patterns(mode: str) -> list[FilterConfig]:
-    if mode == "single_channel":
-        singles = [frozenset((j,)) for j in (1, 2, 3)]
-        patterns = singles
-    elif mode == "all":
-        patterns = [
-            frozenset(s)
-            for s in ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3))
-        ]
-    else:
+@cache
+def _filter_patterns(mode: str) -> tuple[FilterConfig, ...]:
+    """The masks of a scan mode, built once per process."""
+    kept = {"single_channel": ((1,), (2,), (3,)),
+            "all": ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3))}
+    if mode not in kept:
         raise ValueError(f"unknown scan mode {mode!r}")
-    return [
-        FilterConfig(kept_h=h, kept_r=r, kept_c=c)
-        for h in patterns for r in patterns for c in patterns
-    ]
+    patterns = [frozenset(s) for s in kept[mode]]
+    return tuple(FilterConfig(kept_h=h, kept_r=r, kept_c=c)
+                 for h in patterns for r in patterns for c in patterns)
 
 
-def _scan_row(filt: FilterConfig, outcome: _Outcome, cooling_tol: float) -> ScanRow:
-    matched = cycle_match_check(filt).matched
-    if isinstance(outcome, Exception):
-        return _failed_row(ScanRow, outcome, filter=filt, cooling=False,
-                           cycle_matched=matched, n_states=0)
-    states, reports = outcome
-    report = _reporting(reports)
-    engineered, eta = report.engineered, report.efficiency
-    return ScanRow(
-        filter=filt,
-        qdot_C=engineered["C"],
-        qdot_H=engineered["H"],
-        qdot_R=engineered["R"],
-        eta=math.nan if eta is None else eta,
-        cooling=engineered["C"] > cooling_tol,
-        cycle_matched=matched,
-        n_states=len(states),
-    )
+def _scan_rows(masks: Sequence[FilterConfig], outcomes: Sequence[_Outcome],
+               cooling_tol: float) -> list[ScanRow]:
+    """The row of each mask and its outcome: its failure, or the cells of its
+    reporting state (``RowReports.reporting``) in the grid's read-out arrays."""
+    rows = [_failed_row(ScanRow, o, filter=f, cooling=False, n_states=0,
+                        cycle_matched=cycle_match_check(f).matched)
+            if isinstance(o, Exception) else None for f, o in zip(masks, outcomes)]
+    solved = [k for k, row in enumerate(rows) if row is None]
+    if solved:  # the rows share one read-out
+        r, js = outcomes[solved[0]][1].readout, [outcomes[k][1].reporting for k in solved]
+        engineered = r.engineered[:, js]
+        cells = zip(solved, engineered[2].tolist(), engineered[0].tolist(),
+                    engineered[1].tolist(), r.efficiency[js].tolist(),
+                    (engineered[2] > cooling_tol).tolist())
+        for k, q_cold, q_hot, q_room, eta, cooling in cells:
+            rows[k] = ScanRow(masks[k], q_cold, q_hot, q_room, eta, cooling,
+                              cycle_match_check(masks[k]).matched, len(outcomes[k][0]))
+    return rows
 
 
 def scan_filters(config: ScenarioConfig, mode: str = "single_channel") -> ScanResult:
@@ -739,12 +739,12 @@ def scan_filters(config: ScenarioConfig, mode: str = "single_channel") -> ScanRe
     order: the checks' warnings in mask order, then the solve's."""
     patterns = _filter_patterns(mode)
     cooling_tol = 1e-12 * config.params.omega_c
-    rows, warns = _collecting_warnings(lambda: [
-        _scan_row(f, outcome, cooling_tol)
-        for f, outcome in zip(patterns, _solve_grid(config, filters=patterns))])
-    rows.sort(key=lambda r: (-(r.qdot_C if not math.isnan(r.qdot_C) else -math.inf),
-                             str(r.filter)))
-    return ScanResult(config=config, rows=tuple(rows), warnings=warns)
+    rows, warns = _collecting_warnings(
+        lambda: _scan_rows(patterns, _solve_grid(config, filters=patterns), cooling_tol))
+    # by cold current, largest first and NaN last, then by mask label
+    q_cold = np.array([r.qdot_C for r in rows])
+    order = np.lexsort(([str(f) for f in patterns], -np.where(np.isnan(q_cold), -np.inf, q_cold)))
+    return ScanResult(config=config, rows=tuple(rows[k] for k in order.tolist()), warnings=warns)
 
 
 def format_scan_table(config: ScenarioConfig, rows: Iterable[ScanRow]) -> str:

@@ -334,11 +334,12 @@ def grid_dissipators(
     bit for bit, and so do the currents of the channels it keeps.
     """
     baths = np.asarray(baths, dtype=float)
+    kept_for = {q: [f.kept_for(q) for f in masks] for q in QUBITS}
     out = []
     for d in gen.dissipators:
         if d.source == "engineered":
             q, index = d.channel.key
-            kept = np.array([f.keeps(q, index) for f in masks])[mask_of]
+            kept = np.array([index in kept for kept in kept_for[q]])[mask_of]
             if kept.any():
                 gamma = np.where(kept, d.rates.gamma, 0.0)
                 rates = channel_rate_stack(d.channel, gamma, baths[:, QUBITS.index(q)])
@@ -554,19 +555,17 @@ def steady_state_rows(
 
     The whole stack is one pass.  Its classes are one boolean closure; the
     blocks of W on all closed classes of one size, across rows, are one
-    stacked SVD, and the norms ``||W||`` of all rows one more
-    (:func:`~qfridge.matrixcore.svd_rows`).  The null-space rule
-    (:func:`~qfridge.matrixcore.null_dimensions`) and the normalisation of
-    each class's populations are array operations over the classes of one
-    size, and the residual gate is one over all classes.  No density
-    matrix is built: a state's ``state`` is built from its populations
-    when read (:class:`SteadyState`).  A
-    row fails with the first failure of its classes in class order, then
-    that of its norm, then the first residual above the bound, and a class
-    after the first failing class of its row does not warn, so row k
-    equals ``steady_states_numeric`` on ``w[k]`` alone, bit for bit and
-    warning for warning.  Nothing bounds N: the pass holds W, the class
-    blocks and their SVDs of all rows at once, a few KiB per row.
+    stacked SVD (:func:`~qfridge.matrixcore.svd_rows`).  The null-space
+    rule (:func:`~qfridge.matrixcore.null_dimensions`), the normalisation
+    of each class's populations and the residual gate are array operations.
+    The gate takes ``||W||_2`` (one more SVD stack) only for the rows that
+    a cheaper bound on it cannot pass.  No density matrix is built
+    (:class:`SteadyState`).  A row fails with the first failure of its
+    classes in class order, then that of its norm, then the first residual
+    above the bound, and a class after the first failing class of its row
+    does not warn, so row k equals ``steady_states_numeric`` on ``w[k]``
+    alone, bit for bit and warning for warning.  The pass holds W, the
+    class blocks and their SVDs of all rows at once, a few KiB per row.
     """
     n = len(w)
     codes = _class_codes(w)
@@ -578,7 +577,6 @@ def steady_state_rows(
         at = np.flatnonzero(sizes == size)
         idx = _MEMBERS[codes[at], :size]
         groups.append((at, idx, _class_blocks(w, rows[at], idx)))
-    norms, _, norm_failed = svd_rows(w, compute_uv=False)
 
     faults: dict[int, Exception] = {}  # class -> the failure it raises
     ambiguities: list[tuple[int, int, float]] = []  # (class, values near the cut, cut)
@@ -597,11 +595,19 @@ def steady_state_rows(
     for c, ambiguous, cut in sorted(ambiguities):
         if c <= first.get(row_of[c], c):  # the classes after the first failure are not solved
             warn_rank_ambiguity(ambiguous, cut, stacklevel=1)
-    for k, exc in norm_failed.items():
-        failures.setdefault(k, exc)
-    bound = STEADY_RESIDUAL_TOL * norms.max(axis=-1)
     r = w[rows] @ pops[:, :, np.newaxis]  # W p of each class
     resid = np.sqrt(np.swapaxes(r, -1, -2) @ r)[:, 0, 0]
+    # ||W||_2 is at least W's largest column 2-norm: a class within half the
+    # gate on that passes the gate on ||W||_2 whatever the rounding of both
+    with np.errstate(over="ignore"):
+        column = np.sqrt((w * w).sum(axis=-2)).max(axis=-1)
+    bound = 0.5 * STEADY_RESIDUAL_TOL * column
+    exact = ~np.isfinite(column)
+    exact[rows[~(resid <= bound[rows])]] = True
+    norms, _, norm_failed = svd_rows(w[need := np.flatnonzero(exact)], compute_uv=False)
+    for i, exc in norm_failed.items():
+        failures.setdefault(need[i].item(), exc)
+    bound[need] = STEADY_RESIDUAL_TOL * norms.max(axis=-1)
     live = np.array([k not in failures for k in row_of], dtype=bool)
     for c in np.flatnonzero(live & ~(resid <= bound[rows])).tolist():
         failures.setdefault(row_of[c], SolverFailure(
@@ -921,35 +927,33 @@ def propagate(
     steps = 0
     converged = float(np.linalg.norm(liou @ v)) < eps_ss
     while t < t_final and not converged:
-        # times after each full step of this block, accumulated one by one
-        times = []
-        s = t
-        for _ in range(BLOCK_STEPS):
-            if t_final - s < dt:
-                break
+        # the full steps of this block, and the time after them accumulated
+        # step by step
+        k, s = 0, t
+        while k < BLOCK_STEPS and not t_final - s < dt:
             s += dt
-            times.append(s)
-        k = len(times)
+            k += 1
         if k == BLOCK_STEPS and np.linalg.norm(last @ v) > limit:
             v = leap @ v  # no step of this block can settle
+            t, steps = s, steps + k
+            continue
+        if k:
+            step, (p, p_block, readout, _) = dt, full_block
+        else:  # a last, shorter step up to t_final
+            step = t_final - t
+            p, p_block, readout, _ = _rk4_block(liou, step, 1)
+            k = 1
+        settled = np.linalg.norm((readout[: k * n] @ v).reshape(k, n), axis=1) < eps_ss
+        if settled.any():  # the first step that has settled
+            k = int(settled.argmax()) + 1
+            converged = True
+        if k == BLOCK_STEPS:
+            v = p_block @ v
         else:
-            if times:
-                p, p_block, readout, _ = full_block
-            else:  # a last, shorter step up to t_final
-                step = t_final - t
-                p, p_block, readout, _ = _rk4_block(liou, step, 1)
-                times.append(t + step)
-                k = 1
-            settled = np.linalg.norm((readout[: k * n] @ v).reshape(k, n), axis=1) < eps_ss
-            if settled.any():  # the first step that has settled
-                k = int(settled.argmax()) + 1
-                converged = True
-            if k == BLOCK_STEPS:
-                v = p_block @ v
-            else:
-                for _ in range(k):
-                    v = p @ v
-        t = times[k - 1]
+            for _ in range(k):
+                v = p @ v
+        for _ in range(k):
+            t += step
         steps += k
     return PropagationResult(
         state=v.reshape(DIM, DIM, order="F"), time=t, converged=converged, steps=steps

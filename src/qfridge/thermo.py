@@ -8,9 +8,10 @@ current is positive.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +45,7 @@ __all__ = [
     "CoolingVerdict",
     "HeatCurrentReport",
     "Readout",
+    "RowReports",
     "heat_current",
     "heat_currents",
     "currents_cycle_analytic",
@@ -490,19 +492,34 @@ class Readout:
     first_law_residual: np.ndarray
     faults: dict[int, NumericalFault]
 
-    def report(self, j: int) -> HeatCurrentReport:
-        """The report of state j."""
-        eta = self.efficiency[j].item()
+
+@dataclass(eq=False, repr=False, slots=True)
+class RowReports(Sequence):
+    """One row's reports, of states ``first`` to ``stop - 1`` of ``readout``,
+    each made when indexed (by position); equal to a list of them.
+    ``reporting`` is the state single-row outputs read (:func:`_reporting_states`)."""
+
+    readout: Readout
+    first: int
+    stop: int
+    reporting: int
+
+    def __len__(self) -> int:
+        return self.stop - self.first
+
+    def __getitem__(self, k: int) -> HeatCurrentReport:
+        r, j = self.readout, self.first + range(len(self))[k]
+        eta = r.efficiency[j].item()
         return HeatCurrentReport(
-            engineered=dict(zip(QUBITS, self.engineered[:, j].tolist())),
-            background=dict(zip(QUBITS, self.background[:, j].tolist())),
-            efficiency=None if math.isnan(eta) else eta,
-            sigma=self.sigma[j].item(),
-            stage=self.stage[j],
-            first_law_residual=self.first_law_residual[j].item(),
-            readout=self,
-            index=j,
-        )
+            dict(zip(QUBITS, r.engineered[:, j].tolist())),
+            dict(zip(QUBITS, r.background[:, j].tolist())), None if math.isnan(eta) else eta,
+            r.sigma[j].item(), r.stage[j], r.first_law_residual[j].item(), readout=r, index=j)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 def build_report(gen: Generator, steady: SteadyState) -> HeatCurrentReport:
@@ -521,51 +538,60 @@ def build_reports(
     dissipators: Sequence[Dissipator],
     rows: Sequence[SteadyStateSet | Exception],
     baths: np.ndarray,
-) -> list[list[HeatCurrentReport] | Exception]:
+) -> list[RowReports | Exception]:
     """:func:`build_report` of every steady state of a stack of rows.
 
     ``dissipators`` are ``gen``'s with one row of stacked rates per row (or
     ``gen``'s own, for rows that share their rates), ``rows`` holds row k's
     steady states (or the exception that failed it) and ``baths[k]`` its
     bath temperatures H, R, C (an ``(N, 3)`` table).  Gives per row its
-    reports in state order or, as ``build_report`` state by state would
-    raise it, the row's first exception: a state fails on the first law.
-    (``_readout`` also fails a state on an imaginary current part above
-    ``IMAG_FAULT_TOL``, but the states here are real, so that gate cannot
-    fire.)  A report lists the channels its row keeps, those at gamma != 0
-    (see :func:`~qfridge.dynamics.grid_dissipators`).
+    reports in state order, a :class:`RowReports`, or, as ``build_report``
+    state by state would raise it, the row's first exception: a state fails
+    on the first law (``_readout``'s gate on imaginary current parts cannot
+    fire on these real states).  A report lists the channels its row keeps,
+    those at gamma != 0 (see :func:`~qfridge.dynamics.grid_dissipators`).
 
-    All states are one :class:`Readout`.  The density matrices of the
-    states in ``gen``'s eigenbasis are one real
-    :meth:`~qfridge.spectrum.EigenSystem.diagonal_state` stack built from
-    their populations; a state of another eigensystem gives its own
-    ``state``.  The trace-form currents are one kernel call per dissipator,
-    on every state whose row keeps it, in real arithmetic, and the summary
-    is array operations over the states, so each report equals
-    ``build_report`` on its state alone, bit for bit.
+    All states are one :class:`Readout`: one real
+    :meth:`~qfridge.spectrum.EigenSystem.diagonal_state` stack of their
+    density matrices from the populations (a state of another eigensystem
+    gives its own ``state``), one trace-form kernel call per dissipator on
+    the states whose rows keep it, and array operations for the summary, so
+    each report equals ``build_report`` on its state alone, bit for bit.
     """
-    at, solved = [], []  # the row of each state, and the state
+    solved = [row for row in rows if not isinstance(row, Exception)]
+    counts = np.array([len(row) for row in solved], dtype=int)
+    states = [s for row in solved for s in row]
+    at = np.repeat(np.flatnonzero([not isinstance(row, Exception) for row in rows]), counts)
+    stack = gen.eigen.diagonal_state(np.reshape([s.populations for s in states], (-1, DIM)))
+    for j, s in enumerate(states):
+        if s.eigen is not gen.eigen:
+            stack[j] = s.state.matrix
+    readout = _readout(gen, dissipators, at, stack, baths)
+    failures = {}  # row -> the fault of its first faulting state
+    for j in sorted(readout.faults):
+        failures.setdefault(at[j].item(), readout.faults[j])
+    spans = iter(zip(np.cumsum(counts).tolist(),  # per solved row: its stop, its reporting state
+                     _reporting_states(readout.engineered[2], counts).tolist()))
+    out: list = []
     for k, row in enumerate(rows):
         if not isinstance(row, Exception):
-            for s in row:
-                at.append(k)
-                solved.append(s)
-    states = gen.eigen.diagonal_state(np.reshape([s.populations for s in solved], (-1, DIM)))
-    for j, s in enumerate(solved):
-        if s.eigen is not gen.eigen:
-            states[j] = s.state.matrix
-    readout = _readout(gen, dissipators, np.array(at, dtype=int), states, baths)
-    out: list = []
-    first = 0  # the first state of a row in ``readout``
-    for row in rows:
-        if isinstance(row, Exception):
-            out.append(row)
-            continue
-        js = range(first, first + len(row))
-        first += len(row)
-        fault = next((readout.faults[j] for j in js if j in readout.faults), None)
-        out.append(fault if fault is not None else [readout.report(j) for j in js])
+            stop, reporting = next(spans)
+            row = failures.get(k) or RowReports(readout, stop - len(row), stop, reporting)
+        out.append(row)
     return out
+
+
+def _reporting_states(q_cold: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The state that single-row outputs read, of each group of ``counts``
+    (at least one) consecutive states of cold currents ``q_cold``: the first
+    with the largest ``|Q_C|`` as ``max`` picks it (a NaN first state is
+    kept, a later NaN never picked); flowing branches agree in sign."""
+    firsts = np.cumsum(counts) - counts
+    size = np.abs(q_cold)
+    size[np.isnan(size)] = -np.inf
+    top = np.repeat(np.maximum.reduceat(size, firsts), counts)
+    best = np.minimum.reduceat(np.where(size == top, np.arange(len(size)), len(size)), firsts)
+    return np.where(np.isnan(q_cold[firsts]), firsts, best)
 
 
 def _readout(gen: Generator, dissipators: Sequence[Dissipator], at: np.ndarray,
@@ -583,16 +609,17 @@ def _readout(gen: Generator, dissipators: Sequence[Dissipator], at: np.ndarray,
     engineered = np.zeros((len(QUBITS), len(at)))
     background = np.zeros((len(QUBITS), len(at)))
     scale = np.zeros(len(at))
-    for d, value in zip(dissipators, currents):  # in generator order, as one state's sums
-        sums = engineered if d.source == "engineered" else background
-        sums[QUBITS.index(d.channel.qubit)] += value
-        scale += np.abs(value)
-    total = (engineered[0] + engineered[1] + engineered[2]) + \
-        (background[0] + background[1] + background[2])
-    residual = np.divide(np.abs(total), scale, out=np.zeros(len(at)), where=scale > 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum fails below
+        for d, value in zip(dissipators, currents):  # in generator order, as one state's sums
+            sums = engineered if d.source == "engineered" else background
+            sums[QUBITS.index(d.channel.qubit)] += value
+            scale += np.abs(value)
+        total = (engineered[0] + engineered[1] + engineered[2]) + \
+            (background[0] + background[1] + background[2])
+        residual = np.divide(np.abs(total), scale, out=np.zeros(len(at)), where=scale != 0)
     # the relative first-law check is meaningless when every current is
-    # already at the noise floor
-    violated = (scale > 1e-12 * gen.params.omega_c * gen.params.gamma) & (residual > 1e-10)
+    # already at the noise floor; a NaN scale or residual fails it
+    violated = ~((scale <= 1e-12 * gen.params.omega_c * gen.params.gamma) | (residual <= 1e-10))
     faults = {}
     for j in np.flatnonzero(imaginary.any(axis=0) | violated).tolist():
         if imaginary[:, j].any():

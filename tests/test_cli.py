@@ -793,6 +793,48 @@ def solve_alone(config: ScenarioConfig):
     return states, [build_report(gen, s) for s in states]
 
 
+def reporting(reports):
+    """The report used for single-row outputs, as ``max`` picks it: the
+    unique state's, or the first of those with the largest cold-current
+    magnitude.  The grid read-out chooses the same state by array
+    operations (``RowReports.reporting``)."""
+    if len(reports) == 1:
+        return reports[0]
+    return max(reports, key=lambda r: abs(r.engineered["C"]))
+
+
+def row_from_report(value: float, report):
+    """The sweep row of one report, cell by cell: what the grid read-out
+    must give."""
+    from qfridge.cli import SweepRow
+
+    engineered, background, eta = report.engineered, report.background, report.efficiency
+    return SweepRow(sweep_value=value, qdot_C=engineered["C"], qdot_H=engineered["H"],
+                    qdot_R=engineered["R"], qdot_B_C=background["C"],
+                    qdot_B_H=background["H"], qdot_B_R=background["R"],
+                    eta=math.nan if eta is None else eta, sigma=report.sigma,
+                    stage=str(report.stage))
+
+
+def scan_row(filt, outcome, cooling_tol: float):
+    """The scan row of one mask solved alone, cell by cell: what the grid
+    read-out must give."""
+    from qfridge import cli
+    from qfridge.cli import ScanRow
+
+    matched = cli.cycle_match_check(filt).matched
+    if isinstance(outcome, Exception):
+        return cli._failed_row(ScanRow, outcome, filter=filt, cooling=False,
+                               cycle_matched=matched, n_states=0)
+    states, reports = outcome
+    report = reporting(reports)
+    engineered, eta = report.engineered, report.efficiency
+    return ScanRow(filter=filt, qdot_C=engineered["C"], qdot_H=engineered["H"],
+                   qdot_R=engineered["R"], eta=math.nan if eta is None else eta,
+                   cooling=engineered["C"] > cooling_tol, cycle_matched=matched,
+                   n_states=len(states))
+
+
 def one_point_solves(config: ScenarioConfig):
     """Each grid point of a sweep solved alone by :func:`solve_alone` into a
     row, and each distinct warning of all points once, in first-seen order:
@@ -807,7 +849,7 @@ def one_point_solves(config: ScenarioConfig):
         point = replace(config, reservoirs=replace(res, hot=replace(res.hot, temperature=t_h)))
         try:
             _, reports = solve_alone(point)
-            row = cli._row_from_report(t_h, cli._reporting(reports))
+            row = row_from_report(t_h, reporting(reports))
             cli._check_energy_balance(row)
             return row
         except cli.ROW_FAILURES as exc:
@@ -1013,7 +1055,7 @@ def masks_solved_alone(config: ScenarioConfig, mode: str):
             outcome = solve_alone(replace(config, filter=filt))
         except cli.ROW_FAILURES as exc:
             outcome = exc
-        return cli._scan_row(filt, outcome, cooling_tol)
+        return scan_row(filt, outcome, cooling_tol)
 
     _, checks = cli._collecting_warnings(lambda: [check(f) for f in patterns])
     rows, solves = cli._collecting_warnings(lambda: [solve(f) for f in patterns])
@@ -1276,3 +1318,150 @@ def test_no_heat_flow_gives_positive_zero_entropy_production(tmp_path):
     sigma = entropy_production(zero, {"H": 2.0, "R": 1.5, "C": 1.0}, background=zero,
                                background_temperature=0.0)
     assert sigma == 0.0 and math.copysign(1.0, sigma) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Table lines, the first-law gates and the reporting state, against
+# per-cell and per-report references
+# ---------------------------------------------------------------------------
+
+
+def fmt_reference(x) -> str:
+    """A float cell, case by case."""
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return f"{x:.16e}"
+
+
+def cells_reference(row) -> str:
+    """A table line, cell by cell through :func:`fmt_reference`."""
+    from dataclasses import fields
+
+    cells = ((getattr(row, f.name), f.type) for f in fields(row)
+             if f.metadata.get("column", True))
+    return ",".join(fmt_reference(v) if t == "float" else str(v).lower() if t == "bool"
+                    else str(v).replace(",", ";") for v, t in cells)
+
+
+_CELL_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.integers(-2**53, 2**53))
+_KEPT = st.frozensets(st.sampled_from((1, 2, 3)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(_CELL_FLOATS, min_size=9, max_size=9), text=st.text(),
+       flags=st.tuples(st.booleans(), st.booleans()), n_states=st.integers(),
+       kept=st.tuples(_KEPT, _KEPT, _KEPT))
+def test_table_lines_equal_cell_by_cell_formatting(values, text, flags, n_states, kept):
+    from qfridge import FilterConfig, cli
+    from qfridge.cli import ScanRow, SweepRow
+
+    rows = [SweepRow(*values, stage=text, error=text),
+            ScanRow(FilterConfig(*kept), *values[:4], *flags, n_states, error=text)]
+    for row in rows:
+        assert cli._cells(row) == cli._line(type(row))(row) == cells_reference(row)
+    config = parse_config(NATURAL_CONFIG)
+    assert format_scan_table(config, [rows[1]]) == \
+        format_scan_table(config, []) + cells_reference(rows[1]) + "\n"
+
+
+def balance_reference(currents) -> bool:
+    """Whether the CSV's energy balance passes six currents, by Python sums:
+    within 1e-10 of their magnitude where that exceeds 1e-12, and finite."""
+    total, scale = sum(currents), sum(map(abs, currents))
+    return scale <= 1e-12 or (math.isfinite(total) and abs(total) <= 1e-10 * scale)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(currents=st.lists(st.lists(
+    st.one_of(st.floats(-1e3, 1e3), st.sampled_from([math.nan, math.inf, -math.inf, 0.0])),
+    min_size=6, max_size=6), min_size=1, max_size=6), cancel=st.booleans())
+def test_energy_balance_faults_equal_python_sums(currents, cancel):
+    # a balanced column: its last current cancels the others' sum
+    from qfridge import cli
+
+    if cancel:
+        currents[0][5] = -sum(currents[0][:5])
+    faults = cli._energy_balance_faults(np.array(currents, dtype=float).T)
+    assert sorted(faults) == [i for i, c in enumerate(currents) if not balance_reference(c)]
+    for i, fault in faults.items():
+        total, scale = sum(currents[i]), sum(map(abs, currents[i]))
+        assert str(fault) == (f"first-law violation: the six currents sum to {total:.3e} "
+                              f"against magnitude {scale:.3e}")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_currents_fail_both_first_law_gates(monkeypatch, bad):
+    # a kernel that returns a non-finite current on the state of row 3 fails
+    # that row alone, with the per-channel gate's NumericalFault; the CSV's
+    # per-reservoir gate fails such a row too
+    from dataclasses import replace
+
+    from qfridge import cli, thermo
+
+    config = parse_config(FIG_CONFIG)
+    plain = sweep_th(config)
+    trace_currents = thermo._trace_currents
+
+    def faulty(hamiltonian, dissipators, rho):
+        values = trace_currents(hamiltonian, dissipators, rho)
+        values[..., 3] = bad
+        return values
+
+    monkeypatch.setattr(thermo, "_trace_currents", faulty)
+    result = sweep_th(config)
+    assert [r.failed for r in result.rows] == [k == 3 for k in range(8)]
+    assert re.fullmatch(r"NumericalFault: first-law violation: currents sum to \S+ against "
+                        r"magnitude \S+", result.rows[3].error)
+    assert [r.as_csv() for k, r in enumerate(result.rows) if k != 3] == \
+        [r.as_csv() for k, r in enumerate(plain.rows) if k != 3]
+    row = replace(plain.rows[3], qdot_B_R=bad)
+    with pytest.raises(cli.NumericalFault, match="first-law violation: the six currents"):
+        cli._check_energy_balance(row)
+
+
+_Q = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 2.0, -2.0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(groups=st.lists(st.lists(_Q, min_size=1, max_size=4), min_size=1, max_size=6))
+def test_reporting_state_of_the_readout_equals_max_over_reports(groups):
+    # ties, NaN first or later, and +-0.0: the array choice picks the state
+    # that max over the reports by |Q_C| picks
+    from types import SimpleNamespace
+
+    from qfridge.thermo import _reporting_states
+
+    q = np.array([x for g in groups for x in g])
+    got = _reporting_states(q, np.array([len(g) for g in groups])).tolist()
+    first = 0
+    for g, j in zip(groups, got, strict=True):
+        reports = [SimpleNamespace(engineered={"C": x}) for x in g]
+        assert reports[j - first] is reporting(reports)
+        first += len(g)
+
+
+def test_sweep_and_scan_make_no_report_objects(monkeypatch):
+    # the rows read their cells from the read-out arrays; a report is made
+    # only when a row's reports are indexed, as steady does once per state
+    from qfridge import thermo
+
+    made = []
+
+    class Counted(thermo.HeatCurrentReport):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs["index"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(thermo, "HeatCurrentReport", Counted)
+    assert len(sweep_th(load_config(str(CONFIGS / "figure_sweep.ini"))).rows) == 200
+    census = load_config(str(CONFIGS / "filter_census.ini"))
+    assert len(scan_filters(census, mode="all").rows) == 216
+    assert made == []
+    assert "[state 0] stage = " in run_steady(parse_config(NATURAL_CONFIG))
+    assert made == [0]

@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -1056,12 +1057,14 @@ def test_steady_state_stack_equals_rows(params, monkeypatch):
         rows = steady_state_rows(w, gen.eigen)
         assert not any(isinstance(row, Exception) for row in rows)
         assert_rows_equal_alone(gen, STACK_T_H, rows)
-    # a grid of 25 rows in one pass, as the CLI takes it; every SVD of row 8
-    # fails, and the stacks that hold it are redone matrix by matrix
+    # a grid of 25 rows in one pass, as the CLI takes it; the SVD of the
+    # first class block of row 8 fails, and the stacks that hold it are
+    # redone matrix by matrix
     grid = np.linspace(0.0, 30.0, 25).tolist()
     for gen in kernel_generators(params):
         w = build_population_matrix(hot_stack(gen, grid))
-        monkeypatch.setattr(np.linalg, "svd", failing_svd_of(w[8]))
+        cls = sorted(next(c for c in invariant_components(w[8]).closed if len(c) > 1))
+        monkeypatch.setattr(np.linalg, "svd", failing_svd_of(w[8][np.ix_(cls, cls)]))
         rows = steady_state_rows(w, gen.eigen)
         assert [isinstance(row, Exception) for row in rows] == [k == 8 for k in range(len(grid))]
         assert_rows_equal_alone(gen, grid, rows)
@@ -1112,3 +1115,93 @@ def test_steady_state_stack_warns_and_fails_row_by_row(params, monkeypatch):
             assert [s.populations.tolist() for s in got] == \
                 [s.populations.tolist() for s in one]
     assert [isinstance(r, Exception) for r in stacked] == [False, False, True, False, True, False]
+
+
+# --- the two-stage residual gate ---------------------------------------------
+
+def uniform_rates_stack(n: int) -> np.ndarray:
+    """``n`` copies of W with every rate 1: one class of all eight levels,
+    stationary state uniform, largest column 2-norm sqrt(56) < ||W||_2 = 8."""
+    return np.broadcast_to(np.ones((8, 8)) - 8.0 * np.eye(8), (n, 8, 8)).copy()
+
+
+def exact_norm_rows(monkeypatch) -> list[int]:
+    """Patch ``dynamics.svd_rows`` to record the number of matrices of each
+    ``||W||_2`` call (``compute_uv=False``); returns the record."""
+    rows, svd_rows = [], dynamics.svd_rows
+
+    def counted(stack, compute_uv=True):
+        if not compute_uv:
+            rows.append(len(stack))
+        return svd_rows(stack, compute_uv)
+
+    monkeypatch.setattr(dynamics, "svd_rows", counted)
+    return rows
+
+
+def test_residual_gate_takes_the_exact_norm_only_near_the_bound(params, monkeypatch):
+    # rows 1 and 2 are pushed off their stationary state along e0 - e1, to a
+    # residual between TOL * (largest column norm) and TOL * ||W||_2, and
+    # above TOL * ||W||_2: only they take the exact norm, row 1 passes and
+    # row 2 fails with the bound on ||W||_2
+    w = uniform_rates_stack(4)
+    column, norm = math.sqrt(56.0), 8.0
+    tol = dynamics.STEADY_RESIDUAL_TOL
+    shift = {1: 0.5 * (column + norm) * tol, 2: 1.5 * norm * tol}  # target residuals
+    populations = dynamics._class_populations
+
+    def shifted(blocks, idx, classes, faults, ambiguities):
+        pops = populations(blocks, idx, classes, faults, ambiguities)
+        for c, k in enumerate(classes.tolist()):
+            if k in shift:  # ||W (e0 - e1)|| = 8 sqrt(2)
+                pops[c, :2] += np.array([1.0, -1.0]) * shift[k] / (8.0 * math.sqrt(2.0))
+        return pops
+
+    monkeypatch.setattr(dynamics, "_class_populations", shifted)
+    rows = exact_norm_rows(monkeypatch)
+    out = steady_state_rows(w, eigensystem(params))
+    assert rows == [2]
+    assert [isinstance(row, Exception) for row in out] == [False, False, True, False]
+    resid = np.linalg.norm(w[2] @ out[1].states[0].populations)
+    assert column * tol < resid < norm * tol
+    bound = tol * np.linalg.svd(w[2], compute_uv=False).max()
+    assert isinstance(out[2], dynamics.SolverFailure) and str(out[2]) == (
+        f"steady state on [0, 1, 2, 3, 4, 5, 6, 7] has residual {shift[2]:.3e} "
+        f"(bound {bound:.3e})")
+
+
+def test_residual_gate_fails_a_non_finite_w_as_the_exact_norm_does(params, monkeypatch):
+    # level 7 drains into a closed class of levels 0-6 through a NaN (or
+    # -inf) diagonal entry, outside every class block: the row takes the
+    # exact norm, whose SVD fails (NaN) or reads NaN (-inf)
+    w = uniform_rates_stack(3)
+    w[1] = 0.0
+    w[1, :7, :7] = np.ones((7, 7)) - 7.0 * np.eye(7)
+    w[1, 0, 7] = 1.0
+    for diagonal, want in ((np.nan, "SVD did not converge"),
+                           (-np.inf, "steady state on [0, 1, 2, 3, 4, 5, 6] has residual nan "
+                                     "(bound nan)")):
+        w[1, 7, 7] = diagonal
+        rows = exact_norm_rows(monkeypatch)
+        with np.errstate(invalid="ignore"):
+            out = steady_state_rows(w, eigensystem(params))
+        assert rows == [1] and str(out[1]) == want
+        assert [isinstance(row, Exception) for row in out] == [False, True, False]
+        monkeypatch.undo()
+
+
+def test_shipped_grids_never_take_the_exact_norm(monkeypatch):
+    from qfridge.cli import parse_config, scan_filters, sweep_th
+
+    rows = exact_norm_rows(monkeypatch)
+    assert not any(r.failed for r in sweep_th(load_config(str(CONFIGS / "figure_sweep.ini"))).rows)
+    census = load_config(str(CONFIGS / "filter_census.ini"))
+    for mode in ("single_channel", "all"):
+        assert not any(r.error for r in scan_filters(census, mode=mode).rows)
+    for t_c in np.geomspace(0.1, 0.01, 8).tolist():
+        text = (f"[system]\nomega_c = 1.0\nomega_h = 3.0\ng = 0.25\ngamma = 0.05\n"
+                f"[reservoirs]\nt_h = 0.5\nt_r = {4.0 * t_c!r}\nt_c = {t_c!r}\n"
+                "[filter]\nh = 3\nr = 2\nc = 1\n"
+                "[sweep]\nvariable = t_h\nstart = 0.5\nstop = 12.0\npoints = 25\n")
+        sweep_th(parse_config(text))
+    assert rows and set(rows) == {0}

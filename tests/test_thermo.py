@@ -39,6 +39,7 @@ from qfridge.thermo import (
     DegenerateTemperaturesError,
     build_reports,
     NumericalFault,
+    RowReports,
     StageLabel,
     _readout,
 )
@@ -494,7 +495,7 @@ def test_build_reports_keep_a_faulting_state_to_its_row(params, rng):
     rows[1] = off_balance_row(rng, rows[1])
     out = build_reports(gen, stack, rows, hot_baths(gen, t_h))
     assert isinstance(out[1], NumericalFault) and "first-law violation" in str(out[1])
-    assert all(isinstance(r, list) and len(r) == 1 for k, r in enumerate(out) if k != 1)
+    assert all(isinstance(r, RowReports) and len(r) == 1 for k, r in enumerate(out) if k != 1)
     one = build_generator(params, FilterConfig.all_channels(),
                           ReservoirSet.from_temperatures(params, t_h=4.0, t_r=4.0, t_c=1.0))
     with pytest.raises(NumericalFault) as alone:
