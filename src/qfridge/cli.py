@@ -84,6 +84,7 @@ from .thermo import (
     StageLabel,
     build_reports,
     cooling_predicate_for_filter,
+    reporting_cells,
 )
 
 __all__ = [
@@ -140,14 +141,12 @@ def _line(row_type: type) -> Callable[[object], str]:
     columns = _columns(row_type)
     fmt = ",".join("%.16e" if f.type == "float" else "%s" for f in columns)
     values = attrgetter(*(f.name for f in columns))
-    cells = [(k, (lambda v: str(v).lower()) if f.type == "bool" else
-              (lambda v: str(v).replace(",", ";"))) for k, f in enumerate(columns)
-             if f.type != "float"]
+    text = {k: f.type == "bool" for k, f in enumerate(columns) if f.type != "float"}
 
     def line(row) -> str:
         row = list(values(row))
-        for k, cell in cells:
-            row[k] = cell(row[k])
+        for k, lower in text.items():
+            row[k] = str(row[k]).lower() if lower else str(row[k]).replace(",", ";")
         return fmt % tuple(row)
     return line
 
@@ -452,23 +451,21 @@ def _solve_grid(
     filters: Sequence[FilterConfig] | None = None,
     baths: np.ndarray | None = None,
 ) -> list[_Outcome]:
-    """Every steady state of each row and one report per state, or the row
-    failure of that row, in row order.  Row k is the scenario with the
-    filter ``filters[k]`` and its baths at the temperatures ``baths[k]``,
-    H, R, C (an ``(N, 3)`` table); without ``filters`` every row keeps the
-    config's filter, without ``baths`` every row has the config's baths, and
-    without either the grid is the scenario alone.
+    """Every steady state of each row and their reports, or the row failure
+    of that row, in row order.  Row k is the scenario with the filter
+    ``filters[k]`` and its baths at the temperatures ``baths[k]``, H, R, C
+    (an ``(N, 3)`` table); without ``filters`` every row keeps the config's
+    filter, without ``baths`` every row has the config's baths, and without
+    either the grid is the scenario alone.
 
     Each distinct filter is checked once (:func:`check_channels`), in row
     order, before any row is solved; a row whose filter fails a check fails
     with it.  One generator over all nine channels, and W of the other
     rows, are then built once (:func:`grid_dissipators`: a channel that a
     row filters out couples there at gamma = 0), and those rows are one
-    :func:`steady_state_rows` and one :func:`build_reports` call.  Each row
-    equals ``steady_states_numeric`` and ``build_report`` on its scenario
-    alone, bit for bit.  The solve holds the whole grid at once: its
-    currents are read out of real density matrices built from the
-    populations, one kernel call per dissipator.
+    :func:`steady_state_rows` and one :func:`build_reports` call, each row
+    equal to ``steady_states_numeric`` and ``build_report`` on its scenario
+    alone, bit for bit.
     """
     if filters is None:
         filters = [config.filter] * (1 if baths is None else len(baths))
@@ -521,10 +518,9 @@ class SweepRow:
 
 
 def _energy_balance_faults(currents: np.ndarray) -> dict[int, NumericalFault]:
-    """The CSV's energy balance: the :class:`NumericalFault` of each column
-    of ``currents`` (rows Q_C, Q_H, Q_R, Q^B_C, Q^B_H, Q^B_R) whose sum, in
-    that order, is not both finite and within 1e-10 of their magnitude,
-    where that exceeds 1e-12."""
+    """The CSV's energy balance: the :class:`NumericalFault` of each column of ``currents``
+    (rows Q_C, Q_H, Q_R, Q^B_C, Q^B_H, Q^B_R) whose sum, in that order, is not both finite
+    and within 1e-10 of their magnitude, where that exceeds 1e-12."""
     with np.errstate(over="ignore", invalid="ignore"):
         total, scale = reduce(np.add, currents, 0.0), reduce(np.add, np.abs(currents), 0.0)
     balanced = (scale <= 1e-12) | ((np.abs(total) <= 1e-10 * scale) & np.isfinite(total))
@@ -549,22 +545,15 @@ class SweepResult:
 
 def _sweep_rows(t_h: list[float], outcomes: Sequence[_Outcome]) -> tuple[SweepRow, ...]:
     """The row of each grid point ``t_h[k]`` and its outcome: its failure,
-    or the cells of its reporting state (``RowReports.reporting``) in the
-    grid's read-out arrays, which must pass :func:`_energy_balance_faults`."""
+    or its :func:`reporting_cells`, which must pass :func:`_energy_balance_faults`."""
     rows: list = [_failed_row(SweepRow, o, sweep_value=t, stage="error")
                   if isinstance(o, Exception) else None for t, o in zip(t_h, outcomes)]
     solved = [k for k, row in enumerate(rows) if row is None]
-    if solved:  # the rows share one read-out
-        r, js = outcomes[solved[0]][1].readout, [outcomes[k][1].reporting for k in solved]
-        engineered, background = r.engineered[:, js], r.background[:, js]
-        currents = np.stack((engineered[2], engineered[0], engineered[1],
-                             background[2], background[0], background[1]))
-        faults = _energy_balance_faults(currents)
-        cells = zip(*currents.tolist(), r.efficiency[js].tolist(), r.sigma[js].tolist(),
-                    r.stage[js].tolist())
-        for i, (k, (*values, stage)) in enumerate(zip(solved, cells)):
-            rows[k] = (_failed_row(SweepRow, faults[i], sweep_value=t_h[k], stage="error")
-                       if i in faults else SweepRow(t_h[k], *values, stage=str(stage)))
+    cells, stages = reporting_cells([outcomes[k][1] for k in solved])
+    faults = _energy_balance_faults(cells[:6])
+    for i, (k, *values, stage) in enumerate(zip(solved, *cells.tolist(), stages.tolist())):
+        rows[k] = (_failed_row(SweepRow, faults[i], sweep_value=t_h[k], stage="error")
+                   if i in faults else SweepRow(t_h[k], *values, stage=str(stage)))
     return tuple(rows)
 
 
@@ -698,35 +687,28 @@ class ScanResult:
     warnings: tuple[str, ...]
 
 
-@cache
 def _filter_patterns(mode: str) -> tuple[FilterConfig, ...]:
-    """The masks of a scan mode, built once per process."""
+    """The masks of a scan mode, in scan order."""
     kept = {"single_channel": ((1,), (2,), (3,)),
             "all": ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3))}
     if mode not in kept:
         raise ValueError(f"unknown scan mode {mode!r}")
     patterns = [frozenset(s) for s in kept[mode]]
-    return tuple(FilterConfig(kept_h=h, kept_r=r, kept_c=c)
-                 for h in patterns for r in patterns for c in patterns)
+    return tuple(FilterConfig(h, r, c) for h in patterns for r in patterns for c in patterns)
 
 
 def _scan_rows(masks: Sequence[FilterConfig], outcomes: Sequence[_Outcome],
                cooling_tol: float) -> list[ScanRow]:
-    """The row of each mask and its outcome: its failure, or the cells of its
-    reporting state (``RowReports.reporting``) in the grid's read-out arrays."""
+    """The row of each mask and its outcome: its failure, or its :func:`reporting_cells`."""
     rows = [_failed_row(ScanRow, o, filter=f, cooling=False, n_states=0,
                         cycle_matched=cycle_match_check(f).matched)
             if isinstance(o, Exception) else None for f, o in zip(masks, outcomes)]
     solved = [k for k, row in enumerate(rows) if row is None]
-    if solved:  # the rows share one read-out
-        r, js = outcomes[solved[0]][1].readout, [outcomes[k][1].reporting for k in solved]
-        engineered = r.engineered[:, js]
-        cells = zip(solved, engineered[2].tolist(), engineered[0].tolist(),
-                    engineered[1].tolist(), r.efficiency[js].tolist(),
-                    (engineered[2] > cooling_tol).tolist())
-        for k, q_cold, q_hot, q_room, eta, cooling in cells:
-            rows[k] = ScanRow(masks[k], q_cold, q_hot, q_room, eta, cooling,
-                              cycle_match_check(masks[k]).matched, len(outcomes[k][0]))
+    cells, _ = reporting_cells([outcomes[k][1] for k in solved])
+    for k, q_cold, q_hot, q_room, eta, cooling in zip(
+            solved, *cells[[0, 1, 2, 6]].tolist(), (cells[0] > cooling_tol).tolist()):
+        rows[k] = ScanRow(masks[k], q_cold, q_hot, q_room, eta, cooling,
+                          cycle_match_check(masks[k]).matched, len(outcomes[k][0]))
     return rows
 
 

@@ -559,13 +559,14 @@ def steady_state_rows(
     rule (:func:`~qfridge.matrixcore.null_dimensions`), the normalisation
     of each class's populations and the residual gate are array operations.
     The gate takes ``||W||_2`` (one more SVD stack) only for the rows that
-    a cheaper bound on it cannot pass.  No density matrix is built
-    (:class:`SteadyState`).  A row fails with the first failure of its
-    classes in class order, then that of its norm, then the first residual
-    above the bound, and a class after the first failing class of its row
-    does not warn, so row k equals ``steady_states_numeric`` on ``w[k]``
-    alone, bit for bit and warning for warning.  The pass holds W, the
-    class blocks and their SVDs of all rows at once, a few KiB per row.
+    a cheaper bound on it cannot pass, so only they can fail on that SVD.
+    No density matrix is built (:class:`SteadyState`).  A row fails with
+    the first failure of its classes in class order, then that of its norm,
+    then the first residual above the bound, and a class after the first
+    failing class of its row does not warn, so row k equals
+    ``steady_states_numeric`` on ``w[k]`` alone, bit for bit and warning for
+    warning.  The pass holds W, the class blocks and their SVDs of all rows
+    at once, a few KiB per row.
     """
     n = len(w)
     codes = _class_codes(w)

@@ -11,10 +11,9 @@ with ``unit_scale`` the angular frequency (rad/s) of one natural unit.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import expm1
 
 import numpy as np
@@ -186,10 +185,12 @@ class FilterConfig:
     def kept_for(self, qubit: str) -> frozenset[int]:
         return getattr(self, _KEPT_FIELD[qubit])
 
-    @cached_property
-    def kept_keys(self) -> tuple[tuple[str, int], ...]:
-        """``(qubit, index)`` of each kept channel, H1..C3, made on first read."""
-        return tuple((q, j) for q in QUBITS for j in sorted(self.kept_for(q)))
+    def keeps(self, qubit: str, index: int) -> bool:
+        return index in self.kept_for(qubit)
+
+    @property
+    def kept_keys(self) -> list[tuple[str, int]]:
+        return [(q, j) for q in QUBITS for j in sorted(self.kept_for(q))]
 
     @classmethod
     def single(cls, h: int, r: int, c: int) -> "FilterConfig":
@@ -205,13 +206,13 @@ class FilterConfig:
         return cls(frozenset(), frozenset(), frozenset())
 
     def __str__(self) -> str:
-        return self._label
+        return f"H{_label(self.kept_h)}+R{_label(self.kept_r)}+C{_label(self.kept_c)}"
 
-    @cached_property
-    def _label(self) -> str:
-        """The mask's label, e.g. ``H1+R12+C-``, made on first read."""
-        return "+".join(q + ("".join(str(j) for j in sorted(self.kept_for(q))) or "-")
-                        for q in QUBITS)
+
+@lru_cache(maxsize=8)  # one per subset of {1, 2, 3}
+def _label(kept: frozenset[int]) -> str:
+    """One qubit's part of a mask label (``H1+R12+C-``): its kept indices, or ``-``."""
+    return "".join(str(j) for j in sorted(kept)) or "-"
 
 
 #: Single-channel mask that revives cooling at reduced efficiency
@@ -342,7 +343,7 @@ def select_channels(
     """The kept channels, in input order; dropped channels carry no dissipator."""
     if len(channels) != 9:
         raise ValueError(f"expected the complete 9-channel list, got {len(channels)}")
-    return [ch for ch in channels if ch.key in filt.kept_keys]
+    return [ch for ch in channels if filt.keeps(ch.qubit, ch.index)]
 
 
 @dataclass(frozen=True)
@@ -398,14 +399,14 @@ def markov_validity_report(
         return None
     freq = channel_frequencies(params)
     freqs = sorted(freq[key] for key in keys)
-    min_gap = min(map(operator.sub, freqs[1:], freqs))
-    return _markov_message(gamma_max, min_gap) if gamma_max >= 0.1 * min_gap else None
-
-
-#: The text of :func:`markov_validity_report`, made once per rate and gap.
-_markov_message = lru_cache(maxsize=64)(
-    "gamma = {:.4g} is not small against the minimum channel-frequency gap {:.4g}; "
-    "the Markov/secular treatment is strained".format)
+    min_gap = min(b - a for a, b in zip(freqs, freqs[1:]))
+    if gamma_max >= 0.1 * min_gap:
+        return (
+            f"gamma = {gamma_max:.4g} is not small against the minimum "
+            f"channel-frequency gap {min_gap:.4g}; the Markov/secular "
+            f"treatment is strained"
+        )
+    return None
 
 
 def warn_if_markov_strained(

@@ -30,7 +30,6 @@ Each qubit couples to its reservoir through three lowering eigen-operators
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -324,9 +323,6 @@ def degenerate_frequency_pairs(
     freq = channel_frequencies(params)
     tol = 1e3 * _EPS * params.omega_c
     values = [freq[key] for key in keys]
-    ordered = sorted(values)
-    if not min(map(operator.sub, ordered[1:], ordered), default=tol) < tol:
-        return []  # the closest pair is adjacent in frequency order
     return [(ka, keys[j]) for i, (ka, fa) in enumerate(zip(keys, values))
             for j in range(i + 1, len(keys)) if abs(fa - values[j]) < tol]
 

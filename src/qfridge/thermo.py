@@ -58,6 +58,7 @@ __all__ = [
     "classify_stage",
     "build_report",
     "build_reports",
+    "reporting_cells",
 ]
 
 #: A heat current whose imaginary part exceeds this raises NumericalFault;
@@ -495,9 +496,8 @@ class Readout:
 
 @dataclass(eq=False, repr=False, slots=True)
 class RowReports(Sequence):
-    """One row's reports, of states ``first`` to ``stop - 1`` of ``readout``,
-    each made when indexed (by position); equal to a list of them.
-    ``reporting`` is the state single-row outputs read (:func:`_reporting_states`)."""
+    """One row's reports, states ``first`` to ``stop - 1`` of ``readout``, each made when
+    indexed; equal to a list of them.  :func:`reporting_cells` reads state ``reporting``."""
 
     readout: Readout
     first: int
@@ -547,16 +547,15 @@ def build_reports(
     bath temperatures H, R, C (an ``(N, 3)`` table).  Gives per row its
     reports in state order, a :class:`RowReports`, or, as ``build_report``
     state by state would raise it, the row's first exception: a state fails
-    on the first law (``_readout``'s gate on imaginary current parts cannot
-    fire on these real states).  A report lists the channels its row keeps,
-    those at gamma != 0 (see :func:`~qfridge.dynamics.grid_dissipators`).
+    on the first law (these states are real: the gate on imaginary parts
+    cannot fire).  A report lists the channels its row keeps, those at
+    gamma != 0 (see :func:`~qfridge.dynamics.grid_dissipators`).
 
-    All states are one :class:`Readout`: one real
-    :meth:`~qfridge.spectrum.EigenSystem.diagonal_state` stack of their
-    density matrices from the populations (a state of another eigensystem
-    gives its own ``state``), one trace-form kernel call per dissipator on
-    the states whose rows keep it, and array operations for the summary, so
-    each report equals ``build_report`` on its state alone, bit for bit.
+    All states are one :class:`Readout`: their real density matrices built
+    from the populations (a state of another eigensystem gives its own
+    ``state``), one trace-form kernel call per dissipator on the states whose
+    rows keep it, and array operations for the summary, so each report
+    equals ``build_report`` on its state alone, bit for bit.
     """
     solved = [row for row in rows if not isinstance(row, Exception)]
     counts = np.array([len(row) for row in solved], dtype=int)
@@ -581,14 +580,36 @@ def build_reports(
     return out
 
 
+def reporting_cells(rows: Sequence[Sequence[HeatCurrentReport]]) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of reports, the state single-row outputs read (the unique one, or the
+    first with the largest ``|Q_C|``: flowing branches agree in sign) as an ``(8, N)``
+    array, rows Q_C, Q_H, Q_R, Q^B_C, Q^B_H, Q^B_R (the tables' column order),
+    efficiency (NaN where undefined) and entropy production, and the ``(N,)``
+    stages, read from the read-out arrays (a :class:`RowReports` makes no report)."""
+    cells, stages = np.empty((8, len(rows))), np.empty(len(rows), dtype=object)
+    shared: dict[int, tuple[Readout, list[int], list[int]]] = {}  # read-out: rows, states
+    for k, reports in enumerate(rows):
+        if isinstance(reports, RowReports):
+            r, j = reports.readout, reports.reporting
+        else:
+            report = max(reports, key=lambda rep: abs(rep.engineered["C"]))
+            r, j = report.readout, report.index
+        _, ks, js = shared.setdefault(id(r), (r, [], []))
+        ks.append(k)
+        js.append(j)
+    for r, ks, js in shared.values():
+        order = [QUBITS.index(q) for q in "CHR"]
+        cells[:3, ks], cells[3:6, ks] = r.engineered[order][:, js], r.background[order][:, js]
+        cells[6, ks], cells[7, ks], stages[ks] = r.efficiency[js], r.sigma[js], r.stage[js]
+    return cells, stages
+
+
 def _reporting_states(q_cold: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The state that single-row outputs read, of each group of ``counts``
-    (at least one) consecutive states of cold currents ``q_cold``: the first
-    with the largest ``|Q_C|`` as ``max`` picks it (a NaN first state is
-    kept, a later NaN never picked); flowing branches agree in sign."""
+    """The state :func:`reporting_cells` reads, of each group of ``counts``
+    (at least one) consecutive states of cold currents ``q_cold``, as ``max``
+    picks it (a NaN first state is kept, a later NaN never picked)."""
     firsts = np.cumsum(counts) - counts
-    size = np.abs(q_cold)
-    size[np.isnan(size)] = -np.inf
+    size = np.where(np.isnan(q_cold), -np.inf, np.abs(q_cold))
     top = np.repeat(np.maximum.reduceat(size, firsts), counts)
     best = np.minimum.reduceat(np.where(size == top, np.arange(len(size)), len(size)), firsts)
     return np.where(np.isnan(q_cold[firsts]), firsts, best)

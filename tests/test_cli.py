@@ -1446,6 +1446,39 @@ def test_reporting_state_of_the_readout_equals_max_over_reports(groups):
         first += len(g)
 
 
+def test_sweep_and_scan_take_any_sequence_of_reports(monkeypatch):
+    # a build_reports that gives plain lists of reports, every other row's
+    # on its own copy of the read-out, makes the same tables
+    from dataclasses import replace
+
+    from qfridge import cli
+
+    build = cli.build_reports
+
+    calls = []
+
+    def as_lists(*args):
+        calls.append(len(args[2]))
+        out = build(*args)
+        for k, reports in enumerate(out):
+            if not isinstance(reports, Exception):
+                readout = replace(reports.readout) if k % 2 else reports.readout
+                out[k] = [replace(r, readout=readout) for r in reports]
+        return out
+
+    sweep_config = load_config(str(CONFIGS / "figure_sweep.ini"))
+    census = load_config(str(CONFIGS / "filter_census.ini"))
+
+    def tables():
+        sweep = sweep_th(sweep_config)
+        return (cli._table(sweep_config, cli.SweepRow, sweep.rows), sweep.warnings,
+                format_scan_table(census, scan_filters(census, mode="all").rows))
+
+    want = tables()
+    monkeypatch.setattr(cli, "build_reports", as_lists)
+    assert tables() == want and calls == [200, 216]
+
+
 def test_sweep_and_scan_make_no_report_objects(monkeypatch):
     # the rows read their cells from the read-out arrays; a report is made
     # only when a row's reports are indexed, as steady does once per state

@@ -1190,6 +1190,26 @@ def test_residual_gate_fails_a_non_finite_w_as_the_exact_norm_does(params, monke
         monkeypatch.undo()
 
 
+def test_failing_norm_svd_leaves_a_row_that_does_not_take_it_solved(params, monkeypatch):
+    # the norm SVD of w[8] (singular values only) does not converge; row 8's
+    # classes pass the column-norm check, so ||W||_2 is not taken and the
+    # row is solved, as it is alone
+    grid = np.linspace(0.0, 30.0, 25).tolist()
+    svd = np.linalg.svd
+    for gen in kernel_generators(params):
+        w = build_population_matrix(hot_stack(gen, grid))
+        fails = failing_svd_of(w[8])
+        monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv=True: (
+            svd(a) if compute_uv else fails(a, compute_uv=False)))
+        rows = exact_norm_rows(monkeypatch)
+        out = steady_state_rows(w, gen.eigen)
+        assert not any(rows) and not any(isinstance(row, Exception) for row in out)
+        assert_rows_equal_alone(gen, grid, out)
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            np.linalg.svd(w[8], compute_uv=False)  # the patch does fail the norm
+        monkeypatch.undo()
+
+
 def test_shipped_grids_never_take_the_exact_norm(monkeypatch):
     from qfridge.cli import parse_config, scan_filters, sweep_th
 
