@@ -529,13 +529,6 @@ def _energy_balance_faults(currents: np.ndarray) -> dict[int, NumericalFault]:
             for i in np.flatnonzero(~balanced).tolist()}
 
 
-def _check_energy_balance(row: SweepRow) -> None:
-    """Raise the :func:`_energy_balance_faults` fault of one row, if any."""
-    currents = (row.qdot_C, row.qdot_H, row.qdot_R, row.qdot_B_C, row.qdot_B_H, row.qdot_B_R)
-    for fault in _energy_balance_faults(np.array(currents, dtype=float)[:, np.newaxis]).values():
-        raise fault
-
-
 @dataclass(frozen=True)
 class SweepResult:
     config: ScenarioConfig
@@ -563,7 +556,7 @@ def sweep_th(config: ScenarioConfig) -> SweepResult:
     The grid is solved in one stacked pass (see :func:`_solve_grid`);
     each row equals a solve of its point alone, bit for bit.  A row that
     fails with one of ``ROW_FAILURES``, or whose currents break
-    :func:`_check_energy_balance`, is recorded with stage ``error``, NaN
+    :func:`_energy_balance_faults`, is recorded with stage ``error``, NaN
     values and the failure in ``error``.  ``warnings`` holds each distinct
     warning raised by any row once, in first-seen order.
     """
@@ -586,7 +579,7 @@ def emit_csv(result: SweepResult, path: str) -> None:
 
 def load_csv(path: str) -> SweepResult:
     """Read a sweep CSV back, re-parsing the embedded config and
-    re-checking :func:`_check_energy_balance` on every solved row.  A row
+    re-checking :func:`_energy_balance_faults` on every solved row.  A row
     with the wrong number of cells, a non-numeric value or an unknown
     stage is a :class:`ConfigError`."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -603,7 +596,7 @@ def load_csv(path: str) -> SweepResult:
     if not body or body[0] != ",".join(f.name for f in columns):
         raise ConfigError(f"{path}: missing or wrong column header")
     config = ScenarioConfig.from_items(items)
-    rows = []
+    rows, malformed = [], None
     for line in body[1:]:
         cells = line.split(",")
         try:
@@ -614,15 +607,20 @@ def load_csv(path: str) -> SweepResult:
             if row.stage not in {*map(str, StageLabel), "error"}:
                 raise ValueError(f"unknown stage {row.stage!r}")
         except ValueError as exc:
-            raise ConfigError(f"{path}: malformed row {line!r} ({exc})") from None
-        if not row.failed:
-            try:
-                _check_energy_balance(row)
-            except NumericalFault as exc:
-                raise ConfigError(
-                    f"{path}: row at {row.sweep_value} violates the first law ({exc})"
-                ) from None
+            malformed = ConfigError(f"{path}: malformed row {line!r} ({exc})")
+            break
         rows.append(row)
+    # a first-law fault on a row above the first malformed one is raised first
+    solved = [row for row in rows if not row.failed]
+    faults = _energy_balance_faults(np.array(
+        [(r.qdot_C, r.qdot_H, r.qdot_R, r.qdot_B_C, r.qdot_B_H, r.qdot_B_R) for r in solved],
+        dtype=float).reshape(-1, 6).T)
+    if faults:
+        i = min(faults)
+        raise ConfigError(
+            f"{path}: row at {solved[i].sweep_value} violates the first law ({faults[i]})")
+    if malformed is not None:
+        raise malformed
     return SweepResult(config=config, rows=tuple(rows), warnings=())
 
 

@@ -28,7 +28,6 @@ import numpy as np
 from .matrixcore import (
     DensityMatrix,
     null_dimensions,
-    require_finite,
     svd_rows,
     warn_rank_ambiguity,
 )
@@ -483,12 +482,11 @@ class SteadyStateSet:
 def _class_blocks(w: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """The blocks ``(G, m, m)`` of the rate matrices ``w[rows]`` on the
     levels ``idx`` ``(G, m)``, as complex, filled one block row at a time
-    (no real copy of the stack).  A non-finite block is a fault of the
-    program, not of a row: ``ValueError``."""
+    (no real copy of the stack)."""
     blocks = np.empty(idx.shape + idx.shape[-1:], dtype=complex)
     for a in range(idx.shape[-1]):
         blocks[:, a] = w[rows[:, np.newaxis], idx[:, a, np.newaxis], idx]
-    return require_finite(blocks, "null_space input")
+    return blocks
 
 
 def _class_populations(blocks: np.ndarray, idx: np.ndarray, classes: np.ndarray,
@@ -529,11 +527,13 @@ def steady_states_numeric(gen: Generator) -> SteadyStateSet:
     """One steady state per closed communicating class.
 
     Each class is solved on the 8x8 population rate matrix W.  Every
-    returned state has clipped, renormalised populations and a finite residual
-    within ``||W p|| <= STEADY_RESIDUAL_TOL * ||W||``.  W is the full generator
-    restricted, through an isometry, to the states diagonal in the
-    eigenbasis, so ``||W p||`` equals ``||L vec(rho)||`` and, as
-    ``||W|| <= ||L||``, the bound is at least as strict as one on L.
+    returned state has clipped, renormalised populations and a residual
+    within ``||W p|| <= STEADY_RESIDUAL_TOL * max_ij |W_ij|``.  W is the
+    full generator restricted, through an isometry, to the states diagonal
+    in the eigenbasis, so ``||W p||`` equals ``||L vec(rho)||`` and, as
+    ``max_ij |W_ij| <= ||W||_2 <= ||L||_2``, the bound is at least as strict
+    as one on L.  A W with a non-finite entry is a fault of the program,
+    not of a state: ``ValueError``.
     This is the one-row case of :func:`steady_state_rows`.
     """
     w = build_population_matrix(gen.dissipators)
@@ -558,16 +558,17 @@ def steady_state_rows(
     stacked SVD (:func:`~qfridge.matrixcore.svd_rows`).  The null-space
     rule (:func:`~qfridge.matrixcore.null_dimensions`), the normalisation
     of each class's populations and the residual gate are array operations.
-    The gate takes ``||W||_2`` (one more SVD stack) only for the rows that
-    a cheaper bound on it cannot pass, so only they can fail on that SVD.
     No density matrix is built (:class:`SteadyState`).  A row fails with
-    the first failure of its classes in class order, then that of its norm,
-    then the first residual above the bound, and a class after the first
-    failing class of its row does not warn, so row k equals
-    ``steady_states_numeric`` on ``w[k]`` alone, bit for bit and warning for
-    warning.  The pass holds W, the class blocks and their SVDs of all rows
-    at once, a few KiB per row.
+    the first failure of its classes in class order, then the first
+    residual above the bound, and a class after the first failing class of
+    its row does not warn, so row k equals ``steady_states_numeric`` on
+    ``w[k]`` alone, bit for bit and warning for warning.  A non-finite
+    entry anywhere in the stack raises ``ValueError`` before any product.
+    The pass holds W, the class blocks and their SVDs of all rows at once,
+    a few KiB per row.
     """
+    if not np.isfinite(w).all():
+        raise ValueError("null_space input contains non-finite entries")
     n = len(w)
     codes = _class_codes(w)
     rows, heads = np.nonzero(codes)  # the closed classes, row by row in class order
@@ -598,17 +599,7 @@ def steady_state_rows(
             warn_rank_ambiguity(ambiguous, cut, stacklevel=1)
     r = w[rows] @ pops[:, :, np.newaxis]  # W p of each class
     resid = np.sqrt(np.swapaxes(r, -1, -2) @ r)[:, 0, 0]
-    # ||W||_2 is at least W's largest column 2-norm: a class within half the
-    # gate on that passes the gate on ||W||_2 whatever the rounding of both
-    with np.errstate(over="ignore"):
-        column = np.sqrt((w * w).sum(axis=-2)).max(axis=-1)
-    bound = 0.5 * STEADY_RESIDUAL_TOL * column
-    exact = ~np.isfinite(column)
-    exact[rows[~(resid <= bound[rows])]] = True
-    norms, _, norm_failed = svd_rows(w[need := np.flatnonzero(exact)], compute_uv=False)
-    for i, exc in norm_failed.items():
-        failures.setdefault(need[i].item(), exc)
-    bound[need] = STEADY_RESIDUAL_TOL * norms.max(axis=-1)
+    bound = STEADY_RESIDUAL_TOL * np.abs(w).max(axis=(-2, -1))
     live = np.array([k not in failures for k in row_of], dtype=bool)
     for c in np.flatnonzero(live & ~(resid <= bound[rows])).tolist():
         failures.setdefault(row_of[c], SolverFailure(

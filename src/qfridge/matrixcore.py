@@ -132,36 +132,28 @@ def warn_rank_ambiguity(ambiguous: int, cut: float, stacklevel: int) -> None:
 
 
 def svd_rows(
-    stack: np.ndarray, compute_uv: bool = True
-) -> tuple[np.ndarray, np.ndarray | None, dict[int, np.linalg.LinAlgError]]:
+    stack: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, dict[int, np.linalg.LinAlgError]]:
     """``np.linalg.svd`` of each matrix of a stack ``(N, m, m)``: the
     singular values ``(N, m)``, the right singular vectors ``(N, m, m)``
-    (``None`` without ``compute_uv``) and the ``LinAlgError`` of each matrix
-    whose SVD failed, by index (its rows of the arrays are NaN).  The stack
-    is one LAPACK call; if it raises, each matrix is redone alone.  Each
-    result equals the SVD of that matrix alone, bit for bit."""
-    def svd(a):
-        if compute_uv:
-            _, s, vh = np.linalg.svd(a)
-            return s, vh
-        return np.linalg.svd(a, compute_uv=False), None
-
+    and the ``LinAlgError`` of each matrix whose SVD failed, by index (its
+    rows of the arrays are NaN).  The stack is one LAPACK call; if it
+    raises, each matrix is redone alone.  Each result equals the SVD of
+    that matrix alone, bit for bit."""
     try:
-        return (*svd(stack), {})
+        _, s, vh = np.linalg.svd(stack)
+        return s, vh, {}
     except np.linalg.LinAlgError:
         pass
     n, m = stack.shape[:2]
     s = np.full((n, m), np.nan)
-    vh = np.full((n, m, m), np.nan, dtype=stack.dtype) if compute_uv else None
+    vh = np.full((n, m, m), np.nan, dtype=stack.dtype)
     failed = {}
     for k in range(n):
         try:
-            s[k], vk = svd(stack[k])
+            _, s[k], vh[k] = np.linalg.svd(stack[k])
         except np.linalg.LinAlgError as exc:
             failed[k] = exc
-        else:
-            if compute_uv:
-                vh[k] = vk
     return s, vh, failed
 
 

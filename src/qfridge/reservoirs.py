@@ -358,7 +358,6 @@ class CycleMatch:
         return self.status == "matched"
 
 
-@lru_cache(maxsize=256)
 def cycle_match_check(filt: FilterConfig) -> CycleMatch:
     """Check whether the three kept channels form a closed energy cycle.
 
@@ -366,8 +365,7 @@ def cycle_match_check(filt: FilterConfig) -> CycleMatch:
     frequency equals the kept H frequency plus the kept C frequency exactly.
     Since every channel frequency is its qubit frequency plus a multiple of
     g, the check reduces to integer arithmetic on those multiples and is
-    parameter-free, so it is memoised per mask (the 256 most recently used:
-    every mask of a scan).
+    parameter-free.
     """
     kept = (filt.kept_h, filt.kept_r, filt.kept_c)
     if any(len(k) != 1 for k in kept):

@@ -245,6 +245,32 @@ def test_csv_first_law_validation_on_load(tmp_path):
         load_csv(str(path))
 
 
+def test_load_csv_raises_the_first_fault_in_row_order(tmp_path):
+    # rows 2 and 5 break the first law and row 6 is malformed: the message
+    # names row 2; a malformed row above every fault is raised instead
+    path = tmp_path / "sweep.csv"
+    emit_csv(sweep_th(parse_config(FIG_CONFIG)), str(path))
+    lines = path.read_text().splitlines()
+    top = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    for k in (2, 5):
+        cells = lines[top + k].split(",")
+        cells[1] = f"{float(cells[1]) + 1.0:.16e}"
+        lines[top + k] = ",".join(cells)
+    currents = [float(c) for c in lines[top + 2].split(",")[1:7]]
+    fault = (f"first-law violation: the six currents sum to {sum(currents):.3e} "
+             f"against magnitude {sum(map(abs, currents)):.3e}")
+    for bad, want in ((6, f"{path}: row at {float(lines[top + 2].split(',')[0])} "
+                          f"violates the first law ({fault})"),
+                      (1, None)):
+        broken = lines.copy()
+        broken[top + bad] += ",x"
+        path.write_text("\n".join(broken) + "\n")
+        with pytest.raises(ConfigError) as exc:
+            load_csv(str(path))
+        assert str(exc.value) == (want or f"{path}: malformed row {broken[top + bad]!r} "
+                                          f"(11 cells, expected 10)")
+
+
 @pytest.mark.parametrize("column, cell, reason", [
     ("qdot_C", "abc", "could not convert string to float: 'abc'"),
     ("stage", "bogus", "unknown stage 'bogus'"),
@@ -715,7 +741,7 @@ def test_sweep_writes_energy_balance_breach_as_error_row(tmp_path, capsys):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="two first-law gates, per channel in thermo and per reservoir in "
-                          "cli._check_energy_balance, judge one state differently; ROADMAP "
+                          "cli._energy_balance_faults, judge one state differently; ROADMAP "
                           "item 4 merges them")
 def test_commands_agree_on_a_row_near_the_first_law_gates(tmp_path):
     # the filter_census temperatures and mask H1+R12+C23, whose per-reservoir
@@ -835,6 +861,13 @@ def scan_row(filt, outcome, cooling_tol: float):
                    n_states=len(states))
 
 
+def currents_of(row) -> np.ndarray:
+    """The six currents of a sweep row as the one column ``(6, 1)`` that
+    ``cli._energy_balance_faults`` reads."""
+    return np.array([[row.qdot_C], [row.qdot_H], [row.qdot_R],
+                     [row.qdot_B_C], [row.qdot_B_H], [row.qdot_B_R]], dtype=float)
+
+
 def one_point_solves(config: ScenarioConfig):
     """Each grid point of a sweep solved alone by :func:`solve_alone` into a
     row, and each distinct warning of all points once, in first-seen order:
@@ -850,7 +883,8 @@ def one_point_solves(config: ScenarioConfig):
         try:
             _, reports = solve_alone(point)
             row = row_from_report(t_h, reporting(reports))
-            cli._check_energy_balance(row)
+            for fault in cli._energy_balance_faults(currents_of(row)).values():
+                raise fault
             return row
         except cli.ROW_FAILURES as exc:
             return cli._failed_row(SweepRow, exc, sweep_value=t_h, stage="error")
@@ -1421,8 +1455,8 @@ def test_non_finite_currents_fail_both_first_law_gates(monkeypatch, bad):
     assert [r.as_csv() for k, r in enumerate(result.rows) if k != 3] == \
         [r.as_csv() for k, r in enumerate(plain.rows) if k != 3]
     row = replace(plain.rows[3], qdot_B_R=bad)
-    with pytest.raises(cli.NumericalFault, match="first-law violation: the six currents"):
-        cli._check_energy_balance(row)
+    (fault,) = cli._energy_balance_faults(currents_of(row)).values()
+    assert str(fault).startswith("first-law violation: the six currents")
 
 
 _Q = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 2.0, -2.0])

@@ -467,10 +467,10 @@ def test_non_finite_populations_fail_the_residual_gate(params, monkeypatch):
     gen = build_generator(params, REVIVAL_FILTER, reservoirs)
     svd_rows = dynamics.svd_rows
 
-    def nan_vectors(stack, compute_uv=True):
+    def nan_vectors(stack):
         # the class blocks' null vectors, and so their populations, are NaN
-        s, vh, failed = svd_rows(stack, compute_uv)
-        return s, None if vh is None else np.full_like(vh, np.nan), failed
+        s, vh, failed = svd_rows(stack)
+        return s, np.full_like(vh, np.nan), failed
 
     monkeypatch.setattr(dynamics, "svd_rows", nan_vectors)
     with pytest.raises(dynamics.SolverFailure, match="has residual nan"):
@@ -1117,37 +1117,22 @@ def test_steady_state_stack_warns_and_fails_row_by_row(params, monkeypatch):
     assert [isinstance(r, Exception) for r in stacked] == [False, False, True, False, True, False]
 
 
-# --- the two-stage residual gate ---------------------------------------------
+# --- the residual gate ---------------------------------------------------
 
 def uniform_rates_stack(n: int) -> np.ndarray:
     """``n`` copies of W with every rate 1: one class of all eight levels,
-    stationary state uniform, largest column 2-norm sqrt(56) < ||W||_2 = 8."""
+    stationary state uniform, largest entry 7 < largest column 2-norm
+    sqrt(56) < ||W||_2 = 8."""
     return np.broadcast_to(np.ones((8, 8)) - 8.0 * np.eye(8), (n, 8, 8)).copy()
 
 
-def exact_norm_rows(monkeypatch) -> list[int]:
-    """Patch ``dynamics.svd_rows`` to record the number of matrices of each
-    ``||W||_2`` call (``compute_uv=False``); returns the record."""
-    rows, svd_rows = [], dynamics.svd_rows
-
-    def counted(stack, compute_uv=True):
-        if not compute_uv:
-            rows.append(len(stack))
-        return svd_rows(stack, compute_uv)
-
-    monkeypatch.setattr(dynamics, "svd_rows", counted)
-    return rows
-
-
-def test_residual_gate_takes_the_exact_norm_only_near_the_bound(params, monkeypatch):
+def test_residual_gate_bounds_on_the_largest_entry_of_w(params, monkeypatch):
     # rows 1 and 2 are pushed off their stationary state along e0 - e1, to a
-    # residual between TOL * (largest column norm) and TOL * ||W||_2, and
-    # above TOL * ||W||_2: only they take the exact norm, row 1 passes and
-    # row 2 fails with the bound on ||W||_2
+    # residual of 6.5 and 7.5 TOL: row 1 passes the bound 7 TOL, row 2 fails
+    # it, though a bound on the largest column norm or on ||W||_2 passes it
     w = uniform_rates_stack(4)
-    column, norm = math.sqrt(56.0), 8.0
     tol = dynamics.STEADY_RESIDUAL_TOL
-    shift = {1: 0.5 * (column + norm) * tol, 2: 1.5 * norm * tol}  # target residuals
+    shift = {1: 6.5 * tol, 2: 7.5 * tol}  # target residuals
     populations = dynamics._class_populations
 
     def shifted(blocks, idx, classes, faults, ambiguities):
@@ -1158,62 +1143,61 @@ def test_residual_gate_takes_the_exact_norm_only_near_the_bound(params, monkeypa
         return pops
 
     monkeypatch.setattr(dynamics, "_class_populations", shifted)
-    rows = exact_norm_rows(monkeypatch)
     out = steady_state_rows(w, eigensystem(params))
-    assert rows == [2]
     assert [isinstance(row, Exception) for row in out] == [False, False, True, False]
-    resid = np.linalg.norm(w[2] @ out[1].states[0].populations)
-    assert column * tol < resid < norm * tol
-    bound = tol * np.linalg.svd(w[2], compute_uv=False).max()
+    assert np.linalg.norm(w[1] @ out[1].states[0].populations) == pytest.approx(shift[1])
     assert isinstance(out[2], dynamics.SolverFailure) and str(out[2]) == (
-        f"steady state on [0, 1, 2, 3, 4, 5, 6, 7] has residual {shift[2]:.3e} "
-        f"(bound {bound:.3e})")
+        "steady state on [0, 1, 2, 3, 4, 5, 6, 7] has residual 7.500e-09 (bound 7.000e-09)")
 
 
-def test_residual_gate_fails_a_non_finite_w_as_the_exact_norm_does(params, monkeypatch):
-    # level 7 drains into a closed class of levels 0-6 through a NaN (or
-    # -inf) diagonal entry, outside every class block: the row takes the
-    # exact norm, whose SVD fails (NaN) or reads NaN (-inf)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("at", [(7, 7), (0, 1)], ids=["transient", "class_block"])
+def test_non_finite_w_raises_before_any_product(params, monkeypatch, bad, at):
+    # level 7 drains into the closed class of levels 0-6: W[7, 7] lies
+    # outside every class block, W[0, 1] inside that class's block
     w = uniform_rates_stack(3)
     w[1] = 0.0
     w[1, :7, :7] = np.ones((7, 7)) - 7.0 * np.eye(7)
     w[1, 0, 7] = 1.0
-    for diagonal, want in ((np.nan, "SVD did not converge"),
-                           (-np.inf, "steady state on [0, 1, 2, 3, 4, 5, 6] has residual nan "
-                                     "(bound nan)")):
-        w[1, 7, 7] = diagonal
-        rows = exact_norm_rows(monkeypatch)
-        with np.errstate(invalid="ignore"):
-            out = steady_state_rows(w, eigensystem(params))
-        assert rows == [1] and str(out[1]) == want
-        assert [isinstance(row, Exception) for row in out] == [False, True, False]
-        monkeypatch.undo()
+    w[1][at] = bad
+
+    def unreached(*args):
+        raise AssertionError("the stack was used before its finiteness check")
+
+    monkeypatch.setattr(dynamics, "_class_codes", unreached)
+    monkeypatch.setattr(dynamics, "svd_rows", unreached)
+    with pytest.raises(ValueError, match="^null_space input contains non-finite entries$"):
+        steady_state_rows(w, eigensystem(params))
 
 
-def test_failing_norm_svd_leaves_a_row_that_does_not_take_it_solved(params, monkeypatch):
-    # the norm SVD of w[8] (singular values only) does not converge; row 8's
-    # classes pass the column-norm check, so ||W||_2 is not taken and the
-    # row is solved, as it is alone
-    grid = np.linspace(0.0, 30.0, 25).tolist()
-    svd = np.linalg.svd
-    for gen in kernel_generators(params):
-        w = build_population_matrix(hot_stack(gen, grid))
-        fails = failing_svd_of(w[8])
-        monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv=True: (
-            svd(a) if compute_uv else fails(a, compute_uv=False)))
-        rows = exact_norm_rows(monkeypatch)
-        out = steady_state_rows(w, gen.eigen)
-        assert not any(rows) and not any(isinstance(row, Exception) for row in out)
-        assert_rows_equal_alone(gen, grid, out)
-        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-            np.linalg.svd(w[8], compute_uv=False)  # the patch does fail the norm
-        monkeypatch.undo()
-
-
-def test_shipped_grids_never_take_the_exact_norm(monkeypatch):
+def test_shipped_grids_pass_the_residual_gate_far_inside_the_bound(monkeypatch):
+    # figure_sweep, both census modes and the eight cold-edge grids: the gate
+    # fails no row, every class lies within 1e-3 of its bound, and a grid
+    # takes one SVD per class-block size and no other
+    from qfridge import cli
     from qfridge.cli import parse_config, scan_filters, sweep_th
 
-    rows = exact_norm_rows(monkeypatch)
+    failed, ratios, rows, svd, calls = [], [], cli.steady_state_rows, np.linalg.svd, [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    def gated(w, eigen):
+        calls[0] = 0
+        out = rows(w, eigen)
+        assert calls[0] == len({len(s.support) for row in out if not isinstance(row, Exception)
+                                for s in row} - {1})
+        for wk, row in zip(w, out):
+            if isinstance(row, Exception):
+                failed.append(row)
+                continue
+            bound = dynamics.STEADY_RESIDUAL_TOL * np.abs(wk).max()
+            ratios.extend(np.linalg.norm(wk @ s.populations) / bound for s in row)
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(cli, "steady_state_rows", gated)
     assert not any(r.failed for r in sweep_th(load_config(str(CONFIGS / "figure_sweep.ini"))).rows)
     census = load_config(str(CONFIGS / "filter_census.ini"))
     for mode in ("single_channel", "all"):
@@ -1224,4 +1208,4 @@ def test_shipped_grids_never_take_the_exact_norm(monkeypatch):
                 "[filter]\nh = 3\nr = 2\nc = 1\n"
                 "[sweep]\nvariable = t_h\nstart = 0.5\nstop = 12.0\npoints = 25\n")
         sweep_th(parse_config(text))
-    assert rows and set(rows) == {0}
+    assert not failed and len(ratios) > 400 and max(ratios) <= 1e-3
