@@ -326,6 +326,8 @@ def parse_config(text: str, source: str = "<string>") -> ScenarioConfig:
     omega_c_raw = get("system", "omega_c")
     if omega_c_ghz is not None and omega_c_raw is not None:
         raise ConfigError("system: give omega_c or omega_c_ghz, not both")
+    if omega_c_ghz is not None and get("system", "unit_scale") is not None:
+        raise ConfigError("system: give omega_c_ghz or unit_scale, not both")
     if omega_c_ghz is not None:
         f_ghz = _number(omega_c_ghz, "system.omega_c_ghz")
         unit_scale = 2.0 * math.pi * f_ghz * 1e9
@@ -421,7 +423,7 @@ def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text, source=path)
 

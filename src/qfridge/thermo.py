@@ -129,13 +129,9 @@ def _real_currents(values: np.ndarray, dissipators: Sequence[Dissipator]) -> np.
     bad = np.abs(values.imag) > IMAG_FAULT_TOL
     if bad.any():
         k, *at = np.argwhere(bad)[0]
-        raise _imaginary_fault(values[(k, *at)], dissipators[k])
+        raise NumericalFault(f"heat current has imaginary part {values[(k, *at)].imag:.3e} "
+                             f"(channel {dissipators[k]})")
     return values.real
-
-
-def _imaginary_fault(value: complex, dissipator: Dissipator) -> NumericalFault:
-    return NumericalFault(f"heat current has imaginary part {value.imag:.3e} "
-                          f"(channel {dissipator})")
 
 
 def heat_current(
@@ -497,7 +493,8 @@ class Readout:
 @dataclass(eq=False, repr=False, slots=True)
 class RowReports(Sequence):
     """One row's reports, states ``first`` to ``stop - 1`` of ``readout``, each made when
-    indexed; equal to a list of them.  :func:`reporting_cells` reads state ``reporting``."""
+    indexed (``list`` of it gives them all).  :func:`reporting_cells` reads state
+    ``reporting``."""
 
     readout: Readout
     first: int
@@ -514,12 +511,6 @@ class RowReports(Sequence):
             dict(zip(QUBITS, r.engineered[:, j].tolist())),
             dict(zip(QUBITS, r.background[:, j].tolist())), None if math.isnan(eta) else eta,
             r.sigma[j].item(), r.stage[j], r.first_law_residual[j].item(), readout=r, index=j)
-
-    def __eq__(self, other) -> bool:
-        return list(self) == other if isinstance(other, list) else NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 def build_report(gen: Generator, steady: SteadyState) -> HeatCurrentReport:
@@ -547,25 +538,21 @@ def build_reports(
     bath temperatures H, R, C (an ``(N, 3)`` table).  Gives per row its
     reports in state order, a :class:`RowReports`, or, as ``build_report``
     state by state would raise it, the row's first exception: a state fails
-    on the first law (these states are real: the gate on imaginary parts
-    cannot fire).  A report lists the channels its row keeps, those at
+    on the first law.  A report lists the channels its row keeps, those at
     gamma != 0 (see :func:`~qfridge.dynamics.grid_dissipators`).
 
-    All states are one :class:`Readout`: their real density matrices built
-    from the populations (a state of another eigensystem gives its own
-    ``state``), one trace-form kernel call per dissipator on the states whose
-    rows keep it, and array operations for the summary, so each report
-    equals ``build_report`` on its state alone, bit for bit.
+    All states are one :class:`Readout`, which every row shares: their real
+    density matrices built from the populations in ``gen``'s eigenbasis
+    (the closed-form eigenvectors are the same for every parameter set, so
+    this is each state's own), one trace-form kernel call per dissipator on
+    the states whose rows keep it, and array operations for the summary, so
+    each report equals ``build_report`` on its state alone, bit for bit.
     """
     solved = [row for row in rows if not isinstance(row, Exception)]
     counts = np.array([len(row) for row in solved], dtype=int)
-    states = [s for row in solved for s in row]
     at = np.repeat(np.flatnonzero([not isinstance(row, Exception) for row in rows]), counts)
-    stack = gen.eigen.diagonal_state(np.reshape([s.populations for s in states], (-1, DIM)))
-    for j, s in enumerate(states):
-        if s.eigen is not gen.eigen:
-            stack[j] = s.state.matrix
-    readout = _readout(gen, dissipators, at, stack, baths)
+    populations = np.reshape([s.populations for row in solved for s in row], (-1, DIM))
+    readout = _readout(gen, dissipators, at, gen.eigen.diagonal_state(populations), baths)
     failures = {}  # row -> the fault of its first faulting state
     for j in sorted(readout.faults):
         failures.setdefault(at[j].item(), readout.faults[j])
@@ -580,28 +567,19 @@ def build_reports(
     return out
 
 
-def reporting_cells(rows: Sequence[Sequence[HeatCurrentReport]]) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of reports, the state single-row outputs read (the unique one, or the
-    first with the largest ``|Q_C|``: flowing branches agree in sign) as an ``(8, N)``
-    array, rows Q_C, Q_H, Q_R, Q^B_C, Q^B_H, Q^B_R (the tables' column order),
-    efficiency (NaN where undefined) and entropy production, and the ``(N,)``
-    stages, read from the read-out arrays (a :class:`RowReports` makes no report)."""
-    cells, stages = np.empty((8, len(rows))), np.empty(len(rows), dtype=object)
-    shared: dict[int, tuple[Readout, list[int], list[int]]] = {}  # read-out: rows, states
-    for k, reports in enumerate(rows):
-        if isinstance(reports, RowReports):
-            r, j = reports.readout, reports.reporting
-        else:
-            report = max(reports, key=lambda rep: abs(rep.engineered["C"]))
-            r, j = report.readout, report.index
-        _, ks, js = shared.setdefault(id(r), (r, [], []))
-        ks.append(k)
-        js.append(j)
-    for r, ks, js in shared.values():
-        order = [QUBITS.index(q) for q in "CHR"]
-        cells[:3, ks], cells[3:6, ks] = r.engineered[order][:, js], r.background[order][:, js]
-        cells[6, ks], cells[7, ks], stages[ks] = r.efficiency[js], r.sigma[js], r.stage[js]
-    return cells, stages
+def reporting_cells(rows: Sequence[RowReports]) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, its state ``reporting`` (the state single-row outputs read: the unique
+    one, or the first with the largest ``|Q_C|``, as flowing branches agree in sign) as
+    an ``(8, N)`` array, rows Q_C, Q_H, Q_R, Q^B_C, Q^B_H, Q^B_R (the tables' column
+    order), efficiency (NaN where undefined) and entropy production, and the ``(N,)``
+    stages, read from the read-out arrays without making a report.  The rows share
+    one :class:`Readout`, as the rows of one :func:`build_reports` call do."""
+    if not rows:
+        return np.empty((8, 0)), np.empty(0, dtype=object)
+    r, js = rows[0].readout, [row.reporting for row in rows]
+    order = [QUBITS.index(q) for q in "CHR"]
+    return (np.vstack((r.engineered[order], r.background[order], r.efficiency, r.sigma))[:, js],
+            r.stage[js])
 
 
 def _reporting_states(q_cold: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -617,16 +595,15 @@ def _reporting_states(q_cold: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _readout(gen: Generator, dissipators: Sequence[Dissipator], at: np.ndarray,
              states: np.ndarray, baths: np.ndarray) -> Readout:
-    """The :class:`Readout` of the stack ``states`` ``(S, 8, 8)``, state j on
-    row ``at[j]`` of ``dissipators`` and ``baths``."""
+    """The :class:`Readout` of the real stack ``states`` ``(S, 8, 8)``, state
+    j on row ``at[j]`` of ``dissipators`` and ``baths``.  The Hamiltonian and
+    the channel operators are float64 too, so every current is real."""
     kept = _kept(dissipators, len(baths))[:, at]
-    values = np.zeros(kept.shape, dtype=states.dtype)
+    currents = np.zeros(kept.shape)
     for k, d in enumerate(dissipators):
         if (on := np.flatnonzero(kept[k])).size:
-            values[k, on] = _trace_currents(gen.hamiltonian, take_rows((d,), at[on]),
-                                            states[on])[0]
-    imaginary = np.abs(values.imag) > IMAG_FAULT_TOL
-    currents = values.real
+            currents[k, on] = _trace_currents(gen.hamiltonian, take_rows((d,), at[on]),
+                                              states[on])[0]
     engineered = np.zeros((len(QUBITS), len(at)))
     background = np.zeros((len(QUBITS), len(at)))
     scale = np.zeros(len(at))
@@ -641,14 +618,9 @@ def _readout(gen: Generator, dissipators: Sequence[Dissipator], at: np.ndarray,
     # the relative first-law check is meaningless when every current is
     # already at the noise floor; a NaN scale or residual fails it
     violated = ~((scale <= 1e-12 * gen.params.omega_c * gen.params.gamma) | (residual <= 1e-10))
-    faults = {}
-    for j in np.flatnonzero(imaginary.any(axis=0) | violated).tolist():
-        if imaginary[:, j].any():
-            k = int(imaginary[:, j].argmax())
-            faults[j] = _imaginary_fault(values[k, j], dissipators[k])
-        else:
-            faults[j] = NumericalFault(f"first-law violation: currents sum to {total[j]:.3e} "
-                                       f"against magnitude {scale[j]:.3e}")
+    faults = {j: NumericalFault(f"first-law violation: currents sum to {total[j]:.3e} "
+                                f"against magnitude {scale[j]:.3e}")
+              for j in np.flatnonzero(violated).tolist()}
     bg = gen.background
     with np.errstate(over="ignore", invalid="ignore"):  # as the float arithmetic of one state
         sigma = _entropy_productions(engineered, np.asarray(baths, dtype=float)[at].T,

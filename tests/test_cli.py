@@ -99,6 +99,9 @@ def test_parse_config_errors():
     with pytest.raises(ConfigError, match="not both"):
         parse_config("[system]\nomega_c = 1\nomega_c_ghz = 210\nomega_h = 3\n"
                       "g = 0.2\ngamma = 0.1\n[reservoirs]\nt_h = 3\nt_r = 2\nt_c = 1\n")
+    with pytest.raises(ConfigError, match="give omega_c_ghz or unit_scale, not both"):
+        parse_config("[system]\nomega_c_ghz = 210\nunit_scale = 5\nomega_h = 3\n"
+                      "g = 0.2\ngamma = 0.1\n[reservoirs]\nt_h = 3\nt_r = 2\nt_c = 1\n")
     with pytest.raises(ConfigError, match="cannot parse number"):
         parse_config("[system]\nomega_c = 1\nomega_h = three\ng = 0.2\ngamma = 0.1\n"
                       "[reservoirs]\nt_h = 3\nt_r = 2\nt_c = 1\n")
@@ -129,6 +132,13 @@ def test_non_finite_config_values_are_config_errors(capsys, tmp_path, old, new, 
     err = capsys.readouterr().err
     # the key once, with no section prefix in front of it
     assert err.startswith(f"error: {key}: ") and err.count(key.split(".")[0]) == 1
+
+
+def test_config_that_is_not_utf8_is_a_config_error(capsys, tmp_path):
+    cfg = tmp_path / "latin.ini"
+    cfg.write_bytes(NATURAL_CONFIG.encode() + b"# \xff\n")
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {cfg}: ")
 
 
 def test_zero_temperature_bath_gives_infinite_sigma(capsys, tmp_path):
@@ -927,7 +937,7 @@ def assert_outcome_matches_solve_alone(got, config: ScenarioConfig) -> None:
         assert type(got) is type(exc) and str(got) == str(exc)
         return
     states, reports = got
-    assert reports == want_reports and repr(reports) == repr(want_reports)
+    assert list(reports) == want_reports and repr(list(reports)) == repr(want_reports)
     assert [[(c.label, repr(c.value)) for c in r.per_channel] for r in reports] == \
         [[(c.label, repr(c.value)) for c in r.per_channel] for r in want_reports]
     assert states.unique == want_states.unique
@@ -1276,7 +1286,7 @@ def test_grid_reports_equal_build_report_on_cold_edge_grids(background):
                 assert type(got) is NumericalFault and str(got) == str(exc)
                 seen["fault"] += 1
                 continue
-            assert got == want and repr(got) == repr(want)
+            assert list(got) == want and repr(list(got)) == repr(want)
             assert [r.per_channel for r in got] == [r.per_channel for r in want]
             seen["report"] += len(got)
             # efficiency undefined on a nonzero Q_H within the dead band
@@ -1480,37 +1490,26 @@ def test_reporting_state_of_the_readout_equals_max_over_reports(groups):
         first += len(g)
 
 
-def test_sweep_and_scan_take_any_sequence_of_reports(monkeypatch):
-    # a build_reports that gives plain lists of reports, every other row's
-    # on its own copy of the read-out, makes the same tables
-    from dataclasses import replace
-
+def test_rows_of_each_command_share_one_readout(monkeypatch):
+    # reporting_cells reads every row from the read-out of the first: the
+    # figure_sweep sweep, the census_all scan and a steady run each give
+    # rows that share one Readout object
     from qfridge import cli
 
-    build = cli.build_reports
+    solve, grids = cli._solve_grid, []
 
-    calls = []
+    def recorded(*args, **kwargs):
+        grids.append(solve(*args, **kwargs))
+        return grids[-1]
 
-    def as_lists(*args):
-        calls.append(len(args[2]))
-        out = build(*args)
-        for k, reports in enumerate(out):
-            if not isinstance(reports, Exception):
-                readout = replace(reports.readout) if k % 2 else reports.readout
-                out[k] = [replace(r, readout=readout) for r in reports]
-        return out
-
-    sweep_config = load_config(str(CONFIGS / "figure_sweep.ini"))
+    monkeypatch.setattr(cli, "_solve_grid", recorded)
     census = load_config(str(CONFIGS / "filter_census.ini"))
-
-    def tables():
-        sweep = sweep_th(sweep_config)
-        return (cli._table(sweep_config, cli.SweepRow, sweep.rows), sweep.warnings,
-                format_scan_table(census, scan_filters(census, mode="all").rows))
-
-    want = tables()
-    monkeypatch.setattr(cli, "build_reports", as_lists)
-    assert tables() == want and calls == [200, 216]
+    sweep_th(load_config(str(CONFIGS / "figure_sweep.ini")))
+    scan_filters(census, mode="all")
+    run_steady(parse_config(NATURAL_CONFIG))
+    assert [len(g) for g in grids] == [200, 216, 1]
+    for grid in grids:
+        assert len({id(o[1].readout) for o in grid if not isinstance(o, Exception)}) == 1
 
 
 def test_sweep_and_scan_make_no_report_objects(monkeypatch):
