@@ -45,7 +45,7 @@ import sys
 import warnings
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import Field, dataclass, field, fields
-from functools import cache, reduce
+from functools import reduce
 from operator import attrgetter
 from typing import TypeVar
 
@@ -60,6 +60,7 @@ from .dynamics import (
     grid_dissipators,
     participating_channels,
     steady_state_rows,
+    take_rows,
 )
 from .reservoirs import (
     HBAR,
@@ -126,14 +127,12 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-@cache
 def _columns(row_type: type) -> tuple[Field, ...]:
     """Table columns of a row dataclass: its fields, in order, except those
     declared with ``metadata={"column": False}``."""
     return tuple(f for f in fields(row_type) if f.metadata.get("column", True))
 
 
-@cache
 def _line(row_type: type) -> Callable[[object], str]:
     """The table line of a ``row_type`` row, by one ``%``-format: ``float``
     columns as :func:`_fmt` writes them, ``bool`` in lower case, others by
@@ -438,9 +437,9 @@ _T = TypeVar("_T")
 
 def _collecting_warnings(run: Callable[[], _T]) -> tuple[_T, tuple[str, ...]]:
     """``run()`` and each distinct warning it raised, once, in first-seen
-    order."""
+    order; of each message and location only the first is recorded."""
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+        warnings.simplefilter("default")
         result = run()
     return result, tuple(dict.fromkeys(str(w.message) for w in caught))
 
@@ -464,10 +463,11 @@ def _solve_grid(
     order, before any row is solved; a row whose filter fails a check fails
     with it.  One generator over all nine channels, and W of the other
     rows, are then built once (:func:`grid_dissipators`: a channel that a
-    row filters out couples there at gamma = 0), and those rows are one
-    :func:`steady_state_rows` and one :func:`build_reports` call, each row
-    equal to ``steady_states_numeric`` and ``build_report`` on its scenario
-    alone, bit for bit.
+    row filters out couples there at gamma = 0); a row whose rates overflow
+    (W not finite) fails with a :class:`NumericalFault`.  The other rows are
+    one :func:`steady_state_rows` and one :func:`build_reports` call, each
+    row equal to ``steady_states_numeric`` and ``build_report`` on its
+    scenario alone, bit for bit.
     """
     if filters is None:
         filters = [config.filter] * (1 if baths is None else len(baths))
@@ -482,18 +482,25 @@ def _solve_grid(
             check_channels(config.params, filt, config.reservoirs, config.background)
         except ROW_FAILURES as exc:
             failures[i] = exc
-    live = np.array([i not in failures for i in mask_of.tolist()], dtype=bool)
-    solved = iter(())
-    if live.any():
+    out: list = [failures.get(i) for i in mask_of.tolist()]  # None: not failed yet
+    live = np.array([k for k, o in enumerate(out) if o is None], dtype=int)
+    if live.size:
         gen = assemble_generator(config.params, FilterConfig.all_channels(), config.reservoirs,
                                  config.background)
-        dissipators = grid_dissipators(gen, masks, mask_of[live], baths[live])
-        # without stacked rates (no row keeps a channel) one W serves every row
-        w = np.broadcast_to(build_population_matrix(dissipators), (live.sum(), DIM, DIM))
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails its row below
+            dissipators = grid_dissipators(gen, masks, mask_of[live], baths[live])
+            # without stacked rates (no row keeps a channel) one W serves every row
+            w = np.broadcast_to(build_population_matrix(dissipators), (live.size, DIM, DIM))
+        finite = np.isfinite(w).all(axis=(-2, -1))
+        for k in live[~finite].tolist():
+            out[k] = NumericalFault("the rates overflow: W has a non-finite entry")
+        if not finite.all():
+            live, w, dissipators = live[finite], w[finite], take_rows(dissipators, finite)
         rows = steady_state_rows(w, gen.eigen)
         reports = build_reports(gen, dissipators, rows, baths[live])
-        solved = (r if isinstance(r, Exception) else (s, r) for s, r in zip(rows, reports))
-    return [failures[i] if i in failures else next(solved) for i in mask_of.tolist()]
+        for k, s, r in zip(live.tolist(), rows, reports):
+            out[k] = r if isinstance(r, Exception) else (s, r)
+    return out
 
 
 @dataclass(frozen=True)

@@ -560,12 +560,11 @@ def steady_state_rows(
     of each class's populations and the residual gate are array operations.
     No density matrix is built (:class:`SteadyState`).  A row fails with
     the first failure of its classes in class order, then the first
-    residual above the bound, and a class after the first failing class of
-    its row does not warn, so row k equals ``steady_states_numeric`` on
-    ``w[k]`` alone, bit for bit and warning for warning.  A non-finite
-    entry anywhere in the stack raises ``ValueError`` before any product.
-    The pass holds W, the class blocks and their SVDs of all rows at once,
-    a few KiB per row.
+    residual above the bound; every rank-ambiguous class warns, failed row
+    or not.  Row k equals ``steady_states_numeric`` on ``w[k]`` alone, bit
+    for bit and warning for warning.  A non-finite entry anywhere in the
+    stack raises ``ValueError`` before any product.  The pass holds W, the
+    class blocks and their SVDs of all rows at once, a few KiB per row.
     """
     if not np.isfinite(w).all():
         raise ValueError("null_space input contains non-finite entries")
@@ -590,13 +589,10 @@ def steady_state_rows(
 
     row_of = rows.tolist()
     failures: dict[int, Exception] = {}  # row -> its failure
-    first: dict[int, int] = {}  # row -> its first failing class
     for c in sorted(faults):
-        first.setdefault(row_of[c], c)
         failures.setdefault(row_of[c], faults[c])
-    for c, ambiguous, cut in sorted(ambiguities):
-        if c <= first.get(row_of[c], c):  # the classes after the first failure are not solved
-            warn_rank_ambiguity(ambiguous, cut, stacklevel=1)
+    for _, ambiguous, cut in sorted(ambiguities):
+        warn_rank_ambiguity(ambiguous, cut, stacklevel=1)
     r = w[rows] @ pops[:, :, np.newaxis]  # W p of each class
     resid = np.sqrt(np.swapaxes(r, -1, -2) @ r)[:, 0, 0]
     bound = STEADY_RESIDUAL_TOL * np.abs(w).max(axis=(-2, -1))

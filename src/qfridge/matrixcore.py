@@ -159,7 +159,7 @@ def svd_rows(
 
 @dataclass(frozen=True, slots=True)
 class DensityMatrix:
-    """A validated density matrix (Hermitian, unit trace, PSD within tol)."""
+    """A density matrix, checked (Hermitian, unit trace, PSD) only by :func:`dm_validate`."""
 
     matrix: np.ndarray
 

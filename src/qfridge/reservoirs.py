@@ -201,10 +201,6 @@ class FilterConfig:
     def all_channels(cls) -> "FilterConfig":
         return cls()
 
-    @classmethod
-    def nothing(cls) -> "FilterConfig":
-        return cls(frozenset(), frozenset(), frozenset())
-
     def __str__(self) -> str:
         return f"H{_label(self.kept_h)}+R{_label(self.kept_r)}+C{_label(self.kept_c)}"
 

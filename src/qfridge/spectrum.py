@@ -17,11 +17,9 @@ eigenvectors and the channel operators are all real, and are stored as
 float64.
 
 Everything here is a pure function of the frozen, hashable
-:class:`SystemParams`, so the Hamiltonian, the eigensystem and the nine
-channel frequencies are memoised per parameter set (the 64 most recently
-used), the channels with the eigensystem they are built from, and their
-arrays are read-only: one result is shared by every caller.  A sweep that
-varies only temperatures or the filter mask builds them once.
+:class:`SystemParams`; each call builds fresh, read-only arrays.  Only the
+nine channel frequencies, which every per-mask check reads, are memoised
+per parameter set (the 64 most recently used).
 
 Each qubit couples to its reservoir through three lowering eigen-operators
 ("channels") at frequencies ``omega_a`` and ``omega_a +- g``, each satisfying
@@ -215,7 +213,6 @@ def _basis_index(qh: int, qr: int, qc: int) -> int:
     return (1 - qh) * 4 + (1 - qr) * 2 + (1 - qc)
 
 
-@lru_cache(maxsize=64)
 def build_hamiltonian(params: SystemParams) -> np.ndarray:
     """8x8 real symmetric Hamiltonian in the computational basis
     |q_H q_R q_C> (float64, read-only)."""
@@ -236,7 +233,6 @@ def build_hamiltonian(params: SystemParams) -> np.ndarray:
     return _readonly(h)
 
 
-@lru_cache(maxsize=64)
 def eigensystem(params: SystemParams) -> EigenSystem:
     """Closed-form eigensystem (real, read-only arrays); no numerical
     diagonalization involved."""
@@ -274,13 +270,9 @@ def channel_frequencies(params: SystemParams) -> Mapping[tuple[str, int], float]
 
 
 def transition_channels(params: SystemParams) -> tuple[TransitionChannel, ...]:
-    """All nine channels, ordered H1..H3, R1..R3, C1..C3, built from
-    :func:`eigensystem`; equal parameters give the same tuple."""
-    return _channels(params, eigensystem(params))
-
-
-@lru_cache(maxsize=64)
-def _channels(params: SystemParams, eig: EigenSystem) -> tuple[TransitionChannel, ...]:
+    """All nine channels, ordered H1..H3, R1..R3, C1..C3, built from one
+    :func:`eigensystem` call (read-only operators)."""
+    eig = eigensystem(params)
     channels = []
     for qubit in QUBITS:
         for index in (1, 2, 3):

@@ -1202,6 +1202,65 @@ def test_scan_builds_one_w_stack(monkeypatch):
                      "build_population_matrix": 1, "steady_state_rows": 1}
 
 
+def test_a_census_builds_its_spectrum_once(monkeypatch, capsys):
+    # the spectrum is not memoised: a command builds it for its one generator
+    from qfridge import dynamics, spectrum
+
+    calls = {"transition_channels": 0, "build_hamiltonian": 0}
+    for name in calls:
+        def call(params, name=name, original=getattr(spectrum, name)):
+            calls[name] += 1
+            return original(params)
+        monkeypatch.setattr(spectrum, name, call)
+        monkeypatch.setattr(dynamics, name, call)
+    assert main(["scan", "--config", str(CONFIGS / "filter_census.ini"), "--mode", "all"]) == 0
+    capsys.readouterr()
+    assert calls == {"transition_channels": 1, "build_hamiltonian": 1}
+
+
+OVERFLOW_STEADY = (CONFIGS / "filter_census.ini").read_text().replace(
+    "gamma = 0.05", "gamma = 1e308")
+OVERFLOW_SWEEP = """
+[system]
+omega_c = 1.0
+omega_h = 3.0
+g = 0.25
+gamma = 1e300
+[reservoirs]
+t_h = 1.0
+t_r = 1.2
+t_c = 1.0
+[filter]
+h = 3
+r = 2
+c = 1
+[sweep]
+variable = t_h
+start = 1
+stop = 1e12
+points = 5
+"""
+OVERFLOW = "NumericalFault: the rates overflow: W has a non-finite entry"
+
+
+def test_steady_row_whose_rates_overflow_is_an_error(capsys, tmp_path):
+    cfg = tmp_path / "overflow.ini"
+    cfg.write_text(OVERFLOW_STEADY)
+    assert main(["steady", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {OVERFLOW}\n"
+
+
+def test_sweep_rows_whose_rates_overflow_fail_alone(capsys, tmp_path):
+    cfg, csv_path = tmp_path / "overflow.ini", tmp_path / "overflow.csv"
+    cfg.write_text(OVERFLOW_SWEEP)
+    assert main(["sweep", "--config", str(cfg), "--out", str(csv_path)]) == 0
+    # the rates of every point above t_h = 1 overflow, and no numpy warning says so
+    err = capsys.readouterr().err
+    assert "encountered in multiply" not in err and "encountered in add" not in err
+    assert [row.stage for row in load_csv(str(csv_path)).rows[1:]] == ["error"] * 4
+    assert [row.error for row in sweep_th(load_config(str(cfg))).rows[1:]] == [OVERFLOW] * 4
+
+
 def test_scan_takes_currents_only_where_a_row_couples(monkeypatch):
     # a scan's generator couples each of the nine channels on every
     # mask's row, at gamma = 0 where the mask filters it out; no such pair

@@ -1117,6 +1117,27 @@ def test_steady_state_stack_warns_and_fails_row_by_row(params, monkeypatch):
     assert [isinstance(r, Exception) for r in stacked] == [False, False, True, False, True, False]
 
 
+def test_every_ambiguous_class_warns_on_a_failed_row(params):
+    # one row: levels 0-1-2 joined by rates 1 and 1e-11 fail with a
+    # 2-dimensional null space; levels 3-4-5 joined by rates 1 and 1e-9 are
+    # solved too, and their rank ambiguity is reported
+    import warnings
+
+    from qfridge.matrixcore import RankAmbiguityWarning
+
+    w = np.zeros((1, 8, 8))
+    for a, b, rate in ((0, 1, 1.0), (1, 2, 1e-11), (3, 4, 1.0), (4, 5, 1e-9)):
+        for frm, to in ((a, b), (b, a)):
+            w[0, to, frm] += rate
+            w[0, frm, frm] -= rate
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        (row,) = steady_state_rows(w, eigensystem(params))
+    assert [x.category for x in seen] == [RankAmbiguityWarning]
+    assert isinstance(row, dynamics.SolverFailure)
+    assert "[0, 1, 2] yielded a 2-dimensional stationary space" in str(row)
+
+
 # --- the residual gate ---------------------------------------------------
 
 def uniform_rates_stack(n: int) -> np.ndarray:

@@ -155,24 +155,31 @@ def test_degeneracy_guard():
     check_nondegenerate(p, keys=[("H", 2), ("R", 2), ("C", 2)])
 
 
-def test_spectrum_results_are_memoised_and_read_only(params):
+def test_spectrum_results_are_fresh_and_read_only(params):
     same = SystemParams(omega_c=params.omega_c, omega_h=params.omega_h,
                         g=params.g, gamma=params.gamma)
-    for build in (build_hamiltonian, eigensystem, transition_channels):
-        assert build(same) is build(params)
-    eig = eigensystem(params)
-    arrays = [build_hamiltonian(params), eig.energies, eig.vectors]
-    for ch in transition_channels(params):
+    h, h_same = build_hamiltonian(params), build_hamiltonian(same)
+    assert h is not h_same and np.array_equal(h, h_same)
+    eig, eig_same = eigensystem(params), eigensystem(same)
+    assert eig is not eig_same
+    assert np.array_equal(eig.energies, eig_same.energies)
+    assert np.array_equal(eig.vectors, eig_same.vectors)
+    channels, channels_same = transition_channels(params), transition_channels(same)
+    for ch, ch_same in zip(channels, channels_same, strict=True):
+        assert ch is not ch_same and ch.operator is not ch_same.operator
+        assert (ch.key, ch.frequency) == (ch_same.key, ch_same.frequency)
+        assert np.array_equal(ch.operator, ch_same.operator)
+    arrays = [h, eig.energies, eig.vectors]
+    for ch in channels:
         arrays += [ch.operator, ch.adjoint, ch.aad, ch.ada]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
     # derived results are fresh arrays the caller owns
-    eig.to_eigenbasis(build_hamiltonian(params))[0, 0] = 1.0
+    eig.to_eigenbasis(h)[0, 0] = 1.0
 
 
 def test_channels_read_the_eigensystem_on_every_call(params, monkeypatch):
-    # the call structure is the same on a cold and a warm cache
     calls = []
 
     def counted(p):
@@ -180,8 +187,8 @@ def test_channels_read_the_eigensystem_on_every_call(params, monkeypatch):
         return eigensystem(p)
 
     monkeypatch.setattr(spectrum, "eigensystem", counted)
-    first = transition_channels(params)
-    assert transition_channels(params) is first
+    transition_channels(params)
+    transition_channels(params)
     assert calls == [params, params]
 
 

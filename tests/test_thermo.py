@@ -504,7 +504,7 @@ def test_build_reports_keep_a_faulting_state_to_its_row(params, rng):
 
 def test_build_reports_read_an_equal_copy_of_the_eigensystem_bit_for_bit(params):
     # a state carries its eigensystem; an equal copy of gen's (as
-    # eigensystem rebuilds it after a cache eviction) gives the same currents
+    # every eigensystem call builds a new one) gives the same currents
     gen = stack_generators(params)[1]
     state = steady_states_numeric(gen).states[0]
     copy = replace(state, eigen=replace(gen.eigen))
