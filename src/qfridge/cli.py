@@ -462,9 +462,8 @@ def _solve_grid(
     Each distinct filter is checked once (:func:`check_channels`), in row
     order, before any row is solved; a row whose filter fails a check fails
     with it.  One generator over all nine channels, and W of the other
-    rows, are then built once (:func:`grid_dissipators`: a channel that a
-    row filters out couples there at gamma = 0); a row whose rates overflow
-    (W not finite) fails with a :class:`NumericalFault`.  The other rows are
+    rows, are then built once (:func:`_grid_rates`); a row whose rates
+    overflow fails with a :class:`NumericalFault`.  The other rows are
     one :func:`steady_state_rows` and one :func:`build_reports` call, each
     row equal to ``steady_states_numeric`` and ``build_report`` on its
     scenario alone, bit for bit.
@@ -485,13 +484,7 @@ def _solve_grid(
     out: list = [failures.get(i) for i in mask_of.tolist()]  # None: not failed yet
     live = np.array([k for k, o in enumerate(out) if o is None], dtype=int)
     if live.size:
-        gen = assemble_generator(config.params, FilterConfig.all_channels(), config.reservoirs,
-                                 config.background)
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails its row below
-            dissipators = grid_dissipators(gen, masks, mask_of[live], baths[live])
-            # without stacked rates (no row keeps a channel) one W serves every row
-            w = np.broadcast_to(build_population_matrix(dissipators), (live.size, DIM, DIM))
-        finite = np.isfinite(w).all(axis=(-2, -1))
+        gen, dissipators, w, finite = _grid_rates(config, masks, mask_of[live], baths[live])
         for k in live[~finite].tolist():
             out[k] = NumericalFault("the rates overflow: W has a non-finite entry")
         if not finite.all():
@@ -501,6 +494,26 @@ def _solve_grid(
         for k, s, r in zip(live.tolist(), rows, reports):
             out[k] = r if isinstance(r, Exception) else (s, r)
     return out
+
+
+def _grid_rates(config: ScenarioConfig, masks: Sequence[FilterConfig], mask_of, baths) -> tuple:
+    """One generator over all nine channels, the dissipators of the rows ``mask_of``, ``baths``
+    (:func:`grid_dissipators`), their W ``(N, 8, 8)`` and whether each row's W is finite."""
+    gen = assemble_generator(config.params, FilterConfig.all_channels(), config.reservoirs,
+                             config.background)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in W
+        dissipators = grid_dissipators(gen, masks, mask_of, baths)
+        # without stacked rates (no row keeps a channel) one W serves every row
+        w = np.broadcast_to(build_population_matrix(dissipators), (len(mask_of), DIM, DIM))
+    return gen, dissipators, w, np.isfinite(w).all(axis=(-2, -1))
+
+
+def _bath_table(config: ScenarioConfig) -> np.ndarray:
+    """The bath temperatures H, R, C of the config's rows, ``(N, 3)``: one
+    row per point of its ``t_h`` sweep, or its own baths alone."""
+    res = config.reservoirs
+    t_h = [res.hot.temperature] if config.sweep is None else config.sweep.values.tolist()
+    return np.array([(t, res.room.temperature, res.cold.temperature) for t in t_h])
 
 
 @dataclass(frozen=True)
@@ -571,12 +584,9 @@ def sweep_th(config: ScenarioConfig) -> SweepResult:
     """
     if config.sweep is None:
         raise ConfigError("sweep requested but the config has no [sweep] section")
-    t_h = config.sweep.values
-    baths = np.array([[config.reservoirs[q].temperature for q in QUBITS]] * len(t_h))
-    baths[:, 0] = t_h
-
+    baths = _bath_table(config)
     rows, warns = _collecting_warnings(
-        lambda: _sweep_rows(t_h.tolist(), _solve_grid(config, baths=baths)))
+        lambda: _sweep_rows(baths[:, 0].tolist(), _solve_grid(config, baths=baths)))
     return SweepResult(config=config, rows=rows, warnings=warns)
 
 
@@ -747,7 +757,7 @@ def format_scan_table(config: ScenarioConfig, rows: Iterable[ScanRow]) -> str:
 
 
 def validate_config(config: ScenarioConfig) -> tuple[str, bool]:
-    """Run the scenario checks without solving; returns (report, ok)."""
+    """Run the scenario checks and build W without solving; returns (report, ok)."""
     lines = ["qfridge config validation"]
     lines += [f"{key} = {value}" for key, value in config.canonical_items()]
     ok = True
@@ -782,6 +792,12 @@ def validate_config(config: ScenarioConfig) -> tuple[str, bool]:
     if config.sweep is not None:
         lines.append(f"sweep: {config.sweep.points} points over "
                      f"[{config.sweep.start:.6g}, {config.sweep.stop:.6g}]")
+    baths = _bath_table(config)
+    *_, finite = _grid_rates(config, [config.filter], np.zeros(len(baths), dtype=int), baths)
+    if not finite.all():
+        ok = False
+        lines.append(f"error: the rates overflow on {np.count_nonzero(~finite)} of {len(baths)} "
+                     f"rows; first at t_h={_fmt(baths[~finite][0, 0])}")
     lines.append("result = " + ("ok" if ok else "invalid"))
     return "\n".join(lines) + "\n", ok
 

@@ -85,7 +85,7 @@ __all__ = [
     "branch_weights",
 ]
 
-#: Residual bound for accepting a steady state: ||W p|| <= RES_TOL ||W||.
+#: Residual bound for accepting a steady state: ||W p|| <= RES_TOL max_ij |W_ij|.
 STEADY_RESIDUAL_TOL = 1e-9
 
 #: Default convergence threshold for time propagation, ||d rho / dt|| < eps.
@@ -122,13 +122,13 @@ def apply_dissipators(dissipators: Sequence[Dissipator], rho: np.ndarray) -> np.
     j- (2 A rho A^dag - A^dag A rho - rho A^dag A)
     + j+ (2 A^dag rho A - A A^dag rho - rho A A^dag),
 
-    the j+ term added only where j+ != 0.  Stacked rates (``(N,)`` arrays,
-    see :func:`grid_dissipators`) broadcast against the last batch axis
-    of ``rho``: state ``rho[..., k, :, :]`` sees row k of the rates.  Slice k
-    equals the one-channel formula evaluated for ``dissipators[k]`` alone,
-    at one row of its rates, bit for bit.  The channel operators are real,
-    so the result takes the dtype of ``rho``: real states give real
-    actions, complex states complex ones.
+    the j+ term skipped where j+ = 0 on every row; a row's lone zero j+ adds
+    0.0, which may turn a -0.0 entry into +0.0.  Stacked rates (``(N,)``
+    arrays, see :func:`grid_dissipators`) broadcast against the last batch
+    axis of ``rho``: state ``rho[..., k, :, :]`` sees row k of the rates.
+    Slice k equals the one-channel formula for ``dissipators[k]`` alone, at
+    one row of its rates, bit for bit up to that sign.  The operators are
+    real, so the result takes the dtype of ``rho``, real or complex.
     """
     rho = np.asarray(rho)
     rho = rho.astype(np.result_type(rho, float), copy=False)
@@ -142,13 +142,10 @@ def apply_dissipators(dissipators: Sequence[Dissipator], rho: np.ndarray) -> np.
     jp = _rates([d.rates.j_plus for d in dissipators], rho.ndim)
     jm = _rates([d.rates.j_minus for d in dissipators], rho.ndim)
     out = _lindblad_term(jm, a, ad, ada, rho)
-    warm = jp != 0.0  # a stacked j+ can be zero on some rows only
-    hot = np.flatnonzero(warm.any(axis=tuple(range(1, warm.ndim))))
+    hot = np.flatnonzero((jp != 0.0).any(axis=tuple(range(1, jp.ndim))))
     if hot.size:
         aad = _stack([channels[k].aad for k in hot], lead, rho.dtype)
-        term = _lindblad_term(jp[hot], ad[hot], a[hot], aad, rho)
-        term += out[hot]
-        out[hot] = np.where(warm[hot], term, out[hot])  # the rows where j+ = 0 stay as they are
+        out[hot] += _lindblad_term(jp[hot], ad[hot], a[hot], aad, rho)
     return out
 
 
@@ -479,16 +476,6 @@ class SteadyStateSet:
         raise KeyError(f"no steady state supported on {sorted(target)}")
 
 
-def _class_blocks(w: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The blocks ``(G, m, m)`` of the rate matrices ``w[rows]`` on the
-    levels ``idx`` ``(G, m)``, as complex, filled one block row at a time
-    (no real copy of the stack)."""
-    blocks = np.empty(idx.shape + idx.shape[-1:], dtype=complex)
-    for a in range(idx.shape[-1]):
-        blocks[:, a] = w[rows[:, np.newaxis], idx[:, a, np.newaxis], idx]
-    return blocks
-
-
 def _class_populations(blocks: np.ndarray, idx: np.ndarray, classes: np.ndarray,
                        faults: dict, ambiguities: list) -> np.ndarray:
     """Stationary populations ``(G, 8)`` of G closed classes of one size m,
@@ -563,8 +550,8 @@ def steady_state_rows(
     residual above the bound; every rank-ambiguous class warns, failed row
     or not.  Row k equals ``steady_states_numeric`` on ``w[k]`` alone, bit
     for bit and warning for warning.  A non-finite entry anywhere in the
-    stack raises ``ValueError`` before any product.  The pass holds W, the
-    class blocks and their SVDs of all rows at once, a few KiB per row.
+    stack raises ``ValueError`` before any product.  The pass holds W of all
+    rows at once, and the class blocks and SVDs of one size at a time.
     """
     if not np.isfinite(w).all():
         raise ValueError("null_space input contains non-finite entries")
@@ -573,18 +560,15 @@ def steady_state_rows(
     rows, heads = np.nonzero(codes)  # the closed classes, row by row in class order
     codes = codes[rows, heads]
     sizes = _SIZES[codes]
-    groups = []  # per class size above 1: its classes, their levels and blocks
-    for size in np.unique(sizes[sizes > 1]).tolist():
-        at = np.flatnonzero(sizes == size)
-        idx = _MEMBERS[codes[at], :size]
-        groups.append((at, idx, _class_blocks(w, rows[at], idx)))
-
     faults: dict[int, Exception] = {}  # class -> the failure it raises
     ambiguities: list[tuple[int, int, float]] = []  # (class, values near the cut, cut)
     pops = np.zeros((len(codes), DIM))
     single = sizes == 1
     pops[single, heads[single]] = 1.0
-    for at, idx, blocks in groups:
+    for size in np.unique(sizes[sizes > 1]).tolist():
+        at = np.flatnonzero(sizes == size)
+        idx = _MEMBERS[codes[at], :size]
+        blocks = w[rows[at, None, None], idx[:, :, None], idx[:, None]].astype(complex)
         pops[at] = _class_populations(blocks, idx, at, faults, ambiguities)
 
     row_of = rows.tolist()
@@ -593,14 +577,15 @@ def steady_state_rows(
         failures.setdefault(row_of[c], faults[c])
     for _, ambiguous, cut in sorted(ambiguities):
         warn_rank_ambiguity(ambiguous, cut, stacklevel=1)
-    r = w[rows] @ pops[:, :, np.newaxis]  # W p of each class
+    # W p on W over its largest entry cannot overflow (on W = 0 it is 0)
+    top = np.abs(w).max(axis=(-2, -1))
+    r = (w[rows] / np.where(top > 0.0, top, 1.0)[rows, None, None]) @ pops[:, :, np.newaxis]
     resid = np.sqrt(np.swapaxes(r, -1, -2) @ r)[:, 0, 0]
-    bound = STEADY_RESIDUAL_TOL * np.abs(w).max(axis=(-2, -1))
     live = np.array([k not in failures for k in row_of], dtype=bool)
-    for c in np.flatnonzero(live & ~(resid <= bound[rows])).tolist():
+    for c in np.flatnonzero(live & ~(resid <= STEADY_RESIDUAL_TOL)).tolist():
         failures.setdefault(row_of[c], SolverFailure(
             f"steady state on {_MEMBERS[codes[c], :sizes[c]].tolist()} has residual "
-            f"{resid[c]:.3e} (bound {bound[rows[c]]:.3e})"))
+            f"{resid[c] * top[rows[c]]:.3e} (bound {STEADY_RESIDUAL_TOL * top[rows[c]]:.3e})"))
 
     classes = np.searchsorted(rows, np.arange(n + 1)).tolist()
     codes = codes.tolist()

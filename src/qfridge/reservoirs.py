@@ -221,7 +221,9 @@ HIGH_EFFICIENCY_FILTER = FilterConfig.single(2, 2, 2)
 
 #: All six single-channel masks that can cool the cold reservoir: the first
 #: three share the revival frequency ratio family, the last three the
-#: high-efficiency family.  Every one is cycle-matched.
+#: high-efficiency family.  Every one is cycle-matched.  The seventh matched
+#: mask, H1+R2+C3, cannot cool: its channels join levels 0-4-6-7-3-1 into one
+#: six-level cycle, in which every bath both emits and absorbs its quantum.
 COOLING_FILTERS = (
     FilterConfig.single(3, 2, 1),
     FilterConfig.single(1, 1, 1),

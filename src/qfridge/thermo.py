@@ -27,6 +27,7 @@ from .dynamics import (
 )
 from .matrixcore import DensityMatrix
 from .reservoirs import (
+    COOLING_FILTERS,
     HIGH_EFFICIENCY_FILTER,
     QUBITS,
     REVIVAL_FILTER,
@@ -111,27 +112,21 @@ def heat_currents(
     ``(n, ...)``, state by state equal to single-state calls, bit for bit;
     stacked rates pair with its last batch axis (see
     :func:`~qfridge.dynamics.apply_dissipators`).  Raises
-    :class:`NumericalFault` as :func:`_real_currents` does."""
+    :class:`NumericalFault` naming the first channel (and of it the first
+    state) whose current has an imaginary part above ``IMAG_FAULT_TOL``."""
     rho = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state)
-    return _real_currents(_trace_currents(hamiltonian, dissipators, rho), dissipators)
-
-
-def _trace_currents(hamiltonian, dissipators, rho) -> np.ndarray:
-    """Tr{H_S D_k[rho]} of each dissipator, complex, as ``(n, ...)``."""
-    return np.trace(hamiltonian @ apply_dissipators(dissipators, rho), axis1=-2, axis2=-1)
-
-
-def _real_currents(values: np.ndarray, dissipators: Sequence[Dissipator]) -> np.ndarray:
-    """The real part of the currents ``values`` ``(n, ...)`` of
-    ``dissipators``.  Raises :class:`NumericalFault` naming the first
-    channel (and of it the first state) whose current has an imaginary part
-    above ``IMAG_FAULT_TOL``."""
+    values = _trace_currents(hamiltonian, dissipators, rho)
     bad = np.abs(values.imag) > IMAG_FAULT_TOL
     if bad.any():
         k, *at = np.argwhere(bad)[0]
         raise NumericalFault(f"heat current has imaginary part {values[(k, *at)].imag:.3e} "
                              f"(channel {dissipators[k]})")
     return values.real
+
+
+def _trace_currents(hamiltonian, dissipators, rho) -> np.ndarray:
+    """Tr{H_S D_k[rho]} of each dissipator, complex, as ``(n, ...)``."""
+    return np.trace(hamiltonian @ apply_dissipators(dissipators, rho), axis1=-2, axis2=-1)
 
 
 def heat_current(
@@ -328,11 +323,14 @@ def cooling_predicate(params: SystemParams, temps, mode: str) -> CoolingVerdict:
 def cooling_predicate_for_filter(
     params: SystemParams, temps, filt: FilterConfig
 ) -> CoolingVerdict:
-    """Generalized predicate for any cycle-matched single-channel mask,
-    using the ratio of the kept cold and hot channel frequencies."""
+    """Generalized predicate for the masks that can cool, ``COOLING_FILTERS``,
+    using the ratio of the kept cold and hot channel frequencies.  Any other
+    mask raises ``ValueError``, the matched H1+R2+C3 (one six-level cycle) too."""
     match = cycle_match_check(filt)
     if not match.matched:
         raise ValueError(f"filter {filt} is not a matched cycle: {match.detail}")
+    if filt not in COOLING_FILTERS:
+        raise ValueError(f"filter {filt} does not split into two 3-level cycles")
     return _verdict(_filter_ratio(params, filt), temps)
 
 
@@ -343,9 +341,7 @@ def _entropy_flow(flows: np.ndarray, temps) -> np.ndarray:
     exchanges more than the dead band."""
     temps = np.broadcast_to(temps, flows.shape)
     frozen = temps == 0.0
-    total = np.zeros(flows.shape[1:])
-    for q, t, zero in zip(flows, temps, frozen):
-        total += np.divide(q, t, out=np.zeros(total.shape), where=~zero)
+    total = np.divide(flows, temps, out=np.zeros(flows.shape), where=~frozen).sum(axis=0)
     exchanged = (frozen & (np.abs(flows) > ZERO_TEMPERATURE_DEAD_BAND)).any(axis=0)
     return np.where(exchanged, -math.inf, total)
 
@@ -435,8 +431,8 @@ class ChannelCurrent:
 
 @dataclass(frozen=True)
 class HeatCurrentReport:
-    """Full thermodynamic read-out of one steady state: state ``index`` of
-    ``readout``, whose currents ``per_channel`` lists when it is read."""
+    """Full thermodynamic read-out of one steady state; ``per_channel`` holds
+    the current of each channel its row keeps, in generator order."""
 
     engineered: dict[str, float]
     background: dict[str, float]
@@ -444,17 +440,7 @@ class HeatCurrentReport:
     sigma: float
     stage: StageLabel
     first_law_residual: float
-    readout: "Readout" = field(repr=False, compare=False)
-    index: int = field(repr=False, compare=False)
-
-    @property
-    def per_channel(self) -> tuple[ChannelCurrent, ...]:
-        """The current of each channel the state's row keeps, in generator
-        order."""
-        r, j = self.readout, self.index
-        return tuple(ChannelCurrent(d.source, d.channel.qubit, d.channel.index, value)
-                     for d, value, keep in zip(r.dissipators, r.currents[:, j].tolist(),
-                                               r.kept[:, j].tolist()) if keep)
+    per_channel: tuple[ChannelCurrent, ...] = field(repr=False, compare=False)
 
     @property
     def currents(self) -> CurrentTriple:
@@ -510,7 +496,9 @@ class RowReports(Sequence):
         return HeatCurrentReport(
             dict(zip(QUBITS, r.engineered[:, j].tolist())),
             dict(zip(QUBITS, r.background[:, j].tolist())), None if math.isnan(eta) else eta,
-            r.sigma[j].item(), r.stage[j], r.first_law_residual[j].item(), readout=r, index=j)
+            r.sigma[j].item(), r.stage[j], r.first_law_residual[j].item(),
+            tuple(ChannelCurrent(d.source, *d.channel.key, value) for d, value, keep in zip(
+                r.dissipators, r.currents[:, j].tolist(), r.kept[:, j].tolist()) if keep))
 
 
 def build_report(gen: Generator, steady: SteadyState) -> HeatCurrentReport:

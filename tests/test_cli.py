@@ -752,7 +752,7 @@ def test_sweep_writes_energy_balance_breach_as_error_row(tmp_path, capsys):
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="two first-law gates, per channel in thermo and per reservoir in "
                           "cli._energy_balance_faults, judge one state differently; ROADMAP "
-                          "item 4 merges them")
+                          "item 3 merges them")
 def test_commands_agree_on_a_row_near_the_first_law_gates(tmp_path):
     # the filter_census temperatures and mask H1+R12+C23, whose per-reservoir
     # currents cancel (Q_C ~ -Q_R): scan --mode all and steady report a
@@ -1261,6 +1261,118 @@ def test_sweep_rows_whose_rates_overflow_fail_alone(capsys, tmp_path):
     assert [row.error for row in sweep_th(load_config(str(cfg))).rows[1:]] == [OVERFLOW] * 4
 
 
+#: OVERFLOW_SWEEP with colder baths: W of its t_h = 1 row is finite, with
+#: entries up to about 3e300, and the rates of the other four rows overflow
+REVIVAL_OVERFLOW_SWEEP = OVERFLOW_SWEEP.replace("t_r = 1.2\nt_c = 1.0", "t_r = 0.4\nt_c = 0.1")
+
+
+def test_sweep_row_with_a_finite_w_near_overflow_solves(capsys, tmp_path):
+    # the residual is taken on W over its largest entry, so no product
+    # overflows and the t_h = 1 row solves: 1e300 times that row at gamma = 1
+    rows, errs = {}, {}
+    for gamma in ("1e300", "1"):
+        cfg, csv_path = tmp_path / f"g{gamma}.ini", tmp_path / f"g{gamma}.csv"
+        cfg.write_text(REVIVAL_OVERFLOW_SWEEP.replace("gamma = 1e300", f"gamma = {gamma}"))
+        assert main(["sweep", "--config", str(cfg), "--out", str(csv_path)]) == 0
+        rows[gamma], errs[gamma] = load_csv(str(csv_path)).rows[0], capsys.readouterr().err
+    big, one = rows["1e300"], rows["1"]
+    assert "overflow encountered" not in errs["1e300"]
+    assert errs["1e300"].splitlines()[-1] == (
+        f"4 of 5 rows failed; first at t_h=2.5000000000075000e+11: {OVERFLOW}")
+    assert not big.failed and big.stage == one.stage
+    for name in ("qdot_C", "qdot_H", "qdot_R", "sigma"):
+        assert getattr(big, name) == pytest.approx(1e300 * getattr(one, name), rel=1e-9)
+    assert big.eta == pytest.approx(one.eta, rel=1e-9)
+
+
+def test_validate_reports_rows_whose_rates_overflow(capsys, tmp_path):
+    # validate builds the grid's W as the solve does, so it sees the overflow
+    cfg = tmp_path / "overflow.ini"
+    cfg.write_text(REVIVAL_OVERFLOW_SWEEP)
+    assert main(["validate", "--config", str(cfg)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["error: the rates overflow on 4 of 5 rows; first at "
+                        "t_h=2.5000000000075000e+11", "result = invalid"]
+    cfg.write_text(OVERFLOW_STEADY)
+    assert main(["validate", "--config", str(cfg)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["error: the rates overflow on 1 of 1 rows; first at "
+                        "t_h=5.0000000000000000e+01", "result = invalid"]
+
+
+CENSUS = (CONFIGS / "filter_census.ini").read_text()
+
+
+@pytest.mark.parametrize("text, line", [
+    (CENSUS + "[filter]\nh = 1\nr = 2\nc = 3\n",
+     "cooling_predicate = n/a (filter H1+R2+C3 does not split into two 3-level cycles)"),
+    (CENSUS.replace("t_r = 1.2", "t_r = 0.5") + "[filter]\nh = 3\nr = 2\nc = 1\n",
+     "cooling_predicate = n/a (T_R=0.5 <= T_C=1.0 makes the cooling threshold singular)"),
+], ids=["six_level_cycle", "t_r_below_t_c"])
+def test_validate_gives_no_cooling_verdict_it_cannot_back(capsys, tmp_path, text, line):
+    # H1+R2+C3 is cycle-matched, yet its channels join one six-level cycle
+    # that cannot cool; at T_R <= T_C the threshold is singular
+    cfg = tmp_path / "matched.ini"
+    cfg.write_text(text)
+    assert main(["validate", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert line in out and out[-1] == "result = ok"
+
+
+INPUT_SWEEP = "\n[sweep]\nvariable = t_h\nstart = 1\nstop = 5\npoints = 3\n"
+
+
+@pytest.mark.parametrize("command, text, err", [
+    ("sweep", NATURAL_CONFIG + INPUT_SWEEP.replace("= t_h", "= t_c"),
+     "error: sweep.variable: only t_h is supported, got 't_c'\n"),
+    ("sweep", NATURAL_CONFIG + INPUT_SWEEP.replace("points = 3", "points = 0"),
+     "error: sweep.points must be >= 1, got 0\n"),
+    ("sweep", NATURAL_CONFIG + INPUT_SWEEP.replace("points = 3", "points = 2.5"),
+     "error: sweep.points: expected integer, got '2.5'\n"),
+    ("steady", NATURAL_CONFIG.replace("h = 2", "h = x"),
+     "error: filter.h: expected channel indices, got 'x'\n"),
+    ("steady", NATURAL_CONFIG.replace("h = 2", "h = all"), ""),
+    ("steady", "omega_c = 1\nomega_h = 3\n",
+     "error: {cfg}: File contains no section headers.\nfile: '{cfg}', line: 1\n"
+     "'omega_c = 1\\n'\n"),
+    ("steady", NATURAL_CONFIG.replace("omega_h = 3.0\n", ""),
+     "error: {cfg}: missing system.omega_h\n"),
+    ("steady", NATURAL_CONFIG.replace("t_c = 1.0\n", ""),
+     "error: {cfg}: missing reservoirs.t_c\n"),
+    ("steady", NATURAL_CONFIG.replace("g = 0.25", "g = 2"),
+     "error: system: need 0 < g < omega_c (all channel frequencies positive), "
+     "got g=2.0, omega_c=1.0\n"),
+    ("steady", NATURAL_CONFIG.replace("omega_c = 1.0", "omega_c_ghz = 210").replace(
+        "t_h = 6.0", "t_h = 6.0\nt_h_kelvin = 10"),
+     "error: reservoirs: give t_h or t_h_kelvin, not both\n"),
+    ("steady", NATURAL_CONFIG.replace("[reservoirs]\nt_h = 6.0\nt_r = 4.0\nt_c = 1.0\n", ""),
+     "error: {cfg}: missing [reservoirs] section\n"),
+    ("steady", NATURAL_CONFIG.replace("t_c = 1.0", "t_c = -1"),
+     "error: reservoirs: temperature must be >= 0, got -1.0\n"),
+    ("steady", NATURAL_CONFIG.replace("mode = vacuum", "mode = warm"),
+     "error: background.mode: unknown mode 'warm'\n"),
+    ("steady", NATURAL_CONFIG.replace("mode = vacuum", "mode = thermal\nt0 = 0"),
+     "error: background: thermal background requires temperature > 0\n"),
+    ("sweep", NATURAL_CONFIG + INPUT_SWEEP, "error: sweep requires --out for the CSV file\n"),
+], ids=["sweep_variable", "points_0", "points_fraction", "filter_word", "filter_all",
+        "no_section_headers", "no_omega_h", "no_t_c", "g_above_omega_c", "t_h_twice",
+        "no_reservoirs", "negative_t_c", "background_mode", "thermal_t0_zero", "sweep_no_out"])
+def test_input_errors_exit_2_with_their_message(capsys, tmp_path, command, text, err):
+    cfg = tmp_path / "input.ini"
+    cfg.write_text(text)
+    out = ["--out", str(tmp_path / "out.txt")] if command == "steady" else []
+    assert main([command, "--config", str(cfg), *out]) == (2 if err else 0)
+    assert capsys.readouterr().err == err.format(cfg=cfg)
+
+
+def test_load_csv_rejects_a_wrong_column_header(tmp_path):
+    path = tmp_path / "wrong.csv"
+    path.write_text("# system.omega_c = 1.0\nsweep_value,qdot_C\n1.0,2.0\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: missing or wrong "
+                                          "column header$"):
+        load_csv(str(path))
+
+
 def test_scan_takes_currents_only_where_a_row_couples(monkeypatch):
     # a scan's generator couples each of the nine channels on every
     # mask's row, at gamma = 0 where the mask filters it out; no such pair
@@ -1580,7 +1692,7 @@ def test_sweep_and_scan_make_no_report_objects(monkeypatch):
 
     class Counted(thermo.HeatCurrentReport):
         def __init__(self, *args, **kwargs):
-            made.append(kwargs["index"])
+            made.append(self)
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(thermo, "HeatCurrentReport", Counted)
@@ -1589,4 +1701,4 @@ def test_sweep_and_scan_make_no_report_objects(monkeypatch):
     assert len(scan_filters(census, mode="all").rows) == 216
     assert made == []
     assert "[state 0] stage = " in run_steady(parse_config(NATURAL_CONFIG))
-    assert made == [0]
+    assert len(made) == 1

@@ -1171,6 +1171,13 @@ def test_residual_gate_bounds_on_the_largest_entry_of_w(params, monkeypatch):
         "steady state on [0, 1, 2, 3, 4, 5, 6, 7] has residual 7.500e-09 (bound 7.000e-09)")
 
 
+def test_residual_gate_passes_a_w_of_zeros(params):
+    # a grid row that keeps no channel: eight one-level classes with W p = 0,
+    # though the largest entry of W, which scales the residual, is 0
+    (row,) = steady_state_rows(np.zeros((1, 8, 8)), eigensystem(params))
+    assert [sorted(s.support) for s in row] == [[k] for k in range(8)]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("at", [(7, 7), (0, 1)], ids=["transient", "class_block"])
 def test_non_finite_w_raises_before_any_product(params, monkeypatch, bad, at):

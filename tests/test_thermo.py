@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -329,6 +330,25 @@ def test_filter_predicate_generalizes_named_modes(params):
         assert cooling_predicate_for_filter(params, temps, filt).ratio > 0
 
 
+def test_filter_predicate_accepts_exactly_the_masks_with_two_cycles(params):
+    # of the 27 single-channel masks, seven are cycle-matched; H1+R2+C3 is
+    # the one whose channels join a six-level cycle instead of two triangles
+    reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=4.0, t_c=1.0)
+    accepted, split = set(), set()
+    for h, r, c in itertools.product((1, 2, 3), repeat=3):
+        filt = FilterConfig.single(h, r, c)
+        for kept, check in ((accepted, cooling_predicate_for_filter),
+                            (split, steady_state_branches_analytic)):
+            try:
+                check(params, reservoirs, filt)
+                kept.add(filt)
+            except ValueError:
+                pass
+    assert accepted == split == set(COOLING_FILTERS)
+    with pytest.raises(ValueError, match="does not split into two 3-level cycles"):
+        steady_state_branches_analytic(params, reservoirs, FilterConfig.single(1, 2, 3))
+
+
 # --- entropy production ---------------------------------------------------------
 
 
@@ -502,6 +522,12 @@ def test_build_reports_keep_a_faulting_state_to_its_row(params, rng):
     assert str(out[1]) == str(alone.value)
 
 
+def readout_of(gen, state):
+    """The read-out of ``build_report(gen, state)``, shared by its row's reports."""
+    baths = np.array([[gen.reservoirs[q].temperature for q in "HRC"]])
+    return build_reports(gen, gen.dissipators, [SteadyStateSet((state,))], baths)[0].readout
+
+
 def test_build_reports_read_an_equal_copy_of_the_eigensystem_bit_for_bit(params):
     # a state carries its eigensystem; an equal copy of gen's (as
     # every eigensystem call builds a new one) gives the same currents
@@ -509,13 +535,12 @@ def test_build_reports_read_an_equal_copy_of_the_eigensystem_bit_for_bit(params)
     state = steady_states_numeric(gen).states[0]
     copy = replace(state, eigen=replace(gen.eigen))
     assert copy.eigen is not gen.eigen
-    assert build_report(gen, copy).readout.currents.tolist() == \
-        build_report(gen, state).readout.currents.tolist()
+    assert readout_of(gen, copy).currents.tolist() == readout_of(gen, state).currents.tolist()
 
 
 def test_readout_is_real(params):
     # the model matrices are real, so the read-out runs in float64
     for gen in stack_generators(params):
         (state, *_) = steady_states_numeric(gen)
-        currents = build_report(gen, state).readout.currents
+        currents = readout_of(gen, state).currents
         assert currents.dtype == np.float64 and currents.any()
