@@ -55,7 +55,6 @@ from .dynamics import (
     SteadyState,
     SteadyStateSet,
     apply_dissipator,
-    apply_dissipators,
     branch_weights,
     build_generator,
     build_population_matrix,

@@ -300,6 +300,12 @@ def parse_config(text: str, source: str = "<string>") -> ScenarioConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text, source=source)
+    except configparser.MissingSectionHeaderError as exc:
+        raise ConfigError(f"{source}: line {exc.lineno}: no [section] header before "
+                          f"{exc.line.strip()!r}") from None
+    except configparser.ParsingError as exc:  # one line, the first that does not parse
+        n, line = exc.errors[0][0], text.split("\n")[exc.errors[0][0] - 1].strip()
+        raise ConfigError(f"{source}: line {n}: expected key = value, got {line!r}") from None
     except configparser.Error as exc:
         raise ConfigError(f"{source}: {exc}") from None
     unknown = []

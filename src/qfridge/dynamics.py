@@ -68,7 +68,6 @@ __all__ = [
     "VacuumBackgroundSolution",
     "PropagationResult",
     "apply_dissipator",
-    "apply_dissipators",
     "assemble_generator",
     "build_generator",
     "check_channels",
@@ -115,9 +114,8 @@ class Dissipator:
         return f"{self.source}:{self.channel}"
 
 
-def apply_dissipators(dissipators: Sequence[Dissipator], rho: np.ndarray) -> np.ndarray:
-    """Action of each dissipator on a state or a stack of states
-    ``(..., 8, 8)``, stacked as ``(n, ..., 8, 8)``:
+def apply_dissipator(d: Dissipator, rho: np.ndarray) -> np.ndarray:
+    """Action of one dissipator on a state or a stack of states ``(..., 8, 8)``:
 
     j- (2 A rho A^dag - A^dag A rho - rho A^dag A)
     + j+ (2 A^dag rho A - A A^dag rho - rho A A^dag),
@@ -125,27 +123,20 @@ def apply_dissipators(dissipators: Sequence[Dissipator], rho: np.ndarray) -> np.
     the j+ term skipped where j+ = 0 on every row; a row's lone zero j+ adds
     0.0, which may turn a -0.0 entry into +0.0.  Stacked rates (``(N,)``
     arrays, see :func:`grid_dissipators`) broadcast against the last batch
-    axis of ``rho``: state ``rho[..., k, :, :]`` sees row k of the rates.
-    Slice k equals the one-channel formula for ``dissipators[k]`` alone, at
-    one row of its rates, bit for bit up to that sign.  The operators are
-    real, so the result takes the dtype of ``rho``, real or complex.
+    axis of ``rho``: state ``rho[..., k, :, :]`` sees row k of the rates
+    and equals the one-state formula at that row, bit for bit up to that
+    sign.  The operators are float64, so a real state gives a float64
+    result and a complex one a complex result.
     """
     rho = np.asarray(rho)
-    rho = rho.astype(np.result_type(rho, float), copy=False)
     if rho.shape[-2:] != (DIM, DIM):
         raise ValueError(f"expected {DIM}x{DIM} states, got {rho.shape}")
-    lead = (-1,) + (1,) * (rho.ndim - 2)  # the dissipator axis, broadcast over states
-    channels = [d.channel for d in dissipators]
-    a = _stack([ch.operator for ch in channels], lead, rho.dtype)
-    ad = _stack([ch.adjoint for ch in channels], lead, rho.dtype)
-    ada = _stack([ch.ada for ch in channels], lead, rho.dtype)
-    jp = _rates([d.rates.j_plus for d in dissipators], rho.ndim)
-    jm = _rates([d.rates.j_minus for d in dissipators], rho.ndim)
-    out = _lindblad_term(jm, a, ad, ada, rho)
-    hot = np.flatnonzero((jp != 0.0).any(axis=tuple(range(1, jp.ndim))))
-    if hot.size:
-        aad = _stack([channels[k].aad for k in hot], lead, rho.dtype)
-        out[hot] += _lindblad_term(jp[hot], ad[hot], a[hot], aad, rho)
+    ch = d.channel
+    jp = np.asarray(d.rates.j_plus)[..., None, None]
+    out = _lindblad_term(np.asarray(d.rates.j_minus)[..., None, None],
+                         ch.operator, ch.adjoint, ch.ada, rho)
+    if (jp != 0.0).any():
+        out += _lindblad_term(jp, ch.adjoint, ch.operator, ch.aad, rho)
     return out
 
 
@@ -160,26 +151,6 @@ def _lindblad_term(rate, a, ad, ada, rho) -> np.ndarray:
     return out
 
 
-def apply_dissipator(d: Dissipator, rho: np.ndarray) -> np.ndarray:
-    """Action of one dissipator on a state; see :func:`apply_dissipators`."""
-    return apply_dissipators((d,), rho)[0]
-
-
-def _stack(mats, lead: tuple[int, ...], dtype) -> np.ndarray:
-    return np.array(mats, dtype=dtype).reshape(*lead, DIM, DIM)
-
-
-def _rates(values, ndim: int) -> np.ndarray:
-    """One rate per dissipator as an ``(n, ..., 1, 1)`` array that broadcasts
-    against states of ``ndim`` dimensions: scalar and stacked rates
-    broadcast together, a stack along the states' last batch axis."""
-    batch = np.broadcast_shapes(*map(np.shape, values))
-    rates = np.empty((len(values),) + batch)
-    for k, v in enumerate(values):
-        rates[k] = v
-    return rates.reshape((-1,) + (1,) * (ndim - 2 - len(batch)) + batch + (1, 1))
-
-
 @dataclass(frozen=True)
 class Generator:
     """Assembled dynamics for one scenario.
@@ -188,7 +159,7 @@ class Generator:
     background is active, the background dissipators over all nine
     channels.  ``liouvillian`` is the 64x64 matrix generating ``d vec(rho)/dt``,
     built on first read from the 64 matrix units: the coherent commutator
-    term plus each dissipator's :func:`apply_dissipators` action, in order.
+    term plus each dissipator's :func:`apply_dissipator` action, in order.
     The commutator never touches eigenlevel populations, so every
     population-level result is independent of it; it is kept so that
     undamped coherences between nondegenerate levels do not masquerade as
@@ -216,8 +187,8 @@ class Generator:
         units = np.eye(n, dtype=complex).reshape(n, DIM, DIM).transpose(0, 2, 1)
         h = self.hamiltonian
         out = -1j * (h @ units - units @ h)
-        for term in apply_dissipators(self.dissipators, units):
-            out += term
+        for d in self.dissipators:
+            out += apply_dissipator(d, units)
         return out.transpose(2, 1, 0).reshape(n, n)
 
     @cached_property

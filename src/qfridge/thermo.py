@@ -20,7 +20,7 @@ from .dynamics import (
     Generator,
     SteadyState,
     SteadyStateSet,
-    apply_dissipators,
+    apply_dissipator,
     steady_state_branches_analytic,
     steady_state_vacuum_background_analytic,
     take_rows,
@@ -111,7 +111,7 @@ def heat_currents(
     reservoir -> system.  A stack of states ``(..., 8, 8)`` gives
     ``(n, ...)``, state by state equal to single-state calls, bit for bit;
     stacked rates pair with its last batch axis (see
-    :func:`~qfridge.dynamics.apply_dissipators`).  Raises
+    :func:`~qfridge.dynamics.apply_dissipator`).  Raises
     :class:`NumericalFault` naming the first channel (and of it the first
     state) whose current has an imaginary part above ``IMAG_FAULT_TOL``."""
     rho = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state)
@@ -126,7 +126,8 @@ def heat_currents(
 
 def _trace_currents(hamiltonian, dissipators, rho) -> np.ndarray:
     """Tr{H_S D_k[rho]} of each dissipator, complex, as ``(n, ...)``."""
-    return np.trace(hamiltonian @ apply_dissipators(dissipators, rho), axis1=-2, axis2=-1)
+    return np.array([np.trace(hamiltonian @ apply_dissipator(d, rho), axis1=-2, axis2=-1)
+                     for d in dissipators])
 
 
 def heat_current(

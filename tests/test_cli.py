@@ -206,7 +206,7 @@ t_c = 2.0
 def test_sweep_rows_and_determinism(tmp_path):
     config = parse_config(FIG_CONFIG)
     result = sweep_th(config)
-    assert len(result.rows) == 8
+    assert len(result.rows) == 8 and not any(r.failed for r in result.rows)
     assert [r.sweep_value for r in result.rows] == sorted(
         r.sweep_value for r in result.rows)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -223,6 +223,7 @@ def test_sweep_parallel_matches_serial(capsys, tmp_path):
     for extra in ([], ["--parallel", "2"]):
         out = tmp_path / f"sweep{len(runs)}.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)] + extra) == 0
+        assert not any(r.failed for r in load_csv(str(out)).rows)
         runs.append((out.read_bytes(), capsys.readouterr().err))
     assert runs[0] == runs[1]
 
@@ -1333,8 +1334,9 @@ INPUT_SWEEP = "\n[sweep]\nvariable = t_h\nstart = 1\nstop = 5\npoints = 3\n"
      "error: filter.h: expected channel indices, got 'x'\n"),
     ("steady", NATURAL_CONFIG.replace("h = 2", "h = all"), ""),
     ("steady", "omega_c = 1\nomega_h = 3\n",
-     "error: {cfg}: File contains no section headers.\nfile: '{cfg}', line: 1\n"
-     "'omega_c = 1\\n'\n"),
+     "error: {cfg}: line 1: no [section] header before 'omega_c = 1'\n"),
+    ("steady", "[system]\nbogus line\n",
+     "error: {cfg}: line 2: expected key = value, got 'bogus line'\n"),
     ("steady", NATURAL_CONFIG.replace("omega_h = 3.0\n", ""),
      "error: {cfg}: missing system.omega_h\n"),
     ("steady", NATURAL_CONFIG.replace("t_c = 1.0\n", ""),
@@ -1355,8 +1357,9 @@ INPUT_SWEEP = "\n[sweep]\nvariable = t_h\nstart = 1\nstop = 5\npoints = 3\n"
      "error: background: thermal background requires temperature > 0\n"),
     ("sweep", NATURAL_CONFIG + INPUT_SWEEP, "error: sweep requires --out for the CSV file\n"),
 ], ids=["sweep_variable", "points_0", "points_fraction", "filter_word", "filter_all",
-        "no_section_headers", "no_omega_h", "no_t_c", "g_above_omega_c", "t_h_twice",
-        "no_reservoirs", "negative_t_c", "background_mode", "thermal_t0_zero", "sweep_no_out"])
+        "no_section_headers", "not_key_value", "no_omega_h", "no_t_c", "g_above_omega_c",
+        "t_h_twice", "no_reservoirs", "negative_t_c", "background_mode", "thermal_t0_zero",
+        "sweep_no_out"])
 def test_input_errors_exit_2_with_their_message(capsys, tmp_path, command, text, err):
     cfg = tmp_path / "input.ini"
     cfg.write_text(text)
@@ -1381,22 +1384,20 @@ def test_scan_takes_currents_only_where_a_row_couples(monkeypatch):
     from qfridge import thermo
 
     calls = []
-    apply = thermo.apply_dissipators
+    apply = thermo.apply_dissipator
 
-    def counted(dissipators, rho):
-        assert all(np.all(np.asarray(d.rates.gamma) != 0.0) for d in dissipators)
-        calls.append(([d.channel.key for d in dissipators], len(rho)))
-        return apply(dissipators, rho)
+    def counted(d, rho):
+        assert np.all(np.asarray(d.rates.gamma) != 0.0)
+        calls.append((d.channel.key, len(rho)))
+        return apply(d, rho)
 
-    monkeypatch.setattr(thermo, "apply_dissipators", counted)
+    monkeypatch.setattr(thermo, "apply_dissipator", counted)
     result = scan_filters(load_config(str(CONFIGS / "filter_census.ini")), mode="all")
     assert len(result.rows) == 216 and not any(r.error for r in result.rows)
     # each state of a mask pairs with the channels the mask keeps, once
     kept = sum(r.n_states * len(r.filter.kept_keys) for r in result.rows)
-    assert sum(len(keys) * n for keys, n in calls) == kept \
-        < 9 * sum(r.n_states for r in result.rows)
-    assert [len(keys) for keys, _ in calls] == [1] * len(calls)
-    keys = [key for (key,), _ in calls]
+    assert sum(n for _, n in calls) == kept < 9 * sum(r.n_states for r in result.rows)
+    keys = [key for key, _ in calls]
     assert sorted(keys) == sorted({key for r in result.rows for key in r.filter.kept_keys})
 
 
@@ -1528,7 +1529,8 @@ def test_no_heat_flow_gives_positive_zero_entropy_production(tmp_path):
                               0.0, 5.0, 6))
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
     rows = load_csv(str(tmp_path / "s.csv")).rows
-    assert len(rows) == 6 and all(math.copysign(1.0, r.sigma) == 1.0 for r in rows)
+    assert len(rows) == 6 and not any(r.failed for r in rows)
+    assert all(math.copysign(1.0, r.sigma) == 1.0 for r in rows)
     zero = {"H": 0.0, "R": 0.0, "C": 0.0}
     sigma = entropy_production(zero, {"H": 2.0, "R": 1.5, "C": 1.0}, background=zero,
                                background_temperature=0.0)

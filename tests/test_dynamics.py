@@ -16,7 +16,6 @@ from qfridge import (
     FilterConfig,
     ReservoirSet,
     apply_dissipator,
-    apply_dissipators,
     branch_weights,
     build_generator,
     build_population_matrix,
@@ -107,7 +106,7 @@ def revival_generator(params):
 
 def dissipator_reference(d, rho):
     """One channel's dissipator, written out as the per-channel formula the
-    stacked kernel must reproduce bit for bit."""
+    kernel must reproduce bit for bit."""
     a = d.channel.operator
     ad = a.conj().T
     aad = a @ ad
@@ -141,10 +140,8 @@ def test_stacked_kernel_equals_per_channel_formula(params, rng):
     for gen in kernel_generators(params):
         states = [s.state.matrix for s in steady_states_numeric(gen)]
         for rho in states + [random_density_matrix(rng)]:
-            want = np.array([dissipator_reference(d, rho) for d in gen.dissipators])
-            assert (apply_dissipators(gen.dissipators, rho) == want).all()
-            for d, w in zip(gen.dissipators, want):
-                assert (apply_dissipator(d, rho) == w).all()
+            for d in gen.dissipators:
+                assert (apply_dissipator(d, rho) == dissipator_reference(d, rho)).all()
             currents = [heat_current_reference(gen.hamiltonian, d, rho)
                         for d in gen.dissipators]
             got = heat_currents(gen.hamiltonian, gen.dissipators, rho)
@@ -154,11 +151,12 @@ def test_stacked_kernel_equals_per_channel_formula(params, rng):
 def test_stacked_states_equal_single_state_calls(params, rng):
     for gen in kernel_generators(params):
         stack = np.array([random_density_matrix(rng) for _ in range(6)]).reshape(2, 3, 8, 8)
-        got = apply_dissipators(gen.dissipators, stack)
-        assert got.shape == (len(gen.dissipators), 2, 3, 8, 8)
-        for i in range(2):
-            for j in range(3):
-                assert (got[:, i, j] == apply_dissipators(gen.dissipators, stack[i, j])).all()
+        for d in gen.dissipators:
+            got = apply_dissipator(d, stack)
+            assert got.shape == (2, 3, 8, 8)
+            for i in range(2):
+                for j in range(3):
+                    assert (got[i, j] == apply_dissipator(d, stack[i, j])).all()
 
 
 def liouvillian_reference(gen):
