@@ -56,7 +56,7 @@ from .dynamics import (
     SteadyStateSet,
     assemble_generator,
     build_population_matrix,
-    check_channels,
+    check_channel_table,
     grid_dissipators,
     participating_channels,
     steady_state_rows,
@@ -69,10 +69,12 @@ from .reservoirs import (
     FilterConfig,
     ReservoirSet,
     cycle_match_check,
+    kept_channel_table,
     markov_validity_report,
     natural_from_kelvin,
 )
 from .spectrum import (
+    CHANNEL_KEYS,
     DIM,
     QUBITS,
     DegenerateChannelsError,
@@ -297,7 +299,8 @@ _CONFIG_KEYS = {
 
 
 def parse_config(text: str, source: str = "<string>") -> ScenarioConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are read literally: a `%` is part of the value, not a reference
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         cp.read_string(text, source=source)
     except configparser.MissingSectionHeaderError as exc:
@@ -306,6 +309,12 @@ def parse_config(text: str, source: str = "<string>") -> ScenarioConfig:
     except configparser.ParsingError as exc:  # one line, the first that does not parse
         n, line = exc.errors[0][0], text.split("\n")[exc.errors[0][0] - 1].strip()
         raise ConfigError(f"{source}: line {n}: expected key = value, got {line!r}") from None
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError(f"{source}: line {exc.lineno}: duplicate key "
+                          f"{exc.section}.{exc.option}") from None
+    except configparser.DuplicateSectionError as exc:
+        raise ConfigError(f"{source}: line {exc.lineno}: duplicate section "
+                          f"[{exc.section}]") from None
     except configparser.Error as exc:
         raise ConfigError(f"{source}: {exc}") from None
     unknown = []
@@ -465,10 +474,11 @@ def _solve_grid(
     filter, without ``baths`` every row has the config's baths, and without
     either the grid is the scenario alone.
 
-    Each distinct filter is checked once (:func:`check_channels`), in row
-    order, before any row is solved; a row whose filter fails a check fails
-    with it.  One generator over all nine channels, and W of the other
-    rows, are then built once (:func:`_grid_rates`); a row whose rates
+    The distinct filters are checked in one array pass over their
+    kept-channel table (:func:`check_channel_table`), before any row is
+    solved; a row whose filter fails a check fails with it.  One generator
+    over all nine channels, and W of the other rows, are then built once
+    (:func:`_grid_rates`); a row whose rates
     overflow fails with a :class:`NumericalFault`.  The other rows are
     one :func:`steady_state_rows` and one :func:`build_reports` call, each
     row equal to ``steady_states_numeric`` and ``build_report`` on its
@@ -480,17 +490,13 @@ def _solve_grid(
         baths = [[config.reservoirs[q].temperature for q in QUBITS]] * len(filters)
     baths = np.asarray(baths, dtype=float)
     index = {f: i for i, f in enumerate(dict.fromkeys(filters))}
-    masks, mask_of = list(index), np.array([index[f] for f in filters], dtype=int)
-    failures: dict[int, Exception] = {}
-    for i, filt in enumerate(masks):
-        try:
-            check_channels(config.params, filt, config.reservoirs, config.background)
-        except ROW_FAILURES as exc:
-            failures[i] = exc
+    kept = kept_channel_table(list(index))
+    mask_of = np.array([index[f] for f in filters], dtype=int)
+    failures = check_channel_table(config.params, kept, config.reservoirs, config.background)
     out: list = [failures.get(i) for i in mask_of.tolist()]  # None: not failed yet
     live = np.array([k for k, o in enumerate(out) if o is None], dtype=int)
     if live.size:
-        gen, dissipators, w, finite = _grid_rates(config, masks, mask_of[live], baths[live])
+        gen, dissipators, w, finite = _grid_rates(config, kept[mask_of[live]], baths[live])
         for k in live[~finite].tolist():
             out[k] = NumericalFault("the rates overflow: W has a non-finite entry")
         if not finite.all():
@@ -502,15 +508,16 @@ def _solve_grid(
     return out
 
 
-def _grid_rates(config: ScenarioConfig, masks: Sequence[FilterConfig], mask_of, baths) -> tuple:
-    """One generator over all nine channels, the dissipators of the rows ``mask_of``, ``baths``
-    (:func:`grid_dissipators`), their W ``(N, 8, 8)`` and whether each row's W is finite."""
+def _grid_rates(config: ScenarioConfig, kept: np.ndarray, baths) -> tuple:
+    """One generator over all nine channels, the dissipators of the rows of the kept-channel
+    table ``kept`` at ``baths`` (:func:`grid_dissipators`), their W ``(N, 8, 8)`` and whether
+    each row's W is finite."""
     gen = assemble_generator(config.params, FilterConfig.all_channels(), config.reservoirs,
                              config.background)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in W
-        dissipators = grid_dissipators(gen, masks, mask_of, baths)
+        dissipators = grid_dissipators(gen, kept, baths)
         # without stacked rates (no row keeps a channel) one W serves every row
-        w = np.broadcast_to(build_population_matrix(dissipators), (len(mask_of), DIM, DIM))
+        w = np.broadcast_to(build_population_matrix(dissipators), (len(kept), DIM, DIM))
     return gen, dissipators, w, np.isfinite(w).all(axis=(-2, -1))
 
 
@@ -768,8 +775,9 @@ def validate_config(config: ScenarioConfig) -> tuple[str, bool]:
     lines += [f"{key} = {value}" for key, value in config.canonical_items()]
     ok = True
 
-    participating, gamma_max = participating_channels(config.filter, config.reservoirs,
-                                                      config.background)
+    kept = kept_channel_table([config.filter])
+    (row,), (gamma_max,) = participating_channels(kept, config.reservoirs, config.background)
+    participating = [key for key, p in zip(CHANNEL_KEYS, row.tolist()) if p]
     pairs = degenerate_frequency_pairs(config.params, participating)
     if pairs:
         ok = False
@@ -778,7 +786,7 @@ def validate_config(config: ScenarioConfig) -> tuple[str, bool]:
     else:
         lines.append("check: participating channel frequencies are distinct")
 
-    msg = markov_validity_report(config.params, participating, gamma_max)
+    msg = markov_validity_report(config.params, participating, float(gamma_max))
     lines.append(f"warning: {msg}" if msg else "check: Markov validity margin holds")
 
     match = cycle_match_check(config.filter)
@@ -799,7 +807,7 @@ def validate_config(config: ScenarioConfig) -> tuple[str, bool]:
         lines.append(f"sweep: {config.sweep.points} points over "
                      f"[{config.sweep.start:.6g}, {config.sweep.stop:.6g}]")
     baths = _bath_table(config)
-    *_, finite = _grid_rates(config, [config.filter], np.zeros(len(baths), dtype=int), baths)
+    *_, finite = _grid_rates(config, kept.repeat(len(baths), axis=0), baths)
     if not finite.all():
         ok = False
         lines.append(f"error: the rates overflow on {np.count_nonzero(~finite)} of {len(baths)} "

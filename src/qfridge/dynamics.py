@@ -19,6 +19,7 @@ each returned state is a physical density matrix with a definite support.
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
@@ -36,22 +37,27 @@ from .reservoirs import (
     BackgroundSpec,
     ChannelRates,
     FilterConfig,
+    MarkovValidityWarning,
     ReservoirSet,
     background_rates,
     channel_rate_stack,
     channel_rates,
     cycle_match_check,
+    kept_channel_table,
+    markov_message,
     select_channels,
-    warn_if_markov_strained,
 )
 from .spectrum import (
+    CHANNEL_KEYS,
     DIM,
     QUBITS,
+    DegenerateChannelsError,
     EigenSystem,
     SystemParams,
     TransitionChannel,
     build_hamiltonian,
-    check_nondegenerate,
+    channel_gaps,
+    degenerate_errors,
     eigensystem,
     transition_channels,
 )
@@ -71,6 +77,7 @@ __all__ = [
     "assemble_generator",
     "build_generator",
     "check_channels",
+    "check_channel_table",
     "participating_channels",
     "grid_dissipators",
     "take_rows",
@@ -209,35 +216,45 @@ class Generator:
         return classes, tr, drain, into
 
 
-def participating_channels(
-    filt: FilterConfig, reservoirs: ReservoirSet, background: BackgroundSpec
-) -> tuple[list[tuple[str, int]], float]:
-    """Keys of the channels that carry a dissipator, and the largest decay
-    rate among them: the kept channels at their reservoirs' rates or, with
-    an active background, all nine channels and the background rate too."""
-    keys = filt.kept_keys
-    gamma_max = max((reservoirs[q].gamma for q in QUBITS if filt.kept_for(q)), default=0.0)
+def participating_channels(kept: np.ndarray, reservoirs: ReservoirSet,
+                           background: BackgroundSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the kept-channel table ``kept`` (``(M, 9)``): the channels
+    that carry a dissipator, as a table, and the largest decay rate among
+    them.  These are the kept channels at their reservoirs' rates or, with an
+    active background, all nine channels and the background rate too."""
+    gammas = np.array([reservoirs[q].gamma for q in QUBITS])
+    gamma_max = np.where(kept.reshape(-1, 3, 3).any(axis=2), gammas, 0.0).max(axis=1)
     if background.active:
-        keys = [(q, j) for q in QUBITS for j in (1, 2, 3)]
-        gamma_max = max(gamma_max, background.gamma)
-    return keys, gamma_max
+        return np.ones_like(kept), np.maximum(gamma_max, background.gamma)
+    return kept, gamma_max
 
 
-def check_channels(
-    params: SystemParams,
-    filt: FilterConfig,
-    reservoirs: ReservoirSet,
-    background: BackgroundSpec,
-) -> None:
-    """The checks of a scenario's participating channels.  Parameter sets
-    where two of their frequencies coincide are rejected
-    (:class:`~qfridge.spectrum.DegenerateChannelsError`), since the secular
-    dissipator form presumes distinct frequencies.  A warning (never an
-    error) is emitted when decay rates strain the Markov validity margin."""
-    participating, gamma_max = participating_channels(filt, reservoirs, background)
-    if participating:
-        check_nondegenerate(params, participating)
-        warn_if_markov_strained(params, participating, gamma_max)
+def check_channel_table(params: SystemParams, kept: np.ndarray, reservoirs: ReservoirSet,
+                        background: BackgroundSpec) -> dict[int, DegenerateChannelsError]:
+    """The checks of the participating channels of every row of the
+    kept-channel table ``kept``, in one array pass (:func:`channel_gaps`).
+    A row where two of them coincide fails, since the secular dissipator
+    form presumes distinct frequencies: its ``DegenerateChannelsError`` is
+    returned, keyed by row.  Of the other rows, each distinct warning of the
+    Markov margin (:func:`markov_message`) is emitted once, in row order."""
+    participating, gamma_max = participating_channels(kept, reservoirs, background)
+    degenerate, min_gap = channel_gaps(params, participating)
+    passed = ~degenerate.any(axis=(1, 2))
+    margins = dict.fromkeys(zip(gamma_max[passed].tolist(), min_gap[passed].tolist()))
+    for msg in dict.fromkeys(markov_message(*margin) for margin in margins):
+        if msg is not None:
+            warnings.warn(msg, MarkovValidityWarning, stacklevel=2)
+    return degenerate_errors(degenerate)
+
+
+def check_channels(params: SystemParams, filt: FilterConfig, reservoirs: ReservoirSet,
+                   background: BackgroundSpec) -> None:
+    """The one-mask case of :func:`check_channel_table`: raise the
+    :class:`~qfridge.spectrum.DegenerateChannelsError` of ``filt``, or else
+    emit its Markov warning, if any."""
+    kept = kept_channel_table([filt])
+    for exc in check_channel_table(params, kept, reservoirs, background).values():
+        raise exc
 
 
 def build_generator(
@@ -282,13 +299,11 @@ def assemble_generator(
     )
 
 
-def grid_dissipators(
-    gen: Generator, masks: Sequence[FilterConfig], mask_of: Sequence[int], baths
-) -> tuple[Dissipator, ...]:
+def grid_dissipators(gen: Generator, kept: np.ndarray, baths) -> tuple[Dissipator, ...]:
     """The dissipators of ``gen`` on a grid of rows: row k keeps those of
-    ``gen``'s channels that the filter ``masks[mask_of[k]]`` keeps and has
-    its baths at the temperatures ``baths[k]``, H, R, C (an ``(N, 3)``
-    table).  Each of ``masks`` is read once, however many rows share it.
+    ``gen``'s channels that row k of the kept-channel table ``kept`` keeps
+    (``(N, 9)``, :func:`~qfridge.reservoirs.kept_channel_table`) and has its
+    baths at the temperatures ``baths[k]``, H, R, C (an ``(N, 3)`` table).
 
     Every engineered channel that some row keeps carries ``(N,)`` rate
     arrays from its own bath's column (:func:`channel_rate_stack`, one
@@ -301,14 +316,13 @@ def grid_dissipators(
     bit for bit, and so do the currents of the channels it keeps.
     """
     baths = np.asarray(baths, dtype=float)
-    kept_for = {q: [f.kept_for(q) for f in masks] for q in QUBITS}
     out = []
     for d in gen.dissipators:
         if d.source == "engineered":
             q, index = d.channel.key
-            kept = np.array([index in kept for kept in kept_for[q]])[mask_of]
-            if kept.any():
-                gamma = np.where(kept, d.rates.gamma, 0.0)
+            row_keeps = kept[:, CHANNEL_KEYS.index(d.channel.key)]
+            if row_keeps.any():
+                gamma = np.where(row_keeps, d.rates.gamma, 0.0)
                 rates = channel_rate_stack(d.channel, gamma, baths[:, QUBITS.index(q)])
             else:
                 rates = ChannelRates(q, index, 0.0, 0.0, 0.0)

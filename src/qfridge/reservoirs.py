@@ -12,6 +12,7 @@ with ``unit_scale`` the angular frequency (rad/s) of one natural unit.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import expm1
@@ -24,7 +25,8 @@ from .spectrum import (
     SystemParams,
     TransitionChannel,
     _FREQ_OFFSET,
-    channel_frequencies,
+    _kept_row,
+    channel_gaps,
 )
 
 __all__ = [
@@ -42,7 +44,9 @@ __all__ = [
     "channel_rate_stack",
     "background_rates",
     "select_channels",
+    "kept_channel_table",
     "cycle_match_check",
+    "markov_message",
     "markov_validity_report",
     "natural_from_ghz",
     "ghz_from_natural",
@@ -203,6 +207,19 @@ class FilterConfig:
 
     def __str__(self) -> str:
         return f"H{_label(self.kept_h)}+R{_label(self.kept_r)}+C{_label(self.kept_c)}"
+
+
+#: Each subset of {1, 2, 3} as a 3-bit code, bit j - 1 set where it holds j.
+_SUBSET_CODE = {frozenset(j for j in (1, 2, 3) if code >> (j - 1) & 1): code for code in range(8)}
+
+
+def kept_channel_table(masks: Sequence[FilterConfig]) -> np.ndarray:
+    """The kept-channel table of ``masks``: ``(M, 9)`` booleans, row m true
+    where ``masks[m]`` keeps the channel of that column (channel order
+    H1..H3, R1..R3, C1..C3, :data:`~qfridge.spectrum.CHANNEL_KEYS`)."""
+    codes = np.fromiter((_SUBSET_CODE[f.kept_h] | _SUBSET_CODE[f.kept_r] << 3
+                         | _SUBSET_CODE[f.kept_c] << 6 for f in masks), dtype=int, count=len(masks))
+    return (codes[:, None] >> np.arange(9) & 1).astype(bool)
 
 
 @lru_cache(maxsize=8)  # one per subset of {1, 2, 3}
@@ -382,34 +399,28 @@ def cycle_match_check(filt: FilterConfig) -> CycleMatch:
     )
 
 
-def markov_validity_report(
-    params: SystemParams,
-    keys: list[tuple[str, int]],
-    gamma_max: float,
-) -> str | None:
-    """Return a warning message when the largest decay rate is not small
-    against the minimum pairwise gap of the participating channel
-    frequencies, else None.  Callers decide whether to warn; nothing fails.
-    """
-    if len(keys) < 2:
-        return None
-    freq = channel_frequencies(params)
-    freqs = sorted(freq[key] for key in keys)
-    min_gap = min(b - a for a, b in zip(freqs, freqs[1:]))
+def markov_message(gamma_max: float, min_gap: float) -> str | None:
+    """The Markov margin: a warning message when the largest decay rate
+    ``gamma_max`` is not small against the minimum gap ``min_gap`` between
+    participating channel frequencies, else None."""
     if gamma_max >= 0.1 * min_gap:
-        return (
-            f"gamma = {gamma_max:.4g} is not small against the minimum "
-            f"channel-frequency gap {min_gap:.4g}; the Markov/secular "
-            f"treatment is strained"
-        )
+        return (f"gamma = {gamma_max:.4g} is not small against the minimum channel-frequency "
+                f"gap {min_gap:.4g}; the Markov/secular treatment is strained")
     return None
 
 
-def warn_if_markov_strained(
-    params: SystemParams,
-    keys: list[tuple[str, int]],
-    gamma_max: float,
-) -> None:
+def markov_validity_report(params: SystemParams, keys: list[tuple[str, int]],
+                           gamma_max: float) -> str | None:
+    """:func:`markov_message` of the channels ``keys`` at the largest decay
+    rate ``gamma_max``, their minimum gap by the rule of
+    :func:`~qfridge.spectrum.channel_gaps` (None for fewer than two).
+    Callers decide whether to warn; nothing fails."""
+    _, (min_gap,) = channel_gaps(params, _kept_row(keys))
+    return markov_message(gamma_max, float(min_gap))
+
+
+def warn_if_markov_strained(params: SystemParams, keys: list[tuple[str, int]],
+                            gamma_max: float) -> None:
     msg = markov_validity_report(params, keys, gamma_max)
     if msg is not None:
         warnings.warn(msg, MarkovValidityWarning, stacklevel=2)

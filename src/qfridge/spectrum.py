@@ -17,9 +17,7 @@ eigenvectors and the channel operators are all real, and are stored as
 float64.
 
 Everything here is a pure function of the frozen, hashable
-:class:`SystemParams`; each call builds fresh, read-only arrays.  Only the
-nine channel frequencies, which every per-mask check reads, are memoised
-per parameter set (the 64 most recently used).
+:class:`SystemParams`; each call builds fresh, read-only arrays.
 
 Each qubit couples to its reservoir through three lowering eigen-operators
 ("channels") at frequencies ``omega_a`` and ``omega_a +- g``, each satisfying
@@ -28,10 +26,9 @@ Each qubit couples to its reservoir through three lowering eigen-operators
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from types import MappingProxyType
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +37,7 @@ from .matrixcore import dagger, require_finite_fields
 __all__ = [
     "QUBITS",
     "DIM",
+    "CHANNEL_KEYS",
     "SystemParams",
     "EigenSystem",
     "TransitionChannel",
@@ -48,8 +46,9 @@ __all__ = [
     "eigensystem",
     "transition_channels",
     "channel_frequency",
-    "channel_frequencies",
     "channel_commutator_check",
+    "channel_gaps",
+    "degenerate_errors",
     "degenerate_frequency_pairs",
     "check_nondegenerate",
 ]
@@ -66,6 +65,10 @@ _FREQ_OFFSET = {
     ("R", 1): -1, ("R", 2): 0, ("R", 3): +1,
     ("C", 1): -1, ("C", 2): +1, ("C", 3): 0,
 }
+
+#: The nine channels in channel order H1..H3, R1..R3, C1..C3: the columns of
+#: a kept-channel table, an ``(M, 9)`` boolean array with one row per mask.
+CHANNEL_KEYS = tuple(_FREQ_OFFSET)
 
 # Lowering-operator matrix elements in the energy eigenbasis:
 # (qubit, index) -> ((to_level, from_level, coefficient), ...).
@@ -88,6 +91,14 @@ _CHANNEL_PAIR_WEIGHT = {
     key: 2.0 if elements[0][2] in (1.0, -1.0) else 1.0
     for key, elements in _CHANNEL_ELEMENTS.items()
 }
+
+
+# The to levels, from levels and coefficients of the channels' two
+# elements, each ``(9, 2)`` in channel order.
+_TO, _FROM, _COEFF = np.array([_CHANNEL_ELEMENTS[key] for key in CHANNEL_KEYS]).transpose(2, 0, 1)
+_TO, _FROM = _TO.astype(int), _FROM.astype(int)
+
+_UPPER = np.triu(np.ones((9, 9), dtype=bool), 1)  # the column pairs i < j of a kept-channel table
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -262,35 +273,17 @@ def channel_frequency(params: SystemParams, qubit: str, index: int) -> float:
     return base + _FREQ_OFFSET[(qubit, index)] * params.g
 
 
-@lru_cache(maxsize=64)
-def channel_frequencies(params: SystemParams) -> Mapping[tuple[str, int], float]:
-    """:func:`channel_frequency` of all nine channels, keyed ``(qubit,
-    index)`` in the order H1..H3, R1..R3, C1..C3 (read-only)."""
-    return MappingProxyType({key: channel_frequency(params, *key) for key in _FREQ_OFFSET})
-
-
 def transition_channels(params: SystemParams) -> tuple[TransitionChannel, ...]:
     """All nine channels, ordered H1..H3, R1..R3, C1..C3, built from one
-    :func:`eigensystem` call (read-only operators)."""
-    eig = eigensystem(params)
-    channels = []
-    for qubit in QUBITS:
-        for index in (1, 2, 3):
-            elements = _CHANNEL_ELEMENTS[(qubit, index)]
-            op = np.zeros((DIM, DIM))
-            for to, frm, coeff in elements:
-                op += coeff * np.outer(eig.vectors[:, to], eig.vectors[:, frm])
-            channels.append(
-                TransitionChannel(
-                    qubit=qubit,
-                    index=index,
-                    frequency=channel_frequency(params, qubit, index),
-                    operator=_readonly(op),
-                    elements=elements,
-                    pair_weight=_CHANNEL_PAIR_WEIGHT[(qubit, index)],
-                )
-            )
-    return tuple(channels)
+    :func:`eigensystem` call (read-only operators).  Each operator is
+    ``coeff * outer(v_to, v_from)`` of its two matrix elements, added to
+    zeros in element order; all nine are built in one broadcast."""
+    vectors = eigensystem(params).vectors.T  # row k: the eigenvector of level k
+    products = _COEFF[..., None, None] * (vectors[_TO][..., :, None] * vectors[_FROM][..., None, :])
+    operators = _readonly(np.zeros((len(CHANNEL_KEYS), DIM, DIM)) + products[:, 0] + products[:, 1])
+    return tuple(TransitionChannel(q, j, channel_frequency(params, q, j), op,
+                                   _CHANNEL_ELEMENTS[(q, j)], _CHANNEL_PAIR_WEIGHT[(q, j)])
+                 for (q, j), op in zip(CHANNEL_KEYS, operators))
 
 
 def channel_commutator_check(params: SystemParams) -> float:
@@ -304,29 +297,49 @@ def channel_commutator_check(params: SystemParams) -> float:
     return worst
 
 
-def degenerate_frequency_pairs(
-    params: SystemParams,
-    keys: list[tuple[str, int]] | None = None,
-) -> list[tuple[tuple[str, int], tuple[str, int]]]:
-    """Pairs of channels (restricted to ``keys`` if given) whose frequencies
-    coincide within ``1e3 * machine epsilon * omega_c``."""
-    if keys is None:
-        keys = list(_FREQ_OFFSET)
-    freq = channel_frequencies(params)
-    tol = 1e3 * _EPS * params.omega_c
-    values = [freq[key] for key in keys]
-    return [(ka, keys[j]) for i, (ka, fa) in enumerate(zip(keys, values))
-            for j in range(i + 1, len(keys)) if abs(fa - values[j]) < tol]
+def channel_gaps(params: SystemParams, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gap rule over the rows of a kept-channel table ``kept``
+    (``(M, 9)`` booleans, columns :data:`CHANNEL_KEYS`).  Per row: the
+    pairs ``(i, j)``, ``i < j``, of its kept channels whose frequencies
+    coincide within ``1e3 * machine epsilon * omega_c``, as an ``(M, 9, 9)``
+    mask, and the smallest gap ``|f_i - f_j|`` between two of its kept
+    channels (inf with fewer than two)."""
+    freq = np.array([channel_frequency(params, *key) for key in CHANNEL_KEYS])
+    gap = np.abs(freq[:, None] - freq)
+    pairs = kept[:, :, None] & kept[:, None, :] & _UPPER
+    return (pairs & (gap < 1e3 * _EPS * params.omega_c),
+            np.where(pairs, gap, np.inf).min(axis=(1, 2)))
 
 
-def check_nondegenerate(
-    params: SystemParams,
-    keys: list[tuple[str, int]] | None = None,
-) -> None:
+def _kept_row(keys: list[tuple[str, int]] | None) -> np.ndarray:
+    """The one-row kept-channel table of ``keys`` (all nine if None)."""
+    if keys is not None and (unknown := set(keys) - set(CHANNEL_KEYS)):
+        raise KeyError(f"unknown channels {sorted(unknown)}")
+    return np.array([[keys is None or key in keys for key in CHANNEL_KEYS]])
+
+
+def degenerate_errors(degenerate: np.ndarray) -> dict[int, DegenerateChannelsError]:
+    """The :class:`DegenerateChannelsError` of each row of a degenerate-pair
+    mask of :func:`channel_gaps` that has a pair, keyed by row; it lists the
+    row's pairs in channel order."""
+    listing = defaultdict(list)
+    for row, i, j in np.argwhere(degenerate).tolist():
+        listing[row].append("{}{}~{}{}".format(*CHANNEL_KEYS[i], *CHANNEL_KEYS[j]))
+    return {row: DegenerateChannelsError(f"coinciding channel frequencies: {', '.join(pairs)}")
+            for row, pairs in listing.items()}
+
+
+def degenerate_frequency_pairs(params: SystemParams, keys: list[tuple[str, int]] | None = None
+                               ) -> list[tuple[tuple[str, int], tuple[str, int]]]:
+    """Pairs of channels (restricted to ``keys`` if given), in channel order,
+    whose frequencies coincide by the rule of :func:`channel_gaps`."""
+    degenerate, _ = channel_gaps(params, _kept_row(keys))
+    return [(CHANNEL_KEYS[i], CHANNEL_KEYS[j]) for _, i, j in np.argwhere(degenerate).tolist()]
+
+
+def check_nondegenerate(params: SystemParams, keys: list[tuple[str, int]] | None = None) -> None:
     """Raise :class:`DegenerateChannelsError` if any two of the given
     channels share a frequency.  The secular form of the dynamics assumes the
     participating frequencies are distinct."""
-    pairs = degenerate_frequency_pairs(params, keys)
-    if pairs:
-        listing = ", ".join(f"{a[0]}{a[1]}~{b[0]}{b[1]}" for a, b in pairs)
-        raise DegenerateChannelsError(f"coinciding channel frequencies: {listing}")
+    for exc in degenerate_errors(channel_gaps(params, _kept_row(keys))[0]).values():
+        raise exc

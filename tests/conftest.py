@@ -3,6 +3,7 @@ import pytest
 
 from qfridge import FilterConfig, ReservoirSet, SystemParams
 from qfridge.dynamics import grid_dissipators
+from qfridge.reservoirs import kept_channel_table
 from qfridge.spectrum import QUBITS
 
 # Fig.-2-style scenario: cold frequency 2*pi*210 GHz anchors the scale.
@@ -65,5 +66,5 @@ def hot_baths(gen, t_h):
 def hot_stack(gen, t_h):
     """The dissipators of ``gen`` with the hot bath at each of ``t_h`` and
     every channel kept on every row."""
-    return grid_dissipators(gen, [FilterConfig.all_channels()], [0] * len(t_h),
+    return grid_dissipators(gen, kept_channel_table([FilterConfig.all_channels()] * len(t_h)),
                             hot_baths(gen, t_h))

@@ -25,7 +25,7 @@ from qfridge.cli import (
 )
 from conftest import hot_baths, hot_stack
 from qfridge.dynamics import build_population_matrix
-from qfridge.reservoirs import COOLING_FILTERS
+from qfridge.reservoirs import COOLING_FILTERS, kept_channel_table
 
 FIG_CONFIG = """
 [system]
@@ -456,7 +456,7 @@ def test_sweep_collects_each_rows_warnings_once(monkeypatch, capsys, tmp_path):
     from qfridge import cli
 
     checks, builds = [], []
-    check, assemble, reports = cli.check_channels, cli.assemble_generator, cli.build_reports
+    check, assemble, reports = cli.check_channel_table, cli.assemble_generator, cli.build_reports
 
     def counted_check(*args):
         checks.append(args)
@@ -472,12 +472,13 @@ def test_sweep_collects_each_rows_warnings_once(monkeypatch, capsys, tmp_path):
             warnings.warn(f"T_H {side} 10", RuntimeWarning)
         return reports(gen, dissipators, rows, baths)
 
-    monkeypatch.setattr(cli, "check_channels", counted_check)
+    monkeypatch.setattr(cli, "check_channel_table", counted_check)
     monkeypatch.setattr(cli, "assemble_generator", counted_build)
     monkeypatch.setattr(cli, "build_reports", warn_by_row)
     result = sweep_th(parse_config(FIG_CONFIG))
-    # one check and one generator per sweep
+    # one check, of the sweep's one mask, and one generator per sweep
     assert len(checks) == len(builds) == 1 and len(result.rows) == 8
+    assert checks[0][1].shape == (1, 9)
     # the Markov warning comes from the check, the others from the rows;
     # "above" is raised only by later rows
     assert len(result.warnings) == 3
@@ -557,18 +558,21 @@ def test_sweep_reports_failed_rows_on_stderr(monkeypatch, capsys, tmp_path):
 
 
 def _warn_for_filter(monkeypatch, filt, message):
+    """Make a grid's check warn ``message`` when its kept-channel table has
+    the row of ``filt``."""
     import warnings
 
     from qfridge import cli
 
-    check = cli.check_channels
+    check, row = cli.check_channel_table, kept_channel_table([filt])
 
     def warn_once(params, kept, *rest):
-        check(params, kept, *rest)
-        if kept == filt:
+        failures = check(params, kept, *rest)
+        if (kept == row).all(axis=1).any():
             warnings.warn(message, RuntimeWarning)
+        return failures
 
-    monkeypatch.setattr(cli, "check_channels", warn_once)
+    monkeypatch.setattr(cli, "check_channel_table", warn_once)
 
 
 def test_scan_prints_each_warning_once(monkeypatch, capsys, tmp_path):
@@ -1182,7 +1186,7 @@ def test_scan_reports_failed_masks_on_stderr(tmp_path, capsys):
 def test_scan_builds_one_w_stack(monkeypatch):
     from qfridge import cli
 
-    calls = {name: 0 for name in ("check_channels", "assemble_generator",
+    calls = {name: 0 for name in ("check_channel_table", "assemble_generator",
                                   "build_population_matrix", "steady_state_rows")}
 
     def counted(name):
@@ -1197,9 +1201,9 @@ def test_scan_builds_one_w_stack(monkeypatch):
         monkeypatch.setattr(cli, name, counted(name))
     result = scan_filters(load_config(str(CONFIGS / "filter_census.ini")), mode="all")
     assert len(result.rows) == 216 and not any(r.error for r in result.rows)
-    # one check per mask, and one generator, one W stack and one solve per
-    # scan
-    assert calls == {"check_channels": 216, "assemble_generator": 1,
+    # one array check of all 216 masks, one generator, one W stack and one
+    # solve per scan
+    assert calls == {"check_channel_table": 1, "assemble_generator": 1,
                      "build_population_matrix": 1, "steady_state_rows": 1}
 
 
@@ -1337,6 +1341,14 @@ INPUT_SWEEP = "\n[sweep]\nvariable = t_h\nstart = 1\nstop = 5\npoints = 3\n"
      "error: {cfg}: line 1: no [section] header before 'omega_c = 1'\n"),
     ("steady", "[system]\nbogus line\n",
      "error: {cfg}: line 2: expected key = value, got 'bogus line'\n"),
+    ("steady", "[system]\nomega_c = 1\nomega_c = 2\n",
+     "error: {cfg}: line 3: duplicate key system.omega_c\n"),
+    ("steady", "[system]\nomega_c = 1\n[system]\nomega_h = 3\n",
+     "error: {cfg}: line 3: duplicate section [system]\n"),
+    # read literally, a `%` is no interpolation syntax but a bad number
+    ("steady", NATURAL_CONFIG.replace("omega_c = 1.0", "omega_c = 1%"),
+     "error: system.omega_c: cannot parse number '1%' "
+     "(could not convert string to float: '1%')\n"),
     ("steady", NATURAL_CONFIG.replace("omega_h = 3.0\n", ""),
      "error: {cfg}: missing system.omega_h\n"),
     ("steady", NATURAL_CONFIG.replace("t_c = 1.0\n", ""),
@@ -1357,7 +1369,8 @@ INPUT_SWEEP = "\n[sweep]\nvariable = t_h\nstart = 1\nstop = 5\npoints = 3\n"
      "error: background: thermal background requires temperature > 0\n"),
     ("sweep", NATURAL_CONFIG + INPUT_SWEEP, "error: sweep requires --out for the CSV file\n"),
 ], ids=["sweep_variable", "points_0", "points_fraction", "filter_word", "filter_all",
-        "no_section_headers", "not_key_value", "no_omega_h", "no_t_c", "g_above_omega_c",
+        "no_section_headers", "not_key_value", "duplicate_key", "duplicate_section",
+        "percent_value", "no_omega_h", "no_t_c", "g_above_omega_c",
         "t_h_twice", "no_reservoirs", "negative_t_c", "background_mode", "thermal_t0_zero",
         "sweep_no_out"])
 def test_input_errors_exit_2_with_their_message(capsys, tmp_path, command, text, err):
@@ -1442,7 +1455,8 @@ def test_grid_reports_equal_build_report_on_cold_edge_grids(background):
         config = parse_config(text)
         gen, t_h = _generator(config), config.sweep.values.tolist()
         baths = hot_baths(gen, t_h)
-        dissipators = grid_dissipators(gen, [config.filter], [0] * len(t_h), baths)
+        dissipators = grid_dissipators(gen, kept_channel_table([config.filter] * len(t_h)),
+                                       baths)
         rows = steady_state_rows(build_population_matrix(dissipators), gen.eigen)
         for t, states, got in zip(t_h, rows, build_reports(gen, dissipators, rows, baths),
                                   strict=True):

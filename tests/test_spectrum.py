@@ -153,6 +153,8 @@ def test_degeneracy_guard():
             check_nondegenerate(p)
     # restricted to channels that do not collide, the check passes
     check_nondegenerate(p, keys=[("H", 2), ("R", 2), ("C", 2)])
+    with pytest.raises(KeyError, match="unknown channels"):
+        check_nondegenerate(p, keys=[("H", 2), ("H", 4)])
 
 
 def test_spectrum_results_are_fresh_and_read_only(params):
@@ -190,6 +192,19 @@ def test_channels_read_the_eigensystem_on_every_call(params, monkeypatch):
     transition_channels(params)
     transition_channels(params)
     assert calls == [params, params]
+
+
+def test_channel_operators_are_the_element_outer_products_bit_for_bit(rng):
+    # each operator is coeff * outer(v_to, v_from) of its two elements, added
+    # to zeros in element order; signs of zeros included
+    for p in [draw_params(rng) for _ in range(3)]:
+        vectors = eigensystem(p).vectors
+        for ch in transition_channels(p):
+            want = np.zeros((8, 8))
+            for to, frm, coeff in ch.elements:
+                want += coeff * np.outer(vectors[:, to], vectors[:, frm])
+            assert np.array_equal(ch.operator, want), ch
+            assert np.array_equal(np.signbit(ch.operator), np.signbit(want)), ch
 
 
 def test_channel_products_are_the_operator_products(params):
