@@ -60,7 +60,6 @@ from .dynamics import (
     grid_dissipators,
     participating_channels,
     steady_state_rows,
-    take_rows,
 )
 from .reservoirs import (
     HBAR,
@@ -69,6 +68,7 @@ from .reservoirs import (
     FilterConfig,
     ReservoirSet,
     cycle_match_check,
+    cycle_matched,
     kept_channel_table,
     markov_validity_report,
     natural_from_kelvin,
@@ -83,7 +83,7 @@ from .spectrum import (
 )
 from .thermo import (
     NumericalFault,
-    RowReports,
+    Readout,
     StageLabel,
     build_reports,
     cooling_predicate_for_filter,
@@ -459,53 +459,41 @@ def _collecting_warnings(run: Callable[[], _T]) -> tuple[_T, tuple[str, ...]]:
     return result, tuple(dict.fromkeys(str(w.message) for w in caught))
 
 
-_Outcome = tuple[SteadyStateSet, RowReports] | Exception
-
-
 def _solve_grid(
     config: ScenarioConfig,
     filters: Sequence[FilterConfig] | None = None,
     baths: np.ndarray | None = None,
-) -> list[_Outcome]:
-    """Every steady state of each row and their reports, or the row failure
-    of that row, in row order.  Row k is the scenario with the filter
-    ``filters[k]`` and its baths at the temperatures ``baths[k]``, H, R, C
-    (an ``(N, 3)`` table); without ``filters`` every row keeps the config's
-    filter, without ``baths`` every row has the config's baths, and without
-    either the grid is the scenario alone.
+) -> tuple[list[SteadyStateSet | Exception], Readout]:
+    """Every steady state of each row, or the failure that stops its solve,
+    in row order, and the read-out of the grid.  Row k is the scenario with
+    the filter ``filters[k]`` and its baths at the temperatures ``baths[k]``,
+    H, R, C (an ``(N, 3)`` table); without ``filters`` every row keeps the
+    config's filter, without ``baths`` every row has the config's baths, and
+    without either the grid is the scenario alone.
 
-    The distinct filters are checked in one array pass over their
-    kept-channel table (:func:`check_channel_table`), before any row is
-    solved; a row whose filter fails a check fails with it.  One generator
-    over all nine channels, and W of the other rows, are then built once
-    (:func:`_grid_rates`); a row whose rates
-    overflow fails with a :class:`NumericalFault`.  The other rows are
-    one :func:`steady_state_rows` and one :func:`build_reports` call, each
-    row equal to ``steady_states_numeric`` and ``build_report`` on its
-    scenario alone, bit for bit.
+    The rows are checked in one array pass over their kept-channel table
+    (:func:`check_channel_table`), before any row is solved; a row whose
+    filter fails a check fails with it.  One generator over all nine
+    channels, and W of every row, are then built once (:func:`_grid_rates`);
+    a row whose rates overflow fails with a :class:`NumericalFault`.  The
+    other rows are one :func:`steady_state_rows` call and the grid one
+    :func:`build_reports` call, each row equal to ``steady_states_numeric``
+    and ``build_report`` on its scenario alone, bit for bit.
     """
     if filters is None:
         filters = [config.filter] * (1 if baths is None else len(baths))
     if baths is None:
         baths = [[config.reservoirs[q].temperature for q in QUBITS]] * len(filters)
     baths = np.asarray(baths, dtype=float)
-    index = {f: i for i, f in enumerate(dict.fromkeys(filters))}
-    kept = kept_channel_table(list(index))
-    mask_of = np.array([index[f] for f in filters], dtype=int)
+    kept = kept_channel_table(filters)
     failures = check_channel_table(config.params, kept, config.reservoirs, config.background)
-    out: list = [failures.get(i) for i in mask_of.tolist()]  # None: not failed yet
-    live = np.array([k for k, o in enumerate(out) if o is None], dtype=int)
-    if live.size:
-        gen, dissipators, w, finite = _grid_rates(config, kept[mask_of[live]], baths[live])
-        for k in live[~finite].tolist():
-            out[k] = NumericalFault("the rates overflow: W has a non-finite entry")
-        if not finite.all():
-            live, w, dissipators = live[finite], w[finite], take_rows(dissipators, finite)
-        rows = steady_state_rows(w, gen.eigen)
-        reports = build_reports(gen, dissipators, rows, baths[live])
-        for k, s, r in zip(live.tolist(), rows, reports):
-            out[k] = r if isinstance(r, Exception) else (s, r)
-    return out
+    gen, dissipators, w, finite = _grid_rates(config, kept, baths)
+    overflow = NumericalFault("the rates overflow: W has a non-finite entry")
+    rows: list = [failures.get(k, None if ok else overflow) for k, ok in enumerate(finite.tolist())]
+    live = [k for k, row in enumerate(rows) if row is None]
+    for k, states in zip(live, steady_state_rows(w[live], gen.eigen)):
+        rows[k] = states
+    return rows, build_reports(gen, dissipators, rows, baths)
 
 
 def _grid_rates(config: ScenarioConfig, kept: np.ndarray, baths) -> tuple:
@@ -571,17 +559,17 @@ class SweepResult:
     warnings: tuple[str, ...]
 
 
-def _sweep_rows(t_h: list[float], outcomes: Sequence[_Outcome]) -> tuple[SweepRow, ...]:
-    """The row of each grid point ``t_h[k]`` and its outcome: its failure,
-    or its :func:`reporting_cells`, which must pass :func:`_energy_balance_faults`."""
-    rows: list = [_failed_row(SweepRow, o, sweep_value=t, stage="error")
-                  if isinstance(o, Exception) else None for t, o in zip(t_h, outcomes)]
-    solved = [k for k, row in enumerate(rows) if row is None]
-    cells, stages = reporting_cells([outcomes[k][1] for k in solved])
+def _sweep_rows(t_h: list[float], readout: Readout) -> tuple[SweepRow, ...]:
+    """The row of each grid point ``t_h[k]``: its failure, or its
+    :func:`reporting_cells`, which must pass :func:`_energy_balance_faults`."""
+    cells, stages = reporting_cells(readout)
+    solved = np.flatnonzero(readout.reporting >= 0).tolist()
+    rows: list = [None] * len(t_h)
+    for k, *values, stage in zip(solved, *cells.tolist(), stages.tolist()):
+        rows[k] = SweepRow(t_h[k], *values, stage=str(stage))
     faults = _energy_balance_faults(cells[:6])
-    for i, (k, *values, stage) in enumerate(zip(solved, *cells.tolist(), stages.tolist())):
-        rows[k] = (_failed_row(SweepRow, faults[i], sweep_value=t_h[k], stage="error")
-                   if i in faults else SweepRow(t_h[k], *values, stage=str(stage)))
+    for k, exc in (readout.failures | {solved[i]: f for i, f in faults.items()}).items():
+        rows[k] = _failed_row(SweepRow, exc, sweep_value=t_h[k], stage="error")
     return tuple(rows)
 
 
@@ -599,7 +587,7 @@ def sweep_th(config: ScenarioConfig) -> SweepResult:
         raise ConfigError("sweep requested but the config has no [sweep] section")
     baths = _bath_table(config)
     rows, warns = _collecting_warnings(
-        lambda: _sweep_rows(baths[:, 0].tolist(), _solve_grid(config, baths=baths)))
+        lambda: _sweep_rows(baths[:, 0].tolist(), _solve_grid(config, baths=baths)[1]))
     return SweepResult(config=config, rows=rows, warnings=warns)
 
 
@@ -664,15 +652,15 @@ def load_csv(path: str) -> SweepResult:
 def run_steady(config: ScenarioConfig) -> str:
     """Solve a no-sweep scenario and render the full structured report,
     ending with each distinct warning raised on the way."""
-    (outcome,), warns = _collecting_warnings(lambda: list(_solve_grid(config)))
-    if isinstance(outcome, Exception):
-        raise outcome
-    states, reports = outcome
+    ((states,), readout), warns = _collecting_warnings(lambda: _solve_grid(config))
+    if readout.failures:
+        raise readout.failures[0]
     out = ["qfridge steady-state report"]
     out += [f"{key} = {value}" for key, value in config.canonical_items()]
     out.append(f"steady_states = {len(states)}")
     out.append(f"unique = {states.unique}")
-    for k, (s, report) in enumerate(zip(states, reports)):
+    for k, s in enumerate(states):
+        report = readout.report(k)  # the one row's states are the grid's
         out.append(f"[state {k}] support = {sorted(s.support)}")
         pops = ", ".join(f"{p:.12g}" for p in s.populations)
         out.append(f"[state {k}] populations = {pops}")
@@ -727,18 +715,20 @@ def _filter_patterns(mode: str) -> tuple[FilterConfig, ...]:
     return tuple(FilterConfig(h, r, c) for h in patterns for r in patterns for c in patterns)
 
 
-def _scan_rows(masks: Sequence[FilterConfig], outcomes: Sequence[_Outcome],
+def _scan_rows(masks: Sequence[FilterConfig], readout: Readout,
                cooling_tol: float) -> list[ScanRow]:
-    """The row of each mask and its outcome: its failure, or its :func:`reporting_cells`."""
-    rows = [_failed_row(ScanRow, o, filter=f, cooling=False, n_states=0,
-                        cycle_matched=cycle_match_check(f).matched)
-            if isinstance(o, Exception) else None for f, o in zip(masks, outcomes)]
-    solved = [k for k, row in enumerate(rows) if row is None]
-    cells, _ = reporting_cells([outcomes[k][1] for k in solved])
+    """The row of each mask: its failure, or its :func:`reporting_cells`."""
+    matched = cycle_matched(kept_channel_table(masks)).tolist()
+    n_states = np.bincount(readout.row, minlength=len(masks)).tolist()
+    cells, _ = reporting_cells(readout)
+    rows: list = [None] * len(masks)
     for k, q_cold, q_hot, q_room, eta, cooling in zip(
-            solved, *cells[[0, 1, 2, 6]].tolist(), (cells[0] > cooling_tol).tolist()):
-        rows[k] = ScanRow(masks[k], q_cold, q_hot, q_room, eta, cooling,
-                          cycle_match_check(masks[k]).matched, len(outcomes[k][0]))
+            np.flatnonzero(readout.reporting >= 0).tolist(), *cells[[0, 1, 2, 6]].tolist(),
+            (cells[0] > cooling_tol).tolist()):
+        rows[k] = ScanRow(masks[k], q_cold, q_hot, q_room, eta, cooling, matched[k], n_states[k])
+    for k, exc in readout.failures.items():
+        rows[k] = _failed_row(ScanRow, exc, filter=masks[k], cooling=False, n_states=0,
+                              cycle_matched=matched[k])
     return rows
 
 
@@ -752,7 +742,7 @@ def scan_filters(config: ScenarioConfig, mode: str = "single_channel") -> ScanRe
     patterns = _filter_patterns(mode)
     cooling_tol = 1e-12 * config.params.omega_c
     rows, warns = _collecting_warnings(
-        lambda: _scan_rows(patterns, _solve_grid(config, filters=patterns), cooling_tol))
+        lambda: _scan_rows(patterns, _solve_grid(config, filters=patterns)[1], cooling_tol))
     # by cold current, largest first and NaN last, then by mask label
     q_cold = np.array([r.qdot_C for r in rows])
     order = np.lexsort(([str(f) for f in patterns], -np.where(np.isnan(q_cold), -np.inf, q_cold)))

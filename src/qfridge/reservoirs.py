@@ -45,6 +45,7 @@ __all__ = [
     "background_rates",
     "select_channels",
     "kept_channel_table",
+    "cycle_matched",
     "cycle_match_check",
     "markov_message",
     "markov_validity_report",
@@ -373,30 +374,34 @@ class CycleMatch:
         return self.status == "matched"
 
 
-def cycle_match_check(filt: FilterConfig) -> CycleMatch:
-    """Check whether the three kept channels form a closed energy cycle.
+#: Per column of a kept-channel table, its channel's frequency offset in
+#: units of g, negated on R: a mask's kept offsets sum to 0 when its kept R
+#: frequency equals its kept H plus its kept C frequency (w_R = w_H + w_C).
+_CLOSURE = np.array([-off if q == "R" else off for (q, _), off in _FREQ_OFFSET.items()])
 
-    Applicable only to single-channel masks; matched means the kept R
-    frequency equals the kept H frequency plus the kept C frequency exactly.
-    Since every channel frequency is its qubit frequency plus a multiple of
-    g, the check reduces to integer arithmetic on those multiples and is
-    parameter-free.
-    """
+
+def cycle_matched(kept: np.ndarray) -> np.ndarray:
+    """Per row of the kept-channel table ``kept`` (``(M, 9)``): whether its
+    mask keeps one channel per qubit and those close an energy cycle, the
+    kept R frequency equal to the kept H plus the kept C frequency.  Every
+    channel frequency is its qubit frequency plus a multiple of g, so this
+    is integer arithmetic on those multiples and parameter-free."""
+    return (kept.reshape(-1, 3, 3).sum(axis=2) == 1).all(axis=1) & (kept @ _CLOSURE == 0)
+
+
+def cycle_match_check(filt: FilterConfig) -> CycleMatch:
+    """Whether the three kept channels of ``filt`` form a closed energy
+    cycle (:func:`cycle_matched`), with a line that says why: applicable
+    only to single-channel masks."""
     kept = (filt.kept_h, filt.kept_r, filt.kept_c)
     if any(len(k) != 1 for k in kept):
         counts = ", ".join(f"{q}:{len(k)}" for q, k in zip(QUBITS, kept))
         return CycleMatch("not-applicable", f"needs one kept channel per qubit ({counts})")
     jh, jr, jc = (next(iter(k)) for k in kept)
-    dh = _FREQ_OFFSET[("H", jh)]
-    dr = _FREQ_OFFSET[("R", jr)]
-    dc = _FREQ_OFFSET[("C", jc)]
-    # w_R + dr*g  vs  (w_H + dh*g) + (w_C + dc*g); w_R = w_H + w_C always.
-    if dr == dh + dc:
+    if cycle_matched(kept_channel_table([filt]))[0]:
         return CycleMatch("matched", f"H{jh} + C{jc} closes onto R{jr}")
-    return CycleMatch(
-        "mismatched",
-        f"kept frequencies differ by {dr - dh - dc:+d} g from closure",
-    )
+    miss = _FREQ_OFFSET[("R", jr)] - _FREQ_OFFSET[("H", jh)] - _FREQ_OFFSET[("C", jc)]
+    return CycleMatch("mismatched", f"kept frequencies differ by {miss:+d} g from closure")
 
 
 def markov_message(gamma_max: float, min_gap: float) -> str | None:

@@ -46,7 +46,6 @@ __all__ = [
     "CoolingVerdict",
     "HeatCurrentReport",
     "Readout",
-    "RowReports",
     "heat_current",
     "heat_currents",
     "currents_cycle_analytic",
@@ -454,18 +453,20 @@ class HeatCurrentReport:
 
 @dataclass(frozen=True, eq=False)
 class Readout:
-    """The thermodynamic read-out of a stack of S steady states, each
-    quantity an array whose last axis runs over the states.
+    """The thermodynamic read-out of a grid of N rows and their S steady
+    states, each quantity an array whose last axis runs over the states.
 
-    ``currents`` ``(n, S)`` holds the current of each of ``dissipators``,
-    0.0 on a state whose row does not keep it (``kept``: couples it at
-    gamma = 0); ``engineered`` and ``background`` ``(3, S)`` their sums per
-    bath, rows H, R, C; ``efficiency`` is NaN where it is undefined.
-    ``faults`` maps each state whose report fails to its
-    :class:`NumericalFault`.
+    ``row`` ``(S,)`` holds the row of each state, in row order;
+    ``currents`` ``(n, S)`` the current of each of ``dissipators``, 0.0 on
+    a state whose row does not keep it (``kept``: couples it at gamma = 0);
+    ``engineered`` and ``background`` ``(3, S)`` their sums per bath, rows
+    H, R, C; ``efficiency`` is NaN where it is undefined.  ``failures``
+    maps each failed row to its exception and ``reporting`` ``(N,)`` gives
+    the state each other row reports, -1 on a failed row.
     """
 
     dissipators: tuple[Dissipator, ...]
+    row: np.ndarray
     currents: np.ndarray
     kept: np.ndarray
     engineered: np.ndarray
@@ -474,43 +475,29 @@ class Readout:
     sigma: np.ndarray
     stage: np.ndarray
     first_law_residual: np.ndarray
-    faults: dict[int, NumericalFault]
+    reporting: np.ndarray
+    failures: dict[int, Exception]
 
-
-@dataclass(eq=False, repr=False, slots=True)
-class RowReports(Sequence):
-    """One row's reports, states ``first`` to ``stop - 1`` of ``readout``, each made when
-    indexed (``list`` of it gives them all).  :func:`reporting_cells` reads state
-    ``reporting``."""
-
-    readout: Readout
-    first: int
-    stop: int
-    reporting: int
-
-    def __len__(self) -> int:
-        return self.stop - self.first
-
-    def __getitem__(self, k: int) -> HeatCurrentReport:
-        r, j = self.readout, self.first + range(len(self))[k]
-        eta = r.efficiency[j].item()
+    def report(self, j: int) -> HeatCurrentReport:
+        """The report of state ``j``, made when called."""
+        eta = self.efficiency[j].item()
         return HeatCurrentReport(
-            dict(zip(QUBITS, r.engineered[:, j].tolist())),
-            dict(zip(QUBITS, r.background[:, j].tolist())), None if math.isnan(eta) else eta,
-            r.sigma[j].item(), r.stage[j], r.first_law_residual[j].item(),
+            dict(zip(QUBITS, self.engineered[:, j].tolist())),
+            dict(zip(QUBITS, self.background[:, j].tolist())), None if math.isnan(eta) else eta,
+            self.sigma[j].item(), self.stage[j], self.first_law_residual[j].item(),
             tuple(ChannelCurrent(d.source, *d.channel.key, value) for d, value, keep in zip(
-                r.dissipators, r.currents[:, j].tolist(), r.kept[:, j].tolist()) if keep))
+                self.dissipators, self.currents[:, j].tolist(), self.kept[:, j].tolist()) if keep))
 
 
 def build_report(gen: Generator, steady: SteadyState) -> HeatCurrentReport:
     """Evaluate all currents of a steady state and derive the thermodynamic
     summary (efficiency, entropy production, stage, first-law residual):
     the one-state case of :func:`build_reports`."""
-    (reports,) = build_reports(gen, gen.dissipators, [SteadyStateSet((steady,))],
-                               _by_bath(gen.reservoirs.temperatures)[np.newaxis])
-    if isinstance(reports, Exception):
-        raise reports
-    return reports[0]
+    readout = build_reports(gen, gen.dissipators, [SteadyStateSet((steady,))],
+                            _by_bath(gen.reservoirs.temperatures)[np.newaxis])
+    if readout.failures:
+        raise readout.failures[0]
+    return readout.report(0)
 
 
 def build_reports(
@@ -518,75 +505,33 @@ def build_reports(
     dissipators: Sequence[Dissipator],
     rows: Sequence[SteadyStateSet | Exception],
     baths: np.ndarray,
-) -> list[RowReports | Exception]:
-    """:func:`build_report` of every steady state of a stack of rows.
+) -> Readout:
+    """:func:`build_report` of every steady state of a grid of rows, as one
+    :class:`Readout`.
 
     ``dissipators`` are ``gen``'s with one row of stacked rates per row (or
     ``gen``'s own, for rows that share their rates), ``rows`` holds row k's
     steady states (or the exception that failed it) and ``baths[k]`` its
-    bath temperatures H, R, C (an ``(N, 3)`` table).  Gives per row its
-    reports in state order, a :class:`RowReports`, or, as ``build_report``
-    state by state would raise it, the row's first exception: a state fails
-    on the first law.  A report lists the channels its row keeps, those at
-    gamma != 0 (see :func:`~qfridge.dynamics.grid_dissipators`).
+    bath temperatures H, R, C (an ``(N, 3)`` table).  A row fails with its
+    exception or, as ``build_report`` state by state would raise it, with
+    the first-law fault of its first faulting state.  A report lists the
+    channels its row keeps, those at gamma != 0 (see
+    :func:`~qfridge.dynamics.grid_dissipators`).
 
-    All states are one :class:`Readout`, which every row shares: their real
-    density matrices built from the populations in ``gen``'s eigenbasis
-    (the closed-form eigenvectors are the same for every parameter set, so
-    this is each state's own), one trace-form kernel call per dissipator on
-    the states whose rows keep it, and array operations for the summary, so
-    each report equals ``build_report`` on its state alone, bit for bit.
+    The states' real density matrices are built from the populations in
+    ``gen``'s eigenbasis (the closed-form eigenvectors are the same for
+    every parameter set, so this is each state's own); each dissipator is
+    one trace-form kernel call on the states whose rows keep it, and the
+    summary is array operations, so each report equals ``build_report`` on
+    its state alone, bit for bit.  The Hamiltonian and the channel
+    operators are float64 too, so every current is real.
     """
-    solved = [row for row in rows if not isinstance(row, Exception)]
-    counts = np.array([len(row) for row in solved], dtype=int)
-    at = np.repeat(np.flatnonzero([not isinstance(row, Exception) for row in rows]), counts)
-    populations = np.reshape([s.populations for row in solved for s in row], (-1, DIM))
-    readout = _readout(gen, dissipators, at, gen.eigen.diagonal_state(populations), baths)
-    failures = {}  # row -> the fault of its first faulting state
-    for j in sorted(readout.faults):
-        failures.setdefault(at[j].item(), readout.faults[j])
-    spans = iter(zip(np.cumsum(counts).tolist(),  # per solved row: its stop, its reporting state
-                     _reporting_states(readout.engineered[2], counts).tolist()))
-    out: list = []
-    for k, row in enumerate(rows):
-        if not isinstance(row, Exception):
-            stop, reporting = next(spans)
-            row = failures.get(k) or RowReports(readout, stop - len(row), stop, reporting)
-        out.append(row)
-    return out
-
-
-def reporting_cells(rows: Sequence[RowReports]) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, its state ``reporting`` (the state single-row outputs read: the unique
-    one, or the first with the largest ``|Q_C|``, as flowing branches agree in sign) as
-    an ``(8, N)`` array, rows Q_C, Q_H, Q_R, Q^B_C, Q^B_H, Q^B_R (the tables' column
-    order), efficiency (NaN where undefined) and entropy production, and the ``(N,)``
-    stages, read from the read-out arrays without making a report.  The rows share
-    one :class:`Readout`, as the rows of one :func:`build_reports` call do."""
-    if not rows:
-        return np.empty((8, 0)), np.empty(0, dtype=object)
-    r, js = rows[0].readout, [row.reporting for row in rows]
-    order = [QUBITS.index(q) for q in "CHR"]
-    return (np.vstack((r.engineered[order], r.background[order], r.efficiency, r.sigma))[:, js],
-            r.stage[js])
-
-
-def _reporting_states(q_cold: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The state :func:`reporting_cells` reads, of each group of ``counts``
-    (at least one) consecutive states of cold currents ``q_cold``, as ``max``
-    picks it (a NaN first state is kept, a later NaN never picked)."""
-    firsts = np.cumsum(counts) - counts
-    size = np.where(np.isnan(q_cold), -np.inf, np.abs(q_cold))
-    top = np.repeat(np.maximum.reduceat(size, firsts), counts)
-    best = np.minimum.reduceat(np.where(size == top, np.arange(len(size)), len(size)), firsts)
-    return np.where(np.isnan(q_cold[firsts]), firsts, best)
-
-
-def _readout(gen: Generator, dissipators: Sequence[Dissipator], at: np.ndarray,
-             states: np.ndarray, baths: np.ndarray) -> Readout:
-    """The :class:`Readout` of the real stack ``states`` ``(S, 8, 8)``, state
-    j on row ``at[j]`` of ``dissipators`` and ``baths``.  The Hamiltonian and
-    the channel operators are float64 too, so every current is real."""
+    failures = {k: row for k, row in enumerate(rows) if isinstance(row, Exception)}
+    solved = [k for k in range(len(rows)) if k not in failures]
+    counts = np.array([len(rows[k]) for k in solved], dtype=int)
+    at = np.repeat(np.array(solved, dtype=int), counts)
+    populations = np.reshape([s.populations for k in solved for s in rows[k]], (-1, DIM))
+    states = gen.eigen.diagonal_state(populations)
     kept = _kept(dissipators, len(baths))[:, at]
     currents = np.zeros(kept.shape)
     for k, d in enumerate(dissipators):
@@ -607,9 +552,13 @@ def _readout(gen: Generator, dissipators: Sequence[Dissipator], at: np.ndarray,
     # the relative first-law check is meaningless when every current is
     # already at the noise floor; a NaN scale or residual fails it
     violated = ~((scale <= 1e-12 * gen.params.omega_c * gen.params.gamma) | (residual <= 1e-10))
-    faults = {j: NumericalFault(f"first-law violation: currents sum to {total[j]:.3e} "
-                                f"against magnitude {scale[j]:.3e}")
-              for j in np.flatnonzero(violated).tolist()}
+    for j in np.flatnonzero(violated).tolist():
+        if (k := at[j].item()) not in failures:
+            failures[k] = NumericalFault(f"first-law violation: currents sum to {total[j]:.3e} "
+                                         f"against magnitude {scale[j]:.3e}")
+    reporting = np.full(len(rows), -1)
+    reporting[solved] = _reporting_states(engineered[2], counts)
+    reporting[list(failures)] = -1
     bg = gen.background
     with np.errstate(over="ignore", invalid="ignore"):  # as the float arithmetic of one state
         sigma = _entropy_productions(engineered, np.asarray(baths, dtype=float)[at].T,
@@ -618,6 +567,7 @@ def _readout(gen: Generator, dissipators: Sequence[Dissipator], at: np.ndarray,
         eta = _efficiencies(engineered[2], engineered[0])
     return Readout(
         dissipators=tuple(dissipators),
+        row=at,
         currents=currents,
         kept=kept,
         engineered=engineered,
@@ -626,8 +576,33 @@ def _readout(gen: Generator, dissipators: Sequence[Dissipator], at: np.ndarray,
         sigma=sigma,
         stage=_stages(engineered[2], engineered[0], engineered[1], tol=1e-12 * gen.params.omega_c),
         first_law_residual=residual,
-        faults=faults,
+        reporting=reporting,
+        failures=failures,
     )
+
+
+def reporting_cells(readout: Readout) -> tuple[np.ndarray, np.ndarray]:
+    """Of each row that did not fail, in row order, its state ``reporting`` (the state
+    single-row outputs read: the unique one, or the first with the largest ``|Q_C|``, as
+    flowing branches agree in sign) as an ``(8, N)`` array, rows Q_C, Q_H, Q_R, Q^B_C,
+    Q^B_H, Q^B_R (the tables' column order), efficiency (NaN where undefined) and entropy
+    production, and the ``(N,)`` stages, read from the read-out arrays without making a
+    report."""
+    r, order = readout, [QUBITS.index(q) for q in "CHR"]
+    js = r.reporting[r.reporting >= 0]
+    return (np.vstack((r.engineered[order], r.background[order], r.efficiency, r.sigma))[:, js],
+            r.stage[js])
+
+
+def _reporting_states(q_cold: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The state :func:`reporting_cells` reads, of each group of ``counts``
+    (at least one) consecutive states of cold currents ``q_cold``, as ``max``
+    picks it (a NaN first state is kept, a later NaN never picked)."""
+    firsts = np.cumsum(counts) - counts
+    size = np.where(np.isnan(q_cold), -np.inf, np.abs(q_cold))
+    top = np.repeat(np.maximum.reduceat(size, firsts), counts)
+    best = np.minimum.reduceat(np.where(size == top, np.arange(len(size)), len(size)), firsts)
+    return np.where(np.isnan(q_cold[firsts]), firsts, best)
 
 
 def _kept(dissipators: Sequence[Dissipator], n: int) -> np.ndarray:

@@ -476,9 +476,9 @@ def test_sweep_collects_each_rows_warnings_once(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(cli, "assemble_generator", counted_build)
     monkeypatch.setattr(cli, "build_reports", warn_by_row)
     result = sweep_th(parse_config(FIG_CONFIG))
-    # one check, of the sweep's one mask, and one generator per sweep
+    # one check, of the kept-channel table of all 8 rows, and one generator per sweep
     assert len(checks) == len(builds) == 1 and len(result.rows) == 8
-    assert checks[0][1].shape == (1, 9)
+    assert checks[0][1].shape == (8, 9)
     # the Markov warning comes from the check, the others from the rows;
     # "above" is raised only by later rows
     assert len(result.warnings) == 3
@@ -490,6 +490,29 @@ def test_sweep_collects_each_rows_warnings_once(monkeypatch, capsys, tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
     err = capsys.readouterr().err.splitlines()
     assert err == [f"warning: {w}" for w in result.warnings]
+
+
+def test_repeated_masks_warn_once_and_fail_alike():
+    # a grid that repeats its masks: a degenerate one at rows 1 and 4, and
+    # two Markov-strained ones, the one with gap 1 seen first; each row is
+    # checked, and each warning still comes once, in first-seen order
+    from dataclasses import replace
+
+    from qfridge import FilterConfig, cli
+    from qfridge.reservoirs import markov_message
+
+    config = parse_config(DEGENERATE_CONFIG.replace("gamma = 0.05", "gamma = 0.1"))
+    gap_1, degenerate, gap_half, quiet = (
+        FilterConfig(frozenset(h), frozenset(r), frozenset(c)) for h, r, c in (
+            ((1,), (2,), (3,)), ((2,), (1,), (2,)), ((1, 3), (2,), (3,)), ((1,), (3,), (1,))))
+    filters = [gap_1, degenerate, gap_half, quiet, degenerate, gap_1, gap_half]
+    got, warns = cli._collecting_warnings(lambda: grid_outcomes(config, filters=filters))
+    assert warns == (markov_message(0.1, 1.0), markov_message(0.1, 0.5))
+    assert [k for k, row in enumerate(got) if isinstance(row, Exception)] == [1, 4]
+    assert type(got[1]) is type(got[4]) is cli.DegenerateChannelsError
+    assert str(got[1]) == str(got[4]) == "coinciding channel frequencies: H2~C2"
+    for filt, row in zip(filters, got, strict=True):
+        assert_outcome_matches_solve_alone(row, replace(config, filter=filt))
 
 
 def _fail_rows(exc):
@@ -533,9 +556,9 @@ def test_sweep_reports_failed_rows_on_stderr(monkeypatch, capsys, tmp_path):
     reports = cli.build_reports
 
     def fail_when_hot(gen, dissipators, rows, baths):
-        return [SolverFailure(f"too hot at {t_h:.4f}") if t_h > 10.0 else outcome
-                for outcome, t_h in zip(reports(gen, dissipators, rows, baths),
-                                        baths[:, 0].tolist())]
+        rows = [SolverFailure(f"too hot at {t_h:.4f}") if t_h > 10.0 else row
+                for row, t_h in zip(rows, baths[:, 0].tolist())]
+        return reports(gen, dissipators, rows, baths)
 
     monkeypatch.setattr(cli, "build_reports", fail_when_hot)
     cfg = tmp_path / "sweep.ini"
@@ -838,7 +861,7 @@ def reporting(reports):
     """The report used for single-row outputs, as ``max`` picks it: the
     unique state's, or the first of those with the largest cold-current
     magnitude.  The grid read-out chooses the same state by array
-    operations (``RowReports.reporting``)."""
+    operations (``Readout.reporting``)."""
     if len(reports) == 1:
         return reports[0]
     return max(reports, key=lambda r: abs(r.engineered["C"]))
@@ -923,10 +946,20 @@ def assert_sweep_matches_one_point_solves(config: ScenarioConfig) -> SweepResult
 def assert_one_row_grid_matches_solve_alone(config: ScenarioConfig) -> None:
     """The one-row grid that ``steady`` solves equals :func:`solve_alone`,
     state by state and bit for bit, or fails as it does."""
+    (got,) = grid_outcomes(config)
+    assert_outcome_matches_solve_alone(got, config)
+
+
+def grid_outcomes(config: ScenarioConfig, **grid) -> list:
+    """Each row of ``cli._solve_grid(config, **grid)``: its failure, or its
+    steady states and the reports of their states in the grid's read-out."""
     from qfridge import cli
 
-    (got,) = cli._solve_grid(config)
-    assert_outcome_matches_solve_alone(got, config)
+    rows, readout = cli._solve_grid(config, **grid)
+    assert len(readout.reporting) == len(rows)
+    return [readout.failures[k] if k in readout.failures else
+            (states, [readout.report(j) for j in np.flatnonzero(readout.row == k).tolist()])
+            for k, states in enumerate(rows)]
 
 
 def assert_outcome_matches_solve_alone(got, config: ScenarioConfig) -> None:
@@ -1120,7 +1153,7 @@ def assert_scan_matches_masks_solved_alone(config: ScenarioConfig, mode: str):
     from qfridge import cli
 
     patterns = cli._filter_patterns(mode)
-    for filt, got in zip(patterns, cli._solve_grid(config, filters=patterns), strict=True):
+    for filt, got in zip(patterns, grid_outcomes(config, filters=patterns), strict=True):
         assert_outcome_matches_solve_alone(got, replace(config, filter=filt))
     rows, warns = masks_solved_alone(config, mode)
     result = scan_filters(config, mode=mode)
@@ -1458,11 +1491,13 @@ def test_grid_reports_equal_build_report_on_cold_edge_grids(background):
         dissipators = grid_dissipators(gen, kept_channel_table([config.filter] * len(t_h)),
                                        baths)
         rows = steady_state_rows(build_population_matrix(dissipators), gen.eigen)
-        for t, states, got in zip(t_h, rows, build_reports(gen, dissipators, rows, baths),
-                                  strict=True):
+        readout = build_reports(gen, dissipators, rows, baths)
+        for k, (t, states) in enumerate(zip(t_h, rows, strict=True)):
             if isinstance(states, Exception):
-                assert got is states
+                assert readout.failures[k] is states
                 continue
+            got = readout.failures.get(k) or [
+                readout.report(j) for j in np.flatnonzero(readout.row == k).tolist()]
             res = config.reservoirs
             one = _generator(replace(config, reservoirs=replace(
                 res, hot=replace(res.hot, temperature=t))))
@@ -1491,23 +1526,19 @@ def assert_readout_matches_complex_oracle(monkeypatch, solve):
     (faulting states included) is within 8 eps of its state's summed
     channel current magnitudes of ``heat_currents`` on the complex density
     matrix of the state."""
-    from qfridge import cli, heat_currents, thermo
+    from qfridge import cli, heat_currents
     from qfridge.dynamics import take_rows
 
     seen = {}
-    build, readout_of = cli.build_reports, thermo._readout
+    build = cli.build_reports
 
     def reports(gen, dissipators, rows, baths):
         seen.update(gen=gen, dissipators=dissipators, rows=rows)
-        return build(gen, dissipators, rows, baths)
-
-    def readout(*args):
-        seen["readout"] = readout_of(*args)
+        seen["readout"] = build(gen, dissipators, rows, baths)
         return seen["readout"]
 
     with monkeypatch.context() as patch:
         patch.setattr(cli, "build_reports", reports)
-        patch.setattr(thermo, "_readout", readout)
         solve()
     gen, rows = seen["gen"], seen["rows"]
     solved = [(k, s) for k, row in enumerate(rows) if not isinstance(row, Exception) for s in row]
@@ -1678,9 +1709,9 @@ def test_reporting_state_of_the_readout_equals_max_over_reports(groups):
 
 
 def test_rows_of_each_command_share_one_readout(monkeypatch):
-    # reporting_cells reads every row from the read-out of the first: the
-    # figure_sweep sweep, the census_all scan and a steady run each give
-    # rows that share one Readout object
+    # the figure_sweep sweep, the census_all scan and a steady run each solve
+    # one grid with one Readout, which knows its rows: each state's row, and
+    # of each row that did not fail a state on that row to report
     from qfridge import cli
 
     solve, grids = cli._solve_grid, []
@@ -1694,9 +1725,11 @@ def test_rows_of_each_command_share_one_readout(monkeypatch):
     sweep_th(load_config(str(CONFIGS / "figure_sweep.ini")))
     scan_filters(census, mode="all")
     run_steady(parse_config(NATURAL_CONFIG))
-    assert [len(g) for g in grids] == [200, 216, 1]
-    for grid in grids:
-        assert len({id(o[1].readout) for o in grid if not isinstance(o, Exception)}) == 1
+    assert [len(rows) for rows, _ in grids] == [200, 216, 1]
+    for rows, readout in grids:
+        assert not readout.failures
+        assert readout.row.tolist() == [k for k, states in enumerate(rows) for _ in states]
+        assert (readout.row[readout.reporting] == np.arange(len(rows))).all()
 
 
 def test_sweep_and_scan_make_no_report_objects(monkeypatch):
@@ -1712,9 +1745,12 @@ def test_sweep_and_scan_make_no_report_objects(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(thermo, "HeatCurrentReport", Counted)
-    assert len(sweep_th(load_config(str(CONFIGS / "figure_sweep.ini"))).rows) == 200
+    sweep = sweep_th(load_config(str(CONFIGS / "figure_sweep.ini"))).rows
     census = load_config(str(CONFIGS / "filter_census.ini"))
-    assert len(scan_filters(census, mode="all").rows) == 216
+    scan = scan_filters(census, mode="all").rows
+    # every row reads its cells: none failed
+    assert len(sweep) == 200 and not any(r.failed for r in sweep)
+    assert len(scan) == 216 and not any(r.error for r in scan)
     assert made == []
     assert "[state 0] stage = " in run_steady(parse_config(NATURAL_CONFIG))
     assert len(made) == 1

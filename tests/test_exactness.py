@@ -46,7 +46,7 @@ GRIDS = {
 
 def solved_grids(monkeypatch, run):
     """``run()``'s grids, each as the ``_grid_rates`` result it solved and
-    the ``_solve_grid`` outcomes of its rows."""
+    the ``_solve_grid`` result: its rows' steady states and its read-out."""
     grids = []
     grid_rates, solve_grid = cli._grid_rates, cli._solve_grid
 
@@ -55,9 +55,9 @@ def solved_grids(monkeypatch, run):
         return grids[-1]
 
     def solve(*args, **kwargs):
-        outcomes = solve_grid(*args, **kwargs)
-        grids[-1] = (grids[-1], outcomes)
-        return outcomes
+        solved = solve_grid(*args, **kwargs)
+        grids[-1] = (grids[-1], solved)
+        return solved
 
     monkeypatch.setattr(cli, "_grid_rates", rates)
     monkeypatch.setattr(cli, "_solve_grid", solve)
@@ -108,12 +108,12 @@ def grid_errors(monkeypatch, name: str) -> dict:
     error (in eps) and the number of states of grid ``name``."""
     worst = {"current": 0.0, "population": 0.0, "states": 0}
     with mp.workdps(60):
-        for (_, dissipators, w, finite), outcomes in solved_grids(monkeypatch, GRIDS[name]):
-            assert finite.all() and not any(isinstance(o, Exception) for o in outcomes)
-            for row, (states, reports) in enumerate(outcomes):
-                readout = reports.readout
-                for i, state in enumerate(states):
-                    j = reports.first + i
+        for (_, dissipators, w, finite), (rows, readout) in solved_grids(monkeypatch,
+                                                                         GRIDS[name]):
+            assert finite.all() and not readout.failures
+            for row, states in enumerate(rows):
+                for j, state in zip(np.flatnonzero(readout.row == row).tolist(), states,
+                                    strict=True):
                     levels = sorted(state.support)
                     exact = dict(zip(levels, stationary(w[row], levels)))
                     p = state.populations
@@ -126,7 +126,7 @@ def grid_errors(monkeypatch, name: str) -> dict:
                         sums = readout.engineered if src == "engineered" else readout.background
                         got = sums[QUBITS.index(q), j].item()
                         if gross == 0:
-                            assert got == 0.0, (name, row, i, src, q, got)
+                            assert got == 0.0, (name, row, j, src, q, got)
                         else:
                             err = float(abs(mp.mpf(got) - want) / gross) / EPS
                             worst["current"] = max(worst["current"], err)

@@ -21,8 +21,10 @@ from qfridge import (
 from qfridge.reservoirs import (
     COOLING_FILTERS,
     background_rates,
+    cycle_matched,
     ghz_from_natural,
     kelvin_from_natural,
+    kept_channel_table,
     markov_validity_report,
 )
 
@@ -131,6 +133,21 @@ def test_cycle_match_examples():
     assert mismatch.status == "mismatched"
     na = cycle_match_check(FilterConfig.all_channels())
     assert na.status == "not-applicable"
+
+
+def test_cycle_matched_table_equals_cycle_match_check_on_every_mask():
+    # all 512 masks, empty kept sets included: the array rule and the
+    # per-mask check agree, and seven masks close a cycle (the six cooling
+    # masks and H1+R2+C3)
+    import itertools
+
+    subsets = [frozenset(c) for n in range(4) for c in itertools.combinations((1, 2, 3), n)]
+    masks = [FilterConfig(h, r, c) for h in subsets for r in subsets for c in subsets]
+    matched = cycle_matched(kept_channel_table(masks))
+    assert len(masks) == 512 and matched.dtype == bool
+    assert matched.tolist() == [cycle_match_check(f).matched for f in masks]
+    assert {f for f, m in zip(masks, matched.tolist()) if m} == \
+        {*COOLING_FILTERS, FilterConfig.single(1, 2, 3)}
 
 
 def test_all_cooling_filters_are_matched():

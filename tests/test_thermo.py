@@ -40,7 +40,6 @@ from qfridge.thermo import (
     DegenerateTemperaturesError,
     build_reports,
     NumericalFault,
-    RowReports,
     StageLabel,
 )
 
@@ -479,6 +478,11 @@ def off_balance_row(rng, row):
     return SteadyStateSet((replace(row.states[0], populations=pops),))
 
 
+def row_reports(readout, k):
+    """The reports of the states of row ``k`` of ``readout``, in state order."""
+    return [readout.report(j) for j in np.flatnonzero(readout.row == k).tolist()]
+
+
 def test_build_reports_equal_build_report_row_by_row(params, rng):
     # seven rows, then a grid of 70 rows in one pass, as the CLI takes it,
     # where each of the 12 dissipators takes one trace-form call over all
@@ -491,17 +495,22 @@ def test_build_reports_equal_build_report_row_by_row(params, rng):
         rows = steady_state_rows(build_population_matrix(stack), gen.eigen)
         if bad is not None:
             rows[bad] = off_balance_row(rng, rows[bad])
-        out = build_reports(gen, stack, rows, hot_baths(gen, t_h))
-        for k, (t, reports) in enumerate(zip(t_h, out, strict=True)):
+        readout = build_reports(gen, stack, rows, hot_baths(gen, t_h))
+        assert len(readout.reporting) == len(t_h)
+        assert list(readout.failures) == ([] if bad is None else [bad])
+        for k, t in enumerate(t_h):
             hot = ReservoirSet.from_temperatures(params, t_h=t, t_r=4.0, t_c=1.0)
             one = build_generator(params, REVIVAL_FILTER, hot,
                                   BackgroundSpec.thermal(1.2, params.gamma))
             if k != bad:
-                assert list(reports) == [build_report(one, s) for s in steady_states_numeric(one)]
+                want = [build_report(one, s) for s in steady_states_numeric(one)]
+                assert row_reports(readout, k) == want
                 continue
             with pytest.raises(NumericalFault) as alone:
                 build_report(one, rows[k].states[0])
-            assert isinstance(reports, NumericalFault) and str(reports) == str(alone.value)
+            fault = readout.failures[k]
+            assert isinstance(fault, NumericalFault) and str(fault) == str(alone.value)
+            assert readout.reporting[k] == -1
 
 
 def test_build_reports_keep_a_faulting_state_to_its_row(params, rng):
@@ -512,20 +521,22 @@ def test_build_reports_keep_a_faulting_state_to_its_row(params, rng):
     stack = hot_stack(gen, t_h)
     rows = steady_state_rows(build_population_matrix(stack), gen.eigen)
     rows[1] = off_balance_row(rng, rows[1])
-    out = build_reports(gen, stack, rows, hot_baths(gen, t_h))
-    assert isinstance(out[1], NumericalFault) and "first-law violation" in str(out[1])
-    assert all(isinstance(r, RowReports) and len(r) == 1 for k, r in enumerate(out) if k != 1)
+    readout = build_reports(gen, stack, rows, hot_baths(gen, t_h))
+    (fault,) = readout.failures.values()
+    assert isinstance(fault, NumericalFault) and "first-law violation" in str(fault)
+    # one state per row; the other rows report theirs
+    assert readout.row.tolist() == [0, 1, 2] and readout.reporting.tolist() == [0, -1, 2]
     one = build_generator(params, FilterConfig.all_channels(),
                           ReservoirSet.from_temperatures(params, t_h=4.0, t_r=4.0, t_c=1.0))
     with pytest.raises(NumericalFault) as alone:
         build_report(one, rows[1].states[0])
-    assert str(out[1]) == str(alone.value)
+    assert str(readout.failures[1]) == str(alone.value)
 
 
 def readout_of(gen, state):
-    """The read-out of ``build_report(gen, state)``, shared by its row's reports."""
+    """The read-out of ``build_report(gen, state)``."""
     baths = np.array([[gen.reservoirs[q].temperature for q in "HRC"]])
-    return build_reports(gen, gen.dissipators, [SteadyStateSet((state,))], baths)[0].readout
+    return build_reports(gen, gen.dissipators, [SteadyStateSet((state,))], baths)
 
 
 def test_build_reports_read_an_equal_copy_of_the_eigensystem_bit_for_bit(params):
