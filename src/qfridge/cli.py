@@ -45,7 +45,7 @@ import sys
 import warnings
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import Field, dataclass, field, fields
-from functools import reduce
+from functools import cache, reduce
 from operator import attrgetter
 from typing import TypeVar
 
@@ -705,8 +705,10 @@ class ScanResult:
     warnings: tuple[str, ...]
 
 
+@cache
 def _filter_patterns(mode: str) -> tuple[FilterConfig, ...]:
-    """The masks of a scan mode, in scan order."""
+    """The masks of a scan mode, in scan order, built once per process (and
+    each mask's label with them, on its first use)."""
     kept = {"single_channel": ((1,), (2,), (3,)),
             "all": ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3))}
     if mode not in kept:
@@ -715,10 +717,16 @@ def _filter_patterns(mode: str) -> tuple[FilterConfig, ...]:
     return tuple(FilterConfig(h, r, c) for h in patterns for r in patterns for c in patterns)
 
 
-def _scan_rows(masks: Sequence[FilterConfig], readout: Readout,
-               cooling_tol: float) -> list[ScanRow]:
-    """The row of each mask: its failure, or its :func:`reporting_cells`."""
-    matched = cycle_matched(kept_channel_table(masks)).tolist()
+@cache
+def _cycle_matched(mode: str) -> tuple[bool, ...]:
+    """Whether each mask of a scan mode is cycle-matched, built once per process."""
+    return tuple(cycle_matched(kept_channel_table(_filter_patterns(mode))).tolist())
+
+
+def _scan_rows(mode: str, readout: Readout, cooling_tol: float) -> list[ScanRow]:
+    """The row of each mask of a scan mode: its failure, or its
+    :func:`reporting_cells`."""
+    masks, matched = _filter_patterns(mode), _cycle_matched(mode)
     n_states = np.bincount(readout.row, minlength=len(masks)).tolist()
     cells, _ = reporting_cells(readout)
     rows: list = [None] * len(masks)
@@ -742,7 +750,7 @@ def scan_filters(config: ScenarioConfig, mode: str = "single_channel") -> ScanRe
     patterns = _filter_patterns(mode)
     cooling_tol = 1e-12 * config.params.omega_c
     rows, warns = _collecting_warnings(
-        lambda: _scan_rows(patterns, _solve_grid(config, filters=patterns)[1], cooling_tol))
+        lambda: _scan_rows(mode, _solve_grid(config, filters=patterns)[1], cooling_tol))
     # by cold current, largest first and NaN last, then by mask label
     q_cold = np.array([r.qdot_C for r in rows])
     order = np.lexsort(([str(f) for f in patterns], -np.where(np.isnan(q_cold), -np.inf, q_cold)))
@@ -853,7 +861,10 @@ def _print_failures(rows, noun: str, where: Callable) -> None:
               f"{where(failed[0])}: {failed[0].error}", file=sys.stderr)
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first :func:`main` call of the
+    process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qfridge",
         description="Filtered three-qubit refrigerator: steady states, "
@@ -875,7 +886,11 @@ def main(argv: list[str] | None = None) -> int:
         if name == "scan":
             sp.add_argument("--mode", choices=("single_channel", "all"),
                             default="single_channel")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         config = load_config(args.config) if args.config else None

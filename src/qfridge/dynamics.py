@@ -100,6 +100,10 @@ DEFAULT_EPS_SS = 1e-10
 #: RK4 steps that ``propagate`` checks with one matrix-vector product.
 BLOCK_STEPS = 16
 
+#: Rungs of ``propagate``'s leap ladder: leaps of ``BLOCK_STEPS * 2**j``
+#: steps, ``j < LADDER_RUNGS``.
+LADDER_RUNGS = 7
+
 #: Largest ``dt * ||L||_1`` that ``propagate`` admits: the left half-disk of
 #: radius 2.6155 lies inside RK4's stability region.
 RK4_STABLE_RADIUS = 2.6
@@ -174,9 +178,9 @@ class Generator:
 
     A generator also keeps what time evolution derives from it, built on
     first use and freed with it: ``_rk4_blocks`` maps each step size that
-    :func:`propagate` has used to its block of RK4 step matrices
-    (:func:`_rk4_block`), and ``_absorption`` holds W's closed classes and
-    transient levels as :func:`branch_weights` reads them.
+    :func:`propagate` has used to its block of RK4 step matrices and its
+    leap ladder (:func:`_rk4_ladder`), and ``_absorption`` holds W's closed
+    classes and transient levels as :func:`branch_weights` reads them.
     """
 
     params: SystemParams
@@ -823,6 +827,40 @@ def _rk4_block(
     return step, np.linalg.matrix_power(step, m), readout.reshape(m * n, n), bound
 
 
+def _rk4_ladder(liou: np.ndarray, h: float) -> tuple[tuple, list[tuple]]:
+    """The RK4 block of step ``h`` (:func:`_rk4_block`) and the rungs
+    ``(M, P^M, L P^M, c_M)`` of its leap ladder, ``M = BLOCK_STEPS * 2**j``,
+    ``j < LADDER_RUNGS``.
+
+    The bottom rung is the block's own ``P^m``, ``L P^m`` and bound.  Each
+    higher rung squares the one below it, ``P^2M = P^M P^M``, and takes
+    ``c_2M = c_M max(1, sqrt(||P^M||_1 ||P^M||_inf))``: a power ``P^j``,
+    ``j < 2M``, is ``P^j`` or ``P^M P^(j-M)`` with ``j - M < M``, so
+    ``c_M >= ||P^j||_2`` holds for every ``j < M`` on every rung.
+    """
+    block = _rk4_block(liou, h, BLOCK_STEPS)
+    m, leap, last, bound = BLOCK_STEPS, block[1], block[2][-liou.shape[0]:], block[3]
+    rungs = [(m, leap, last, bound)]
+    for _ in range(1, LADDER_RUNGS):
+        bound *= max(1.0, math.sqrt(np.linalg.norm(leap, 1) * np.linalg.norm(leap, np.inf)))
+        m, leap, last = 2 * m, leap @ leap, last @ leap
+        rungs.append((m, leap, last, bound))
+    return block, rungs
+
+
+def _full_steps(t: float, t_final: float, dt: float, m: int) -> tuple[int, float]:
+    """How many of the next ``m`` steps from time ``t`` are full steps of
+    ``dt`` (each taken while ``t_final - s >= dt``, s the time before it), and
+    the time after them.  ``np.add.accumulate`` adds in order, so the times
+    are those of ``s += dt`` step by step, bit for bit."""
+    s = np.full(m + 1, dt)
+    s[0] = t
+    np.add.accumulate(s, out=s)
+    full = t_final - s[:-1] >= dt
+    k = m if full.all() else int(full.argmin())
+    return k, float(s[k])
+
+
 def propagate(
     rho0: np.ndarray | DensityMatrix,
     gen: Generator,
@@ -841,22 +879,36 @@ def propagate(
     A non-finite ``dt`` or ``t_final``, or a NaN ``eps_ss``, raises
     ``ValueError`` too.
 
+    ``eps_ss = 0`` runs to ``t_final``.  A positive ``eps_ss`` below the
+    rounding floor ``DIM**2 eps ||L||_1 ||rho0||_F`` of ``||L v||`` (eps the
+    machine epsilon) raises ``ValueError``: each entry of the computed
+    ``L v`` sums DIM**2 products and carries a rounding error of up to about
+    ``DIM**2 eps sum_k |L_ik| |v_k|``, which is of the order of
+    ``DIM**2 eps ||L||_1 ||v||_F``, and ``||v||_F`` starts at
+    ``||rho0||_F``.  Below that floor the stop rule would read rounding
+    noise, and the factor 2 of the leap rule below would not cover it.
+
     For a linear generator one RK4 step of size h is the matrix
-    ``P = I + hL(I + hL/2(I + hL/3(I + hL/4)))``.  The steps are taken in
-    blocks of ``BLOCK_STEPS`` = m, whose matrices (:func:`_rk4_block`) are
-    built once per generator and step size and kept on the generator.
-    ``P`` is a polynomial in ``L``, so ``L P^m v = P^(m-k) L P^k v`` and
-    ``||L P^k v|| >= ||L P^m v|| / c`` with ``c >= max ||P^j||_2``,
-    j < m: a full block with ``||L P^m v|| > 2 c eps_ss`` cannot settle,
-    and one product with ``L P^m`` checks it before ``P^m`` advances the
-    state.  (The factor 2 leaves room for the rounding of both norms, about
-    1e-14 ||L|| ||v||.)  Any other block takes one product of the state
-    with the stacked rows of ``L P^k``, k = 1..m, which gives the
-    derivative norm after every step of the block, so convergence is
+    ``P = I + hL(I + hL/2(I + hL/3(I + hL/4)))``, a polynomial in ``L``, so
+    ``L P^M v = P^(M-k) L P^k v`` and ``||L P^k v|| >= ||L P^M v|| / c_M``
+    for ``k <= M``, with ``c_M >= max ||P^j||_2`` over ``j < M``: a run of M
+    full steps with ``||L P^M v|| > 2 c_M eps_ss`` cannot settle, and one
+    product with ``L P^M`` checks it before ``P^M`` advances the state.
+    (The factor 2 leaves room for the rounding of both norms.)  The runs
+    form a ladder, M = ``BLOCK_STEPS * 2**j`` for ``j < LADDER_RUNGS``
+    (:func:`_rk4_ladder`), built once per generator and step size and kept
+    on the generator.  Each pass tries the rungs downward, from the highest
+    one that has not failed, and leaps by the first that passes; a rung
+    that fails once, by its norm or by reaching past ``t_final``, is not
+    tried again in the call.  When no rung leaps, the next block of
+    ``BLOCK_STEPS`` = m steps takes one product of the state with the
+    stacked rows of ``L P^k``, k = 1..m (:func:`_rk4_block`), which gives
+    the derivative norm after every step of the block, so convergence is
     checked at every step; a run that stops inside a block recovers its
-    state with single ``P`` steps.  The iterates are those of the
-    stage-wise RK4 loop up to rounding (about 1e-13 after 15k steps), with
-    the same step count, time and convergence flag.
+    state with single ``P`` steps.  The time is accumulated step by step,
+    leaps included.  The iterates are those of the stage-wise RK4 loop up
+    to rounding (about 1e-13 after 15k steps), with the same step count,
+    time and convergence flag.
     """
     rho = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, complex)
     if not np.isfinite(rho).all():
@@ -875,26 +927,32 @@ def propagate(
         raise ValueError(f"dt = {dt:.3e} is beyond the RK4 stability radius "
                          f"{RK4_STABLE_RADIUS} / ||L||_1 = {dt_max:.3e}")
 
+    floor = DIM**2 * np.finfo(float).eps * norm * float(np.linalg.norm(rho))
+    if 0 < eps_ss < floor:
+        raise ValueError(f"eps_ss = {eps_ss:.3e} is below the rounding floor "
+                         f"{DIM**2} eps ||L||_1 ||rho0||_F = {floor:.3e} of ||L v||")
+
     n = liou.shape[0]
-    if (full_block := gen._rk4_blocks.get(dt)) is None:
-        full_block = gen._rk4_blocks[dt] = _rk4_block(liou, dt, BLOCK_STEPS)
-    leap, last = full_block[1], full_block[2][-n:]  # P^m and L P^m
-    limit = 2.0 * full_block[3] * eps_ss
+    if dt not in gen._rk4_blocks:
+        gen._rk4_blocks[dt] = _rk4_ladder(liou, dt)
+    full_block, rungs = gen._rk4_blocks[dt]
     v = rho.flatten(order="F")
     t = 0.0
     steps = 0
+    top = len(rungs) - 1  # the highest rung that has not failed
     converged = float(np.linalg.norm(liou @ v)) < eps_ss
     while t < t_final and not converged:
-        # the full steps of this block, and the time after them accumulated
-        # step by step
-        k, s = 0, t
-        while k < BLOCK_STEPS and not t_final - s < dt:
-            s += dt
-            k += 1
-        if k == BLOCK_STEPS and np.linalg.norm(last @ v) > limit:
-            v = leap @ v  # no step of this block can settle
-            t, steps = s, steps + k
+        if top >= 0:
+            m, leap, last, bound = rungs[top]
+            if np.linalg.norm(last @ v) > 2.0 * bound * eps_ss:
+                k, s = _full_steps(t, t_final, dt, m)
+                if k == m:  # no step of this rung can settle
+                    v = leap @ v
+                    t, steps = s, steps + m
+                    continue
+            top -= 1  # not tried again in this call
             continue
+        k, _ = _full_steps(t, t_final, dt, BLOCK_STEPS)
         if k:
             step, (p, p_block, readout, _) = dt, full_block
         else:  # a last, shorter step up to t_final

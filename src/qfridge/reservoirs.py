@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from math import expm1
 
 import numpy as np
@@ -207,7 +207,13 @@ class FilterConfig:
         return cls()
 
     def __str__(self) -> str:
-        return f"H{_label(self.kept_h)}+R{_label(self.kept_r)}+C{_label(self.kept_c)}"
+        return self._label
+
+    @cached_property
+    def _label(self) -> str:
+        """The mask's label (``H1+R12+C-``), built on first use: each qubit
+        and its kept indices, or ``-``."""
+        return "+".join(q + ("".join(map(str, sorted(self.kept_for(q)))) or "-") for q in QUBITS)
 
 
 #: Each subset of {1, 2, 3} as a 3-bit code, bit j - 1 set where it holds j.
@@ -221,12 +227,6 @@ def kept_channel_table(masks: Sequence[FilterConfig]) -> np.ndarray:
     codes = np.fromiter((_SUBSET_CODE[f.kept_h] | _SUBSET_CODE[f.kept_r] << 3
                          | _SUBSET_CODE[f.kept_c] << 6 for f in masks), dtype=int, count=len(masks))
     return (codes[:, None] >> np.arange(9) & 1).astype(bool)
-
-
-@lru_cache(maxsize=8)  # one per subset of {1, 2, 3}
-def _label(kept: frozenset[int]) -> str:
-    """One qubit's part of a mask label (``H1+R12+C-``): its kept indices, or ``-``."""
-    return "".join(str(j) for j in sorted(kept)) or "-"
 
 
 #: Single-channel mask that revives cooling at reduced efficiency

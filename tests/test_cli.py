@@ -1256,6 +1256,32 @@ def test_a_census_builds_its_spectrum_once(monkeypatch, capsys):
     assert calls == {"transition_channels": 1, "build_hamiltonian": 1}
 
 
+def test_repeated_commands_build_their_parser_and_masks_once(monkeypatch, capsys):
+    # the parser, a scan mode's masks, their labels and their cycle matches
+    # are built once per process; a repeated scan builds one kept-channel
+    # table, the one its grid is solved on
+    import argparse
+
+    from qfridge import cli
+
+    census = ["scan", "--config", str(CONFIGS / "filter_census.ini"), "--mode", "all"]
+    assert main(census) == 0
+    first = capsys.readouterr()
+    masks = cli._filter_patterns("all")
+    assert all(vars(m)["_label"] == str(m) for m in masks)
+
+    def built(*args, **kwargs):
+        raise AssertionError("built again")
+
+    tables, table = [], cli.kept_channel_table
+    monkeypatch.setattr(argparse, "ArgumentParser", built)
+    monkeypatch.setattr(cli, "cycle_matched", built)
+    monkeypatch.setattr(cli, "kept_channel_table", lambda m: tables.append(len(m)) or table(m))
+    assert main(census) == 0
+    assert capsys.readouterr() == first
+    assert tables == [216] and cli._filter_patterns("all") is masks
+
+
 OVERFLOW_STEADY = (CONFIGS / "filter_census.ini").read_text().replace(
     "gamma = 0.05", "gamma = 1e308")
 OVERFLOW_SWEEP = """

@@ -38,6 +38,7 @@ from qfridge.cli import load_config
 from qfridge.dynamics import (
     BLOCK_STEPS,
     DEFAULT_EPS_SS,
+    LADDER_RUNGS,
     RK4_STABLE_RADIUS,
     VACUUM_TRANSPORT_FILTER,
     steady_state_rows,
@@ -687,6 +688,24 @@ def test_propagate_matches_rk4_reference_on_vacuum_transport(rng):
     assert (norms[:, -1] > 2 * bound * DEFAULT_EPS_SS).mean() > 0.9
 
 
+def test_propagate_leaps_a_vacuum_relaxation_in_few_norms(rng, monkeypatch):
+    # the slowest relaxation of the shipped scenarios: one norm per leap of up
+    # to 1024 steps, where a block-by-block walk takes one per 16 steps
+    config = load_config(str(CONFIGS / "vacuum_transport.ini"))
+    gen = build_generator(config.params, config.filter, config.reservoirs, config.background)
+    rho0 = gen.eigen.diagonal_state(rng.dirichlet(np.ones(8)))
+    norm, calls = np.linalg.norm, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    result = propagate(rho0, gen, t_final=1e4)
+    assert result.converged and result.steps > 10_000
+    assert len(calls) < 200  # the ladder's build included
+
+
 def test_propagate_settles_in_the_first_block_it_does_not_leap(revival_generator, rng):
     # a step five times the default lets ||L v|| fall by more than 2 c
     # within one block, so a threshold exists whose first settled step lies
@@ -702,24 +721,46 @@ def test_propagate_settles_in_the_first_block_it_does_not_leap(revival_generator
     assert result.converged and 2 * BLOCK_STEPS < result.steps <= 3 * BLOCK_STEPS
 
 
-def test_propagate_leaps_no_block_where_the_derivative_norm_rises():
-    # with a Jordan block in L, ||L v|| dips below eps_ss and rises again
-    # before its block ends; only the factor c >= ||P^j||_2 of the rule
-    # keeps that block from being leapt over
-    liou = -0.1 * np.eye(64, dtype=complex)
+def jordan_dip(decay):
+    """A generator whose L has a Jordan block, ``L = -decay I + E_01``, its
+    state ``e_1``, a step, ``||L P^k v||`` after each of its first 1024
+    steps (``flat[k - 1]``), the index ``dip`` before the norm first rises,
+    and an ``eps_ss`` above ``flat[dip]`` but below every earlier norm."""
+    liou = -decay * np.eye(64, dtype=complex)
     liou[0, 1] = 1.0
     gen = SimpleNamespace(liouvillian=liou, _rk4_blocks={})
     rho0 = np.zeros((8, 8), dtype=complex)
     rho0[1, 0] = 1.0  # vec(rho0) = e_1
     dt = 0.5 / np.linalg.norm(liou, 1)
-    norms, bound = block_norms(gen, rho0, dt, 4)
-    flat = norms.ravel()  # flat[j]: after step j + 1
+    flat = block_norms(gen, rho0, dt, 1024 // BLOCK_STEPS)[0].ravel()
     dip = int(np.flatnonzero(flat[1:] > flat[:-1])[0])
     eps_ss = (flat[dip] + flat[:dip].min()) / 2
-    block_end = flat[(dip // BLOCK_STEPS + 1) * BLOCK_STEPS - 1]
     assert flat[dip] < eps_ss < flat[:dip].min()
+    return gen, rho0, dt, flat, dip, eps_ss
+
+
+def test_propagate_leaps_no_block_where_the_derivative_norm_rises():
+    # with a Jordan block in L, ||L v|| dips below eps_ss and rises again
+    # before its block ends; only the factor c >= ||P^j||_2 of the rule
+    # keeps that block from being leapt over
+    gen, rho0, dt, flat, dip, eps_ss = jordan_dip(0.1)
+    bound = dynamics._rk4_block(gen.liouvillian, dt, BLOCK_STEPS)[3]
+    block_end = flat[(dip // BLOCK_STEPS + 1) * BLOCK_STEPS - 1]
     assert 2 * eps_ss < block_end <= 2 * bound * eps_ss
     result = assert_matches_rk4_reference(rho0, gen, t_final=1e3, dt=dt, eps_ss=eps_ss)
+    assert result.converged and result.steps == dip + 1
+    # a slower decay puts the dip after step 300, deep inside the rungs of
+    # 512 and 1024 steps that the run tries first; their ends have risen
+    # above 2 eps_ss, and only c_M keeps them from being leapt over
+    gen, rho0, dt, flat, dip, eps_ss = jordan_dip(0.005)
+    assert dip > 300
+    v = rho0.flatten(order="F")
+    _, rungs = dynamics._rk4_ladder(gen.liouvillian, dt)
+    spanning = [(last, bound) for m, _, last, bound in rungs if m > dip + 1]
+    assert len(spanning) == 2
+    for last, bound in spanning:
+        assert 2 * eps_ss < np.linalg.norm(last @ v) <= 2 * bound * eps_ss
+    result = assert_matches_rk4_reference(rho0, gen, t_final=1e4, dt=dt, eps_ss=eps_ss)
     assert result.converged and result.steps == dip + 1
 
 
@@ -731,6 +772,21 @@ def test_rk4_block_bound_covers_every_power_of_the_step(revival_generator):
         assert max(np.linalg.norm(a, 2) for a in powers[:-1]) <= bound < 8.0
         assert np.array_equal(leap, np.linalg.matrix_power(step, BLOCK_STEPS))
         assert np.abs(readout[-64:] - liou @ powers[-1]).max() < 1e-12
+        # every rung of the ladder: c_M bounds every power below M, and
+        # P^M and L P^M are those of M single steps
+        block, rungs = dynamics._rk4_ladder(liou, dt)
+        assert [r[0] for r in rungs] == [BLOCK_STEPS * 2**j for j in range(LADDER_RUNGS)]
+        assert rungs[0][1] is block[1] and rungs[0][3] == block[3] == bound
+        top = rungs[-1][0]
+        powers = np.empty((top + 1, 64, 64), dtype=complex)
+        powers[0] = np.eye(64)
+        for j in range(top):
+            powers[j + 1] = powers[j] @ step
+        norms = np.linalg.norm(powers, 2, axis=(1, 2))
+        for m, leap, last, bound in rungs:
+            assert norms[:m].max() <= bound
+            assert np.abs(leap - np.linalg.matrix_power(step, m)).max() < 1e-12
+            assert np.abs(last - liou @ powers[m]).max() < 1e-12
 
 
 def test_propagate_builds_one_block_per_generator_and_step(revival_generator, rng,
@@ -780,6 +836,22 @@ def test_propagate_rejects_non_finite_arguments(arguments, revival_generator, rn
     with pytest.raises(ValueError, match="need a finite"):
         propagate(random_density_matrix(rng), revival_generator,
                   **({"t_final": 5.0} | arguments))
+
+
+def test_propagate_rejects_eps_ss_below_the_rounding_floor(revival_generator, rng,
+                                                           monkeypatch):
+    rho0 = random_density_matrix(rng)
+    floor = (64 * np.finfo(float).eps * np.linalg.norm(revival_generator.liouvillian, 1)
+             * np.linalg.norm(rho0))
+    with monkeypatch.context() as patched:
+        patched.setattr(dynamics, "_rk4_block", step_taken)
+        with pytest.raises(ValueError, match="below the rounding floor"):
+            propagate(rho0, revival_generator, t_final=5.0, eps_ss=floor * (1 - 1e-12))
+    # 0 runs to t_final, and the default is far above the floor
+    assert DEFAULT_EPS_SS > 1e3 * floor
+    for eps_ss in (0.0, floor, DEFAULT_EPS_SS):
+        result = propagate(rho0, revival_generator, t_final=5.0, eps_ss=eps_ss)
+        assert result.steps > 0 and result.time == pytest.approx(5.0)
 
 
 def rk4_amplification(z):
