@@ -8,8 +8,8 @@ occupations, an 8x8 real rate matrix W.  This is exact here because every
 channel operator has diagonal A^dag A and A A^dag in the eigenbasis, so
 states diagonal in the eigenbasis form an invariant sector of the full
 generator and W is that generator restricted to it.  The full 64x64
-Liouvillian is built only when read (time propagation, cross-checks in the
-tests).
+Liouvillian is built only when read (cross-checks in the tests); time
+propagation runs on the generator's blocks in the eigenbasis.
 
 Multiple steady states are enumerated per closed communicating class of the
 population rate graph rather than returned as raw null-space vectors, so
@@ -176,11 +176,14 @@ class Generator:
     undamped coherences between nondegenerate levels do not masquerade as
     extra stationary states of the full generator.
 
-    A generator also keeps what time evolution derives from it, built on
-    first use and freed with it: ``_rk4_blocks`` maps each step size that
-    :func:`propagate` has used to its block of RK4 step matrices and its
-    leap ladder (:func:`_rk4_ladder`), and ``_absorption`` holds W's closed
-    classes and transient levels as :func:`branch_weights` reads them.
+    ``eigen_blocks`` is the same generator in the eigenbasis, ``L_e = (V^T
+    kron V^T) L (V kron V)``, built from the channels' elements
+    (:func:`_eigen_blocks`) as the blocks of each size.  A generator also
+    keeps what time evolution derives from it, built on first use and freed
+    with it: ``_rk4_blocks`` maps each step size that :func:`propagate` has
+    used to its block of RK4 step matrices and its leap ladder
+    (:func:`_rk4_block`), and ``_absorption`` holds W's closed classes and
+    transient levels as :func:`branch_weights` reads them.
     """
 
     params: SystemParams
@@ -203,6 +206,10 @@ class Generator:
         return out.transpose(2, 1, 0).reshape(n, n)
 
     @cached_property
+    def eigen_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return _eigen_blocks(self.eigen.energies, self.dissipators)
+
+    @cached_property
     def _rk4_blocks(self) -> dict[float, tuple]:
         return {}
 
@@ -218,6 +225,55 @@ class Generator:
         drain = -w[np.ix_(tr, tr)]
         into = [w[np.ix_(cls, tr)].sum(axis=0) for cls in classes]
         return classes, tr, drain, into
+
+
+def _eigen_blocks(energies: np.ndarray, dissipators: Sequence[Dissipator]
+                  ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The generator of ``dissipators`` in the eigenbasis, ``L_e``, as
+    ``(index, blocks)`` pairs, one per block size s in ascending order:
+    ``index`` ``(G, s)`` lists the vec indices ``i + 8 j`` of the coherences
+    ``|i><j|`` of each of G blocks in ascending order, and ``blocks`` ``(G, s,
+    s)`` is ``L_e`` on them.  ``L_e`` is 0 between two blocks.
+
+    Every channel has distinct to levels and distinct from levels, so
+    ``A^dag A`` and ``A A^dag`` are diagonal, ``c^2`` on the from and to
+    levels of each element ``(to, from, c)``: the anticommutators, like the
+    commutator ``-i (E_i - E_j)``, only add to the diagonal.  The jumps
+    ``2 j- A rho A^dag`` take ``|from_e><from_f|`` to ``|to_e><to_f|`` with
+    weight ``2 c_e c_f``, for every pair of elements e, f of a channel, and
+    ``2 j+ A^dag rho A`` takes it back.  The blocks are the classes of
+    coherences that these jumps link, whatever their rates, from one
+    transitive closure: no entry is compared with a tolerance.  Under the
+    secular generator each block holds coherences of one Bohr frequency.
+    """
+    n = DIM * DIM
+    elements = np.array([d.channel.elements for d in dissipators]).reshape(-1, 2, 3)
+    to, frm, coeff = elements.transpose(2, 0, 1)  # each (D, 2)
+    to, frm = to.astype(int), frm.astype(int)
+    down = np.array([d.rates.j_minus for d in dissipators], dtype=float)[:, None]
+    up = np.array([d.rates.j_plus for d in dissipators], dtype=float)[:, None]
+    decay = np.zeros(DIM)  # diag of sum_d j- A^dag A + j+ A A^dag
+    np.add.at(decay, frm, down * coeff**2)
+    np.add.at(decay, to, up * coeff**2)
+    liou = np.diag((-1j * (energies[:, None] - energies) - (decay[:, None] + decay))
+                   .ravel(order="F"))
+    dst = to[:, :, None] + DIM * to[:, None, :]  # (D, 2, 2): |to_e><to_f|
+    src = frm[:, :, None] + DIM * frm[:, None, :]
+    weight = 2.0 * coeff[:, :, None] * coeff[:, None, :]
+    np.add.at(liou, (dst, src), down[..., None] * weight)
+    np.add.at(liou, (src, dst), up[..., None] * weight)
+    link = np.eye(n)
+    link[dst, src] = link[src, dst] = 1.0
+    for _ in range(6):  # paths of up to 2**6 = 64 links join every class
+        link = (link @ link > 0.0).astype(float)
+    link = link > 0.0
+    size = link.sum(axis=1)
+    heads = link.argmax(axis=1) == np.arange(n)  # the smallest index of its block
+    out = []
+    for s in np.unique(size).tolist():
+        index = np.nonzero(link[heads & (size == s)])[1].reshape(-1, s)
+        out.append((index, liou[index[:, :, None], index[:, None, :]]))
+    return tuple(out)
 
 
 def participating_channels(kept: np.ndarray, reservoirs: ReservoirSet,
@@ -800,52 +856,72 @@ class PropagationResult:
     steps: int
 
 
-def _rk4_block(
-    liou: np.ndarray, h: float, m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """RK4 step matrix of size ``h``, the read-out of ``m`` steps, and a
-    bound on the powers of the step.
+def _holder(a: np.ndarray) -> np.ndarray:
+    """Hoelder's bound ``sqrt(||a||_1 ||a||_inf) >= ||a||_2`` of each matrix
+    of a stack."""
+    a = np.abs(a)
+    return np.sqrt(a.sum(axis=-2).max(axis=-1) * a.sum(axis=-1).max(axis=-1))
+
+
+def _scatter(index: list[np.ndarray], stacks: list[np.ndarray]) -> np.ndarray:
+    """The dense ``(..., 64, 64)`` eigenbasis matrices whose blocks on
+    ``index[i]`` are ``stacks[i]`` ``(..., G, s, s)``, and 0 elsewhere."""
+    out = np.zeros(stacks[0].shape[:-3] + (DIM * DIM, DIM * DIM), dtype=complex)
+    for idx, stack in zip(index, stacks):
+        out[..., idx[:, :, None], idx[:, None, :]] = stack
+    return out
+
+
+def _rk4_block(blocks, h: float, m: int, rungs: int = 0) -> tuple[tuple, list[tuple]]:
+    """The RK4 block of step ``h`` on the eigenbasis generator ``L_e``, given
+    by its blocks (:attr:`Generator.eigen_blocks`), and the first ``rungs``
+    rungs of its leap ladder.
 
     For ``d v / dt = L v`` one RK4 step is exactly ``v <- P v`` with
-    ``P = I + hL(I + hL/2(I + hL/3(I + hL/4)))``.  Returns ``P``, ``P^m``,
-    an ``(m * DIM**2, DIM**2)`` matrix whose row block ``k - 1`` is
-    ``L P^k``, and ``c >= max ||P^j||_2`` over ``0 <= j < m``, each power
-    bounded by Hoelder's ``||A||_2 <= sqrt(||A||_1 ||A||_inf)``.
-    """
-    n = liou.shape[0]
-    eye = np.eye(n)
-    hl = h * liou
-    step = eye + hl @ (eye + (hl / 2) @ (eye + (hl / 3) @ (eye + hl / 4)))
-    readout = np.empty((m, n, n), dtype=complex)
-    readout[0] = liou @ step
-    power = eye
-    bound = 1.0  # ||P^0||_2
-    for k in range(1, m):
-        readout[k] = readout[k - 1] @ step
-        power = power @ step  # P^k
-        bound = max(bound, math.sqrt(np.linalg.norm(power, 1) * np.linalg.norm(power, np.inf)))
-    return step, np.linalg.matrix_power(step, m), readout.reshape(m * n, n), bound
+    ``P = I + hL(I + hL/2(I + hL/3(I + hL/4)))``, a polynomial in ``L``, so
+    ``P`` and its powers have the blocks of ``L_e``: every product is taken
+    on the stack of the blocks of one size, and each result is scattered
+    once into a dense 64x64 eigenbasis matrix.  The block is ``(P, P^m, R,
+    c)``: R is the ``((m + 1) * DIM**2, DIM**2)`` read-out whose row block k
+    is ``L P^k``, k = 0..m, and ``c >= max ||P^j||_2`` over ``0 <= j < m``.
+    The spectral norm of a block-diagonal matrix is that of its largest
+    block, and each block's is bounded by Hoelder's ``||A||_2 <= sqrt(||A||_1
+    ||A||_inf)``.
 
-
-def _rk4_ladder(liou: np.ndarray, h: float) -> tuple[tuple, list[tuple]]:
-    """The RK4 block of step ``h`` (:func:`_rk4_block`) and the rungs
-    ``(M, P^M, L P^M, c_M)`` of its leap ladder, ``M = BLOCK_STEPS * 2**j``,
-    ``j < LADDER_RUNGS``.
-
+    The rungs are ``(M, P^M, L P^M, c_M)``, ``M = m * 2**j``, ``j < rungs``.
     The bottom rung is the block's own ``P^m``, ``L P^m`` and bound.  Each
-    higher rung squares the one below it, ``P^2M = P^M P^M``, and takes
-    ``c_2M = c_M max(1, sqrt(||P^M||_1 ||P^M||_inf))``: a power ``P^j``,
-    ``j < 2M``, is ``P^j`` or ``P^M P^(j-M)`` with ``j - M < M``, so
+    higher rung squares the one below it, ``P^2M = P^M P^M``, and takes, per
+    block, ``c_2M = c_M max(1, sqrt(||P^M||_1 ||P^M||_inf))``: a power
+    ``P^j``, ``j < 2M``, is ``P^j`` or ``P^M P^(j-M)`` with ``j - M < M``, so
     ``c_M >= ||P^j||_2`` holds for every ``j < M`` on every rung.
     """
-    block = _rk4_block(liou, h, BLOCK_STEPS)
-    m, leap, last, bound = BLOCK_STEPS, block[1], block[2][-liou.shape[0]:], block[3]
-    rungs = [(m, leap, last, bound)]
-    for _ in range(1, LADDER_RUNGS):
-        bound *= max(1.0, math.sqrt(np.linalg.norm(leap, 1) * np.linalg.norm(leap, np.inf)))
-        m, leap, last = 2 * m, leap @ leap, last @ leap
-        rungs.append((m, leap, last, bound))
-    return block, rungs
+    n = DIM * DIM
+    index = [idx for idx, _ in blocks]
+    steps, leaps, readouts, bounds = [], [], [], []
+    for _, b in blocks:
+        eye = np.eye(b.shape[-1])
+        hb = h * b
+        step = eye + hb @ (eye + (hb / 2) @ (eye + (hb / 3) @ (eye + hb / 4)))
+        powers = np.empty((m + 1,) + b.shape, dtype=complex)
+        powers[0] = eye
+        for k in range(1, m):
+            powers[k] = powers[k - 1] @ step
+        powers[m] = np.linalg.matrix_power(step, m)
+        steps.append(step)
+        leaps.append(powers[m])
+        readouts.append(b @ powers)
+        bounds.append(_holder(powers[:m]).max(axis=0))
+    block = (_scatter(index, steps), _scatter(index, leaps),
+             _scatter(index, readouts).reshape(-1, n), max(c.max() for c in bounds))
+    ladder = [(m, block[1], block[2][-n:], block[3])][:rungs]
+    lasts = [r[-1] for r in readouts]
+    for j in range(1, rungs):
+        bounds = [c * np.maximum(1.0, _holder(p)) for c, p in zip(bounds, leaps)]
+        lasts = [last @ p for last, p in zip(lasts, leaps)]
+        leaps = [p @ p for p in leaps]
+        ladder.append((m << j, _scatter(index, leaps), _scatter(index, lasts),
+                       max(c.max() for c in bounds)))
+    return block, ladder
 
 
 def _full_steps(t: float, t_final: float, dt: float, m: int) -> tuple[int, float]:
@@ -861,6 +937,16 @@ def _full_steps(t: float, t_final: float, dt: float, m: int) -> tuple[int, float
     return k, float(s[k])
 
 
+def _state_matrix(rho0: np.ndarray | DensityMatrix) -> np.ndarray:
+    """The 8x8 matrix of a state, checked to be 8x8 and finite."""
+    rho = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, complex)
+    if rho.shape != (DIM, DIM):
+        raise ValueError(f"expected {DIM}x{DIM} states, got {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("rho0 contains non-finite entries")
+    return rho
+
+
 def propagate(
     rho0: np.ndarray | DensityMatrix,
     gen: Generator,
@@ -870,18 +956,27 @@ def propagate(
 ) -> PropagationResult:
     """Fixed-step 4th-order Runge-Kutta integration of d rho / dt = L rho.
 
+    The state runs in the eigenbasis, ``v = (V^T kron V^T) vec(rho)``, on
+    the dense 64x64 eigenbasis matrices of :func:`_rk4_block`, which are
+    built from the blocks of ``L_e`` (:attr:`Generator.eigen_blocks`); the
+    64x64 ``Generator.liouvillian`` is not read.  ``V^T kron V^T`` is
+    orthogonal, so ``||L_e v||`` is ``||L vec(rho)||`` up to rounding.  A
+    run that takes no step returns a copy of ``rho0`` itself.
+
     Stops early (``converged=True``) at the first step with
-    ``||d rho / dt||_F < eps_ss``.  The default step is 0.1 / ||L||_1, and
-    ``dt > RK4_STABLE_RADIUS / ||L||_1`` raises ``ValueError``: every
-    eigenvalue of a Lindblad generator has Re <= 0 and modulus at most
-    ||L||_1, so every admitted step, the shortened last one ending at
-    ``t_final`` included, has an RK4 step matrix of spectral radius <= 1.
-    A non-finite ``dt`` or ``t_final``, or a NaN ``eps_ss``, raises
+    ``||d rho / dt||_F < eps_ss``.  The default step is 0.1 / ||L_e||_1, the
+    largest column sum of the blocks, and ``dt > RK4_STABLE_RADIUS /
+    ||L_e||_1`` raises ``ValueError``: every eigenvalue of a Lindblad
+    generator has Re <= 0, and modulus at most any induced norm of ``L_e``,
+    which is similar to L, so every admitted step, the shortened last one
+    ending at ``t_final`` included, has an RK4 step matrix of spectral
+    radius <= 1.  A ``rho0`` that is not a finite 8x8 matrix, a non-finite
+    ``dt`` or ``t_final``, or a NaN or negative ``eps_ss`` raises
     ``ValueError`` too.
 
     ``eps_ss = 0`` runs to ``t_final``.  A positive ``eps_ss`` below the
-    rounding floor ``DIM**2 eps ||L||_1 ||rho0||_F`` of ``||L v||`` (eps the
-    machine epsilon) raises ``ValueError``: each entry of the computed
+    rounding floor ``DIM**2 eps ||L_e||_1 ||rho0||_F`` of ``||L v||`` (eps
+    the machine epsilon) raises ``ValueError``: each entry of the computed
     ``L v`` sums DIM**2 products and carries a rounding error of up to about
     ``DIM**2 eps sum_k |L_ik| |v_k|``, which is of the order of
     ``DIM**2 eps ||L||_1 ||v||_F``, and ``||v||_F`` starts at
@@ -896,28 +991,26 @@ def propagate(
     product with ``L P^M`` checks it before ``P^M`` advances the state.
     (The factor 2 leaves room for the rounding of both norms.)  The runs
     form a ladder, M = ``BLOCK_STEPS * 2**j`` for ``j < LADDER_RUNGS``
-    (:func:`_rk4_ladder`), built once per generator and step size and kept
+    (:func:`_rk4_block`), built once per generator and step size and kept
     on the generator.  Each pass tries the rungs downward, from the highest
     one that has not failed, and leaps by the first that passes; a rung
     that fails once, by its norm or by reaching past ``t_final``, is not
     tried again in the call.  When no rung leaps, the next block of
     ``BLOCK_STEPS`` = m steps takes one product of the state with the
-    stacked rows of ``L P^k``, k = 1..m (:func:`_rk4_block`), which gives
-    the derivative norm after every step of the block, so convergence is
-    checked at every step; a run that stops inside a block recovers its
-    state with single ``P`` steps.  The time is accumulated step by step,
-    leaps included.  The iterates are those of the stage-wise RK4 loop up
-    to rounding (about 1e-13 after 15k steps), with the same step count,
-    time and convergence flag.
+    stacked rows of ``L P^k``, k = 1..m, which gives the derivative norm
+    after every step of the block, so convergence is checked at every step;
+    a run that stops inside a block recovers its state with single ``P``
+    steps.  The time is accumulated step by step, leaps included.  The
+    iterates are those of the stage-wise RK4 loop up to rounding (about
+    1e-13 after 15k steps), with the same step count, time and convergence
+    flag.
     """
-    rho = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, complex)
-    if not np.isfinite(rho).all():
-        raise ValueError("rho0 contains non-finite entries")
-    if not (math.isfinite(t_final) and t_final >= 0) or math.isnan(eps_ss):
-        raise ValueError(f"need a finite t_final >= 0 and a number eps_ss, "
+    rho = _state_matrix(rho0)
+    if not (math.isfinite(t_final) and t_final >= 0) or not eps_ss >= 0:
+        raise ValueError(f"need a finite t_final >= 0 and a number eps_ss >= 0, "
                          f"got t_final = {t_final}, eps_ss = {eps_ss}")
-    liou = gen.liouvillian
-    norm = np.linalg.norm(liou, 1)
+    blocks = gen.eigen_blocks
+    norm = max(float(np.abs(b).sum(axis=-2).max()) for _, b in blocks)
     if dt is None:
         dt = 0.1 / norm
     if not (math.isfinite(dt) and dt > 0):
@@ -925,22 +1018,22 @@ def propagate(
     dt_max = RK4_STABLE_RADIUS / norm
     if dt > dt_max:
         raise ValueError(f"dt = {dt:.3e} is beyond the RK4 stability radius "
-                         f"{RK4_STABLE_RADIUS} / ||L||_1 = {dt_max:.3e}")
+                         f"{RK4_STABLE_RADIUS} / ||L_e||_1 = {dt_max:.3e}")
 
     floor = DIM**2 * np.finfo(float).eps * norm * float(np.linalg.norm(rho))
     if 0 < eps_ss < floor:
         raise ValueError(f"eps_ss = {eps_ss:.3e} is below the rounding floor "
-                         f"{DIM**2} eps ||L||_1 ||rho0||_F = {floor:.3e} of ||L v||")
+                         f"{DIM**2} eps ||L_e||_1 ||rho0||_F = {floor:.3e} of ||L v||")
 
-    n = liou.shape[0]
+    n = DIM * DIM
     if dt not in gen._rk4_blocks:
-        gen._rk4_blocks[dt] = _rk4_ladder(liou, dt)
+        gen._rk4_blocks[dt] = _rk4_block(blocks, dt, BLOCK_STEPS, LADDER_RUNGS)
     full_block, rungs = gen._rk4_blocks[dt]
-    v = rho.flatten(order="F")
+    v = gen.eigen.to_eigenbasis(rho).flatten(order="F")
     t = 0.0
     steps = 0
     top = len(rungs) - 1  # the highest rung that has not failed
-    converged = float(np.linalg.norm(liou @ v)) < eps_ss
+    converged = float(np.linalg.norm(full_block[2][:n] @ v)) < eps_ss
     while t < t_final and not converged:
         if top >= 0:
             m, leap, last, bound = rungs[top]
@@ -957,9 +1050,9 @@ def propagate(
             step, (p, p_block, readout, _) = dt, full_block
         else:  # a last, shorter step up to t_final
             step = t_final - t
-            p, p_block, readout, _ = _rk4_block(liou, step, 1)
+            (p, p_block, readout, _), _ = _rk4_block(blocks, step, 1)
             k = 1
-        settled = np.linalg.norm((readout[: k * n] @ v).reshape(k, n), axis=1) < eps_ss
+        settled = np.linalg.norm((readout[n:(k + 1) * n] @ v).reshape(k, n), axis=1) < eps_ss
         if settled.any():  # the first step that has settled
             k = int(settled.argmax()) + 1
             converged = True
@@ -971,9 +1064,9 @@ def propagate(
         for _ in range(k):
             t += step
         steps += k
-    return PropagationResult(
-        state=v.reshape(DIM, DIM, order="F"), time=t, converged=converged, steps=steps
-    )
+    vectors = gen.eigen.vectors
+    state = rho.copy() if steps == 0 else vectors @ v.reshape(DIM, DIM, order="F") @ vectors.T
+    return PropagationResult(state=state, time=t, converged=converged, steps=steps)
 
 
 def branch_weights(rho0: np.ndarray | DensityMatrix, gen: Generator) -> np.ndarray:
@@ -986,9 +1079,10 @@ def branch_weights(rho0: np.ndarray | DensityMatrix, gen: Generator) -> np.ndarr
     initial states this mixture reading is an extrapolation beyond the
     single-branch picture; it follows from linearity of the generator.)
     W, its classes and the absorption system are built once per generator
-    and kept on it (``Generator._absorption``).
+    and kept on it (``Generator._absorption``).  A ``rho0`` that is not a
+    finite 8x8 matrix raises ``ValueError``.
     """
-    rho = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, complex)
+    rho = _state_matrix(rho0)
     classes, tr, drain, into = gen._absorption
     pops = np.real(np.diag(gen.eigen.to_eigenbasis(rho)))
     weights = np.array([pops[cls].sum() for cls in classes])

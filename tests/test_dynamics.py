@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -8,6 +9,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import draw_params, draw_reservoirs
 from qfridge import (
@@ -15,6 +18,7 @@ from qfridge import (
     DegenerateChannelsError,
     FilterConfig,
     ReservoirSet,
+    SystemParams,
     apply_dissipator,
     branch_weights,
     build_generator,
@@ -600,13 +604,11 @@ def test_vacuum_background_rejects_mismatched_rates(conduction_setup):
 # --- propagation ------------------------------------------------------------
 
 
-def rk4_reference(rho0, gen, t_final, dt=None, eps_ss=DEFAULT_EPS_SS):
-    """Stage-wise RK4, one Python iteration per step, with the same stop
-    rule and time accounting as ``propagate`` but no step-size rule.
-    Returns ``(state, time, converged, steps)``."""
+def rk4_reference(rho0, gen, t_final, dt, eps_ss=DEFAULT_EPS_SS):
+    """Stage-wise RK4 on the 64x64 ``gen.liouvillian``, one Python iteration
+    per step, with the same stop rule and time accounting as ``propagate``
+    but no step-size rule.  Returns ``(state, time, converged, steps)``."""
     liou = gen.liouvillian
-    if dt is None:
-        dt = 0.1 / np.linalg.norm(liou, 1)
     v = np.asarray(rho0, dtype=complex).flatten(order="F")
     t = 0.0
     steps = 0
@@ -625,12 +627,40 @@ def rk4_reference(rho0, gen, t_final, dt=None, eps_ss=DEFAULT_EPS_SS):
     return v.reshape(8, 8, order="F"), t, converged, steps
 
 
-def assert_matches_rk4_reference(rho0, gen, t_final, dt=None, eps_ss=DEFAULT_EPS_SS):
+def assert_matches_rk4_reference(rho0, gen, t_final, dt, eps_ss=DEFAULT_EPS_SS):
     result = propagate(rho0, gen, t_final, dt=dt, eps_ss=eps_ss)
-    state, t, converged, steps = rk4_reference(rho0, gen, t_final, dt=dt, eps_ss=eps_ss)
+    state, t, converged, steps = rk4_reference(rho0, gen, t_final, dt, eps_ss=eps_ss)
     assert (result.steps, result.time, result.converged) == (steps, t, converged)
     assert np.abs(result.state - state).max() <= 1e-12
     return result
+
+
+def block_norm(gen):
+    """``||L_e||_1``, the largest column sum of the eigenbasis blocks."""
+    return max(np.abs(b).sum(axis=-2).max() for _, b in gen.eigen_blocks)
+
+
+def default_dt(gen):
+    """``propagate``'s default step, ``0.1 / ||L_e||_1``."""
+    return 0.1 / block_norm(gen)
+
+
+def eigen_liouvillian(gen):
+    """``(V^T kron V^T) L (V kron V)``: the 64x64 generator in the eigenbasis,
+    from ``gen.liouvillian``."""
+    k = np.kron(gen.eigen.vectors, gen.eigen.vectors)
+    return k.T @ gen.liouvillian @ k
+
+
+def dense_blocks(gen):
+    """The blocks of ``gen.eigen_blocks`` scattered into a dense 64x64
+    matrix, and the mask of the entries they cover."""
+    dense = np.zeros((64, 64), dtype=complex)
+    covered = np.zeros((64, 64), dtype=bool)
+    for index, blocks in gen.eigen_blocks:
+        dense[index[:, :, None], index[:, None]] = blocks
+        covered[index[:, :, None], index[:, None]] = True
+    return dense, covered
 
 
 def test_propagate_matches_rk4_reference_on_dense_state(params, rng):
@@ -638,16 +668,16 @@ def test_propagate_matches_rk4_reference_on_dense_state(params, rng):
     gen = build_generator(params, REVIVAL_FILTER, reservoirs,
                           BackgroundSpec.vacuum(params.gamma))
     rho0 = random_density_matrix(rng)  # coherences in every entry
-    result = assert_matches_rk4_reference(rho0, gen, t_final=200.0)
+    result = assert_matches_rk4_reference(rho0, gen, t_final=200.0, dt=default_dt(gen))
     assert result.converged and result.steps > 16
 
 
 def test_propagate_matches_rk4_reference_up_to_t_final(revival_generator, rng):
-    dt = 0.1 / np.linalg.norm(revival_generator.liouvillian, 1)
-    t_final = 2.5
+    dt = default_dt(revival_generator)
+    t_final = 2.51
     assert t_final / dt % 1.0 > 0.1  # the last step is a partial one
     result = assert_matches_rk4_reference(random_density_matrix(rng),
-                                          revival_generator, t_final)
+                                          revival_generator, t_final, dt)
     assert not result.converged
     assert result.steps == int(np.ceil(t_final / dt))
     assert result.time == pytest.approx(t_final, rel=1e-14)
@@ -659,7 +689,8 @@ def test_propagate_matches_rk4_reference_on_multistable_generator(revival_genera
     # populations on every branch; dense coherences between the two dark
     # levels would never decay
     rho0 = revival_generator.eigen.diagonal_state(rng.dirichlet(np.ones(8)))
-    result = assert_matches_rk4_reference(rho0, revival_generator, t_final=400.0)
+    result = assert_matches_rk4_reference(rho0, revival_generator, t_final=400.0,
+                                          dt=default_dt(revival_generator))
     assert result.converged
 
 
@@ -667,11 +698,11 @@ def block_norms(gen, rho0, dt, blocks):
     """``||L P^k v||`` after each step k of the first ``blocks`` RK4 blocks
     of step ``dt`` from ``rho0``, as a ``(blocks, BLOCK_STEPS)`` array, and
     the block's bound c on ``||P^j||_2``."""
-    _, leap, readout, bound = dynamics._rk4_block(gen.liouvillian, dt, BLOCK_STEPS)
-    v = np.asarray(rho0, dtype=complex).flatten(order="F")
+    (_, leap, readout, bound), _ = dynamics._rk4_block(gen.eigen_blocks, dt, BLOCK_STEPS)
+    v = gen.eigen.to_eigenbasis(np.asarray(rho0, dtype=complex)).flatten(order="F")
     norms = []
     for _ in range(blocks):
-        norms.append(np.linalg.norm((readout @ v).reshape(BLOCK_STEPS, -1), axis=1))
+        norms.append(np.linalg.norm((readout[64:] @ v).reshape(BLOCK_STEPS, -1), axis=1))
         v = leap @ v
     return np.array(norms), bound
 
@@ -680,10 +711,10 @@ def test_propagate_matches_rk4_reference_on_vacuum_transport(rng):
     config = load_config(str(CONFIGS / "vacuum_transport.ini"))
     gen = build_generator(config.params, config.filter, config.reservoirs, config.background)
     rho0 = gen.eigen.diagonal_state(rng.dirichlet(np.ones(8)))
-    result = assert_matches_rk4_reference(rho0, gen, t_final=1e4)
+    dt = default_dt(gen)
+    result = assert_matches_rk4_reference(rho0, gen, t_final=1e4, dt=dt)
     assert result.converged and result.steps > 10_000
     # most blocks are leapt over: their ||L P^m v|| exceeds 2 c eps_ss
-    dt = 0.1 / np.linalg.norm(gen.liouvillian, 1)
     norms, bound = block_norms(gen, rho0, dt, result.steps // BLOCK_STEPS)
     assert (norms[:, -1] > 2 * bound * DEFAULT_EPS_SS).mean() > 0.9
 
@@ -711,7 +742,7 @@ def test_propagate_settles_in_the_first_block_it_does_not_leap(revival_generator
     # within one block, so a threshold exists whose first settled step lies
     # in the first block that the bound does not leap over
     rho0 = revival_generator.eigen.diagonal_state(rng.dirichlet(np.ones(8)))
-    dt = 0.5 / np.linalg.norm(revival_generator.liouvillian, 1)
+    dt = 5 * default_dt(revival_generator)
     norms, bound = block_norms(revival_generator, rho0, dt, 3)
     leapt = norms[:2, -1].min() / (2 * bound)  # an eps_ss below this leaps blocks 0 and 1
     eps_ss = np.sqrt(norms[2].min() * leapt)
@@ -725,10 +756,17 @@ def jordan_dip(decay):
     """A generator whose L has a Jordan block, ``L = -decay I + E_01``, its
     state ``e_1``, a step, ``||L P^k v||`` after each of its first 1024
     steps (``flat[k - 1]``), the index ``dip`` before the norm first rises,
-    and an ``eps_ss`` above ``flat[dip]`` but below every earlier norm."""
+    and an ``eps_ss`` above ``flat[dip]`` but below every earlier norm.
+    Its eigenbasis is the computational one, and its blocks are given
+    directly: the 2x2 Jordan block on vec indices 0 and 1, and 62 1x1
+    blocks ``-decay``."""
     liou = -decay * np.eye(64, dtype=complex)
     liou[0, 1] = 1.0
-    gen = SimpleNamespace(liouvillian=liou, _rk4_blocks={})
+    blocks = ((np.arange(2, 64)[:, None], np.full((62, 1, 1), -decay, dtype=complex)),
+              (np.array([[0, 1]]), liou[None, :2, :2]))
+    gen = SimpleNamespace(liouvillian=liou, eigen_blocks=blocks,
+                          eigen=EigenSystem(np.zeros(8), np.eye(8)), _rk4_blocks={})
+    assert np.array_equal(dense_blocks(gen)[0], liou)
     rho0 = np.zeros((8, 8), dtype=complex)
     rho0[1, 0] = 1.0  # vec(rho0) = e_1
     dt = 0.5 / np.linalg.norm(liou, 1)
@@ -744,7 +782,7 @@ def test_propagate_leaps_no_block_where_the_derivative_norm_rises():
     # before its block ends; only the factor c >= ||P^j||_2 of the rule
     # keeps that block from being leapt over
     gen, rho0, dt, flat, dip, eps_ss = jordan_dip(0.1)
-    bound = dynamics._rk4_block(gen.liouvillian, dt, BLOCK_STEPS)[3]
+    bound = dynamics._rk4_block(gen.eigen_blocks, dt, BLOCK_STEPS)[0][3]
     block_end = flat[(dip // BLOCK_STEPS + 1) * BLOCK_STEPS - 1]
     assert 2 * eps_ss < block_end <= 2 * bound * eps_ss
     result = assert_matches_rk4_reference(rho0, gen, t_final=1e3, dt=dt, eps_ss=eps_ss)
@@ -755,7 +793,7 @@ def test_propagate_leaps_no_block_where_the_derivative_norm_rises():
     gen, rho0, dt, flat, dip, eps_ss = jordan_dip(0.005)
     assert dip > 300
     v = rho0.flatten(order="F")
-    _, rungs = dynamics._rk4_ladder(gen.liouvillian, dt)
+    _, rungs = dynamics._rk4_block(gen.eigen_blocks, dt, BLOCK_STEPS, LADDER_RUNGS)
     spanning = [(last, bound) for m, _, last, bound in rungs if m > dip + 1]
     assert len(spanning) == 2
     for last, bound in spanning:
@@ -765,18 +803,25 @@ def test_propagate_leaps_no_block_where_the_derivative_norm_rises():
 
 
 def test_rk4_block_bound_covers_every_power_of_the_step(revival_generator):
-    liou = revival_generator.liouvillian
-    for dt in np.array([0.1, 1.0, RK4_STABLE_RADIUS]) / np.linalg.norm(liou, 1):
-        step, leap, readout, bound = dynamics._rk4_block(liou, dt, BLOCK_STEPS)
+    gen = revival_generator
+    liou = eigen_liouvillian(gen)
+    for dt in np.array([0.1, 1.0, RK4_STABLE_RADIUS]) / block_norm(gen):
+        (step, leap, readout, bound), rungs = dynamics._rk4_block(
+            gen.eigen_blocks, dt, BLOCK_STEPS, LADDER_RUNGS)
         powers = [np.linalg.matrix_power(step, j) for j in range(BLOCK_STEPS + 1)]
         assert max(np.linalg.norm(a, 2) for a in powers[:-1]) <= bound < 8.0
-        assert np.array_equal(leap, np.linalg.matrix_power(step, BLOCK_STEPS))
+        # P^16 of each stack of blocks is matrix_power's, and 0 off the blocks
+        dense, covered = dense_blocks(gen)
+        assert not leap[~covered].any()
+        for index, _ in gen.eigen_blocks:
+            at = (index[:, :, None], index[:, None])
+            assert np.array_equal(leap[at], np.linalg.matrix_power(step[at], BLOCK_STEPS))
+        assert np.abs(readout[:64] - liou).max() < 1e-14 * np.linalg.norm(liou, 1)
         assert np.abs(readout[-64:] - liou @ powers[-1]).max() < 1e-12
         # every rung of the ladder: c_M bounds every power below M, and
         # P^M and L P^M are those of M single steps
-        block, rungs = dynamics._rk4_ladder(liou, dt)
         assert [r[0] for r in rungs] == [BLOCK_STEPS * 2**j for j in range(LADDER_RUNGS)]
-        assert rungs[0][1] is block[1] and rungs[0][3] == block[3] == bound
+        assert rungs[0][1] is leap and rungs[0][3] == bound
         top = rungs[-1][0]
         powers = np.empty((top + 1, 64, 64), dtype=complex)
         powers[0] = np.eye(64)
@@ -794,12 +839,13 @@ def test_propagate_builds_one_block_per_generator_and_step(revival_generator, rn
     built = []
     build = dynamics._rk4_block
 
-    def counted(liou, h, m):
+    def counted(blocks, h, m, rungs=0):
+        assert blocks is revival_generator.eigen_blocks
         built.append((h, m))
-        return build(liou, h, m)
+        return build(blocks, h, m, rungs)
 
     monkeypatch.setattr(dynamics, "_rk4_block", counted)
-    dt = 0.1 / np.linalg.norm(revival_generator.liouvillian, 1)
+    dt = default_dt(revival_generator)
     for _ in range(12):
         rho0 = revival_generator.eigen.diagonal_state(rng.dirichlet(np.ones(8)))
         assert propagate(rho0, revival_generator, t_final=1e4).converged
@@ -807,7 +853,7 @@ def test_propagate_builds_one_block_per_generator_and_step(revival_generator, rn
     for _ in range(2):
         assert propagate(rho0, revival_generator, t_final=1e4, dt=dt / 2).converged
     assert built == [(dt, BLOCK_STEPS), (dt / 2, BLOCK_STEPS)]
-    t_final = 2.5  # not a whole number of steps: the last one is shorter
+    t_final = 2.51  # not a whole number of steps: the last one is shorter
     result = propagate(rho0, revival_generator, t_final)
     assert not result.converged
     assert len(built) == 3 and built[2][1] == 1 and 0 < built[2][0] < dt
@@ -819,7 +865,7 @@ def test_stored_blocks_are_freed_with_their_generator(params, rng):
     rho0 = gen.eigen.diagonal_state(rng.dirichlet(np.ones(8)))
     assert propagate(rho0, gen, t_final=400.0).converged
     branch_weights(rho0, gen)
-    assert gen._rk4_blocks
+    assert gen._rk4_blocks and "eigen_blocks" in vars(gen)
     alive = weakref.ref(gen)
     del gen
     gc.collect()
@@ -838,10 +884,42 @@ def test_propagate_rejects_non_finite_arguments(arguments, revival_generator, rn
                   **({"t_final": 5.0} | arguments))
 
 
+@pytest.mark.parametrize("eps_ss", [-1e-10, -np.inf])
+def test_propagate_rejects_negative_eps_ss(eps_ss, revival_generator, rng, monkeypatch):
+    monkeypatch.setattr(dynamics, "_rk4_block", step_taken)
+    with pytest.raises(ValueError, match="eps_ss >= 0"):
+        propagate(random_density_matrix(rng), revival_generator, t_final=5.0, eps_ss=eps_ss)
+
+
+NOT_8X8 = [(4, 16), (2, 4, 8), (64,), (8, 8, 1), (1, 8, 8)]
+
+
+@pytest.mark.parametrize("shape", NOT_8X8)
+def test_propagate_rejects_states_that_are_not_8x8(shape, revival_generator, rng,
+                                                   monkeypatch):
+    monkeypatch.setattr(dynamics, "_rk4_block", step_taken)
+    with pytest.raises(ValueError, match=re.escape(f"expected 8x8 states, got {shape}")):
+        propagate(random_density_matrix(rng).reshape(shape), revival_generator, t_final=5.0)
+
+
+@pytest.mark.parametrize("shape", NOT_8X8)
+def test_branch_weights_rejects_states_that_are_not_8x8(shape, revival_generator, rng):
+    with pytest.raises(ValueError, match=re.escape(f"expected 8x8 states, got {shape}")):
+        branch_weights(random_density_matrix(rng).reshape(shape), revival_generator)
+
+
+def test_branch_weights_rejects_non_finite_state(revival_generator, rng):
+    for bad in (np.nan, np.inf):
+        rho0 = random_density_matrix(rng)
+        rho0[2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            branch_weights(rho0, revival_generator)
+
+
 def test_propagate_rejects_eps_ss_below_the_rounding_floor(revival_generator, rng,
                                                            monkeypatch):
     rho0 = random_density_matrix(rng)
-    floor = (64 * np.finfo(float).eps * np.linalg.norm(revival_generator.liouvillian, 1)
+    floor = (64 * np.finfo(float).eps * block_norm(revival_generator)
              * np.linalg.norm(rho0))
     with monkeypatch.context() as patched:
         patched.setattr(dynamics, "_rk4_block", step_taken)
@@ -852,6 +930,51 @@ def test_propagate_rejects_eps_ss_below_the_rounding_floor(revival_generator, rn
     for eps_ss in (0.0, floor, DEFAULT_EPS_SS):
         result = propagate(rho0, revival_generator, t_final=5.0, eps_ss=eps_ss)
         assert result.steps > 0 and result.time == pytest.approx(5.0)
+
+
+def test_propagate_and_branch_weights_never_build_the_liouvillian(params, rng, monkeypatch):
+    def unread(gen):
+        raise AssertionError("read gen.liouvillian")
+
+    monkeypatch.setattr(dynamics.Generator, "liouvillian", property(unread))
+    reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=4.0, t_c=1.0)
+    for background in (BackgroundSpec.none(), BackgroundSpec.vacuum(params.gamma)):
+        gen = build_generator(params, REVIVAL_FILTER, reservoirs, background)
+        rho0 = gen.eigen.diagonal_state(rng.dirichlet(np.ones(8)))
+        assert propagate(rho0, gen, t_final=400.0).converged
+        assert not propagate(random_density_matrix(rng), gen, t_final=2.51).converged
+        assert branch_weights(rho0, gen).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+_KEPT_SETS = st.frozensets(st.sampled_from((1, 2, 3)))
+_BACKGROUNDS = {"none": BackgroundSpec.none(), "vacuum": BackgroundSpec.vacuum(0.05),
+                "thermal": BackgroundSpec.thermal(2.0, 0.05)}
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(filt=st.builds(FilterConfig, _KEPT_SETS, _KEPT_SETS, _KEPT_SETS),
+       model=st.tuples(st.floats(1.2, 5.0), st.floats(0.02, 0.98)),
+       background=st.sampled_from(sorted(_BACKGROUNDS)), t_final=st.floats(0.0, 8.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_eigen_blocks_are_the_liouvillian_in_the_eigenbasis(filt, model, background,
+                                                             t_final, seed):
+    omega_h, g = model
+    params = SystemParams(omega_c=1.0, omega_h=omega_h, g=g, gamma=0.1)
+    reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=3.0, t_c=1.0)
+    gen = dynamics.assemble_generator(params, filt, reservoirs, _BACKGROUNDS[background])
+    # the blocks partition the 64 coherences, each of one Bohr frequency
+    index = np.concatenate([idx.ravel() for idx, _ in gen.eigen_blocks])
+    assert np.array_equal(np.sort(index), np.arange(64))
+    bohr = (gen.eigen.energies[:, None] - gen.eigen.energies).ravel(order="F")
+    for idx, _ in gen.eigen_blocks:
+        assert np.abs(bohr[idx] - bohr[idx[:, :1]]).max() <= 1e-12
+    # and hold (V^T kron V^T) L (V kron V), which is 0 off them up to rounding
+    dense, covered = dense_blocks(gen)
+    assert not dense[~covered].any()
+    assert np.abs(dense - eigen_liouvillian(gen)).max() <= (
+        1e-14 * np.linalg.norm(gen.liouvillian, 1))
+    rho0 = random_density_matrix(np.random.default_rng(seed))
+    assert_matches_rk4_reference(rho0, gen, t_final, default_dt(gen))
 
 
 def rk4_amplification(z):
@@ -875,14 +998,17 @@ def test_rk4_stable_radius_keeps_the_left_half_disk_stable():
 
 def test_propagate_admits_step_at_stable_radius(revival_generator, rng):
     liou = revival_generator.liouvillian
-    dt = RK4_STABLE_RADIUS / np.linalg.norm(liou, 1)
-    # every eigenvalue of L lies in the left half-disk of radius ||L||_1
+    dt = RK4_STABLE_RADIUS / block_norm(revival_generator)
+    # every eigenvalue of L lies in the left half-disk of radius ||L_e||_1
     eigs = np.linalg.eigvals(liou)
     assert eigs.real.max() <= 1e-12
-    assert np.abs(eigs).max() <= np.linalg.norm(liou, 1)
+    assert np.abs(eigs).max() <= block_norm(revival_generator)
     assert np.abs(rk4_amplification(dt * eigs)).max() <= 1.0 + 1e-12
+    t_final = 0.0
+    for _ in range(40):  # the time of 40 steps, summed as propagate sums it
+        t_final += dt
     result = assert_matches_rk4_reference(random_density_matrix(rng),
-                                          revival_generator, t_final=40 * dt, dt=dt)
+                                          revival_generator, t_final=t_final, dt=dt)
     assert result.steps == 40
     assert np.abs(result.state).max() <= 1.0
 
@@ -896,7 +1022,7 @@ def test_propagate_rejects_step_that_explodes_silently(revival_generator, rng, m
     # blows the state up with its trace still at 1
     rho0 = random_density_matrix(rng)
     dt = 4.0 / np.linalg.norm(revival_generator.liouvillian, 1)
-    state, _, converged, steps = rk4_reference(rho0, revival_generator, 20 * dt, dt=dt)
+    state, _, converged, steps = rk4_reference(rho0, revival_generator, 20 * dt, dt)
     assert steps == 20 and not converged
     assert np.abs(state).max() > 1e12
     assert abs(np.trace(state) - 1.0) < 1e-6
