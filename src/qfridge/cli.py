@@ -53,7 +53,6 @@ import numpy as np
 
 from .dynamics import (
     SolverFailure,
-    SteadyStateSet,
     assemble_generator,
     build_population_matrix,
     check_channel_table,
@@ -162,11 +161,15 @@ def _reason(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _failed_row(row_type: type, exc: Exception, **cells) -> "SweepRow | ScanRow":
-    """A row for a solve that raised ``exc``: NaN in every ``float`` field,
-    ``cells`` in the others, and :func:`_reason` in ``error``."""
+def _failed_rows(row_type: type) -> Callable[..., "SweepRow | ScanRow"]:
+    """The maker of a table's ``row_type`` rows for solves that failed:
+    ``failed(exc, **cells)`` has NaN in every ``float`` field, ``cells`` in
+    the others, and :func:`_reason` of ``exc`` in ``error``."""
     nan = {f.name: math.nan for f in fields(row_type) if f.type == "float"}
-    return row_type(**nan | cells, error=_reason(exc))
+
+    def failed(exc: Exception, **cells) -> "SweepRow | ScanRow":
+        return row_type(**nan | cells, error=_reason(exc))
+    return failed
 
 
 def _table(config: "ScenarioConfig", row_type: type, rows: Iterable) -> str:
@@ -463,9 +466,9 @@ def _solve_grid(
     config: ScenarioConfig,
     filters: Sequence[FilterConfig] | None = None,
     baths: np.ndarray | None = None,
-) -> tuple[list[SteadyStateSet | Exception], Readout]:
-    """Every steady state of each row, or the failure that stops its solve,
-    in row order, and the read-out of the grid.  Row k is the scenario with
+) -> Readout:
+    """The read-out of a grid: every steady state of each row, or the
+    failure that stops its solve, in row order.  Row k is the scenario with
     the filter ``filters[k]`` and its baths at the temperatures ``baths[k]``,
     H, R, C (an ``(N, 3)`` table); without ``filters`` every row keeps the
     config's filter, without ``baths`` every row has the config's baths, and
@@ -486,14 +489,17 @@ def _solve_grid(
         baths = [[config.reservoirs[q].temperature for q in QUBITS]] * len(filters)
     baths = np.asarray(baths, dtype=float)
     kept = kept_channel_table(filters)
-    failures = check_channel_table(config.params, kept, config.reservoirs, config.background)
+    failures: dict[int, Exception] = check_channel_table(config.params, kept, config.reservoirs,
+                                                         config.background)
     gen, dissipators, w, finite = _grid_rates(config, kept, baths)
     overflow = NumericalFault("the rates overflow: W has a non-finite entry")
-    rows: list = [failures.get(k, None if ok else overflow) for k, ok in enumerate(finite.tolist())]
-    live = [k for k, row in enumerate(rows) if row is None]
-    for k, states in zip(live, steady_state_rows(w[live], gen.eigen)):
-        rows[k] = states
-    return rows, build_reports(gen, dissipators, rows, baths)
+    for k in np.flatnonzero(~finite).tolist():
+        failures.setdefault(k, overflow)
+    live = np.array([k for k in range(len(kept)) if k not in failures], dtype=int)
+    pops, rows, support, faults = steady_state_rows(w[live])
+    failures.update((live[k].item(), exc) for k, exc in faults.items())
+    table = (pops, live[rows], support, dict(sorted(failures.items())))
+    return build_reports(gen, dissipators, table, baths)
 
 
 def _grid_rates(config: ScenarioConfig, kept: np.ndarray, baths) -> tuple:
@@ -567,9 +573,9 @@ def _sweep_rows(t_h: list[float], readout: Readout) -> tuple[SweepRow, ...]:
     rows: list = [None] * len(t_h)
     for k, *values, stage in zip(solved, *cells.tolist(), stages.tolist()):
         rows[k] = SweepRow(t_h[k], *values, stage=str(stage))
-    faults = _energy_balance_faults(cells[:6])
+    faults, failed = _energy_balance_faults(cells[:6]), _failed_rows(SweepRow)
     for k, exc in (readout.failures | {solved[i]: f for i, f in faults.items()}).items():
-        rows[k] = _failed_row(SweepRow, exc, sweep_value=t_h[k], stage="error")
+        rows[k] = failed(exc, sweep_value=t_h[k], stage="error")
     return tuple(rows)
 
 
@@ -587,7 +593,7 @@ def sweep_th(config: ScenarioConfig) -> SweepResult:
         raise ConfigError("sweep requested but the config has no [sweep] section")
     baths = _bath_table(config)
     rows, warns = _collecting_warnings(
-        lambda: _sweep_rows(baths[:, 0].tolist(), _solve_grid(config, baths=baths)[1]))
+        lambda: _sweep_rows(baths[:, 0].tolist(), _solve_grid(config, baths=baths)))
     return SweepResult(config=config, rows=rows, warnings=warns)
 
 
@@ -652,17 +658,17 @@ def load_csv(path: str) -> SweepResult:
 def run_steady(config: ScenarioConfig) -> str:
     """Solve a no-sweep scenario and render the full structured report,
     ending with each distinct warning raised on the way."""
-    ((states,), readout), warns = _collecting_warnings(lambda: _solve_grid(config))
+    readout, warns = _collecting_warnings(lambda: _solve_grid(config))
     if readout.failures:
         raise readout.failures[0]
     out = ["qfridge steady-state report"]
     out += [f"{key} = {value}" for key, value in config.canonical_items()]
-    out.append(f"steady_states = {len(states)}")
-    out.append(f"unique = {states.unique}")
-    for k, s in enumerate(states):
+    out.append(f"steady_states = {len(readout.row)}")
+    out.append(f"unique = {len(readout.row) == 1}")
+    for k, (code, populations) in enumerate(zip(readout.support.tolist(), readout.populations)):
         report = readout.report(k)  # the one row's states are the grid's
-        out.append(f"[state {k}] support = {sorted(s.support)}")
-        pops = ", ".join(f"{p:.12g}" for p in s.populations)
+        out.append(f"[state {k}] support = {[i for i in range(DIM) if code >> i & 1]}")
+        pops = ", ".join(f"{p:.12g}" for p in populations)
         out.append(f"[state {k}] populations = {pops}")
         for ch in report.per_channel:
             out.append(f"[state {k}] current {ch.label} = {_fmt(ch.value)}")
@@ -734,9 +740,10 @@ def _scan_rows(mode: str, readout: Readout, cooling_tol: float) -> list[ScanRow]
             np.flatnonzero(readout.reporting >= 0).tolist(), *cells[[0, 1, 2, 6]].tolist(),
             (cells[0] > cooling_tol).tolist()):
         rows[k] = ScanRow(masks[k], q_cold, q_hot, q_room, eta, cooling, matched[k], n_states[k])
+    failed = _failed_rows(ScanRow)
     for k, exc in readout.failures.items():
-        rows[k] = _failed_row(ScanRow, exc, filter=masks[k], cooling=False, n_states=0,
-                              cycle_matched=matched[k])
+        rows[k] = failed(exc, filter=masks[k], cooling=False, n_states=0,
+                         cycle_matched=matched[k])
     return rows
 
 
@@ -750,7 +757,7 @@ def scan_filters(config: ScenarioConfig, mode: str = "single_channel") -> ScanRe
     patterns = _filter_patterns(mode)
     cooling_tol = 1e-12 * config.params.omega_c
     rows, warns = _collecting_warnings(
-        lambda: _scan_rows(mode, _solve_grid(config, filters=patterns)[1], cooling_tol))
+        lambda: _scan_rows(mode, _solve_grid(config, filters=patterns), cooling_tol))
     # by cold current, largest first and NaN last, then by mask label
     q_cold = np.array([r.qdot_C for r in rows])
     order = np.lexsort(([str(f) for f in patterns], -np.where(np.isnan(q_cold), -np.inf, q_cold)))

@@ -270,7 +270,7 @@ def _eigen_blocks(energies: np.ndarray, dissipators: Sequence[Dissipator]
     size = link.sum(axis=1)
     heads = link.argmax(axis=1) == np.arange(n)  # the smallest index of its block
     out = []
-    for s in np.unique(size).tolist():
+    for s in np.flatnonzero(np.bincount(size)).tolist():
         index = np.nonzero(link[heads & (size == s)])[1].reshape(-1, s)
         out.append((index, liou[index[:, :, None], index[:, None, :]]))
     return tuple(out)
@@ -463,14 +463,16 @@ _MEMBERS = np.array([sorted(_level_set(code)) + [0] * (DIM - code.bit_count())
 
 def _class_codes(w: np.ndarray) -> np.ndarray:
     """The closed classes of :func:`invariant_components` of each rate
-    matrix of a stack ``(N, 8, 8)``, from one boolean transitive closure of
-    the whole stack: ``(N, 8)`` codes, where entry ``[k, i]`` is the bit set
-    of the class whose smallest level is i, or 0 if no closed class of row
-    k starts at i."""
-    # reach[k, i, j]: a path i -> j of rates into j from i in row k
-    reach = (np.swapaxes(w, -1, -2) > 0.0) | _SELF
+    matrix of a stack ``(N, 8, 8)``, from one transitive closure of the
+    whole stack: ``(N, 8)`` codes, where entry ``[k, i]`` is the bit set of
+    the class whose smallest level is i, or 0 if no closed class of row k
+    starts at i."""
+    # reach[k, i, j]: a path i -> j of rates into j from i in row k; the
+    # squarings are float64 products (BLAS) of 0/1 entries, exact up to 8
+    reach = ((np.swapaxes(w, -1, -2) > 0.0) | _SELF).astype(float)
     for _ in range(3):  # paths of up to 2**3 = 8 steps reach every level
-        reach = reach | (reach @ reach)
+        reach = np.minimum(reach @ reach, 1.0)
+    reach = reach > 0.0
     back = np.swapaxes(reach, -1, -2)
     mutual = reach & back
     # levels that reach each other form a class; it is closed when every
@@ -486,8 +488,9 @@ class SteadyState:
 
     ``state``, the density matrix ``V diag(populations) V^T`` in the
     computational basis, is built on first read and kept; it is real,
-    since the eigenvectors are.  Nothing in the steady, sweep or scan
-    commands reads it: their currents are taken from the populations.
+    since the eigenvectors are.  The steady, sweep and scan commands make
+    no such object: they read the populations table of
+    :func:`steady_state_rows`.
     """
 
     support: frozenset[int]
@@ -569,38 +572,41 @@ def steady_states_numeric(gen: Generator) -> SteadyStateSet:
     This is the one-row case of :func:`steady_state_rows`.
     """
     w = build_population_matrix(gen.dissipators)
-    (result,) = steady_state_rows(w[np.newaxis], gen.eigen)
-    if isinstance(result, SteadyStateSet):
-        return result
-    try:
-        raise result
-    finally:
-        del result  # the traceback refers to this frame: no cycle through it
+    pops, _, support, failures = steady_state_rows(w[np.newaxis])
+    if failures:
+        try:
+            raise failures[0]
+        finally:
+            del failures  # the traceback refers to this frame: no cycle through it
+    return SteadyStateSet(tuple(SteadyState(_level_set(code), p, gen.eigen)
+                                for code, p in zip(support.tolist(), pops)))
 
 
 def steady_state_rows(
-    w: np.ndarray, eigen: EigenSystem
-) -> list[SteadyStateSet | SolverFailure | np.linalg.LinAlgError]:
+    w: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]:
     """:func:`steady_states_numeric` of each rate matrix of a stack
-    ``(N, 8, 8)``: per row its :class:`SteadyStateSet`, or the
-    :class:`SolverFailure` or ``LinAlgError`` that fails the row.
+    ``(N, 8, 8)``, as one table of the S states of the rows that were
+    solved, in row order and by smallest level within a row: their
+    populations ``(S, 8)``, their rows ``(S,)`` and their supports ``(S,)``
+    as bit sets (bit i for level i), and the :class:`SolverFailure` or
+    ``LinAlgError`` that fails each other row, by row.
 
-    The whole stack is one pass.  Its classes are one boolean closure; the
-    blocks of W on all closed classes of one size, across rows, are one
+    The whole stack is one pass.  Its classes are one transitive closure;
+    the blocks of W on all closed classes of one size, across rows, are one
     stacked SVD (:func:`~qfridge.matrixcore.svd_rows`).  The null-space
     rule (:func:`~qfridge.matrixcore.null_dimensions`), the normalisation
     of each class's populations and the residual gate are array operations.
-    No density matrix is built (:class:`SteadyState`).  A row fails with
-    the first failure of its classes in class order, then the first
-    residual above the bound; every rank-ambiguous class warns, failed row
-    or not.  Row k equals ``steady_states_numeric`` on ``w[k]`` alone, bit
-    for bit and warning for warning.  A non-finite entry anywhere in the
-    stack raises ``ValueError`` before any product.  The pass holds W of all
-    rows at once, and the class blocks and SVDs of one size at a time.
+    A row fails with the first failure of its classes in class order, then
+    the first residual above the bound; every rank-ambiguous class warns,
+    failed row or not.  Row k equals ``steady_states_numeric`` on ``w[k]``
+    alone, bit for bit and warning for warning.  A non-finite entry
+    anywhere in the stack raises ``ValueError`` before any product.  The
+    pass holds W of all rows at once, and the class blocks and SVDs of one
+    size at a time.
     """
     if not np.isfinite(w).all():
         raise ValueError("null_space input contains non-finite entries")
-    n = len(w)
     codes = _class_codes(w)
     rows, heads = np.nonzero(codes)  # the closed classes, row by row in class order
     codes = codes[rows, heads]
@@ -610,7 +616,7 @@ def steady_state_rows(
     pops = np.zeros((len(codes), DIM))
     single = sizes == 1
     pops[single, heads[single]] = 1.0
-    for size in np.unique(sizes[sizes > 1]).tolist():
+    for size in np.flatnonzero(np.bincount(sizes[sizes > 1])).tolist():
         at = np.flatnonzero(sizes == size)
         idx = _MEMBERS[codes[at], :size]
         blocks = w[rows[at, None, None], idx[:, :, None], idx[:, None]].astype(complex)
@@ -631,18 +637,8 @@ def steady_state_rows(
         failures.setdefault(row_of[c], SolverFailure(
             f"steady state on {_MEMBERS[codes[c], :sizes[c]].tolist()} has residual "
             f"{resid[c] * top[rows[c]]:.3e} (bound {STEADY_RESIDUAL_TOL * top[rows[c]]:.3e})"))
-
-    classes = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    codes = codes.tolist()
-    out: list = []
-    for k in range(n):
-        if k in failures:
-            out.append(failures[k])
-            continue
-        states = tuple(SteadyState(_level_set(codes[c]), pops[c], eigen)
-                       for c in range(classes[k], classes[k + 1]))
-        out.append(SteadyStateSet(states))
-    return out
+    solved = np.array([k not in failures for k in row_of], dtype=bool)
+    return pops[solved], rows[solved], codes[solved], dict(sorted(failures.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from .dynamics import (
     Dissipator,
     Generator,
     SteadyState,
-    SteadyStateSet,
     apply_dissipator,
     steady_state_branches_analytic,
     steady_state_vacuum_background_analytic,
@@ -456,17 +455,22 @@ class Readout:
     """The thermodynamic read-out of a grid of N rows and their S steady
     states, each quantity an array whose last axis runs over the states.
 
-    ``row`` ``(S,)`` holds the row of each state, in row order;
-    ``currents`` ``(n, S)`` the current of each of ``dissipators``, 0.0 on
-    a state whose row does not keep it (``kept``: couples it at gamma = 0);
-    ``engineered`` and ``background`` ``(3, S)`` their sums per bath, rows
-    H, R, C; ``efficiency`` is NaN where it is undefined.  ``failures``
-    maps each failed row to its exception and ``reporting`` ``(N,)`` gives
-    the state each other row reports, -1 on a failed row.
+    ``populations`` ``(S, 8)``, ``row`` ``(S,)`` and ``support`` ``(S,)``
+    are the states' table as :func:`~qfridge.dynamics.steady_state_rows`
+    gives it: each state's eigenlevel populations, its row, in row order,
+    and its levels as a bit set.  ``currents`` ``(n, S)`` holds the current
+    of each of ``dissipators``, 0.0 on a state whose row does not keep it
+    (``kept``: couples it at gamma = 0); ``engineered`` and ``background``
+    ``(3, S)`` their sums per bath, rows H, R, C; ``efficiency`` is NaN
+    where it is undefined.  ``failures`` maps each failed row to its
+    exception and ``reporting`` ``(N,)`` gives the state each other row
+    reports, -1 on a failed row.
     """
 
     dissipators: tuple[Dissipator, ...]
+    populations: np.ndarray
     row: np.ndarray
+    support: np.ndarray
     currents: np.ndarray
     kept: np.ndarray
     engineered: np.ndarray
@@ -493,7 +497,9 @@ def build_report(gen: Generator, steady: SteadyState) -> HeatCurrentReport:
     """Evaluate all currents of a steady state and derive the thermodynamic
     summary (efficiency, entropy production, stage, first-law residual):
     the one-state case of :func:`build_reports`."""
-    readout = build_reports(gen, gen.dissipators, [SteadyStateSet((steady,))],
+    table = (np.reshape(steady.populations, (1, DIM)), np.zeros(1, dtype=int),
+             np.array([sum(1 << i for i in steady.support)]), {})
+    readout = build_reports(gen, gen.dissipators, table,
                             _by_bath(gen.reservoirs.temperatures)[np.newaxis])
     if readout.failures:
         raise readout.failures[0]
@@ -503,20 +509,21 @@ def build_report(gen: Generator, steady: SteadyState) -> HeatCurrentReport:
 def build_reports(
     gen: Generator,
     dissipators: Sequence[Dissipator],
-    rows: Sequence[SteadyStateSet | Exception],
+    table: tuple[np.ndarray, np.ndarray, np.ndarray, Mapping[int, Exception]],
     baths: np.ndarray,
 ) -> Readout:
     """:func:`build_report` of every steady state of a grid of rows, as one
     :class:`Readout`.
 
     ``dissipators`` are ``gen``'s with one row of stacked rates per row (or
-    ``gen``'s own, for rows that share their rates), ``rows`` holds row k's
-    steady states (or the exception that failed it) and ``baths[k]`` its
-    bath temperatures H, R, C (an ``(N, 3)`` table).  A row fails with its
-    exception or, as ``build_report`` state by state would raise it, with
-    the first-law fault of its first faulting state.  A report lists the
-    channels its row keeps, those at gamma != 0 (see
-    :func:`~qfridge.dynamics.grid_dissipators`).
+    ``gen``'s own, for rows that share their rates), ``table`` holds the
+    states' populations, rows and supports and the exception of each
+    failed row, as :func:`~qfridge.dynamics.steady_state_rows` returns
+    them, and ``baths[k]`` row k's bath temperatures H, R, C (an ``(N, 3)``
+    table).  A row fails with its exception or, as ``build_report`` state
+    by state would raise it, with the first-law fault of its first faulting
+    state.  A report lists the channels its row keeps, those at gamma != 0
+    (see :func:`~qfridge.dynamics.grid_dissipators`).
 
     The states' real density matrices are built from the populations in
     ``gen``'s eigenbasis (the closed-form eigenvectors are the same for
@@ -526,11 +533,9 @@ def build_reports(
     its state alone, bit for bit.  The Hamiltonian and the channel
     operators are float64 too, so every current is real.
     """
-    failures = {k: row for k, row in enumerate(rows) if isinstance(row, Exception)}
-    solved = [k for k in range(len(rows)) if k not in failures]
-    counts = np.array([len(rows[k]) for k in solved], dtype=int)
-    at = np.repeat(np.array(solved, dtype=int), counts)
-    populations = np.reshape([s.populations for k in solved for s in rows[k]], (-1, DIM))
+    populations, at, support, failures = table
+    failures = dict(failures)
+    counts = np.bincount(at, minlength=len(baths))
     states = gen.eigen.diagonal_state(populations)
     kept = _kept(dissipators, len(baths))[:, at]
     currents = np.zeros(kept.shape)
@@ -556,8 +561,9 @@ def build_reports(
         if (k := at[j].item()) not in failures:
             failures[k] = NumericalFault(f"first-law violation: currents sum to {total[j]:.3e} "
                                          f"against magnitude {scale[j]:.3e}")
-    reporting = np.full(len(rows), -1)
-    reporting[solved] = _reporting_states(engineered[2], counts)
+    reporting = np.full(len(baths), -1)
+    solved = np.flatnonzero(counts)
+    reporting[solved] = _reporting_states(engineered[2], counts[solved])
     reporting[list(failures)] = -1
     bg = gen.background
     with np.errstate(over="ignore", invalid="ignore"):  # as the float arithmetic of one state
@@ -567,7 +573,9 @@ def build_reports(
         eta = _efficiencies(engineered[2], engineered[0])
     return Readout(
         dissipators=tuple(dissipators),
+        populations=populations,
         row=at,
+        support=support,
         currents=currents,
         kept=kept,
         engineered=engineered,

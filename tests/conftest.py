@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from qfridge import FilterConfig, ReservoirSet, SystemParams
-from qfridge.dynamics import grid_dissipators
+from qfridge.dynamics import SteadyState, SteadyStateSet, grid_dissipators
 from qfridge.reservoirs import kept_channel_table
-from qfridge.spectrum import QUBITS
+from qfridge.spectrum import DIM, QUBITS
 
 # Fig.-2-style scenario: cold frequency 2*pi*210 GHz anchors the scale.
 UNIT_SCALE = 2.0 * np.pi * 210e9
@@ -68,3 +68,26 @@ def hot_stack(gen, t_h):
     every channel kept on every row."""
     return grid_dissipators(gen, kept_channel_table([FilterConfig.all_channels()] * len(t_h)),
                             hot_baths(gen, t_h))
+
+
+def state_sets(table, eigen, n: int) -> list:
+    """The states' table of ``dynamics.steady_state_rows`` (populations,
+    rows, supports as bit sets, failures by row) as each of ``n`` rows'
+    :class:`SteadyStateSet` in ``eigen``'s basis, or the exception that
+    failed it: the one-row form of ``steady_states_numeric``."""
+    populations, rows, support, failures = table
+    return [failures[k] if k in failures else SteadyStateSet(tuple(
+        SteadyState(frozenset(i for i in range(DIM) if code >> i & 1), populations[j], eigen)
+        for j, code in zip(np.flatnonzero(rows == k).tolist(), support[rows == k].tolist())))
+        for k in range(n)]
+
+
+def states_table(rows) -> tuple:
+    """The states' table that ``thermo.build_reports`` reads, of a list of
+    each row's :class:`SteadyStateSet` or exception: the inverse of
+    :func:`state_sets`."""
+    solved = [(k, s) for k, row in enumerate(rows) if not isinstance(row, Exception) for s in row]
+    return (np.reshape([s.populations for _, s in solved], (-1, DIM)),
+            np.array([k for k, _ in solved], dtype=int),
+            np.array([sum(1 << i for i in s.support) for _, s in solved], dtype=int),
+            {k: row for k, row in enumerate(rows) if isinstance(row, Exception)})

@@ -23,7 +23,7 @@ from qfridge.cli import (
     sweep_th,
     validate_config,
 )
-from conftest import hot_baths, hot_stack
+from conftest import hot_baths, hot_stack, state_sets, states_table
 from qfridge.dynamics import build_population_matrix
 from qfridge.reservoirs import COOLING_FILTERS, kept_channel_table
 
@@ -520,9 +520,9 @@ def _fail_rows(exc):
     ``exc`` if it is a row failure, and raises it otherwise."""
     from qfridge.cli import ROW_FAILURES
 
-    def solve(w, eigen):
+    def solve(w):
         if isinstance(exc, ROW_FAILURES):
-            return [exc] * len(w)
+            return states_table([exc] * len(w))
         raise exc
     return solve
 
@@ -555,10 +555,11 @@ def test_sweep_reports_failed_rows_on_stderr(monkeypatch, capsys, tmp_path):
 
     reports = cli.build_reports
 
-    def fail_when_hot(gen, dissipators, rows, baths):
+    def fail_when_hot(gen, dissipators, table, baths):
         rows = [SolverFailure(f"too hot at {t_h:.4f}") if t_h > 10.0 else row
-                for row, t_h in zip(rows, baths[:, 0].tolist())]
-        return reports(gen, dissipators, rows, baths)
+                for row, t_h in zip(state_sets(table, gen.eigen, len(baths)),
+                                    baths[:, 0].tolist())]
+        return reports(gen, dissipators, states_table(rows), baths)
 
     monkeypatch.setattr(cli, "build_reports", fail_when_hot)
     cfg = tmp_path / "sweep.ini"
@@ -653,6 +654,37 @@ def test_cli_import_leaves_out_process_pools():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_commands_leave_out_numpy_ma(tmp_path):
+    # numpy.ma costs 10-14 ms to import; np.unique without its optional
+    # outputs imports it (numpy 2.4), so no command's first solve may call it
+    import subprocess
+    import sys
+
+    import qfridge
+
+    src = str(Path(qfridge.__file__).resolve().parent.parent)
+    code = "\n".join([
+        "import contextlib, io, sys",
+        f"sys.path.insert(0, {src!r})",
+        "import numpy as np",
+        "from qfridge import build_generator, propagate",
+        "from qfridge.cli import load_config, main",
+        f"configs = {str(CONFIGS)!r}",
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+        f"    codes = [main(['sweep', '--config', configs + '/figure_sweep.ini', "
+        f"'--out', {str(tmp_path / 's.csv')!r}]),",
+        "             main(['scan', '--config', configs + '/filter_census.ini', '--mode', 'all']),",
+        "             main(['steady', '--config', configs + '/vacuum_transport.ini'])]",
+        "c = load_config(configs + '/vacuum_transport.ini')",
+        "gen = build_generator(c.params, c.filter, c.reservoirs, c.background)",
+        "result = propagate(gen.eigen.diagonal_state(np.full(8, 0.125)), gen, t_final=10.0)",
+        "print(codes, result.steps > 0, 'numpy.ma' in sys.modules)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[0, 0, 0] True False"
 
 
 def test_steady_reports_solve_time_warnings(monkeypatch, tmp_path):
@@ -888,8 +920,8 @@ def scan_row(filt, outcome, cooling_tol: float):
 
     matched = cli.cycle_match_check(filt).matched
     if isinstance(outcome, Exception):
-        return cli._failed_row(ScanRow, outcome, filter=filt, cooling=False,
-                               cycle_matched=matched, n_states=0)
+        return cli._failed_rows(ScanRow)(outcome, filter=filt, cooling=False,
+                                         cycle_matched=matched, n_states=0)
     states, reports = outcome
     report = reporting(reports)
     engineered, eta = report.engineered, report.efficiency
@@ -925,7 +957,7 @@ def one_point_solves(config: ScenarioConfig):
                 raise fault
             return row
         except cli.ROW_FAILURES as exc:
-            return cli._failed_row(SweepRow, exc, sweep_value=t_h, stage="error")
+            return cli._failed_rows(SweepRow)(exc, sweep_value=t_h, stage="error")
 
     return cli._collecting_warnings(
         lambda: [solve(t) for t in config.sweep.values.tolist()])
@@ -953,9 +985,11 @@ def assert_one_row_grid_matches_solve_alone(config: ScenarioConfig) -> None:
 def grid_outcomes(config: ScenarioConfig, **grid) -> list:
     """Each row of ``cli._solve_grid(config, **grid)``: its failure, or its
     steady states and the reports of their states in the grid's read-out."""
-    from qfridge import cli
+    from qfridge import cli, eigensystem
 
-    rows, readout = cli._solve_grid(config, **grid)
+    readout = cli._solve_grid(config, **grid)
+    rows = state_sets((readout.populations, readout.row, readout.support, readout.failures),
+                      eigensystem(config.params), len(grid.get("filters", [config.filter])))
     assert len(readout.reporting) == len(rows)
     return [readout.failures[k] if k in readout.failures else
             (states, [readout.report(j) for j in np.flatnonzero(readout.row == k).tolist()])
@@ -1516,8 +1550,9 @@ def test_grid_reports_equal_build_report_on_cold_edge_grids(background):
         baths = hot_baths(gen, t_h)
         dissipators = grid_dissipators(gen, kept_channel_table([config.filter] * len(t_h)),
                                        baths)
-        rows = steady_state_rows(build_population_matrix(dissipators), gen.eigen)
-        readout = build_reports(gen, dissipators, rows, baths)
+        rows = state_sets(steady_state_rows(build_population_matrix(dissipators)), gen.eigen,
+                          len(t_h))
+        readout = build_reports(gen, dissipators, states_table(rows), baths)
         for k, (t, states) in enumerate(zip(t_h, rows, strict=True)):
             if isinstance(states, Exception):
                 assert readout.failures[k] is states
@@ -1558,19 +1593,17 @@ def assert_readout_matches_complex_oracle(monkeypatch, solve):
     seen = {}
     build = cli.build_reports
 
-    def reports(gen, dissipators, rows, baths):
-        seen.update(gen=gen, dissipators=dissipators, rows=rows)
-        seen["readout"] = build(gen, dissipators, rows, baths)
+    def reports(gen, dissipators, table, baths):
+        seen.update(gen=gen, dissipators=dissipators, table=table)
+        seen["readout"] = build(gen, dissipators, table, baths)
         return seen["readout"]
 
     with monkeypatch.context() as patch:
         patch.setattr(cli, "build_reports", reports)
         solve()
-    gen, rows = seen["gen"], seen["rows"]
-    solved = [(k, s) for k, row in enumerate(rows) if not isinstance(row, Exception) for s in row]
-    rho = gen.eigen.diagonal_state(np.array([s.populations for _, s in solved], dtype=complex))
-    want = heat_currents(gen.hamiltonian, take_rows(seen["dissipators"], [k for k, _ in solved]),
-                         rho)
+    gen, (populations, at, _, _) = seen["gen"], seen["table"]
+    rho = gen.eigen.diagonal_state(np.array(populations, dtype=complex))
+    want = heat_currents(gen.hamiltonian, take_rows(seen["dissipators"], at.tolist()), rho)
     got = seen["readout"].currents
     assert got.dtype == np.float64 and got.shape == want.shape
     bound = 8.0 * np.finfo(float).eps * np.abs(got).sum(axis=0)
@@ -1751,11 +1784,16 @@ def test_rows_of_each_command_share_one_readout(monkeypatch):
     sweep_th(load_config(str(CONFIGS / "figure_sweep.ini")))
     scan_filters(census, mode="all")
     run_steady(parse_config(NATURAL_CONFIG))
-    assert [len(rows) for rows, _ in grids] == [200, 216, 1]
-    for rows, readout in grids:
+    assert [len(readout.reporting) for readout in grids] == [200, 216, 1]
+    for readout in grids:
+        n = len(readout.reporting)
         assert not readout.failures
-        assert readout.row.tolist() == [k for k, states in enumerate(rows) for _ in states]
-        assert (readout.row[readout.reporting] == np.arange(len(rows))).all()
+        # the states' table, in row order, holds at least one state of every row
+        assert readout.populations.shape == (len(readout.row), 8)
+        assert readout.support.shape == readout.row.shape
+        assert readout.row.tolist() == sorted(readout.row.tolist())
+        assert np.bincount(readout.row, minlength=n).all()
+        assert (readout.row[readout.reporting] == np.arange(n)).all()
 
 
 def test_sweep_and_scan_make_no_report_objects(monkeypatch):

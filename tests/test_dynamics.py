@@ -37,7 +37,7 @@ from qfridge import (
 )
 from qfridge.reservoirs import REVIVAL_FILTER
 from qfridge import dynamics
-from conftest import hot_stack
+from conftest import hot_stack, state_sets
 from qfridge.cli import load_config
 from qfridge.dynamics import (
     BLOCK_STEPS,
@@ -390,6 +390,56 @@ def test_thermal_background_restores_ergodicity(rng):
                               BackgroundSpec.thermal(rng.uniform(0.3, 2.0), 0.05))
         decomp = invariant_components(build_population_matrix(gen.dissipators))
         assert decomp.closed == (frozenset(range(8)),)
+
+
+def bfs_class_codes(w: np.ndarray) -> np.ndarray:
+    """``dynamics._class_codes`` written out as a breadth-first search per
+    level: the levels i reaches through rates ``w[j, i] > 0`` form a closed
+    class when each of them reaches i back; its bit set is stored at its
+    smallest level."""
+    codes = np.zeros((len(w), 8), dtype=int)
+    for k, wk in enumerate(w):
+        reach = []
+        for i in range(8):
+            seen, frontier = {i}, [i]
+            while frontier:
+                frontier = [j for a in frontier for j in range(8)
+                            if wk[j, a] > 0.0 and j not in seen]
+                seen.update(frontier)
+            reach.append(seen)
+        for i in range(8):
+            if all(i in reach[j] for j in reach[i]):
+                codes[k, min(reach[i])] = sum(1 << j for j in reach[i])
+    return codes
+
+
+_RATE = st.sampled_from([0.0] * 6 + [5e-324, 1e-300, 1e-12, 1.0, 3.5, 1e300])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rates=st.lists(st.lists(_RATE, min_size=56, max_size=56), min_size=1, max_size=12))
+def test_class_codes_equal_a_breadth_first_search(rates):
+    # sparse nonnegative rates as rate matrices whose columns sum to zero,
+    # and a last row of zeros: eight one-level classes
+    w = np.zeros((len(rates) + 1, 8, 8))
+    off = ~np.eye(8, dtype=bool)
+    for k, row in enumerate(rates):
+        w[k][off] = row
+        w[k] -= np.diag(w[k].sum(axis=0))
+    codes = dynamics._class_codes(w)
+    assert codes.tolist() == bfs_class_codes(w).tolist()
+    assert codes[-1].tolist() == [1 << i for i in range(8)]
+
+
+def test_class_codes_of_the_census_equal_a_breadth_first_search():
+    from qfridge import cli
+
+    config = load_config(str(CONFIGS / "filter_census.ini"))
+    masks = cli._filter_patterns("all")
+    *_, w, finite = cli._grid_rates(config, cli.kept_channel_table(masks), [
+        [config.reservoirs[q].temperature for q in "HRC"]] * len(masks))
+    assert w.shape == (216, 8, 8) and finite.all()
+    assert dynamics._class_codes(w).tolist() == bfs_class_codes(w).tolist()
 
 
 # --- steady states ----------------------------------------------------------
@@ -1235,7 +1285,8 @@ def test_steady_state_rows_build_states_only_when_read(params, monkeypatch):
     monkeypatch.setattr(EigenSystem, "diagonal_state", counted)
     grid = np.linspace(0.0, 30.0, 25).tolist()
     for gen in kernel_generators(params):
-        rows = steady_state_rows(build_population_matrix(hot_stack(gen, grid)), gen.eigen)
+        rows = state_sets(steady_state_rows(build_population_matrix(hot_stack(gen, grid))),
+                          gen.eigen, len(grid))
         assert calls == []
         states = [s for row in rows for s in row]
         want = stacked_complex_states(gen.eigen.vectors, [s.populations for s in states])
@@ -1250,7 +1301,7 @@ def test_steady_state_rows_build_states_only_when_read(params, monkeypatch):
 def test_steady_state_stack_equals_rows(params, monkeypatch):
     for gen in kernel_generators(params):
         w = build_population_matrix(hot_stack(gen, STACK_T_H))
-        rows = steady_state_rows(w, gen.eigen)
+        rows = state_sets(steady_state_rows(w), gen.eigen, len(w))
         assert not any(isinstance(row, Exception) for row in rows)
         assert_rows_equal_alone(gen, STACK_T_H, rows)
     # a grid of 25 rows in one pass, as the CLI takes it; the SVD of the
@@ -1261,7 +1312,7 @@ def test_steady_state_stack_equals_rows(params, monkeypatch):
         w = build_population_matrix(hot_stack(gen, grid))
         cls = sorted(next(c for c in invariant_components(w[8]).closed if len(c) > 1))
         monkeypatch.setattr(np.linalg, "svd", failing_svd_of(w[8][np.ix_(cls, cls)]))
-        rows = steady_state_rows(w, gen.eigen)
+        rows = state_sets(steady_state_rows(w), gen.eigen, len(w))
         assert [isinstance(row, Exception) for row in rows] == [k == 8 for k in range(len(grid))]
         assert_rows_equal_alone(gen, grid, rows)
         monkeypatch.undo()
@@ -1300,7 +1351,7 @@ def test_steady_state_stack_warns_and_fails_row_by_row(params, monkeypatch):
                 out.append(exc)
         return out
 
-    stacked, stacked_warnings = solve(lambda: steady_state_rows(w, gen.eigen))
+    stacked, stacked_warnings = solve(lambda: state_sets(steady_state_rows(w), gen.eigen, len(w)))
     want, want_warnings = solve(alone)
     assert stacked_warnings == want_warnings
     assert [c for c, _ in stacked_warnings] == [RankAmbiguityWarning] * 3
@@ -1328,7 +1379,7 @@ def test_every_ambiguous_class_warns_on_a_failed_row(params):
             w[0, frm, frm] -= rate
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        (row,) = steady_state_rows(w, eigensystem(params))
+        (row,) = state_sets(steady_state_rows(w), eigensystem(params), 1)
     assert [x.category for x in seen] == [RankAmbiguityWarning]
     assert isinstance(row, dynamics.SolverFailure)
     assert "[0, 1, 2] yielded a 2-dimensional stationary space" in str(row)
@@ -1360,7 +1411,7 @@ def test_residual_gate_bounds_on_the_largest_entry_of_w(params, monkeypatch):
         return pops
 
     monkeypatch.setattr(dynamics, "_class_populations", shifted)
-    out = steady_state_rows(w, eigensystem(params))
+    out = state_sets(steady_state_rows(w), eigensystem(params), len(w))
     assert [isinstance(row, Exception) for row in out] == [False, False, True, False]
     assert np.linalg.norm(w[1] @ out[1].states[0].populations) == pytest.approx(shift[1])
     assert isinstance(out[2], dynamics.SolverFailure) and str(out[2]) == (
@@ -1370,7 +1421,7 @@ def test_residual_gate_bounds_on_the_largest_entry_of_w(params, monkeypatch):
 def test_residual_gate_passes_a_w_of_zeros(params):
     # a grid row that keeps no channel: eight one-level classes with W p = 0,
     # though the largest entry of W, which scales the residual, is 0
-    (row,) = steady_state_rows(np.zeros((1, 8, 8)), eigensystem(params))
+    (row,) = state_sets(steady_state_rows(np.zeros((1, 8, 8))), eigensystem(params), 1)
     assert [sorted(s.support) for s in row] == [[k] for k in range(8)]
 
 
@@ -1391,7 +1442,7 @@ def test_non_finite_w_raises_before_any_product(params, monkeypatch, bad, at):
     monkeypatch.setattr(dynamics, "_class_codes", unreached)
     monkeypatch.setattr(dynamics, "svd_rows", unreached)
     with pytest.raises(ValueError, match="^null_space input contains non-finite entries$"):
-        steady_state_rows(w, eigensystem(params))
+        steady_state_rows(w)
 
 
 def test_shipped_grids_pass_the_residual_gate_far_inside_the_bound(monkeypatch):
@@ -1407,9 +1458,10 @@ def test_shipped_grids_pass_the_residual_gate_far_inside_the_bound(monkeypatch):
         calls[0] += 1
         return svd(*args, **kwargs)
 
-    def gated(w, eigen):
+    def gated(w):
         calls[0] = 0
-        out = rows(w, eigen)
+        table = rows(w)
+        out = state_sets(table, None, len(w))  # no state's matrix is read
         assert calls[0] == len({len(s.support) for row in out if not isinstance(row, Exception)
                                 for s in row} - {1})
         for wk, row in zip(w, out):
@@ -1418,7 +1470,7 @@ def test_shipped_grids_pass_the_residual_gate_far_inside_the_bound(monkeypatch):
                 continue
             bound = dynamics.STEADY_RESIDUAL_TOL * np.abs(wk).max()
             ratios.extend(np.linalg.norm(wk @ s.populations) / bound for s in row)
-        return out
+        return table
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     monkeypatch.setattr(cli, "steady_state_rows", gated)

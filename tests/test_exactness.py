@@ -46,7 +46,7 @@ GRIDS = {
 
 def solved_grids(monkeypatch, run):
     """``run()``'s grids, each as the ``_grid_rates`` result it solved and
-    the ``_solve_grid`` result: its rows' steady states and its read-out."""
+    the ``_solve_grid`` result: its read-out, which holds its states."""
     grids = []
     grid_rates, solve_grid = cli._grid_rates, cli._solve_grid
 
@@ -108,15 +108,15 @@ def grid_errors(monkeypatch, name: str) -> dict:
     error (in eps) and the number of states of grid ``name``."""
     worst = {"current": 0.0, "population": 0.0, "states": 0}
     with mp.workdps(60):
-        for (_, dissipators, w, finite), (rows, readout) in solved_grids(monkeypatch,
-                                                                         GRIDS[name]):
+        for (_, dissipators, w, finite), readout in solved_grids(monkeypatch, GRIDS[name]):
             assert finite.all() and not readout.failures
-            for row, states in enumerate(rows):
-                for j, state in zip(np.flatnonzero(readout.row == row).tolist(), states,
-                                    strict=True):
-                    levels = sorted(state.support)
+            assert np.bincount(readout.row, minlength=len(w)).all()  # every row has a state
+            for row in range(len(w)):
+                for j in np.flatnonzero(readout.row == row).tolist():
+                    code = readout.support[j].item()
+                    levels = [k for k in range(len(w[row])) if code >> k & 1]
                     exact = dict(zip(levels, stationary(w[row], levels)))
-                    p = state.populations
+                    p = readout.populations[j]
                     assert all(p[k] == 0.0 for k in range(len(p)) if k not in exact)
                     worst["population"] = max(worst["population"], *(
                         float(abs(mp.mpf(p[k]) - x) / x) / EPS for k, x in exact.items()))

@@ -34,7 +34,7 @@ from qfridge.dynamics import (
     steady_state_rows,
     take_rows,
 )
-from conftest import hot_baths, hot_stack
+from conftest import hot_baths, hot_stack, state_sets, states_table
 from qfridge.reservoirs import COOLING_FILTERS, HIGH_EFFICIENCY_FILTER, REVIVAL_FILTER
 from qfridge.thermo import (
     DegenerateTemperaturesError,
@@ -492,10 +492,10 @@ def test_build_reports_equal_build_report_row_by_row(params, rng):
     grid = np.linspace(1.0, 12.0, 70).tolist()
     for t_h, bad in ((short, None), (grid, 8)):
         stack = hot_stack(gen, t_h)
-        rows = steady_state_rows(build_population_matrix(stack), gen.eigen)
+        rows = state_sets(steady_state_rows(build_population_matrix(stack)), gen.eigen, len(t_h))
         if bad is not None:
             rows[bad] = off_balance_row(rng, rows[bad])
-        readout = build_reports(gen, stack, rows, hot_baths(gen, t_h))
+        readout = build_reports(gen, stack, states_table(rows), hot_baths(gen, t_h))
         assert len(readout.reporting) == len(t_h)
         assert list(readout.failures) == ([] if bad is None else [bad])
         for k, t in enumerate(t_h):
@@ -519,9 +519,9 @@ def test_build_reports_keep_a_faulting_state_to_its_row(params, rng):
     gen = stack_generators(params)[1]
     t_h = [2.0, 4.0, 8.0]
     stack = hot_stack(gen, t_h)
-    rows = steady_state_rows(build_population_matrix(stack), gen.eigen)
+    rows = state_sets(steady_state_rows(build_population_matrix(stack)), gen.eigen, len(t_h))
     rows[1] = off_balance_row(rng, rows[1])
-    readout = build_reports(gen, stack, rows, hot_baths(gen, t_h))
+    readout = build_reports(gen, stack, states_table(rows), hot_baths(gen, t_h))
     (fault,) = readout.failures.values()
     assert isinstance(fault, NumericalFault) and "first-law violation" in str(fault)
     # one state per row; the other rows report theirs
@@ -536,7 +536,7 @@ def test_build_reports_keep_a_faulting_state_to_its_row(params, rng):
 def readout_of(gen, state):
     """The read-out of ``build_report(gen, state)``."""
     baths = np.array([[gen.reservoirs[q].temperature for q in "HRC"]])
-    return build_reports(gen, gen.dissipators, [SteadyStateSet((state,))], baths)
+    return build_reports(gen, gen.dissipators, states_table([SteadyStateSet((state,))]), baths)
 
 
 def test_build_reports_read_an_equal_copy_of_the_eigensystem_bit_for_bit(params):
