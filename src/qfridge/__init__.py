@@ -53,7 +53,6 @@ from .dynamics import (
     PropagationResult,
     SolverFailure,
     SteadyState,
-    SteadyStateSet,
     apply_dissipator,
     branch_weights,
     build_generator,
@@ -68,7 +67,6 @@ from .thermo import (
     CoolingVerdict,
     CurrentTriple,
     HeatCurrentReport,
-    SixCurrents,
     StageLabel,
     build_report,
     classify_stage,

@@ -94,9 +94,8 @@ __all__ = [
     "ScenarioConfig",
     "SweepSpec",
     "SweepRow",
-    "SweepResult",
     "ScanRow",
-    "ScanResult",
+    "GridResult",
     "load_config",
     "parse_config",
     "run_steady",
@@ -559,9 +558,12 @@ def _energy_balance_faults(currents: np.ndarray) -> dict[int, NumericalFault]:
 
 
 @dataclass(frozen=True)
-class SweepResult:
+class GridResult:
+    """The rows of one grid, a sweep's points or a scan's masks, and each
+    distinct warning its solve raised."""
+
     config: ScenarioConfig
-    rows: tuple[SweepRow, ...]
+    rows: tuple[SweepRow, ...] | tuple[ScanRow, ...]
     warnings: tuple[str, ...]
 
 
@@ -579,7 +581,7 @@ def _sweep_rows(t_h: list[float], readout: Readout) -> tuple[SweepRow, ...]:
     return tuple(rows)
 
 
-def sweep_th(config: ScenarioConfig) -> SweepResult:
+def sweep_th(config: ScenarioConfig) -> GridResult:
     """Solve one row per hot-temperature grid point, in grid order.
 
     The grid is solved in one stacked pass (see :func:`_solve_grid`);
@@ -594,16 +596,16 @@ def sweep_th(config: ScenarioConfig) -> SweepResult:
     baths = _bath_table(config)
     rows, warns = _collecting_warnings(
         lambda: _sweep_rows(baths[:, 0].tolist(), _solve_grid(config, baths=baths)))
-    return SweepResult(config=config, rows=rows, warnings=warns)
+    return GridResult(config=config, rows=rows, warnings=warns)
 
 
-def emit_csv(result: SweepResult, path: str) -> None:
+def emit_csv(result: GridResult, path: str) -> None:
     """Deterministic CSV: ``#`` config header, fixed column order, 17
     significant digits, LF endings.  Identical runs produce identical bytes."""
     _write_output(_table(result.config, SweepRow, result.rows), path)
 
 
-def load_csv(path: str) -> SweepResult:
+def load_csv(path: str) -> GridResult:
     """Read a sweep CSV back, re-parsing the embedded config and
     re-checking :func:`_energy_balance_faults` on every solved row.  A row
     with the wrong number of cells, a non-numeric value or an unknown
@@ -647,7 +649,7 @@ def load_csv(path: str) -> SweepResult:
             f"{path}: row at {solved[i].sweep_value} violates the first law ({faults[i]})")
     if malformed is not None:
         raise malformed
-    return SweepResult(config=config, rows=tuple(rows), warnings=())
+    return GridResult(config=config, rows=tuple(rows), warnings=())
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +672,8 @@ def run_steady(config: ScenarioConfig) -> str:
         out.append(f"[state {k}] support = {[i for i in range(DIM) if code >> i & 1]}")
         pops = ", ".join(f"{p:.12g}" for p in populations)
         out.append(f"[state {k}] populations = {pops}")
-        for ch in report.per_channel:
-            out.append(f"[state {k}] current {ch.label} = {_fmt(ch.value)}")
+        for label, value in report.per_channel.items():
+            out.append(f"[state {k}] current {label} = {_fmt(value)}")
         for q in QUBITS:
             out.append(f"[state {k}] qdot_{q} = {_fmt(report.engineered[q])}")
         if config.background.active:
@@ -702,13 +704,6 @@ class ScanRow:
     cycle_matched: bool
     n_states: int
     error: str = ""
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    config: ScenarioConfig
-    rows: tuple[ScanRow, ...]
-    warnings: tuple[str, ...]
 
 
 @cache
@@ -747,7 +742,7 @@ def _scan_rows(mode: str, readout: Readout, cooling_tol: float) -> list[ScanRow]
     return rows
 
 
-def scan_filters(config: ScenarioConfig, mode: str = "single_channel") -> ScanResult:
+def scan_filters(config: ScenarioConfig, mode: str = "single_channel") -> GridResult:
     """Evaluate every filter mask (27 single-channel or 216 one-or-two
     channel configurations) at fixed temperatures; rows sorted by cold
     current.  The masks are the rows of one grid (see :func:`_solve_grid`);
@@ -761,7 +756,7 @@ def scan_filters(config: ScenarioConfig, mode: str = "single_channel") -> ScanRe
     # by cold current, largest first and NaN last, then by mask label
     q_cold = np.array([r.qdot_C for r in rows])
     order = np.lexsort(([str(f) for f in patterns], -np.where(np.isnan(q_cold), -np.inf, q_cold)))
-    return ScanResult(config=config, rows=tuple(rows[k] for k in order.tolist()), warnings=warns)
+    return GridResult(config=config, rows=tuple(rows[k] for k in order.tolist()), warnings=warns)
 
 
 def format_scan_table(config: ScenarioConfig, rows: Iterable[ScanRow]) -> str:

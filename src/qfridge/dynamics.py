@@ -65,9 +65,7 @@ from .spectrum import (
 __all__ = [
     "Dissipator",
     "Generator",
-    "ComponentDecomposition",
     "SteadyState",
-    "SteadyStateSet",
     "SolverFailure",
     "TriangleBranch",
     "AnalyticBranches",
@@ -219,9 +217,8 @@ class Generator:
         transient levels, ``-W`` on them, and per class the rates into it
         from each transient level."""
         w = build_population_matrix(self.dissipators)
-        decomp = invariant_components(w)
-        classes = [sorted(cls) for cls in decomp.closed]
-        tr = list(decomp.transient)
+        classes = [sorted(cls) for cls in invariant_components(w)]
+        tr = sorted(set(range(DIM)).difference(*classes))
         drain = -w[np.ix_(tr, tr)]
         into = [w[np.ix_(cls, tr)].sum(axis=0) for cls in classes]
         return classes, tr, drain, into
@@ -423,26 +420,17 @@ def build_population_matrix(dissipators) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(w, (0, 1), (-2, -1)))
 
 
-@dataclass(frozen=True)
-class ComponentDecomposition:
-    """Closed communicating classes of the population transition graph.
-
-    ``closed`` holds the classes that admit a stationary distribution, each
-    a frozenset of 0-based levels, sorted by smallest member.  Levels not in
-    any closed class are transient.
-    """
-
-    closed: tuple[frozenset[int], ...]
-    transient: tuple[int, ...]
-
-
-def invariant_components(w: np.ndarray) -> ComponentDecomposition:
-    """Decompose levels by the directed graph with an edge i -> j wherever
-    the rate W[j, i] is positive."""
-    (codes,) = _class_codes(np.asarray(w)[np.newaxis])
-    closed = tuple(_level_set(c) for c in codes.tolist() if c)
-    transient = tuple(sorted(set(range(DIM)).difference(*closed)))
-    return ComponentDecomposition(closed, transient)
+def invariant_components(w: np.ndarray) -> tuple[frozenset[int], ...]:
+    """The closed communicating classes of the directed graph with an edge
+    i -> j wherever the rate W[j, i] is positive: the classes that admit a
+    stationary distribution, each a frozenset of 0-based levels, sorted by
+    smallest member.  Levels in no closed class are transient.  A W with a
+    non-finite entry raises ``ValueError``."""
+    w = np.asarray(w)
+    if not np.isfinite(w).all():
+        raise ValueError("rate matrix contains non-finite entries")
+    (codes,) = _class_codes(w[np.newaxis])
+    return tuple(_level_set(c) for c in codes.tolist() if c)
 
 
 @lru_cache(maxsize=1 << DIM)
@@ -502,28 +490,6 @@ class SteadyState:
         return DensityMatrix(self.eigen.diagonal_state(self.populations))
 
 
-@dataclass(frozen=True, slots=True)
-class SteadyStateSet:
-    states: tuple[SteadyState, ...]
-
-    @property
-    def unique(self) -> bool:
-        return len(self.states) == 1
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __iter__(self):
-        return iter(self.states)
-
-    def by_support(self, support) -> SteadyState:
-        target = frozenset(support)
-        for s in self.states:
-            if s.support == target:
-                return s
-        raise KeyError(f"no steady state supported on {sorted(target)}")
-
-
 def _class_populations(blocks: np.ndarray, idx: np.ndarray, classes: np.ndarray,
                        faults: dict, ambiguities: list) -> np.ndarray:
     """Stationary populations ``(G, 8)`` of G closed classes of one size m,
@@ -558,8 +524,8 @@ def _class_populations(blocks: np.ndarray, idx: np.ndarray, classes: np.ndarray,
     return pops
 
 
-def steady_states_numeric(gen: Generator) -> SteadyStateSet:
-    """One steady state per closed communicating class.
+def steady_states_numeric(gen: Generator) -> tuple[SteadyState, ...]:
+    """One steady state per closed communicating class, by smallest level.
 
     Each class is solved on the 8x8 population rate matrix W.  Every
     returned state has clipped, renormalised populations and a residual
@@ -578,8 +544,8 @@ def steady_states_numeric(gen: Generator) -> SteadyStateSet:
             raise failures[0]
         finally:
             del failures  # the traceback refers to this frame: no cycle through it
-    return SteadyStateSet(tuple(SteadyState(_level_set(code), p, gen.eigen)
-                                for code, p in zip(support.tolist(), pops)))
+    return tuple(SteadyState(_level_set(code), p, gen.eigen)
+                 for code, p in zip(support.tolist(), pops))
 
 
 def steady_state_rows(

@@ -15,7 +15,7 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from math import expm1
+from math import expm1, isfinite
 
 import numpy as np
 
@@ -94,7 +94,11 @@ def mean_photon_number(omega: float, temperature: float) -> float:
 
     Only positive frequencies are meaningful here; the negative-frequency
     weights enter the dynamics through the operator structure instead.
+    A non-finite argument raises ``ValueError``.
     """
+    for name, value in (("omega", omega), ("temperature", temperature)):
+        if not isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if omega <= 0:
         raise ValueError(f"mean_photon_number needs omega > 0, got {omega}")
     if temperature < 0:

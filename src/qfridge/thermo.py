@@ -41,7 +41,6 @@ __all__ = [
     "DegenerateTemperaturesError",
     "StageLabel",
     "CurrentTriple",
-    "SixCurrents",
     "CoolingVerdict",
     "HeatCurrentReport",
     "Readout",
@@ -161,45 +160,15 @@ def currents_cycle_analytic(
     return CurrentTriple(cold=q_cold, hot=q_hot, room=-(q_cold + q_hot))
 
 
-@dataclass(frozen=True)
-class SixCurrents:
-    """Per-reservoir currents for a scenario with background reservoirs."""
-
-    cold: float
-    hot: float
-    room: float
-    background_cold: float
-    background_hot: float
-    background_room: float
-
-    @property
-    def engineered(self) -> dict[str, float]:
-        return {"H": self.hot, "R": self.room, "C": self.cold}
-
-    @property
-    def background(self) -> dict[str, float]:
-        return {
-            "H": self.background_hot,
-            "R": self.background_room,
-            "C": self.background_cold,
-        }
-
-    @property
-    def total(self) -> float:
-        return (
-            self.cold + self.hot + self.room
-            + self.background_cold + self.background_hot + self.background_room
-        )
-
-
 def currents_vacuum_background_analytic(
     params: SystemParams,
     reservoirs: ReservoirSet,
     gamma: float | None = None,
-) -> SixCurrents:
+) -> tuple[dict[str, float], dict[str, float]]:
     """Closed-form currents for the (H2, R1, C3) mask with a uniform vacuum
-    background: five currents in closed form, the sixth (background of the
-    cold qubit) recovered from energy conservation.
+    background, as the engineered and the background currents keyed H, R,
+    C: five in closed form, the sixth (background of the cold qubit)
+    recovered from energy conservation.
 
     In the intended operating regime (cold < room < hot temperatures, weak
     uniform rate) the three engineered currents are positive and the three
@@ -221,14 +190,8 @@ def currents_vacuum_background_analytic(
     qb_hot = -(params.omega_h + w_h2) * gam * r66
     qb_room = -w_r1 * gam * r66
     qb_cold = -(q_cold + q_hot + q_room + qb_hot + qb_room)
-    return SixCurrents(
-        cold=q_cold,
-        hot=q_hot,
-        room=q_room,
-        background_cold=qb_cold,
-        background_hot=qb_hot,
-        background_room=qb_room,
-    )
+    return ({"H": q_hot, "R": q_room, "C": q_cold},
+            {"H": qb_hot, "R": qb_room, "C": qb_cold})
 
 
 def efficiency(q_cold: float, q_hot: float) -> float | None:
@@ -417,21 +380,10 @@ def _stages(q_cold, q_hot, q_room, tol: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ChannelCurrent:
-    source: str
-    qubit: str
-    index: int
-    value: float
-
-    @property
-    def label(self) -> str:
-        return f"{self.source}:{self.qubit}{self.index}"
-
-
-@dataclass(frozen=True)
 class HeatCurrentReport:
-    """Full thermodynamic read-out of one steady state; ``per_channel`` holds
-    the current of each channel its row keeps, in generator order."""
+    """Full thermodynamic read-out of one steady state; ``per_channel`` maps
+    each dissipator its row keeps, by its label (``"engineered:H3"``), to its
+    current, in generator order."""
 
     engineered: dict[str, float]
     background: dict[str, float]
@@ -439,15 +391,7 @@ class HeatCurrentReport:
     sigma: float
     stage: StageLabel
     first_law_residual: float
-    per_channel: tuple[ChannelCurrent, ...] = field(repr=False, compare=False)
-
-    @property
-    def currents(self) -> CurrentTriple:
-        return CurrentTriple(
-            cold=self.engineered["C"],
-            hot=self.engineered["H"],
-            room=self.engineered["R"],
-        )
+    per_channel: dict[str, float] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -489,8 +433,8 @@ class Readout:
             dict(zip(QUBITS, self.engineered[:, j].tolist())),
             dict(zip(QUBITS, self.background[:, j].tolist())), None if math.isnan(eta) else eta,
             self.sigma[j].item(), self.stage[j], self.first_law_residual[j].item(),
-            tuple(ChannelCurrent(d.source, *d.channel.key, value) for d, value, keep in zip(
-                self.dissipators, self.currents[:, j].tolist(), self.kept[:, j].tolist()) if keep))
+            {str(d): value for d, value, keep in zip(
+                self.dissipators, self.currents[:, j].tolist(), self.kept[:, j].tolist()) if keep})
 
 
 def build_report(gen: Generator, steady: SteadyState) -> HeatCurrentReport:

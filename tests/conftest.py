@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qfridge import FilterConfig, ReservoirSet, SystemParams
-from qfridge.dynamics import SteadyState, SteadyStateSet, grid_dissipators
+from qfridge.dynamics import SteadyState, grid_dissipators
 from qfridge.reservoirs import kept_channel_table
 from qfridge.spectrum import DIM, QUBITS
 
@@ -73,18 +73,23 @@ def hot_stack(gen, t_h):
 def state_sets(table, eigen, n: int) -> list:
     """The states' table of ``dynamics.steady_state_rows`` (populations,
     rows, supports as bit sets, failures by row) as each of ``n`` rows'
-    :class:`SteadyStateSet` in ``eigen``'s basis, or the exception that
+    tuple of :class:`SteadyState` in ``eigen``'s basis, or the exception that
     failed it: the one-row form of ``steady_states_numeric``."""
     populations, rows, support, failures = table
-    return [failures[k] if k in failures else SteadyStateSet(tuple(
+    return [failures[k] if k in failures else tuple(
         SteadyState(frozenset(i for i in range(DIM) if code >> i & 1), populations[j], eigen)
-        for j, code in zip(np.flatnonzero(rows == k).tolist(), support[rows == k].tolist())))
+        for j, code in zip(np.flatnonzero(rows == k).tolist(), support[rows == k].tolist()))
         for k in range(n)]
+
+
+def by_support(states) -> dict:
+    """The steady states of ``states`` keyed by their levels as a sorted tuple."""
+    return {tuple(sorted(s.support)): s for s in states}
 
 
 def states_table(rows) -> tuple:
     """The states' table that ``thermo.build_reports`` reads, of a list of
-    each row's :class:`SteadyStateSet` or exception: the inverse of
+    each row's steady states or exception: the inverse of
     :func:`state_sets`."""
     solved = [(k, s) for k, row in enumerate(rows) if not isinstance(row, Exception) for s in row]
     return (np.reshape([s.populations for _, s in solved], (-1, DIM)),

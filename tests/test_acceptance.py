@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import draw_params, draw_reservoirs
+from conftest import by_support, draw_params, draw_reservoirs
 from test_dynamics import oracle_branch_populations, random_density_matrix
 from test_thermo import trace_currents
 
@@ -81,10 +81,11 @@ def test_criterion_02_four_branch_reproduction():
             states = steady_states_numeric(gen)
             assert len(states) == 4
             plus, minus = oracle_branch_populations(p, reservoirs)
-            assert np.abs(states.by_support({0}).populations - np.eye(8)[0]).max() <= 1e-9
-            assert np.abs(states.by_support({7}).populations - np.eye(8)[7]).max() <= 1e-9
-            assert np.abs(states.by_support({1, 3, 5}).populations - plus).max() <= 1e-9
-            assert np.abs(states.by_support({2, 4, 6}).populations - minus).max() <= 1e-9
+            states = by_support(states)
+            assert np.abs(states[(0,)].populations - np.eye(8)[0]).max() <= 1e-9
+            assert np.abs(states[(7,)].populations - np.eye(8)[7]).max() <= 1e-9
+            assert np.abs(states[1, 3, 5].populations - plus).max() <= 1e-9
+            assert np.abs(states[2, 4, 6].populations - minus).max() <= 1e-9
 
 
 def test_criterion_03_current_identities():
@@ -98,8 +99,8 @@ def test_criterion_03_current_identities():
             reservoirs = draw_reservoirs(rng, p)
             gen = build_generator(p, REVIVAL_FILTER, reservoirs)
             states = steady_states_numeric(gen)
-            plus = trace_currents(gen, states.by_support({1, 3, 5}))
-            minus = trace_currents(gen, states.by_support({2, 4, 6}))
+            plus = trace_currents(gen, by_support(states)[1, 3, 5])
+            minus = trace_currents(gen, by_support(states)[2, 4, 6])
             if abs(plus["C"]) < 1e-8:  # too near the current reversal to resolve
                 continue
             checked += 1
@@ -131,7 +132,7 @@ def test_criterion_04_efficiency_values():
         assert abs(efficiency(cur.cold, cur.hot) - 2.0 / 15.0) <= 1e-12
         gen = build_generator(p, REVIVAL_FILTER, reservoirs)
         states = steady_states_numeric(gen)
-        got = trace_currents(gen, states.by_support({1, 3, 5}))
+        got = trace_currents(gen, by_support(states)[1, 3, 5])
         assert abs(efficiency(got["C"], got["H"]) - 2.0 / 15.0) <= 1e-12
 
         p2 = SystemParams(omega_c=1.0, omega_h=3.0, g=0.5, gamma=0.1)
@@ -142,7 +143,7 @@ def test_criterion_04_efficiency_values():
         assert abs(efficiency(cur2.cold, cur2.hot) - eta2_target) <= 1e-12
         gen2 = build_generator(p2, HIGH_EFFICIENCY_FILTER, reservoirs2)
         states2 = steady_states_numeric(gen2)
-        got2 = trace_currents(gen2, states2.by_support({1, 2, 3}))
+        got2 = trace_currents(gen2, by_support(states2)[1, 2, 3])
         assert abs(efficiency(got2["C"], got2["H"]) - eta2_target) <= 1e-12
 
 
@@ -155,7 +156,7 @@ def test_criterion_05_cooling_boundary():
             reservoirs = ReservoirSet.from_temperatures(p, t_h=t_h, t_r=40.0, t_c=10.0)
             gen = build_generator(p, REVIVAL_FILTER, reservoirs)
             states = steady_states_numeric(gen)
-            return trace_currents(gen, states.by_support({1, 3, 5}))["C"]
+            return trace_currents(gen, by_support(states)[1, 3, 5])["C"]
 
         lo, hi = 50.0, 80.0
         assert cold_current(lo) < 0 < cold_current(hi)
@@ -181,14 +182,13 @@ def test_criterion_06_vacuum_background():
         reservoirs = ReservoirSet.from_temperatures(p, t_h=6.0, t_r=4.0, t_c=1.0)
         gen = build_generator(p, REVIVAL_FILTER, reservoirs,
                               BackgroundSpec.vacuum(p.gamma))
-        states = steady_states_numeric(gen)
-        assert states.unique
+        (state,) = steady_states_numeric(gen)
         target = np.zeros((8, 8))
         target[7, 7] = 1.0
-        assert np.abs(states.states[0].state.matrix - target).max() <= 1e-10
-        report = build_report(gen, states.states[0])
-        for entry in report.per_channel:
-            assert abs(entry.value) <= 1e-12
+        assert np.abs(state.state.matrix - target).max() <= 1e-10
+        report = build_report(gen, state)
+        for value in report.per_channel.values():
+            assert abs(value) <= 1e-12
 
 
 def test_criterion_07_vacuum_transport_closed_forms():
@@ -212,20 +212,19 @@ def test_criterion_07_vacuum_transport_closed_forms():
                 t_c=rng.uniform(0.9, 1.1),
             )
             sol = steady_state_vacuum_background_analytic(p, reservoirs)
-            six = currents_vacuum_background_analytic(p, reservoirs)
+            engineered, background = currents_vacuum_background_analytic(p, reservoirs)
             gen = build_generator(p, VACUUM_TRANSPORT_FILTER, reservoirs,
                                   BackgroundSpec.vacuum(p.gamma))
-            states = steady_states_numeric(gen)
-            assert states.unique
-            assert np.abs(states.states[0].populations - sol.populations).max() <= 1e-9
-            report = build_report(gen, states.states[0])
+            (state,) = steady_states_numeric(gen)
+            assert np.abs(state.populations - sol.populations).max() <= 1e-9
+            report = build_report(gen, state)
             scale = sum(abs(v) for v in report.engineered.values()) \
                 + sum(abs(v) for v in report.background.values())
             for q in ("H", "R", "C"):
-                assert abs(report.engineered[q] - six.engineered[q]) <= 1e-9 * scale
-                assert abs(report.background[q] - six.background[q]) <= 1e-9 * scale
-                assert six.engineered[q] > 0
-                assert six.background[q] < 0
+                assert abs(report.engineered[q] - engineered[q]) <= 1e-9 * scale
+                assert abs(report.background[q] - background[q]) <= 1e-9 * scale
+                assert engineered[q] > 0
+                assert background[q] < 0
             total = sum(report.engineered.values()) + sum(report.background.values())
             assert abs(total) <= 1e-10 * scale
 

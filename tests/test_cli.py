@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from qfridge.cli import (
     ConfigError,
+    GridResult,
     ScenarioConfig,
-    SweepResult,
     constants_report,
     emit_csv,
     format_scan_table,
@@ -304,7 +304,7 @@ def test_load_csv_rejects_malformed_rows(tmp_path, column, cell, reason):
 def test_emit_csv_header_only_for_empty_sweep(tmp_path):
     config = parse_config(FIG_CONFIG)
     path = tmp_path / "empty.csv"
-    emit_csv(SweepResult(config=config, rows=(), warnings=()), str(path))
+    emit_csv(GridResult(config=config, rows=(), warnings=()), str(path))
     lines = path.read_text().splitlines()
     assert lines[-1].startswith("sweep_value,")
     assert all(line.startswith("#") for line in lines[:-1])
@@ -967,7 +967,7 @@ def assert_rows_equal(got, want):
     assert [(r.as_csv(), r.error) for r in got] == [(r.as_csv(), r.error) for r in want]
 
 
-def assert_sweep_matches_one_point_solves(config: ScenarioConfig) -> SweepResult:
+def assert_sweep_matches_one_point_solves(config: ScenarioConfig) -> GridResult:
     rows, warns = one_point_solves(config)
     result = sweep_th(config)
     assert_rows_equal(result.rows, rows)
@@ -1010,9 +1010,11 @@ def assert_outcome_matches_solve_alone(got, config: ScenarioConfig) -> None:
         return
     states, reports = got
     assert list(reports) == want_reports and repr(list(reports)) == repr(want_reports)
-    assert [[(c.label, repr(c.value)) for c in r.per_channel] for r in reports] == \
-        [[(c.label, repr(c.value)) for c in r.per_channel] for r in want_reports]
-    assert states.unique == want_states.unique
+    assert [[(label, repr(value)) for label, value in r.per_channel.items()]
+            for r in reports] == \
+        [[(label, repr(value)) for label, value in r.per_channel.items()]
+         for r in want_reports]
+    assert len(states) == len(want_states)
     for a, b in zip(states, want_states, strict=True):
         assert a.support == b.support
         assert np.array_equal(a.populations, b.populations)
@@ -1098,7 +1100,7 @@ def test_stacked_svd_failure_fails_only_its_rows(monkeypatch):
     plain = scan_filters(config, mode="all")
     mask = cli._filter_patterns("all")[2]
     w = build_population_matrix(_generator(replace(config, filter=mask)).dissipators)
-    cls = sorted(next(c for c in invariant_components(w).closed if len(c) == 4))
+    cls = sorted(next(c for c in invariant_components(w) if len(c) == 4))
     stacks = []
     monkeypatch.setattr(np.linalg, "svd", failing_null_space_svd(w[np.ix_(cls, cls)], stacks))
     result = assert_scan_matches_masks_solved_alone(config, "all")
@@ -1569,7 +1571,8 @@ def test_grid_reports_equal_build_report_on_cold_edge_grids(background):
                 seen["fault"] += 1
                 continue
             assert list(got) == want and repr(list(got)) == repr(want)
-            assert [r.per_channel for r in got] == [r.per_channel for r in want]
+            assert [list(r.per_channel.items()) for r in got] == \
+                [list(r.per_channel.items()) for r in want]
             seen["report"] += len(got)
             # efficiency undefined on a nonzero Q_H within the dead band
             seen["dead band"] += sum(r.efficiency is None and r.engineered["H"] != 0.0

@@ -37,7 +37,7 @@ from qfridge import (
 )
 from qfridge.reservoirs import REVIVAL_FILTER
 from qfridge import dynamics
-from conftest import hot_stack, state_sets
+from conftest import by_support, hot_stack, state_sets
 from qfridge.cli import load_config
 from qfridge.dynamics import (
     BLOCK_STEPS,
@@ -346,33 +346,31 @@ def test_population_matrix_agrees_with_liouvillian(revival_generator):
 
 def test_components_revival(revival_generator):
     w = build_population_matrix(revival_generator.dissipators)
-    decomp = invariant_components(w)
-    assert decomp.closed == (
+    closed = invariant_components(w)
+    assert closed == (
         frozenset({0}), frozenset({1, 3, 5}), frozenset({2, 4, 6}), frozenset({7}))
-    assert decomp.transient == ()
+    assert set().union(*closed) == set(range(8))  # no transient level
 
 
 def test_components_all_channels(params):
     reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=4.0, t_c=1.0)
     gen = build_generator(params, FilterConfig.all_channels(), reservoirs)
-    decomp = invariant_components(build_population_matrix(gen.dissipators))
-    assert decomp.closed == (frozenset(range(8)),)
+    assert invariant_components(build_population_matrix(gen.dissipators)) == (
+        frozenset(range(8)),)
 
 
 def test_components_no_channels():
-    decomp = invariant_components(np.zeros((8, 8)))
-    assert decomp.closed == tuple(frozenset({i}) for i in range(8))
+    assert invariant_components(np.zeros((8, 8))) == tuple(frozenset({i}) for i in range(8))
 
 
 def test_components_vacuum_background(params):
     reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=4.0, t_c=1.0)
     gen = build_generator(params, REVIVAL_FILTER, reservoirs,
                           BackgroundSpec.vacuum(0.3))
-    decomp = invariant_components(build_population_matrix(gen.dissipators))
-    assert decomp.closed == (frozenset({7}),)
-    assert set(decomp.transient) == set(range(7))
+    assert invariant_components(build_population_matrix(gen.dissipators)) == (
+        frozenset({7}),)  # levels 0-6 are transient
     # every transient level decays into the one closed class
-    for t in decomp.transient:
+    for t in range(7):
         weights = branch_weights(gen.eigen.diagonal_state(np.eye(8)[t]), gen)
         assert weights.shape == (1,) and abs(weights[0] - 1.0) <= 1e-12
 
@@ -388,8 +386,8 @@ def test_thermal_background_restores_ergodicity(rng):
         )
         gen = build_generator(p, filt, reservoirs,
                               BackgroundSpec.thermal(rng.uniform(0.3, 2.0), 0.05))
-        decomp = invariant_components(build_population_matrix(gen.dissipators))
-        assert decomp.closed == (frozenset(range(8)),)
+        assert invariant_components(build_population_matrix(gen.dissipators)) == (
+            frozenset(range(8)),)
 
 
 def bfs_class_codes(w: np.ndarray) -> np.ndarray:
@@ -449,23 +447,23 @@ def test_revival_four_branches_match_closed_form(params):
     reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=4.0, t_c=1.0)
     gen = build_generator(params, REVIVAL_FILTER, reservoirs)
     states = steady_states_numeric(gen)
-    assert len(states) == 4 and not states.unique
+    assert len(states) == 4
     plus, minus = oracle_branch_populations(params, reservoirs)
-    assert np.abs(states.by_support({0}).populations - np.eye(8)[0]).max() == 0.0
-    assert np.abs(states.by_support({7}).populations - np.eye(8)[7]).max() == 0.0
-    assert np.abs(states.by_support({1, 3, 5}).populations - plus).max() < 1e-13
-    assert np.abs(states.by_support({2, 4, 6}).populations - minus).max() < 1e-13
+    states = by_support(states)
+    assert np.abs(states[(0,)].populations - np.eye(8)[0]).max() == 0.0
+    assert np.abs(states[(7,)].populations - np.eye(8)[7]).max() == 0.0
+    assert np.abs(states[1, 3, 5].populations - plus).max() < 1e-13
+    assert np.abs(states[2, 4, 6].populations - minus).max() < 1e-13
 
 
 def test_vacuum_background_unique_ground_state(params):
     reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=4.0, t_c=1.0)
     gen = build_generator(params, REVIVAL_FILTER, reservoirs,
                           BackgroundSpec.vacuum(params.gamma))
-    states = steady_states_numeric(gen)
-    assert states.unique
+    (state,) = steady_states_numeric(gen)
     target = np.zeros((8, 8))
     target[7, 7] = 1.0  # |000><000| in the computational basis
-    assert np.abs(states.states[0].state.matrix - target).max() < 1e-10
+    assert np.abs(state.state.matrix - target).max() < 1e-10
 
 
 def test_equal_temperature_gibbs_steady_state(rng):
@@ -473,11 +471,10 @@ def test_equal_temperature_gibbs_steady_state(rng):
     t = 1.7
     reservoirs = ReservoirSet.from_temperatures(p, t_h=t, t_r=t, t_c=t)
     gen = build_generator(p, FilterConfig.all_channels(), reservoirs)
-    states = steady_states_numeric(gen)
-    assert states.unique
+    (state,) = steady_states_numeric(gen)
     gibbs = scipy.linalg.expm(-gen.hamiltonian / t)
     gibbs /= np.trace(gibbs)
-    assert np.abs(states.states[0].state.matrix - gibbs).max() < 1e-10
+    assert np.abs(state.state.matrix - gibbs).max() < 1e-10
 
 
 def _residual_bound_generators(rng):
@@ -566,7 +563,7 @@ def test_analytic_branches_match_numeric_for_all_matched_filters(rng):
         states = steady_states_numeric(gen)
         assert len(states) == 4
         for support, pops in branches.states:
-            numeric = states.by_support(support).populations
+            numeric = by_support(states)[tuple(sorted(support))].populations
             assert np.abs(numeric - pops).max() < 1e-10
 
 
@@ -583,9 +580,9 @@ def test_analytic_branches_match_numeric_at_figure_point(params):
     )
     branches = steady_state_branches_analytic(params, reservoirs)
     gen = build_generator(params, REVIVAL_FILTER, reservoirs)
-    states = steady_states_numeric(gen)
+    states = by_support(steady_states_numeric(gen))
     for support, pops in branches.states:
-        assert np.abs(states.by_support(support).populations - pops).max() < 1e-10
+        assert np.abs(states[tuple(sorted(support))].populations - pops).max() < 1e-10
 
 
 def test_analytic_branches_equal_temperatures_detailed_balance(params):
@@ -640,9 +637,8 @@ def test_vacuum_background_solution_matches_numeric(conduction_setup):
     sol = steady_state_vacuum_background_analytic(p, reservoirs)
     gen = build_generator(p, VACUUM_TRANSPORT_FILTER, reservoirs,
                           BackgroundSpec.vacuum(p.gamma))
-    states = steady_states_numeric(gen)
-    assert states.unique
-    assert np.abs(states.states[0].populations - sol.populations).max() < 1e-10
+    (state,) = steady_states_numeric(gen)
+    assert np.abs(state.populations - sol.populations).max() < 1e-10
 
 
 def test_vacuum_background_rejects_mismatched_rates(conduction_setup):
@@ -735,7 +731,7 @@ def test_propagate_matches_rk4_reference_up_to_t_final(revival_generator, rng):
 
 def test_propagate_matches_rk4_reference_on_multistable_generator(revival_generator, rng):
     assert len(invariant_components(
-        build_population_matrix(revival_generator.dissipators)).closed) == 4
+        build_population_matrix(revival_generator.dissipators))) == 4
     # populations on every branch; dense coherences between the two dark
     # levels would never decay
     rho0 = revival_generator.eigen.diagonal_state(rng.dirichlet(np.ones(8)))
@@ -1182,13 +1178,12 @@ def branch_weights_reference(rho0, gen):
     """Absorption weights with W and its classes built afresh, step for step
     as ``branch_weights`` takes them."""
     w = build_population_matrix(gen.dissipators)
-    decomp = invariant_components(w)
+    closed = invariant_components(w)
     pops = np.real(np.diag(gen.eigen.to_eigenbasis(rho0)))
-    weights = np.array([pops[sorted(cls)].sum() for cls in decomp.closed])
-    if decomp.transient:
-        tr = list(decomp.transient)
+    weights = np.array([pops[sorted(cls)].sum() for cls in closed])
+    if tr := sorted(set(range(8)).difference(*closed)):
         tau = np.linalg.solve(-w[np.ix_(tr, tr)], pops[tr])
-        for k, cls in enumerate(decomp.closed):
+        for k, cls in enumerate(closed):
             weights[k] += float(w[np.ix_(sorted(cls), tr)].sum(axis=0) @ tau)
     return weights
 
@@ -1255,7 +1250,7 @@ def assert_rows_equal_alone(gen, t_hs, rows):
         except np.linalg.LinAlgError as exc:
             assert type(got) is type(exc) and str(got) == str(exc)
             continue
-        assert got.unique == want.unique and len(got) == len(want)
+        assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.support == b.support
             assert np.array_equal(a.populations, b.populations)
@@ -1310,7 +1305,7 @@ def test_steady_state_stack_equals_rows(params, monkeypatch):
     grid = np.linspace(0.0, 30.0, 25).tolist()
     for gen in kernel_generators(params):
         w = build_population_matrix(hot_stack(gen, grid))
-        cls = sorted(next(c for c in invariant_components(w[8]).closed if len(c) > 1))
+        cls = sorted(next(c for c in invariant_components(w[8]) if len(c) > 1))
         monkeypatch.setattr(np.linalg, "svd", failing_svd_of(w[8][np.ix_(cls, cls)]))
         rows = state_sets(steady_state_rows(w), gen.eigen, len(w))
         assert [isinstance(row, Exception) for row in rows] == [k == 8 for k in range(len(grid))]
@@ -1413,7 +1408,7 @@ def test_residual_gate_bounds_on_the_largest_entry_of_w(params, monkeypatch):
     monkeypatch.setattr(dynamics, "_class_populations", shifted)
     out = state_sets(steady_state_rows(w), eigensystem(params), len(w))
     assert [isinstance(row, Exception) for row in out] == [False, False, True, False]
-    assert np.linalg.norm(w[1] @ out[1].states[0].populations) == pytest.approx(shift[1])
+    assert np.linalg.norm(w[1] @ out[1][0].populations) == pytest.approx(shift[1])
     assert isinstance(out[2], dynamics.SolverFailure) and str(out[2]) == (
         "steady state on [0, 1, 2, 3, 4, 5, 6, 7] has residual 7.500e-09 (bound 7.000e-09)")
 
@@ -1427,7 +1422,8 @@ def test_residual_gate_passes_a_w_of_zeros(params):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("at", [(7, 7), (0, 1)], ids=["transient", "class_block"])
-def test_non_finite_w_raises_before_any_product(params, monkeypatch, bad, at):
+def test_non_finite_w_raises_before_any_product(params, revival_generator, monkeypatch,
+                                                bad, at):
     # level 7 drains into the closed class of levels 0-6: W[7, 7] lies
     # outside every class block, W[0, 1] inside that class's block
     w = uniform_rates_stack(3)
@@ -1443,6 +1439,12 @@ def test_non_finite_w_raises_before_any_product(params, monkeypatch, bad, at):
     monkeypatch.setattr(dynamics, "svd_rows", unreached)
     with pytest.raises(ValueError, match="^null_space input contains non-finite entries$"):
         steady_state_rows(w)
+    # a non-finite rate is no missing edge: no class can be read from W
+    monkeypatch.setattr(dynamics, "build_population_matrix", lambda dissipators: w[1])
+    for classes in (lambda: invariant_components(w[1]),
+                    lambda: branch_weights(np.eye(8) / 8.0, revival_generator)):
+        with pytest.raises(ValueError, match="^rate matrix contains non-finite entries$"):
+            classes()
 
 
 def test_shipped_grids_pass_the_residual_gate_far_inside_the_bound(monkeypatch):

@@ -206,6 +206,8 @@ def test_reservoir_set_helpers(params):
     (lambda x: ReservoirSpec("H", temperature=1.0, gamma=x), "gamma"),
     (lambda x: BackgroundSpec.thermal(temperature=x, gamma=0.05), "temperature"),
     (lambda x: BackgroundSpec.vacuum(gamma=x), "gamma"),
+    (lambda x: mean_photon_number(x, 1.0), "omega"),
+    (lambda x: mean_photon_number(1.0, x), "temperature"),
 ])
 def test_value_types_reject_non_finite(build, name, bad):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):

@@ -30,11 +30,10 @@ from qfridge import (
 )
 from qfridge.dynamics import (
     VACUUM_TRANSPORT_FILTER,
-    SteadyStateSet,
     steady_state_rows,
     take_rows,
 )
-from conftest import hot_baths, hot_stack, state_sets, states_table
+from conftest import by_support, hot_baths, hot_stack, state_sets, states_table
 from qfridge.reservoirs import COOLING_FILTERS, HIGH_EFFICIENCY_FILTER, REVIVAL_FILTER
 from qfridge.thermo import (
     DegenerateTemperaturesError,
@@ -88,7 +87,7 @@ def test_trace_currents_match_closed_form(mild_params, mild_reservoirs):
     gen = build_generator(mild_params, REVIVAL_FILTER, mild_reservoirs)
     states = steady_states_numeric(gen)
     analytic = currents_cycle_analytic(mild_params, mild_reservoirs)
-    got = trace_currents(gen, states.by_support({1, 3, 5}))
+    got = trace_currents(gen, by_support(states)[1, 3, 5])
     scale = abs(analytic.cold) + abs(analytic.hot) + abs(analytic.room)
     assert abs(got["C"] - analytic.cold) < 1e-12 * scale
     assert abs(got["H"] - analytic.hot) < 1e-12 * scale
@@ -108,7 +107,7 @@ def test_trace_currents_match_closed_form_at_figure_temperatures(params):
     gen = build_generator(params, REVIVAL_FILTER, reservoirs)
     states = steady_states_numeric(gen)
     analytic = currents_cycle_analytic(params, reservoirs)
-    got = trace_currents(gen, states.by_support({1, 3, 5}))
+    got = trace_currents(gen, by_support(states)[1, 3, 5])
     scale = abs(analytic.cold) + abs(analytic.hot) + abs(analytic.room)
     for key, expect in (("C", analytic.cold), ("H", analytic.hot), ("R", analytic.room)):
         assert abs(got[key] - expect) < 1e-10 * scale
@@ -135,8 +134,8 @@ def test_cycle_currents_vanish_at_equal_temperatures(params):
 def test_flowing_branches_share_ratios_and_signs(mild_params, mild_reservoirs):
     gen = build_generator(mild_params, REVIVAL_FILTER, mild_reservoirs)
     states = steady_states_numeric(gen)
-    plus = trace_currents(gen, states.by_support({1, 3, 5}))
-    minus = trace_currents(gen, states.by_support({2, 4, 6}))
+    plus = trace_currents(gen, by_support(states)[1, 3, 5])
+    minus = trace_currents(gen, by_support(states)[2, 4, 6])
     ratio_expect = (mild_params.omega_h + mild_params.g) / (mild_params.omega_c - mild_params.g)
     for cur in (plus, minus):
         assert cur["H"] / cur["C"] == pytest.approx(ratio_expect, rel=1e-12)
@@ -151,8 +150,8 @@ def test_flowing_branch_magnitudes_differ_by_tree_sums(mild_params, mild_reservo
     # spanning-tree sum.  This pins the exact relationship.
     gen = build_generator(mild_params, REVIVAL_FILTER, mild_reservoirs)
     states = steady_states_numeric(gen)
-    plus = trace_currents(gen, states.by_support({1, 3, 5}))
-    minus = trace_currents(gen, states.by_support({2, 4, 6}))
+    plus = trace_currents(gen, by_support(states)[1, 3, 5])
+    minus = trace_currents(gen, by_support(states)[2, 4, 6])
     branches = steady_state_branches_analytic(mild_params, mild_reservoirs)
     n_plus = branches.triangles[0].tree_sum
     n_minus = branches.triangles[1].tree_sum
@@ -170,8 +169,8 @@ def test_flowing_branch_magnitudes_differ_by_tree_sums(mild_params, mild_reservo
 def test_flowing_branch_current_triples_literally_identical(mild_params, mild_reservoirs):
     gen = build_generator(mild_params, REVIVAL_FILTER, mild_reservoirs)
     states = steady_states_numeric(gen)
-    plus = trace_currents(gen, states.by_support({1, 3, 5}))
-    minus = trace_currents(gen, states.by_support({2, 4, 6}))
+    plus = trace_currents(gen, by_support(states)[1, 3, 5])
+    minus = trace_currents(gen, by_support(states)[2, 4, 6])
     for q in ("H", "R", "C"):
         assert minus[q] == pytest.approx(plus[q], rel=1e-12)
 
@@ -188,40 +187,41 @@ def conduction_setup():
 
 def test_vacuum_background_currents_conserve_and_sign(conduction_setup):
     p, reservoirs = conduction_setup
-    six = currents_vacuum_background_analytic(p, reservoirs)
-    scale = sum(abs(v) for v in (*six.engineered.values(), *six.background.values()))
-    assert abs(six.total) <= 1e-15 * scale
-    assert all(v > 0 for v in six.engineered.values())
-    assert all(v < 0 for v in six.background.values())
+    engineered, background = currents_vacuum_background_analytic(p, reservoirs)
+    scale = sum(abs(v) for v in (*engineered.values(), *background.values()))
+    total = sum([engineered[q] for q in "CHR"] + [background[q] for q in "CHR"])
+    assert abs(total) <= 1e-15 * scale
+    assert all(v > 0 for v in engineered.values())
+    assert all(v < 0 for v in background.values())
 
 
 def test_vacuum_background_current_closed_forms(conduction_setup):
     p, reservoirs = conduction_setup
     sol = steady_state_vacuum_background_analytic(p, reservoirs)
-    six = currents_vacuum_background_analytic(p, reservoirs)
+    _, background = currents_vacuum_background_analytic(p, reservoirs)
     r66 = sol.populations[5]
     # hot background: its two populated channels at omega_h and omega_h - g
-    assert six.background_hot == pytest.approx(
+    assert background["H"] == pytest.approx(
         -(2 * p.omega_h - p.g) * p.gamma * r66, rel=1e-14)
     # room background: one populated channel at omega_r - g
-    assert six.background_room == pytest.approx(
+    assert background["R"] == pytest.approx(
         -(p.omega_r - p.g) * p.gamma * r66, rel=1e-14)
     # cold background, recovered from conservation, equals its closed form
     expected_bc = -(((sol.k + 2 * sol.l) / sol.k) * p.omega_c - p.g) \
         * p.gamma * r66
-    assert six.background_cold == pytest.approx(expected_bc, rel=1e-12)
+    assert background["C"] == pytest.approx(expected_bc, rel=1e-12)
 
 
 def test_vacuum_background_currents_match_trace(conduction_setup):
     p, reservoirs = conduction_setup
-    six = currents_vacuum_background_analytic(p, reservoirs)
+    engineered, background = currents_vacuum_background_analytic(p, reservoirs)
     gen = build_generator(p, VACUUM_TRANSPORT_FILTER, reservoirs,
                           BackgroundSpec.vacuum(p.gamma))
     (state,) = steady_states_numeric(gen)
     report = build_report(gen, state)
     for q in ("H", "R", "C"):
-        assert report.engineered[q] == pytest.approx(six.engineered[q], rel=1e-11)
-        assert report.background[q] == pytest.approx(six.background[q], rel=1e-11)
+        assert report.engineered[q] == pytest.approx(engineered[q], rel=1e-11)
+        assert report.background[q] == pytest.approx(background[q], rel=1e-11)
 
 
 def test_vacuum_background_sign_claim_fails_outside_regime():
@@ -229,8 +229,8 @@ def test_vacuum_background_sign_claim_fails_outside_regime():
     # the sign guarantees are regional, not universal
     p = SystemParams(omega_c=1.0, omega_h=3.0, g=0.25, gamma=0.05)
     reservoirs = ReservoirSet.from_temperatures(p, t_h=5.74, t_r=4.11, t_c=0.73)
-    six = currents_vacuum_background_analytic(p, reservoirs)
-    assert six.hot < 0
+    engineered, _ = currents_vacuum_background_analytic(p, reservoirs)
+    assert engineered["H"] < 0
 
 
 # --- efficiency ---------------------------------------------------------------
@@ -266,7 +266,7 @@ def test_trace_efficiency_is_temperature_independent(rng):
         reservoirs = ReservoirSet.from_temperatures(p, *temps)
         gen = build_generator(p, REVIVAL_FILTER, reservoirs)
         states = steady_states_numeric(gen)
-        cur = trace_currents(gen, states.by_support({1, 3, 5}))
+        cur = trace_currents(gen, by_support(states)[1, 3, 5])
         if abs(cur["H"]) < 1e-8:  # too close to the reversal point to resolve
             continue
         assert cur["C"] / cur["H"] == pytest.approx(target, rel=1e-12)
@@ -415,13 +415,13 @@ def test_classify_stage_patterns():
 def test_build_report_contents(mild_params, mild_reservoirs):
     gen = build_generator(mild_params, REVIVAL_FILTER, mild_reservoirs)
     states = steady_states_numeric(gen)
-    report = build_report(gen, states.by_support({1, 3, 5}))
-    assert len(report.per_channel) == 3
+    report = build_report(gen, by_support(states)[1, 3, 5])
+    assert list(report.per_channel) == ["engineered:H3", "engineered:R2", "engineered:C1"]
     assert report.first_law_residual <= 1e-10
     assert report.efficiency == pytest.approx(2.0 / 15.0, rel=1e-10)
     assert report.sigma > 0
     assert report.stage in (StageLabel.STAGE3, StageLabel.STAGE4)
-    assert report.currents.cold == report.engineered["C"]
+    assert report.per_channel["engineered:C1"] == report.engineered["C"]
 
 
 # --- stacked currents ---------------------------------------------------------
@@ -475,7 +475,7 @@ def off_balance_row(rng, row):
     """``row`` with its first state's populations replaced by a distribution
     that is not stationary, whose currents break the first law."""
     pops = rng.dirichlet(np.ones(8))
-    return SteadyStateSet((replace(row.states[0], populations=pops),))
+    return (replace(row[0], populations=pops),)
 
 
 def row_reports(readout, k):
@@ -507,7 +507,7 @@ def test_build_reports_equal_build_report_row_by_row(params, rng):
                 assert row_reports(readout, k) == want
                 continue
             with pytest.raises(NumericalFault) as alone:
-                build_report(one, rows[k].states[0])
+                build_report(one, rows[k][0])
             fault = readout.failures[k]
             assert isinstance(fault, NumericalFault) and str(fault) == str(alone.value)
             assert readout.reporting[k] == -1
@@ -529,21 +529,21 @@ def test_build_reports_keep_a_faulting_state_to_its_row(params, rng):
     one = build_generator(params, FilterConfig.all_channels(),
                           ReservoirSet.from_temperatures(params, t_h=4.0, t_r=4.0, t_c=1.0))
     with pytest.raises(NumericalFault) as alone:
-        build_report(one, rows[1].states[0])
+        build_report(one, rows[1][0])
     assert str(readout.failures[1]) == str(alone.value)
 
 
 def readout_of(gen, state):
     """The read-out of ``build_report(gen, state)``."""
     baths = np.array([[gen.reservoirs[q].temperature for q in "HRC"]])
-    return build_reports(gen, gen.dissipators, states_table([SteadyStateSet((state,))]), baths)
+    return build_reports(gen, gen.dissipators, states_table([(state,)]), baths)
 
 
 def test_build_reports_read_an_equal_copy_of_the_eigensystem_bit_for_bit(params):
     # a state carries its eigensystem; an equal copy of gen's (as
     # every eigensystem call builds a new one) gives the same currents
     gen = stack_generators(params)[1]
-    state = steady_states_numeric(gen).states[0]
+    state = steady_states_numeric(gen)[0]
     copy = replace(state, eigen=replace(gen.eigen))
     assert copy.eigen is not gen.eigen
     assert readout_of(gen, copy).currents.tolist() == readout_of(gen, state).currents.tolist()
