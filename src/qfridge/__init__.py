@@ -4,8 +4,8 @@ The package is organized in layers:
 
 - :mod:`qfridge.matrixcore` -- dense complex-matrix helpers and validation
 - :mod:`qfridge.spectrum` -- Hamiltonian, exact eigensystem, transition channels
-- :mod:`qfridge.reservoirs` -- thermal rates, filter masks, backgrounds, units
-- :mod:`qfridge.dynamics` -- dissipators, generator, steady-state solvers
+- :mod:`qfridge.reservoirs` -- dissipators and their thermal rates, filter masks, backgrounds, units
+- :mod:`qfridge.dynamics` -- dissipator action, generator, steady-state solvers
 - :mod:`qfridge.thermo` -- heat currents, efficiency, entropy production, stages
 - :mod:`qfridge.cli` -- scenario configs, sweeps, filter scans, CSV emission
 """
@@ -34,7 +34,7 @@ from .reservoirs import (
     HIGH_EFFICIENCY_FILTER,
     REVIVAL_FILTER,
     BackgroundSpec,
-    ChannelRates,
+    Dissipator,
     FilterConfig,
     MarkovValidityWarning,
     ReservoirSet,
@@ -48,7 +48,6 @@ from .reservoirs import (
     select_channels,
 )
 from .dynamics import (
-    Dissipator,
     Generator,
     PropagationResult,
     SolverFailure,
@@ -71,7 +70,6 @@ from .thermo import (
     build_report,
     classify_stage,
     cooling_predicate,
-    cooling_predicate_for_filter,
     currents_cycle_analytic,
     currents_vacuum_background_analytic,
     efficiency,

@@ -69,7 +69,7 @@ from .reservoirs import (
     cycle_match_check,
     cycle_matched,
     kept_channel_table,
-    markov_validity_report,
+    markov_message,
     natural_from_kelvin,
 )
 from .spectrum import (
@@ -78,14 +78,14 @@ from .spectrum import (
     QUBITS,
     DegenerateChannelsError,
     SystemParams,
-    degenerate_frequency_pairs,
+    channel_gaps,
 )
 from .thermo import (
     NumericalFault,
     Readout,
     StageLabel,
     build_reports,
-    cooling_predicate_for_filter,
+    cooling_predicate,
     reporting_cells,
 )
 
@@ -607,11 +607,15 @@ def emit_csv(result: GridResult, path: str) -> None:
 
 def load_csv(path: str) -> GridResult:
     """Read a sweep CSV back, re-parsing the embedded config and
-    re-checking :func:`_energy_balance_faults` on every solved row.  A row
-    with the wrong number of cells, a non-numeric value or an unknown
-    stage is a :class:`ConfigError`."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    re-checking :func:`_energy_balance_faults` on every solved row.  A file
+    that cannot be read as UTF-8 text, a header value that does not parse,
+    or a row with the wrong number of cells, a non-numeric value or an
+    unknown stage is a :class:`ConfigError` that names ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read sweep CSV {path}: {exc}") from None
     items: dict[str, str] = {}
     body: list[str] = []
     for line in lines:
@@ -623,7 +627,10 @@ def load_csv(path: str) -> GridResult:
     columns = _columns(SweepRow)
     if not body or body[0] != ",".join(f.name for f in columns):
         raise ConfigError(f"{path}: missing or wrong column header")
-    config = ScenarioConfig.from_items(items)
+    try:
+        config = ScenarioConfig.from_items(items)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     rows, malformed = [], None
     for line in body[1:]:
         cells = line.split(",")
@@ -775,27 +782,26 @@ def validate_config(config: ScenarioConfig) -> tuple[str, bool]:
     lines += [f"{key} = {value}" for key, value in config.canonical_items()]
     ok = True
 
+    # the checks of check_channel_table on the one-row table of the config's mask
     kept = kept_channel_table([config.filter])
-    (row,), (gamma_max,) = participating_channels(kept, config.reservoirs, config.background)
-    participating = [key for key, p in zip(CHANNEL_KEYS, row.tolist()) if p]
-    pairs = degenerate_frequency_pairs(config.params, participating)
-    if pairs:
+    participating, (gamma_max,) = participating_channels(kept, config.reservoirs,
+                                                         config.background)
+    (degenerate,), (min_gap,) = channel_gaps(config.params, participating)
+    for i, j in np.argwhere(degenerate).tolist():
         ok = False
-        for a, b in pairs:
-            lines.append(f"error: channels {a[0]}{a[1]} and {b[0]}{b[1]} are degenerate")
-    else:
+        lines.append("error: channels {}{} and {}{} are degenerate".format(
+            *CHANNEL_KEYS[i], *CHANNEL_KEYS[j]))
+    if ok:
         lines.append("check: participating channel frequencies are distinct")
 
-    msg = markov_validity_report(config.params, participating, float(gamma_max))
+    msg = markov_message(gamma_max.item(), min_gap.item())
     lines.append(f"warning: {msg}" if msg else "check: Markov validity margin holds")
 
-    match = cycle_match_check(config.filter)
-    lines.append(f"cycle_match = {match.status} ({match.detail})")
-    if match.matched:
+    status, detail = cycle_match_check(config.filter)
+    lines.append(f"cycle_match = {status} ({detail})")
+    if status == "matched":
         try:
-            verdict = cooling_predicate_for_filter(
-                config.params, config.reservoirs, config.filter
-            )
+            verdict = cooling_predicate(config.params, config.reservoirs, config.filter)
             lines.append(
                 f"cooling_predicate = {verdict.cooling} "
                 f"(ratio {verdict.ratio:.6g} vs threshold {verdict.threshold:.6g})"

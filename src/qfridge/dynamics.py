@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -35,7 +35,7 @@ from .matrixcore import (
 from .reservoirs import (
     REVIVAL_FILTER,
     BackgroundSpec,
-    ChannelRates,
+    Dissipator,
     FilterConfig,
     MarkovValidityWarning,
     ReservoirSet,
@@ -54,7 +54,6 @@ from .spectrum import (
     DegenerateChannelsError,
     EigenSystem,
     SystemParams,
-    TransitionChannel,
     build_hamiltonian,
     channel_gaps,
     degenerate_errors,
@@ -63,7 +62,6 @@ from .spectrum import (
 )
 
 __all__ = [
-    "Dissipator",
     "Generator",
     "SteadyState",
     "SolverFailure",
@@ -111,18 +109,6 @@ class SolverFailure(RuntimeError):
     """A steady-state solve did not meet its residual or structure checks."""
 
 
-@dataclass(frozen=True)
-class Dissipator:
-    """One channel's dissipative contribution, engineered or background."""
-
-    channel: TransitionChannel
-    rates: ChannelRates
-    source: str  # engineered | background
-
-    def __str__(self) -> str:
-        return f"{self.source}:{self.channel}"
-
-
 def apply_dissipator(d: Dissipator, rho: np.ndarray) -> np.ndarray:
     """Action of one dissipator on a state or a stack of states ``(..., 8, 8)``:
 
@@ -141,8 +127,8 @@ def apply_dissipator(d: Dissipator, rho: np.ndarray) -> np.ndarray:
     if rho.shape[-2:] != (DIM, DIM):
         raise ValueError(f"expected {DIM}x{DIM} states, got {rho.shape}")
     ch = d.channel
-    jp = np.asarray(d.rates.j_plus)[..., None, None]
-    out = _lindblad_term(np.asarray(d.rates.j_minus)[..., None, None],
+    jp = np.asarray(d.j_plus)[..., None, None]
+    out = _lindblad_term(np.asarray(d.j_minus)[..., None, None],
                          ch.operator, ch.adjoint, ch.ada, rho)
     if (jp != 0.0).any():
         out += _lindblad_term(jp, ch.adjoint, ch.operator, ch.aad, rho)
@@ -247,8 +233,8 @@ def _eigen_blocks(energies: np.ndarray, dissipators: Sequence[Dissipator]
     elements = np.array([d.channel.elements for d in dissipators]).reshape(-1, 2, 3)
     to, frm, coeff = elements.transpose(2, 0, 1)  # each (D, 2)
     to, frm = to.astype(int), frm.astype(int)
-    down = np.array([d.rates.j_minus for d in dissipators], dtype=float)[:, None]
-    up = np.array([d.rates.j_plus for d in dissipators], dtype=float)[:, None]
+    down = np.array([d.j_minus for d in dissipators], dtype=float)[:, None]
+    up = np.array([d.j_plus for d in dissipators], dtype=float)[:, None]
     decay = np.zeros(DIM)  # diag of sum_d j- A^dag A + j+ A A^dag
     np.add.at(decay, frm, down * coeff**2)
     np.add.at(decay, to, up * coeff**2)
@@ -337,15 +323,10 @@ def assemble_generator(
     Engineered dissipators cover exactly the kept channels; an active
     background couples through all nine channels."""
     channels = transition_channels(params)
-    dissipators = [
-        Dissipator(ch, channel_rates(ch, reservoirs[ch.qubit]), "engineered")
-        for ch in select_channels(channels, filt)
-    ]
+    dissipators = [channel_rates(ch, reservoirs[ch.qubit])
+                   for ch in select_channels(channels, filt)]
     if background.active:
-        dissipators += [
-            Dissipator(ch, background_rates(ch, background), "background")
-            for ch in channels
-        ]
+        dissipators += [background_rates(ch, background) for ch in channels]
     return Generator(
         params=params,
         reservoirs=reservoirs,
@@ -376,14 +357,12 @@ def grid_dissipators(gen: Generator, kept: np.ndarray, baths) -> tuple[Dissipato
     out = []
     for d in gen.dissipators:
         if d.source == "engineered":
-            q, index = d.channel.key
             row_keeps = kept[:, CHANNEL_KEYS.index(d.channel.key)]
             if row_keeps.any():
-                gamma = np.where(row_keeps, d.rates.gamma, 0.0)
-                rates = channel_rate_stack(d.channel, gamma, baths[:, QUBITS.index(q)])
+                d = channel_rate_stack(d.channel, np.where(row_keeps, d.gamma, 0.0),
+                                       baths[:, QUBITS.index(d.channel.qubit)])
             else:
-                rates = ChannelRates(q, index, 0.0, 0.0, 0.0)
-            d = replace(d, rates=rates)
+                d = Dissipator(d.channel, 0.0, 0.0, 0.0)
         out.append(d)
     return tuple(out)
 
@@ -392,9 +371,8 @@ def take_rows(dissipators: Sequence[Dissipator], rows) -> tuple[Dissipator, ...]
     """The dissipators at ``rows`` of their stacked rates; a dissipator with
     scalar rates is kept as it is."""
     return tuple(
-        d if not isinstance((r := d.rates).j_plus, np.ndarray) else Dissipator(
-            d.channel, ChannelRates(r.qubit, r.index, r.j_plus[rows], r.j_minus[rows],
-                                    r.gamma[rows]), d.source)
+        d if not isinstance(d.j_plus, np.ndarray) else Dissipator(
+            d.channel, d.j_plus[rows], d.j_minus[rows], d.gamma[rows], d.source)
         for d in dissipators
     )
 
@@ -407,11 +385,11 @@ def build_population_matrix(dissipators) -> np.ndarray:
     the result is an ``(N, 8, 8)`` stack whose row k equals W of the rates'
     row k, bit for bit: every entry sums the same terms in the same order.
     """
-    batch = np.broadcast_shapes(*(np.shape(d.rates.j_plus) for d in dissipators))
+    batch = np.broadcast_shapes(*(np.shape(d.j_plus) for d in dissipators))
     w = np.zeros((DIM, DIM) + batch)  # rows last: w[to, frm] takes a float or a row of rates
     for d in dissipators:
-        down = d.channel.pair_weight * d.rates.j_minus
-        up = d.channel.pair_weight * d.rates.j_plus
+        down = d.channel.pair_weight * d.j_minus
+        up = d.channel.pair_weight * d.j_plus
         for to, frm, _ in d.channel.elements:
             w[frm, frm] -= down
             w[to, frm] += down
@@ -572,7 +550,7 @@ def steady_state_rows(
     size at a time.
     """
     if not np.isfinite(w).all():
-        raise ValueError("null_space input contains non-finite entries")
+        raise ValueError("rate matrix contains non-finite entries")
     codes = _class_codes(w)
     rows, heads = np.nonzero(codes)  # the closed classes, row by row in class order
     codes = codes[rows, heads]
@@ -650,17 +628,6 @@ class AnalyticBranches:
         return sorted(out, key=lambda sp: min(sp[0]))
 
 
-def _kept_rate_triples(params, reservoirs, filt):
-    """(channel, rates, weight) for the three kept channels of a
-    single-channel mask."""
-    channels = select_channels(transition_channels(params), filt)
-    out = {}
-    for ch in channels:
-        rates = channel_rates(ch, reservoirs[ch.qubit])
-        out[ch.qubit] = (ch, rates, ch.pair_weight)
-    return out
-
-
 def steady_state_branches_analytic(
     params: SystemParams,
     reservoirs: ReservoirSet,
@@ -674,18 +641,18 @@ def steady_state_branches_analytic(
     products), so no numerical rank decisions are involved.
     """
     filt = filt if filt is not None else REVIVAL_FILTER
-    match = cycle_match_check(filt)
-    if not match.matched:
-        raise ValueError(f"filter {filt} is not a matched cycle: {match.detail}")
+    status, detail = cycle_match_check(filt)
+    if status != "matched":
+        raise ValueError(f"filter {filt} is not a matched cycle: {detail}")
 
-    triples = _kept_rate_triples(params, reservoirs, filt)
     # edge list: (upper, lower, up_rate, down_rate) per channel
     edges = {}
     touched = set()
-    for q, (ch, rates, weight) in triples.items():
+    for ch in select_channels(transition_channels(params), filt):
+        d, weight = channel_rates(ch, reservoirs[ch.qubit]), ch.pair_weight
         for to, frm, _ in ch.elements:
-            edges.setdefault(q, []).append(
-                (frm, to, weight * rates.j_plus, weight * rates.j_minus)
+            edges.setdefault(ch.qubit, []).append(
+                (frm, to, weight * d.j_plus, weight * d.j_minus)
             )
             touched.update((frm, to))
     dark = tuple(sorted(set(range(DIM)) - touched))
@@ -754,7 +721,7 @@ class VacuumBackgroundSolution:
     k: float
     l: float
     n: float
-    rates: dict[tuple[str, int], ChannelRates]
+    rates: dict[tuple[str, int], Dissipator]
     gamma: float
 
 
@@ -781,8 +748,9 @@ def steady_state_vacuum_background_analytic(
                 f"background channels; reservoir {q} has {reservoirs[q].gamma}, "
                 f"background {gamma}"
             )
-    triples = _kept_rate_triples(params, reservoirs, VACUUM_TRANSPORT_FILTER)
-    (_, rh, _), (_, rr, _), (_, rc, _) = (triples[q] for q in ("H", "R", "C"))
+    kept = [channel_rates(ch, reservoirs[ch.qubit])
+            for ch in select_channels(transition_channels(params), VACUUM_TRANSPORT_FILTER)]
+    rh, rr, rc = kept  # H, R, C
     jt = lambda rates: rates.j_minus + gamma  # emission with vacuum assist
 
     k = rh.j_plus * rr.j_plus + 2 * rh.j_plus * rc.j_plus + 2 * rr.j_plus * jt(rc)
@@ -800,7 +768,7 @@ def steady_state_vacuum_background_analytic(
         k=k,
         l=l,
         n=n,
-        rates={r.key: rates for r, rates, _ in triples.values()},
+        rates={d.channel.key: d for d in kept},
         gamma=gamma,
     )
 

@@ -1,4 +1,5 @@
-"""Reservoir specifications, filter masks, thermal rates, and unit entry.
+"""Reservoir specifications, filter masks, dissipators with their thermal
+rates, and unit entry.
 
 The engine runs in natural units hbar = k_B = 1 with the cold transition
 frequency as the default scale.  Physical inputs convert at the boundary:
@@ -36,8 +37,7 @@ __all__ = [
     "ReservoirSet",
     "FilterConfig",
     "BackgroundSpec",
-    "ChannelRates",
-    "CycleMatch",
+    "Dissipator",
     "MarkovValidityWarning",
     "mean_photon_number",
     "channel_rates",
@@ -48,7 +48,6 @@ __all__ = [
     "cycle_matched",
     "cycle_match_check",
     "markov_message",
-    "markov_validity_report",
     "natural_from_ghz",
     "ghz_from_natural",
     "natural_from_kelvin",
@@ -296,8 +295,9 @@ class BackgroundSpec:
 
 
 @dataclass(frozen=True)
-class ChannelRates:
-    """Absorption/emission rates of one channel against one bath.
+class Dissipator:
+    """One channel's dissipative contribution, engineered or background: the
+    channel and its absorption/emission rates against one bath.
 
     ``j_minus`` is stored as the literal float sum ``j_plus + gamma``, so
     the decomposition into occupation and bare decay rate is exact; for
@@ -308,53 +308,56 @@ class ChannelRates:
     0 too, is a row on which the channel is filtered out.
     """
 
-    qubit: str
-    index: int
+    channel: TransitionChannel
     j_plus: float | np.ndarray
     j_minus: float | np.ndarray
     gamma: float | np.ndarray
+    source: str = "engineered"  # engineered | background
 
     def __post_init__(self):
         exact = self.j_minus == self.j_plus + self.gamma
         if not (exact if isinstance(exact, bool) else exact.all()):
             raise ValueError("j_minus must be the exact float sum j_plus + gamma")
 
-
-def _make_rates(channel: TransitionChannel, gamma: float, temperature: float) -> ChannelRates:
-    j_plus = gamma * mean_photon_number(channel.frequency, temperature)
-    return ChannelRates(channel.qubit, channel.index, j_plus, j_plus + gamma, gamma)
+    def __str__(self) -> str:
+        return f"{self.source}:{self.channel}"
 
 
-def channel_rates(channel: TransitionChannel, reservoir: ReservoirSpec) -> ChannelRates:
-    """Thermal rates j+ = gamma n(omega), j- = gamma (1 + n(omega))."""
+def channel_rates(channel: TransitionChannel, reservoir: ReservoirSpec) -> Dissipator:
+    """The engineered dissipator of ``channel`` against its qubit's
+    reservoir: thermal rates j+ = gamma n(omega), j- = gamma (1 + n(omega))."""
     if channel.qubit != reservoir.qubit:
         raise ValueError(
             f"channel {channel} belongs to qubit {channel.qubit}, "
             f"reservoir couples to {reservoir.qubit}"
         )
-    return _make_rates(channel, reservoir.gamma, reservoir.temperature)
+    j_plus = reservoir.gamma * mean_photon_number(channel.frequency, reservoir.temperature)
+    return Dissipator(channel, j_plus, j_plus + reservoir.gamma, reservoir.gamma)
 
 
 def channel_rate_stack(
     channel: TransitionChannel, gamma: float | np.ndarray, temperatures
-) -> ChannelRates:
-    """Rates of one channel against baths at each of ``temperatures``, of
-    decay rate ``gamma`` (one, or one per bath): element k of ``j_plus``,
-    ``j_minus`` and ``gamma`` equals :func:`channel_rates` against a bath at
-    ``temperatures[k]`` of rate ``gamma[k]``, bit for bit.  The occupation
-    is evaluated once per distinct temperature."""
+) -> Dissipator:
+    """The engineered dissipator of one channel against baths at each of
+    ``temperatures``, of decay rate ``gamma`` (one, or one per bath):
+    element k of ``j_plus``, ``j_minus`` and ``gamma`` equals
+    :func:`channel_rates` against a bath at ``temperatures[k]`` of rate
+    ``gamma[k]``, bit for bit.  The occupation is evaluated once per
+    distinct temperature."""
     values, at = np.unique(np.asarray(temperatures, dtype=float), return_inverse=True)
     occupation = np.array([mean_photon_number(channel.frequency, t) for t in values.tolist()])
     gamma = np.broadcast_to(np.asarray(gamma, dtype=float), at.shape)
     j_plus = gamma * occupation[at]
-    return ChannelRates(channel.qubit, channel.index, j_plus, j_plus + gamma, gamma)
+    return Dissipator(channel, j_plus, j_plus + gamma, gamma)
 
 
-def background_rates(channel: TransitionChannel, background: BackgroundSpec) -> ChannelRates:
-    """Rates of one channel against the background bath (all channels couple)."""
+def background_rates(channel: TransitionChannel, background: BackgroundSpec) -> Dissipator:
+    """The background dissipator of one channel (all channels couple)."""
     if not background.active:
         raise ValueError("background mode 'none' has no rates")
-    return _make_rates(channel, background.gamma, background.effective_temperature)
+    j_plus = background.gamma * mean_photon_number(channel.frequency,
+                                                   background.effective_temperature)
+    return Dissipator(channel, j_plus, j_plus + background.gamma, background.gamma, "background")
 
 
 def select_channels(
@@ -364,18 +367,6 @@ def select_channels(
     if len(channels) != 9:
         raise ValueError(f"expected the complete 9-channel list, got {len(channels)}")
     return [ch for ch in channels if filt.keeps(ch.qubit, ch.index)]
-
-
-@dataclass(frozen=True)
-class CycleMatch:
-    """Outcome of the kept-frequency closure diagnostic."""
-
-    status: str  # matched | mismatched | not-applicable
-    detail: str
-
-    @property
-    def matched(self) -> bool:
-        return self.status == "matched"
 
 
 #: Per column of a kept-channel table, its channel's frequency offset in
@@ -393,19 +384,20 @@ def cycle_matched(kept: np.ndarray) -> np.ndarray:
     return (kept.reshape(-1, 3, 3).sum(axis=2) == 1).all(axis=1) & (kept @ _CLOSURE == 0)
 
 
-def cycle_match_check(filt: FilterConfig) -> CycleMatch:
+def cycle_match_check(filt: FilterConfig) -> tuple[str, str]:
     """Whether the three kept channels of ``filt`` form a closed energy
-    cycle (:func:`cycle_matched`), with a line that says why: applicable
-    only to single-channel masks."""
+    cycle (:func:`cycle_matched`), as ``(status, detail)``: the status
+    ``matched``, ``mismatched`` or, for a mask that does not keep one
+    channel per qubit, ``not-applicable``, and a line that says why."""
     kept = (filt.kept_h, filt.kept_r, filt.kept_c)
     if any(len(k) != 1 for k in kept):
         counts = ", ".join(f"{q}:{len(k)}" for q, k in zip(QUBITS, kept))
-        return CycleMatch("not-applicable", f"needs one kept channel per qubit ({counts})")
+        return "not-applicable", f"needs one kept channel per qubit ({counts})"
     jh, jr, jc = (next(iter(k)) for k in kept)
     if cycle_matched(kept_channel_table([filt]))[0]:
-        return CycleMatch("matched", f"H{jh} + C{jc} closes onto R{jr}")
+        return "matched", f"H{jh} + C{jc} closes onto R{jr}"
     miss = _FREQ_OFFSET[("R", jr)] - _FREQ_OFFSET[("H", jh)] - _FREQ_OFFSET[("C", jc)]
-    return CycleMatch("mismatched", f"kept frequencies differ by {miss:+d} g from closure")
+    return "mismatched", f"kept frequencies differ by {miss:+d} g from closure"
 
 
 def markov_message(gamma_max: float, min_gap: float) -> str | None:
@@ -418,18 +410,12 @@ def markov_message(gamma_max: float, min_gap: float) -> str | None:
     return None
 
 
-def markov_validity_report(params: SystemParams, keys: list[tuple[str, int]],
-                           gamma_max: float) -> str | None:
-    """:func:`markov_message` of the channels ``keys`` at the largest decay
-    rate ``gamma_max``, their minimum gap by the rule of
-    :func:`~qfridge.spectrum.channel_gaps` (None for fewer than two).
-    Callers decide whether to warn; nothing fails."""
-    _, (min_gap,) = channel_gaps(params, _kept_row(keys))
-    return markov_message(gamma_max, float(min_gap))
-
-
 def warn_if_markov_strained(params: SystemParams, keys: list[tuple[str, int]],
                             gamma_max: float) -> None:
-    msg = markov_validity_report(params, keys, gamma_max)
+    """Emit the :func:`markov_message` of the channels ``keys`` at the
+    largest decay rate ``gamma_max``, their minimum gap by the rule of
+    :func:`~qfridge.spectrum.channel_gaps`, if any; nothing fails."""
+    _, (min_gap,) = channel_gaps(params, _kept_row(keys))
+    msg = markov_message(gamma_max, float(min_gap))
     if msg is not None:
         warnings.warn(msg, MarkovValidityWarning, stacklevel=2)

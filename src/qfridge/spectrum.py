@@ -49,7 +49,6 @@ __all__ = [
     "channel_commutator_check",
     "channel_gaps",
     "degenerate_errors",
-    "degenerate_frequency_pairs",
     "check_nondegenerate",
 ]
 
@@ -327,14 +326,6 @@ def degenerate_errors(degenerate: np.ndarray) -> dict[int, DegenerateChannelsErr
         listing[row].append("{}{}~{}{}".format(*CHANNEL_KEYS[i], *CHANNEL_KEYS[j]))
     return {row: DegenerateChannelsError(f"coinciding channel frequencies: {', '.join(pairs)}")
             for row, pairs in listing.items()}
-
-
-def degenerate_frequency_pairs(params: SystemParams, keys: list[tuple[str, int]] | None = None
-                               ) -> list[tuple[tuple[str, int], tuple[str, int]]]:
-    """Pairs of channels (restricted to ``keys`` if given), in channel order,
-    whose frequencies coincide by the rule of :func:`channel_gaps`."""
-    degenerate, _ = channel_gaps(params, _kept_row(keys))
-    return [(CHANNEL_KEYS[i], CHANNEL_KEYS[j]) for _, i, j in np.argwhere(degenerate).tolist()]
 
 
 def check_nondegenerate(params: SystemParams, keys: list[tuple[str, int]] | None = None) -> None:

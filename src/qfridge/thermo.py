@@ -16,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import (
-    Dissipator,
     Generator,
     SteadyState,
     apply_dissipator,
@@ -27,9 +26,9 @@ from .dynamics import (
 from .matrixcore import DensityMatrix
 from .reservoirs import (
     COOLING_FILTERS,
-    HIGH_EFFICIENCY_FILTER,
     QUBITS,
     REVIVAL_FILTER,
+    Dissipator,
     FilterConfig,
     ReservoirSet,
     cycle_match_check,
@@ -49,9 +48,7 @@ __all__ = [
     "currents_cycle_analytic",
     "currents_vacuum_background_analytic",
     "efficiency",
-    "cooling_ratio",
     "cooling_predicate",
-    "cooling_predicate_for_filter",
     "entropy_production",
     "classify_stage",
     "build_report",
@@ -214,35 +211,11 @@ def _efficiencies(q_cold, q_hot) -> np.ndarray:
     return np.divide(q_cold, q_hot, out=np.full(q_hot.shape, np.nan), where=defined)
 
 
-def _filter_ratio(params: SystemParams, filt: FilterConfig) -> float:
-    """Kept cold over kept hot channel frequency of a single-channel mask."""
-    return channel_frequency(params, "C", next(iter(filt.kept_c))) / \
-        channel_frequency(params, "H", next(iter(filt.kept_h)))
-
-
-_MODE_RATIOS = {
-    "unfiltered": lambda p: p.omega_c / p.omega_h,
-    "revival": lambda p: _filter_ratio(p, REVIVAL_FILTER),
-    "high_efficiency": lambda p: _filter_ratio(p, HIGH_EFFICIENCY_FILTER),
-}
-
-
-def cooling_ratio(params: SystemParams, mode: str) -> float:
-    """Frequency ratio whose comparison against the temperature factor
-    decides cooling, for the three named operating modes."""
-    try:
-        return _MODE_RATIOS[mode](params)
-    except KeyError:
-        raise ValueError(
-            f"unknown mode {mode!r}; expected one of {sorted(_MODE_RATIOS)}"
-        ) from None
-
-
 @dataclass(frozen=True)
 class CoolingVerdict:
     cooling: bool
     margin: float       # threshold - ratio; positive means cooling
-    ratio: float        # frequency ratio of the operating mode
+    ratio: float        # kept cold over kept hot channel frequency
     threshold: float    # (1 - T_R/T_H) / (T_R/T_C - 1)
 
 
@@ -263,37 +236,32 @@ def _cooling_threshold(t_h: float, t_r: float, t_c: float) -> float:
     return (1.0 - t_r / t_h) / (t_r / t_c - 1.0)
 
 
-def _verdict(ratio: float, temps) -> CoolingVerdict:
+def cooling_predicate(params: SystemParams, temps,
+                      filt: FilterConfig | None = None) -> CoolingVerdict:
+    """Whether heat can be extracted from the cold reservoir.
+
+    Compares a frequency ratio against the temperature factor
+    (1 - T_R/T_H) / (T_R/T_C - 1): without ``filt`` the unfiltered machine's
+    omega_c / omega_h, with it the ratio of the kept cold and hot channel
+    frequencies of one of the masks that can cool, ``COOLING_FILTERS``.  Any
+    other mask raises ``ValueError``, the matched H1+R2+C3 (one six-level
+    cycle) too.  Works for any temperature ordering with T_R > T_C; at
+    T_H <= T_R the factor is nonpositive and the verdict is false.
+    """
+    if filt is None:
+        ratio = params.omega_c / params.omega_h
+    else:
+        status, detail = cycle_match_check(filt)
+        if status != "matched":
+            raise ValueError(f"filter {filt} is not a matched cycle: {detail}")
+        if filt not in COOLING_FILTERS:
+            raise ValueError(f"filter {filt} does not split into two 3-level cycles")
+        ratio = channel_frequency(params, "C", next(iter(filt.kept_c))) / \
+            channel_frequency(params, "H", next(iter(filt.kept_h)))
     t = _temperatures(temps)
     threshold = _cooling_threshold(t["H"], t["R"], t["C"])
     margin = threshold - ratio
-    return CoolingVerdict(cooling=margin > 0, margin=margin,
-                          ratio=ratio, threshold=threshold)
-
-
-def cooling_predicate(params: SystemParams, temps, mode: str) -> CoolingVerdict:
-    """Whether heat can be extracted from the cold reservoir.
-
-    Compares the operating mode's frequency ratio against the temperature
-    factor (1 - T_R/T_H) / (T_R/T_C - 1).  Works for any temperature
-    ordering with T_R > T_C; at T_H <= T_R the factor is nonpositive and
-    the verdict is false for every mode.
-    """
-    return _verdict(cooling_ratio(params, mode), temps)
-
-
-def cooling_predicate_for_filter(
-    params: SystemParams, temps, filt: FilterConfig
-) -> CoolingVerdict:
-    """Generalized predicate for the masks that can cool, ``COOLING_FILTERS``,
-    using the ratio of the kept cold and hot channel frequencies.  Any other
-    mask raises ``ValueError``, the matched H1+R2+C3 (one six-level cycle) too."""
-    match = cycle_match_check(filt)
-    if not match.matched:
-        raise ValueError(f"filter {filt} is not a matched cycle: {match.detail}")
-    if filt not in COOLING_FILTERS:
-        raise ValueError(f"filter {filt} does not split into two 3-level cycles")
-    return _verdict(_filter_ratio(params, filt), temps)
+    return CoolingVerdict(cooling=margin > 0, margin=margin, ratio=ratio, threshold=threshold)
 
 
 def _entropy_flow(flows: np.ndarray, temps) -> np.ndarray:
@@ -562,5 +530,5 @@ def _kept(dissipators: Sequence[Dissipator], n: int) -> np.ndarray:
     dissipator, that is, couples it at gamma != 0."""
     kept = np.empty((len(dissipators), n), dtype=bool)
     for k, d in enumerate(dissipators):
-        kept[k] = d.rates.gamma != 0.0
+        kept[k] = d.gamma != 0.0
     return kept

@@ -170,8 +170,7 @@ def test_criterion_05_cooling_boundary():
         assert abs(t_star - 200.0 / 3.0) <= 1e-6 * (200.0 / 3.0)
 
         for t_h in (41.0, 66.7, 1e3, 1e6, 1e12):
-            verdict = cooling_predicate(
-                p, {"H": t_h, "R": 40.0, "C": 10.0}, "unfiltered")
+            verdict = cooling_predicate(p, {"H": t_h, "R": 40.0, "C": 10.0})
             assert not verdict.cooling
 
 
@@ -302,6 +301,7 @@ t_c = 1.0
         assert verdict_ratio > (1.0 + 0.25) / (3.0 - 0.25)
         rows = scan_filters(config, mode="single_channel").rows
         assert len(rows) == 27
+        assert not any(r.error for r in rows)  # an error row reads cooling = False
         cooling = {str(r.filter) for r in rows if r.cooling}
         assert cooling == {str(f) for f in COOLING_FILTERS}
         assert all(r.cycle_matched for r in rows if r.cooling)

@@ -301,6 +301,23 @@ def test_load_csv_rejects_malformed_rows(tmp_path, column, cell, reason):
     assert str(exc.value) == f"{path}: malformed row {lines[-1]!r} ({reason})"
 
 
+@pytest.mark.parametrize("fault", ["missing", "not_utf8", "bad_header_value"])
+def test_load_csv_errors_name_the_file(tmp_path, fault):
+    path = tmp_path / "sweep.csv"
+    if fault == "not_utf8":
+        path.write_bytes(b"\xff\xfe")
+    elif fault == "bad_header_value":
+        emit_csv(sweep_th(parse_config(FIG_CONFIG)), str(path))
+        path.write_text(re.sub(r"(?m)^# system\.g = .*$", "# system.g = nine", path.read_text()))
+    with pytest.raises(ConfigError) as exc:
+        load_csv(str(path))
+    message = str(exc.value)
+    if fault == "bad_header_value":
+        assert message.startswith(f"{path}: system.g: cannot parse number 'nine'")
+    else:
+        assert message.startswith(f"cannot read sweep CSV {path}: ")
+
+
 def test_emit_csv_header_only_for_empty_sweep(tmp_path):
     config = parse_config(FIG_CONFIG)
     path = tmp_path / "empty.csv"
@@ -326,6 +343,7 @@ t_c = 1.0
     config = parse_config(text)
     rows = scan_filters(config, mode="single_channel").rows
     assert len(rows) == 27
+    assert not any(r.error for r in rows)  # an error row reads cooling = False
     cooling = [r for r in rows if r.cooling]
     assert len(cooling) == 6
     assert {str(r.filter) for r in cooling} == {str(f) for f in COOLING_FILTERS}
@@ -377,6 +395,33 @@ def test_validate_config_report():
     degenerate = FIG_CONFIG.replace("9/17", "0.5")
     report, ok = validate_config(parse_config(degenerate))
     assert not ok and "degenerate" in report
+
+
+#: At omega_c = 1, omega_h = 2, g = 0.5 the channels H2 and C2 share the
+#: frequency 1.5, and H3 and R1 the frequency 2.5.
+DEGENERATE_SYSTEM = ("[system]\nomega_c = 1\nomega_h = 2\ng = 0.5\ngamma = 0.1\n"
+                     "[reservoirs]\nt_h = 5\nt_r = 2\nt_c = 1\n")
+MARKOV_AT_GAP_0 = ("warning: gamma = 0.1 is not small against the minimum channel-frequency "
+                   "gap 0; the Markov/secular treatment is strained")
+
+
+@pytest.mark.parametrize("mask, lines", [
+    ("", ["filter.h = 1,2,3", "filter.r = 1,2,3", "filter.c = 1,2,3", "background.mode = none",
+          "error: channels H2 and C2 are degenerate", "error: channels H3 and R1 are degenerate",
+          MARKOV_AT_GAP_0,
+          "cycle_match = not-applicable (needs one kept channel per qubit (H:3, R:3, C:3))",
+          "result = invalid"]),
+    ("[filter]\nh = 2\nr = 2\nc = 2\n",
+     ["filter.h = 2", "filter.r = 2", "filter.c = 2", "background.mode = none",
+      "error: channels H2 and C2 are degenerate", MARKOV_AT_GAP_0,
+      "cycle_match = matched (H2 + C2 closes onto R2)",
+      "cooling_predicate = False (ratio 1 vs threshold 0.6)", "result = invalid"]),
+], ids=["all_channels", "H2+R2+C2"])
+def test_validate_report_of_degenerate_channels(mask, lines):
+    # the whole report after the system and bath echo lines, pinned line by line
+    report, ok = validate_config(parse_config(DEGENERATE_SYSTEM + mask))
+    assert not ok
+    assert report.splitlines()[9:] == lines
 
 
 def test_constants_report():
@@ -918,7 +963,7 @@ def scan_row(filt, outcome, cooling_tol: float):
     from qfridge import cli
     from qfridge.cli import ScanRow
 
-    matched = cli.cycle_match_check(filt).matched
+    matched = cli.cycle_match_check(filt)[0] == "matched"
     if isinstance(outcome, Exception):
         return cli._failed_rows(ScanRow)(outcome, filter=filt, cooling=False,
                                          cycle_matched=matched, n_states=0)
@@ -1495,7 +1540,7 @@ def test_scan_takes_currents_only_where_a_row_couples(monkeypatch):
     apply = thermo.apply_dissipator
 
     def counted(d, rho):
-        assert np.all(np.asarray(d.rates.gamma) != 0.0)
+        assert np.all(np.asarray(d.gamma) != 0.0)
         calls.append((d.channel.key, len(rho)))
         return apply(d, rho)
 

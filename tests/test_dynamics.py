@@ -116,7 +116,7 @@ def dissipator_reference(d, rho):
     ad = a.conj().T
     aad = a @ ad
     ada = ad @ a
-    jp, jm = d.rates.j_plus, d.rates.j_minus
+    jp, jm = d.j_plus, d.j_minus
     out = jm * (2.0 * (a @ rho @ ad) - ada @ rho - rho @ ada)
     if jp != 0.0:
         out += jp * (2.0 * (ad @ rho @ a) - aad @ rho - rho @ aad)
@@ -178,7 +178,7 @@ def liouvillian_reference(gen):
     for d in gen.dissipators:
         ch = d.channel
         a, ad = ch.operator, ch.adjoint
-        jp, jm = d.rates.j_plus, d.rates.j_minus
+        jp, jm = d.j_plus, d.j_minus
         sup = jm * (2.0 * sandwich(a, ad) - sandwich(ch.ada, eye) - sandwich(eye, ch.ada))
         if jp != 0.0:
             sup += jp * (2.0 * sandwich(ad, a) - sandwich(ch.aad, eye) - sandwich(eye, ch.aad))
@@ -1214,7 +1214,7 @@ def row_dissipators(gen, t_h):
     """The dissipators of ``gen`` with the hot bath at ``t_h``, rates from
     ``channel_rates`` one channel at a time."""
     hot = replace(gen.reservoirs.hot, temperature=t_h)
-    return tuple(replace(d, rates=channel_rates(d.channel, hot))
+    return tuple(channel_rates(d.channel, hot)
                  if d.source == "engineered" and d.channel.qubit == "H" else d
                  for d in gen.dissipators)
 
@@ -1226,7 +1226,7 @@ def test_population_matrix_stack_equals_rows(params):
         assert w.shape == (len(STACK_T_H), 8, 8) and w.flags.c_contiguous
         for k, t_h in enumerate(STACK_T_H):
             assert np.array_equal(w[k], build_population_matrix(row_dissipators(gen, t_h)))
-            assert take_rows(stack, [k])[0].rates.j_plus.shape == (1,)
+            assert take_rows(stack, [k])[0].j_plus.shape == (1,)
 
 
 def failing_svd_of(marked: np.ndarray):
@@ -1437,7 +1437,7 @@ def test_non_finite_w_raises_before_any_product(params, revival_generator, monke
 
     monkeypatch.setattr(dynamics, "_class_codes", unreached)
     monkeypatch.setattr(dynamics, "svd_rows", unreached)
-    with pytest.raises(ValueError, match="^null_space input contains non-finite entries$"):
+    with pytest.raises(ValueError, match="^rate matrix contains non-finite entries$"):
         steady_state_rows(w)
     # a non-finite rate is no missing edge: no class can be read from W
     monkeypatch.setattr(dynamics, "build_population_matrix", lambda dissipators: w[1])

@@ -92,8 +92,8 @@ def exact_cells(dissipators, row: int, n: int, pops: dict) -> tuple[dict, mp.mpf
     gross = mp.mpf(0)
     for d in dissipators:
         ch = d.channel
-        jp = mp.mpf(np.broadcast_to(d.rates.j_plus, n)[row].item())
-        jm = mp.mpf(np.broadcast_to(d.rates.j_minus, n)[row].item())
+        jp = mp.mpf(np.broadcast_to(d.j_plus, n)[row].item())
+        jm = mp.mpf(np.broadcast_to(d.j_minus, n)[row].item())
         scale = mp.mpf(ch.frequency) * mp.mpf(ch.pair_weight)
         for lower, upper, _ in ch.elements:
             up = scale * jp * pops.get(lower, 0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,12 +21,13 @@ from qfridge import (
 )
 from qfridge.reservoirs import (
     COOLING_FILTERS,
+    MarkovValidityWarning,
     background_rates,
     cycle_matched,
     ghz_from_natural,
     kelvin_from_natural,
     kept_channel_table,
-    markov_validity_report,
+    warn_if_markov_strained,
 )
 
 UNIT_SCALE = 2.0 * math.pi * 210e9
@@ -127,12 +129,13 @@ def test_select_channels_all_and_disconnected(params):
 
 
 def test_cycle_match_examples():
-    assert cycle_match_check(FilterConfig.single(3, 2, 1)).matched
-    assert cycle_match_check(FilterConfig.single(2, 2, 2)).matched
-    mismatch = cycle_match_check(FilterConfig.single(1, 2, 1))
-    assert mismatch.status == "mismatched"
-    na = cycle_match_check(FilterConfig.all_channels())
-    assert na.status == "not-applicable"
+    assert cycle_match_check(FilterConfig.single(3, 2, 1)) == \
+        ("matched", "H3 + C1 closes onto R2")
+    assert cycle_match_check(FilterConfig.single(2, 2, 2))[0] == "matched"
+    status, _ = cycle_match_check(FilterConfig.single(1, 2, 1))
+    assert status == "mismatched"
+    status, _ = cycle_match_check(FilterConfig.all_channels())
+    assert status == "not-applicable"
 
 
 def test_cycle_matched_table_equals_cycle_match_check_on_every_mask():
@@ -145,14 +148,14 @@ def test_cycle_matched_table_equals_cycle_match_check_on_every_mask():
     masks = [FilterConfig(h, r, c) for h in subsets for r in subsets for c in subsets]
     matched = cycle_matched(kept_channel_table(masks))
     assert len(masks) == 512 and matched.dtype == bool
-    assert matched.tolist() == [cycle_match_check(f).matched for f in masks]
+    assert matched.tolist() == [cycle_match_check(f)[0] == "matched" for f in masks]
     assert {f for f, m in zip(masks, matched.tolist()) if m} == \
         {*COOLING_FILTERS, FilterConfig.single(1, 2, 3)}
 
 
 def test_all_cooling_filters_are_matched():
     for filt in COOLING_FILTERS:
-        assert cycle_match_check(filt).matched, str(filt)
+        assert cycle_match_check(filt)[0] == "matched", str(filt)
 
 
 def test_background_spec_validation():
@@ -182,8 +185,11 @@ def test_background_rates(params):
 
 def test_markov_validity_report(params):
     keys = [("H", 3), ("R", 2), ("C", 1)]
-    assert markov_validity_report(params, keys, 0.6) is not None
-    assert markov_validity_report(params, keys, 1e-4) is None
+    with pytest.warns(MarkovValidityWarning, match="Markov/secular treatment is strained"):
+        warn_if_markov_strained(params, keys, 0.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warn_if_markov_strained(params, keys, 1e-4)
 
 
 def test_reservoir_set_helpers(params):

@@ -12,7 +12,7 @@ from qfridge import (
     spectrum,
     transition_channels,
 )
-from qfridge.spectrum import check_nondegenerate, degenerate_frequency_pairs
+from qfridge.spectrum import CHANNEL_KEYS, channel_gaps, check_nondegenerate
 
 # computational-basis positions (descending binary |q_H q_R q_C>)
 I111, I110, I101, I100, I011, I010, I001, I000 = range(8)
@@ -146,7 +146,8 @@ def test_channel_number_operators_diagonal_in_eigenbasis(params):
 def test_degeneracy_guard():
     # g = omega_c / 2 collides the upper room channel with the upper hot one
     p = SystemParams(omega_c=1.0, omega_h=3.0, g=0.5, gamma=0.1)
-    pairs = degenerate_frequency_pairs(p)
+    degenerate, _ = channel_gaps(p, np.ones((1, 9), dtype=bool))
+    pairs = [(CHANNEL_KEYS[i], CHANNEL_KEYS[j]) for _, i, j in np.argwhere(degenerate).tolist()]
     assert (("H", 3), ("R", 1)) in pairs or (("R", 1), ("H", 3)) in pairs
     for _ in range(2):  # a failed check is not memoised
         with pytest.raises(DegenerateChannelsError):

@@ -17,7 +17,6 @@ from qfridge import (
     channel_rates,
     classify_stage,
     cooling_predicate,
-    cooling_predicate_for_filter,
     currents_cycle_analytic,
     currents_vacuum_background_analytic,
     efficiency,
@@ -279,11 +278,11 @@ def test_unfiltered_cooling_impossible_at_fig_temperatures():
     p = SystemParams(omega_c=1.0, omega_h=3.0, g=G_FIGURE, gamma=0.6)
     temps = {"R": 40.0, "C": 10.0}
     for t_h in (41.0, 100.0, 1e4, 1e9, 1e15):
-        verdict = cooling_predicate(p, {"H": t_h, **temps}, "unfiltered")
+        verdict = cooling_predicate(p, {"H": t_h, **temps})
         assert not verdict.cooling
         assert verdict.margin < 0
     # the threshold only reaches the frequency ratio in the infinite limit
-    assert cooling_predicate(p, {"H": 1e15, **temps}, "unfiltered").threshold \
+    assert cooling_predicate(p, {"H": 1e15, **temps}).threshold \
         < p.omega_c / p.omega_h
 
 
@@ -291,42 +290,37 @@ def test_revival_cooling_threshold_at_fig_temperatures():
     p = SystemParams(omega_c=1.0, omega_h=3.0, g=G_FIGURE, gamma=0.6)
     temps = {"R": 40.0, "C": 10.0}
     t_star = 200.0 / 3.0
-    below = cooling_predicate(p, {"H": t_star * (1 - 1e-9), **temps}, "revival")
-    above = cooling_predicate(p, {"H": t_star * (1 + 1e-9), **temps}, "revival")
+    below = cooling_predicate(p, {"H": t_star * (1 - 1e-9), **temps}, REVIVAL_FILTER)
+    above = cooling_predicate(p, {"H": t_star * (1 + 1e-9), **temps}, REVIVAL_FILTER)
     assert not below.cooling and above.cooling
-    at = cooling_predicate(p, {"H": t_star, **temps}, "revival")
+    at = cooling_predicate(p, {"H": t_star, **temps}, REVIVAL_FILTER)
     assert at.margin == pytest.approx(0.0, abs=1e-15)
 
 
 def test_cooling_predicate_equal_hot_room_is_false(params):
-    verdict = cooling_predicate(params, {"H": 40.0, "R": 40.0, "C": 10.0}, "revival")
+    verdict = cooling_predicate(params, {"H": 40.0, "R": 40.0, "C": 10.0}, REVIVAL_FILTER)
     assert not verdict.cooling and verdict.threshold == 0.0
 
 
 def test_cooling_predicate_rejects_degenerate_temperatures(params):
     with pytest.raises(DegenerateTemperaturesError):
-        cooling_predicate(params, {"H": 50.0, "R": 10.0, "C": 10.0}, "revival")
+        cooling_predicate(params, {"H": 50.0, "R": 10.0, "C": 10.0}, REVIVAL_FILTER)
     with pytest.raises(DegenerateTemperaturesError):
-        cooling_predicate(params, {"H": 50.0, "R": 5.0, "C": 10.0}, "revival")
-
-
-def test_cooling_predicate_unknown_mode(params):
-    with pytest.raises(ValueError, match="unknown mode"):
-        cooling_predicate(params, {"H": 3.0, "R": 2.0, "C": 1.0}, "bogus")
+        cooling_predicate(params, {"H": 50.0, "R": 5.0, "C": 10.0}, REVIVAL_FILTER)
 
 
 def test_filter_predicate_generalizes_named_modes(params):
+    # the revival and high-efficiency masks take their closed-form ratios;
+    # without a mask the ratio is the unfiltered omega_c / omega_h
     temps = {"H": 6.0, "R": 4.0, "C": 1.0}
-    via_mode = cooling_predicate(params, temps, "revival")
-    via_filter = cooling_predicate_for_filter(params, temps, REVIVAL_FILTER)
-    assert via_filter.ratio == pytest.approx(via_mode.ratio, rel=1e-15)
-    assert via_mode.ratio == (params.omega_c - params.g) / (params.omega_h + params.g)
-    via_mode = cooling_predicate(params, temps, "high_efficiency")
-    via_filter = cooling_predicate_for_filter(params, temps, HIGH_EFFICIENCY_FILTER)
-    assert via_filter.ratio == pytest.approx(via_mode.ratio, rel=1e-15)
-    assert via_mode.ratio == (params.omega_c + params.g) / (params.omega_h - params.g)
+    p = params
+    assert cooling_predicate(p, temps, REVIVAL_FILTER).ratio == \
+        (p.omega_c - p.g) / (p.omega_h + p.g)
+    assert cooling_predicate(p, temps, HIGH_EFFICIENCY_FILTER).ratio == \
+        (p.omega_c + p.g) / (p.omega_h - p.g)
+    assert cooling_predicate(p, temps).ratio == p.omega_c / p.omega_h
     for filt in COOLING_FILTERS:
-        assert cooling_predicate_for_filter(params, temps, filt).ratio > 0
+        assert cooling_predicate(p, temps, filt).ratio > 0
 
 
 def test_filter_predicate_accepts_exactly_the_masks_with_two_cycles(params):
@@ -336,7 +330,7 @@ def test_filter_predicate_accepts_exactly_the_masks_with_two_cycles(params):
     accepted, split = set(), set()
     for h, r, c in itertools.product((1, 2, 3), repeat=3):
         filt = FilterConfig.single(h, r, c)
-        for kept, check in ((accepted, cooling_predicate_for_filter),
+        for kept, check in ((accepted, cooling_predicate),
                             (split, steady_state_branches_analytic)):
             try:
                 check(params, reservoirs, filt)
@@ -462,7 +456,7 @@ def test_heat_currents_with_stacked_rates_equal_rows(params, rng):
         got = heat_currents(gen.hamiltonian, stack, states)
         for k, (t, rho) in enumerate(zip(t_h, states)):
             hot = ReservoirSet.from_temperatures(params, t_h=t, t_r=4.0, t_c=1.0).hot
-            row = [replace(d, rates=channel_rates(d.channel, hot))
+            row = [channel_rates(d.channel, hot)
                    if d.source == "engineered" and d.channel.qubit == "H" else d
                    for d in gen.dissipators]
             want = heat_currents(gen.hamiltonian, row, rho)
