@@ -164,10 +164,12 @@ class Generator:
     kron V^T) L (V kron V)``, built from the channels' elements
     (:func:`_eigen_blocks`) as the blocks of each size.  A generator also
     keeps what time evolution derives from it, built on first use and freed
-    with it: ``_rk4_blocks`` maps each step size that :func:`propagate` has
-    used to its block of RK4 step matrices and its leap ladder
-    (:func:`_rk4_block`), and ``_absorption`` holds W's closed classes and
-    transient levels as :func:`branch_weights` reads them.
+    with it: ``_rk4_blocks`` maps each ``(dt, live)`` that :func:`propagate`
+    has used, its step size and the positions of its live blocks in the
+    order of ``eigen_blocks``, to the block of RK4 step matrices and the
+    leap ladder on those blocks (:func:`_rk4_block`), and ``_absorption``
+    holds W's closed classes and transient levels as :func:`branch_weights`
+    reads them.
     """
 
     params: SystemParams
@@ -194,7 +196,7 @@ class Generator:
         return _eigen_blocks(self.eigen.energies, self.dissipators)
 
     @cached_property
-    def _rk4_blocks(self) -> dict[float, tuple]:
+    def _rk4_blocks(self) -> dict[tuple[float, tuple[int, ...]], tuple]:
         return {}
 
     @cached_property
@@ -793,27 +795,42 @@ def _holder(a: np.ndarray) -> np.ndarray:
     return np.sqrt(a.sum(axis=-2).max(axis=-1) * a.sum(axis=-1).max(axis=-1))
 
 
-def _scatter(index: list[np.ndarray], stacks: list[np.ndarray]) -> np.ndarray:
-    """The dense ``(..., 64, 64)`` eigenbasis matrices whose blocks on
-    ``index[i]`` are ``stacks[i]`` ``(..., G, s, s)``, and 0 elsewhere."""
-    out = np.zeros(stacks[0].shape[:-3] + (DIM * DIM, DIM * DIM), dtype=complex)
-    for idx, stack in zip(index, stacks):
-        out[..., idx[:, :, None], idx[:, None, :]] = stack
+def _coherences(index: Sequence[np.ndarray]) -> np.ndarray:
+    """The vec indices of the coherences of blocks ``index[i]`` ``(G, s)``,
+    in ascending order."""
+    return np.sort(np.concatenate([np.empty(0, dtype=int)] + [idx.ravel() for idx in index]))
+
+
+def _scatter(at: list[np.ndarray], stacks: list[np.ndarray]) -> np.ndarray:
+    """The dense ``(..., n, n)`` eigenbasis matrices whose blocks on the
+    positions ``at[i]`` ``(G, s)`` are ``stacks[i]`` ``(..., G, s, s)``, and
+    0 elsewhere; the blocks ``at`` partition the n positions, so that on
+    every block of ``L_e`` the matrices are 64x64, and on no block 0x0."""
+    n = sum(a.size for a in at)
+    lead = stacks[0].shape[:-3] if stacks else ()
+    out = np.zeros(lead + (n, n), dtype=complex)
+    for a, stack in zip(at, stacks):
+        out[..., a[:, :, None], a[:, None, :]] = stack
     return out
 
 
 def _rk4_block(blocks, h: float, m: int, rungs: int = 0) -> tuple[tuple, list[tuple]]:
-    """The RK4 block of step ``h`` on the eigenbasis generator ``L_e``, given
-    by its blocks (:attr:`Generator.eigen_blocks`), and the first ``rungs``
+    """The RK4 block of step ``h`` on the eigenbasis generator ``L_e``
+    restricted to ``blocks``, ``(index, blocks)`` pairs of some or all of
+    the blocks of :attr:`Generator.eigen_blocks`, and the first ``rungs``
     rungs of its leap ladder.
 
     For ``d v / dt = L v`` one RK4 step is exactly ``v <- P v`` with
     ``P = I + hL(I + hL/2(I + hL/3(I + hL/4)))``, a polynomial in ``L``, so
     ``P`` and its powers have the blocks of ``L_e``: every product is taken
     on the stack of the blocks of one size, and each result is scattered
-    once into a dense 64x64 eigenbasis matrix.  The block is ``(P, P^m, R,
-    c)``: R is the ``((m + 1) * DIM**2, DIM**2)`` read-out whose row block k
-    is ``L P^k``, k = 0..m, and ``c >= max ||P^j||_2`` over ``0 <= j < m``.
+    once into a dense n x n eigenbasis matrix on the n coherences of
+    ``blocks`` (:func:`_scatter`; 64x64 on all the blocks).  A block keeps
+    the coherences outside it at 0, so on a vector that is 0 off ``blocks``
+    these matrices act as the 64x64 ones do.  The block is ``(P, P^m, R,
+    c)``: R is the ``((m + 1) n, n)`` read-out whose row block k is ``L
+    P^k``, k = 0..m, and ``c >= max ||P^j||_2`` over ``0 <= j < m`` (0 on no
+    block).
     The spectral norm of a block-diagonal matrix is that of its largest
     block, and each block's is bounded by Hoelder's ``||A||_2 <= sqrt(||A||_1
     ||A||_inf)``.
@@ -825,8 +842,10 @@ def _rk4_block(blocks, h: float, m: int, rungs: int = 0) -> tuple[tuple, list[tu
     ``P^j``, ``j < 2M``, is ``P^j`` or ``P^M P^(j-M)`` with ``j - M < M``, so
     ``c_M >= ||P^j||_2`` holds for every ``j < M`` on every rung.
     """
-    n = DIM * DIM
-    index = [idx for idx, _ in blocks]
+    # each block's positions among the n coherences of the blocks, in vec order
+    keep = _coherences([idx for idx, _ in blocks])
+    at = [np.searchsorted(keep, idx) for idx, _ in blocks]
+    n = keep.size
     steps, leaps, readouts, bounds = [], [], [], []
     for _, b in blocks:
         eye = np.eye(b.shape[-1])
@@ -841,16 +860,17 @@ def _rk4_block(blocks, h: float, m: int, rungs: int = 0) -> tuple[tuple, list[tu
         leaps.append(powers[m])
         readouts.append(b @ powers)
         bounds.append(_holder(powers[:m]).max(axis=0))
-    block = (_scatter(index, steps), _scatter(index, leaps),
-             _scatter(index, readouts).reshape(-1, n), max(c.max() for c in bounds))
-    ladder = [(m, block[1], block[2][-n:], block[3])][:rungs]
+    block = (_scatter(at, steps), _scatter(at, leaps),
+             _scatter(at, readouts).reshape((m + 1) * n, n),
+             max((c.max() for c in bounds), default=0.0))
+    ladder = [(m, block[1], block[2][m * n:], block[3])][:rungs]
     lasts = [r[-1] for r in readouts]
     for j in range(1, rungs):
         bounds = [c * np.maximum(1.0, _holder(p)) for c, p in zip(bounds, leaps)]
         lasts = [last @ p for last, p in zip(lasts, leaps)]
         leaps = [p @ p for p in leaps]
-        ladder.append((m << j, _scatter(index, leaps), _scatter(index, lasts),
-                       max(c.max() for c in bounds)))
+        ladder.append((m << j, _scatter(at, leaps), _scatter(at, lasts),
+                       max((c.max() for c in bounds), default=0.0)))
     return block, ladder
 
 
@@ -887,11 +907,16 @@ def propagate(
     """Fixed-step 4th-order Runge-Kutta integration of d rho / dt = L rho.
 
     The state runs in the eigenbasis, ``v = (V^T kron V^T) vec(rho)``, on
-    the dense 64x64 eigenbasis matrices of :func:`_rk4_block`, which are
-    built from the blocks of ``L_e`` (:attr:`Generator.eigen_blocks`); the
-    64x64 ``Generator.liouvillian`` is not read.  ``V^T kron V^T`` is
-    orthogonal, so ``||L_e v||`` is ``||L vec(rho)||`` up to rounding.  A
-    run that takes no step returns a copy of ``rho0`` itself.
+    its live blocks: the blocks of ``L_e`` (:attr:`Generator.eigen_blocks`)
+    on which ``v`` has a nonzero entry.  ``L_e`` is block-diagonal, so a
+    block on which ``v`` is 0 stays exactly 0; the run evolves ``v`` on the
+    coherences of the live blocks alone, with the dense eigenbasis matrices
+    that :func:`_rk4_block` builds on them (10x10 for a state diagonal in
+    the eigenbasis, 64x64 when every block is live, 0x0 for ``rho0 = 0``),
+    and puts the other coherences back as 0 at the end.  The 64x64
+    ``Generator.liouvillian`` is not read.  ``V^T kron V^T`` is orthogonal,
+    so ``||L_e v||`` is ``||L vec(rho)||`` up to rounding.  A run that
+    takes no step returns a copy of ``rho0`` itself.
 
     Stops early (``converged=True``) at the first step with
     ``||d rho / dt||_F < eps_ss``.  The default step is 0.1 / ||L_e||_1, the
@@ -921,16 +946,16 @@ def propagate(
     product with ``L P^M`` checks it before ``P^M`` advances the state.
     (The factor 2 leaves room for the rounding of both norms.)  The runs
     form a ladder, M = ``BLOCK_STEPS * 2**j`` for ``j < LADDER_RUNGS``
-    (:func:`_rk4_block`), built once per generator and step size and kept
-    on the generator.  Each pass tries the rungs downward, from the highest
-    one that has not failed, and leaps by the first that passes; a rung
-    that fails once, by its norm or by reaching past ``t_final``, is not
-    tried again in the call.  When no rung leaps, the next block of
-    ``BLOCK_STEPS`` = m steps takes one product of the state with the
-    stacked rows of ``L P^k``, k = 1..m, which gives the derivative norm
-    after every step of the block, so convergence is checked at every step;
-    a run that stops inside a block recovers its state with single ``P``
-    steps.  The time is accumulated step by step, leaps included.  The
+    (:func:`_rk4_block`), built once per generator, step size and live set
+    and kept on the generator.  Each pass tries the rungs downward, from
+    the highest one that has not failed, and leaps by the first that
+    passes; a rung that fails once, by its norm or by reaching past
+    ``t_final``, is not tried again in the call.  When no rung leaps, the
+    next block of ``BLOCK_STEPS`` = m steps takes one product of the state
+    with the stacked rows of ``L P^k``, k = 1..m, which gives the
+    derivative norm after every step of the block, so convergence is
+    checked at every step; a run that stops inside a block recovers its
+    state with single ``P`` steps.  The time is accumulated step by step, leaps included.  The
     iterates are those of the stage-wise RK4 loop up to rounding (about
     1e-13 after 15k steps), with the same step count, time and convergence
     flag.
@@ -955,11 +980,16 @@ def propagate(
         raise ValueError(f"eps_ss = {eps_ss:.3e} is below the rounding floor "
                          f"{DIM**2} eps ||L_e||_1 ||rho0||_F = {floor:.3e} of ||L v||")
 
-    n = DIM * DIM
-    if dt not in gen._rk4_blocks:
-        gen._rk4_blocks[dt] = _rk4_block(blocks, dt, BLOCK_STEPS, LADDER_RUNGS)
-    full_block, rungs = gen._rk4_blocks[dt]
     v = gen.eigen.to_eigenbasis(rho).flatten(order="F")
+    occupied = [(v[idx] != 0).any(axis=1) for idx, _ in blocks]
+    live = tuple(np.flatnonzero(np.concatenate(occupied)).tolist())
+    live_blocks = [(idx[o], b[o]) for (idx, b), o in zip(blocks, occupied) if o.any()]
+    keep = _coherences([idx for idx, _ in live_blocks])
+    n = keep.size
+    if (dt, live) not in gen._rk4_blocks:
+        gen._rk4_blocks[dt, live] = _rk4_block(live_blocks, dt, BLOCK_STEPS, LADDER_RUNGS)
+    full_block, rungs = gen._rk4_blocks[dt, live]
+    v = v[keep]
     t = 0.0
     steps = 0
     top = len(rungs) - 1  # the highest rung that has not failed
@@ -980,7 +1010,7 @@ def propagate(
             step, (p, p_block, readout, _) = dt, full_block
         else:  # a last, shorter step up to t_final
             step = t_final - t
-            (p, p_block, readout, _), _ = _rk4_block(blocks, step, 1)
+            (p, p_block, readout, _), _ = _rk4_block(live_blocks, step, 1)
             k = 1
         settled = np.linalg.norm((readout[n:(k + 1) * n] @ v).reshape(k, n), axis=1) < eps_ss
         if settled.any():  # the first step that has settled
@@ -994,8 +1024,10 @@ def propagate(
         for _ in range(k):
             t += step
         steps += k
+    vec = np.zeros(DIM * DIM, dtype=complex)  # the dead blocks stayed 0
+    vec[keep] = v
     vectors = gen.eigen.vectors
-    state = rho.copy() if steps == 0 else vectors @ v.reshape(DIM, DIM, order="F") @ vectors.T
+    state = rho.copy() if steps == 0 else vectors @ vec.reshape(DIM, DIM, order="F") @ vectors.T
     return PropagationResult(state=state, time=t, converged=converged, steps=steps)
 
 

@@ -16,7 +16,7 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from math import expm1, isfinite
+from math import expm1, inf, isfinite
 
 import numpy as np
 
@@ -93,7 +93,8 @@ def mean_photon_number(omega: float, temperature: float) -> float:
 
     Only positive frequencies are meaningful here; the negative-frequency
     weights enter the dynamics through the operator structure instead.
-    A non-finite argument raises ``ValueError``.
+    A non-finite argument raises ``ValueError``; where omega / T underflows
+    to 0 the occupation is ``inf``.
     """
     for name, value in (("omega", omega), ("temperature", temperature)):
         if not isfinite(value):
@@ -107,6 +108,8 @@ def mean_photon_number(omega: float, temperature: float) -> float:
     x = omega / temperature
     if x > 700.0:  # exp would overflow; occupation is zero to double precision
         return 0.0
+    if x == 0.0:  # as 1 / expm1(x) is for a subnormal x
+        return inf
     return 1.0 / expm1(x)
 
 
@@ -343,11 +346,12 @@ def channel_rate_stack(
     element k of ``j_plus``, ``j_minus`` and ``gamma`` equals
     :func:`channel_rates` against a bath at ``temperatures[k]`` of rate
     ``gamma[k]``, bit for bit.  The occupation is evaluated once per
-    distinct temperature."""
+    distinct temperature.  A bath of ``gamma`` 0 has rates exactly 0, even
+    against an infinite occupation."""
     values, at = np.unique(np.asarray(temperatures, dtype=float), return_inverse=True)
     occupation = np.array([mean_photon_number(channel.frequency, t) for t in values.tolist()])
     gamma = np.broadcast_to(np.asarray(gamma, dtype=float), at.shape)
-    j_plus = gamma * occupation[at]
+    j_plus = np.multiply(gamma, occupation[at], out=np.zeros(at.shape), where=gamma != 0)
     return Dissipator(channel, j_plus, j_plus + gamma, gamma)
 
 

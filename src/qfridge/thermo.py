@@ -333,8 +333,9 @@ def classify_stage(
     """Match the sign pattern of the three per-reservoir currents.
 
     Any current within the dead band is a boundary point; patterns outside
-    the four listed sequences are unclassified.  ``tol`` should scale with
-    the problem's frequency unit.  The one-element case of :func:`_stages`.
+    the four listed sequences, and any NaN current, are unclassified.
+    ``tol`` should scale with the problem's frequency unit.  The
+    one-element case of :func:`_stages`.
     """
     return _stages(q_cold, q_hot, q_room, tol)
 
@@ -344,7 +345,9 @@ def _stages(q_cold, q_hot, q_room, tol: float) -> np.ndarray:
     :class:`StageLabel`."""
     c, h, r = (np.asarray(q, dtype=float) for q in (q_cold, q_hot, q_room))
     boundary = (np.abs(c) <= tol) | (np.abs(h) <= tol) | (np.abs(r) <= tol)
-    return _STAGES[np.where(boundary, 8, 4 * (c > 0) + 2 * (h > 0) + (r > 0))]
+    stage = np.where(boundary, 8, 4 * (c > 0) + 2 * (h > 0) + (r > 0))
+    # a NaN current has no sign: index 0, the unclassified (-, -, -)
+    return _STAGES[np.where(np.isnan(c) | np.isnan(h) | np.isnan(r), 0, stage)]
 
 
 @dataclass(frozen=True)

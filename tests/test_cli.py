@@ -1445,6 +1445,48 @@ def test_validate_reports_rows_whose_rates_overflow(capsys, tmp_path):
                         "t_h=5.0000000000000000e+01", "result = invalid"]
 
 
+#: omega_c / T_C underflows to 0.0: C1 = omega_c - g = 1.1e-16 against
+#: T_C = 1e308, so the kept C1 channel's occupation overflows to inf
+UNDERFLOW_STEADY = """\
+[system]
+omega_c = 1.0
+omega_h = 3.0
+g = 0.9999999999999999
+gamma = 0.05
+
+[reservoirs]
+t_h = 4.0
+t_r = 4.0
+t_c = 1e308
+
+[filter]
+h = 2
+r = 2
+c = 1
+"""
+
+
+def test_occupation_that_overflows_is_a_failed_row_not_a_traceback(capsys, tmp_path):
+    # the occupation 1 / expm1(0.0) used to raise ZeroDivisionError, and the
+    # masks that filter C1 out would then carry 0 * inf = NaN rates
+    cfg = tmp_path / "underflow.ini"
+    cfg.write_text(UNDERFLOW_STEADY)
+    assert main(["steady", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {OVERFLOW}\n"
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "error: the rates overflow on 1 of 1 rows; first at t_h=4.0000000000000000e+00",
+        "result = invalid"]
+    rows = scan_filters(load_config(str(cfg))).rows
+    overflowed = [str(row.filter) for row in rows if row.error == OVERFLOW]
+    assert overflowed and all("C1" in label for label in overflowed)
+    assert all(row.error for row in rows)
+    assert main(["scan", "--config", str(cfg)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("27 of 27 masks failed; first at H1+R1+C1: ")
+    assert not any("Traceback" in line or "encountered" in line for line in err)
+
+
 CENSUS = (CONFIGS / "filter_census.ini").read_text()
 
 

@@ -709,6 +709,22 @@ def dense_blocks(gen):
     return dense, covered
 
 
+def live_blocks(gen, rho0):
+    """The live blocks of ``rho0`` on ``gen``: the ``(index, blocks)`` pairs
+    of ``gen.eigen_blocks`` cut to the blocks on which ``(V^T kron V^T)
+    vec(rho0)`` has a nonzero entry, and those blocks' positions in the
+    order of ``gen.eigen_blocks``."""
+    v = gen.eigen.to_eigenbasis(np.asarray(rho0, dtype=complex)).flatten(order="F")
+    out, live, first = [], [], 0
+    for index, blocks in gen.eigen_blocks:
+        occupied = np.array([v[idx].any() for idx in index])
+        live += (first + np.flatnonzero(occupied)).tolist()
+        first += len(index)
+        if occupied.any():
+            out.append((index[occupied], blocks[occupied]))
+    return out, tuple(live)
+
+
 def test_propagate_matches_rk4_reference_on_dense_state(params, rng):
     reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=4.0, t_c=1.0)
     gen = build_generator(params, REVIVAL_FILTER, reservoirs,
@@ -882,27 +898,43 @@ def test_rk4_block_bound_covers_every_power_of_the_step(revival_generator):
 
 def test_propagate_builds_one_block_per_generator_and_step(revival_generator, rng,
                                                            monkeypatch):
-    built = []
+    # one build per generator, step size and live set, on the live blocks
+    gen = revival_generator
+    built, state = [], {}
     build = dynamics._rk4_block
 
     def counted(blocks, h, m, rungs=0):
-        assert blocks is revival_generator.eigen_blocks
-        built.append((h, m))
+        expected, live = live_blocks(gen, state["rho0"])
+        assert len(blocks) == len(expected)
+        for (index, b), (want_index, want_b) in zip(blocks, expected):
+            assert np.array_equal(index, want_index) and np.array_equal(b, want_b)
+        built.append((h, m, live))
         return build(blocks, h, m, rungs)
 
     monkeypatch.setattr(dynamics, "_rk4_block", counted)
-    dt = default_dt(revival_generator)
+    dt = default_dt(gen)
+    lives = []
     for _ in range(12):
-        rho0 = revival_generator.eigen.diagonal_state(rng.dirichlet(np.ones(8)))
-        assert propagate(rho0, revival_generator, t_final=1e4).converged
-    assert built == [(dt, BLOCK_STEPS)]
+        state["rho0"] = gen.eigen.diagonal_state(rng.dirichlet(np.ones(8)))
+        lives.append(live_blocks(gen, state["rho0"])[1])
+        assert propagate(state["rho0"], gen, t_final=1e4).converged
+    distinct = list(dict.fromkeys(lives))
+    assert built == [(dt, BLOCK_STEPS, live) for live in distinct]
     for _ in range(2):
-        assert propagate(rho0, revival_generator, t_final=1e4, dt=dt / 2).converged
-    assert built == [(dt, BLOCK_STEPS), (dt / 2, BLOCK_STEPS)]
+        assert propagate(state["rho0"], gen, t_final=1e4, dt=dt / 2).converged
+    assert built[len(distinct):] == [(dt / 2, BLOCK_STEPS, lives[-1])]
+    assert list(gen._rk4_blocks) == [(h, live) for h, _, live in built]
+    # a state with a coherence in every block builds on every block
+    state["rho0"] = random_density_matrix(rng)
+    every = tuple(range(sum(len(index) for index, _ in gen.eigen_blocks)))
+    assert live_blocks(gen, state["rho0"])[1] == every
     t_final = 2.51  # not a whole number of steps: the last one is shorter
-    result = propagate(rho0, revival_generator, t_final)
+    result = propagate(state["rho0"], gen, t_final)
     assert not result.converged
-    assert len(built) == 3 and built[2][1] == 1 and 0 < built[2][0] < dt
+    assert len(built) == len(distinct) + 3 and built[-2] == (dt, BLOCK_STEPS, every)
+    h, m, live = built[-1]
+    assert m == 1 and 0 < h < dt and live == every
+    assert list(gen._rk4_blocks)[-1] == (dt, every)
 
 
 def test_stored_blocks_are_freed_with_their_generator(params, rng):
@@ -1021,6 +1053,60 @@ def test_eigen_blocks_are_the_liouvillian_in_the_eigenbasis(filt, model, backgro
         1e-14 * np.linalg.norm(gen.liouvillian, 1))
     rho0 = random_density_matrix(np.random.default_rng(seed))
     assert_matches_rk4_reference(rho0, gen, t_final, default_dt(gen))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(filt=st.builds(FilterConfig, _KEPT_SETS, _KEPT_SETS, _KEPT_SETS),
+       model=st.tuples(st.floats(1.2, 5.0), st.floats(0.02, 0.98)),
+       background=st.sampled_from(sorted(_BACKGROUNDS)), t_final=st.floats(0.0, 8.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_propagate_keeps_the_blocks_a_state_leaves_empty_at_zero(filt, model, background,
+                                                                  t_final, seed):
+    omega_h, g = model
+    params = SystemParams(omega_c=1.0, omega_h=omega_h, g=g, gamma=0.1)
+    reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=3.0, t_c=1.0)
+    gen = dynamics.assemble_generator(params, filt, reservoirs, _BACKGROUNDS[background])
+    # the same generator with eigenvectors I, so that a state given in the
+    # eigenbasis enters and leaves propagate without rounding
+    gen = SimpleNamespace(liouvillian=eigen_liouvillian(gen), eigen_blocks=gen.eigen_blocks,
+                          eigen=EigenSystem(gen.eigen.energies, np.eye(8)), _rk4_blocks={})
+    # a random state, its coherences set to 0 on a random subset of blocks
+    rng = np.random.default_rng(seed)
+    rho0 = random_density_matrix(rng).flatten(order="F")
+    for index, _ in gen.eigen_blocks:
+        rho0[index[rng.random(len(index)) < rng.random()]] = 0.0
+    rho0 = rho0.reshape(8, 8, order="F")
+    blocks, live = live_blocks(gen, rho0)
+    dead = rho0.flatten(order="F") == 0
+    for index, _ in blocks:
+        assert not dead[index].all()
+    dt = default_dt(gen)
+    result = assert_matches_rk4_reference(rho0, gen, t_final, dt)
+    assert not result.state.flatten(order="F")[dead].any()
+    # the run built its matrices on the live coherences alone
+    n = sum(index.size for index, _ in blocks)
+    assert list(gen._rk4_blocks) == [(dt, live)]
+    (step, leap, readout, _), rungs = gen._rk4_blocks[dt, live]
+    assert step.shape == leap.shape == (n, n)
+    assert readout.shape == ((BLOCK_STEPS + 1) * n, n)
+    assert all(p.shape == last.shape == (n, n) for _, p, last, _ in rungs)
+
+
+def test_propagate_of_the_zero_state_takes_the_steps_of_any_state():
+    # rho0 = 0 has no live block; it settles at once, or with eps_ss = 0
+    # runs every step up to t_final on 0x0 matrices
+    config = load_config(str(CONFIGS / "vacuum_transport.ini"))
+    gen = build_generator(config.params, config.filter, config.reservoirs, config.background)
+    rho0 = np.zeros((8, 8))
+    result = propagate(rho0, gen, t_final=1.0)
+    assert (result.steps, result.time, result.converged) == (0, 0.0, True)
+    assert not result.state.any()
+    result = assert_matches_rk4_reference(rho0, gen, 1.0, default_dt(gen), eps_ss=0.0)
+    assert (result.steps, result.time, result.converged) == (81, 1.0, False)
+    assert not result.state.any()
+    (step, _, readout, bound), rungs = gen._rk4_blocks[default_dt(gen), ()]
+    assert step.shape == readout.shape == (0, 0) and bound == 0.0
+    assert len(rungs) == LADDER_RUNGS
 
 
 def rk4_amplification(z):

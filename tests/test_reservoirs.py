@@ -23,6 +23,7 @@ from qfridge.reservoirs import (
     COOLING_FILTERS,
     MarkovValidityWarning,
     background_rates,
+    channel_rate_stack,
     cycle_matched,
     ghz_from_natural,
     kelvin_from_natural,
@@ -43,6 +44,21 @@ def test_mean_photon_number_basics():
         mean_photon_number(0.0, 1.0)
     with pytest.raises(ValueError):
         mean_photon_number(1.0, -0.5)
+
+
+def test_occupation_overflows_where_omega_over_t_underflows():
+    # 1.1e-16 / 1e308 underflows to 0.0; a subnormal omega / T already
+    # gave inf through 1 / expm1
+    assert 1.1e-16 / 1e308 == 0.0
+    assert mean_photon_number(1.1e-16, 1e308) == math.inf
+    assert mean_photon_number(5e-324, 1.0) == math.inf
+    # a bath of gamma 0 keeps its rates at exactly 0 against that occupation
+    (c1,) = [c for c in transition_channels(SystemParams(1.0, 3.0, 1.0 - 2**-53, 0.05))
+             if c.key == ("C", 1)]
+    assert c1.frequency == pytest.approx(1.1e-16, rel=0.01)
+    d = channel_rate_stack(c1, np.array([0.05, 0.0, 0.05]), [1e308, 1e308, 1.0])
+    assert d.j_plus.tolist() == [math.inf, 0.0, 0.05 * mean_photon_number(c1.frequency, 1.0)]
+    assert d.j_minus.tolist()[:2] == [math.inf, 0.0]
 
 
 def test_mean_photon_number_physical_entry():

@@ -406,6 +406,15 @@ def test_classify_stage_patterns():
     assert classify_stage(+1.0, -1.0, +1.0) is StageLabel.UNCLASSIFIED
 
 
+@pytest.mark.parametrize("currents", [(np.nan, 1.0, 1.0), (-1.0, np.nan, 1.0),
+                                      (1.0, 1.0, np.nan), (np.nan, 0.0, 1.0)],
+                         ids=["cold", "hot", "room", "beside_a_boundary"])
+def test_classify_stage_of_a_nan_current_is_unclassified(currents):
+    # nan > 0 is False: without the NaN rule (nan, 1, 1) read as stage 2
+    # and (1, 1, nan) as stage 4
+    assert classify_stage(*currents) is StageLabel.UNCLASSIFIED
+
+
 def test_build_report_contents(mild_params, mild_reservoirs):
     gen = build_generator(mild_params, REVIVAL_FILTER, mild_reservoirs)
     states = steady_states_numeric(gen)
