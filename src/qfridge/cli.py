@@ -290,12 +290,15 @@ def _parse_filter_field(raw: str, where: str) -> frozenset[int]:
     return indices
 
 
+#: The [background] keys each mode reads; another key of the section is an error.
+_BACKGROUND_KEYS = {"none": {"mode"}, "vacuum": {"mode", "gamma"},
+                    "thermal": {"mode", "gamma", "t0", "t0_kelvin"}}
 #: The keys each config section accepts; any other section or key is an error.
 _CONFIG_KEYS = {
     "system": {"omega_c", "omega_c_ghz", "omega_h", "g", "gamma", "unit_scale"},
     "reservoirs": {"t_h", "t_h_kelvin", "t_r", "t_r_kelvin", "t_c", "t_c_kelvin"},
     "filter": {"h", "r", "c"},
-    "background": {"mode", "gamma", "t0", "t0_kelvin"},
+    "background": _BACKGROUND_KEYS["thermal"],  # the mode that reads every key
     "sweep": {"variable", "start", "start_kelvin", "stop", "stop_kelvin", "points"},
 }
 
@@ -404,8 +407,13 @@ def parse_config(text: str, source: str = "<string>") -> ScenarioConfig:
     background = BackgroundSpec.none()
     if cp.has_section("background"):
         mode = get("background", "mode", "none").strip().lower()
-        if mode not in ("none", "vacuum", "thermal"):
+        if mode not in _BACKGROUND_KEYS:
             raise ConfigError(f"background.mode: unknown mode {mode!r}")
+        unread = [f"background.{key}" for key in cp.options("background")
+                  if key not in _BACKGROUND_KEYS[mode]]
+        if unread:
+            raise ConfigError(f"{source}: background.mode = {mode} does not read "
+                              f"{', '.join(unread)}")
         if mode != "none":
             gamma_b = _number(required("background", "gamma"), "background.gamma")
             t0 = temperature("background", "t0") if mode == "thermal" else None

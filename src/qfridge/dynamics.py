@@ -9,7 +9,8 @@ channel operator has diagonal A^dag A and A A^dag in the eigenbasis, so
 states diagonal in the eigenbasis form an invariant sector of the full
 generator and W is that generator restricted to it.  The full 64x64
 Liouvillian is built only when read (cross-checks in the tests); time
-propagation runs on the generator's blocks in the eigenbasis.
+propagation runs on the generator in the eigenbasis, cut to the blocks that
+the state occupies.
 
 Multiple steady states are enumerated per closed communicating class of the
 population rate graph rather than returned as raw null-space vectors, so
@@ -160,16 +161,15 @@ class Generator:
     undamped coherences between nondegenerate levels do not masquerade as
     extra stationary states of the full generator.
 
-    ``eigen_blocks`` is the same generator in the eigenbasis, ``L_e = (V^T
-    kron V^T) L (V kron V)``, built from the channels' elements
-    (:func:`_eigen_blocks`) as the blocks of each size.  A generator also
-    keeps what time evolution derives from it, built on first use and freed
-    with it: ``_rk4_blocks`` maps each ``(dt, live)`` that :func:`propagate`
-    has used, its step size and the positions of its live blocks in the
-    order of ``eigen_blocks``, to the block of RK4 step matrices and the
-    leap ladder on those blocks (:func:`_rk4_block`), and ``_absorption``
-    holds W's closed classes and transient levels as :func:`branch_weights`
-    reads them.
+    ``eigen_generator`` is the same generator in the eigenbasis, ``L_e =
+    (V^T kron V^T) L (V kron V)``, built from the channels' elements
+    (:func:`_eigen_generator`), and the block of each coherence.  A generator
+    also keeps what time evolution derives from it, built on first use and
+    freed with it: ``_rk4_blocks`` maps each ``(dt, live)`` that
+    :func:`propagate` has used, its step size and the labels of its live
+    blocks, to the block of RK4 step matrices and the leap ladder on those
+    blocks (:func:`_rk4_block`), and ``_absorption`` holds W's closed
+    classes and transient levels as :func:`branch_weights` reads them.
     """
 
     params: SystemParams
@@ -192,8 +192,8 @@ class Generator:
         return out.transpose(2, 1, 0).reshape(n, n)
 
     @cached_property
-    def eigen_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        return _eigen_blocks(self.eigen.energies, self.dissipators)
+    def eigen_generator(self) -> tuple[np.ndarray, np.ndarray]:
+        return _eigen_generator(self.eigen.energies, self.dissipators)
 
     @cached_property
     def _rk4_blocks(self) -> dict[tuple[float, tuple[int, ...]], tuple]:
@@ -212,13 +212,12 @@ class Generator:
         return classes, tr, drain, into
 
 
-def _eigen_blocks(energies: np.ndarray, dissipators: Sequence[Dissipator]
-                  ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The generator of ``dissipators`` in the eigenbasis, ``L_e``, as
-    ``(index, blocks)`` pairs, one per block size s in ascending order:
-    ``index`` ``(G, s)`` lists the vec indices ``i + 8 j`` of the coherences
-    ``|i><j|`` of each of G blocks in ascending order, and ``blocks`` ``(G, s,
-    s)`` is ``L_e`` on them.  ``L_e`` is 0 between two blocks.
+def _eigen_generator(energies: np.ndarray, dissipators: Sequence[Dissipator]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The generator of ``dissipators`` in the eigenbasis, ``L_e`` (64, 64)
+    on the vec indices ``i + 8 j`` of the coherences ``|i><j|``, and the
+    block of each coherence ``(64,)``, labelled by its smallest index.
+    ``L_e`` is 0 between two blocks.
 
     Every channel has distinct to levels and distinct from levels, so
     ``A^dag A`` and ``A A^dag`` are diagonal, ``c^2`` on the from and to
@@ -251,14 +250,7 @@ def _eigen_blocks(energies: np.ndarray, dissipators: Sequence[Dissipator]
     link[dst, src] = link[src, dst] = 1.0
     for _ in range(6):  # paths of up to 2**6 = 64 links join every class
         link = (link @ link > 0.0).astype(float)
-    link = link > 0.0
-    size = link.sum(axis=1)
-    heads = link.argmax(axis=1) == np.arange(n)  # the smallest index of its block
-    out = []
-    for s in np.flatnonzero(np.bincount(size)).tolist():
-        index = np.nonzero(link[heads & (size == s)])[1].reshape(-1, s)
-        out.append((index, liou[index[:, :, None], index[:, None, :]]))
-    return tuple(out)
+    return liou, link.argmax(axis=1)  # the first linked index is the smallest
 
 
 def participating_channels(kept: np.ndarray, reservoirs: ReservoirSet,
@@ -790,87 +782,50 @@ class PropagationResult:
 
 def _holder(a: np.ndarray) -> np.ndarray:
     """Hoelder's bound ``sqrt(||a||_1 ||a||_inf) >= ||a||_2`` of each matrix
-    of a stack."""
+    of a stack (0 for 0x0 matrices)."""
     a = np.abs(a)
-    return np.sqrt(a.sum(axis=-2).max(axis=-1) * a.sum(axis=-1).max(axis=-1))
+    return np.sqrt(a.sum(axis=-2).max(axis=-1, initial=0.0)
+                   * a.sum(axis=-1).max(axis=-1, initial=0.0))
 
 
-def _coherences(index: Sequence[np.ndarray]) -> np.ndarray:
-    """The vec indices of the coherences of blocks ``index[i]`` ``(G, s)``,
-    in ascending order."""
-    return np.sort(np.concatenate([np.empty(0, dtype=int)] + [idx.ravel() for idx in index]))
-
-
-def _scatter(at: list[np.ndarray], stacks: list[np.ndarray]) -> np.ndarray:
-    """The dense ``(..., n, n)`` eigenbasis matrices whose blocks on the
-    positions ``at[i]`` ``(G, s)`` are ``stacks[i]`` ``(..., G, s, s)``, and
-    0 elsewhere; the blocks ``at`` partition the n positions, so that on
-    every block of ``L_e`` the matrices are 64x64, and on no block 0x0."""
-    n = sum(a.size for a in at)
-    lead = stacks[0].shape[:-3] if stacks else ()
-    out = np.zeros(lead + (n, n), dtype=complex)
-    for a, stack in zip(at, stacks):
-        out[..., a[:, :, None], a[:, None, :]] = stack
-    return out
-
-
-def _rk4_block(blocks, h: float, m: int, rungs: int = 0) -> tuple[tuple, list[tuple]]:
-    """The RK4 block of step ``h`` on the eigenbasis generator ``L_e``
-    restricted to ``blocks``, ``(index, blocks)`` pairs of some or all of
-    the blocks of :attr:`Generator.eigen_blocks`, and the first ``rungs``
-    rungs of its leap ladder.
+def _rk4_block(liou: np.ndarray, h: float, m: int, rungs: int = 0) -> tuple[tuple, list[tuple]]:
+    """The RK4 block of step ``h`` on ``liou``, the eigenbasis generator
+    ``L_e`` cut to the n coherences of some or all of its blocks, and the
+    first ``rungs`` rungs of its leap ladder.
 
     For ``d v / dt = L v`` one RK4 step is exactly ``v <- P v`` with
     ``P = I + hL(I + hL/2(I + hL/3(I + hL/4)))``, a polynomial in ``L``, so
-    ``P`` and its powers have the blocks of ``L_e``: every product is taken
-    on the stack of the blocks of one size, and each result is scattered
-    once into a dense n x n eigenbasis matrix on the n coherences of
-    ``blocks`` (:func:`_scatter`; 64x64 on all the blocks).  A block keeps
-    the coherences outside it at 0, so on a vector that is 0 off ``blocks``
-    these matrices act as the 64x64 ones do.  The block is ``(P, P^m, R,
-    c)``: R is the ``((m + 1) n, n)`` read-out whose row block k is ``L
-    P^k``, k = 0..m, and ``c >= max ||P^j||_2`` over ``0 <= j < m`` (0 on no
-    block).
-    The spectral norm of a block-diagonal matrix is that of its largest
-    block, and each block's is bounded by Hoelder's ``||A||_2 <= sqrt(||A||_1
-    ||A||_inf)``.
+    ``P`` and its powers have the blocks of ``L_e`` and keep the coherences
+    outside ``liou`` at 0: on a vector that is 0 off them these n x n
+    matrices act as the 64x64 ones do.  The block is ``(P, P^m, R, c)``: R
+    is the ``((m + 1) n, n)`` read-out whose row block k is ``L P^k``,
+    k = 0..m, and ``c >= max ||P^j||_2`` over ``0 <= j < m`` by Hoelder's
+    ``||A||_2 <= sqrt(||A||_1 ||A||_inf)`` (0 for n = 0).
 
     The rungs are ``(M, P^M, L P^M, c_M)``, ``M = m * 2**j``, ``j < rungs``.
     The bottom rung is the block's own ``P^m``, ``L P^m`` and bound.  Each
-    higher rung squares the one below it, ``P^2M = P^M P^M``, and takes, per
-    block, ``c_2M = c_M max(1, sqrt(||P^M||_1 ||P^M||_inf))``: a power
-    ``P^j``, ``j < 2M``, is ``P^j`` or ``P^M P^(j-M)`` with ``j - M < M``, so
+    higher rung squares the one below it, ``P^2M = P^M P^M``, and takes
+    ``c_2M = c_M max(1, sqrt(||P^M||_1 ||P^M||_inf))``: a power ``P^j``,
+    ``j < 2M``, is ``P^j`` or ``P^M P^(j-M)`` with ``j - M < M``, so
     ``c_M >= ||P^j||_2`` holds for every ``j < M`` on every rung.
     """
-    # each block's positions among the n coherences of the blocks, in vec order
-    keep = _coherences([idx for idx, _ in blocks])
-    at = [np.searchsorted(keep, idx) for idx, _ in blocks]
-    n = keep.size
-    steps, leaps, readouts, bounds = [], [], [], []
-    for _, b in blocks:
-        eye = np.eye(b.shape[-1])
-        hb = h * b
-        step = eye + hb @ (eye + (hb / 2) @ (eye + (hb / 3) @ (eye + hb / 4)))
-        powers = np.empty((m + 1,) + b.shape, dtype=complex)
-        powers[0] = eye
-        for k in range(1, m):
-            powers[k] = powers[k - 1] @ step
-        powers[m] = np.linalg.matrix_power(step, m)
-        steps.append(step)
-        leaps.append(powers[m])
-        readouts.append(b @ powers)
-        bounds.append(_holder(powers[:m]).max(axis=0))
-    block = (_scatter(at, steps), _scatter(at, leaps),
-             _scatter(at, readouts).reshape((m + 1) * n, n),
-             max((c.max() for c in bounds), default=0.0))
-    ladder = [(m, block[1], block[2][m * n:], block[3])][:rungs]
-    lasts = [r[-1] for r in readouts]
+    n = liou.shape[0]
+    eye = np.eye(n)
+    hl = h * liou
+    step = eye + hl @ (eye + (hl / 2) @ (eye + (hl / 3) @ (eye + hl / 4)))
+    powers = np.empty((m + 1, n, n), dtype=complex)
+    powers[0] = eye
+    for k in range(1, m):
+        powers[k] = powers[k - 1] @ step
+    leap = powers[m] = np.linalg.matrix_power(step, m)
+    bound = float(_holder(powers[:m]).max())
+    block = (step, leap, (liou @ powers).reshape((m + 1) * n, n), bound)
+    last = block[2][m * n:]
+    ladder = [(m, leap, last, bound)][:rungs]
     for j in range(1, rungs):
-        bounds = [c * np.maximum(1.0, _holder(p)) for c, p in zip(bounds, leaps)]
-        lasts = [last @ p for last, p in zip(lasts, leaps)]
-        leaps = [p @ p for p in leaps]
-        ladder.append((m << j, _scatter(at, leaps), _scatter(at, lasts),
-                       max((c.max() for c in bounds), default=0.0)))
+        bound *= max(1.0, float(_holder(leap)))
+        last, leap = last @ leap, leap @ leap
+        ladder.append((m << j, leap, last, bound))
     return block, ladder
 
 
@@ -907,20 +862,20 @@ def propagate(
     """Fixed-step 4th-order Runge-Kutta integration of d rho / dt = L rho.
 
     The state runs in the eigenbasis, ``v = (V^T kron V^T) vec(rho)``, on
-    its live blocks: the blocks of ``L_e`` (:attr:`Generator.eigen_blocks`)
-    on which ``v`` has a nonzero entry.  ``L_e`` is block-diagonal, so a
-    block on which ``v`` is 0 stays exactly 0; the run evolves ``v`` on the
-    coherences of the live blocks alone, with the dense eigenbasis matrices
-    that :func:`_rk4_block` builds on them (10x10 for a state diagonal in
-    the eigenbasis, 64x64 when every block is live, 0x0 for ``rho0 = 0``),
-    and puts the other coherences back as 0 at the end.  The 64x64
+    its live coherences: those of the blocks of ``L_e``
+    (:attr:`Generator.eigen_generator`) on which ``v`` has a nonzero entry.
+    ``L_e`` is block-diagonal, so a block on which ``v`` is 0 stays exactly
+    0; the run evolves ``v`` on the live coherences alone, with the matrices
+    that :func:`_rk4_block` builds on ``L_e`` cut to them (10x10 for a state
+    diagonal in the eigenbasis, 64x64 when every block is live, 0x0 for
+    ``rho0 = 0``), and puts the other coherences back as 0 at the end.  The 64x64
     ``Generator.liouvillian`` is not read.  ``V^T kron V^T`` is orthogonal,
     so ``||L_e v||`` is ``||L vec(rho)||`` up to rounding.  A run that
     takes no step returns a copy of ``rho0`` itself.
 
     Stops early (``converged=True``) at the first step with
     ``||d rho / dt||_F < eps_ss``.  The default step is 0.1 / ||L_e||_1, the
-    largest column sum of the blocks, and ``dt > RK4_STABLE_RADIUS /
+    largest absolute column sum of ``L_e``, and ``dt > RK4_STABLE_RADIUS /
     ||L_e||_1`` raises ``ValueError``: every eigenvalue of a Lindblad
     generator has Re <= 0, and modulus at most any induced norm of ``L_e``,
     which is similar to L, so every admitted step, the shortened last one
@@ -955,8 +910,8 @@ def propagate(
     with the stacked rows of ``L P^k``, k = 1..m, which gives the
     derivative norm after every step of the block, so convergence is
     checked at every step; a run that stops inside a block recovers its
-    state with single ``P`` steps.  The time is accumulated step by step, leaps included.  The
-    iterates are those of the stage-wise RK4 loop up to rounding (about
+    state with single ``P`` steps.  The time is accumulated step by step,
+    leaps included.  The iterates are those of the stage-wise RK4 loop up to rounding (about
     1e-13 after 15k steps), with the same step count, time and convergence
     flag.
     """
@@ -964,8 +919,8 @@ def propagate(
     if not (math.isfinite(t_final) and t_final >= 0) or not eps_ss >= 0:
         raise ValueError(f"need a finite t_final >= 0 and a number eps_ss >= 0, "
                          f"got t_final = {t_final}, eps_ss = {eps_ss}")
-    blocks = gen.eigen_blocks
-    norm = max(float(np.abs(b).sum(axis=-2).max()) for _, b in blocks)
+    liou, label = gen.eigen_generator
+    norm = float(np.abs(liou).sum(axis=0).max())
     if dt is None:
         dt = 0.1 / norm
     if not (math.isfinite(dt) and dt > 0):
@@ -981,13 +936,13 @@ def propagate(
                          f"{DIM**2} eps ||L_e||_1 ||rho0||_F = {floor:.3e} of ||L v||")
 
     v = gen.eigen.to_eigenbasis(rho).flatten(order="F")
-    occupied = [(v[idx] != 0).any(axis=1) for idx, _ in blocks]
-    live = tuple(np.flatnonzero(np.concatenate(occupied)).tolist())
-    live_blocks = [(idx[o], b[o]) for (idx, b), o in zip(blocks, occupied) if o.any()]
-    keep = _coherences([idx for idx, _ in live_blocks])
+    occupied = np.bincount(label[v != 0], minlength=DIM * DIM) > 0  # by block label
+    live = tuple(np.flatnonzero(occupied).tolist())
+    keep = np.flatnonzero(occupied[label])
     n = keep.size
+    liou = liou[keep[:, None], keep]
     if (dt, live) not in gen._rk4_blocks:
-        gen._rk4_blocks[dt, live] = _rk4_block(live_blocks, dt, BLOCK_STEPS, LADDER_RUNGS)
+        gen._rk4_blocks[dt, live] = _rk4_block(liou, dt, BLOCK_STEPS, LADDER_RUNGS)
     full_block, rungs = gen._rk4_blocks[dt, live]
     v = v[keep]
     t = 0.0
@@ -1010,7 +965,7 @@ def propagate(
             step, (p, p_block, readout, _) = dt, full_block
         else:  # a last, shorter step up to t_final
             step = t_final - t
-            (p, p_block, readout, _), _ = _rk4_block(live_blocks, step, 1)
+            (p, p_block, readout, _), _ = _rk4_block(liou, step, 1)
             k = 1
         settled = np.linalg.norm((readout[n:(k + 1) * n] @ v).reshape(k, n), axis=1) < eps_ss
         if settled.any():  # the first step that has settled

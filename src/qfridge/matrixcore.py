@@ -167,14 +167,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def populations(self, basis: np.ndarray | None = None) -> np.ndarray:
-        """Real diagonal of the matrix, optionally in another orthonormal
-        basis given as column vectors."""
-        rho = self.matrix
-        if basis is not None:
-            rho = dagger(basis) @ rho @ basis
-        return np.real(np.diag(rho))
-
 
 def dm_validate(rho: np.ndarray) -> DensityMatrix:
     """Validate a candidate density matrix.

@@ -143,7 +143,7 @@ def test_config_that_is_not_utf8_is_a_config_error(capsys, tmp_path):
 
 def test_zero_temperature_bath_gives_infinite_sigma(capsys, tmp_path):
     # no background: the infinite sigma comes from the engineered bath at T = 0
-    text = NATURAL_CONFIG.replace("mode = vacuum", "mode = none")
+    text = NATURAL_CONFIG.replace("mode = vacuum\ngamma = 0.05", "mode = none")
     cfg = tmp_path / "cold0.ini"
     cfg.write_text(text.replace("t_c = 1.0", "t_c = 0"))
     out = tmp_path / "s.txt"
@@ -893,8 +893,7 @@ def test_negative_sweep_temperature_is_a_config_error(capsys, tmp_path):
     ("[background]", "[backgrounds]", "[backgrounds]"),
 ], ids=["key", "section"])
 def test_misspelt_config_entries_are_config_errors(capsys, tmp_path, old, new, unknown):
-    # a misspelt key or section is an error, not a silent default; keys a
-    # mode does not read (background.gamma under mode = none) stay accepted
+    # a misspelt key or section is an error, not a silent default
     text = NATURAL_CONFIG.replace(old, new)
     with pytest.raises(ConfigError, match=rf"^<string>: unknown section or key: {re.escape(unknown)}$"):
         parse_config(text)
@@ -902,7 +901,28 @@ def test_misspelt_config_entries_are_config_errors(capsys, tmp_path, old, new, u
     cfg.write_text(text)
     assert main(["validate", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"error: {cfg}: unknown section or key: {unknown}\n"
-    parse_config(NATURAL_CONFIG.replace("mode = vacuum", "mode = none"))
+
+
+@pytest.mark.parametrize("mode, extra, unread", [
+    ("vacuum", "t0 = 5", "background.t0"),
+    ("vacuum", "t0_kelvin = 12", "background.t0_kelvin"),  # and no unit scale
+    ("none", "", "background.gamma"),
+    ("none", "t0 = 5", "background.t0, background.gamma"),
+], ids=["vacuum_t0", "vacuum_t0_kelvin", "none_gamma", "none_t0_gamma"])
+def test_background_keys_the_mode_does_not_read_are_config_errors(capsys, tmp_path, mode,
+                                                                  extra, unread):
+    # a [background] key that the mode ignores is an error, not a silent no-op
+    text = NATURAL_CONFIG.replace("mode = vacuum", f"mode = {mode}\n{extra}")
+    message = f"background.mode = {mode} does not read {unread}"
+    with pytest.raises(ConfigError, match=rf"^<string>: {re.escape(message)}$"):
+        parse_config(text)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    # the keys a mode reads are accepted
+    parse_config(NATURAL_CONFIG.replace("mode = vacuum\ngamma = 0.05", "mode = none"))
+    parse_config(NATURAL_CONFIG.replace("mode = vacuum", "mode = thermal\nt0 = 5"))
 
 
 # ---------------------------------------------------------------------------
@@ -1182,10 +1202,11 @@ def test_stacked_sweep_equals_one_point_solves_property(omega_h, g, log_gamma, m
             f"gamma = {10.0 ** log_gamma!r}\n"
             f"[reservoirs]\nt_h = {start!r}\nt_r = {t_r!r}\nt_c = {t_c!r}\n"
             f"[filter]\nh = {kept[0]}\nr = {kept[1]}\nc = {kept[2]}\n"
-            f"[background]\nmode = {background}\nt0 = {t_0!r}\n"
-            f"gamma = {10.0 ** log_gamma!r}\n")
-    if background != "thermal":
-        text = text.replace(f"t0 = {t_0!r}\n", "")
+            f"[background]\nmode = {background}\n")
+    if background != "none":
+        text += f"gamma = {10.0 ** log_gamma!r}\n"
+    if background == "thermal":
+        text += f"t0 = {t_0!r}\n"
     config = parse_config(with_sweep(text, start, start * (1.0 + 10.0 ** log_span), 5))
     assert_sweep_matches_one_point_solves(config)
 

@@ -682,8 +682,9 @@ def assert_matches_rk4_reference(rho0, gen, t_final, dt, eps_ss=DEFAULT_EPS_SS):
 
 
 def block_norm(gen):
-    """``||L_e||_1``, the largest column sum of the eigenbasis blocks."""
-    return max(np.abs(b).sum(axis=-2).max() for _, b in gen.eigen_blocks)
+    """``||L_e||_1``, the largest absolute column sum of the eigenbasis
+    generator."""
+    return np.abs(gen.eigen_generator[0]).sum(axis=0).max()
 
 
 def default_dt(gen):
@@ -699,30 +700,22 @@ def eigen_liouvillian(gen):
 
 
 def dense_blocks(gen):
-    """The blocks of ``gen.eigen_blocks`` scattered into a dense 64x64
-    matrix, and the mask of the entries they cover."""
-    dense = np.zeros((64, 64), dtype=complex)
-    covered = np.zeros((64, 64), dtype=bool)
-    for index, blocks in gen.eigen_blocks:
-        dense[index[:, :, None], index[:, None]] = blocks
-        covered[index[:, :, None], index[:, None]] = True
-    return dense, covered
+    """The blocks of ``gen.eigen_generator``: the vec indices of each
+    block's coherences, by label, and the mask of the 64x64 entries that
+    lie within a block."""
+    label = gen.eigen_generator[1]
+    blocks = {b: np.flatnonzero(label == b) for b in sorted(set(label.tolist()))}
+    return blocks, label[:, None] == label
 
 
 def live_blocks(gen, rho0):
-    """The live blocks of ``rho0`` on ``gen``: the ``(index, blocks)`` pairs
-    of ``gen.eigen_blocks`` cut to the blocks on which ``(V^T kron V^T)
-    vec(rho0)`` has a nonzero entry, and those blocks' positions in the
-    order of ``gen.eigen_blocks``."""
+    """The live coherences of ``rho0`` on ``gen``, those of the blocks on
+    which ``(V^T kron V^T) vec(rho0)`` has a nonzero entry, in ascending
+    order, and the labels of those blocks."""
     v = gen.eigen.to_eigenbasis(np.asarray(rho0, dtype=complex)).flatten(order="F")
-    out, live, first = [], [], 0
-    for index, blocks in gen.eigen_blocks:
-        occupied = np.array([v[idx].any() for idx in index])
-        live += (first + np.flatnonzero(occupied)).tolist()
-        first += len(index)
-        if occupied.any():
-            out.append((index[occupied], blocks[occupied]))
-    return out, tuple(live)
+    live = {b: index for b, index in dense_blocks(gen)[0].items() if v[index].any()}
+    keep = np.sort(np.concatenate([np.empty(0, dtype=int), *live.values()]))
+    return keep, tuple(live)
 
 
 def test_propagate_matches_rk4_reference_on_dense_state(params, rng):
@@ -760,7 +753,8 @@ def block_norms(gen, rho0, dt, blocks):
     """``||L P^k v||`` after each step k of the first ``blocks`` RK4 blocks
     of step ``dt`` from ``rho0``, as a ``(blocks, BLOCK_STEPS)`` array, and
     the block's bound c on ``||P^j||_2``."""
-    (_, leap, readout, bound), _ = dynamics._rk4_block(gen.eigen_blocks, dt, BLOCK_STEPS)
+    (_, leap, readout, bound), _ = dynamics._rk4_block(gen.eigen_generator[0], dt,
+                                                       BLOCK_STEPS)
     v = gen.eigen.to_eigenbasis(np.asarray(rho0, dtype=complex)).flatten(order="F")
     norms = []
     for _ in range(blocks):
@@ -824,11 +818,11 @@ def jordan_dip(decay):
     blocks ``-decay``."""
     liou = -decay * np.eye(64, dtype=complex)
     liou[0, 1] = 1.0
-    blocks = ((np.arange(2, 64)[:, None], np.full((62, 1, 1), -decay, dtype=complex)),
-              (np.array([[0, 1]]), liou[None, :2, :2]))
-    gen = SimpleNamespace(liouvillian=liou, eigen_blocks=blocks,
+    label = np.arange(64)
+    label[1] = 0
+    gen = SimpleNamespace(liouvillian=liou, eigen_generator=(liou, label),
                           eigen=EigenSystem(np.zeros(8), np.eye(8)), _rk4_blocks={})
-    assert np.array_equal(dense_blocks(gen)[0], liou)
+    assert not liou[~dense_blocks(gen)[1]].any()
     rho0 = np.zeros((8, 8), dtype=complex)
     rho0[1, 0] = 1.0  # vec(rho0) = e_1
     dt = 0.5 / np.linalg.norm(liou, 1)
@@ -844,7 +838,7 @@ def test_propagate_leaps_no_block_where_the_derivative_norm_rises():
     # before its block ends; only the factor c >= ||P^j||_2 of the rule
     # keeps that block from being leapt over
     gen, rho0, dt, flat, dip, eps_ss = jordan_dip(0.1)
-    bound = dynamics._rk4_block(gen.eigen_blocks, dt, BLOCK_STEPS)[0][3]
+    bound = dynamics._rk4_block(gen.eigen_generator[0], dt, BLOCK_STEPS)[0][3]
     block_end = flat[(dip // BLOCK_STEPS + 1) * BLOCK_STEPS - 1]
     assert 2 * eps_ss < block_end <= 2 * bound * eps_ss
     result = assert_matches_rk4_reference(rho0, gen, t_final=1e3, dt=dt, eps_ss=eps_ss)
@@ -855,7 +849,7 @@ def test_propagate_leaps_no_block_where_the_derivative_norm_rises():
     gen, rho0, dt, flat, dip, eps_ss = jordan_dip(0.005)
     assert dip > 300
     v = rho0.flatten(order="F")
-    _, rungs = dynamics._rk4_block(gen.eigen_blocks, dt, BLOCK_STEPS, LADDER_RUNGS)
+    _, rungs = dynamics._rk4_block(gen.eigen_generator[0], dt, BLOCK_STEPS, LADDER_RUNGS)
     spanning = [(last, bound) for m, _, last, bound in rungs if m > dip + 1]
     assert len(spanning) == 2
     for last, bound in spanning:
@@ -869,15 +863,16 @@ def test_rk4_block_bound_covers_every_power_of_the_step(revival_generator):
     liou = eigen_liouvillian(gen)
     for dt in np.array([0.1, 1.0, RK4_STABLE_RADIUS]) / block_norm(gen):
         (step, leap, readout, bound), rungs = dynamics._rk4_block(
-            gen.eigen_blocks, dt, BLOCK_STEPS, LADDER_RUNGS)
+            gen.eigen_generator[0], dt, BLOCK_STEPS, LADDER_RUNGS)
         powers = [np.linalg.matrix_power(step, j) for j in range(BLOCK_STEPS + 1)]
         assert max(np.linalg.norm(a, 2) for a in powers[:-1]) <= bound < 8.0
-        # P^16 of each stack of blocks is matrix_power's, and 0 off the blocks
-        dense, covered = dense_blocks(gen)
-        assert not leap[~covered].any()
-        for index, _ in gen.eigen_blocks:
-            at = (index[:, :, None], index[:, None])
-            assert np.array_equal(leap[at], np.linalg.matrix_power(step[at], BLOCK_STEPS))
+        # P and P^16 are 0 off the blocks, and P^16 of each block is its
+        # matrix_power up to rounding
+        blocks, covered = dense_blocks(gen)
+        assert not step[~covered].any() and not leap[~covered].any()
+        for index in blocks.values():
+            at = np.ix_(index, index)
+            assert np.abs(leap[at] - np.linalg.matrix_power(step[at], BLOCK_STEPS)).max() < 1e-14
         assert np.abs(readout[:64] - liou).max() < 1e-14 * np.linalg.norm(liou, 1)
         assert np.abs(readout[-64:] - liou @ powers[-1]).max() < 1e-12
         # every rung of the ladder: c_M bounds every power below M, and
@@ -903,13 +898,11 @@ def test_propagate_builds_one_block_per_generator_and_step(revival_generator, rn
     built, state = [], {}
     build = dynamics._rk4_block
 
-    def counted(blocks, h, m, rungs=0):
-        expected, live = live_blocks(gen, state["rho0"])
-        assert len(blocks) == len(expected)
-        for (index, b), (want_index, want_b) in zip(blocks, expected):
-            assert np.array_equal(index, want_index) and np.array_equal(b, want_b)
+    def counted(liou, h, m, rungs=0):
+        keep, live = live_blocks(gen, state["rho0"])
+        assert np.array_equal(liou, gen.eigen_generator[0][np.ix_(keep, keep)])
         built.append((h, m, live))
-        return build(blocks, h, m, rungs)
+        return build(liou, h, m, rungs)
 
     monkeypatch.setattr(dynamics, "_rk4_block", counted)
     dt = default_dt(gen)
@@ -926,7 +919,7 @@ def test_propagate_builds_one_block_per_generator_and_step(revival_generator, rn
     assert list(gen._rk4_blocks) == [(h, live) for h, _, live in built]
     # a state with a coherence in every block builds on every block
     state["rho0"] = random_density_matrix(rng)
-    every = tuple(range(sum(len(index) for index, _ in gen.eigen_blocks)))
+    every = tuple(dense_blocks(gen)[0])
     assert live_blocks(gen, state["rho0"])[1] == every
     t_final = 2.51  # not a whole number of steps: the last one is shorter
     result = propagate(state["rho0"], gen, t_final)
@@ -943,7 +936,7 @@ def test_stored_blocks_are_freed_with_their_generator(params, rng):
     rho0 = gen.eigen.diagonal_state(rng.dirichlet(np.ones(8)))
     assert propagate(rho0, gen, t_final=400.0).converged
     branch_weights(rho0, gen)
-    assert gen._rk4_blocks and "eigen_blocks" in vars(gen)
+    assert gen._rk4_blocks and "eigen_generator" in vars(gen)
     alive = weakref.ref(gen)
     del gen
     gc.collect()
@@ -1040,14 +1033,16 @@ def test_eigen_blocks_are_the_liouvillian_in_the_eigenbasis(filt, model, backgro
     params = SystemParams(omega_c=1.0, omega_h=omega_h, g=g, gamma=0.1)
     reservoirs = ReservoirSet.from_temperatures(params, t_h=6.0, t_r=3.0, t_c=1.0)
     gen = dynamics.assemble_generator(params, filt, reservoirs, _BACKGROUNDS[background])
-    # the blocks partition the 64 coherences, each of one Bohr frequency
-    index = np.concatenate([idx.ravel() for idx, _ in gen.eigen_blocks])
-    assert np.array_equal(np.sort(index), np.arange(64))
+    # each block is labelled by its smallest coherence and holds one Bohr
+    # frequency
+    blocks, covered = dense_blocks(gen)
     bohr = (gen.eigen.energies[:, None] - gen.eigen.energies).ravel(order="F")
-    for idx, _ in gen.eigen_blocks:
-        assert np.abs(bohr[idx] - bohr[idx[:, :1]]).max() <= 1e-12
-    # and hold (V^T kron V^T) L (V kron V), which is 0 off them up to rounding
-    dense, covered = dense_blocks(gen)
+    for b, idx in blocks.items():
+        assert idx[0] == b
+        assert np.abs(bohr[idx] - bohr[b]).max() <= 1e-12
+    # L_e is (V^T kron V^T) L (V kron V), which is 0 between blocks up to
+    # rounding, and exactly 0 there
+    dense = gen.eigen_generator[0]
     assert not dense[~covered].any()
     assert np.abs(dense - eigen_liouvillian(gen)).max() <= (
         1e-14 * np.linalg.norm(gen.liouvillian, 1))
@@ -1068,23 +1063,25 @@ def test_propagate_keeps_the_blocks_a_state_leaves_empty_at_zero(filt, model, ba
     gen = dynamics.assemble_generator(params, filt, reservoirs, _BACKGROUNDS[background])
     # the same generator with eigenvectors I, so that a state given in the
     # eigenbasis enters and leaves propagate without rounding
-    gen = SimpleNamespace(liouvillian=eigen_liouvillian(gen), eigen_blocks=gen.eigen_blocks,
+    gen = SimpleNamespace(liouvillian=eigen_liouvillian(gen),
+                          eigen_generator=gen.eigen_generator,
                           eigen=EigenSystem(gen.eigen.energies, np.eye(8)), _rk4_blocks={})
     # a random state, its coherences set to 0 on a random subset of blocks
     rng = np.random.default_rng(seed)
     rho0 = random_density_matrix(rng).flatten(order="F")
-    for index, _ in gen.eigen_blocks:
-        rho0[index[rng.random(len(index)) < rng.random()]] = 0.0
+    blocks, cut = dense_blocks(gen)[0], rng.random()
+    for index in blocks.values():
+        if rng.random() < cut:
+            rho0[index] = 0.0
     rho0 = rho0.reshape(8, 8, order="F")
-    blocks, live = live_blocks(gen, rho0)
+    keep, live = live_blocks(gen, rho0)
     dead = rho0.flatten(order="F") == 0
-    for index, _ in blocks:
-        assert not dead[index].all()
+    assert not dead[keep].any() and dead.sum() == 64 - keep.size
     dt = default_dt(gen)
     result = assert_matches_rk4_reference(rho0, gen, t_final, dt)
     assert not result.state.flatten(order="F")[dead].any()
     # the run built its matrices on the live coherences alone
-    n = sum(index.size for index, _ in blocks)
+    n = keep.size
     assert list(gen._rk4_blocks) == [(dt, live)]
     (step, leap, readout, _), rungs = gen._rk4_blocks[dt, live]
     assert step.shape == leap.shape == (n, n)
@@ -1211,7 +1208,7 @@ def test_propagate_selects_branch_from_support(params):
     assert result.converged
     plus, _ = oracle_branch_populations(params, reservoirs)
     end = dm_validate(result.state)
-    assert np.abs(end.populations(gen.eigen.vectors) - plus).max() < 1e-8
+    assert np.abs(np.diag(gen.eigen.to_eigenbasis(end.matrix)) - plus).max() < 1e-8
 
 
 def test_propagate_vacuum_background_reaches_ground(params, rng):

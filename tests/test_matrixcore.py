@@ -56,7 +56,7 @@ def test_null_space_requires_square():
 def test_dm_validate_accepts_maximally_mixed():
     dm = dm_validate(np.eye(8) / 8.0)
     assert dm.dim == 8
-    assert np.allclose(dm.populations(), 1.0 / 8.0)
+    assert np.allclose(np.diag(dm.matrix), 1.0 / 8.0)
 
 
 def test_dm_validate_trace_off():
