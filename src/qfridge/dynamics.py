@@ -91,6 +91,14 @@ __all__ = [
 #: Residual bound for accepting a steady state: ||W p|| <= RES_TOL max_ij |W_ij|.
 STEADY_RESIDUAL_TOL = 1e-9
 
+#: Rate spread (largest positive off-diagonal rate of a class block over its
+#: smallest) above which a closed class is solved by GTH elimination
+#: (:func:`_gth_populations`) instead of the stacked SVD, whose rank cut
+#: cannot resolve it.  The classes of the shipped configs spread at most
+#: 1.55e3 (``figure_sweep``; the census 1.15e3, ``vacuum_transport`` 8); the
+#: REVIVAL mask at T_R = 4 T_C spreads at least 2.2e4 from T_C = 0.1 down.
+GTH_SPREAD = 1e4
+
 #: Default convergence threshold for time propagation, ||d rho / dt|| < eps.
 DEFAULT_EPS_SS = 1e-10
 
@@ -496,6 +504,46 @@ def _class_populations(blocks: np.ndarray, idx: np.ndarray, classes: np.ndarray,
     return pops
 
 
+def _gth_populations(blocks: np.ndarray, idx: np.ndarray, classes: np.ndarray,
+                     faults: dict) -> np.ndarray:
+    """Stationary populations ``(G, 8)`` of G closed classes of one size m,
+    on the levels ``idx`` ``(G, m)``, by Grassmann-Taksar-Heyman
+    elimination of their real blocks of W ``(G, m, m)``: no subtraction, so
+    each population keeps its relative accuracy whatever the rates' spread.
+    Each block is first scaled by the power of two that brings its largest
+    rate into [1/2, 1), which is exact unless a rate falls below the normal
+    range.  A class whose pivot (the rate sum out of the eliminated level
+    into the levels left) is 0 or not finite fails: its ``SolverFailure``
+    goes to ``faults``, keyed by its entry of ``classes``, and its
+    populations are 0."""
+    q = np.swapaxes(blocks, -1, -2)  # q[g, i, j]: the rate from level i to level j
+    q = np.ldexp(q, -np.frexp(q.max(axis=(-2, -1)))[1][:, None, None])
+    n, m = idx.shape
+    bad = np.full(n, -1)  # the first level whose pivot failed, per class
+    pivots = np.zeros(n)
+    for k in range(m - 1, 0, -1):  # censor level k out; the diagonal is never read
+        out = q[:, k, :k].sum(axis=-1)
+        ok = (out > 0.0) & (out < np.inf)
+        first = ~ok & (bad < 0)
+        bad[first], pivots[first] = k, out[first]
+        q[:, :k, k] /= np.where(ok, out, 1.0)[:, None]
+        q[:, :k, :k] += q[:, :k, k, None] * q[:, None, k, :k]
+    p = np.zeros((n, m))
+    p[:, 0] = 1.0
+    for k in range(1, m):
+        p[:, k] = (p[:, :k] * q[:, :k, k]).sum(axis=-1)
+    p /= p.sum(axis=-1, keepdims=True)
+    classes = classes.tolist()
+    for j in np.flatnonzero(bad >= 0).tolist():
+        faults[classes[j]] = SolverFailure(
+            f"class {idx[j].tolist()} has GTH pivot {pivots[j]:.3e} out of level "
+            f"{idx[j, bad[j]]} after scaling; expected a positive finite rate sum")
+        p[j] = 0.0
+    pops = np.zeros((n, DIM))
+    pops[np.arange(n)[:, np.newaxis], idx] = p
+    return pops
+
+
 def steady_states_numeric(gen: Generator) -> tuple[SteadyState, ...]:
     """One steady state per closed communicating class, by smallest level.
 
@@ -530,18 +578,20 @@ def steady_state_rows(
     as bit sets (bit i for level i), and the :class:`SolverFailure` or
     ``LinAlgError`` that fails each other row, by row.
 
-    The whole stack is one pass.  Its classes are one transitive closure;
-    the blocks of W on all closed classes of one size, across rows, are one
-    stacked SVD (:func:`~qfridge.matrixcore.svd_rows`).  The null-space
+    The whole stack is one pass.  Its classes are one transitive closure.
+    The blocks of W on all closed classes of one size, across rows, whose
+    rate spread exceeds ``GTH_SPREAD`` are one batched GTH elimination
+    (:func:`_gth_populations`); those of the other classes of that size are
+    one stacked SVD (:func:`~qfridge.matrixcore.svd_rows`).  The null-space
     rule (:func:`~qfridge.matrixcore.null_dimensions`), the normalisation
-    of each class's populations and the residual gate are array operations.
-    A row fails with the first failure of its classes in class order, then
-    the first residual above the bound; every rank-ambiguous class warns,
-    failed row or not.  Row k equals ``steady_states_numeric`` on ``w[k]``
-    alone, bit for bit and warning for warning.  A non-finite entry
-    anywhere in the stack raises ``ValueError`` before any product.  The
-    pass holds W of all rows at once, and the class blocks and SVDs of one
-    size at a time.
+    of each class's populations and the residual gate, which both routes
+    pass, are array operations.  A row fails with the first failure of its
+    classes in class order, then the first residual above the bound; every
+    rank-ambiguous class of the SVD warns, failed row or not.  Row k equals
+    ``steady_states_numeric`` on ``w[k]`` alone, bit for bit and warning
+    for warning.  A non-finite entry anywhere in the stack raises
+    ``ValueError`` before any product.  The pass holds W of all rows at
+    once, and the class blocks and solves of one size at a time.
     """
     if not np.isfinite(w).all():
         raise ValueError("rate matrix contains non-finite entries")
@@ -557,8 +607,19 @@ def steady_state_rows(
     for size in np.flatnonzero(np.bincount(sizes[sizes > 1])).tolist():
         at = np.flatnonzero(sizes == size)
         idx = _MEMBERS[codes[at], :size]
-        blocks = w[rows[at, None, None], idx[:, :, None], idx[:, None]].astype(complex)
-        pops[at] = _class_populations(blocks, idx, at, faults, ambiguities)
+        if size == DIM:  # a class of every level: its block is all of W
+            blocks = w[rows[at]]
+        else:
+            blocks = w[rows[at, None, None], idx[:, :, None], idx[:, None]]
+        # the spread: the largest entry of a block is its largest rate (its
+        # diagonal is not positive), over its smallest positive entry
+        flat = blocks.reshape(len(at), -1)
+        wide = flat.max(axis=-1) > GTH_SPREAD * np.where(flat > 0.0, flat, np.inf).min(axis=-1)
+        if wide.any():
+            pops[at[wide]] = _gth_populations(blocks[wide], idx[wide], at[wide], faults)
+            at, idx, blocks = at[~wide], idx[~wide], blocks[~wide]
+        if len(at):
+            pops[at] = _class_populations(blocks.astype(complex), idx, at, faults, ambiguities)
 
     row_of = rows.tolist()
     failures: dict[int, Exception] = {}  # row -> its failure
@@ -570,12 +631,15 @@ def steady_state_rows(
     top = np.abs(w).max(axis=(-2, -1))
     r = (w[rows] / np.where(top > 0.0, top, 1.0)[rows, None, None]) @ pops[:, :, np.newaxis]
     resid = np.sqrt(np.swapaxes(r, -1, -2) @ r)[:, 0, 0]
-    live = np.array([k not in failures for k in row_of], dtype=bool)
+    failed = np.zeros(len(w), dtype=bool)
+    failed[list(failures)] = True
+    live = ~failed[rows]
     for c in np.flatnonzero(live & ~(resid <= STEADY_RESIDUAL_TOL)).tolist():
         failures.setdefault(row_of[c], SolverFailure(
             f"steady state on {_MEMBERS[codes[c], :sizes[c]].tolist()} has residual "
             f"{resid[c] * top[rows[c]]:.3e} (bound {STEADY_RESIDUAL_TOL * top[rows[c]]:.3e})"))
-    solved = np.array([k not in failures for k in row_of], dtype=bool)
+    failed[list(failures)] = True
+    solved = ~failed[rows]
     return pops[solved], rows[solved], codes[solved], dict(sorted(failures.items()))
 
 

@@ -6,10 +6,11 @@ from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_params, draw_reservoirs
@@ -50,6 +51,7 @@ from qfridge.dynamics import (
 )
 from qfridge.spectrum import EigenSystem
 from qfridge.thermo import IMAG_FAULT_TOL, NumericalFault
+from test_exactness import solved_grids, stationary
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -1396,22 +1398,33 @@ def test_steady_state_stack_equals_rows(params, monkeypatch):
         monkeypatch.undo()
 
 
-def test_steady_state_stack_warns_and_fails_row_by_row(params, monkeypatch):
-    # levels 0-1-2 joined by rates 1 and r, the rest closed singletons: the
-    # class's second singular value is 1.5 r against a rank cut of 2e-10, so
-    # r = 1e-9 and 5e-10 warn, 1e-10 warns and fails, 1e-11 fails silently
-    import warnings
-
-    from qfridge.matrixcore import RankAmbiguityWarning
-
-    gen = kernel_generators(params)[3]
-    rates = [1e-9, 1e-3, 1e-10, 5e-10, 1e-11, 1e-3]
+def chain_stack(rates) -> np.ndarray:
+    """One W per rate r of ``rates``: levels 0-1-2 joined both ways by the
+    rates 1 (0-1) and r (1-2), the other levels closed singletons."""
     w = np.zeros((len(rates), 8, 8))
     for k, r in enumerate(rates):
         for a, b, rate in ((0, 1, 1.0), (1, 2, r)):
             for frm, to in ((a, b), (b, a)):
                 w[k, to, frm] += rate
                 w[k, frm, frm] -= rate
+    return w
+
+
+def test_steady_state_stack_warns_and_fails_row_by_row(params, monkeypatch):
+    # levels 0-1-2 joined by rates 1 and r, the rest closed singletons.  At
+    # r = 1e-3 the class spreads 1e3 and takes the SVD; at r <= 1e-9 it
+    # spreads past GTH_SPREAD and takes GTH, which gives its detailed-balance
+    # populations, 1/3 each, and neither warns nor fails.  On the SVD alone
+    # (GTH_SPREAD = inf) the class's second singular value is 1.5 r against a
+    # rank cut of 2e-10, so r = 1e-9 and 5e-10 warn, 1e-10 warns and fails,
+    # and 1e-11 fails silently
+    import warnings
+
+    from qfridge.matrixcore import RankAmbiguityWarning
+
+    gen = kernel_generators(params)[3]
+    rates = [1e-9, 1e-3, 1e-10, 5e-10, 1e-11, 1e-3]
+    w = chain_stack(rates)
 
     def solve(rows):
         with warnings.catch_warnings(record=True) as seen:
@@ -1429,23 +1442,40 @@ def test_steady_state_stack_warns_and_fails_row_by_row(params, monkeypatch):
                 out.append(exc)
         return out
 
-    stacked, stacked_warnings = solve(lambda: state_sets(steady_state_rows(w), gen.eigen, len(w)))
-    want, want_warnings = solve(alone)
-    assert stacked_warnings == want_warnings
-    assert [c for c, _ in stacked_warnings] == [RankAmbiguityWarning] * 3
-    for got, one in zip(stacked, want, strict=True):
-        if isinstance(one, Exception):
-            assert type(got) is type(one) and str(got) == str(one)
+    def stacked_equals_alone():
+        stacked, stacked_warnings = solve(
+            lambda: state_sets(steady_state_rows(w), gen.eigen, len(w)))
+        want, want_warnings = solve(alone)
+        assert stacked_warnings == want_warnings
+        for got, one in zip(stacked, want, strict=True):
+            if isinstance(one, Exception):
+                assert type(got) is type(one) and str(got) == str(one)
+            else:
+                assert [s.populations.tolist() for s in got] == \
+                    [s.populations.tolist() for s in one]
+        return stacked, [c for c, _ in stacked_warnings]
+
+    stacked, seen = stacked_equals_alone()
+    assert seen == [] and not any(isinstance(r, Exception) for r in stacked)
+    for r, row in zip(rates, stacked):
+        pops = row[0].populations
+        assert sorted(row[0].support) == [0, 1, 2] and not pops[3:].any()
+        if r * dynamics.GTH_SPREAD < 1.0:
+            assert pops[:3].tolist() == [1 / 3] * 3
         else:
-            assert [s.populations.tolist() for s in got] == \
-                [s.populations.tolist() for s in one]
+            assert pops[:3] == pytest.approx([1 / 3] * 3, rel=1e-14)
+    monkeypatch.setattr(dynamics, "GTH_SPREAD", np.inf)
+    stacked, seen = stacked_equals_alone()
+    assert seen == [RankAmbiguityWarning] * 3
     assert [isinstance(r, Exception) for r in stacked] == [False, False, True, False, True, False]
 
 
-def test_every_ambiguous_class_warns_on_a_failed_row(params):
-    # one row: levels 0-1-2 joined by rates 1 and 1e-11 fail with a
-    # 2-dimensional null space; levels 3-4-5 joined by rates 1 and 1e-9 are
-    # solved too, and their rank ambiguity is reported
+def test_every_ambiguous_class_warns_on_a_failed_row(params, monkeypatch):
+    # one row: levels 0-1-2 joined by rates 1 and 1e-11, levels 3-4-5 by
+    # rates 1 and 1e-9.  Both classes spread past GTH_SPREAD: GTH solves
+    # them, 1/3 on each level, with no warning.  On the SVD alone
+    # (GTH_SPREAD = inf) the first fails with a 2-dimensional null space, the
+    # second is solved too, and its rank ambiguity is reported
     import warnings
 
     from qfridge.matrixcore import RankAmbiguityWarning
@@ -1455,12 +1485,117 @@ def test_every_ambiguous_class_warns_on_a_failed_row(params):
         for frm, to in ((a, b), (b, a)):
             w[0, to, frm] += rate
             w[0, frm, frm] -= rate
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        (row,) = state_sets(steady_state_rows(w), eigensystem(params), 1)
-    assert [x.category for x in seen] == [RankAmbiguityWarning]
+
+    def solve():
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            (row,) = state_sets(steady_state_rows(w), eigensystem(params), 1)
+        return row, [x.category for x in seen]
+
+    row, seen = solve()
+    assert seen == []
+    by_levels = by_support(row)
+    for levels in ((0, 1, 2), (3, 4, 5)):
+        assert by_levels[levels].populations[list(levels)].tolist() == [1 / 3] * 3
+    monkeypatch.setattr(dynamics, "GTH_SPREAD", np.inf)
+    row, seen = solve()
+    assert seen == [RankAmbiguityWarning]
     assert isinstance(row, dynamics.SolverFailure)
     assert "[0, 1, 2] yielded a 2-dimensional stationary space" in str(row)
+
+
+# --- GTH on wide classes ---------------------------------------------------
+
+#: The largest relative population error of a class solved by GTH against
+#: the 60-digit GTH of ``test_exactness.stationary``, in units of eps; a
+#: ratchet that no change may exceed.  Measured: 1.73 eps on the REVIVAL
+#: grids from T_C = 0.1 down to 0.01, 4.52 eps over 3000 random irreducible
+#: blocks of 2-8 levels with rates log-uniform over 1e-30 to 1.
+GTH_RATCHET = 5.0
+
+
+def class_spread(w: np.ndarray, levels) -> float:
+    """The rate spread of the class ``levels`` of W: its block's largest
+    positive off-diagonal rate over its smallest."""
+    block = w[np.ix_(list(levels), list(levels))]
+    return block.max() / block[block > 0.0].min()
+
+
+def population_error(w: np.ndarray, populations: np.ndarray, levels: list[int]) -> float:
+    """The largest relative error, in eps, of the ``populations`` of the
+    closed class ``levels`` of W against its 60-digit GTH solve."""
+    with mp.workdps(60):
+        exact = stationary(w, levels)
+        return max(float(abs(mp.mpf(populations[k]) - x) / x)
+                   for k, x in zip(levels, exact)) / np.finfo(float).eps
+
+
+def test_gth_pivot_that_underflows_fails_its_row_alone(params):
+    # the chain 0-1-2 with rates 1 and r spreads past GTH_SPREAD.  At
+    # r = 5e-324 the scaling that brings the largest rate into [1/2, 1)
+    # rounds r to 0, so level 2 has no rate out: its row fails with a
+    # SolverFailure naming the class, and nothing non-finite reaches the
+    # residual gate.  Its neighbours solve as they do alone, bit for bit
+    w = chain_stack([1e-9, 5e-324, 1e-10])
+    eigen = eigensystem(params)
+    rows = state_sets(steady_state_rows(w), eigen, len(w))
+    assert isinstance(rows[1], dynamics.SolverFailure) and str(rows[1]) == (
+        "class [0, 1, 2] has GTH pivot 0.000e+00 out of level 2 after scaling; "
+        "expected a positive finite rate sum")
+    for k in (0, 2):
+        (alone,) = state_sets(steady_state_rows(w[k:k + 1]), eigen, 1)
+        assert [(s.support, s.populations.tolist()) for s in rows[k]] == \
+            [(s.support, s.populations.tolist()) for s in alone]
+        assert rows[k][0].populations[:3].tolist() == [1 / 3] * 3
+
+
+@pytest.mark.parametrize("t_c", [0.1, 0.05, 0.03, 0.02, 0.01])
+def test_cold_edge_populations_match_the_exact_solve(monkeypatch, t_c):
+    # the REVIVAL mask at T_R = 4 T_C on the cold-edge benchmark's t_h grid:
+    # every class of more than one level spreads past GTH_SPREAD, and every
+    # population lies within GTH_RATCHET eps of the exact solve of its W
+    from qfridge.cli import parse_config, sweep_th
+
+    text = (f"[system]\nomega_c = 1.0\nomega_h = 3.0\ng = 0.25\ngamma = 0.05\n"
+            f"[reservoirs]\nt_h = 0.5\nt_r = {4.0 * t_c!r}\nt_c = {t_c!r}\n"
+            "[filter]\nh = 3\nr = 2\nc = 1\n"
+            "[sweep]\nvariable = t_h\nstart = 0.5\nstop = 12.0\npoints = 25\n")
+    ((_, _, w, finite), readout), = solved_grids(monkeypatch, lambda: sweep_th(parse_config(text)))
+    assert finite.all() and np.bincount(readout.row, minlength=len(w)).all()
+    worst = 0.0
+    for j, (k, code) in enumerate(zip(readout.row.tolist(), readout.support.tolist())):
+        levels = [i for i in range(8) if code >> i & 1]
+        if len(levels) > 1:
+            assert class_spread(w[k], levels) > dynamics.GTH_SPREAD
+            worst = max(worst, population_error(w[k], readout.populations[j], levels))
+    assert 0.0 < worst <= GTH_RATCHET
+
+
+@st.composite
+def irreducible_blocks(draw):
+    """W with one closed class on levels 0..m-1, 2 <= m <= 8, joined by the
+    ring i -> i + 1 and any other edges, each rate log-uniform over 1e-30
+    to 1; the other levels are closed singletons."""
+    m = draw(st.integers(2, 8))
+    w = np.zeros((8, 8))
+    for a in range(m):
+        for b in range(m):
+            if a != b and (b == (a + 1) % m or draw(st.booleans())):
+                w[b, a] = 10.0 ** draw(st.floats(-30.0, 0.0))
+    w[np.diag_indices(8)] = -w.sum(axis=0)
+    return w, m
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(irreducible_blocks())
+def test_wide_random_blocks_get_populations_within_the_gth_ratchet(block):
+    w, m = block
+    levels = list(range(m))
+    assume(class_spread(w, levels) > dynamics.GTH_SPREAD)
+    populations, _, support, failures = steady_state_rows(w[np.newaxis])
+    assert not failures
+    (j,) = np.flatnonzero(support == (1 << m) - 1)
+    assert population_error(w, populations[j], levels) <= GTH_RATCHET
 
 
 # --- the residual gate ---------------------------------------------------
@@ -1533,11 +1668,14 @@ def test_non_finite_w_raises_before_any_product(params, revival_generator, monke
 def test_shipped_grids_pass_the_residual_gate_far_inside_the_bound(monkeypatch):
     # figure_sweep, both census modes and the eight cold-edge grids: the gate
     # fails no row, every class lies within 1e-3 of its bound, and a grid
-    # takes one SVD per class-block size and no other
+    # takes one SVD per size of its narrow class blocks (spread at most
+    # GTH_SPREAD) and no other; the shipped grids have no wide class, and
+    # the cold-edge grids no narrow one
     from qfridge import cli
     from qfridge.cli import parse_config, scan_filters, sweep_th
 
     failed, ratios, rows, svd, calls = [], [], cli.steady_state_rows, np.linalg.svd, [0]
+    spreads = []  # the spread of each class of more than one level
 
     def counted(*args, **kwargs):
         calls[0] += 1
@@ -1547,8 +1685,14 @@ def test_shipped_grids_pass_the_residual_gate_far_inside_the_bound(monkeypatch):
         calls[0] = 0
         table = rows(w)
         out = state_sets(table, None, len(w))  # no state's matrix is read
-        assert calls[0] == len({len(s.support) for row in out if not isinstance(row, Exception)
-                                for s in row} - {1})
+        narrow = set()
+        for wk, row in zip(w, out):
+            for s in () if isinstance(row, Exception) else row:
+                if len(s.support) > 1:
+                    spreads.append(class_spread(wk, sorted(s.support)))
+                    if spreads[-1] <= dynamics.GTH_SPREAD:
+                        narrow.add(len(s.support))
+        assert calls[0] == len(narrow)
         for wk, row in zip(w, out):
             if isinstance(row, Exception):
                 failed.append(row)
@@ -1563,10 +1707,13 @@ def test_shipped_grids_pass_the_residual_gate_far_inside_the_bound(monkeypatch):
     census = load_config(str(CONFIGS / "filter_census.ini"))
     for mode in ("single_channel", "all"):
         assert not any(r.error for r in scan_filters(census, mode=mode).rows)
+    assert spreads and max(spreads) <= dynamics.GTH_SPREAD
+    shipped = len(spreads)
     for t_c in np.geomspace(0.1, 0.01, 8).tolist():
         text = (f"[system]\nomega_c = 1.0\nomega_h = 3.0\ng = 0.25\ngamma = 0.05\n"
                 f"[reservoirs]\nt_h = 0.5\nt_r = {4.0 * t_c!r}\nt_c = {t_c!r}\n"
                 "[filter]\nh = 3\nr = 2\nc = 1\n"
                 "[sweep]\nvariable = t_h\nstart = 0.5\nstop = 12.0\npoints = 25\n")
         sweep_th(parse_config(text))
+    assert len(spreads) > shipped and min(spreads[shipped:]) > dynamics.GTH_SPREAD
     assert not failed and len(ratios) > 400 and max(ratios) <= 1e-3
