@@ -56,7 +56,7 @@ from .dynamics import (
     assemble_generator,
     build_population_matrix,
     check_channel_table,
-    grid_dissipators,
+    grid_rates,
     participating_channels,
     steady_state_rows,
 )
@@ -213,8 +213,8 @@ class SweepSpec:
             raise ConfigError(f"sweep range must be strictly increasing, got "
                               f"[{self.start}, {self.stop}]")
         for key, value in (("start", self.start), ("stop", self.stop)):
-            if value < 0:
-                raise ConfigError(f"sweep.{key}: temperature must be >= 0, got {value}")
+            if not (value >= 0 and math.isfinite(value)):
+                raise ConfigError(f"sweep.{key}: temperature must be >= 0 and finite, got {value}")
         if self.points < 1:
             raise ConfigError(f"sweep.points must be >= 1, got {self.points}")
 
@@ -481,14 +481,12 @@ def _solve_grid(
     config's filter, without ``baths`` every row has the config's baths, and
     without either the grid is the scenario alone.
 
-    The rows are checked in one array pass over their kept-channel table
-    (:func:`check_channel_table`), before any row is solved; a row whose
-    filter fails a check fails with it.  One generator over all nine
-    channels, and W of every row, are then built once (:func:`_grid_rates`);
-    a row whose rates overflow fails with a :class:`NumericalFault`.  The
-    other rows are one :func:`steady_state_rows` call and the grid one
-    :func:`build_reports` call, each row equal to ``steady_states_numeric``
-    and ``build_report`` on its scenario alone, bit for bit.
+    The rows are checked in one array pass (:func:`check_channel_table`);
+    a row whose filter fails a check fails with it.  One generator, the
+    rate tables and W of every row follow (:func:`_grid_rates`); a row whose
+    rates overflow fails with a :class:`NumericalFault`.  The other rows are
+    one :func:`steady_state_rows` and one :func:`build_reports` call, each
+    row equal to its scenario solved and reported alone, bit for bit.
     """
     if filters is None:
         filters = [config.filter] * (1 if baths is None else len(baths))
@@ -498,7 +496,7 @@ def _solve_grid(
     kept = kept_channel_table(filters)
     failures: dict[int, Exception] = check_channel_table(config.params, kept, config.reservoirs,
                                                          config.background)
-    gen, dissipators, w, finite = _grid_rates(config, kept, baths)
+    gen, rates, w, finite = _grid_rates(config, kept, baths)
     overflow = NumericalFault("the rates overflow: W has a non-finite entry")
     for k in np.flatnonzero(~finite).tolist():
         failures.setdefault(k, overflow)
@@ -506,20 +504,18 @@ def _solve_grid(
     pops, rows, support, faults = steady_state_rows(w[live])
     failures.update((live[k].item(), exc) for k, exc in faults.items())
     table = (pops, live[rows], support, dict(sorted(failures.items())))
-    return build_reports(gen, dissipators, table, baths)
+    return build_reports(gen, rates, table, baths)
 
 
 def _grid_rates(config: ScenarioConfig, kept: np.ndarray, baths) -> tuple:
-    """One generator over all nine channels, the dissipators of the rows of the kept-channel
-    table ``kept`` at ``baths`` (:func:`grid_dissipators`), their W ``(N, 8, 8)`` and whether
-    each row's W is finite."""
+    """One generator over all nine channels, its rate tables on the rows of the kept-channel
+    table ``kept`` at ``baths`` (:func:`grid_rates`), their W and whether each is finite."""
     gen = assemble_generator(config.params, FilterConfig.all_channels(), config.reservoirs,
                              config.background)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in W
-        dissipators = grid_dissipators(gen, kept, baths)
-        # without stacked rates (no row keeps a channel) one W serves every row
-        w = np.broadcast_to(build_population_matrix(dissipators), (len(kept), DIM, DIM))
-    return gen, dissipators, w, np.isfinite(w).all(axis=(-2, -1))
+        rates = grid_rates(gen, kept, baths)
+        w = build_population_matrix(gen.dissipators, rates)
+    return gen, rates, w, np.isfinite(w).all(axis=(-2, -1))
 
 
 def _bath_table(config: ScenarioConfig) -> np.ndarray:

@@ -41,11 +41,11 @@ from .reservoirs import (
     MarkovValidityWarning,
     ReservoirSet,
     background_rates,
-    channel_rate_stack,
     channel_rates,
     cycle_match_check,
     kept_channel_table,
     markov_message,
+    mean_photon_number,
     select_channels,
 )
 from .spectrum import (
@@ -76,8 +76,8 @@ __all__ = [
     "check_channels",
     "check_channel_table",
     "participating_channels",
-    "grid_dissipators",
-    "take_rows",
+    "grid_rates",
+    "rate_table",
     "build_population_matrix",
     "invariant_components",
     "steady_state_rows",
@@ -119,28 +119,34 @@ class SolverFailure(RuntimeError):
 
 
 def apply_dissipator(d: Dissipator, rho: np.ndarray) -> np.ndarray:
-    """Action of one dissipator on a state or a stack of states ``(..., 8, 8)``:
+    """Action of one dissipator on a state or a stack of states
+    ``(..., 8, 8)`` (:func:`_channel_action`)."""
+    return _channel_action(d.channel, d.j_plus, d.j_minus, rho)
+
+
+def _channel_action(channel, j_plus, j_minus, rho) -> np.ndarray:
+    """Action of ``channel`` at the rates ``j_plus``, ``j_minus`` on a state
+    or a stack of states ``(..., 8, 8)``:
 
     j- (2 A rho A^dag - A^dag A rho - rho A^dag A)
     + j+ (2 A^dag rho A - A A^dag rho - rho A A^dag),
 
-    the j+ term skipped where j+ = 0 on every row; a row's lone zero j+ adds
-    0.0, which may turn a -0.0 entry into +0.0.  Stacked rates (``(N,)``
-    arrays, see :func:`grid_dissipators`) broadcast against the last batch
-    axis of ``rho``: state ``rho[..., k, :, :]`` sees row k of the rates
-    and equals the one-state formula at that row, bit for bit up to that
-    sign.  The operators are float64, so a real state gives a float64
-    result and a complex one a complex result.
-    """
+    each state equal to the one-state formula, bit for bit.  Rates are
+    scalars or ``(S,)`` arrays that pair with the last batch axis of
+    ``rho``; rates that every state shares multiply as scalars, which numpy
+    does faster.  The j+ term is skipped where j+ = 0 on every state; a
+    state's lone zero j+ adds 0.0, which may turn a -0.0 entry into +0.0.
+    The operators are float64, so a real state gives a float64 result."""
     rho = np.asarray(rho)
     if rho.shape[-2:] != (DIM, DIM):
         raise ValueError(f"expected {DIM}x{DIM} states, got {rho.shape}")
-    ch = d.channel
-    jp = np.asarray(d.j_plus)[..., None, None]
-    out = _lindblad_term(np.asarray(d.j_minus)[..., None, None],
-                         ch.operator, ch.adjoint, ch.ada, rho)
+    jp, jm = np.asarray(j_plus), np.asarray(j_minus)
+    if jp.size > 1 and (jp == jp.flat[0]).all() and (jm == jm.flat[0]).all():
+        jp, jm = jp.flat[0], jm.flat[0]
+    jp, jm = jp[..., None, None], jm[..., None, None]
+    out = _lindblad_term(jm, channel.operator, channel.adjoint, channel.ada, rho)
     if (jp != 0.0).any():
-        out += _lindblad_term(jp, ch.adjoint, ch.operator, ch.aad, rho)
+        out += _lindblad_term(jp, channel.adjoint, channel.operator, channel.aad, rho)
     return out
 
 
@@ -159,15 +165,14 @@ def _lindblad_term(rate, a, ad, ada, rho) -> np.ndarray:
 class Generator:
     """Assembled dynamics for one scenario.
 
-    ``dissipators`` holds the engineered (filtered) dissipators and, when a
-    background is active, the background dissipators over all nine
-    channels.  ``liouvillian`` is the 64x64 matrix generating ``d vec(rho)/dt``,
-    built on first read from the 64 matrix units: the coherent commutator
-    term plus each dissipator's :func:`apply_dissipator` action, in order.
-    The commutator never touches eigenlevel populations, so every
-    population-level result is independent of it; it is kept so that
-    undamped coherences between nondegenerate levels do not masquerade as
-    extra stationary states of the full generator.
+    ``dissipators`` holds the engineered (filtered) dissipators and, with an
+    active background, the background ones over all nine channels.
+    ``liouvillian``, the 64x64 generator of ``d vec(rho)/dt``, is built on
+    first read from the 64 matrix units: the commutator term plus each
+    dissipator's :func:`apply_dissipator` action, in order.  The commutator
+    never touches eigenlevel populations; it is kept so that undamped
+    coherences between nondegenerate levels do not masquerade as extra
+    stationary states of the full generator.
 
     ``eigen_generator`` is the same generator in the eigenbasis, ``L_e =
     (V^T kron V^T) L (V kron V)``, built from the channels' elements
@@ -242,8 +247,7 @@ def _eigen_generator(energies: np.ndarray, dissipators: Sequence[Dissipator]
     elements = np.array([d.channel.elements for d in dissipators]).reshape(-1, 2, 3)
     to, frm, coeff = elements.transpose(2, 0, 1)  # each (D, 2)
     to, frm = to.astype(int), frm.astype(int)
-    down = np.array([d.j_minus for d in dissipators], dtype=float)[:, None]
-    up = np.array([d.j_plus for d in dissipators], dtype=float)[:, None]
+    up, down = (rates.T for rates in rate_table(dissipators))  # each (D, 1)
     decay = np.zeros(DIM)  # diag of sum_d j- A^dag A + j+ A A^dag
     np.add.at(decay, frm, down * coeff**2)
     np.add.at(decay, to, up * coeff**2)
@@ -339,59 +343,54 @@ def assemble_generator(
     )
 
 
-def grid_dissipators(gen: Generator, kept: np.ndarray, baths) -> tuple[Dissipator, ...]:
-    """The dissipators of ``gen`` on a grid of rows: row k keeps those of
-    ``gen``'s channels that row k of the kept-channel table ``kept`` keeps
-    (``(N, 9)``, :func:`~qfridge.reservoirs.kept_channel_table`) and has its
-    baths at the temperatures ``baths[k]``, H, R, C (an ``(N, 3)`` table).
+def rate_table(dissipators: Sequence[Dissipator]) -> tuple[np.ndarray, np.ndarray]:
+    """The dissipators' own rates as the one-row tables ``(1, D)``
+    ``j_plus`` and ``j_minus`` of :func:`grid_rates`."""
+    return (np.array([[d.j_plus for d in dissipators]], dtype=float),
+            np.array([[d.j_minus for d in dissipators]], dtype=float))
 
-    Every engineered channel that some row keeps carries ``(N,)`` rate
-    arrays from its own bath's column (:func:`channel_rate_stack`, one
-    occupation per distinct temperature); a channel that a row filters out
-    couples on that row at gamma = 0, so its rates there are 0, 0, 0 and
-    every term it adds to W or to a current is exactly 0.0.  A channel
-    that no row keeps has the scalar rates 0, 0, 0, which broadcast over
-    the rows by the same rule.  Background dissipators are ``gen``'s own.
-    Row k of W equals W of the scenario with its filter and baths alone,
-    bit for bit, and so do the currents of the channels it keeps.
+
+def grid_rates(gen: Generator, kept: np.ndarray, baths) -> tuple[np.ndarray, np.ndarray]:
+    """The rates of ``gen``'s dissipators on N rows, as two ``(N, D)``
+    tables ``j_plus`` and ``j_minus``, column d that of ``gen.dissipators[d]``.
+    Row k keeps the channels that row k of the kept-channel table ``kept``
+    (``(N, 9)``) keeps, at the bath temperatures ``baths[k]``, H, R, C.
+
+    A kept engineered channel has the rates of ``channel_rates`` at its
+    row's bath, bit for bit, one occupation per distinct temperature; a
+    filtered one has exactly 0 and 0, even against an infinite occupation.
+    Background columns hold ``gen``'s own rates.  So row k of W, and the
+    currents of the channels it keeps, equal those of its scenario alone.
     """
     baths = np.asarray(baths, dtype=float)
-    out = []
-    for d in gen.dissipators:
-        if d.source == "engineered":
-            row_keeps = kept[:, CHANNEL_KEYS.index(d.channel.key)]
-            if row_keeps.any():
-                d = channel_rate_stack(d.channel, np.where(row_keeps, d.gamma, 0.0),
-                                       baths[:, QUBITS.index(d.channel.qubit)])
-            else:
-                d = Dissipator(d.channel, 0.0, 0.0, 0.0)
-        out.append(d)
-    return tuple(out)
+    j_plus, j_minus = (rates.repeat(len(kept), axis=0) for rates in rate_table(gen.dissipators))
+    for col, d in enumerate(gen.dissipators):
+        if d.source != "engineered":
+            continue
+        j_plus[:, col] = j_minus[:, col] = 0.0
+        if (keeps := kept[:, CHANNEL_KEYS.index(d.channel.key)]).any():
+            temps, at = np.unique(baths[keeps, QUBITS.index(d.channel.qubit)], return_inverse=True)
+            n = np.array([mean_photon_number(d.channel.frequency, t) for t in temps.tolist()])
+            j_plus[keeps, col] = d.gamma * n[at]
+            j_minus[keeps, col] = j_plus[keeps, col] + d.gamma
+    return j_plus, j_minus
 
 
-def take_rows(dissipators: Sequence[Dissipator], rows) -> tuple[Dissipator, ...]:
-    """The dissipators at ``rows`` of their stacked rates; a dissipator with
-    scalar rates is kept as it is."""
-    return tuple(
-        d if not isinstance(d.j_plus, np.ndarray) else Dissipator(
-            d.channel, d.j_plus[rows], d.j_minus[rows], d.gamma[rows], d.source)
-        for d in dissipators
-    )
-
-
-def build_population_matrix(dissipators) -> np.ndarray:
+def build_population_matrix(dissipators: Sequence[Dissipator], rates=None) -> np.ndarray:
     """Total rate matrix W with d p / dt = W p for the level populations.
 
-    Columns sum to zero (probability conservation) and off-diagonal entries
-    are nonnegative by construction.  With stacked rates (``(N,)`` arrays)
-    the result is an ``(N, 8, 8)`` stack whose row k equals W of the rates'
-    row k, bit for bit: every entry sums the same terms in the same order.
+    Columns sum to zero and off-diagonal entries are nonnegative by
+    construction.  With a grid's ``rates`` (:func:`grid_rates`) it is the
+    ``(N, 8, 8)`` stack of each row's W, bit for bit: every entry sums the
+    same terms in the same order; without, W of the dissipators' own rates.
     """
-    batch = np.broadcast_shapes(*(np.shape(d.j_plus) for d in dissipators))
-    w = np.zeros((DIM, DIM) + batch)  # rows last: w[to, frm] takes a float or a row of rates
-    for d in dissipators:
-        down = d.channel.pair_weight * d.j_minus
-        up = d.channel.pair_weight * d.j_plus
+    j_plus, j_minus = rate_table(dissipators) if rates is None else rates
+    weight = np.array([d.channel.pair_weight for d in dissipators], dtype=float)
+    ups, downs = (weight * j_plus).T, (weight * j_minus).T  # (D, N)
+    if rates is None:  # one row: item arithmetic on floats is the fastest
+        ups, downs = ups[:, 0], downs[:, 0]
+    w = np.zeros((DIM, DIM) + ups.shape[1:])  # rows last: w[to, frm] takes a float or a row
+    for d, up, down in zip(dissipators, ups, downs):
         for to, frm, _ in d.channel.elements:
             w[frm, frm] -= down
             w[to, frm] += down

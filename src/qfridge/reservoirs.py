@@ -26,7 +26,7 @@ from .spectrum import (
     SystemParams,
     TransitionChannel,
     _FREQ_OFFSET,
-    _kept_row,
+    _keys_row,
     channel_gaps,
 )
 
@@ -41,7 +41,6 @@ __all__ = [
     "MarkovValidityWarning",
     "mean_photon_number",
     "channel_rates",
-    "channel_rate_stack",
     "background_rates",
     "select_channels",
     "kept_channel_table",
@@ -300,26 +299,25 @@ class BackgroundSpec:
 @dataclass(frozen=True)
 class Dissipator:
     """One channel's dissipative contribution, engineered or background: the
-    channel and its absorption/emission rates against one bath.
+    channel and its scalar absorption/emission rates against one bath.
 
     ``j_minus`` is stored as the literal float sum ``j_plus + gamma``, so
     the decomposition into occupation and bare decay rate is exact; for
     T > 0 detailed balance ``j_minus / j_plus = exp(omega / T)`` holds to
-    rounding.  Against a stack of baths (:func:`channel_rate_stack`)
-    ``j_plus``, ``j_minus`` and ``gamma`` are ``(N,)`` arrays, one element
-    per bath.  A bath of ``gamma`` 0, where ``j_plus`` and ``j_minus`` are
-    0 too, is a row on which the channel is filtered out.
+    rounding.  An array rate raises ``ValueError``: a grid's rates are
+    tables (:func:`~qfridge.dynamics.grid_rates`).
     """
 
     channel: TransitionChannel
-    j_plus: float | np.ndarray
-    j_minus: float | np.ndarray
-    gamma: float | np.ndarray
+    j_plus: float
+    j_minus: float
+    gamma: float
     source: str = "engineered"  # engineered | background
 
     def __post_init__(self):
-        exact = self.j_minus == self.j_plus + self.gamma
-        if not (exact if isinstance(exact, bool) else exact.all()):
+        if any(np.ndim(rate) for rate in (self.j_plus, self.j_minus, self.gamma)):
+            raise ValueError("a Dissipator's rates are scalars")
+        if self.j_minus != self.j_plus + self.gamma:
             raise ValueError("j_minus must be the exact float sum j_plus + gamma")
 
     def __str__(self) -> str:
@@ -336,23 +334,6 @@ def channel_rates(channel: TransitionChannel, reservoir: ReservoirSpec) -> Dissi
         )
     j_plus = reservoir.gamma * mean_photon_number(channel.frequency, reservoir.temperature)
     return Dissipator(channel, j_plus, j_plus + reservoir.gamma, reservoir.gamma)
-
-
-def channel_rate_stack(
-    channel: TransitionChannel, gamma: float | np.ndarray, temperatures
-) -> Dissipator:
-    """The engineered dissipator of one channel against baths at each of
-    ``temperatures``, of decay rate ``gamma`` (one, or one per bath):
-    element k of ``j_plus``, ``j_minus`` and ``gamma`` equals
-    :func:`channel_rates` against a bath at ``temperatures[k]`` of rate
-    ``gamma[k]``, bit for bit.  The occupation is evaluated once per
-    distinct temperature.  A bath of ``gamma`` 0 has rates exactly 0, even
-    against an infinite occupation."""
-    values, at = np.unique(np.asarray(temperatures, dtype=float), return_inverse=True)
-    occupation = np.array([mean_photon_number(channel.frequency, t) for t in values.tolist()])
-    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), at.shape)
-    j_plus = np.multiply(gamma, occupation[at], out=np.zeros(at.shape), where=gamma != 0)
-    return Dissipator(channel, j_plus, j_plus + gamma, gamma)
 
 
 def background_rates(channel: TransitionChannel, background: BackgroundSpec) -> Dissipator:
@@ -419,7 +400,7 @@ def warn_if_markov_strained(params: SystemParams, keys: list[tuple[str, int]],
     """Emit the :func:`markov_message` of the channels ``keys`` at the
     largest decay rate ``gamma_max``, their minimum gap by the rule of
     :func:`~qfridge.spectrum.channel_gaps`, if any; nothing fails."""
-    _, (min_gap,) = channel_gaps(params, _kept_row(keys))
+    _, (min_gap,) = channel_gaps(params, _keys_row(keys))
     msg = markov_message(gamma_max, float(min_gap))
     if msg is not None:
         warnings.warn(msg, MarkovValidityWarning, stacklevel=2)

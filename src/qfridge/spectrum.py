@@ -310,7 +310,7 @@ def channel_gaps(params: SystemParams, kept: np.ndarray) -> tuple[np.ndarray, np
             np.where(pairs, gap, np.inf).min(axis=(1, 2)))
 
 
-def _kept_row(keys: list[tuple[str, int]] | None) -> np.ndarray:
+def _keys_row(keys: list[tuple[str, int]] | None) -> np.ndarray:
     """The one-row kept-channel table of ``keys`` (all nine if None)."""
     if keys is not None and (unknown := set(keys) - set(CHANNEL_KEYS)):
         raise KeyError(f"unknown channels {sorted(unknown)}")
@@ -332,5 +332,5 @@ def check_nondegenerate(params: SystemParams, keys: list[tuple[str, int]] | None
     """Raise :class:`DegenerateChannelsError` if any two of the given
     channels share a frequency.  The secular form of the dynamics assumes the
     participating frequencies are distinct."""
-    for exc in degenerate_errors(channel_gaps(params, _kept_row(keys))[0]).values():
+    for exc in degenerate_errors(channel_gaps(params, _keys_row(keys))[0]).values():
         raise exc

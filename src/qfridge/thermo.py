@@ -18,10 +18,11 @@ import numpy as np
 from .dynamics import (
     Generator,
     SteadyState,
+    _channel_action,
     apply_dissipator,
+    rate_table,
     steady_state_branches_analytic,
     steady_state_vacuum_background_analytic,
-    take_rows,
 )
 from .matrixcore import DensityMatrix
 from .reservoirs import (
@@ -95,21 +96,17 @@ class CurrentTriple(NamedTuple):
     room: float
 
 
-def heat_currents(
-    hamiltonian: np.ndarray,
-    dissipators: Sequence[Dissipator],
-    state: DensityMatrix | np.ndarray,
-) -> np.ndarray:
+def heat_currents(hamiltonian: np.ndarray, dissipators: Sequence[Dissipator],
+                  state: DensityMatrix | np.ndarray) -> np.ndarray:
     """Steady-state heat current of each dissipation channel,
     Tr{H_S D_k[rho]}, as an ``(n,)`` array; positive when heat flows
     reservoir -> system.  A stack of states ``(..., 8, 8)`` gives
-    ``(n, ...)``, state by state equal to single-state calls, bit for bit;
-    stacked rates pair with its last batch axis (see
-    :func:`~qfridge.dynamics.apply_dissipator`).  Raises
-    :class:`NumericalFault` naming the first channel (and of it the first
-    state) whose current has an imaginary part above ``IMAG_FAULT_TOL``."""
+    ``(n, ...)``, state by state equal to single-state calls, bit for bit.
+    Raises :class:`NumericalFault` naming the first channel (and of it the
+    first state) whose current has an imaginary part above
+    ``IMAG_FAULT_TOL``."""
     rho = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state)
-    values = _trace_currents(hamiltonian, dissipators, rho)
+    values = np.array([_trace(hamiltonian, apply_dissipator(d, rho)) for d in dissipators])
     bad = np.abs(values.imag) > IMAG_FAULT_TOL
     if bad.any():
         k, *at = np.argwhere(bad)[0]
@@ -118,10 +115,9 @@ def heat_currents(
     return values.real
 
 
-def _trace_currents(hamiltonian, dissipators, rho) -> np.ndarray:
-    """Tr{H_S D_k[rho]} of each dissipator, complex, as ``(n, ...)``."""
-    return np.array([np.trace(hamiltonian @ apply_dissipator(d, rho), axis1=-2, axis2=-1)
-                     for d in dissipators])
+def _trace(hamiltonian, action) -> np.ndarray:
+    """Tr{H_S D[rho]} of a dissipator's action on a state or a stack."""
+    return np.trace(hamiltonian @ action, axis1=-2, axis2=-1)
 
 
 def heat_current(
@@ -375,7 +371,7 @@ class Readout:
     gives it: each state's eigenlevel populations, its row, in row order,
     and its levels as a bit set.  ``currents`` ``(n, S)`` holds the current
     of each of ``dissipators``, 0.0 on a state whose row does not keep it
-    (``kept``: couples it at gamma = 0); ``engineered`` and ``background``
+    (``kept``: its rates there are 0 and 0); ``engineered`` and ``background``
     ``(3, S)`` their sums per bath, rows H, R, C; ``efficiency`` is NaN
     where it is undefined.  ``failures`` maps each failed row to its
     exception and ``reporting`` ``(N,)`` gives the state each other row
@@ -414,7 +410,7 @@ def build_report(gen: Generator, steady: SteadyState) -> HeatCurrentReport:
     the one-state case of :func:`build_reports`."""
     table = (np.reshape(steady.populations, (1, DIM)), np.zeros(1, dtype=int),
              np.array([sum(1 << i for i in steady.support)]), {})
-    readout = build_reports(gen, gen.dissipators, table,
+    readout = build_reports(gen, rate_table(gen.dissipators), table,
                             _by_bath(gen.reservoirs.temperatures)[np.newaxis])
     if readout.failures:
         raise readout.failures[0]
@@ -423,46 +419,44 @@ def build_report(gen: Generator, steady: SteadyState) -> HeatCurrentReport:
 
 def build_reports(
     gen: Generator,
-    dissipators: Sequence[Dissipator],
+    rates: tuple[np.ndarray, np.ndarray],
     table: tuple[np.ndarray, np.ndarray, np.ndarray, Mapping[int, Exception]],
     baths: np.ndarray,
 ) -> Readout:
     """:func:`build_report` of every steady state of a grid of rows, as one
     :class:`Readout`.
 
-    ``dissipators`` are ``gen``'s with one row of stacked rates per row (or
-    ``gen``'s own, for rows that share their rates), ``table`` holds the
-    states' populations, rows and supports and the exception of each
-    failed row, as :func:`~qfridge.dynamics.steady_state_rows` returns
-    them, and ``baths[k]`` row k's bath temperatures H, R, C (an ``(N, 3)``
-    table).  A row fails with its exception or, as ``build_report`` state
-    by state would raise it, with the first-law fault of its first faulting
-    state.  A report lists the channels its row keeps, those at gamma != 0
-    (see :func:`~qfridge.dynamics.grid_dissipators`).
+    ``rates`` are the ``(N, D)`` tables ``(j_plus, j_minus)`` of ``gen``'s
+    dissipators (:func:`~qfridge.dynamics.grid_rates`), ``table`` the states'
+    populations, rows, supports and each failed row's exception, as
+    :func:`~qfridge.dynamics.steady_state_rows` returns them, and
+    ``baths[k]`` row k's bath temperatures H, R, C.  A row keeps, and its
+    reports list, the dissipators of nonzero ``j_minus`` there.  A row fails
+    with its exception or, as ``build_report`` would, with the first-law
+    fault of its first faulting state.
 
-    The states' real density matrices are built from the populations in
-    ``gen``'s eigenbasis (the closed-form eigenvectors are the same for
-    every parameter set, so this is each state's own); each dissipator is
-    one trace-form kernel call on the states whose rows keep it, and the
-    summary is array operations, so each report equals ``build_report`` on
-    its state alone, bit for bit.  The Hamiltonian and the channel
-    operators are float64 too, so every current is real.
+    The states' real density matrices are built in ``gen``'s eigenbasis
+    (the same for every parameter set); each dissipator is one real
+    trace-form kernel call on the states whose rows keep it, and the summary
+    is array operations, so each report equals ``build_report`` on its state
+    alone, bit for bit.
     """
     populations, at, support, failures = table
     failures = dict(failures)
     counts = np.bincount(at, minlength=len(baths))
     states = gen.eigen.diagonal_state(populations)
-    kept = _kept(dissipators, len(baths))[:, at]
+    j_plus, j_minus = (r.T[:, at] for r in rates)  # (D, S): the rates of each state's row
+    kept = j_minus != 0.0
     currents = np.zeros(kept.shape)
-    for k, d in enumerate(dissipators):
+    for k, d in enumerate(gen.dissipators):
         if (on := np.flatnonzero(kept[k])).size:
-            currents[k, on] = _trace_currents(gen.hamiltonian, take_rows((d,), at[on]),
-                                              states[on])[0]
+            currents[k, on] = _trace(gen.hamiltonian, _channel_action(
+                d.channel, j_plus[k, on], j_minus[k, on], states[on]))
     engineered = np.zeros((len(QUBITS), len(at)))
     background = np.zeros((len(QUBITS), len(at)))
     scale = np.zeros(len(at))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum fails below
-        for d, value in zip(dissipators, currents):  # in generator order, as one state's sums
+        for d, value in zip(gen.dissipators, currents):  # in generator order, as one state's sums
             sums = engineered if d.source == "engineered" else background
             sums[QUBITS.index(d.channel.qubit)] += value
             scale += np.abs(value)
@@ -487,7 +481,7 @@ def build_reports(
                                      bg.effective_temperature if bg.active else None)
         eta = _efficiencies(engineered[2], engineered[0])
     return Readout(
-        dissipators=tuple(dissipators),
+        dissipators=gen.dissipators,
         populations=populations,
         row=at,
         support=support,
@@ -527,11 +521,3 @@ def _reporting_states(q_cold: np.ndarray, counts: np.ndarray) -> np.ndarray:
     best = np.minimum.reduceat(np.where(size == top, np.arange(len(size)), len(size)), firsts)
     return np.where(np.isnan(q_cold[firsts]), firsts, best)
 
-
-def _kept(dissipators: Sequence[Dissipator], n: int) -> np.ndarray:
-    """``(dissipators, n)`` booleans: whether each of ``n`` rows keeps each
-    dissipator, that is, couples it at gamma != 0."""
-    kept = np.empty((len(dissipators), n), dtype=bool)
-    for k, d in enumerate(dissipators):
-        kept[k] = d.gamma != 0.0
-    return kept

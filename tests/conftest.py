@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qfridge import FilterConfig, ReservoirSet, SystemParams
-from qfridge.dynamics import SteadyState, grid_dissipators
+from qfridge.dynamics import SteadyState, grid_rates
 from qfridge.reservoirs import kept_channel_table
 from qfridge.spectrum import DIM, QUBITS
 
@@ -63,11 +63,11 @@ def hot_baths(gen, t_h):
     return baths
 
 
-def hot_stack(gen, t_h):
-    """The dissipators of ``gen`` with the hot bath at each of ``t_h`` and
-    every channel kept on every row."""
-    return grid_dissipators(gen, kept_channel_table([FilterConfig.all_channels()] * len(t_h)),
-                            hot_baths(gen, t_h))
+def hot_rates(gen, t_h):
+    """The rate tables of ``gen``'s dissipators with the hot bath at each of
+    ``t_h`` and every channel kept on every row."""
+    return grid_rates(gen, kept_channel_table([FilterConfig.all_channels()] * len(t_h)),
+                      hot_baths(gen, t_h))
 
 
 def state_sets(table, eigen, n: int) -> list:

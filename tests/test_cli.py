@@ -11,6 +11,7 @@ from qfridge.cli import (
     ConfigError,
     GridResult,
     ScenarioConfig,
+    SweepSpec,
     constants_report,
     emit_csv,
     format_scan_table,
@@ -23,7 +24,7 @@ from qfridge.cli import (
     sweep_th,
     validate_config,
 )
-from conftest import hot_baths, hot_stack, state_sets, states_table
+from conftest import hot_baths, hot_rates, state_sets, states_table
 from qfridge.dynamics import build_population_matrix
 from qfridge.reservoirs import COOLING_FILTERS, kept_channel_table
 
@@ -888,6 +889,21 @@ def test_negative_sweep_temperature_is_a_config_error(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: sweep.start: ")
 
 
+@pytest.mark.parametrize("command", ["sweep", "validate", "scan"])
+def test_sweep_temperature_that_overflows_is_a_config_error(capsys, tmp_path, command):
+    # 1e307 K is a finite number in the file but inf in natural units, which
+    # used to reach mean_photon_number and end in a ValueError traceback
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(FIG_CONFIG.replace("stop_kelvin = 120", "stop_kelvin = 1e307"))
+    out = ["--out", str(tmp_path / "s.csv")] if command == "sweep" else []
+    assert main([command, "--config", str(cfg), *out]) == 2
+    assert capsys.readouterr().err == \
+        "error: sweep.stop: temperature must be >= 0 and finite, got inf\n"
+    assert not (tmp_path / "s.csv").exists()
+    with pytest.raises(ConfigError, match=r"^sweep\.start: temperature must be >= 0 and finite"):
+        SweepSpec("t_h", -math.inf, 5.0, 4)
+
+
 @pytest.mark.parametrize("old, new, unknown", [
     ("[filter]\nh = 2", "[filter]\nhot = 2", "filter.hot"),
     ("[background]", "[backgrounds]", "[backgrounds]"),
@@ -1146,7 +1162,8 @@ def test_stacked_svd_failure_fails_only_its_rows(monkeypatch):
     config = parse_config(FIG_CONFIG)
     plain = sweep_th(config)
     marked = 3
-    w = build_population_matrix(hot_stack(_generator(config), config.sweep.values))
+    gen = _generator(config)
+    w = build_population_matrix(gen.dissipators, hot_rates(gen, config.sweep.values))
     stacks = []
     monkeypatch.setattr(np.linalg, "svd", failing_null_space_svd(w[marked], stacks))
     result = assert_sweep_matches_one_point_solves(config)
@@ -1638,20 +1655,20 @@ def test_load_csv_rejects_a_wrong_column_header(tmp_path):
 
 def test_scan_takes_currents_only_where_a_row_couples(monkeypatch):
     # a scan's generator couples each of the nine channels on every
-    # mask's row, at gamma = 0 where the mask filters it out; no such pair
-    # reaches the trace-form kernel, which is called once per dissipator
-    # that some row keeps
+    # mask's row, at rates 0 and 0 where the mask filters it out; no such
+    # pair reaches the trace-form kernel, which is called once per
+    # dissipator that some row keeps
     from qfridge import thermo
 
     calls = []
-    apply = thermo.apply_dissipator
+    apply = thermo._channel_action
 
-    def counted(d, rho):
-        assert np.all(np.asarray(d.gamma) != 0.0)
-        calls.append((d.channel.key, len(rho)))
-        return apply(d, rho)
+    def counted(channel, j_plus, j_minus, rho):
+        assert np.all(j_minus != 0.0) and len(j_plus) == len(j_minus) == len(rho)
+        calls.append((channel.key, len(rho)))
+        return apply(channel, j_plus, j_minus, rho)
 
-    monkeypatch.setattr(thermo, "apply_dissipator", counted)
+    monkeypatch.setattr(thermo, "_channel_action", counted)
     result = scan_filters(load_config(str(CONFIGS / "filter_census.ini")), mode="all")
     assert len(result.rows) == 216 and not any(r.error for r in result.rows)
     # each state of a mask pairs with the channels the mask keeps, once
@@ -1663,21 +1680,38 @@ def test_scan_takes_currents_only_where_a_row_couples(monkeypatch):
 
 def test_one_mask_sweep_stacks_rates_of_kept_channels_only(monkeypatch):
     # the shipped sweep keeps three of the nine channels on every row; the
-    # six that no row keeps take scalar zero rates, without a rate stack
-    from qfridge import dynamics
+    # grid's rate tables evaluate occupations for those three alone, once
+    # per distinct temperature of their bath, and give the six that no row
+    # keeps rates of exactly 0 and 0
+    from qfridge import cli, dynamics
+    from qfridge.spectrum import transition_channels
 
     calls = []
-    stack = dynamics.channel_rate_stack
+    occupation = dynamics.mean_photon_number
 
-    def counted(channel, gamma, temperatures):
-        calls.append(channel.key)
-        return stack(channel, gamma, temperatures)
+    def counted(omega, temperature):
+        calls.append((omega, temperature))
+        return occupation(omega, temperature)
 
-    monkeypatch.setattr(dynamics, "channel_rate_stack", counted)
+    grids, grid_rates = [], cli._grid_rates
+    monkeypatch.setattr(dynamics, "mean_photon_number", counted)
+    monkeypatch.setattr(cli, "_grid_rates", lambda *args: grids.append(grid_rates(*args))
+                        or grids[-1])
     config = load_config(str(CONFIGS / "figure_sweep.ini"))
     result = sweep_th(config)
     assert not any(r.failed for r in result.rows)
-    assert sorted(calls) == sorted(config.filter.kept_keys) and len(calls) == 3
+    t_h = config.sweep.values.tolist()
+    assert len(set(t_h)) == len(t_h) == 200
+    res = config.reservoirs
+    frequency = {ch.key: ch.frequency for ch in transition_channels(config.params)}
+    want = [(frequency[q, j], t) for q, j in config.filter.kept_keys
+            for t in (t_h if q == "H" else [res[q].temperature])]
+    assert sorted(calls) == sorted(want) and len(calls) == 202
+    ((gen, (j_plus, j_minus), _, _),) = grids
+    dropped = [k for k, d in enumerate(gen.dissipators) if d.source == "engineered"
+               and d.channel.key not in config.filter.kept_keys]
+    assert len(dropped) == 6
+    assert not j_plus[:, dropped].any() and not j_minus[:, dropped].any()
 
 
 @pytest.mark.parametrize("background", ["none", "vacuum"])
@@ -1690,7 +1724,7 @@ def test_grid_reports_equal_build_report_on_cold_edge_grids(background):
     from dataclasses import replace
 
     from qfridge import build_report
-    from qfridge.dynamics import grid_dissipators, steady_state_rows
+    from qfridge.dynamics import grid_rates, steady_state_rows
     from qfridge.thermo import NumericalFault, build_reports
 
     seen = {"fault": 0, "report": 0, "dead band": 0, "infinite sigma": 0}
@@ -1702,11 +1736,10 @@ def test_grid_reports_equal_build_report_on_cold_edge_grids(background):
         config = parse_config(text)
         gen, t_h = _generator(config), config.sweep.values.tolist()
         baths = hot_baths(gen, t_h)
-        dissipators = grid_dissipators(gen, kept_channel_table([config.filter] * len(t_h)),
-                                       baths)
-        rows = state_sets(steady_state_rows(build_population_matrix(dissipators)), gen.eigen,
-                          len(t_h))
-        readout = build_reports(gen, dissipators, states_table(rows), baths)
+        rates = grid_rates(gen, kept_channel_table([config.filter] * len(t_h)), baths)
+        rows = state_sets(steady_state_rows(build_population_matrix(gen.dissipators, rates)),
+                          gen.eigen, len(t_h))
+        readout = build_reports(gen, rates, states_table(rows), baths)
         for k, (t, states) in enumerate(zip(t_h, rows, strict=True)):
             if isinstance(states, Exception):
                 assert readout.failures[k] is states
@@ -1740,25 +1773,31 @@ def test_grid_reports_equal_build_report_on_cold_edge_grids(background):
 def assert_readout_matches_complex_oracle(monkeypatch, solve):
     """Run ``solve``, a CLI grid solve; each real current of its read-out
     (faulting states included) is within 8 eps of its state's summed
-    channel current magnitudes of ``heat_currents`` on the complex density
-    matrix of the state."""
-    from qfridge import cli, heat_currents
-    from qfridge.dynamics import take_rows
+    channel current magnitudes of the trace-form kernel on the complex
+    density matrix of the state, whose imaginary parts stay within
+    ``IMAG_FAULT_TOL``."""
+    from qfridge import cli
+    from qfridge.dynamics import _channel_action
+    from qfridge.thermo import IMAG_FAULT_TOL
 
     seen = {}
     build = cli.build_reports
 
-    def reports(gen, dissipators, table, baths):
-        seen.update(gen=gen, dissipators=dissipators, table=table)
-        seen["readout"] = build(gen, dissipators, table, baths)
+    def reports(gen, rates, table, baths):
+        seen.update(gen=gen, rates=rates, table=table)
+        seen["readout"] = build(gen, rates, table, baths)
         return seen["readout"]
 
     with monkeypatch.context() as patch:
         patch.setattr(cli, "build_reports", reports)
         solve()
-    gen, (populations, at, _, _) = seen["gen"], seen["table"]
+    gen, (j_plus, j_minus), (populations, at, _, _) = seen["gen"], seen["rates"], seen["table"]
     rho = gen.eigen.diagonal_state(np.array(populations, dtype=complex))
-    want = heat_currents(gen.hamiltonian, take_rows(seen["dissipators"], at.tolist()), rho)
+    want = np.array([np.trace(gen.hamiltonian @ _channel_action(
+        d.channel, j_plus[at, k], j_minus[at, k], rho), axis1=-2, axis2=-1)
+        for k, d in enumerate(gen.dissipators)])
+    assert (np.abs(want.imag) <= IMAG_FAULT_TOL).all()
+    want = want.real
     got = seen["readout"].currents
     assert got.dtype == np.float64 and got.shape == want.shape
     bound = 8.0 * np.finfo(float).eps * np.abs(got).sum(axis=0)
@@ -1882,14 +1921,14 @@ def test_non_finite_currents_fail_both_first_law_gates(monkeypatch, bad):
 
     config = parse_config(FIG_CONFIG)
     plain = sweep_th(config)
-    trace_currents = thermo._trace_currents
+    trace = thermo._trace
 
-    def faulty(hamiltonian, dissipators, rho):
-        values = trace_currents(hamiltonian, dissipators, rho)
+    def faulty(hamiltonian, action):
+        values = trace(hamiltonian, action)
         values[..., 3] = bad
         return values
 
-    monkeypatch.setattr(thermo, "_trace_currents", faulty)
+    monkeypatch.setattr(thermo, "_trace", faulty)
     result = sweep_th(config)
     assert [r.failed for r in result.rows] == [k == 3 for k in range(8)]
     assert re.fullmatch(r"NumericalFault: first-law violation: currents sum to \S+ against "

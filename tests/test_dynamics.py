@@ -38,7 +38,7 @@ from qfridge import (
 )
 from qfridge.reservoirs import REVIVAL_FILTER
 from qfridge import dynamics
-from conftest import by_support, hot_stack, state_sets
+from conftest import by_support, hot_rates, state_sets
 from qfridge.cli import load_config
 from qfridge.dynamics import (
     BLOCK_STEPS,
@@ -46,8 +46,8 @@ from qfridge.dynamics import (
     LADDER_RUNGS,
     RK4_STABLE_RADIUS,
     VACUUM_TRANSPORT_FILTER,
+    rate_table,
     steady_state_rows,
-    take_rows,
 )
 from qfridge.spectrum import EigenSystem
 from qfridge.thermo import IMAG_FAULT_TOL, NumericalFault
@@ -1305,13 +1305,17 @@ def row_dissipators(gen, t_h):
 
 
 def test_population_matrix_stack_equals_rows(params):
+    # each row of the rate tables equals channel_rates and background_rates
+    # at that row's baths, bit for bit, and so does W of that row
     for gen in kernel_generators(params):
-        stack = hot_stack(gen, STACK_T_H)
-        w = build_population_matrix(stack)
+        rates = hot_rates(gen, STACK_T_H)
+        assert [r.shape for r in rates] == [(len(STACK_T_H), len(gen.dissipators))] * 2
+        w = build_population_matrix(gen.dissipators, rates)
         assert w.shape == (len(STACK_T_H), 8, 8) and w.flags.c_contiguous
         for k, t_h in enumerate(STACK_T_H):
+            row = rate_table(row_dissipators(gen, t_h))
+            assert [r[k].tobytes() for r in rates] == [r[0].tobytes() for r in row]
             assert np.array_equal(w[k], build_population_matrix(row_dissipators(gen, t_h)))
-            assert take_rows(stack, [k])[0].j_plus.shape == (1,)
 
 
 def failing_svd_of(marked: np.ndarray):
@@ -1365,8 +1369,8 @@ def test_steady_state_rows_build_states_only_when_read(params, monkeypatch):
     monkeypatch.setattr(EigenSystem, "diagonal_state", counted)
     grid = np.linspace(0.0, 30.0, 25).tolist()
     for gen in kernel_generators(params):
-        rows = state_sets(steady_state_rows(build_population_matrix(hot_stack(gen, grid))),
-                          gen.eigen, len(grid))
+        rows = state_sets(steady_state_rows(build_population_matrix(
+            gen.dissipators, hot_rates(gen, grid))), gen.eigen, len(grid))
         assert calls == []
         states = [s for row in rows for s in row]
         want = stacked_complex_states(gen.eigen.vectors, [s.populations for s in states])
@@ -1380,7 +1384,7 @@ def test_steady_state_rows_build_states_only_when_read(params, monkeypatch):
 
 def test_steady_state_stack_equals_rows(params, monkeypatch):
     for gen in kernel_generators(params):
-        w = build_population_matrix(hot_stack(gen, STACK_T_H))
+        w = build_population_matrix(gen.dissipators, hot_rates(gen, STACK_T_H))
         rows = state_sets(steady_state_rows(w), gen.eigen, len(w))
         assert not any(isinstance(row, Exception) for row in rows)
         assert_rows_equal_alone(gen, STACK_T_H, rows)
@@ -1389,7 +1393,7 @@ def test_steady_state_stack_equals_rows(params, monkeypatch):
     # redone matrix by matrix
     grid = np.linspace(0.0, 30.0, 25).tolist()
     for gen in kernel_generators(params):
-        w = build_population_matrix(hot_stack(gen, grid))
+        w = build_population_matrix(gen.dissipators, hot_rates(gen, grid))
         cls = sorted(next(c for c in invariant_components(w[8]) if len(c) > 1))
         monkeypatch.setattr(np.linalg, "svd", failing_svd_of(w[8][np.ix_(cls, cls)]))
         rows = state_sets(steady_state_rows(w), gen.eigen, len(w))

@@ -84,16 +84,16 @@ def stationary(w: np.ndarray, levels: list[int]) -> list:
     return [x / total for x in p]
 
 
-def exact_cells(dissipators, row: int, n: int, pops: dict) -> tuple[dict, mp.mpf]:
-    """Each (source, bath) current of a state on ``row`` of ``n`` rows, and
-    the state's gross flux G, from its exact populations ``pops`` (level ->
-    population; levels outside its class have none)."""
+def exact_cells(dissipators, rates, row: int, pops: dict) -> tuple[dict, mp.mpf]:
+    """Each (source, bath) current of a state on ``row`` of the rate tables
+    ``rates`` of ``dissipators``, and the state's gross flux G, from its
+    exact populations ``pops`` (level -> population; levels outside its
+    class have none)."""
     cells = {(src, q): mp.mpf(0) for src in ("engineered", "background") for q in QUBITS}
     gross = mp.mpf(0)
-    for d in dissipators:
+    for d, jp, jm in zip(dissipators, *(r[row].tolist() for r in rates), strict=True):
         ch = d.channel
-        jp = mp.mpf(np.broadcast_to(d.j_plus, n)[row].item())
-        jm = mp.mpf(np.broadcast_to(d.j_minus, n)[row].item())
+        jp, jm = mp.mpf(jp), mp.mpf(jm)
         scale = mp.mpf(ch.frequency) * mp.mpf(ch.pair_weight)
         for lower, upper, _ in ch.elements:
             up = scale * jp * pops.get(lower, 0)
@@ -108,7 +108,7 @@ def grid_errors(monkeypatch, name: str) -> dict:
     error (in eps) and the number of states of grid ``name``."""
     worst = {"current": 0.0, "population": 0.0, "states": 0}
     with mp.workdps(60):
-        for (_, dissipators, w, finite), readout in solved_grids(monkeypatch, GRIDS[name]):
+        for (gen, rates, w, finite), readout in solved_grids(monkeypatch, GRIDS[name]):
             assert finite.all() and not readout.failures
             assert np.bincount(readout.row, minlength=len(w)).all()  # every row has a state
             for row in range(len(w)):
@@ -120,7 +120,7 @@ def grid_errors(monkeypatch, name: str) -> dict:
                     assert all(p[k] == 0.0 for k in range(len(p)) if k not in exact)
                     worst["population"] = max(worst["population"], *(
                         float(abs(mp.mpf(p[k]) - x) / x) / EPS for k, x in exact.items()))
-                    cells, gross = exact_cells(dissipators, row, len(w), exact)
+                    cells, gross = exact_cells(gen.dissipators, rates, row, exact)
                     worst["states"] += 1
                     for (src, q), want in cells.items():
                         sums = readout.engineered if src == "engineered" else readout.background

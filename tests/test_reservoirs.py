@@ -21,9 +21,9 @@ from qfridge import (
 )
 from qfridge.reservoirs import (
     COOLING_FILTERS,
+    Dissipator,
     MarkovValidityWarning,
     background_rates,
-    channel_rate_stack,
     cycle_matched,
     ghz_from_natural,
     kelvin_from_natural,
@@ -52,13 +52,25 @@ def test_occupation_overflows_where_omega_over_t_underflows():
     assert 1.1e-16 / 1e308 == 0.0
     assert mean_photon_number(1.1e-16, 1e308) == math.inf
     assert mean_photon_number(5e-324, 1.0) == math.inf
-    # a bath of gamma 0 keeps its rates at exactly 0 against that occupation
-    (c1,) = [c for c in transition_channels(SystemParams(1.0, 3.0, 1.0 - 2**-53, 0.05))
-             if c.key == ("C", 1)]
+    # a grid row that filters the channel out keeps its rates at exactly 0
+    # against that occupation
+    from qfridge.dynamics import assemble_generator, grid_rates
+
+    params = SystemParams(1.0, 3.0, 1.0 - 2**-53, 0.05)
+    gen = assemble_generator(params, FilterConfig.all_channels(),
+                             ReservoirSet.from_temperatures(params, 4.0, 2.0, 1.0),
+                             BackgroundSpec.none())
+    (col,) = [k for k, d in enumerate(gen.dissipators) if d.channel.key == ("C", 1)]
+    c1 = gen.dissipators[col].channel
     assert c1.frequency == pytest.approx(1.1e-16, rel=0.01)
-    d = channel_rate_stack(c1, np.array([0.05, 0.0, 0.05]), [1e308, 1e308, 1.0])
-    assert d.j_plus.tolist() == [math.inf, 0.0, 0.05 * mean_photon_number(c1.frequency, 1.0)]
-    assert d.j_minus.tolist()[:2] == [math.inf, 0.0]
+    c1_only = FilterConfig(frozenset(), frozenset(), frozenset({1}))
+    nothing = FilterConfig(frozenset(), frozenset(), frozenset())
+    j_plus, j_minus = grid_rates(gen, kept_channel_table([c1_only, nothing, c1_only]),
+                                 [[4.0, 2.0, 1e308], [4.0, 2.0, 1e308], [4.0, 2.0, 1.0]])
+    assert j_plus[:, col].tolist() == [math.inf, 0.0,
+                                       0.05 * mean_photon_number(c1.frequency, 1.0)]
+    assert j_minus[:, col].tolist()[:2] == [math.inf, 0.0]
+    assert not j_plus[:, np.arange(9) != col].any() and not j_minus[:, np.arange(9) != col].any()
 
 
 def test_mean_photon_number_physical_entry():
@@ -183,6 +195,18 @@ def test_background_spec_validation():
         BackgroundSpec(mode="blue", gamma=0.1)
     assert not BackgroundSpec.none().active
     assert BackgroundSpec.vacuum(0.1).effective_temperature == 0.0
+
+
+def test_dissipator_holds_scalar_rates(params):
+    # a grid's rates are tables (dynamics.grid_rates), not array dissipators
+    ch = transition_channels(params)[0]
+    d = channel_rates(ch, ReservoirSpec(ch.qubit, 2.0, 0.05))
+    for rates in ((np.array([d.j_plus]), np.array([d.j_minus]), np.array([d.gamma])),
+                  (d.j_plus, d.j_minus, np.array([d.gamma, d.gamma]))):
+        with pytest.raises(ValueError, match="rates are scalars"):
+            Dissipator(ch, *rates)
+    with pytest.raises(ValueError, match="exact float sum"):
+        Dissipator(ch, d.j_plus, d.j_minus, d.gamma * (1.0 + 1e-12))
 
 
 def test_background_rates(params):

@@ -29,10 +29,11 @@ from qfridge import (
 )
 from qfridge.dynamics import (
     VACUUM_TRANSPORT_FILTER,
+    _channel_action,
+    rate_table,
     steady_state_rows,
-    take_rows,
 )
-from conftest import by_support, hot_baths, hot_stack, state_sets, states_table
+from conftest import by_support, hot_baths, hot_rates, state_sets, states_table
 from qfridge.reservoirs import COOLING_FILTERS, HIGH_EFFICIENCY_FILTER, REVIVAL_FILTER
 from qfridge.thermo import (
     DegenerateTemperaturesError,
@@ -455,14 +456,25 @@ def test_heat_currents_on_a_stack_equal_single_state_calls(params, rng):
             assert got[:, k].tolist() == want.tolist()
 
 
+def table_currents(gen, rates, states, rows) -> np.ndarray:
+    """Tr{H D_d[rho]} of each of ``gen``'s dissipators, the rates of row
+    ``rows[s]`` of the tables ``rates`` pairing with state s, by the kernel
+    that ``build_reports`` calls, as ``(D, S)``: real parts, as
+    ``heat_currents`` returns them."""
+    j_plus, j_minus = rates
+    return np.array([np.trace(gen.hamiltonian @ _channel_action(
+        d.channel, j_plus[rows, col], j_minus[rows, col], states), axis1=-2, axis2=-1)
+        for col, d in enumerate(gen.dissipators)]).real
+
+
 def test_heat_currents_with_stacked_rates_equal_rows(params, rng):
-    # row k of the stacked rates pairs with state k; T = 0 leaves j+ = 0 on
+    # row k of the rate tables pairs with state k; T = 0 leaves j+ = 0 on
     # that row only
     t_h = [0.0, 0.5, 6.0, 40.0]
     states = random_states(rng, len(t_h))
     for gen in stack_generators(params):
-        stack = hot_stack(gen, t_h)
-        got = heat_currents(gen.hamiltonian, stack, states)
+        rates = hot_rates(gen, t_h)
+        got = table_currents(gen, rates, states, np.arange(len(t_h)))
         for k, (t, rho) in enumerate(zip(t_h, states)):
             hot = ReservoirSet.from_temperatures(params, t_h=t, t_r=4.0, t_c=1.0).hot
             row = [channel_rates(d.channel, hot)
@@ -470,8 +482,7 @@ def test_heat_currents_with_stacked_rates_equal_rows(params, rng):
                    for d in gen.dissipators]
             want = heat_currents(gen.hamiltonian, row, rho)
             assert got[:, k].tolist() == want.tolist()
-            assert heat_currents(gen.hamiltonian, take_rows(stack, [k]),
-                                 rho[None])[:, 0].tolist() == want.tolist()
+            assert table_currents(gen, rates, rho[None], [k])[:, 0].tolist() == want.tolist()
 
 
 def off_balance_row(rng, row):
@@ -494,11 +505,12 @@ def test_build_reports_equal_build_report_row_by_row(params, rng):
     short = np.linspace(1.0, 12.0, 7).tolist()
     grid = np.linspace(1.0, 12.0, 70).tolist()
     for t_h, bad in ((short, None), (grid, 8)):
-        stack = hot_stack(gen, t_h)
-        rows = state_sets(steady_state_rows(build_population_matrix(stack)), gen.eigen, len(t_h))
+        rates = hot_rates(gen, t_h)
+        rows = state_sets(steady_state_rows(build_population_matrix(gen.dissipators, rates)),
+                          gen.eigen, len(t_h))
         if bad is not None:
             rows[bad] = off_balance_row(rng, rows[bad])
-        readout = build_reports(gen, stack, states_table(rows), hot_baths(gen, t_h))
+        readout = build_reports(gen, rates, states_table(rows), hot_baths(gen, t_h))
         assert len(readout.reporting) == len(t_h)
         assert list(readout.failures) == ([] if bad is None else [bad])
         for k, t in enumerate(t_h):
@@ -521,10 +533,11 @@ def test_build_reports_keep_a_faulting_state_to_its_row(params, rng):
     # build_report raises on that state alone
     gen = stack_generators(params)[1]
     t_h = [2.0, 4.0, 8.0]
-    stack = hot_stack(gen, t_h)
-    rows = state_sets(steady_state_rows(build_population_matrix(stack)), gen.eigen, len(t_h))
+    rates = hot_rates(gen, t_h)
+    rows = state_sets(steady_state_rows(build_population_matrix(gen.dissipators, rates)),
+                      gen.eigen, len(t_h))
     rows[1] = off_balance_row(rng, rows[1])
-    readout = build_reports(gen, stack, states_table(rows), hot_baths(gen, t_h))
+    readout = build_reports(gen, rates, states_table(rows), hot_baths(gen, t_h))
     (fault,) = readout.failures.values()
     assert isinstance(fault, NumericalFault) and "first-law violation" in str(fault)
     # one state per row; the other rows report theirs
@@ -539,7 +552,7 @@ def test_build_reports_keep_a_faulting_state_to_its_row(params, rng):
 def readout_of(gen, state):
     """The read-out of ``build_report(gen, state)``."""
     baths = np.array([[gen.reservoirs[q].temperature for q in "HRC"]])
-    return build_reports(gen, gen.dissipators, states_table([(state,)]), baths)
+    return build_reports(gen, rate_table(gen.dissipators), states_table([(state,)]), baths)
 
 
 def test_build_reports_read_an_equal_copy_of_the_eigensystem_bit_for_bit(params):
