@@ -24,7 +24,6 @@ from .spectrum import (
     TransitionChannel,
     DegenerateChannelsError,
     build_hamiltonian,
-    channel_commutator_check,
     channel_frequency,
     eigensystem,
     transition_channels,

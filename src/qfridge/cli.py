@@ -68,6 +68,8 @@ from .reservoirs import (
     ReservoirSet,
     cycle_match_check,
     cycle_matched,
+    ghz_from_natural,
+    kelvin_from_natural,
     kept_channel_table,
     markov_message,
     natural_from_kelvin,
@@ -148,11 +150,6 @@ def _line(row_type: type) -> Callable[[object], str]:
             row[k] = str(row[k]).lower() if lower else str(row[k]).replace(",", ";")
         return fmt % tuple(row)
     return line
-
-
-def _cells(row) -> str:
-    """The table line of ``row`` (:func:`_line`)."""
-    return _line(type(row))(row)
 
 
 def _reason(exc: Exception) -> str:
@@ -541,9 +538,6 @@ class SweepRow:
     #: ``<ExceptionType>: <message>`` of a failed row; not written to the CSV
     error: str = field(default="", metadata={"column": False})
 
-    def as_csv(self) -> str:
-        return _cells(self)
-
     @property
     def failed(self) -> bool:
         return self.stage == "error"
@@ -611,10 +605,10 @@ def emit_csv(result: GridResult, path: str) -> None:
 
 def load_csv(path: str) -> GridResult:
     """Read a sweep CSV back, re-parsing the embedded config and
-    re-checking :func:`_energy_balance_faults` on every solved row.  A file
-    that cannot be read as UTF-8 text, a header value that does not parse,
-    or a row with the wrong number of cells, a non-numeric value or an
-    unknown stage is a :class:`ConfigError` that names ``path``."""
+    re-checking :func:`_energy_balance_faults` on every solved row.  An
+    unreadable or non-UTF-8 file, a header key given twice or a value that
+    does not parse, a malformed row (cells, value or stage), or rows that are
+    not the grid the header names, bit for bit, is a ``ConfigError`` on ``path``."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             lines = fh.read().splitlines()
@@ -624,8 +618,10 @@ def load_csv(path: str) -> GridResult:
     body: list[str] = []
     for line in lines:
         if line.startswith("# ") and " = " in line:
-            key, _, value = line[2:].partition(" = ")
-            items[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line[2:].partition(" = "))
+            if key in items:
+                raise ConfigError(f"{path}: header key {key} appears twice")
+            items[key] = value
         elif line.strip():
             body.append(line)
     columns = _columns(SweepRow)
@@ -660,6 +656,13 @@ def load_csv(path: str) -> GridResult:
             f"{path}: row at {solved[i].sweep_value} violates the first law ({faults[i]})")
     if malformed is not None:
         raise malformed
+    grid = _bath_table(config)[:, 0].tolist()
+    if len(rows) != len(grid):
+        raise ConfigError(f"{path}: {len(rows)} rows, but the header's grid has {len(grid)}")
+    for k, (row, value) in enumerate(zip(rows, grid)):
+        if row.sweep_value != value:
+            raise ConfigError(f"{path}: row {k} is at {row.sweep_value!r}, "
+                              f"but the header's grid is at {value!r}")
     return GridResult(config=config, rows=tuple(rows), warnings=())
 
 
@@ -838,11 +841,11 @@ def constants_report(config: ScenarioConfig | None = None) -> str:
     if config is not None and config.params.unit_scale is not None:
         us = config.params.unit_scale
         lines.append(f"unit_scale = {us:.10e} rad / s")
-        lines.append(f"1 natural frequency unit = {us / (2 * math.pi * 1e9):.10g} GHz")
-        lines.append(f"1 natural temperature unit = {us * HBAR / KB:.10g} K")
+        lines.append(f"1 natural frequency unit = {ghz_from_natural(1.0, us):.10g} GHz")
+        lines.append(f"1 natural temperature unit = {kelvin_from_natural(1.0, us):.10g} K")
         for q in QUBITS:
             t = config.reservoirs[q].temperature
-            lines.append(f"T_{q} = {t:.10g} natural = {t * us * HBAR / KB:.10g} K")
+            lines.append(f"T_{q} = {t:.10g} natural = {kelvin_from_natural(t, us):.10g} K")
     return "\n".join(lines) + "\n"
 
 

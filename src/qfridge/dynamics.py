@@ -73,7 +73,6 @@ __all__ = [
     "apply_dissipator",
     "assemble_generator",
     "build_generator",
-    "check_channels",
     "check_channel_table",
     "participating_channels",
     "grid_rates",
@@ -296,26 +295,20 @@ def check_channel_table(params: SystemParams, kept: np.ndarray, reservoirs: Rese
     return degenerate_errors(degenerate)
 
 
-def check_channels(params: SystemParams, filt: FilterConfig, reservoirs: ReservoirSet,
-                   background: BackgroundSpec) -> None:
-    """The one-mask case of :func:`check_channel_table`: raise the
-    :class:`~qfridge.spectrum.DegenerateChannelsError` of ``filt``, or else
-    emit its Markov warning, if any."""
-    kept = kept_channel_table([filt])
-    for exc in check_channel_table(params, kept, reservoirs, background).values():
-        raise exc
-
-
 def build_generator(
     params: SystemParams,
     filt: FilterConfig,
     reservoirs: ReservoirSet,
     background: BackgroundSpec | None = None,
 ) -> Generator:
-    """The checked dissipators of a scenario: :func:`check_channels`, then
-    :func:`assemble_generator`."""
+    """The checked dissipators of a scenario: :func:`check_channel_table` on
+    the one-row table of ``filt``, which raises its
+    :class:`~qfridge.spectrum.DegenerateChannelsError` or else emits its
+    Markov warning, if any; then :func:`assemble_generator`."""
     background = background or BackgroundSpec.none()
-    check_channels(params, filt, reservoirs, background)
+    kept = kept_channel_table([filt])
+    for exc in check_channel_table(params, kept, reservoirs, background).values():
+        raise exc
     return assemble_generator(params, filt, reservoirs, background)
 
 
@@ -325,7 +318,7 @@ def assemble_generator(
     reservoirs: ReservoirSet,
     background: BackgroundSpec,
 ) -> Generator:
-    """The dissipators of a scenario, without :func:`check_channels`.
+    """The dissipators of a scenario, without the checks of :func:`build_generator`.
     Engineered dissipators cover exactly the kept channels; an active
     background couples through all nine channels."""
     channels = transition_channels(params)

@@ -163,10 +163,6 @@ class DensityMatrix:
 
     matrix: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def dm_validate(rho: np.ndarray) -> DensityMatrix:
     """Validate a candidate density matrix.

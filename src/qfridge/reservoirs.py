@@ -105,7 +105,9 @@ def mean_photon_number(omega: float, temperature: float) -> float:
     if temperature == 0.0:
         return 0.0
     x = omega / temperature
-    if x > 700.0:  # exp would overflow; occupation is zero to double precision
+    if x > 700.0:  # keeps expm1 (OverflowError above x ~ 709.78) from raising:
+        # occupations below 1/expm1(700) ~ 9.9e-305, still normal doubles, are
+        # returned as 0 (ROADMAP item 13, rates in log space, moves this cut)
         return 0.0
     if x == 0.0:  # as 1 / expm1(x) is for a subnormal x
         return inf
@@ -195,13 +197,6 @@ class FilterConfig:
     def kept_for(self, qubit: str) -> frozenset[int]:
         return getattr(self, _KEPT_FIELD[qubit])
 
-    def keeps(self, qubit: str, index: int) -> bool:
-        return index in self.kept_for(qubit)
-
-    @property
-    def kept_keys(self) -> list[tuple[str, int]]:
-        return [(q, j) for q in QUBITS for j in sorted(self.kept_for(q))]
-
     @classmethod
     def single(cls, h: int, r: int, c: int) -> "FilterConfig":
         """Keep exactly one channel per qubit."""
@@ -248,10 +243,10 @@ HIGH_EFFICIENCY_FILTER = FilterConfig.single(2, 2, 2)
 #: mask, H1+R2+C3, cannot cool: its channels join levels 0-4-6-7-3-1 into one
 #: six-level cycle, in which every bath both emits and absorbs its quantum.
 COOLING_FILTERS = (
-    FilterConfig.single(3, 2, 1),
+    REVIVAL_FILTER,
     FilterConfig.single(1, 1, 1),
     FilterConfig.single(3, 3, 3),
-    FilterConfig.single(2, 2, 2),
+    HIGH_EFFICIENCY_FILTER,
     FilterConfig.single(1, 3, 2),
     FilterConfig.single(2, 1, 3),
 )
@@ -351,7 +346,7 @@ def select_channels(
     """The kept channels, in input order; dropped channels carry no dissipator."""
     if len(channels) != 9:
         raise ValueError(f"expected the complete 9-channel list, got {len(channels)}")
-    return [ch for ch in channels if filt.keeps(ch.qubit, ch.index)]
+    return [ch for ch in channels if ch.index in filt.kept_for(ch.qubit)]
 
 
 #: Per column of a kept-channel table, its channel's frequency offset in

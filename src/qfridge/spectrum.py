@@ -46,7 +46,6 @@ __all__ = [
     "eigensystem",
     "transition_channels",
     "channel_frequency",
-    "channel_commutator_check",
     "channel_gaps",
     "degenerate_errors",
     "check_nondegenerate",
@@ -283,17 +282,6 @@ def transition_channels(params: SystemParams) -> tuple[TransitionChannel, ...]:
     return tuple(TransitionChannel(q, j, channel_frequency(params, q, j), op,
                                    _CHANNEL_ELEMENTS[(q, j)], _CHANNEL_PAIR_WEIGHT[(q, j)])
                  for (q, j), op in zip(CHANNEL_KEYS, operators))
-
-
-def channel_commutator_check(params: SystemParams) -> float:
-    """Max over channels of ||[H_S, A] + omega A|| (spectral norm)."""
-    h = build_hamiltonian(params)
-    worst = 0.0
-    for ch in transition_channels(params):
-        a = ch.operator
-        resid = h @ a - a @ h + ch.frequency * a
-        worst = max(worst, float(np.linalg.norm(resid, 2)))
-    return worst
 
 
 def channel_gaps(params: SystemParams, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -323,22 +323,14 @@ _STAGES[0b111] = StageLabel.STAGE3  # (+, +, +)
 _STAGES[0b110] = StageLabel.STAGE4  # (+, +, -)
 
 
-def classify_stage(
-    q_cold: float, q_hot: float, q_room: float, tol: float = 1e-12
-) -> StageLabel:
-    """Match the sign pattern of the three per-reservoir currents.
+def classify_stage(q_cold, q_hot, q_room, tol: float = 1e-12):
+    """Match the sign pattern of the three per-reservoir currents, floats or
+    arrays of them: a :class:`StageLabel`, or an object array of them.
 
     Any current within the dead band is a boundary point; patterns outside
     the four listed sequences, and any NaN current, are unclassified.
-    ``tol`` should scale with the problem's frequency unit.  The
-    one-element case of :func:`_stages`.
+    ``tol`` should scale with the problem's frequency unit.
     """
-    return _stages(q_cold, q_hot, q_room, tol)
-
-
-def _stages(q_cold, q_hot, q_room, tol: float) -> np.ndarray:
-    """:func:`classify_stage` of arrays of currents, as an object array of
-    :class:`StageLabel`."""
     c, h, r = (np.asarray(q, dtype=float) for q in (q_cold, q_hot, q_room))
     boundary = (np.abs(c) <= tol) | (np.abs(h) <= tol) | (np.abs(r) <= tol)
     stage = np.where(boundary, 8, 4 * (c > 0) + 2 * (h > 0) + (r > 0))
@@ -491,7 +483,7 @@ def build_reports(
         background=background,
         efficiency=eta,
         sigma=sigma,
-        stage=_stages(engineered[2], engineered[0], engineered[1], tol=1e-12 * gen.params.omega_c),
+        stage=classify_stage(*engineered[[2, 0, 1]], tol=1e-12 * gen.params.omega_c),
         first_law_residual=residual,
         reporting=reporting,
         failures=failures,

@@ -16,7 +16,7 @@ from qfridge import (
     ReservoirSpec,
     SystemParams,
 )
-from qfridge.dynamics import check_channel_table, check_channels
+from qfridge.dynamics import build_generator, check_channel_table
 from qfridge.reservoirs import kept_channel_table
 from qfridge.spectrum import channel_frequency
 
@@ -95,15 +95,16 @@ def test_table_check_matches_the_mask_by_mask_oracle(masks, model, bath_gammas, 
     assert all(type(exc) is DegenerateChannelsError for exc in failures.values())
     assert messages == want_messages
 
-    # the one-mask case: a mask fails with its text, or warns its message
+    # the one-mask case, which build_generator runs: a mask fails with its
+    # text, or warns its message
     for m, filt in enumerate(masks):
         one_failures, one_messages = oracle_checks(params, [filt], reservoirs, background)
         if m in want_failures:
             with pytest.raises(DegenerateChannelsError) as info:
-                checked(lambda: check_channels(params, filt, reservoirs, background))
+                checked(lambda: build_generator(params, filt, reservoirs, background))
             assert str(info.value) == want_failures[m]
         else:
-            _, messages = checked(lambda: check_channels(params, filt, reservoirs, background))
+            _, messages = checked(lambda: build_generator(params, filt, reservoirs, background))
             assert messages == one_messages and not one_failures
 
 

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qfridge import cli
 from qfridge.cli import (
     ConfigError,
     GridResult,
+    ScanRow,
     ScenarioConfig,
+    SweepRow,
     SweepSpec,
     constants_report,
     emit_csv,
@@ -27,6 +30,7 @@ from qfridge.cli import (
 from conftest import hot_baths, hot_rates, state_sets, states_table
 from qfridge.dynamics import build_population_matrix
 from qfridge.reservoirs import COOLING_FILTERS, kept_channel_table
+from qfridge.spectrum import CHANNEL_KEYS
 
 FIG_CONFIG = """
 [system]
@@ -300,6 +304,55 @@ def test_load_csv_rejects_malformed_rows(tmp_path, column, cell, reason):
     with pytest.raises(ConfigError) as exc:
         load_csv(str(path))
     assert str(exc.value) == f"{path}: malformed row {lines[-1]!r} ({reason})"
+
+
+@pytest.fixture(scope="module")
+def shipped_sweep_lines(tmp_path_factory):
+    """The lines of the shipped figure_sweep CSV, and the index of its first row."""
+    path = tmp_path_factory.mktemp("shipped") / "figure_sweep.csv"
+    emit_csv(sweep_th(load_config(str(CONFIGS / "figure_sweep.ini"))), str(path))
+    lines = path.read_text().splitlines()
+    return lines, next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+
+
+def test_load_csv_reads_back_the_shipped_sweep(tmp_path, shipped_sweep_lines):
+    lines, top = shipped_sweep_lines
+    path = tmp_path / "sweep.csv"
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_csv(str(path))
+    assert len(loaded.rows) == len(lines) - top == loaded.config.sweep.points == 200
+    assert [r.sweep_value for r in loaded.rows] == loaded.config.sweep.values.tolist()
+
+
+def load_error(path, lines) -> str:
+    """The message of the ``ConfigError`` that ``load_csv`` raises on ``lines`` at ``path``."""
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as exc:
+        load_csv(str(path))
+    return str(exc.value)
+
+
+def test_load_csv_rejects_a_sweep_cut_short(tmp_path, shipped_sweep_lines):
+    lines, top = shipped_sweep_lines
+    path = tmp_path / "sweep.csv"
+    assert load_error(path, lines[:top + 50]) == f"{path}: 50 rows, but the header's grid has 200"
+
+
+def test_load_csv_rejects_a_row_off_the_header_grid(tmp_path, shipped_sweep_lines):
+    lines, top = shipped_sweep_lines
+    cells = lines[top].split(",")
+    start, cells[0] = float(cells[0]), "1e300"
+    path = tmp_path / "sweep.csv"
+    assert load_error(path, [*lines[:top], ",".join(cells), *lines[top + 1:]]) == \
+        f"{path}: row 0 is at 1e+300, but the header's grid is at {start!r}"
+
+
+def test_load_csv_rejects_a_header_key_given_twice(tmp_path, shipped_sweep_lines):
+    lines, _ = shipped_sweep_lines
+    g = next(k for k, line in enumerate(lines) if line.startswith("# system.g = "))
+    path = tmp_path / "sweep.csv"
+    assert load_error(path, [*lines[:g + 1], "# system.g = 0.25", *lines[g + 1:]]) == \
+        f"{path}: header key system.g appears twice"
 
 
 @pytest.mark.parametrize("fault", ["missing", "not_utf8", "bad_header_value"])
@@ -623,7 +676,8 @@ def test_sweep_reports_failed_rows_on_stderr(monkeypatch, capsys, tmp_path):
     assert all(line.startswith("warning: ") for line in err[:-1])
     # the reason is not part of the CSV, which reads back cell for cell
     loaded = load_csv(str(path))
-    assert [r.as_csv() for r in loaded.rows] == [r.as_csv() for r in result.rows]
+    line = cli._line(SweepRow)
+    assert [line(r) for r in loaded.rows] == [line(r) for r in result.rows]
     assert all(not r.error for r in loaded.rows)
 
 
@@ -851,7 +905,8 @@ def test_sweep_writes_energy_balance_breach_as_error_row(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines()[-1] == (
         f"1 of 1 rows failed; first at t_h={row.sweep_value:.16e}: {row.error}")
     loaded = load_csv(str(path))
-    assert [r.as_csv() for r in loaded.rows] == [row.as_csv()]
+    line = cli._line(SweepRow)
+    assert [line(r) for r in loaded.rows] == [line(row)]
     assert loaded.rows[0].stage == "error"
 
 
@@ -1045,7 +1100,8 @@ def one_point_solves(config: ScenarioConfig):
 
 
 def assert_rows_equal(got, want):
-    assert [(r.as_csv(), r.error) for r in got] == [(r.as_csv(), r.error) for r in want]
+    line = cli._line(SweepRow)
+    assert [(line(r), r.error) for r in got] == [(line(r), r.error) for r in want]
 
 
 def assert_sweep_matches_one_point_solves(config: ScenarioConfig) -> GridResult:
@@ -1190,8 +1246,8 @@ def test_stacked_svd_failure_fails_only_its_rows(monkeypatch):
     failed = [r for r in result.rows if r.error]
     assert [r.filter for r in failed] == [mask]
     assert failed[0].error == "LinAlgError: SVD did not converge"
-    assert [cli._cells(r) for r in result.rows if r.filter != mask] == \
-        [cli._cells(r) for r in plain.rows if r.filter != mask]
+    assert [cli._line(type(r))(r) for r in result.rows if r.filter != mask] == \
+        [cli._line(type(r))(r) for r in plain.rows if r.filter != mask]
     assert result.warnings == plain.warnings
 
 
@@ -1240,14 +1296,14 @@ def masks_solved_alone(config: ScenarioConfig, mode: str):
     from dataclasses import replace
 
     from qfridge import cli
-    from qfridge.dynamics import check_channels
+    from qfridge.dynamics import build_generator
 
     patterns = cli._filter_patterns(mode)
     cooling_tol = 1e-12 * config.params.omega_c
 
     def check(filt):
         try:
-            check_channels(config.params, filt, config.reservoirs, config.background)
+            build_generator(config.params, filt, config.reservoirs, config.background)
         except cli.ROW_FAILURES:
             pass
 
@@ -1276,7 +1332,8 @@ def assert_scan_matches_masks_solved_alone(config: ScenarioConfig, mode: str):
         assert_outcome_matches_solve_alone(got, replace(config, filter=filt))
     rows, warns = masks_solved_alone(config, mode)
     result = scan_filters(config, mode=mode)
-    assert sorted(map(cli._cells, result.rows)) == sorted(map(cli._cells, rows))
+    line = cli._line(ScanRow)
+    assert sorted(map(line, result.rows)) == sorted(map(line, rows))
     assert result.warnings == warns
     return result
 
@@ -1672,10 +1729,11 @@ def test_scan_takes_currents_only_where_a_row_couples(monkeypatch):
     result = scan_filters(load_config(str(CONFIGS / "filter_census.ini")), mode="all")
     assert len(result.rows) == 216 and not any(r.error for r in result.rows)
     # each state of a mask pairs with the channels the mask keeps, once
-    kept = sum(r.n_states * len(r.filter.kept_keys) for r in result.rows)
+    table = kept_channel_table([r.filter for r in result.rows])
+    kept = sum(r.n_states * n for r, n in zip(result.rows, table.sum(axis=1).tolist()))
     assert sum(n for _, n in calls) == kept < 9 * sum(r.n_states for r in result.rows)
     keys = [key for key, _ in calls]
-    assert sorted(keys) == sorted({key for r in result.rows for key in r.filter.kept_keys})
+    assert sorted(keys) == sorted(CHANNEL_KEYS[i] for i in np.flatnonzero(table.any(axis=0)))
 
 
 def test_one_mask_sweep_stacks_rates_of_kept_channels_only(monkeypatch):
@@ -1704,12 +1762,12 @@ def test_one_mask_sweep_stacks_rates_of_kept_channels_only(monkeypatch):
     assert len(set(t_h)) == len(t_h) == 200
     res = config.reservoirs
     frequency = {ch.key: ch.frequency for ch in transition_channels(config.params)}
-    want = [(frequency[q, j], t) for q, j in config.filter.kept_keys
+    want = [(frequency[q, j], t) for q in "HRC" for j in config.filter.kept_for(q)
             for t in (t_h if q == "H" else [res[q].temperature])]
     assert sorted(calls) == sorted(want) and len(calls) == 202
     ((gen, (j_plus, j_minus), _, _),) = grids
     dropped = [k for k, d in enumerate(gen.dissipators) if d.source == "engineered"
-               and d.channel.key not in config.filter.kept_keys]
+               and d.channel.index not in config.filter.kept_for(d.channel.qubit)]
     assert len(dropped) == 6
     assert not j_plus[:, dropped].any() and not j_minus[:, dropped].any()
 
@@ -1879,7 +1937,7 @@ def test_table_lines_equal_cell_by_cell_formatting(values, text, flags, n_states
     rows = [SweepRow(*values, stage=text, error=text),
             ScanRow(FilterConfig(*kept), *values[:4], *flags, n_states, error=text)]
     for row in rows:
-        assert cli._cells(row) == cli._line(type(row))(row) == cells_reference(row)
+        assert cli._line(type(row))(row) == cells_reference(row)
     config = parse_config(NATURAL_CONFIG)
     assert format_scan_table(config, [rows[1]]) == \
         format_scan_table(config, []) + cells_reference(rows[1]) + "\n"
@@ -1933,8 +1991,9 @@ def test_non_finite_currents_fail_both_first_law_gates(monkeypatch, bad):
     assert [r.failed for r in result.rows] == [k == 3 for k in range(8)]
     assert re.fullmatch(r"NumericalFault: first-law violation: currents sum to \S+ against "
                         r"magnitude \S+", result.rows[3].error)
-    assert [r.as_csv() for k, r in enumerate(result.rows) if k != 3] == \
-        [r.as_csv() for k, r in enumerate(plain.rows) if k != 3]
+    line = cli._line(SweepRow)
+    assert [line(r) for k, r in enumerate(result.rows) if k != 3] == \
+        [line(r) for k, r in enumerate(plain.rows) if k != 3]
     row = replace(plain.rows[3], qdot_B_R=bad)
     (fault,) = cli._energy_balance_faults(currents_of(row)).values()
     assert str(fault).startswith("first-law violation: the six currents")

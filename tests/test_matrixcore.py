@@ -55,7 +55,7 @@ def test_null_space_requires_square():
 
 def test_dm_validate_accepts_maximally_mixed():
     dm = dm_validate(np.eye(8) / 8.0)
-    assert dm.dim == 8
+    assert dm.matrix.shape == (8, 8)
     assert np.allclose(np.diag(dm.matrix), 1.0 / 8.0)
 
 

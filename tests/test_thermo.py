@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import draw_params
 from qfridge import (
@@ -414,6 +416,23 @@ def test_classify_stage_of_a_nan_current_is_unclassified(currents):
     # nan > 0 is False: without the NaN rule (nan, 1, 1) read as stage 2
     # and (1, 1, nan) as stage 4
     assert classify_stage(*currents) is StageLabel.UNCLASSIFIED
+
+
+# currents on each side of the dead band, on its edges, in it, zero of
+# either sign and NaN, at the dead band of tol = 1e-12
+_stage_currents = st.sampled_from([np.nan, 0.0, -0.0, 1e-12, -1e-12, 5e-13, -5e-13,
+                                   1.000001e-12, -1.000001e-12, 1.0, -1.0, np.inf, -np.inf])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(currents=st.lists(st.tuples(_stage_currents, _stage_currents, _stage_currents),
+                         min_size=1, max_size=12),
+       tol=st.sampled_from([1e-12, 0.0, 2.0]))
+def test_classify_stage_of_arrays_is_elementwise(currents, tol):
+    stages = classify_stage(*np.array(currents).T, tol=tol)
+    assert stages.dtype == object and stages.shape == (len(currents),)
+    assert all(type(stage) is StageLabel for stage in stages)
+    assert stages.tolist() == [classify_stage(*triple, tol=tol) for triple in currents]
 
 
 def test_build_report_contents(mild_params, mild_reservoirs):
