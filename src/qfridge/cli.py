@@ -72,6 +72,7 @@ from .reservoirs import (
     kelvin_from_natural,
     kept_channel_table,
     markov_message,
+    natural_from_ghz,
     natural_from_kelvin,
 )
 from .spectrum import (
@@ -87,6 +88,7 @@ from .thermo import (
     Readout,
     StageLabel,
     build_reports,
+    classify_stage,
     cooling_predicate,
     reporting_cells,
 )
@@ -345,9 +347,10 @@ def parse_config(text: str, source: str = "<string>") -> ScenarioConfig:
     if omega_c_ghz is not None and get("system", "unit_scale") is not None:
         raise ConfigError("system: give omega_c_ghz or unit_scale, not both")
     if omega_c_ghz is not None:
-        f_ghz = _number(omega_c_ghz, "system.omega_c_ghz")
-        unit_scale = 2.0 * math.pi * f_ghz * 1e9
-        omega_c = 1.0  # the cold frequency anchors the natural scale
+        # the cold frequency anchors the natural scale: its angular frequency
+        # in rad/s is the natural value of f_ghz at a unit scale of 1 rad/s
+        unit_scale = natural_from_ghz(_number(omega_c_ghz, "system.omega_c_ghz"), 1.0)
+        omega_c = 1.0
     else:
         omega_c = _number(omega_c_raw or "1.0", "system.omega_c")
         us_raw = get("system", "unit_scale")
@@ -498,9 +501,9 @@ def _solve_grid(
     for k in np.flatnonzero(~finite).tolist():
         failures.setdefault(k, overflow)
     live = np.array([k for k in range(len(kept)) if k not in failures], dtype=int)
-    pops, rows, support, faults = steady_state_rows(w[live])
+    pops, rows, support, wide, faults = steady_state_rows(w[live])
     failures.update((live[k].item(), exc) for k, exc in faults.items())
-    table = (pops, live[rows], support, dict(sorted(failures.items())))
+    table = (pops, live[rows], support, wide, dict(sorted(failures.items())))
     return build_reports(gen, rates, table, baths)
 
 
@@ -607,8 +610,11 @@ def load_csv(path: str) -> GridResult:
     """Read a sweep CSV back, re-parsing the embedded config and
     re-checking :func:`_energy_balance_faults` on every solved row.  An
     unreadable or non-UTF-8 file, a header key given twice or a value that
-    does not parse, a malformed row (cells, value or stage), or rows that are
-    not the grid the header names, bit for bit, is a ``ConfigError`` on ``path``."""
+    does not parse, a malformed row (cells, value or stage), rows that are
+    not the grid the header names, bit for bit, a solved row whose stage is
+    not :func:`classify_stage` of its currents at ``1e-12 * omega_c``, or an
+    ``error`` row with a cell other than ``sweep_value`` that is not NaN, is
+    a ``ConfigError`` on ``path``."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             lines = fh.read().splitlines()
@@ -663,6 +669,19 @@ def load_csv(path: str) -> GridResult:
         if row.sweep_value != value:
             raise ConfigError(f"{path}: row {k} is at {row.sweep_value!r}, "
                               f"but the header's grid is at {value!r}")
+    nan_cells = [f.name for f in columns if f.type == "float" and f.name != "sweep_value"]
+    stages = classify_stage(*np.array([(r.qdot_C, r.qdot_H, r.qdot_R) for r in rows],
+                                      dtype=float).reshape(-1, 3).T,
+                            tol=1e-12 * config.params.omega_c)
+    for k, (row, stage) in enumerate(zip(rows, stages.tolist())):
+        if row.failed:
+            for name in nan_cells:
+                if not math.isnan(cell := getattr(row, name)):
+                    raise ConfigError(f"{path}: row {k} is an error row, but its {name} "
+                                      f"is {cell!r}, not nan")
+        elif row.stage != stage:
+            raise ConfigError(f"{path}: row {k} has stage {row.stage}, but its currents "
+                              f"give {stage}")
     return GridResult(config=config, rows=tuple(rows), warnings=())
 
 
@@ -867,13 +886,15 @@ def _print_warnings(warns: Iterable[str]) -> None:
         print(f"warning: {w}", file=sys.stderr)
 
 
-def _print_failures(rows, noun: str, where: Callable) -> None:
+def _report_failures(rows, noun: str, where: Callable) -> int:
     """One stderr line when any of ``rows`` failed:
-    ``N of M <noun> failed; first at <where(row)>: <reason>``."""
+    ``N of M <noun> failed; first at <where(row)>: <reason>``; the exit
+    status, 2 when every row failed, else 0."""
     failed = [row for row in rows if row.error]
     if failed:
         print(f"{len(failed)} of {len(rows)} {noun} failed; first at "
               f"{where(failed[0])}: {failed[0].error}", file=sys.stderr)
+    return 2 if len(failed) == len(rows) else 0
 
 
 @cache
@@ -919,12 +940,13 @@ def main(argv: list[str] | None = None) -> int:
             result = sweep_th(config)
             emit_csv(result, args.out)
             _print_warnings(result.warnings)
-            _print_failures(result.rows, "rows", lambda row: f"t_h={_fmt(row.sweep_value)}")
+            return _report_failures(result.rows, "rows",
+                                    lambda row: f"t_h={_fmt(row.sweep_value)}")
         elif args.command == "scan":
             result = scan_filters(config, mode=args.mode)
             _write_output(format_scan_table(config, result.rows), args.out)
             _print_warnings(result.warnings)
-            _print_failures(result.rows, "masks", lambda row: row.filter)
+            return _report_failures(result.rows, "masks", lambda row: row.filter)
         elif args.command == "validate":
             report, ok = validate_config(config)
             _write_output(report, args.out)

@@ -444,7 +444,9 @@ def _class_codes(w: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SteadyState:
     """The stationary state of one closed class: its levels ``support`` and
-    their ``populations`` ``(8,)`` in the eigenbasis of ``eigen``.
+    their ``populations`` ``(8,)`` in the eigenbasis of ``eigen``; ``wide``
+    when :func:`steady_state_rows` solved the class by GTH elimination (its
+    rate spread exceeds ``GTH_SPREAD``).
 
     ``state``, the density matrix ``V diag(populations) V^T`` in the
     computational basis, is built on first read and kept; it is real,
@@ -456,6 +458,7 @@ class SteadyState:
     support: frozenset[int]
     populations: np.ndarray
     eigen: EigenSystem = field(repr=False, compare=False)
+    wide: bool = False
 
     @cached_property
     def state(self) -> DensityMatrix:
@@ -550,25 +553,26 @@ def steady_states_numeric(gen: Generator) -> tuple[SteadyState, ...]:
     This is the one-row case of :func:`steady_state_rows`.
     """
     w = build_population_matrix(gen.dissipators)
-    pops, _, support, failures = steady_state_rows(w[np.newaxis])
+    pops, _, support, wide, failures = steady_state_rows(w[np.newaxis])
     if failures:
         try:
             raise failures[0]
         finally:
             del failures  # the traceback refers to this frame: no cycle through it
-    return tuple(SteadyState(_level_set(code), p, gen.eigen)
-                 for code, p in zip(support.tolist(), pops))
+    return tuple(SteadyState(_level_set(code), p, gen.eigen, gth)
+                 for code, p, gth in zip(support.tolist(), pops, wide.tolist()))
 
 
 def steady_state_rows(
     w: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]:
     """:func:`steady_states_numeric` of each rate matrix of a stack
     ``(N, 8, 8)``, as one table of the S states of the rows that were
     solved, in row order and by smallest level within a row: their
-    populations ``(S, 8)``, their rows ``(S,)`` and their supports ``(S,)``
-    as bit sets (bit i for level i), and the :class:`SolverFailure` or
-    ``LinAlgError`` that fails each other row, by row.
+    populations ``(S, 8)``, their rows ``(S,)``, their supports ``(S,)``
+    as bit sets (bit i for level i) and whether each is wide ``(S,)``
+    (solved by GTH), and the :class:`SolverFailure` or ``LinAlgError``
+    that fails each other row, by row.
 
     The whole stack is one pass.  Its classes are one transitive closure.
     The blocks of W on all closed classes of one size, across rows, whose
@@ -594,6 +598,7 @@ def steady_state_rows(
     faults: dict[int, Exception] = {}  # class -> the failure it raises
     ambiguities: list[tuple[int, int, float]] = []  # (class, values near the cut, cut)
     pops = np.zeros((len(codes), DIM))
+    gth = np.zeros(len(codes), dtype=bool)
     single = sizes == 1
     pops[single, heads[single]] = 1.0
     for size in np.flatnonzero(np.bincount(sizes[sizes > 1])).tolist():
@@ -608,6 +613,7 @@ def steady_state_rows(
         flat = blocks.reshape(len(at), -1)
         wide = flat.max(axis=-1) > GTH_SPREAD * np.where(flat > 0.0, flat, np.inf).min(axis=-1)
         if wide.any():
+            gth[at[wide]] = True
             pops[at[wide]] = _gth_populations(blocks[wide], idx[wide], at[wide], faults)
             at, idx, blocks = at[~wide], idx[~wide], blocks[~wide]
         if len(at):
@@ -632,7 +638,7 @@ def steady_state_rows(
             f"{resid[c] * top[rows[c]]:.3e} (bound {STEADY_RESIDUAL_TOL * top[rows[c]]:.3e})"))
     failed[list(failures)] = True
     solved = ~failed[rows]
-    return pops[solved], rows[solved], codes[solved], dict(sorted(failures.items()))
+    return pops[solved], rows[solved], codes[solved], gth[solved], dict(sorted(failures.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -358,10 +358,11 @@ class Readout:
     """The thermodynamic read-out of a grid of N rows and their S steady
     states, each quantity an array whose last axis runs over the states.
 
-    ``populations`` ``(S, 8)``, ``row`` ``(S,)`` and ``support`` ``(S,)``
-    are the states' table as :func:`~qfridge.dynamics.steady_state_rows`
-    gives it: each state's eigenlevel populations, its row, in row order,
-    and its levels as a bit set.  ``currents`` ``(n, S)`` holds the current
+    ``populations`` ``(S, 8)``, ``row`` ``(S,)``, ``support`` ``(S,)`` and
+    ``wide`` ``(S,)`` are the states' table as
+    :func:`~qfridge.dynamics.steady_state_rows` gives it: each state's
+    eigenlevel populations, its row, in row order, its levels as a bit set
+    and whether GTH solved its class.  ``currents`` ``(n, S)`` holds the current
     of each of ``dissipators``, 0.0 on a state whose row does not keep it
     (``kept``: its rates there are 0 and 0); ``engineered`` and ``background``
     ``(3, S)`` their sums per bath, rows H, R, C; ``efficiency`` is NaN
@@ -374,6 +375,7 @@ class Readout:
     populations: np.ndarray
     row: np.ndarray
     support: np.ndarray
+    wide: np.ndarray
     currents: np.ndarray
     kept: np.ndarray
     engineered: np.ndarray
@@ -401,7 +403,7 @@ def build_report(gen: Generator, steady: SteadyState) -> HeatCurrentReport:
     summary (efficiency, entropy production, stage, first-law residual):
     the one-state case of :func:`build_reports`."""
     table = (np.reshape(steady.populations, (1, DIM)), np.zeros(1, dtype=int),
-             np.array([sum(1 << i for i in steady.support)]), {})
+             np.array([sum(1 << i for i in steady.support)]), np.array([steady.wide]), {})
     readout = build_reports(gen, rate_table(gen.dissipators), table,
                             _by_bath(gen.reservoirs.temperatures)[np.newaxis])
     if readout.failures:
@@ -412,7 +414,7 @@ def build_report(gen: Generator, steady: SteadyState) -> HeatCurrentReport:
 def build_reports(
     gen: Generator,
     rates: tuple[np.ndarray, np.ndarray],
-    table: tuple[np.ndarray, np.ndarray, np.ndarray, Mapping[int, Exception]],
+    table: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Mapping[int, Exception]],
     baths: np.ndarray,
 ) -> Readout:
     """:func:`build_report` of every steady state of a grid of rows, as one
@@ -420,30 +422,39 @@ def build_reports(
 
     ``rates`` are the ``(N, D)`` tables ``(j_plus, j_minus)`` of ``gen``'s
     dissipators (:func:`~qfridge.dynamics.grid_rates`), ``table`` the states'
-    populations, rows, supports and each failed row's exception, as
-    :func:`~qfridge.dynamics.steady_state_rows` returns them, and
-    ``baths[k]`` row k's bath temperatures H, R, C.  A row keeps, and its
-    reports list, the dissipators of nonzero ``j_minus`` there.  A row fails
-    with its exception or, as ``build_report`` would, with the first-law
-    fault of its first faulting state.
+    populations, rows, supports, wide flags and each failed row's
+    exception, as :func:`~qfridge.dynamics.steady_state_rows` returns them,
+    and ``baths[k]`` row k's bath temperatures H, R, C.  A row keeps, and
+    its reports list, the dissipators of nonzero ``j_minus`` there.  A row
+    fails with its exception or, as ``build_report`` would, with the
+    first-law fault of its first faulting state.
 
-    The states' real density matrices are built in ``gen``'s eigenbasis
-    (the same for every parameter set); each dissipator is one real
-    trace-form kernel call on the states whose rows keep it, and the summary
-    is array operations, so each report equals ``build_report`` on its state
-    alone, bit for bit.
+    A state of one level carries no current: each of its currents is 0.0.
+    A wide state (its class solved by GTH) whose class has at most one
+    independent cycle takes its currents in closed form
+    (:func:`_cycle_flux_currents`).  The other states' real density
+    matrices are built in ``gen``'s eigenbasis (the same for every parameter
+    set), and each dissipator is one real trace-form kernel call on those
+    of them whose rows keep it.  The summary is array operations, so each
+    report equals ``build_report`` on its state alone, bit for bit.
     """
-    populations, at, support, failures = table
+    populations, at, support, wide, failures = table
     failures = dict(failures)
     counts = np.bincount(at, minlength=len(baths))
-    states = gen.eigen.diagonal_state(populations)
     j_plus, j_minus = (r.T[:, at] for r in rates)  # (D, S): the rates of each state's row
     kept = j_minus != 0.0
     currents = np.zeros(kept.shape)
-    for k, d in enumerate(gen.dissipators):
-        if (on := np.flatnonzero(kept[k])).size:
-            currents[k, on] = _trace(gen.hamiltonian, _channel_action(
-                d.channel, j_plus[k, on], j_minus[k, on], states[on]))
+    trace = support & (support - 1) != 0  # a class of one level carries no current
+    if (on := np.flatnonzero(wide)).size:
+        closed, currents[:, on] = _cycle_flux_currents(
+            gen.dissipators, j_plus[:, on], j_minus[:, on], populations[on], support[on])
+        trace[on[closed]] = False
+    if (rest := np.flatnonzero(trace)).size:
+        states = gen.eigen.diagonal_state(populations[rest])
+        for k, d in enumerate(gen.dissipators):
+            if (on := np.flatnonzero(kept[k, rest])).size:
+                currents[k, rest[on]] = _trace(gen.hamiltonian, _channel_action(
+                    d.channel, j_plus[k, rest[on]], j_minus[k, rest[on]], states[on]))
     engineered = np.zeros((len(QUBITS), len(at)))
     background = np.zeros((len(QUBITS), len(at)))
     scale = np.zeros(len(at))
@@ -477,6 +488,7 @@ def build_reports(
         populations=populations,
         row=at,
         support=support,
+        wide=wide,
         currents=currents,
         kept=kept,
         engineered=engineered,
@@ -488,6 +500,121 @@ def build_reports(
         reporting=reporting,
         failures=failures,
     )
+
+
+def _cycle_flux_currents(dissipators: Sequence[Dissipator], j_plus: np.ndarray,
+                         j_minus: np.ndarray, populations: np.ndarray, support: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Which of S states ``(S,)`` have a class with at most one independent
+    cycle, and the currents ``(D, S)`` of ``dissipators`` on those states in
+    closed form (0.0 on the others), from each state's rates ``j_plus``,
+    ``j_minus`` ``(D, S)``, its populations ``(S, 8)`` and its levels as a bit
+    set ``(S,)``.
+
+    The states that share their levels and kept dissipators share their
+    cycle, found once (:func:`_cycle_walk`); a tree carries no current.  The
+    cycle of each other state carries the flux J of :func:`_cycle_flux`,
+    walked from its most populated level, and each kept dissipator then
+    carries ``-omega J`` per element that the walk runs down, ``+omega J``
+    per element it runs up.  The arithmetic is one pass over the states.
+    """
+    kept = (j_minus != 0.0).T.astype(np.int64)
+    keys, inverse = np.unique(support + (kept @ (1 << np.arange(len(dissipators))) << DIM),
+                              return_inverse=True)
+    walks = [_cycle_walk(dissipators, key) for key in keys.tolist()]
+    # the walks, padded to the longest: each step's level, dissipator and
+    # direction, and the current of each dissipator per unit of flux
+    width = max(map(len, filter(None, walks)), default=0)
+    levels, steps = (np.zeros((len(walks), width), dtype=int) for _ in range(2))
+    falls = np.zeros((len(walks), width), dtype=bool)
+    unit = np.zeros((len(walks), len(dissipators)))
+    for t, walk in enumerate(walks):
+        for k, (level, d, fall) in enumerate(walk or ()):
+            levels[t, k], steps[t, k], falls[t, k] = level, d, fall
+            unit[t, d] += (-1.0 if fall else 1.0) * dissipators[d].channel.frequency
+    length = np.array([len(walk or ()) for walk in walks])
+    currents = np.zeros(j_minus.shape)
+    if (ring := np.flatnonzero(length[inverse])).size:
+        t, k = inverse[ring], np.arange(width)
+        valid = k < length[t, np.newaxis]
+        start = np.where(valid, populations[ring[:, np.newaxis], levels[t]], -1.0).argmax(axis=1)
+        turn = np.where(valid, (k + start[:, np.newaxis]) % length[t, np.newaxis], k)
+        d, fall = steps[t[:, np.newaxis], turn], falls[t[:, np.newaxis], turn]
+        weight = np.array([dis.channel.pair_weight for dis in dissipators])[d]
+        down, up = weight * j_minus[d, ring[:, np.newaxis]], weight * j_plus[d, ring[:, np.newaxis]]
+        flux = _cycle_flux(np.where(valid, np.where(fall, down, up), 1.0),
+                           np.where(valid, np.where(fall, up, down), 1.0), valid,
+                           populations[ring, levels[t, start]])
+        currents[:, ring] = np.where(unit[t] != 0.0, unit[t] * flux[:, np.newaxis], 0.0).T
+    return np.array([walk is not None for walk in walks])[inverse], currents
+
+
+def _cycle_flux(fwd: np.ndarray, bwd: np.ndarray, valid: np.ndarray, top: np.ndarray
+                ) -> np.ndarray:
+    """The net flux ``(n,)`` round n cycles, each walked from a level of
+    population ``top`` ``(n,)``, with the rates ``fwd`` and ``bwd`` ``(n, L)``
+    of each step forward and backward: 1.0 past the end of a cycle, where
+    ``valid`` ``(n, L)`` is false.
+
+    With the affinity ``A = sum log(fwd / bwd)``, a cycle carries ``J =
+    (prod fwd - prod bwd) F / T`` (Schnakenberg, Rev. Mod. Phys. 48 (1976)
+    571; Hill, Free Energy Transduction in Biology, 1977): F the rates of
+    the trees that hang off the cycle, towards it, and T the matrix-tree sum
+    of its class.  As ``top = F T_r / T``, with ``T_r`` the sum over the
+    cycle's spanning paths into the start, ``J = sign(A) max(prod fwd, prod
+    bwd) (1 - exp(-|A|)) top / T_r``: no difference of rates or populations.
+    Each product of rates is a mantissa and a power of two (:func:`_product`)
+    and J is put together by one ``ldexp``, so rates that span 600 decades
+    neither overflow nor underflow."""
+    (fm, fe), (bm, be) = _product(fwd), _product(bwd)
+    with np.errstate(divide="ignore"):  # a rate of 0 one way: A = +-inf
+        affinity = np.log(fm / bm) + (fe - be) * math.log(2.0)
+    ahead = affinity >= 0.0
+    # the spanning paths into the start: cut step i, the levels before it
+    # run backward to the start and those after it forward
+    before = np.tri(fwd.shape[1], k=-1, dtype=bool)  # step j comes before step i
+    pm, pe = _product(np.where(before, bwd[:, np.newaxis],
+                               np.where(before.T, fwd[:, np.newaxis], 1.0)))
+    lead = np.where(valid, pe, np.iinfo(pe.dtype).min).max(axis=1, keepdims=True)
+    paths = np.where(valid, np.ldexp(pm, np.where(valid, pe - lead, 0)), 0.0).sum(axis=1)
+    return np.ldexp(np.sign(affinity) * np.where(ahead, fm, bm) * -np.expm1(-np.abs(affinity))
+                    * top / paths, np.where(ahead, fe, be) - lead[:, 0])
+
+
+def _cycle_walk(dissipators: Sequence[Dissipator], key: int) -> list | None:
+    """The cycle of the class of topology ``key`` (the class's levels as a
+    bit set in the low 8 bits, above them a bit per kept dissipator), as a
+    walk round it: per step, the level it leaves, the dissipator it takes
+    and whether it runs down that dissipator's element.  An edge is one
+    element of a kept dissipator inside the class, so two dissipators on
+    one level pair close a cycle.  A tree (one edge fewer than levels) has
+    the empty walk, a class with more than one cycle ``None``."""
+    edges = [(d, lower, upper) for d, dis in enumerate(dissipators) if key >> (DIM + d) & 1
+             for lower, upper, _ in dis.channel.elements if key >> lower & key >> upper & 1]
+    cycles = len(edges) - (key & (1 << DIM) - 1).bit_count() + 1
+    if cycles != 1:
+        return [] if cycles == 0 else None
+    while True:  # strip the trees that hang off the cycle, a layer of leaves at a time
+        ends = [level for _, lower, upper in edges for level in (lower, upper)]
+        leaves = {level for level in ends if ends.count(level) == 1}
+        if not leaves:
+            break
+        edges = [edge for edge in edges if not leaves.intersection(edge[1:])]
+    level, walk = edges[0][1], []
+    while edges:
+        edge = next(edge for edge in edges if level in edge[1:])
+        edges.remove(edge)
+        walk.append((level, edge[0], edge[2] == level))
+        level = edge[1] if edge[2] == level else edge[2]
+    return walk
+
+
+def _product(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The product over the last axis of ``x`` (at most a few hundred
+    factors) as a mantissa and a power of two, ``np.ldexp(m, e)``, from
+    :func:`numpy.frexp`: no partial product over- or underflows."""
+    mantissa, exponent = np.frexp(x)
+    return mantissa.prod(axis=-1), exponent.sum(axis=-1)
 
 
 def reporting_cells(readout: Readout) -> tuple[np.ndarray, np.ndarray]:

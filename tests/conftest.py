@@ -72,12 +72,13 @@ def hot_rates(gen, t_h):
 
 def state_sets(table, eigen, n: int) -> list:
     """The states' table of ``dynamics.steady_state_rows`` (populations,
-    rows, supports as bit sets, failures by row) as each of ``n`` rows'
-    tuple of :class:`SteadyState` in ``eigen``'s basis, or the exception that
-    failed it: the one-row form of ``steady_states_numeric``."""
-    populations, rows, support, failures = table
+    rows, supports as bit sets, wide flags, failures by row) as each of ``n``
+    rows' tuple of :class:`SteadyState` in ``eigen``'s basis, or the
+    exception that failed it: the one-row form of ``steady_states_numeric``."""
+    populations, rows, support, wide, failures = table
     return [failures[k] if k in failures else tuple(
-        SteadyState(frozenset(i for i in range(DIM) if code >> i & 1), populations[j], eigen)
+        SteadyState(frozenset(i for i in range(DIM) if code >> i & 1), populations[j], eigen,
+                    wide[j].item())
         for j, code in zip(np.flatnonzero(rows == k).tolist(), support[rows == k].tolist()))
         for k in range(n)]
 
@@ -95,4 +96,5 @@ def states_table(rows) -> tuple:
     return (np.reshape([s.populations for _, s in solved], (-1, DIM)),
             np.array([k for k, _ in solved], dtype=int),
             np.array([sum(1 << i for i in s.support) for _, s in solved], dtype=int),
+            np.array([s.wide for _, s in solved], dtype=bool),
             {k: row for k, row in enumerate(rows) if isinstance(row, Exception)})

@@ -29,8 +29,8 @@ from qfridge.cli import (
 )
 from conftest import hot_baths, hot_rates, state_sets, states_table
 from qfridge.dynamics import build_population_matrix
-from qfridge.reservoirs import COOLING_FILTERS, kept_channel_table
-from qfridge.spectrum import CHANNEL_KEYS
+from qfridge.reservoirs import COOLING_FILTERS, kept_channel_table, natural_from_ghz
+from qfridge.spectrum import CHANNEL_KEYS, QUBITS
 
 FIG_CONFIG = """
 [system]
@@ -355,6 +355,35 @@ def test_load_csv_rejects_a_header_key_given_twice(tmp_path, shipped_sweep_lines
         f"{path}: header key system.g appears twice"
 
 
+def test_load_csv_rejects_a_stage_its_currents_contradict(tmp_path, shipped_sweep_lines):
+    # the first row of the shipped sweep is (-, -, +): stage1
+    lines, top = shipped_sweep_lines
+    cells = lines[top].split(",")
+    assert cells[-1] == "stage1"
+    path = tmp_path / "sweep.csv"
+    assert load_error(path, [*lines[:top], ",".join(cells[:-1] + ["stage4"]),
+                             *lines[top + 1:]]) == \
+        f"{path}: row 0 has stage stage4, but its currents give stage1"
+
+
+def test_load_csv_rejects_an_error_row_with_finite_cells(tmp_path, shipped_sweep_lines):
+    # an error row's cells are NaN; a finite one would also have escaped
+    # the first-law check, which reads the solved rows only
+    lines, top = shipped_sweep_lines
+    cells = lines[top + 1].split(",")
+    path = tmp_path / "sweep.csv"
+    assert load_error(path, [*lines[:top + 1], ",".join(cells[:-1] + ["error"]),
+                             *lines[top + 2:]]) == \
+        f"{path}: row 1 is an error row, but its qdot_C is {float(cells[1])!r}, not nan"
+    cells = [cells[0]] + ["nan"] * 8 + ["error"]
+    cells[8] = "0.0"  # sigma
+    assert load_error(path, [*lines[:top + 1], ",".join(cells), *lines[top + 2:]]) == \
+        f"{path}: row 1 is an error row, but its sigma is 0.0, not nan"
+    cells[8] = "nan"  # a row of NaN cells is a well-formed error row
+    path.write_text("\n".join([*lines[:top + 1], ",".join(cells), *lines[top + 2:]]) + "\n")
+    assert load_csv(str(path)).rows[1].failed
+
+
 @pytest.mark.parametrize("fault", ["missing", "not_utf8", "bad_header_value"])
 def test_load_csv_errors_name_the_file(tmp_path, fault):
     path = tmp_path / "sweep.csv"
@@ -483,6 +512,35 @@ def test_constants_report():
     assert "k_B / hbar" in text
     assert "unit_scale = 1.3194689145e+12" in text
     assert "T_C" in text
+
+
+def test_ghz_anchor_is_the_reservoirs_conversion_bit_for_bit(rng):
+    # parse_config takes unit_scale from reservoirs.natural_from_ghz; it is
+    # the product 2 pi f 1e9 it restated before, bit for bit
+    def unit_scale(f_ghz: float) -> float:
+        return parse_config(f"[system]\nomega_c_ghz = {f_ghz!r}\nomega_h = 3\ng = 0.25\n"
+                            "gamma = 0.05\n[reservoirs]\nt_h = 3\nt_r = 2\nt_c = 1\n"
+                            ).params.unit_scale
+
+    assert unit_scale(210.0) == 2.0 * math.pi * 210.0 * 1e9 == 1319468914507.7131
+    for f_ghz in np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 300)).tolist():
+        assert unit_scale(f_ghz) == 2.0 * math.pi * f_ghz * 1e9
+    f_ghz = np.exp(rng.uniform(math.log(1e-300), math.log(1e290), 200_000))
+    assert (natural_from_ghz(f_ghz, 1.0) == 2.0 * math.pi * f_ghz * 1e9).all()
+    assert constants_report(load_config(str(CONFIGS / "figure_sweep.ini"))) == """\
+qfridge unit conventions (hbar = k_B = 1 internally)
+hbar = 1.0545718176e-34 J s
+k_B = 1.3806490000e-23 J / K
+k_B / hbar = 1.3092033913e+11 rad / (s K)
+omega[natural] = 2*pi * f[GHz] * 1e9 / unit_scale
+T[natural] = (k_B / hbar) * T[K] / unit_scale
+unit_scale = 1.3194689145e+12 rad / s
+1 natural frequency unit = 210 GHz
+1 natural temperature unit = 10.07841045 K
+T_H = 6.618107122 natural = 66.7 K
+T_R = 3.968879833 natural = 40 K
+T_C = 0.9922199583 natural = 10 K
+"""
 
 
 def test_main_subcommands(tmp_path, capsys):
@@ -648,6 +706,26 @@ def test_rows_record_domain_failures_but_not_bugs(monkeypatch, run, text):
         run(config)
 
 
+@pytest.mark.parametrize("command, text", [
+    ("sweep", FIG_CONFIG),
+    ("scan", NATURAL_CONFIG),
+], ids=["sweep", "scan"])
+def test_a_grid_whose_every_row_fails_exits_2(monkeypatch, capsys, tmp_path, command, text):
+    # the table is still written and the stderr summary still names the
+    # first failure (a grid with a solved row exits 0: see the overflow
+    # tests, 4 of 5 sweep rows and 16 of 27 scan masks failed)
+    from qfridge.dynamics import SolverFailure
+
+    cfg, out = tmp_path / "grid.ini", tmp_path / "grid.out"
+    cfg.write_text(text)
+    monkeypatch.setattr(cli, "steady_state_rows", _fail_rows(SolverFailure("no")))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    n, noun = (27, "masks") if command == "scan" else (parse_config(text).sweep.points, "rows")
+    summary = capsys.readouterr().err.splitlines()[-1]
+    assert summary.startswith(f"{n} of {n} {noun} failed; first at ")
+    assert summary.endswith(": SolverFailure: no") and out.exists()
+
+
 def test_sweep_reports_failed_rows_on_stderr(monkeypatch, capsys, tmp_path):
     from qfridge import cli
     from qfridge.dynamics import SolverFailure
@@ -802,7 +880,8 @@ def test_steady_reports_solve_time_warnings(monkeypatch, tmp_path):
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-#: REVIVAL mask at a cold edge: the solve raises a first-law NumericalFault
+#: REVIVAL mask at a cold edge, where the trace-form read-out raised a
+#: first-law NumericalFault; its classes are triangles, read in closed form
 REVIVAL_FAULT_CONFIG = """
 [system]
 omega_h = 3
@@ -819,6 +898,11 @@ h = 3
 r = 2
 c = 1
 """
+
+#: the REVIVAL_FAULT_CONFIG baths through a mask whose wide class has two
+#: cycles: the trace-form read-out raises a first-law NumericalFault
+MULTI_CYCLE_FAULT_CONFIG = REVIVAL_FAULT_CONFIG.replace("h = 3\nr = 2\nc = 1",
+                                                        "h = 1\nr = 1,3\nc = 1")
 
 #: all channels with H2~C2 and H3~R1 coinciding: DegenerateChannelsError
 DEGENERATE_CONFIG = """
@@ -880,10 +964,10 @@ def test_no_command_dies_with_a_traceback(name, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, message", [
-    (REVIVAL_FAULT_CONFIG, "error: NumericalFault: first-law violation: currents sum to "),
+    (MULTI_CYCLE_FAULT_CONFIG, "error: NumericalFault: first-law violation: currents sum to "),
     (DEGENERATE_CONFIG,
      "error: DegenerateChannelsError: coinciding channel frequencies: H2~C2, H3~R1"),
-], ids=["revival_fault", "degenerate"])
+], ids=["multi_cycle_fault", "degenerate"])
 def test_steady_row_failure_exits_2_with_error(text, message, tmp_path, capsys):
     cfg = tmp_path / "steady.ini"
     cfg.write_text(text)
@@ -901,7 +985,8 @@ def test_sweep_writes_energy_balance_breach_as_error_row(tmp_path, capsys):
     cfg = tmp_path / "sweep.ini"
     cfg.write_text(BALANCE_FAULT_CONFIG)
     path = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", str(cfg), "--out", str(path)]) == 0
+    # every row of the grid failed: the CSV is written and the exit status is 2
+    assert main(["sweep", "--config", str(cfg), "--out", str(path)]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == (
         f"1 of 1 rows failed; first at t_h={row.sweep_value:.16e}: {row.error}")
     loaded = load_csv(str(path))
@@ -1125,7 +1210,8 @@ def grid_outcomes(config: ScenarioConfig, **grid) -> list:
     from qfridge import cli, eigensystem
 
     readout = cli._solve_grid(config, **grid)
-    rows = state_sets((readout.populations, readout.row, readout.support, readout.failures),
+    rows = state_sets((readout.populations, readout.row, readout.support, readout.wide,
+                       readout.failures),
                       eigensystem(config.params), len(grid.get("filters", [config.filter])))
     assert len(readout.reporting) == len(rows)
     return [readout.failures[k] if k in readout.failures else
@@ -1579,11 +1665,17 @@ def detailed_balance(w: np.ndarray, levels: list[int]) -> list[float]:
 def test_occupation_that_overflows_is_a_failed_row_not_a_traceback(capsys, tmp_path,
                                                                    monkeypatch):
     # the occupation 1 / expm1(0.0) used to raise ZeroDivisionError, and the
-    # masks that filter C1 out would then carry 0 * inf = NaN rates.  Five C3
-    # masks keep a finite W: T_C = 1e308 rounds C3's two rates to one float,
-    # every C3 edge spans the same gap, and H and R share T = 4, so each
-    # class obeys detailed balance on every edge.  Its closed form is the
-    # product of rate ratios along a spanning tree, and no current flows
+    # masks that filter C1 out would then carry 0 * inf = NaN rates.  The
+    # eleven masks that keep a finite W and distinct channels solve: their
+    # C rates, near 1e306, are about 1e307 times those of H and R, so GTH
+    # solves each class and the currents are in closed form.  A tree class
+    # obeys detailed balance on every edge (its closed form is the product
+    # of rate ratios along a spanning tree) and carries no current, exactly;
+    # three masks also have three-level cycles, whose C edge carries its
+    # flux on populations that differ in the 309th digit
+    import mpmath as mp
+    from test_exactness import exact_cells, stationary
+
     from qfridge import cli
 
     cfg = tmp_path / "underflow.ini"
@@ -1605,16 +1697,30 @@ def test_occupation_that_overflows_is_a_failed_row_not_a_traceback(capsys, tmp_p
     assert overflowed and all("C1" in label for label in overflowed)
     solved = [row for row in rows if not row.error]
     assert sorted(str(row.filter) for row in solved) == [
-        "H1+R2+C3", "H1+R3+C3", "H2+R2+C3", "H2+R3+C3", "H3+R1+C3"]
-    for row in solved:  # the terms of H and R are O(0.1), those of C O(1e306)
-        assert row.qdot_C == 0.0 and abs(row.qdot_H) < 1e-15 and abs(row.qdot_R) < 1e-15
-    (_, _, w, _), readout = grids
+        "H1+R2+C2", "H1+R2+C3", "H1+R3+C2", "H1+R3+C3", "H2+R1+C3", "H2+R2+C3",
+        "H2+R3+C3", "H3+R1+C2", "H3+R1+C3", "H3+R3+C2", "H3+R3+C3"]
+    cycles = {"H1+R3+C2", "H2+R1+C3", "H3+R3+C3"}
+    for row in solved:
+        assert (row.qdot_C > 0.0) if str(row.filter) in cycles else \
+            row.qdot_C == row.qdot_H == row.qdot_R == 0.0
+    (gen, rates, w, _), readout = grids
     passed = [j for j, k in enumerate(readout.row.tolist()) if k not in readout.failures]
     assert len(set(readout.row[passed].tolist())) == len(solved)
+    assert readout.wide[passed].any()
     eps = np.finfo(float).eps
     for j in passed:
         k, code = readout.row[j].item(), readout.support[j].item()
         levels = [i for i in range(8) if code >> i & 1]
+        if np.count_nonzero(w[k][np.ix_(levels, levels)]) > 3 * len(levels) - 2:
+            with mp.workdps(400):  # one cycle: the exact currents of the exact state
+                exact = stationary(w[k], levels)
+                cells, gross = exact_cells(gen.dissipators, rates, k, dict(zip(levels, exact)))
+                got = readout.engineered[:, j].tolist()
+                assert max(float(abs(mp.mpf(x) - cells["engineered", q]) / gross)
+                           for x, q in zip(got, QUBITS)) <= 4 * eps
+            assert readout.populations[j][levels] == pytest.approx(
+                [float(x) for x in exact], rel=16 * eps, abs=0.0)
+            continue
         want = detailed_balance(w[k], levels)
         assert readout.populations[j][levels] == pytest.approx(want, rel=16 * eps, abs=0.0)
         for a, pa in zip(levels, want):  # every edge balances, off the tree too
@@ -1622,7 +1728,7 @@ def test_occupation_that_overflows_is_a_failed_row_not_a_traceback(capsys, tmp_p
                 assert pa * w[k][b, a] == pytest.approx(pb * w[k][a, b], rel=16 * eps, abs=0.0)
     assert main(["scan", "--config", str(cfg)]) == 0
     err = capsys.readouterr().err.splitlines()
-    assert err[-1].startswith("22 of 27 masks failed; first at H1+R1+C1: ")
+    assert err[-1].startswith("16 of 27 masks failed; first at H1+R1+C1: ")
     assert not any("Traceback" in line or "encountered" in line for line in err)
 
 
@@ -1714,11 +1820,12 @@ def test_scan_takes_currents_only_where_a_row_couples(monkeypatch):
     # a scan's generator couples each of the nine channels on every
     # mask's row, at rates 0 and 0 where the mask filters it out; no such
     # pair reaches the trace-form kernel, which is called once per
-    # dissipator that some row keeps
+    # dissipator that some row keeps.  A state of one level carries no
+    # current and takes no trace
     from qfridge import thermo
 
-    calls = []
-    apply = thermo._channel_action
+    calls, grids = [], []
+    apply, solve_grid = thermo._channel_action, cli._solve_grid
 
     def counted(channel, j_plus, j_minus, rho):
         assert np.all(j_minus != 0.0) and len(j_plus) == len(j_minus) == len(rho)
@@ -1726,12 +1833,20 @@ def test_scan_takes_currents_only_where_a_row_couples(monkeypatch):
         return apply(channel, j_plus, j_minus, rho)
 
     monkeypatch.setattr(thermo, "_channel_action", counted)
+    monkeypatch.setattr(cli, "_solve_grid", lambda *args, **kwargs: grids.append(
+        solve_grid(*args, **kwargs)) or grids[-1])
     result = scan_filters(load_config(str(CONFIGS / "filter_census.ini")), mode="all")
     assert len(result.rows) == 216 and not any(r.error for r in result.rows)
-    # each state of a mask pairs with the channels the mask keeps, once
-    table = kept_channel_table([r.filter for r in result.rows])
-    kept = sum(r.n_states * n for r, n in zip(result.rows, table.sum(axis=1).tolist()))
+    # each state of more than one level pairs with the channels its mask
+    # keeps, once; the census has states of one level, and no wide state
+    (readout,) = grids
+    assert not readout.wide.any()
+    table = kept_channel_table(cli._filter_patterns("all"))
+    single = [bin(code).count("1") == 1 for code in readout.support.tolist()]
+    kept = sum(n for n, one in zip(table[readout.row].sum(axis=1).tolist(), single) if not one)
+    assert any(single)
     assert sum(n for _, n in calls) == kept < 9 * sum(r.n_states for r in result.rows)
+    assert readout.currents[:, single].tolist() == np.zeros((9, sum(single))).tolist()
     keys = [key for key, _ in calls]
     assert sorted(keys) == sorted(CHANNEL_KEYS[i] for i in np.flatnonzero(table.any(axis=0)))
 
@@ -1774,18 +1889,21 @@ def test_one_mask_sweep_stacks_rates_of_kept_channels_only(monkeypatch):
 
 @pytest.mark.parametrize("background", ["none", "vacuum"])
 def test_grid_reports_equal_build_report_on_cold_edge_grids(background):
-    # the eight cold_edge sweeps, where rates span tens of decades and most
-    # rows fail the first law, and with a vacuum background through the
-    # (H2, R1, C3) mask, which conducts heat into it (sigma = inf): each
-    # row's reports, or its fault, equal build_report on its states alone,
-    # with the hot bath of that row
+    # the eight cold_edge sweeps, where rates span tens of decades, and with
+    # a vacuum background through the (H2, R1, C3) mask, which conducts heat
+    # into it (sigma = inf): each row's reports, or its fault, equal
+    # build_report on its states alone, with the hot bath of that row.
+    # Without the background every state solves, and each wide one (a
+    # triangle, read in closed form) has the currents of the exact state
+    import mpmath as mp
     from dataclasses import replace
+    from test_exactness import exact_cells, stationary
 
     from qfridge import build_report
     from qfridge.dynamics import grid_rates, steady_state_rows
     from qfridge.thermo import NumericalFault, build_reports
 
-    seen = {"fault": 0, "report": 0, "dead band": 0, "infinite sigma": 0}
+    seen = {"fault": 0, "report": 0, "dead band": 0, "infinite sigma": 0, "exact": 0}
     for t_c in np.geomspace(0.1, 0.01, 8).tolist():
         text = cold_edge_config(t_c)
         if background == "vacuum":
@@ -1795,8 +1913,8 @@ def test_grid_reports_equal_build_report_on_cold_edge_grids(background):
         gen, t_h = _generator(config), config.sweep.values.tolist()
         baths = hot_baths(gen, t_h)
         rates = grid_rates(gen, kept_channel_table([config.filter] * len(t_h)), baths)
-        rows = state_sets(steady_state_rows(build_population_matrix(gen.dissipators, rates)),
-                          gen.eigen, len(t_h))
+        w = build_population_matrix(gen.dissipators, rates)
+        rows = state_sets(steady_state_rows(w), gen.eigen, len(t_h))
         readout = build_reports(gen, rates, states_table(rows), baths)
         for k, (t, states) in enumerate(zip(t_h, rows, strict=True)):
             if isinstance(states, Exception):
@@ -1821,19 +1939,34 @@ def test_grid_reports_equal_build_report_on_cold_edge_grids(background):
             seen["dead band"] += sum(r.efficiency is None and r.engineered["H"] != 0.0
                                      for r in got)
             seen["infinite sigma"] += sum(r.sigma == math.inf for r in got)
+            for s, r in zip(states, got):
+                if background == "none" and s.wide:
+                    levels = sorted(s.support)
+                    with mp.workdps(60):
+                        exact = dict(zip(levels, stationary(w[k], levels)))
+                        cells, _ = exact_cells(gen.dissipators, rates, k, exact)
+                    want = [cells["engineered", q] for q in QUBITS]
+                    scale = max(abs(x) for x in want)
+                    assert max(abs(r.engineered[q] - x) for q, x in zip(QUBITS, want)) \
+                        <= 1e-12 * scale
+                    assert (r.engineered["C"] > 0) == (want[2] > 0)
+                    seen["exact"] += 1
     assert seen["report"] and seen["dead band"]
     if background == "none":
-        assert seen["fault"] and not seen["infinite sigma"]
+        assert not seen["fault"] and not seen["infinite sigma"]
+        assert seen["exact"] == 2 * 8 * 25  # two triangles a row
     else:
         assert seen["infinite sigma"]
 
 
 def assert_readout_matches_complex_oracle(monkeypatch, solve):
-    """Run ``solve``, a CLI grid solve; each real current of its read-out
-    (faulting states included) is within 8 eps of its state's summed
-    channel current magnitudes of the trace-form kernel on the complex
+    """Run ``solve``, a CLI grid solve; each real current of its read-out on
+    a narrow state (faulting states included) is within 8 eps of its state's
+    summed channel current magnitudes of the trace-form kernel on the complex
     density matrix of the state, whose imaginary parts stay within
-    ``IMAG_FAULT_TOL``."""
+    ``IMAG_FAULT_TOL``.  The currents of a wide state, read in closed form,
+    sum to zero within 4 eps of their magnitudes: the first law holds by
+    construction (their exact values are checked against mpmath)."""
     from qfridge import cli
     from qfridge.dynamics import _channel_action
     from qfridge.thermo import IMAG_FAULT_TOL
@@ -1849,21 +1982,27 @@ def assert_readout_matches_complex_oracle(monkeypatch, solve):
     with monkeypatch.context() as patch:
         patch.setattr(cli, "build_reports", reports)
         solve()
-    gen, (j_plus, j_minus), (populations, at, _, _) = seen["gen"], seen["rates"], seen["table"]
+    gen, (j_plus, j_minus), (populations, at, _, wide, _) = \
+        seen["gen"], seen["rates"], seen["table"]
+    got = seen["readout"].currents
+    assert got.dtype == np.float64
+    magnitude = np.abs(got[:, wide]).sum(axis=0)
+    assert (np.abs(got[:, wide].sum(axis=0)) <= 4 * np.finfo(float).eps * magnitude).all()
+    got, populations, at = got[:, ~wide], populations[~wide], at[~wide]
     rho = gen.eigen.diagonal_state(np.array(populations, dtype=complex))
     want = np.array([np.trace(gen.hamiltonian @ _channel_action(
         d.channel, j_plus[at, k], j_minus[at, k], rho), axis1=-2, axis2=-1)
         for k, d in enumerate(gen.dissipators)])
     assert (np.abs(want.imag) <= IMAG_FAULT_TOL).all()
     want = want.real
-    got = seen["readout"].currents
-    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.shape == want.shape
     bound = 8.0 * np.finfo(float).eps * np.abs(got).sum(axis=0)
     assert (np.abs(got - want) <= bound).all()
 
 
 def test_real_readout_matches_complex_oracle(monkeypatch):
-    # the figure_sweep grid, the census_all grid and the eight cold_edge grids
+    # the figure_sweep grid, the census_all grid and the eight cold_edge
+    # grids, whose triangles are wide
     config = load_config(str(CONFIGS / "figure_sweep.ini"))
     assert_readout_matches_complex_oracle(monkeypatch, lambda: sweep_th(config))
     config = load_config(str(CONFIGS / "filter_census.ini"))

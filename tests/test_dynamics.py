@@ -1596,9 +1596,10 @@ def test_wide_random_blocks_get_populations_within_the_gth_ratchet(block):
     w, m = block
     levels = list(range(m))
     assume(class_spread(w, levels) > dynamics.GTH_SPREAD)
-    populations, _, support, failures = steady_state_rows(w[np.newaxis])
+    populations, _, support, wide, failures = steady_state_rows(w[np.newaxis])
     assert not failures
     (j,) = np.flatnonzero(support == (1 << m) - 1)
+    assert wide[j]
     assert population_error(w, populations[j], levels) <= GTH_RATCHET
 
 
